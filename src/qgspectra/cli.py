@@ -28,8 +28,8 @@ import numpy as np
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import build_graph
-from .orbits import TestFunction, enumerate_orbits, orbit_weight, trace_check, wigner_delay
-from .scattering import secular_sweep
+from .orbits import TestFunction, _weight, enumerate_orbits, trace_check, wigner_delay
+from .scattering import assemble_S, secular_sweep
 from .spectrum import ScanConfig, scan_spectrum
 from .wkb import compare_with_exact, wkb_wigner_delay
 
@@ -205,9 +205,10 @@ def _cmd_spectrum(args, g, meta, cfg_hash: str) -> str:
 
 
 def _orbit_rows(g, orbits, k_sample: float) -> List[List]:
+    S = assemble_S(g, complex(k_sample)).tolist()
     rows = []
     for i, p in enumerate(orbits):
-        wt = orbit_weight(p, g, k_sample)
+        wt = _weight(p, S)
         rows.append(
             [
                 i,
@@ -246,6 +247,8 @@ def _cmd_trace_check(args, g, meta, cfg_hash: str) -> str:
         allow_below_threshold=args.allow_below_k,
     )
     report = trace_check(g, phi, args.nmax, scan_config=cfg)
+    # The table's enumeration may exceed its budget; fail before writing.
+    orbits = enumerate_orbits(g, args.nmax, on_budget="error") if args.nmax >= 1 else []
     payload = dict(meta)
     rep = dataclasses.asdict(report)
     # JSON schema of the report file: the test-function center is "k0"
@@ -259,7 +262,6 @@ def _cmd_trace_check(args, g, meta, cfg_hash: str) -> str:
     payload["report"] = rep
     path = os.path.join(args.out, "trace_report.json")
     _write_json(path, payload)
-    orbits = enumerate_orbits(g, args.nmax) if args.nmax >= 1 else []
     _write_csv(
         os.path.join(args.out, "orbit_table.csv"),
         _ORBIT_HEADER,

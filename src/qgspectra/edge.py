@@ -386,7 +386,10 @@ def edge_profile(
 # ---------------------------------------------------------------------------
 
 
-def _entries(sol: EdgeSolution) -> Tuple[complex, complex, complex]:
+def _entries(sol: EdgeSolution):
+    """Entries (trans, r_from, r_to) of t, and their k-derivatives by the
+    quotient rule on the boundary data when ``sol`` carries them (else
+    None)."""
     k = sol.k
     den = sol.dpsi_p - 1j * k * sol.psi_p
     scale = max(abs(sol.dpsi_p), abs(k) * abs(sol.psi_p), abs(k))
@@ -395,9 +398,18 @@ def _entries(sol: EdgeSolution) -> Tuple[complex, complex, complex]:
             f"transition-matrix parametrization singular at k={k}"
         )
     trans = -2j * k / den
-    r_from = -(sol.dpsi_m - 1j * k * sol.psi_m) / den
-    r_to = -(sol.dpsi_p + 1j * k * sol.psi_p) / den
-    return trans, r_from, r_to
+    num_f = -(sol.dpsi_m - 1j * k * sol.psi_m)
+    num_t = -(sol.dpsi_p + 1j * k * sol.psi_p)
+    t = (trans, num_f / den, num_t / den)
+    if sol.dk_psi_p is None:
+        return t, None
+    dden = sol.dk_dpsi_p - 1j * sol.psi_p - 1j * k * sol.dk_psi_p
+    dtrans = -2j / den + 2j * k * dden / (den * den)
+    dnum_f = -(sol.dk_dpsi_m - 1j * sol.psi_m - 1j * k * sol.dk_psi_m)
+    dr_from = (dnum_f * den - num_f * dden) / (den * den)
+    dnum_t = -(sol.dk_dpsi_p + 1j * sol.psi_p + 1j * k * sol.dk_psi_p)
+    dr_to = (dnum_t * den - num_t * dden) / (den * den)
+    return t, (dtrans, dr_from, dr_to)
 
 
 def transition_matrix(
@@ -408,7 +420,7 @@ def transition_matrix(
     atol: float = _DEFAULT_TOL,
 ) -> TransitionMatrix:
     sol = solve_edge(g, e, k, rtol=rtol, atol=atol)
-    trans, r_from, r_to = _entries(sol)
+    (trans, r_from, r_to), _ = _entries(sol)
     return TransitionMatrix(complex(k), sol.length, trans, r_from, r_to)
 
 
@@ -423,21 +435,7 @@ def transition_matrix_dk(
     boundary data (exact k-derivatives for the closed-form variants, the
     variational system for smooth ones)."""
     sol = solve_edge(g, e, k, want_dk=True, rtol=rtol, atol=atol)
-    k = sol.k
-    den = sol.dpsi_p - 1j * k * sol.psi_p
-    dden = sol.dk_dpsi_p - 1j * sol.psi_p - 1j * k * sol.dk_psi_p
-    scale = max(abs(sol.dpsi_p), abs(k) * abs(sol.psi_p), abs(k))
-    if abs(den) < 1e-12 * scale:
-        raise SingularPointError(
-            f"transition-matrix parametrization singular at k={k}"
-        )
-    dtrans = -2j / den + 2j * k * dden / (den * den)
-    num_f = -(sol.dpsi_m - 1j * k * sol.psi_m)
-    dnum_f = -(sol.dk_dpsi_m - 1j * sol.psi_m - 1j * k * sol.dk_psi_m)
-    dr_from = (dnum_f * den - num_f * dden) / (den * den)
-    num_t = -(sol.dpsi_p + 1j * k * sol.psi_p)
-    dnum_t = -(sol.dk_dpsi_p + 1j * sol.psi_p + 1j * k * sol.dk_psi_p)
-    dr_to = (dnum_t * den - num_t * dden) / (den * den)
+    _, (dtrans, dr_from, dr_to) = _entries(sol)
     return np.array([[dtrans, dr_to], [dr_from, dtrans]], dtype=complex)
 
 

@@ -6,7 +6,8 @@ directed edge r either by transmitting through s's edge and scattering
 at the far vertex, or by reflecting off the edge potential and
 scattering at the near vertex.  Self-loops are excluded upstream, so
 every admissible (s, r) pair has exactly one of the two step types and
-the step weight factorizes as (vertex entry) x (edge-matrix entry).
+the step weight tau = S[r, s] factorizes as (vertex entry) x
+(edge-matrix entry); its k-derivative is S'[r, s].
 
 With that alphabet, the class sum identity
 
@@ -14,9 +15,14 @@ With that alphabet, the class sum identity
                 n_primitive(p) * prod of step weights
 
 holds exactly, which is what orbit_sum_check verifies against dense
-matrix powers.  The trace-formula machinery then integrates Gaussian
-test functions against the phase derivative (Weyl term) and against the
-orbit amplitudes A_p = (n_primitive/n) Im d/dk prod tau.
+matrix powers.  Differentiating it, the orbit amplitudes
+A_p = (n_primitive/n) Im d/dk prod tau of the classes of length n add up
+to (1/n) Im d/dk tr S^n = Im tr(S^{n-1} S').  The trace-formula check
+integrates Gaussian test functions against the phase derivative (Weyl
+term) and takes its orbit term, (1/pi) integral of phi times
+sum_{n <= N} Im tr(S^{n-1} S'), from those matrix traces, so its cutoff
+N is not bounded by the enumeration budget.  Enumeration serves the
+orbit table, orbit_sum_check and the WKB orbit data.
 """
 
 from __future__ import annotations
@@ -28,10 +34,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .edge import subunitarity_threshold, transition_matrix, transition_matrix_dk
+from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import AuxiliaryGraph, MetricGraph
-from .scattering import assemble_S, theta_prime
+from .scattering import _theta_prime, assemble_S, assemble_T, big_sigma, theta_prime
 from .spectrum import K_FLOOR, ScanConfig, scan_spectrum
 
 logger = logging.getLogger(__name__)
@@ -257,50 +263,24 @@ def step_sigma(g: MetricGraph, s: int, r: int, kind: str) -> float:
     return _sigma_entry(g, g.iota(s), r, s)
 
 
-def _edge_entry_cache(g: MetricGraph, k: complex, want_dk: bool):
-    """Per-edge transition entries (and d/dk) reused across orbits."""
-    cache: Dict[int, Tuple] = {}
-    for e in range(len(g.edges)):
-        t = transition_matrix(g, e, k)
-        if want_dk:
-            dt = transition_matrix_dk(g, e, k)
-            cache[e] = (t.trans, t.r_from, t.r_to, dt[0, 0], dt[1, 0], dt[0, 1])
-        else:
-            cache[e] = (t.trans, t.r_from, t.r_to, None, None, None)
-    return cache
+def _weights(p: PeriodicOrbit, S) -> List[complex]:
+    """Step weights S[r][s] along p.  Without self-loops the entry of an
+    admissible step s -> r has a single term, vertex entry x edge entry,
+    so it is that step's weight tau (and S' holds tau')."""
+    return [S[r][s] for s, r in zip(p.states, p.states[1:] + p.states[:1])]
 
 
-def _step_factors(
-    g: MetricGraph, p: PeriodicOrbit, cache, want_dk: bool
-) -> Tuple[List[complex], List[complex]]:
-    """Weights tau_i (and their k-derivatives) for each step of p."""
-    ws: List[complex] = []
-    dws: List[complex] = []
-    for i, s in enumerate(p.states):
-        r = p.states[(i + 1) % p.n]
-        kind = p.kinds[i]
-        e = s // 2
-        trans, r_from, r_to, dtrans, dr_from, dr_to = cache[e]
-        sig = step_sigma(g, s, r, kind)
-        if kind == "transmit":
-            tpart, dtpart = trans, dtrans
-        elif s % 2 == 0:
-            tpart, dtpart = r_from, dr_from
-        else:
-            tpart, dtpart = r_to, dr_to
-        ws.append(sig * tpart)
-        dws.append(sig * dtpart if want_dk else 0.0)
-    return ws, dws
+def _weight(p: PeriodicOrbit, S) -> complex:
+    """Product of the step weights of p read from S (nested lists)."""
+    out = 1.0 + 0j
+    for w in _weights(p, S):
+        out *= w
+    return out
 
 
 def orbit_weight(p: PeriodicOrbit, g: MetricGraph, k: complex) -> complex:
     """Product of step weights tau over the full orbit at k."""
-    cache = _edge_entry_cache(g, complex(k), want_dk=False)
-    ws, _ = _step_factors(g, p, cache, want_dk=False)
-    out = 1.0 + 0j
-    for w in ws:
-        out *= w
-    return out
+    return _weight(p, assemble_S(g, complex(k)).tolist())
 
 
 def _amplitude_from_factors(p: PeriodicOrbit, ws, dws) -> float:
@@ -319,14 +299,17 @@ def orbit_amplitude(p: PeriodicOrbit, g: MetricGraph, k: float) -> float:
     """A_p(k) = (n_primitive/n) Im d/dk of the step-weight product.
 
     Vertex factors are k-independent; the edge factors carry all the
-    k-dependence, differentiated by the edge-matrix derivative."""
+    k-dependence, so the step derivatives tau' are the entries of
+    S' = Sigma T'."""
     kthr = subunitarity_threshold(g)
     if not complex(k).imag == 0.0:
         raise InputError("orbit amplitudes are defined for real k")
     if k <= kthr:
         raise InputError(f"orbit amplitude requires k > threshold K={kthr:.6g}")
-    cache = _edge_entry_cache(g, complex(k), want_dk=True)
-    ws, dws = _step_factors(g, p, cache, want_dk=True)
+    T, dT = assemble_T(g, complex(k), want_dk=True)
+    sigma = big_sigma(g)
+    ws = _weights(p, (sigma @ T).tolist())
+    dws = _weights(p, (sigma @ dT).tolist())
     return _amplitude_from_factors(p, ws, dws)
 
 
@@ -335,17 +318,12 @@ def orbit_sum_check(g: MetricGraph, k: float, n: int) -> float:
     if n < 1:
         raise InputError("n must be >= 1")
     orbits = enumerate_orbits(g, n, on_budget="error")
-    cache = _edge_entry_cache(g, complex(k), want_dk=False)
+    s = assemble_S(g, complex(k))
+    rows = s.tolist()
     total = 0.0 + 0j
     for p in orbits:
-        if p.n != n:
-            continue
-        ws, _ = _step_factors(g, p, cache, want_dk=False)
-        prod = 1.0 + 0j
-        for w in ws:
-            prod *= w
-        total += p.n_primitive * prod
-    s = assemble_S(g, complex(k))
+        if p.n == n:
+            total += p.n_primitive * _weight(p, rows)
     tr = complex(np.trace(np.linalg.matrix_power(s, n)))
     return abs(total - tr)
 
@@ -425,9 +403,11 @@ def trace_check(
 
     lhs sums multiplicity-weighted phi(k_n) over the scanned spectrum;
     rhs_weyl integrates phi times the phase derivative / 2 pi; the orbit
-    term adds (1/pi) integral of phi times the partial amplitude sums for
-    every cutoff up to n_max.  A Weyl-count comparison aborts when the
-    scan evidently lost roots.
+    term for the cutoff N adds (1/pi) integral of phi times
+    sum_{n <= N} Im tr(S^{n-1} S'), the amplitude sum over all classes of
+    length up to N, for every N up to n_max.  No orbit is enumerated, so
+    the cost grows linearly in n_max.  A Weyl-count comparison aborts
+    when the scan evidently lost roots.
     """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
@@ -457,7 +437,19 @@ def trace_check(
         panel_width = min(1.0, 8.0 * math.pi / (max(n_max, 1) * l_max))
     ks, wts, n_panels = _gauss_panels(a, b, panel_width, panel_nodes)
 
-    tp = np.array([theta_prime(g, float(k)) for k in ks])
+    # One T, T' per node gives the phase density and every orbit row:
+    # orbit_terms[m] = Im tr(S^{m-1} S') is the amplitude sum over the
+    # classes of length m, (1/m) Im d/dk tr S^m.
+    sigma = big_sigma(g)
+    tp = np.zeros_like(ks)
+    orbit_terms = np.zeros((n_max + 1, ks.size))
+    for j, k in enumerate(ks):
+        T, dT = assemble_T(g, float(k), want_dk=True)
+        tp[j] = _theta_prime(T, dT)
+        S, P = sigma @ T, sigma @ dT
+        for m in range(1, n_max + 1):
+            orbit_terms[m, j] = np.trace(P).imag
+            P = S @ P
     phis = phi(ks)
     rhs_weyl = float(np.sum(wts * phis * tp) / (2.0 * math.pi))
 
@@ -474,24 +466,7 @@ def trace_check(
 
     rhs_orbit_rows: List[Dict[str, float]] = []
     residual_rows: List[Dict[str, float]] = []
-    partial = np.zeros_like(ks)
-    per_cutoff: Dict[int, np.ndarray] = {}
-    if n_max >= 1:
-        orbits = enumerate_orbits(g, n_max, on_budget="error")
-        caches = [_edge_entry_cache(g, complex(float(k)), want_dk=True) for k in ks]
-        for p in orbits:
-            amps = np.array(
-                [
-                    _amplitude_from_factors(p, *_step_factors(g, p, caches[j], True))
-                    for j in range(len(ks))
-                ]
-            )
-            per_cutoff.setdefault(p.n, np.zeros_like(ks))
-            per_cutoff[p.n] += amps
-    running = np.zeros_like(ks)
-    for m in range(0, n_max + 1):
-        if m >= 1 and m in per_cutoff:
-            running = running + per_cutoff[m]
+    for m, running in enumerate(np.cumsum(orbit_terms, axis=0)):
         value = float(np.sum(wts * phis * running) / math.pi)
         rhs_orbit_rows.append({"n_max": m, "value": value})
         residual_rows.append({"n_max": m, "value": abs(lhs - rhs_weyl - value)})

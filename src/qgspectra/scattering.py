@@ -25,11 +25,11 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .edge import transition_matrix, transition_matrix_dk
+from .edge import _entries, solve_edge
 from .errors import NumericalError, PhaseTrackingError
 from .graph import MetricGraph
 
@@ -76,34 +76,26 @@ def big_sigma(g: MetricGraph) -> np.ndarray:
     return sigma
 
 
-def edge_matrices(
-    g: MetricGraph, k: complex, want_dk: bool = False
-) -> Dict[int, Tuple[np.ndarray, Optional[np.ndarray]]]:
-    """Per-edge 2x2 transition matrices (and optionally k-derivatives)."""
-    out = {}
-    for e in range(g.num_edges):
-        t = transition_matrix(g, e, k)
-        dt = transition_matrix_dk(g, e, k) if want_dk else None
-        out[e] = (t.matrix, dt)
-    return out
+def _place(M: np.ndarray, e: int, trans, r_from, r_to) -> None:
+    d = 2 * e
+    M[d, d] = r_from
+    M[d + 1, d + 1] = r_to
+    M[d, d + 1] = trans
+    M[d + 1, d] = trans
 
 
-def _place(g: MetricGraph, blocks: Dict[int, np.ndarray]) -> np.ndarray:
+def assemble_T(g: MetricGraph, k: complex, want_dk: bool = False):
+    """T(k), or the pair (T(k), T'(k)) when ``want_dk``; either way one
+    edge solve per edge."""
     n = g.num_directed
     T = np.zeros((n, n), dtype=complex)
-    for e, m in blocks.items():
-        trans, r_to, r_from = m[0, 0], m[0, 1], m[1, 0]
-        d = 2 * e
-        T[d, d] = r_from
-        T[d ^ 1, d ^ 1] = r_to
-        T[d, d ^ 1] = trans
-        T[d ^ 1, d] = trans
-    return T
-
-
-def assemble_T(g: MetricGraph, k: complex) -> np.ndarray:
-    mats = edge_matrices(g, k)
-    return _place(g, {e: m for e, (m, _) in mats.items()})
+    dT = np.zeros((n, n), dtype=complex) if want_dk else None
+    for e in range(g.num_edges):
+        t, dt = _entries(solve_edge(g, e, k, want_dk))
+        _place(T, e, *t)
+        if want_dk:
+            _place(dT, e, *dt)
+    return (T, dT) if want_dk else T
 
 
 def assemble_S(g: MetricGraph, k: complex) -> np.ndarray:
@@ -191,21 +183,23 @@ def secular_sweep(g: MetricGraph, ks: Sequence[float]) -> List[SecularValue]:
 
 
 def theta_prime(g: MetricGraph, k: float) -> float:
-    """d Theta / dk at real k, via the per-edge trace identity.
+    """d Theta / dk at real k, via the per-edge trace identity."""
+    return _theta_prime(*assemble_T(g, k, want_dk=True))
 
-    d/dk log det T = sum_e tr(t_e^{-1} t_e'), which is invariant under the
-    simultaneous row/column layout choice, so the 2x2 display matrices are
-    used directly.  The result is real for real k; the imaginary residue is
-    a numerical check discarded here.
+
+def _theta_prime(T: np.ndarray, dT: np.ndarray) -> float:
+    """d/dk log det T / i from T and T'.
+
+    d/dk log det T = sum_e tr(t_e^{-1} t_e') over the 2x2 edge blocks, here
+    read in the display layout [[trans, r_to], [r_from, trans]].  The result
+    is real for real k; the imaginary residue is a numerical check discarded
+    here.
     """
     total = 0.0 + 0.0j
-    for e, (t, dt) in edge_matrices(g, k, want_dk=True).items():
-        det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
-        tr_adj_dt = (
-            t[1, 1] * dt[0, 0]
-            - t[0, 1] * dt[1, 0]
-            - t[1, 0] * dt[0, 1]
-            + t[0, 0] * dt[1, 1]
-        )
+    for d in range(0, T.shape[0], 2):
+        trans, r_from, r_to = T[d, d + 1], T[d, d], T[d + 1, d + 1]
+        dtrans, dr_from, dr_to = dT[d, d + 1], dT[d, d], dT[d + 1, d + 1]
+        det = trans * trans - r_to * r_from
+        tr_adj_dt = trans * dtrans - r_to * dr_from - r_from * dr_to + trans * dtrans
         total += tr_adj_dt / det
     return (total / 1j).real

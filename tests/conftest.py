@@ -2,9 +2,11 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
+from qgspectra import edge
 from qgspectra.graph import MetricGraph, build_graph
 from qgspectra.orbits import TestFunction
 
@@ -124,3 +126,22 @@ def g_smooth_star() -> MetricGraph:
             (1.0, {"type": "expr", "expr": "cos(4*x)"}),
         ]
     )
+
+
+@pytest.fixture
+def solve_edge_calls(monkeypatch):
+    """List that records the edge index of every solve_edge call, seen
+    under every qgspectra module global that names the function."""
+    calls = []
+    original = edge.solve_edge
+
+    def counted(g, e, *args, **kwargs):
+        calls.append(e)
+        return original(g, e, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "qgspectra" or name.startswith("qgspectra."):
+            for attr, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, attr, counted)
+    return calls

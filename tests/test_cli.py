@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 import qgspectra
+from qgspectra import cli
+from qgspectra.orbits import enumerate_orbits
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,6 +26,13 @@ TRIANGLE = {
         {"from": "a", "to": "b", "length": 1.0, "potential": {"type": "zero"}},
         {"from": "b", "to": "c", "length": 1.2, "potential": {"type": "zero"}},
         {"from": "c", "to": "a", "length": 0.8, "potential": {"type": "zero"}},
+    ],
+}
+DELTA_STAR = {
+    "vertices": ["c", "v1", "v2", "v3"],
+    "edges": [
+        {"from": "c", "to": f"v{i + 1}", "length": 1.0, "potential": {"type": "delta", "strength": d, "position": x}}
+        for i, (d, x) in enumerate(((2.0, 0.5), (0.7, 0.3), (1.3, 0.8)))
     ],
 }
 SMOOTH = {
@@ -218,6 +227,30 @@ def test_orbit_table(tmp_path):
         assert row[3] == "1"
         assert row[5] == "TTT"
         assert len(row[4].split("-")) == 3
+
+
+def test_orbit_table_solves_each_edge_once(tmp_path, solve_edge_calls):
+    inp = write_input(tmp_path, DELTA_STAR)
+    out = tmp_path / "orb"
+    assert cli.main(["orbits", "--input", str(inp), "--kmin", "3.0", "--nmax", "4", "--out", str(out)]) == 0
+    _, _, rows = read_csv(out / "orbit_table.csv")
+    assert len(rows) == len(enumerate_orbits(qgspectra.build_graph(DELTA_STAR), 4)) > 3
+    assert sorted(solve_edge_calls) == [0, 1, 2]
+
+
+def test_trace_check_refuses_a_truncated_orbit_table(tmp_path, monkeypatch, capsys):
+    def small_budget(g, n_max, budget=5_000_000, on_budget="partial"):
+        return enumerate_orbits(g, n_max, budget=50, on_budget=on_budget)
+
+    monkeypatch.setattr(cli, "enumerate_orbits", small_budget)
+    inp = write_input(tmp_path, TRIANGLE)
+    out = tmp_path / "tr"
+    args = ["trace-check", "--input", str(inp), "--phi-center", "10", "--phi-sigma", "0.5", "--workers", "1", "--out", str(out)]
+    assert cli.main(args + ["--nmax", "12"]) == 1
+    assert "exceeded its budget" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert cli.main(args + ["--nmax", "3"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["orbit_table.csv", "trace_report.json"]
 
 
 def test_trace_check_report(tmp_path):

@@ -19,6 +19,7 @@ from qgspectra.orbits import (
     trace_check,
     wigner_delay,
 )
+from qgspectra.scattering import assemble_T, big_sigma
 from qgspectra.spectrum import ScanConfig
 
 from .oracles import brute_classes, burnside_classes, gaussian_moment
@@ -107,6 +108,33 @@ def test_orbit_sum_identity(g_interval_delta_pi, g_triangle):
     for g in (g_interval_delta_pi, g_triangle):
         for n in range(1, 7):
             assert orbit_sum_check(g, 3.7, n) <= 1e-10
+
+
+@pytest.mark.parametrize("fixture_name", ["g_delta_star", "g_interval_delta_pi", "g_triangle"])
+def test_amplitude_sums_equal_matrix_traces(request, fixture_name):
+    # sum of A_p over the classes of length n = Im tr(S^{n-1} S'), the
+    # identity trace_check takes its orbit term from
+    g = request.getfixturevalue(fixture_name)
+    k = 7.3
+    T, dT = assemble_T(g, k, want_dk=True)
+    S, dS = big_sigma(g) @ T, big_sigma(g) @ dT
+    orbits = enumerate_orbits(g, 5, on_budget="error")
+    for n in range(1, 6):
+        total = sum(orbit_amplitude(p, g, k) for p in orbits if p.n == n)
+        expected = np.trace(np.linalg.matrix_power(S, n - 1) @ dS).imag
+        assert abs(total - expected) <= 1e-12
+
+
+def test_trace_check_orbit_cutoff_beyond_enumeration(g_delta_star):
+    phi = TestFunction(20.0, 0.5)
+    long = trace_check(g_delta_star, phi, 16)
+    short = trace_check(g_delta_star, phi, 5)
+    assert long.quadrature == short.quadrature
+    assert [row["n_max"] for row in long.rhs_orbits] == list(range(17))
+    assert len(short.rhs_orbits) == 6
+    for a, b in zip(long.rhs_orbits, short.rhs_orbits):
+        assert a["n_max"] == b["n_max"]
+        assert abs(a["value"] - b["value"]) <= 1e-14
 
 
 def test_test_function_shape():

@@ -7,14 +7,13 @@ import math
 import numpy as np
 import pytest
 
-from qgspectra.edge import transition_matrix
+from qgspectra.edge import transition_matrix, transition_matrix_dk
 from qgspectra.errors import InputError, PhaseTrackingError
 from qgspectra.scattering import (
     BranchState,
     assemble_S,
     assemble_T,
     big_sigma,
-    edge_matrices,
     secular,
     secular_sweep,
     theta_prime,
@@ -82,14 +81,29 @@ def test_S_unitary_above_threshold(g_smooth, g_delta_star):
             assert unitarity_defect(assemble_S(g, k)) <= 1e-8
 
 
-def test_edge_matrices_agree_with_transition_matrix(g_delta_star):
+def _display_block(M, e):
+    """Edge e's 2x2 block of T (or T') in the layout [[trans, r_to], [r_from, trans]]."""
+    d = 2 * e
+    return np.array([[M[d, d + 1], M[d + 1, d + 1]], [M[d, d], M[d + 1, d]]])
+
+
+def test_assemble_T_blocks_agree_with_transition_matrices(g_delta_star, g_smooth):
     k = 2.9
-    mats = edge_matrices(g_delta_star, k)
-    for e in range(3):
-        block, deriv = mats[e]
-        assert deriv is None
-        expected = transition_matrix(g_delta_star, e, k).matrix
-        assert np.max(np.abs(block - expected)) <= 1e-13
+    for g, tol in ((g_delta_star, 1e-13), (g_smooth, 1e-9)):
+        T, dT = assemble_T(g, k, want_dk=True)
+        for e in range(len(g.edges)):
+            t = transition_matrix(g, e, k).matrix
+            assert np.max(np.abs(_display_block(T, e) - t)) <= tol
+            dt = transition_matrix_dk(g, e, k)
+            assert np.max(np.abs(_display_block(dT, e) - dt)) <= tol
+
+
+def test_T_and_its_derivative_cost_one_edge_solve_per_edge(g_delta_star, solve_edge_calls):
+    assemble_T(g_delta_star, 7.3, want_dk=True)
+    assert solve_edge_calls == [0, 1, 2]
+    solve_edge_calls.clear()
+    theta_prime(g_delta_star, 7.3)
+    assert solve_edge_calls == [0, 1, 2]
 
 
 def test_delay_density_closed_form_for_point_interaction():
