@@ -25,7 +25,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _PHASE_STEP_LIMIT = 0.9 * math.pi
+_KERNEL_PHASE = 1e-12  # eigenphases closer to 0 than this are roots
 
 
 def vertex_sigma(g: MetricGraph, v: str) -> np.ndarray:
@@ -112,6 +113,8 @@ class SecularValue:
     zeta: complex
     det_s_phase: float  # unwrapped
     theta: float  # unwrapped phase of det T
+    eigenphase_frac: float  # sum_j frac(theta_j / 2 pi) over the eigenphases of S
+    kernel_dim: int  # eigenphases at 0: dim ker(I - S), the multiplicity at k
 
     @property
     def zeta_real(self) -> float:
@@ -119,40 +122,64 @@ class SecularValue:
 
 
 class BranchState:
-    """Continuous phase tracking for det S and det T along a k path.
+    """Continuous phase tracking for det S along a k path.
 
     Evaluations must walk a path with phase steps below pi; larger apparent
-    jumps cannot be unwrapped reliably and raise PhaseTrackingError.
+    jumps cannot be unwrapped reliably and raise PhaseTrackingError.  det T
+    = det S / det Sigma with det Sigma = +-1 independent of k, so the
+    unwrapped det T phase is the det S phase plus ``theta_offset``, fixed
+    at the first evaluation.
     """
 
     def __init__(self) -> None:
         self.started = False
-        self._det_s_phase = 0.0
-        self._theta = 0.0
+        self.phase = 0.0
+        self.theta_offset = 0.0
 
-    def _advance(self, attr: str, raw: float) -> float:
-        prev = getattr(self, attr)
-        step = math.remainder(raw - prev, 2.0 * math.pi)
+    @classmethod
+    def after(cls, v: SecularValue) -> "BranchState":
+        """A state that continues the branch from the evaluated value ``v``."""
+        state = cls()
+        state.started = True
+        state.phase = v.det_s_phase
+        state.theta_offset = v.theta - v.det_s_phase
+        return state
+
+    def advance(self, det_s: complex) -> float:
+        step = math.remainder(cmath.phase(det_s) - self.phase, 2.0 * math.pi)
         if self.started and abs(step) >= _PHASE_STEP_LIMIT:
             raise PhaseTrackingError(
                 f"phase step {step:+.3f} too large; refine the k grid"
             )
-        new = prev + step
-        setattr(self, attr, new)
-        return new
-
-    def advance(self, det_s: complex, det_t: complex) -> Tuple[float, float]:
-        phase_s = self._advance("_det_s_phase", cmath.phase(det_s))
-        theta = self._advance("_theta", cmath.phase(det_t))
+        self.phase += step
         self.started = True
-        return phase_s, theta
+        return self.phase
 
     def clone(self) -> "BranchState":
         other = BranchState()
         other.started = self.started
-        other._det_s_phase = self._det_s_phase
-        other._theta = self._theta
+        other.phase = self.phase
+        other.theta_offset = self.theta_offset
         return other
+
+
+def _det_w(g: MetricGraph, k: complex, S: Optional[np.ndarray] = None) -> complex:
+    """det(I - S(k)); S is assembled unless given."""
+    if S is None:
+        S = assemble_S(g, k)
+    return complex(np.linalg.det(np.eye(S.shape[0]) - S))
+
+
+def _eigenphases(S: np.ndarray) -> Tuple[float, int]:
+    """(sum_j frac(theta_j / 2 pi), number of theta_j at 0) for S's eigenphases.
+
+    Eigenphases within _KERNEL_PHASE of 0 count as exactly 0, so a root on
+    an evaluation point is seen by its kernel and counted once.
+    """
+    theta = np.angle(np.linalg.eigvals(S))
+    at_zero = np.abs(theta) <= _KERNEL_PHASE
+    frac = np.where(at_zero, 0.0, np.mod(theta / (2.0 * math.pi), 1.0))
+    return float(frac.sum()), int(at_zero.sum())
 
 
 def secular(g: MetricGraph, k: complex, state: BranchState) -> SecularValue:
@@ -164,16 +191,19 @@ def secular(g: MetricGraph, k: complex, state: BranchState) -> SecularValue:
     T = assemble_T(g, k)
     S = big_sigma(g) @ T
     det_s = complex(np.linalg.det(S))
-    det_t = complex(np.linalg.det(T))
     if det_s == 0:
         raise NumericalError(f"det S vanishes at k={k}; prefactor undefined")
-    phase_s, theta = state.advance(det_s, det_t)
+    if not state.started:
+        state.theta_offset = cmath.phase(np.linalg.det(T)) - cmath.phase(det_s)
+    phase_s = state.advance(det_s)
     # Full (det S)^(-1/2) with the branch fixed by the tracked phase; the
     # modulus factor is 1 on the real axis and restores conjugate symmetry
     # zeta(conj k) = conj zeta(k) off it.
     prefactor = abs(det_s) ** -0.5 * cmath.exp(-0.5j * phase_s)
-    zeta = prefactor * complex(np.linalg.det(np.eye(g.num_directed) - S))
-    return SecularValue(complex(k), zeta, phase_s, theta)
+    zeta = prefactor * _det_w(g, k, S)
+    return SecularValue(
+        complex(k), zeta, phase_s, phase_s + state.theta_offset, *_eigenphases(S)
+    )
 
 
 def secular_sweep(g: MetricGraph, ks: Sequence[float]) -> List[SecularValue]:

@@ -1,18 +1,29 @@
 """Eigenvalue location by secular-function scanning.
 
 The scan walks a k grid (step bounded by pi / (4 * total length), the
-minimal oscillation scale of det(I - S)), tracks the branch of the
-regularized secular function, and refines every sign change with a
-bisection/secant hybrid.  Even-multiplicity roots never change sign, so
-grid dips of |det(I - S)| are polished by golden-section search and then
-certified by an argument-principle winding count.
+minimal oscillation scale of det(I - S)) and tracks the branch of the
+regularized secular function zeta = (det S)^(-1/2) det(I - S), which is
+proportional to prod_j sin(theta_j / 2) over the eigenphases theta_j of
+S(k).  Above the subunitarity threshold K every theta_j is non-decreasing
+in k, so the eigenvalues in a cell (a, b], counted with multiplicity, are
 
-The winding contour is a rectangle centred on the candidate whose
-interior lies in the closed upper half plane, where strict subunitarity
-of S pins every zero of det(I - S) to the real segment.  The boundary is
-walked with the candidate indented out of the real side; the omitted
-indentation semicircle around an order-m zero carries exactly -m*pi, so
-the walked phase change equals m*pi.
+    N(a, b] = (phi(b) - phi(a)) / 2 pi - (F(b) - F(a)),
+
+with phi the tracked det S phase and F = sum_j frac(theta_j / 2 pi).  A
+cell holding one eigenvalue has a sign change of zeta and is refined by a
+bisection/secant hybrid; a cell holding more is split at its midpoint
+until every piece holds at most one, and a piece narrower than root_tol is
+one root whose multiplicity is its count.  An eigenvalue on an evaluation
+point is seen directly: its multiplicity dim ker(I - S) is the number of
+eigenphases at 0.  Cells whose count is not an integer, is negative, or
+disagrees in parity with the sign change are flagged, never dropped.
+
+``multiplicity`` gives the independent argument-principle count on a
+rectangle in the upper half plane, where strict subunitarity of S pins
+every zero of det(I - S) to the real segment.  The boundary is walked
+with the candidate indented out of the real side; the omitted indentation
+semicircle around an order-m zero carries exactly -m*pi, so the walked
+phase change equals m*pi.
 
 Window decomposition is fixed by the k range alone (never by the worker
 count), so results are identical no matter how the work is distributed.
@@ -30,7 +41,7 @@ import numpy as np
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError, PhaseTrackingError
 from .graph import MetricGraph
-from .scattering import BranchState, assemble_S, secular
+from .scattering import BranchState, SecularValue, _det_w, secular
 
 __all__ = [
     "ScanConfig",
@@ -47,14 +58,8 @@ K_FLOOR = 1e-3
 # pure partition of the sequential grid.
 _CELLS_PER_WINDOW = 64
 
-_NODE_ZERO_FRAC = 1e-12      # |Re zeta| below this fraction of scale = on-node root
-_DIP_NEIGHBOR_RATIO = 0.5    # local minimum must undercut both neighbours by this
-_DIP_SCALE_FRAC = 0.05       # ... and sit well below the window's typical |w|
-_DIP_ACCEPT_FRAC = 1e-7      # polished dip counts as a root below this fraction
-_GOLDEN_TOL = 1e-10
 _WALK_DEPTH = 24             # max recursive bisections per contour segment
-_SPAN_DEPTH = 3              # max flank re-probes per cell (odd clusters)
-_CURVATURE_RATIO = 20.0      # secant-slope growth that flags a higher-order root
+_COUNT_TOL = 1e-6            # a cell count further from an integer is flagged
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,9 +76,6 @@ class ScanConfig:
     workers: number of scan processes; output does not depend on it.
     allow_below_threshold: scan below the subunitarity threshold K
         (diagnostic mode; eigenvalue certificates are weaker there).
-    resolve_multiplicity: "auto" resolves winding numbers only for dip
-        candidates and merged clusters, "always" windings every root,
-        "never" reports multiplicity 1 and leaves dips as flags.
     """
 
     grid_step: Optional[float] = None
@@ -83,15 +85,10 @@ class ScanConfig:
     k_floor: float = K_FLOOR
     workers: int = 1
     allow_below_threshold: bool = False
-    resolve_multiplicity: str = "auto"
 
     def __post_init__(self) -> None:
         if self.root_tol <= 0 or self.merge_tol <= 0:
             raise InputError("tolerances must be positive")
-        if self.resolve_multiplicity not in ("auto", "always", "never"):
-            raise InputError(
-                "resolve_multiplicity must be 'auto', 'always' or 'never'"
-            )
         if self.workers < 1:
             raise InputError("workers must be a positive integer")
 
@@ -125,11 +122,6 @@ class SpectrumResult:
 
     def total_count(self) -> int:
         return int(sum(r.multiplicity for r in self.roots))
-
-
-def _det_w(g: MetricGraph, k: complex) -> complex:
-    s = assemble_S(g, k)
-    return complex(np.linalg.det(np.eye(s.shape[0], dtype=complex) - s))
 
 
 def _bisect_secant(
@@ -168,29 +160,6 @@ def _bisect_secant(
         else:
             a, fa = x, fx
     return 0.5 * (a + b)
-
-
-def _golden_min(
-    f: Callable[[float], float], a: float, b: float, tol: float
-) -> Tuple[float, float]:
-    """Golden-section minimum of f on [a, b]; returns (x, f(x))."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = b - invphi * (b - a)
-    x2 = a + invphi * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(200):
-        if b - a < tol:
-            break
-        if f1 < f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - invphi * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + invphi * (b - a)
-            f2 = f(x2)
-    x = x1 if f1 < f2 else x2
-    return x, min(f1, f2)
 
 
 def _arg_walk(
@@ -286,8 +255,7 @@ def multiplicity(
 
 @dataclasses.dataclass
 class _WindowReport:
-    sign_roots: List[Tuple[float, float]]          # (k, residual)
-    dip_candidates: List[Tuple[float, float]]      # (k, |w|) polished dips
+    roots: List[Tuple[float, int, float]]  # (k, multiplicity, residual)
     flagged: List[Tuple[float, float]]
     diagnostics: List[str]
 
@@ -300,9 +268,22 @@ def _sweep(g: MetricGraph, ks: np.ndarray):
     return out
 
 
+def _cell_count(p: SecularValue, q: SecularValue) -> float:
+    """Eigenvalues in (p.k, q.k] with multiplicity, for monotone eigenphases."""
+    return (q.det_s_phase - p.det_s_phase) / (2.0 * math.pi) - (
+        q.eigenphase_frac - p.eigenphase_frac
+    )
+
+
 def _scan_window(
-    g: MetricGraph, a: float, b: float, step: float, cfg: ScanConfig
+    g: MetricGraph,
+    a: float,
+    b: float,
+    step: float,
+    cfg: ScanConfig,
+    closed_left: bool = False,
 ) -> _WindowReport:
+    """Eigenvalues in (a, b], or [a, b] when ``closed_left``."""
     n = max(2, int(math.ceil((b - a) / step)) + 1)
     ks = np.linspace(a, b, n)
     for attempt in range(5):
@@ -320,7 +301,7 @@ def _scan_window(
     phases = [v.det_s_phase for v in vals]
     scale = max(float(np.median(absw)), 1e-12)
 
-    report = _WindowReport([], [], [], [])
+    report = _WindowReport([], [], [])
     ratios = [
         abs(v.zeta.imag) / abs(v.zeta) for v in vals if abs(v.zeta) > 1e-9 * scale
     ]
@@ -329,9 +310,6 @@ def _scan_window(
         report.diagnostics.append(
             f"secular branch deviation {imag_dev:.2e} on [{a:.6g}, {b:.6g}]"
         )
-
-    on_node = absw < _NODE_ZERO_FRAC * scale
-    probe_delta_min = 8.0 * cfg.root_tol
 
     def h_at(phi0: float) -> Callable[[float], float]:
         # Freeze the branch rotation at a grid node; the sweep keeps the
@@ -345,129 +323,71 @@ def _scan_window(
 
         return h
 
-    def h_near(k: float) -> Callable[[float], float]:
-        j = int(np.argmin(np.abs(ks - k)))
-        return h_at(phases[j])
+    def emit_root(k: float, mult: int = 1) -> None:
+        report.roots.append((float(k), mult, abs(_det_w(g, float(k)))))
 
-    def emit_root(k: float) -> None:
-        report.sign_roots.append((float(k), abs(_det_w(g, float(k)))))
+    def flag(p: SecularValue, q: SecularValue, what: str) -> None:
+        lo, hi = p.k.real, q.k.real
+        report.flagged.append((lo, hi))
+        report.diagnostics.append(f"{what} on ({lo:.9g}, {hi:.9g}]")
 
-    def emit_dip(k: float, w: float) -> None:
-        for kk, _ in report.sign_roots:
-            if abs(k - kk) <= 4.0 * cfg.merge_tol:
-                return
-        for kk, _ in report.dip_candidates:
-            if abs(k - kk) <= 4.0 * cfg.merge_tol:
-                return
-        report.dip_candidates.append((float(k), float(w)))
+    def count(p: SecularValue, q: SecularValue) -> Optional[int]:
+        c = _cell_count(p, q)
+        if abs(c - round(c)) > _COUNT_TOL:
+            flag(p, q, f"eigenvalue count {c:.9g} is not an integer")
+            return None
+        return round(c)
 
-    def resolve_span(
-        h: Callable[[float], float],
-        a: float,
-        b: float,
-        ha: float,
-        hb: float,
-        depth: int,
+    def resolve(
+        h: Callable[[float], float], p: SecularValue, q: SecularValue, m: int
     ) -> None:
-        """Refine one sign change on [a, b], then re-probe the flanks.
-
-        A cluster of several crossings inside one cell cancels in pairs
-        at the walls; probing the sign just outside the refined root
-        recovers a bracket for any odd remainder on either side.
-        """
-        if b - a <= 4.0 * cfg.root_tol:
-            emit_root(0.5 * (a + b))
+        """Locate the m eigenvalues strictly between p.k and q.k."""
+        if m < 0:
+            flag(p, q, f"negative eigenvalue count {m}: eigenphases not monotone")
+        if m <= 0:
             return
-        root = _bisect_secant(h, a, b, ha, hb, cfg.root_tol)
-        emit_root(root)
-        if depth <= 0:
-            return
-        delta = max(1e-3 * (b - a), probe_delta_min)
-        lq = root - delta
-        if lq - a > delta:
-            hl = h(lq)
-            if (hl < 0) != (ha < 0):
-                resolve_span(h, a, lq, ha, hl, depth - 1)
-        rq = root + delta
-        if b - rq > delta:
-            hr = h(rq)
-            if (hr < 0) != (hb < 0):
-                resolve_span(h, rq, b, hr, hb, depth - 1)
+        lo, hi = p.k.real, q.k.real
+        if m == 1 and not (p.kernel_dim or q.kernel_dim):
+            # an odd count is a sign change of zeta, hence of h in the cell
+            hl, hr = h(lo), h(hi)
+            if (hl < 0) == (hr < 0):
+                flag(p, q, "one eigenvalue counted but no sign change")
+            else:
+                emit_root(_bisect_secant(h, lo, hi, hl, hr, cfg.root_tol))
+        elif hi - lo < cfg.root_tol:
+            emit_root(0.5 * (lo + hi), m)
+        else:
+            # the phase drift of the cell is below pi, so the principal
+            # det S phase difference continues the branch to the midpoint
+            mid = secular(g, 0.5 * (lo + hi), BranchState.after(p))
+            left = count(p, mid)
+            if left is None:
+                return
+            if mid.kernel_dim:
+                emit_root(mid.k.real, mid.kernel_dim)
+            resolve(h, p, mid, left - mid.kernel_dim)
+            resolve(h, mid, q, m - left)
 
-    def probe_dip_flanks(kx: float, a: float, b: float) -> None:
-        # An odd-order root found by modulus dip flips the branch sign;
-        # the walls of its span then bracket any odd sibling cluster.
-        delta = max(1e-3 * (b - a), probe_delta_min)
-        if kx - delta - a > delta:
-            h = h_near(0.5 * (a + kx))
-            ha, hl = h(a), h(kx - delta)
-            if (hl < 0) != (ha < 0):
-                resolve_span(h, a, kx - delta, ha, hl, _SPAN_DEPTH - 1)
-        if b - (kx + delta) > delta:
-            h = h_near(0.5 * (kx + b))
-            hr, hb = h(kx + delta), h(b)
-            if (hr < 0) != (hb < 0):
-                resolve_span(h, kx + delta, b, hr, hb, _SPAN_DEPTH - 1)
-
-    sign_cells = set()
+    if closed_left and vals[0].kernel_dim:
+        emit_root(ks[0], vals[0].kernel_dim)
     for i in range(n - 1):
-        if on_node[i] or on_node[i + 1]:
+        p, q = vals[i], vals[i + 1]
+        c = count(p, q)
+        if c is None:
             continue
-        if (f[i] < 0) != (f[i + 1] < 0):
-            sign_cells.add(i)
-    for i in sorted(sign_cells):
-        h = h_at(phases[i])
-        a0, b0 = float(ks[i]), float(ks[i + 1])
-        resolve_span(h, a0, b0, h(a0), h(b0), _SPAN_DEPTH)
-
-    for i in np.nonzero(on_node)[0]:
-        k_node = float(ks[i])
-        report.dip_candidates.append((k_node, float(absw[i])))
-
-    if cfg.resolve_multiplicity != "never":
-        # Modulus-dip spans: a V pattern at a node, or a cell whose wall
-        # values are both small (two crossings inside one cell cancel at
-        # the walls and leave no sign change to bracket).
-        spans = []
-        for i in range(1, n - 1):
-            if on_node[i - 1] or on_node[i] or on_node[i + 1]:
-                continue
-            if not (absw[i] < absw[i - 1] and absw[i] < absw[i + 1]):
-                continue
-            if absw[i] > _DIP_NEIGHBOR_RATIO * min(absw[i - 1], absw[i + 1]):
-                continue
-            if absw[i] > _DIP_SCALE_FRAC * scale:
-                continue
-            spans.append((float(ks[i - 1]), float(ks[i + 1])))
-        for i in range(n - 1):
-            if on_node[i] or on_node[i + 1] or i in sign_cells:
-                continue
-            small = max(absw[i], absw[i + 1]) < _DIP_SCALE_FRAC * scale
-            # Valley-shaped cell: both walls undercut their outer
-            # neighbours, so the minimum lives strictly inside the cell.
-            # This form is scale-free, which keeps it stable against the
-            # window partition (the median |w| is not).
-            valley = (i == 0 or absw[i] < absw[i - 1]) and (
-                i + 1 == n - 1 or absw[i + 1] < absw[i + 2]
-            )
-            if small or valley:
-                spans.append((float(ks[i]), float(ks[i + 1])))
-        for a0, b0 in spans:
-            kx, wx = _golden_min(
-                lambda k: abs(_det_w(g, k)), a0, b0, _GOLDEN_TOL
-            )
-            at_wall = kx - a0 < 2.0 * _GOLDEN_TOL or b0 - kx < 2.0 * _GOLDEN_TOL
-            if wx < _DIP_ACCEPT_FRAC * scale:
-                emit_dip(kx, wx)
-                probe_dip_flanks(kx, a0, b0)
-            elif wx < _DIP_SCALE_FRAC * scale and not at_wall:
-                report.flagged.append((a0, b0))
+        if q.kernel_dim:
+            emit_root(ks[i + 1], q.kernel_dim)
+        m = c - q.kernel_dim
+        sign_change = (f[i] < 0) != (f[i + 1] < 0)
+        if not (p.kernel_dim or q.kernel_dim) and m % 2 != sign_change:
+            flag(p, q, f"eigenvalue count {m} disagrees with the sign change")
+            continue
+        resolve(h_at(phases[i]), p, q, m)
     return report
 
 
 def _window_task(args) -> _WindowReport:
-    g, a, b, step, cfg = args
-    return _scan_window(g, a, b, step, cfg)
+    return _scan_window(*args)
 
 
 def scan_spectrum(
@@ -480,9 +400,9 @@ def scan_spectrum(
 
     The effective scan start is raised to the subunitarity threshold K
     (and to the k floor) unless the config allows sub-threshold scans,
-    in which case K is only reported.  Roots are polished to root_tol,
-    deduplicated within merge_tol, and every non-simple cluster is
-    certified with a winding count.
+    in which case K is only reported.  Every grid cell's eigenvalue count
+    is found (see the module docstring), roots are polished to root_tol,
+    and roots closer than merge_tol are fused, their multiplicities added.
     """
     cfg = config or ScanConfig()
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)) or k_hi <= k_lo:
@@ -520,7 +440,7 @@ def scan_spectrum(
     cells_per = _CELLS_PER_WINDOW
     bounds = [lo + step * i for i in range(0, n_cells, cells_per)] + [k_hi]
     windows = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    tasks = [(g, a, b, step, cfg) for a, b in windows]
+    tasks = [(g, a, b, step, cfg, i == 0) for i, (a, b) in enumerate(windows)]
 
     if cfg.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
@@ -528,85 +448,31 @@ def scan_spectrum(
     else:
         reports = [_window_task(t) for t in tasks]
 
-    sign_roots: List[Tuple[float, float]] = []
-    dips: List[Tuple[float, float]] = []
+    found: List[Tuple[float, int, float]] = []
     flagged: List[Tuple[float, float]] = []
     for rep in reports:
-        sign_roots.extend(rep.sign_roots)
-        dips.extend(rep.dip_candidates)
+        found.extend(rep.roots)
         flagged.extend(rep.flagged)
         diagnostics.extend(rep.diagnostics)
 
-    # Merge: cluster everything within merge_tol, then decide each
-    # cluster's multiplicity.
-    entries = [(k, res, False) for k, res in sign_roots] + [
-        (k, res, True) for k, res in dips
-    ]
-    entries.sort(key=lambda t: t[0])
     records: List[RootRecord] = []
-    i = 0
-    while i < len(entries):
-        j = i + 1
-        while j < len(entries) and entries[j][0] - entries[j - 1][0] <= cfg.merge_tol:
-            j += 1
-        cluster = entries[i:j]
-        k_star = min(cluster, key=lambda t: t[1])[0]
-        residual = min(t[1] for t in cluster)
-        needs_winding = any(t[2] for t in cluster) or len(cluster) > 1
-        if cfg.resolve_multiplicity == "auto" and not needs_winding:
-            # A sign change of odd order > 1 refines exactly like a
-            # simple root; the secant slope |w|/(k - k*) grows with the
-            # probe distance only when the zero order exceeds one.
-            eta = max(1e-3 * step, 1e-6)
-            s1 = abs(_det_w(g, k_star + eta)) / eta
-            s2 = abs(_det_w(g, k_star + 10.0 * eta)) / (10.0 * eta)
-            if s1 == 0.0 or s2 > _CURVATURE_RATIO * s1:
-                needs_winding = True
-        if cfg.resolve_multiplicity == "always":
-            needs_winding = True
-        if cfg.resolve_multiplicity == "never":
-            needs_winding = False
-        mult = 1
-        if needs_winding:
-            radius = min(step / 2.0, max(0.25 * step, 1e-5))
-            # Keep neighbouring roots outside the contour, else the
-            # real-side walk crosses their zeros.
-            if records:
-                radius = min(radius, max(0.45 * (k_star - records[-1].k), 1e-6))
-            if j < len(entries):
-                radius = min(radius, max(0.45 * (entries[j][0] - k_star), 1e-6))
-            if k_star - radius <= info.K:
-                radius = 0.5 * (k_star - info.K)
-            mult = None
-            last_exc: Optional[Exception] = None
-            r = radius
-            while r >= max(64.0 * cfg.root_tol, 1e-7):
-                try:
-                    mult = multiplicity(g, k_star, r, threshold=info.K)
-                    break
-                except NumericalError as exc:
-                    last_exc = exc
-                    r *= 0.5
-                except InputError as exc:
-                    last_exc = exc
-                    break
-            if mult is None:
-                diagnostics.append(
-                    f"winding at k={k_star:.9f} unresolved ({last_exc}); "
-                    "reporting multiplicity 1"
-                )
-                mult = 1
-            if mult == 0:
-                i = j
-                continue
-        if residual > cfg.residual_tol:
-            diagnostics.append(
-                f"large secular residual {residual:.2e} at k={k_star:.9f}"
+    prev = -math.inf
+    for k, mult, residual in sorted(found):
+        if k - prev <= cfg.merge_tol:
+            last = records[-1]
+            k_star = last.k if last.residual <= residual else k
+            records[-1] = RootRecord(
+                k_star, last.multiplicity + mult, min(last.residual, residual)
             )
-        records.append(RootRecord(k=k_star, multiplicity=mult, residual=residual))
-        i = j
+        else:
+            records.append(RootRecord(k, mult, residual))
+        prev = k
+    for r in records:
+        if r.residual > cfg.residual_tol:
+            diagnostics.append(
+                f"large secular residual {r.residual:.2e} at k={r.k:.9f}"
+            )
 
-    records.sort(key=lambda r: r.k)
     return SpectrumResult(
         roots=records,
         threshold=info.K,

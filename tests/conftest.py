@@ -4,9 +4,10 @@ from __future__ import annotations
 import math
 import sys
 
+import numpy as np
 import pytest
 
-from qgspectra import edge
+from qgspectra import edge, scattering
 from qgspectra.graph import MetricGraph, build_graph
 from qgspectra.orbits import TestFunction
 
@@ -128,16 +129,28 @@ def g_smooth_star() -> MetricGraph:
     )
 
 
-@pytest.fixture
-def solve_edge_calls(monkeypatch):
-    """List that records the edge index of every solve_edge call, seen
-    under every qgspectra module global that names the function."""
-    calls = []
-    original = edge.solve_edge
+def random_delta_star(seed: int, n_arms: int = 10) -> MetricGraph:
+    """Star of n_arms delta arms drawn with numpy default_rng(seed): per arm
+    L ~ U(0.6, 1.4), D ~ U(0.3, 3.0), x0 ~ U(0.1, 0.9) * L."""
+    rng = np.random.default_rng(seed)
+    arms = []
+    for _ in range(n_arms):
+        length = float(rng.uniform(0.6, 1.4))
+        strength = float(rng.uniform(0.3, 3.0))
+        position = float(rng.uniform(0.1, 0.9)) * length
+        pot = {"type": "delta", "strength": strength, "position": position}
+        arms.append((length, pot))
+    return star(arms)
 
-    def counted(g, e, *args, **kwargs):
-        calls.append(e)
-        return original(g, e, *args, **kwargs)
+
+def _record_calls(monkeypatch, original):
+    """List that records the second argument of every call of ``original``,
+    seen under every qgspectra module global that names the function."""
+    calls = []
+
+    def counted(g, x, *args, **kwargs):
+        calls.append(x)
+        return original(g, x, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if name == "qgspectra" or name.startswith("qgspectra."):
@@ -145,3 +158,15 @@ def solve_edge_calls(monkeypatch):
                 if value is original:
                     monkeypatch.setattr(mod, attr, counted)
     return calls
+
+
+@pytest.fixture
+def solve_edge_calls(monkeypatch):
+    """Edge index of every solve_edge call."""
+    return _record_calls(monkeypatch, edge.solve_edge)
+
+
+@pytest.fixture
+def assemble_T_calls(monkeypatch):
+    """Wavenumber of every assemble_T call."""
+    return _record_calls(monkeypatch, scattering.assemble_T)

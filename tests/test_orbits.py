@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import qgspectra.orbits as orbits_module
 from qgspectra.errors import InputError, NumericalError
 from qgspectra.orbits import (
     TestFunction,
@@ -20,7 +21,6 @@ from qgspectra.orbits import (
     wigner_delay,
 )
 from qgspectra.scattering import assemble_T, big_sigma
-from qgspectra.spectrum import ScanConfig
 
 from .oracles import brute_classes, burnside_classes, gaussian_moment
 
@@ -175,11 +175,19 @@ def test_wider_test_functions_need_fewer_orbits(g_interval_pi):
     assert wide.residual(2) < 1e-3 * narrow.residual(2)
 
 
-def test_incomplete_spectrum_is_refused(g_star3_eq):
+def test_incomplete_spectrum_is_refused(g_star3_eq, monkeypatch):
+    scan = orbits_module.scan_spectrum
+
+    def lossy_scan(*args, **kwargs):
+        # lose the double roots, a deficit of 8 against a slack of 2E + 1 = 7
+        res = scan(*args, **kwargs)
+        res.roots = [r for r in res.roots if r.multiplicity == 1]
+        return res
+
+    monkeypatch.setattr(orbits_module, "scan_spectrum", lossy_scan)
     phi = TestFunction(4.0, 1.0, 8.0)
-    cfg = ScanConfig(resolve_multiplicity="never")
     with pytest.raises(NumericalError, match="spectrum incomplete"):
-        trace_check(g_star3_eq, phi, 2, scan_config=cfg)
+        trace_check(g_star3_eq, phi, 2)
 
 
 def test_delay_for_zero_potential_is_twice_total_length(g_star3):

@@ -6,9 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from qgspectra import spectrum
 from qgspectra.errors import InputError
+from qgspectra.scattering import secular_sweep
 from qgspectra.spectrum import ScanConfig, multiplicity, scan_spectrum
 
+from .conftest import random_delta_star
 from .oracles import interval_delta_secular, roots_on
 
 # Cross-checked against an independent second-order discretization of the
@@ -39,7 +42,6 @@ def test_config_defaults():
     assert c.k_floor == 0.001
     assert c.workers == 1
     assert c.allow_below_threshold is False
-    assert c.resolve_multiplicity == "auto"
 
 
 def test_neumann_interval_spectrum_is_integers(g_interval_pi):
@@ -59,6 +61,13 @@ def test_scan_start_is_floored(g_interval_pi):
     res = scan_spectrum(g_interval_pi, 0.0, 3.5)
     assert res.k_lo == 0.001
     assert [round(k) for k in res.ks] == [1, 2, 3]
+
+
+def test_roots_on_both_ends_of_the_range_are_kept(g_interval_pi):
+    res = scan_spectrum(g_interval_pi, 1.0, 3.0)
+    layout = [(round(r.k, 9), r.multiplicity) for r in res.roots]
+    assert layout == [(1, 1), (2, 1), (3, 1)]
+    assert res.flagged == []
 
 
 def test_point_interaction_interval_matches_reference(g_interval_delta_pi):
@@ -97,27 +106,27 @@ def test_equilateral_star_multiplicity_layout(g_star3_eq):
     assert res.total_count() == 5
 
 
-def test_multiplicity_resolution_modes(g_star3_eq):
-    always = scan_spectrum(g_star3_eq, 1.0, 5.0, ScanConfig(resolve_multiplicity="always"))
-    assert [r.multiplicity for r in always.roots] == [2, 1, 2]
-    never = scan_spectrum(g_star3_eq, 1.0, 5.0, ScanConfig(resolve_multiplicity="never"))
-    # without winding counts only the sign-change root remains visible
-    assert len(never.roots) == 1
-    assert abs(never.roots[0].k - math.pi) <= 1e-8
-    assert never.roots[0].multiplicity == 1
-
-
 def test_winding_count_on_isolated_roots(g_star3_eq):
     assert multiplicity(g_star3_eq, math.pi / 2, 0.3) == 2
     assert multiplicity(g_star3_eq, math.pi, 0.3) == 1
     assert multiplicity(g_star3_eq, 0.8, 0.3) == 0
 
 
-def test_per_root_winding_agrees_with_scan(g_interval_delta_pi):
-    res = scan_spectrum(g_interval_delta_pi, 0.5, 6.5)
+SCAN_RANGES = {
+    "g_interval_pi": (0.5, 10.5),
+    "g_interval_delta_pi": (0.5, 6.5),
+    "g_star3_eq": (1.0, 5.0),
+    "g_delta_star": (0.5, 12.0),
+}
+
+
+@pytest.mark.parametrize("name", ["g_interval_delta_pi", "g_star3_eq", "g_delta_star"])
+def test_per_root_winding_agrees_with_scan(request, name):
+    g = request.getfixturevalue(name)
+    res = scan_spectrum(g, *SCAN_RANGES[name])
     ks = list(res.ks)
     gaps = [b - a for a, b in zip(ks, ks[1:])]
-    total = 0
+    windings = []
     for i, r in enumerate(res.roots):
         near = []
         if i > 0:
@@ -125,8 +134,9 @@ def test_per_root_winding_agrees_with_scan(g_interval_delta_pi):
         if i < len(gaps):
             near.append(gaps[i])
         radius = min(0.35 * min(near), 0.15)
-        total += multiplicity(g_interval_delta_pi, r.k, radius)
-    assert total == res.total_count()
+        windings.append(multiplicity(g, r.k, radius))
+    assert windings == list(res.multiplicities)
+    assert sum(windings) == res.total_count()
 
 
 def test_scan_below_threshold_is_clamped(g_interval_delta_neg):
@@ -171,3 +181,59 @@ def test_workers_do_not_change_results(g_delta_star):
     parallel = scan_spectrum(g_delta_star, 0.5, 8.0, ScanConfig(workers=2))
     assert list(serial.ks) == list(parallel.ks)
     assert list(serial.multiplicities) == list(parallel.multiplicities)
+
+
+@pytest.mark.parametrize(
+    "seed, n_roots, close",
+    [(1, 94, [17.183413]), (6, 98, [15.776469, 15.794989])],
+)
+def test_close_root_clusters_are_all_found(seed, n_roots, close):
+    # each listed root sits in a cluster of three inside about one grid
+    # cell, where the sign changes of zeta cancel in pairs
+    res = scan_spectrum(random_delta_star(seed), 0.5, 30.0)
+    assert res.total_count() == len(res.roots) == n_roots
+    assert res.flagged == []
+    for k in close:
+        assert min(abs(res.ks - k)) <= 1e-6
+
+
+@pytest.mark.parametrize("name, budget", [("g_delta_star", 491), ("g_star3_eq", 112)])
+def test_scan_work_is_bounded(request, assemble_T_calls, name, budget):
+    # deterministic count of S(k) assemblies: sweep, splits, refinement
+    scan_spectrum(request.getfixturevalue(name), *SCAN_RANGES[name])
+    assert len(assemble_T_calls) <= budget
+
+
+@pytest.mark.parametrize("name", ["g_interval_pi", "g_star3_eq", "g_delta_star"])
+def test_total_multiplicity_equals_eigenphase_count(request, name):
+    g = request.getfixturevalue(name)
+    res = scan_spectrum(g, *SCAN_RANGES[name])
+    sweep = secular_sweep(g, np.linspace(res.k_lo, res.k_hi, 401))
+    first, last = sweep[0], sweep[-1]
+    count = (last.det_s_phase - first.det_s_phase) / (2.0 * math.pi) - (
+        last.eigenphase_frac - first.eigenphase_frac
+    )
+    assert abs(count - round(count)) <= 1e-9
+    assert res.total_count() == round(count) + first.kernel_dim
+
+
+@pytest.mark.parametrize(
+    "shift, message",
+    [(0.3, "is not an integer"), (1.0, "disagrees with the sign change")],
+)
+def test_bad_cell_count_is_flagged(g_delta_star, monkeypatch, shift, message):
+    # corrupt the count of the cell holding 3.27075756; that root is
+    # reported as lost, the others are still found
+    count = spectrum._cell_count
+
+    def corrupted(p, q):
+        inside = p.k.real < DELTA_STAR_KS[3] <= q.k.real
+        return count(p, q) + (shift if inside else 0.0)
+
+    monkeypatch.setattr(spectrum, "_cell_count", corrupted)
+    res = scan_spectrum(g_delta_star, 0.5, 12.0)
+    assert len(res.flagged) == 1
+    lo, hi = res.flagged[0]
+    assert lo < DELTA_STAR_KS[3] <= hi
+    assert any(message in d for d in res.diagnostics)
+    assert res.total_count() == len(DELTA_STAR_KS) - 1
