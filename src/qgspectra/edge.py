@@ -1,9 +1,30 @@
 """Edge solutions and 2x2 transition matrices.
 
-For one edge of length L carrying a potential w, the two normalized
-solutions of -psi'' + w psi = k^2 psi are fixed by psi(0) = 1 and
-psi'(0) = -ik (plus branch) or +ik (minus branch).  Their Wronskian is 2ik
-identically.  Boundary data at x = L determines the 2x2 transition matrix
+For one edge of length L carrying a potential w, every solution of
+-psi'' + w psi = k^2 psi is carried along the edge by its 2x2 fundamental
+matrix M(b, a), which maps (psi, psi') at x = a to (psi, psi') at x = b.
+The two normalized solutions are fixed by psi(0) = 1 and psi'(0) = -ik
+(plus branch) or +ik (minus branch), so at any real or complex k
+
+    (psi_plus,  psi_plus')(L)  = M(L, 0) (1, -ik)
+    (psi_minus, psi_minus')(L) = M(L, 0) (1, +ik)
+
+and their k-derivatives follow from M' = dM/dk.  M is built per kind:
+
+- zero and constant w = c: one exact factor
+  [[cos qx, sin(qx)/q], [-q^2 sin(qx)/q, cos qx]] with q^2 = k^2 - c
+  (zero is c = 0); it is even in q, so the square-root branch does not
+  matter, and q -> 0 is removable;
+- a point interaction of strength D at x0: free(L - x0) [[1, 0], [D, 1]]
+  free(x0), i.e. free(L) plus the rank-one term D [s2; c2] (x) [c1, s1];
+- smooth w: a 4th-order Magnus propagator on 2-point Gauss-Legendre nodes
+  (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  Each step is
+  the exponential of a traceless 2x2 generator, so M is unimodular and the
+  Wronskian 2ik is exact by construction.  The step count is doubled from
+  64 until two successive M agree to 1e-10; that last difference is the
+  solution's ``error_estimate`` (0 for the closed forms).
+
+Boundary data at x = L determines the 2x2 transition matrix
 
     t = [[trans, r_to], [r_from, trans]]
 
@@ -27,7 +48,6 @@ import math
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import InputError, NumericalError, SingularPointError
 from .graph import MetricGraph
@@ -46,7 +66,9 @@ __all__ = [
 ]
 
 _DEFAULT_TOL = 1e-10
-_CHECKPOINTS = 33
+_MIN_STEPS = 64
+_MAX_STEPS = 1 << 15
+_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 @dataclasses.dataclass
@@ -64,8 +86,8 @@ class EdgeSolution:
     dk_dpsi_p: Optional[complex] = None
     dk_psi_m: Optional[complex] = None
     dk_dpsi_m: Optional[complex] = None
-    # max |W(x) - 2ik| over integration checkpoints (0 for closed forms)
-    wronskian_dev: float = 0.0
+    # last step-doubling difference of M (0 for closed forms)
+    error_estimate: float = 0.0
 
     @property
     def wronskian(self) -> complex:
@@ -97,152 +119,146 @@ class TransitionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# closed-form boundary data
+# fundamental matrices, as row-major 4-tuples (m11, m12, m21, m22)
 # ---------------------------------------------------------------------------
 
 
-def _boundary_zero(k: complex, L: float, sign: int, want_dk: bool):
-    # sign = +1 for psi_plus (e^{-ikx}), -1 for psi_minus (e^{+ikx})
-    s = -1j * sign
-    ph = cmath.exp(s * k * L)
-    psi, dpsi = ph, s * k * ph
-    if not want_dk:
-        return psi, dpsi, None, None
-    return psi, dpsi, s * L * ph, (s + s * k * s * L) * ph
+def _free(q: complex, x: float):
+    """cos(qx) and sin(qx)/q."""
+    u = q * x
+    s = x * (1.0 - u * u / 6.0) if abs(u) < 1e-6 else cmath.sin(u) / q
+    return cmath.cos(u), s
 
 
-def _sinc_c(z: complex) -> complex:
-    if abs(z) < 1e-6:
-        z2 = z * z
-        return 1.0 - z2 / 6.0 + z2 * z2 / 120.0
-    return cmath.sin(z) / z
-
-
-def _boundary_constant(k: complex, L: float, c: float, sign: int, want_dk: bool):
-    # psi = cos(qx) -+ ik sin(qx)/q with q^2 = k^2 - c; even in q, so the
-    # sqrt branch is irrelevant and q -> 0 is removable.
-    e = k * k - c
-    q = cmath.sqrt(e)
-    cq = cmath.cos(q * L)
-    snc = L * _sinc_c(q * L)  # sin(qL)/q
-    i_k = 1j * k * sign
-    psi = cq - i_k * snc
-    dpsi = -e * snc - i_k * cq
-    if not want_dk:
-        return psi, dpsi, None, None
-    # d/dk cos(qL) = -kL sin(qL)/q = -k L snc ; d/dk [sin(qL)/q] below
-    dcq = -k * L * snc
-    if abs(e) < 1e-8:
-        dsnc = k * (-(L**3) / 3.0)
+def _free_dk(q: complex, x: float, k: complex, c: complex, s: complex):
+    """k-derivatives of (c, s) = _free(q, x) when q^2 = k^2 - const."""
+    z = q * q * x * x
+    if abs(z) < 1e-2:
+        # (x cos(qx) - sin(qx)/q) / q^2 without the cancellation
+        ds = -k * x**3 / 3.0 * (1.0 - z / 10.0 + z * z / 280.0 - z**3 / 15120.0)
     else:
-        dsnc = k * (L * cq - snc) / e
-    dpsi_k = dcq - 1j * sign * snc - i_k * dsnc
-    ddpsi_k = -2 * k * snc - e * dsnc - 1j * sign * cq - i_k * dcq
-    return psi, dpsi, dpsi_k, ddpsi_k
+        ds = k * (x * c - s) / (q * q)
+    return -k * x * s, ds
 
 
-def _boundary_delta(
-    k: complex, L: float, D: float, x0: float, sign: int, want_dk: bool
-):
-    # Plane wave up to the scatterer, then a transmitted/reflected pair fixed
-    # by continuity and the derivative jump psi'(x0+) - psi'(x0-) = D psi(x0).
-    s = -1j * sign  # psi ~ e^{s k x} before the jump
-    b = D / (2j * k)
-    if L < x0:
-        ph = cmath.exp(s * k * L)
-        psi, dpsi = ph, s * k * ph
-        if not want_dk:
-            return psi, dpsi, None, None
-        return psi, dpsi, s * L * ph, (s + s * k * s * L) * ph
-    if sign > 0:  # psi_plus: b e^{-2ikx0} e^{ikx} + (1 - b) e^{-ikx} after x0
-        a = b * cmath.exp(-2j * k * x0)
-        c0 = 1 - b
-        psi = a * cmath.exp(1j * k * L) + c0 * cmath.exp(-1j * k * L)
-        dpsi = 1j * k * a * cmath.exp(1j * k * L) - 1j * k * c0 * cmath.exp(-1j * k * L)
-        if not want_dk:
-            return psi, dpsi, None, None
-        db = -b / k
-        da = db * cmath.exp(-2j * k * x0) + a * (-2j * x0)
-        dc0 = -db
-        eP, eM = cmath.exp(1j * k * L), cmath.exp(-1j * k * L)
-        dpsi_k = da * eP + a * 1j * L * eP + dc0 * eM - c0 * 1j * L * eM
-        ddpsi_k = (
-            1j * a * eP
-            + 1j * k * (da * eP + a * 1j * L * eP)
-            - 1j * c0 * eM
-            - 1j * k * (dc0 * eM - c0 * 1j * L * eM)
-        )
-        return psi, dpsi, dpsi_k, ddpsi_k
-    # psi_minus: alpha e^{ikx} + beta e^{-ikx} after the jump
-    alpha = 1 + b
-    beta = -b * cmath.exp(2j * k * x0)
-    eP, eM = cmath.exp(1j * k * L), cmath.exp(-1j * k * L)
-    psi = alpha * eP + beta * eM
-    dpsi = 1j * k * alpha * eP - 1j * k * beta * eM
+def _free_matrix(q: complex, x: float, k: complex, want_dk: bool):
+    c, s = _free(q, x)
+    m = (c, s, -q * (q * s), c)
     if not want_dk:
-        return psi, dpsi, None, None
-    db = -b / k
-    dalpha = db
-    dbeta = -db * cmath.exp(2j * k * x0) + beta * (2j * x0)
-    dpsi_k = dalpha * eP + alpha * 1j * L * eP + dbeta * eM - beta * 1j * L * eM
-    ddpsi_k = (
-        1j * alpha * eP
-        + 1j * k * (dalpha * eP + alpha * 1j * L * eP)
-        - 1j * beta * eM
-        - 1j * k * (dbeta * eM - beta * 1j * L * eM)
+        return m, None
+    dc, ds = _free_dk(q, x, k, c, s)
+    return m, (dc, ds, -2.0 * k * s - q * q * ds, dc)
+
+
+def _delta_matrix(k: complex, D: float, x1: float, x2: float, want_dk: bool):
+    """free(x2) [[1, 0], [D, 1]] free(x1), i.e. free(x1 + x2) plus the
+    rank-one term D [s2; c2] (x) [c1, s1]."""
+    c1, s1 = _free(k, x1)
+    c2, s2 = _free(k, x2)
+    c = c2 * c1 - k * k * s2 * s1
+    s = s2 * c1 + c2 * s1
+    m = (
+        c + D * s2 * c1,
+        s + D * s2 * s1,
+        -k * (k * s) + D * c2 * c1,
+        c + D * c2 * s1,
     )
-    return psi, dpsi, dpsi_k, ddpsi_k
+    if not want_dk:
+        return m, None
+    dc1, ds1 = _free_dk(k, x1, k, c1, s1)
+    dc2, ds2 = _free_dk(k, x2, k, c2, s2)
+    dc, ds = _free_dk(k, x1 + x2, k, c, s)
+    dm = (
+        dc + D * (ds2 * c1 + s2 * dc1),
+        ds + D * (ds2 * s1 + s2 * ds1),
+        -2.0 * k * s - k * k * ds + D * (dc2 * c1 + c2 * dc1),
+        dc + D * (dc2 * s1 + c2 * ds1),
+    )
+    return m, dm
 
 
-# ---------------------------------------------------------------------------
-# smooth potentials: adaptive integration of the first-order system
-# ---------------------------------------------------------------------------
+def _magnus(w, a: float, b: float, k: complex, n: int, want_dk: bool):
+    """M (and M') over [a, b] from n 4th-order Magnus steps.
 
-
-def _integrate_smooth(
-    pot: Potential,
-    L: float,
-    k: complex,
-    sign: int,
-    want_dk: bool,
-    rtol: float,
-    atol: float,
-):
-    w = pot.callable(L)
-    k2 = k * k
-
+    With A(x) = [[0, 1], [w - k^2, 0]] and Gauss values w1, w2, the step
+    generator is Omega = h (A1 + A2)/2 + (sqrt(3) h^2/12) [A2, A1]
+    = [[alpha, h], [gamma, -alpha]]; the commutator term is
+    alpha diag(1, -1) with alpha = (sqrt(3) h^2/12)(w1 - w2), free of k.
+    Omega^2 = -nu^2 I, so exp(Omega) = cos(nu) I + (sin(nu)/nu) Omega.
+    """
+    h = (b - a) / n
+    left = a + h * np.arange(n)
+    w1, w2 = w(left + _GAUSS[0] * h), w(left + _GAUSS[1] * h)
+    alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
+    gamma = h * (0.5 * (w1 + w2) - k * k)
+    z = -(alpha * alpha + h * gamma)  # nu^2
+    nu = np.sqrt(z + 0j)
+    c, s = np.cos(nu), np.sinc(nu / np.pi)
+    steps = np.empty((n, 2, 2), dtype=complex)
+    steps[:, 0, 0] = c + s * alpha
+    steps[:, 0, 1] = s * h
+    steps[:, 1, 0] = s * gamma
+    steps[:, 1, 1] = c - s * alpha
     if want_dk:
+        # d(nu^2)/dk = 2 h^2 k, d/dk Omega = [[0, 0], [-2kh, 0]]
+        dz = 2.0 * h * h * k
+        small = np.abs(z) < 0.1
+        zz = np.where(small, 1.0, z)
+        g = np.where(  # (cos(nu) - sin(nu)/nu) / (2 nu^2)
+            small,
+            -1 / 6 + z / 60 - z**2 / 1680 + z**3 / 90720 - z**4 / 7983360,
+            (c - s) / (2.0 * zz),
+        )
+        dc, ds = -0.5 * s * dz, g * dz
+        # product rule through the fold: [[E, E'], [0, E]] multiply as blocks
+        blocks = np.zeros((n, 4, 4), dtype=complex)
+        blocks[:, :2, :2] = blocks[:, 2:, 2:] = steps
+        blocks[:, 0, 2] = dc + ds * alpha
+        blocks[:, 0, 3] = ds * h
+        blocks[:, 1, 2] = ds * gamma - 2.0 * k * h * s
+        blocks[:, 1, 3] = dc - ds * alpha
+        steps = blocks
+    while len(steps) > 1:  # n is a power of two
+        steps = steps[1::2] @ steps[::2]
+    prod = steps[0]
+    return prod[:2, :2], (prod[:2, 2:] if want_dk else None)
 
-        def rhs(x, y):
-            wx = w(x)
-            return [
-                y[1],
-                (wx - k2) * y[0],
-                y[3],
-                (wx - k2) * y[2] - 2 * k * y[0],
-            ]
 
-        y0 = [1.0 + 0j, -1j * k * sign, 0.0 + 0j, -1j * sign]
-    else:
-
-        def rhs(x, y):
-            return [y[1], (w(x) - k2) * y[0]]
-
-        y0 = [1.0 + 0j, -1j * k * sign]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, L),
-        np.asarray(y0, dtype=complex),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        dense_output=False,
-        t_eval=np.linspace(0.0, L, _CHECKPOINTS),
+def _magnus_doubled(pot: Potential, a: float, b: float, k: complex, want_dk: bool):
+    """Magnus M over [a, b], doubling the step count until two successive M,
+    with psi' scaled by 1/|k|, agree to _DEFAULT_TOL relative."""
+    w = pot.callable(b)
+    scale = np.array([[1.0, abs(k)], [1.0 / abs(k), 1.0]])
+    prev = None
+    n = _MIN_STEPS
+    while n <= _MAX_STEPS:
+        m, dm = _magnus(w, a, b, k, n, want_dk)
+        ms = m * scale
+        if prev is not None:
+            err = float(np.max(np.abs(ms - prev)) / max(1.0, np.max(np.abs(ms))))
+            if err <= _DEFAULT_TOL:
+                flat = tuple(m.ravel().tolist())
+                return flat, (tuple(dm.ravel().tolist()) if want_dk else None), err
+        prev = ms
+        n *= 2
+    raise NumericalError(
+        f"Magnus propagator unresolved at {_MAX_STEPS} steps for "
+        f"{pot.source!r} at k={k}"
     )
-    if not sol.success:
-        raise NumericalError(f"edge integration failed: {sol.message}")
-    return sol
+
+
+def _transfer(pot: Potential, a: float, b: float, k: complex, want_dk: bool):
+    """Fundamental matrix M mapping (psi, psi') at ``a`` to (psi, psi') at
+    ``b``, M' = dM/dk when ``want_dk`` (else None), and an error estimate
+    (0 for the closed forms).  A point interaction belongs to the segment
+    when it lies in (a, b], or at a = 0."""
+    if pot.kind == "smooth":
+        return _magnus_doubled(pot, a, b, k, want_dk)
+    x0 = pot.position
+    if pot.kind == "delta" and (a < x0 <= b or a == x0 == 0.0):
+        return _delta_matrix(k, pot.strength, x0 - a, b - x0, want_dk) + (0.0,)
+    q = cmath.sqrt(k * k - pot.value) if pot.kind == "constant" else k
+    return _free_matrix(q, b - a, k, want_dk) + (0.0,)
 
 
 def solve_edge(
@@ -251,14 +267,12 @@ def solve_edge(
     k: complex,
     want_dk: bool = False,
     reverse: bool = False,
-    rtol: float = _DEFAULT_TOL,
-    atol: float = _DEFAULT_TOL,
 ) -> EdgeSolution:
     """Boundary data of the normalized solution pair on edge ``e`` at ``k``.
 
     ``reverse=True`` solves the direction-reversed edge (reflected
-    potential).  ``want_dk`` integrates/differentiates the k-variation as
-    well.  k = 0 is rejected: the two normalized solutions degenerate there.
+    potential).  ``want_dk`` adds the k-derivatives.  k = 0 is rejected:
+    the two normalized solutions degenerate there.
     """
     if k == 0:
         raise InputError("k=0: the normalized solution pair degenerates")
@@ -266,55 +280,24 @@ def solve_edge(
     L = edge.length
     pot = orient(edge.potential, reverse, L)
     k = complex(k)
-    real_k = k.imag == 0.0
-
-    if pot.kind in ("zero", "constant", "delta"):
-        out = {}
-        for sign in (+1, -1):
-            if pot.kind == "zero":
-                out[sign] = _boundary_zero(k, L, sign, want_dk)
-            elif pot.kind == "constant":
-                out[sign] = _boundary_constant(k, L, pot.value, sign, want_dk)
-            else:
-                out[sign] = _boundary_delta(
-                    k, L, pot.strength, pot.position, sign, want_dk
-                )
-        (pp, dpp, kpp, kdpp), (pm, dpm, kpm, kdpm) = out[+1], out[-1]
-        return EdgeSolution(k, L, pp, dpp, pm, dpm, kpp, kdpp, kpm, kdpm, 0.0)
-
-    sol_p = _integrate_smooth(pot, L, k, +1, want_dk, rtol, atol)
-    if real_k:
-        # psi_minus = conj(psi_plus) pointwise for real k and real w
-        psi_p_path, dpsi_p_path = sol_p.y[0], sol_p.y[1]
-        psi_m_path, dpsi_m_path = psi_p_path.conj(), dpsi_p_path.conj()
-        kp = kdp = km = kdm = None
-        if want_dk:
-            kp, kdp = sol_p.y[2][-1], sol_p.y[3][-1]
-            km, kdm = kp.conjugate(), kdp.conjugate()
-    else:
-        sol_m = _integrate_smooth(pot, L, k, -1, want_dk, rtol, atol)
-        psi_p_path, dpsi_p_path = sol_p.y[0], sol_p.y[1]
-        psi_m_path, dpsi_m_path = sol_m.y[0], sol_m.y[1]
-        kp = kdp = km = kdm = None
-        if want_dk:
-            kp, kdp = sol_p.y[2][-1], sol_p.y[3][-1]
-            km, kdm = sol_m.y[2][-1], sol_m.y[3][-1]
-
-    wr = psi_p_path * dpsi_m_path - dpsi_p_path * psi_m_path
-    wdev = float(np.max(np.abs(wr - 2j * k)))
-    return EdgeSolution(
+    (m11, m12, m21, m22), dm, err = _transfer(pot, 0.0, L, k, want_dk)
+    ik = 1j * k
+    sol = EdgeSolution(
         k,
         L,
-        psi_p_path[-1],
-        dpsi_p_path[-1],
-        psi_m_path[-1],
-        dpsi_m_path[-1],
-        kp,
-        kdp,
-        km,
-        kdm,
-        wdev,
+        m11 - ik * m12,
+        m21 - ik * m22,
+        m11 + ik * m12,
+        m21 + ik * m22,
+        error_estimate=err,
     )
+    if dm is not None:
+        d11, d12, d21, d22 = dm
+        sol.dk_psi_p = d11 - 1j * m12 - ik * d12
+        sol.dk_dpsi_p = d21 - 1j * m22 - ik * d22
+        sol.dk_psi_m = d11 + 1j * m12 + ik * d12
+        sol.dk_dpsi_m = d21 + 1j * m22 + ik * d22
+    return sol
 
 
 def edge_profile(
@@ -323,11 +306,10 @@ def edge_profile(
     k: complex,
     xs,
     reverse: bool = False,
-    rtol: float = _DEFAULT_TOL,
-    atol: float = _DEFAULT_TOL,
 ) -> np.ndarray:
     """psi_plus sampled at increasing positions ``xs`` along edge ``e``
-    (x = 0 is the "from" end; ``reverse=True`` flips the orientation)."""
+    (x = 0 is the "from" end; ``reverse=True`` flips the orientation), from
+    the fundamental matrix accumulated between consecutive positions."""
     if k == 0:
         raise InputError("k=0: the normalized solution pair degenerates")
     edge = g.edges[e]
@@ -339,46 +321,21 @@ def edge_profile(
     if np.any(np.diff(xs) < 0) or xs[0] < -1e-12 or xs[-1] > L + 1e-12:
         raise InputError("xs must be increasing and lie within [0, L]")
     k = complex(k)
-
-    if pot.kind == "zero":
-        return np.exp(-1j * k * xs)
-    if pot.kind == "constant":
-        en = k * k - pot.value
-        q = np.sqrt(complex(en))
-        if abs(en) < 1e-12:
-            snc = xs * (1.0 - en * xs * xs / 6.0)
-        else:
-            snc = np.sin(q * xs) / q
-        return np.cos(q * xs) - 1j * k * snc
-    if pot.kind == "delta":
-        b = pot.strength / (2j * k)
-        x0 = pot.position
-        out = np.exp(-1j * k * xs).astype(complex)
-        after = xs > x0
-        a = b * np.exp(-2j * k * x0)
-        out[after] = a * np.exp(1j * k * xs[after]) + (1 - b) * np.exp(
-            -1j * k * xs[after]
-        )
-        return out
-
-    w = pot.callable(L)
-    k2 = k * k
-
-    def rhs(x, y):
-        return [y[1], (w(x) - k2) * y[0]]
-
-    sol = solve_ivp(
-        rhs,
-        (0.0, L),
-        np.asarray([1.0 + 0j, -1j * k], dtype=complex),
-        method="DOP853",
-        rtol=rtol,
-        atol=atol,
-        t_eval=np.clip(xs, 0.0, L),
-    )
-    if not sol.success:
-        raise NumericalError(f"edge integration failed: {sol.message}")
-    return sol.y[0]
+    out = np.empty(xs.size, dtype=complex)
+    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
+    prev = 0.0
+    for i, x in enumerate(np.clip(xs, 0.0, L).tolist()):
+        if x > prev:
+            (a11, a12, a21, a22), _, _ = _transfer(pot, prev, x, k, False)
+            m11, m12, m21, m22 = (
+                a11 * m11 + a12 * m21,
+                a11 * m12 + a12 * m22,
+                a21 * m11 + a22 * m21,
+                a21 * m12 + a22 * m22,
+            )
+            prev = x
+        out[i] = m11 - 1j * k * m12
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -412,29 +369,16 @@ def _entries(sol: EdgeSolution):
     return t, (dtrans, dr_from, dr_to)
 
 
-def transition_matrix(
-    g: MetricGraph,
-    e: int,
-    k: complex,
-    rtol: float = _DEFAULT_TOL,
-    atol: float = _DEFAULT_TOL,
-) -> TransitionMatrix:
-    sol = solve_edge(g, e, k, rtol=rtol, atol=atol)
+def transition_matrix(g: MetricGraph, e: int, k: complex) -> TransitionMatrix:
+    sol = solve_edge(g, e, k)
     (trans, r_from, r_to), _ = _entries(sol)
     return TransitionMatrix(complex(k), sol.length, trans, r_from, r_to)
 
 
-def transition_matrix_dk(
-    g: MetricGraph,
-    e: int,
-    k: complex,
-    rtol: float = _DEFAULT_TOL,
-    atol: float = _DEFAULT_TOL,
-) -> np.ndarray:
+def transition_matrix_dk(g: MetricGraph, e: int, k: complex) -> np.ndarray:
     """d/dk of the 2x2 transition matrix, by the quotient rule on the
-    boundary data (exact k-derivatives for the closed-form variants, the
-    variational system for smooth ones)."""
-    sol = solve_edge(g, e, k, want_dk=True, rtol=rtol, atol=atol)
+    boundary data (from M and M' = dM/dk)."""
+    sol = solve_edge(g, e, k, want_dk=True)
     _, (dtrans, dr_from, dr_to) = _entries(sol)
     return np.array([[dtrans, dr_to], [dr_from, dtrans]], dtype=complex)
 

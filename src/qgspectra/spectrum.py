@@ -10,8 +10,8 @@ in k, so the eigenvalues in a cell (a, b], counted with multiplicity, are
     N(a, b] = (phi(b) - phi(a)) / 2 pi - (F(b) - F(a)),
 
 with phi the tracked det S phase and F = sum_j frac(theta_j / 2 pi).  A
-cell holding one eigenvalue has a sign change of zeta and is refined by a
-bisection/secant hybrid; a cell holding more is split at its midpoint
+cell holding one eigenvalue has a sign change of zeta and is refined by
+Brent's method (scipy's brentq); a cell holding more is split at its midpoint
 until every piece holds at most one, and a piece narrower than root_tol is
 one root whose multiplicity is its count.  An eigenvalue on an evaluation
 point is seen directly: its multiplicity dim ker(I - S) is the number of
@@ -37,6 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError, PhaseTrackingError
@@ -122,44 +123,6 @@ class SpectrumResult:
 
     def total_count(self) -> int:
         return int(sum(r.multiplicity for r in self.roots))
-
-
-def _bisect_secant(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    fa: float,
-    fb: float,
-    xtol: float,
-) -> float:
-    """Root of f on a sign-change bracket [a, b] to |b - a| < xtol.
-
-    Secant proposals are accepted when they fall safely inside the
-    bracket and keep shrinking it; otherwise the step falls back to
-    bisection, so convergence is guaranteed.
-    """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    for _ in range(200):
-        if b - a < xtol:
-            break
-        mid = 0.5 * (a + b)
-        x = mid
-        if fb != fa:
-            sec = (a * fb - b * fa) / (fb - fa)
-            margin = 0.01 * (b - a)
-            if a + margin < sec < b - margin:
-                x = sec
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if (fa < 0) != (fx < 0):
-            b, fb = x, fx
-        else:
-            a, fa = x, fx
-    return 0.5 * (a + b)
 
 
 def _arg_walk(
@@ -353,7 +316,7 @@ def _scan_window(
             if (hl < 0) == (hr < 0):
                 flag(p, q, "one eigenvalue counted but no sign change")
             else:
-                emit_root(_bisect_secant(h, lo, hi, hl, hr, cfg.root_tol))
+                emit_root(brentq(h, lo, hi, xtol=cfg.root_tol))
         elif hi - lo < cfg.root_tol:
             emit_root(0.5 * (lo + hi), m)
         else:

@@ -12,7 +12,7 @@ import math
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import quad, solve_ivp
 from scipy.optimize import brentq
 
 
@@ -150,3 +150,29 @@ def gaussian_moment(center: float, sigma: float, lo: float, hi: float) -> float:
         limit=200,
     )
     return val
+
+
+def fundamental_matrix(w: Callable[[float], float], length: float, k: complex) -> Tuple[np.ndarray, np.ndarray]:
+    """2x2 fundamental matrix M of -psi'' + w psi = k^2 psi over [0, length]
+    and its k-derivative M', by DOP853 on the variational system.
+
+    Column j of M is (psi, psi')(length) for the solution with
+    (psi, psi')(0) = e_j; M' solves the same equation with the source
+    -2k psi and zero initial data.
+    """
+    k2 = k * k
+
+    def rhs(x, y):
+        # y = (psi, psi', dk psi, dk psi') for both columns, stacked
+        y = y.reshape(2, 4)
+        v = w(x) - k2
+        return np.stack(
+            [y[:, 1], v * y[:, 0], y[:, 3], v * y[:, 2] - 2.0 * k * y[:, 0]], axis=1
+        ).ravel()
+
+    y0 = np.zeros(8, dtype=complex)
+    y0[0] = y0[5] = 1.0
+    sol = solve_ivp(rhs, (0.0, length), y0, method="DOP853", rtol=1e-13, atol=1e-13)
+    assert sol.success, sol.message
+    y = sol.y[:, -1].reshape(2, 4)
+    return y[:, :2].T.copy(), y[:, 2:].T.copy()

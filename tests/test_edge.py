@@ -8,22 +8,39 @@ import numpy as np
 import pytest
 
 from qgspectra.edge import (
+    _entries,
+    edge_profile,
     solve_edge,
     subunitarity_threshold,
     transition_matrix,
     transition_matrix_dk,
     verify_subunitary,
 )
+from qgspectra.errors import NumericalError
 
 from .conftest import interval
-from .oracles import central_diff, delta_eigenvalues, delta_transition_matrix
+from .oracles import (
+    central_diff,
+    delta_eigenvalues,
+    delta_transition_matrix,
+    fundamental_matrix,
+)
+
+# the potentials of the Magnus accuracy checks, written independently of the
+# package's expression parser
+ORACLE_POTENTIALS = {
+    "2*cos(3*x)": lambda x: 2.0 * math.cos(3.0 * x),
+    "cos(4*x)": lambda x: math.cos(4.0 * x),
+    "x": lambda x: x,
+    "50*cos(20*x)": lambda x: 50.0 * math.cos(20.0 * x),
+}
 
 
 def test_wronskian_is_2ik_for_zero_potential(g_interval_pi):
     for k in (0.7, 3.0, 11.0):
         sol = solve_edge(g_interval_pi, 0, k)
         assert abs(sol.wronskian - 2j * k) <= 1e-13 * max(1.0, k)
-        assert sol.wronskian_dev == 0.0
+        assert sol.error_estimate == 0.0
 
 
 def test_wronskian_constant_along_smooth_edges(g_smooth):
@@ -32,7 +49,7 @@ def test_wronskian_constant_along_smooth_edges(g_smooth):
         k = float(rng.uniform(2.5, 15.0))
         sol = solve_edge(g_smooth, 0, k)
         assert abs(sol.wronskian - 2j * k) <= 1e-8 * max(1.0, k)
-        assert sol.wronskian_dev <= 1e-7
+        assert sol.error_estimate <= 1e-7
 
 
 def test_zero_strength_interaction_is_free_propagation():
@@ -116,3 +133,81 @@ def test_derivative_fields_populated_on_request(g_smooth):
     assert rich.dk_psi_p is not None
     num = central_diff(lambda kk: solve_edge(g_smooth, 0, kk).psi_p, 6.0)
     assert abs(rich.dk_psi_p - num) <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "pot, tol",
+    [
+        ({"type": "delta", "strength": 1.7, "position": 0.3}, 1e-13),
+        ({"type": "constant", "value": 4.0}, 1e-13),
+        ({"type": "zero"}, 1e-13),
+        ({"type": "expr", "expr": "x + exp(-x)*x^2"}, 1e-9),
+    ],
+)
+def test_reversal_keeps_transmission_and_swaps_reflections(pot, tol):
+    g = interval(1.3, pot)
+    for k in (2.7, 5 + 1e-3j):
+        fwd = _entries(solve_edge(g, 0, k, want_dk=True))
+        rev = _entries(solve_edge(g, 0, k, want_dk=True, reverse=True))
+        # t, then t' = dt/dk
+        for (trans, r_from, r_to), (trans_r, r_from_r, r_to_r) in zip(fwd, rev):
+            scale = max(1.0, abs(trans), abs(r_from), abs(r_to))
+            assert abs(trans_r - trans) <= tol * scale
+            assert abs(r_from_r - r_to) <= tol * scale
+            assert abs(r_to_r - r_from) <= tol * scale
+
+
+def _scaled(rows, k):
+    # (psi, psi') rows with psi' scaled by 1/|k|, so free solutions are O(1)
+    return np.diag([1.0, 1.0 / abs(k)]) @ np.asarray(rows)
+
+
+@pytest.mark.parametrize("expr", sorted(ORACLE_POTENTIALS))
+def test_smooth_edge_matches_fundamental_matrix_oracle(expr):
+    g = interval(1.0, {"type": "expr", "expr": expr})
+    for k in (2.0, 5.0, 20.0, 80.0, 5 + 1e-3j):
+        m, dm = fundamental_matrix(ORACLE_POTENTIALS[expr], 1.0, complex(k))
+        start = np.array([[1.0, 1.0], [-1j * k, 1j * k]])  # (psi_+, psi_-) at 0
+        dstart = np.array([[0.0, 0.0], [-1j, 1j]])
+        want = _scaled(m @ start, k)
+        dwant = _scaled(dm @ start + m @ dstart, k)
+        sol = solve_edge(g, 0, k, want_dk=True)
+        got = _scaled([[sol.psi_p, sol.psi_m], [sol.dpsi_p, sol.dpsi_m]], k)
+        dgot = _scaled(
+            [[sol.dk_psi_p, sol.dk_psi_m], [sol.dk_dpsi_p, sol.dk_dpsi_m]], k
+        )
+        assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
+        assert np.max(np.abs(dgot - dwant)) <= 1e-9 * max(1.0, np.max(np.abs(dwant)))
+        assert sol.error_estimate <= 1e-9
+
+
+@pytest.mark.parametrize("expr, k", [("2*cos(3*x)", 5.0), ("2*cos(3*x)", 5 + 1e-3j), ("x", 20.0)])
+def test_edge_profile_matches_oracle(expr, k):
+    g = interval(1.0, {"type": "expr", "expr": expr})
+    xs = np.linspace(0.0, 1.0, 33)
+    profile = edge_profile(g, 0, k, xs)
+    assert profile[0] == 1.0
+    for x, psi in zip(xs[1:], profile[1:]):
+        m, _ = fundamental_matrix(ORACLE_POTENTIALS[expr], x, complex(k))
+        assert abs(psi - (m[0, 0] - 1j * k * m[0, 1])) <= 1e-9
+
+
+@pytest.mark.parametrize("position", [0.0, 0.37, 0.5, 1.0])
+def test_point_interaction_profile_matches_closed_form(position):
+    # free propagation, plus D psi(x0) sin(k(x - x0))/k past the scatterer;
+    # the grid hits x0 exactly for 0, 0.5 and 1, so the jump counts once
+    strength, k = 1.7, 4.3 + 1e-3j
+    g = interval(1.0, {"type": "delta", "strength": strength, "position": position})
+    xs = np.linspace(0.0, 1.0, 33)
+    want = np.exp(-1j * k * xs) + np.where(
+        xs >= position,
+        strength * np.exp(-1j * k * position) * np.sin(k * (xs - position)) / k,
+        0.0,
+    )
+    assert np.max(np.abs(edge_profile(g, 0, k, xs) - want)) <= 1e-13
+
+
+def test_unresolvable_potential_raises():
+    g = interval(1.0, {"type": "expr", "expr": "cos(1000000*x)"})
+    with pytest.raises(NumericalError, match="unresolved"):
+        solve_edge(g, 0, 5.0)

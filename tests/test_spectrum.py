@@ -197,7 +197,7 @@ def test_close_root_clusters_are_all_found(seed, n_roots, close):
         assert min(abs(res.ks - k)) <= 1e-6
 
 
-@pytest.mark.parametrize("name, budget", [("g_delta_star", 491), ("g_star3_eq", 112)])
+@pytest.mark.parametrize("name, budget", [("g_delta_star", 188), ("g_star3_eq", 86)])
 def test_scan_work_is_bounded(request, assemble_T_calls, name, budget):
     # deterministic count of S(k) assemblies: sweep, splits, refinement
     scan_spectrum(request.getfixturevalue(name), *SCAN_RANGES[name])
