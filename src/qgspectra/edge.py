@@ -22,7 +22,10 @@ and their k-derivatives follow from M' = dM/dk.  M is built per kind:
   the exponential of a traceless 2x2 generator, so M is unimodular and the
   Wronskian 2ik is exact by construction.  The step count is doubled from
   64 until two successive M agree to 1e-10; that last difference is the
-  solution's ``error_estimate`` (0 for the closed forms).
+  solution's ``error_estimate`` (0 for the closed forms).  The propagator
+  takes an array of wavenumbers: the potential is sampled once per step
+  count, and each point keeps the M of the first count at which it
+  converged, so a batch gives every point its one-point result.
 
 Boundary data at x = L determines the 2x2 transition matrix
 
@@ -38,6 +41,16 @@ r_from is the reflection seen from the edge's "from" end, r_to from the "to"
 end; trans is direction-independent.  t is unitary for real k, and its
 eigenvalue moduli dip below 1 just above the real axis once k clears the
 subunitarity threshold of the potential.
+
+For constant and smooth edges the threshold is a heuristic scan over a
+(k, eps) grid: k on a 0.125 grid above the classical barrier, eps in
+{1e-4, 1e-3, 1e-2, 1e-1}, and a candidate K holds when its next 32 grid k
+pass at every eps and edge.  Grid points are evaluated in blocks of 16 k
+values per edge through the batched propagator, and each (k, eps, edge)
+point once; a failing point sends the scan to the first candidate past it,
+since every candidate in between contains that point.  Nothing between the
+samples is checked, so a t that leaves the unit disc only there is missed
+and K comes out too low.
 """
 
 from __future__ import annotations
@@ -45,6 +58,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import weakref
 from typing import Optional, Tuple
 
 import numpy as np
@@ -68,6 +82,7 @@ __all__ = [
 _DEFAULT_TOL = 1e-10
 _MIN_STEPS = 64
 _MAX_STEPS = 1 << 15
+_POINT_STEPS = 1 << 12  # points x steps built and folded at once
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
@@ -177,28 +192,30 @@ def _delta_matrix(k: complex, D: float, x1: float, x2: float, want_dk: bool):
     return m, dm
 
 
-def _magnus(w, a: float, b: float, k: complex, n: int, want_dk: bool):
-    """M (and M') over [a, b] from n 4th-order Magnus steps.
+def _steps(w1, w2, h, ks, want_dk: bool):
+    """Magnus step matrices E at every k of ``ks``, shape (2, 2, P, n), or
+    the blocks [[E, E'], [0, E]] with E' = dE/dk, shape (4, 4, P, n), when
+    ``want_dk``; the blocks multiply by the product rule.
 
-    With A(x) = [[0, 1], [w - k^2, 0]] and Gauss values w1, w2, the step
-    generator is Omega = h (A1 + A2)/2 + (sqrt(3) h^2/12) [A2, A1]
+    The n steps have lengths h (a scalar or one per step) and Gauss values
+    w1, w2.  With A(x) = [[0, 1], [w - k^2, 0]] the step generator is
+    Omega = h (A1 + A2)/2 + (sqrt(3) h^2/12) [A2, A1]
     = [[alpha, h], [gamma, -alpha]]; the commutator term is
     alpha diag(1, -1) with alpha = (sqrt(3) h^2/12)(w1 - w2), free of k.
     Omega^2 = -nu^2 I, so exp(Omega) = cos(nu) I + (sin(nu)/nu) Omega.
     """
-    h = (b - a) / n
-    left = a + h * np.arange(n)
-    w1, w2 = w(left + _GAUSS[0] * h), w(left + _GAUSS[1] * h)
+    k = ks[:, None]
     alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
     gamma = h * (0.5 * (w1 + w2) - k * k)
     z = -(alpha * alpha + h * gamma)  # nu^2
     nu = np.sqrt(z + 0j)
     c, s = np.cos(nu), np.sinc(nu / np.pi)
-    steps = np.empty((n, 2, 2), dtype=complex)
-    steps[:, 0, 0] = c + s * alpha
-    steps[:, 0, 1] = s * h
-    steps[:, 1, 0] = s * gamma
-    steps[:, 1, 1] = c - s * alpha
+    size = 4 if want_dk else 2
+    steps = np.zeros((size, size) + z.shape, dtype=complex)
+    steps[0, 0] = c + s * alpha
+    steps[0, 1] = s * h
+    steps[1, 0] = s * gamma
+    steps[1, 1] = c - s * alpha
     if want_dk:
         # d(nu^2)/dk = 2 h^2 k, d/dk Omega = [[0, 0], [-2kh, 0]]
         dz = 2.0 * h * h * k
@@ -210,38 +227,84 @@ def _magnus(w, a: float, b: float, k: complex, n: int, want_dk: bool):
             (c - s) / (2.0 * zz),
         )
         dc, ds = -0.5 * s * dz, g * dz
-        # product rule through the fold: [[E, E'], [0, E]] multiply as blocks
-        blocks = np.zeros((n, 4, 4), dtype=complex)
-        blocks[:, :2, :2] = blocks[:, 2:, 2:] = steps
-        blocks[:, 0, 2] = dc + ds * alpha
-        blocks[:, 0, 3] = ds * h
-        blocks[:, 1, 2] = ds * gamma - 2.0 * k * h * s
-        blocks[:, 1, 3] = dc - ds * alpha
-        steps = blocks
-    while len(steps) > 1:  # n is a power of two
-        steps = steps[1::2] @ steps[::2]
-    prod = steps[0]
-    return prod[:2, :2], (prod[:2, 2:] if want_dk else None)
+        steps[2:, 2:] = steps[:2, :2]
+        steps[0, 2] = dc + ds * alpha
+        steps[0, 3] = ds * h
+        steps[1, 2] = ds * gamma - 2.0 * k * h * s
+        steps[1, 3] = dc - ds * alpha
+    return steps
 
 
-def _magnus_doubled(pot: Potential, a: float, b: float, k: complex, want_dk: bool):
-    """Magnus M over [a, b], doubling the step count until two successive M,
-    with psi' scaled by 1/|k|, agree to _DEFAULT_TOL relative."""
+def _gauss_values(w, left, h):
+    return w(left + _GAUSS[0] * h), w(left + _GAUSS[1] * h)
+
+
+def _fold(steps):
+    """Product of the matrices along the last axis, whose length is a power
+    of two, folded pairwise with the later step on the left."""
+    while steps.shape[-1] > 1:
+        steps = (steps[:, :, None, ..., 1::2] * steps[None, ..., ::2]).sum(axis=1)
+    return steps
+
+
+def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool):
+    """M (and M', else None) over [a, b] from n equal 4th-order Magnus steps,
+    for every k of ``ks``: arrays of shape (2, 2, P).  w is sampled once;
+    steps are built and folded _POINT_STEPS point-steps at a time, which
+    bounds the memory, and the pieces' products folded in turn."""
+    h = (b - a) / n
+    w1, w2 = _gauss_values(w, a + h * np.arange(n), h)
+    piece = min(n, _POINT_STEPS)
+    chunk = _POINT_STEPS // piece
+    prod = np.empty((2, 4 if want_dk else 2, len(ks)), dtype=complex)
+    for lo in range(0, len(ks), chunk):
+        pks = ks[lo : lo + chunk]
+        parts = [
+            _fold(_steps(w1[j : j + piece], w2[j : j + piece], h, pks, want_dk))
+            for j in range(0, n, piece)
+        ]
+        prod[..., lo : lo + chunk] = _fold(np.concatenate(parts, axis=-1))[:2, ..., 0]
+    return prod[:, :2], (prod[:, 2:] if want_dk else None)
+
+
+def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool):
+    """Magnus M (and M') over [a, b] at every k of ``ks``.  Each point doubles
+    its step count from _MIN_STEPS until two successive M, with psi' scaled
+    by 1/|k|, agree to _DEFAULT_TOL relative, and keeps the M of the first
+    count that does.  Returns M, M' (or None), that last difference and the
+    step count per point; a point unresolved at _MAX_STEPS has error inf."""
     w = pot.callable(b)
-    scale = np.array([[1.0, abs(k)], [1.0 / abs(k), 1.0]])
+    ks = np.asarray(ks, dtype=complex)
+    absk = np.abs(ks)
+    scale = np.ones((2, 2, len(ks)))
+    scale[0, 1], scale[1, 0] = absk, 1.0 / absk
+    m_out = np.full((2, 2, len(ks)), np.nan, dtype=complex)
+    dm_out = np.full_like(m_out, np.nan) if want_dk else None
+    err_out = np.full(len(ks), np.inf)
+    n_out = np.zeros(len(ks), dtype=int)
+    active = np.arange(len(ks))
     prev = None
     n = _MIN_STEPS
-    while n <= _MAX_STEPS:
-        m, dm = _magnus(w, a, b, k, n, want_dk)
-        ms = m * scale
+    while n <= _MAX_STEPS and active.size:
+        m, dm = _magnus(w, a, b, ks[active], n, want_dk)
+        ms = m * scale[..., active]
         if prev is not None:
-            err = float(np.max(np.abs(ms - prev)) / max(1.0, np.max(np.abs(ms))))
-            if err <= _DEFAULT_TOL:
-                flat = tuple(m.ravel().tolist())
-                return flat, (tuple(dm.ravel().tolist()) if want_dk else None), err
+            err = np.max(np.abs(ms - prev), axis=(0, 1)) / np.maximum(
+                1.0, np.max(np.abs(ms), axis=(0, 1))
+            )
+            done = err <= _DEFAULT_TOL
+            idx = active[done]
+            m_out[..., idx], err_out[idx], n_out[idx] = m[..., done], err[done], n
+            if want_dk:
+                dm_out[..., idx] = dm[..., done]
+            active, ms = active[~done], ms[..., ~done]
         prev = ms
         n *= 2
-    raise NumericalError(
+    return m_out, dm_out, err_out, n_out
+
+
+def _unresolved(pot: Potential, k: complex) -> NumericalError:
+    return NumericalError(
         f"Magnus propagator unresolved at {_MAX_STEPS} steps for "
         f"{pot.source!r} at k={k}"
     )
@@ -253,7 +316,11 @@ def _transfer(pot: Potential, a: float, b: float, k: complex, want_dk: bool):
     (0 for the closed forms).  A point interaction belongs to the segment
     when it lies in (a, b], or at a = 0."""
     if pot.kind == "smooth":
-        return _magnus_doubled(pot, a, b, k, want_dk)
+        m, dm, err, _ = _magnus_doubled(pot, a, b, [k], want_dk)
+        if not err[0] <= _DEFAULT_TOL:
+            raise _unresolved(pot, k)
+        flat = tuple(m.ravel().tolist())
+        return flat, (tuple(dm.ravel().tolist()) if want_dk else None), float(err[0])
     x0 = pot.position
     if pot.kind == "delta" and (a < x0 <= b or a == x0 == 0.0):
         return _delta_matrix(k, pot.strength, x0 - a, b - x0, want_dk) + (0.0,)
@@ -280,7 +347,13 @@ def solve_edge(
     L = edge.length
     pot = orient(edge.potential, reverse, L)
     k = complex(k)
-    (m11, m12, m21, m22), dm, err = _transfer(pot, 0.0, L, k, want_dk)
+    return _solution(k, L, *_transfer(pot, 0.0, L, k, want_dk))
+
+
+def _solution(k: complex, L: float, m, dm, err: float) -> EdgeSolution:
+    """Boundary data psi_pm = M (1, -+ik) at x = L, and their k-derivatives
+    from M' when given."""
+    m11, m12, m21, m22 = m
     ik = 1j * k
     sol = EdgeSolution(
         k,
@@ -309,7 +382,9 @@ def edge_profile(
 ) -> np.ndarray:
     """psi_plus sampled at increasing positions ``xs`` along edge ``e``
     (x = 0 is the "from" end; ``reverse=True`` flips the orientation), from
-    the fundamental matrix accumulated between consecutive positions."""
+    the fundamental matrix accumulated along the edge.  A smooth edge is
+    swept once at the step count its whole-edge M needs, with the requested
+    positions as extra breakpoints."""
     if k == 0:
         raise InputError("k=0: the normalized solution pair degenerates")
     edge = g.edges[e]
@@ -321,21 +396,31 @@ def edge_profile(
     if np.any(np.diff(xs) < 0) or xs[0] < -1e-12 or xs[-1] > L + 1e-12:
         raise InputError("xs must be increasing and lie within [0, L]")
     k = complex(k)
-    out = np.empty(xs.size, dtype=complex)
+    xs = np.clip(xs, 0.0, L)
+    grid = np.union1d(0.0, xs)
+    if pot.kind == "smooth":
+        _, _, err, n = _magnus_doubled(pot, 0.0, L, [k], False)
+        if not err[0] <= _DEFAULT_TOL:
+            raise _unresolved(pot, k)
+        grid = np.union1d(np.linspace(0.0, L, n[0] + 1), grid)
+        h = np.diff(grid)
+        w1, w2 = _gauss_values(pot.callable(L), grid[:-1], h)
+        steps = _steps(w1, w2, h, np.array([k]), False).reshape(4, -1).T.tolist()
+    else:
+        bounds = grid.tolist()
+        steps = [_transfer(pot, a, b, k, False)[0] for a, b in zip(bounds, bounds[1:])]
+    psi = np.empty(grid.size, dtype=complex)
+    psi[0] = 1.0
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    prev = 0.0
-    for i, x in enumerate(np.clip(xs, 0.0, L).tolist()):
-        if x > prev:
-            (a11, a12, a21, a22), _, _ = _transfer(pot, prev, x, k, False)
-            m11, m12, m21, m22 = (
-                a11 * m11 + a12 * m21,
-                a11 * m12 + a12 * m22,
-                a21 * m11 + a22 * m21,
-                a21 * m12 + a22 * m22,
-            )
-            prev = x
-        out[i] = m11 - 1j * k * m12
-    return out
+    for i, (a11, a12, a21, a22) in enumerate(steps, 1):
+        m11, m12, m21, m22 = (
+            a11 * m11 + a12 * m21,
+            a11 * m12 + a12 * m22,
+            a21 * m11 + a22 * m21,
+            a21 * m12 + a22 * m22,
+        )
+        psi[i] = m11 - 1j * k * m12
+    return psi[np.searchsorted(grid, xs)]
 
 
 # ---------------------------------------------------------------------------
@@ -409,6 +494,12 @@ _EPS_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
 _K_GRID_STEP = 0.125
 _K_CONSECUTIVE = 32
 _K_MAX_CANDIDATES = 400
+_K_BLOCK = 16  # grid k values per edge evaluated in one batch
+
+# ThresholdInfo of each live graph, computed on first use
+_THRESHOLDS: "weakref.WeakKeyDictionary[MetricGraph, ThresholdInfo]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def subunitarity_threshold(g: MetricGraph, detailed: bool = False):
@@ -419,13 +510,41 @@ def subunitarity_threshold(g: MetricGraph, detailed: bool = False):
     strengths).  Constant/smooth potentials get an empirical scan: the
     smallest grid value above the classical barrier sqrt(sup w+) for which
     subunitarity holds over an eps grid and 32 consecutive k samples.  The
-    scanned value is a heuristic and is flagged as such.
+    scanned value is a heuristic and is flagged as such: nothing between
+    the samples is checked.  The result is computed once per graph.
     """
-    cached = getattr(g, "_threshold_cache", None)
-    if cached is None:
-        cached = _compute_threshold(g)
-        g._threshold_cache = cached
-    return cached if detailed else cached.K
+    info = _THRESHOLDS.get(g)
+    if info is None:
+        info = _THRESHOLDS[g] = _compute_threshold(g)
+    return info if detailed else info.K
+
+
+def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
+    """Per complex k of ``ks``: the largest eigenvalue modulus of t on edge
+    ``e``, or the error ``verify_subunitary`` raises there."""
+    edge = g.edges[e]
+    pot, L = edge.potential, edge.length
+    if pot.kind == "smooth":
+        m, _, err, _ = _magnus_doubled(pot, 0.0, L, ks, False)
+        ok = err <= _DEFAULT_TOL
+        mats = [r if good else None for r, good in zip(m.reshape(4, -1).T.tolist(), ok)]
+    else:
+        mats = [_transfer(pot, 0.0, L, k, False)[0] for k in ks.tolist()]
+    outcomes, ts = [], []
+    for k, mat in zip(ks.tolist(), mats):
+        try:
+            if mat is None:
+                raise _unresolved(pot, k)
+            (trans, r_from, r_to), _ = _entries(_solution(k, L, mat, None, 0.0))
+        except NumericalError as exc:
+            outcomes.append(exc)
+            continue
+        outcomes.append(None)
+        ts.append(((trans, r_to), (r_from, trans)))
+    if ts:
+        mods = iter(np.max(np.abs(np.linalg.eigvals(np.array(ts))), axis=1).tolist())
+        outcomes = [next(mods) if r is None else r for r in outcomes]
+    return outcomes
 
 
 def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
@@ -449,21 +568,40 @@ def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
     ]
     start = max(floor, closed)
     base = math.ceil(start / _K_GRID_STEP) * _K_GRID_STEP
-    for j in range(_K_MAX_CANDIDATES):
-        cand = base + j * _K_GRID_STEP
-        ok = True
-        for m in range(1, _K_CONSECUTIVE + 1):
-            ks = cand + m * _K_GRID_STEP
-            for eps in _EPS_GRID:
-                for e in scan_edges:
-                    good, _ = verify_subunitary(g, e, ks, eps)
-                    if not good:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            return ThresholdInfo(max(cand, closed), "heuristic-scan")
+    # Candidate j checks the grid points i = j+1 .. j+32, k_i = base + i*step,
+    # at every eps and scan edge.  Each (i, eps, edge) is evaluated once, in
+    # blocks of up to _K_BLOCK points per edge, and its outcome kept; points
+    # are walked in the order of the definition (k, then eps, then edge), so
+    # an error is raised only where that order reaches its point.
+    outcome = np.full(
+        (len(scan_edges), _K_MAX_CANDIDATES + _K_CONSECUTIVE, len(_EPS_GRID)),
+        None,
+        dtype=object,
+    )
+
+    def holds(i: int, end: int) -> bool:
+        for a in range(len(_EPS_GRID)):
+            for s, e in enumerate(scan_edges):
+                if outcome[s, i, a] is None:
+                    hi = min(i + _K_BLOCK, end + 1)
+                    ks = [complex(base + p * _K_GRID_STEP, eps)
+                          for p in range(i, hi) for eps in _EPS_GRID]
+                    block = np.array(_max_moduli(g, e, np.array(ks)), dtype=object)
+                    outcome[s, i:hi] = block.reshape(hi - i, len(_EPS_GRID))
+                r = outcome[s, i, a]
+                if isinstance(r, Exception):
+                    raise r
+                if not r <= 1.0 + 1e-12:
+                    return False
+        return True
+
+    j = 0
+    while j < _K_MAX_CANDIDATES:
+        end = j + _K_CONSECUTIVE
+        bad = next((i for i in range(j + 1, end + 1) if not holds(i, end)), None)
+        if bad is None:
+            return ThresholdInfo(max(base + j * _K_GRID_STEP, closed), "heuristic-scan")
+        # every candidate before ``bad`` holds it and passed all points before
+        # it, so fails there too: skip to the first one past it
+        j = bad
     raise NumericalError("no subunitarity threshold found within scan budget")

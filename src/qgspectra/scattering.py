@@ -25,6 +25,7 @@ from __future__ import annotations
 import cmath
 import dataclasses
 import math
+import weakref
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +47,10 @@ __all__ = [
 ]
 
 _PHASE_STEP_LIMIT = 0.9 * math.pi
+# Sigma of each live graph, built on first use
+_SIGMAS: "weakref.WeakKeyDictionary[MetricGraph, np.ndarray]" = (
+    weakref.WeakKeyDictionary()
+)
 _KERNEL_PHASE = 1e-12  # eigenphases closer to 0 than this are roots
 
 
@@ -62,9 +67,9 @@ def big_sigma(g: MetricGraph) -> np.ndarray:
     coupling maps the wave arriving along the reversal of d' into the wave
     leaving along d.
     """
-    cached = getattr(g, "_sigma_cache", None)
-    if cached is not None:
-        return cached
+    sigma = _SIGMAS.get(g)
+    if sigma is not None:
+        return sigma
     n = g.num_directed
     sigma = np.zeros((n, n))
     for v in g.vertices:
@@ -73,7 +78,7 @@ def big_sigma(g: MetricGraph) -> np.ndarray:
         for a, da in enumerate(dirs):
             for b, db in enumerate(dirs):
                 sigma[da, db] = block[a, b]
-    g._sigma_cache = sigma
+    _SIGMAS[g] = sigma
     return sigma
 
 

@@ -170,3 +170,24 @@ def solve_edge_calls(monkeypatch):
 def assemble_T_calls(monkeypatch):
     """Wavenumber of every assemble_T call."""
     return _record_calls(monkeypatch, scattering.assemble_T)
+
+
+@pytest.fixture
+def magnus_calls(monkeypatch):
+    """One entry (the interval's left end) per Magnus kernel call."""
+    return _record_calls(monkeypatch, edge._magnus)
+
+
+@pytest.fixture
+def threshold_points(monkeypatch):
+    """(edge index, complex k) of every grid point the threshold scan
+    evaluates."""
+    points = []
+    moduli = edge._max_moduli
+
+    def recorded(g, e, ks):
+        points.extend((e, k) for k in ks.tolist())
+        return moduli(g, e, ks)
+
+    monkeypatch.setattr(edge, "_max_moduli", recorded)
+    return points

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qgspectra import edge
 from qgspectra.edge import (
     _entries,
     edge_profile,
@@ -18,12 +19,13 @@ from qgspectra.edge import (
 )
 from qgspectra.errors import NumericalError
 
-from .conftest import interval
+from .conftest import interval, star
 from .oracles import (
     central_diff,
     delta_eigenvalues,
     delta_transition_matrix,
     fundamental_matrix,
+    threshold_reference,
 )
 
 # the potentials of the Magnus accuracy checks, written independently of the
@@ -211,3 +213,93 @@ def test_unresolvable_potential_raises():
     g = interval(1.0, {"type": "expr", "expr": "cos(1000000*x)"})
     with pytest.raises(NumericalError, match="unresolved"):
         solve_edge(g, 0, 5.0)
+
+
+def test_edge_profile_sweeps_the_edge_once(monkeypatch):
+    # one pass at the whole edge's step count, the positions as breakpoints
+    g = interval(1.0, {"type": "expr", "expr": "2*cos(3*x)"})
+    k, xs = 40.0, np.linspace(0.0, 1.0, 513)
+    steps = []
+    build = edge._steps
+
+    def counted(w1, *args):
+        steps.append(len(w1))
+        return build(w1, *args)
+
+    monkeypatch.setattr(edge, "_steps", counted)
+    solve_edge(g, 0, k)
+    doubling, n = sum(steps), steps[-1]
+    steps.clear()
+    profile = edge_profile(g, 0, k, xs)
+    assert sum(steps) - doubling <= n + len(xs)
+    assert profile[-1] == pytest.approx(solve_edge(g, 0, k).psi_p, abs=1e-9)
+
+
+def _smooth(expr):
+    return {"type": "expr", "expr": expr}
+
+
+def _constant(value):
+    return {"type": "constant", "value": value}
+
+
+# star arms; each test builds its own graph, so no cached threshold is reused
+THRESHOLD_PANEL = {
+    "cos234": [(1.0, _smooth("cos(2*x)")), (1.0, _smooth("cos(3*x)")), (1.0, _smooth("cos(4*x)"))],
+    "2cos3": [(1.0, _smooth("2*cos(3*x)"))],
+    "mixed": [(1.0, _smooth("-3*cos(2*x)")), (1.0, _smooth("5*x*(1-x)"))],
+    "const_cos": [(1.0, _constant(-4.0)), (1.0, _smooth("cos(2*x)"))],
+    "const": [(1.0, _constant(4.0)), (1.0, _constant(-4.0)), (1.0, _constant(-2.0))],
+    "delta_const": [
+        (1.0, {"type": "delta", "strength": -1.0, "position": 0.5}),
+        (1.3, _constant(-2.0)),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_PANEL))
+def test_threshold_matches_sequential_reference(name):
+    info = subunitarity_threshold(star(THRESHOLD_PANEL[name]), detailed=True)
+    assert (info.K, info.method) == threshold_reference(star(THRESHOLD_PANEL[name]))
+
+
+def test_threshold_skips_past_a_failing_point(threshold_points):
+    # the first candidate, 1.0, fails at k = 1.125; the scan goes on from
+    # the candidate past that point and evaluates no grid point twice
+    info = subunitarity_threshold(star(THRESHOLD_PANEL["const_cos"]), detailed=True)
+    assert info.K == 1.125
+    assert info.method == "heuristic-scan"
+    assert len(threshold_points) == len(set(threshold_points))
+    g = star(THRESHOLD_PANEL["const_cos"])
+    assert not all(
+        verify_subunitary(g, e, 1.125, eps)[0]
+        for eps in (1e-4, 1e-3, 1e-2, 1e-1)
+        for e in (0, 1)
+    )
+
+
+@pytest.mark.parametrize("expr", ["2*cos(3*x)", "x"])
+def test_batched_magnus_matches_single_points(expr):
+    pot = interval(1.0, {"type": "expr", "expr": expr}).edges[0].potential
+    ks = np.array([2.0, 5.0, 20.0, 80.0, 5 + 1e-3j, 3 + 0.1j, 1.125 + 1e-4j])
+    m, dm, err, _ = edge._magnus_doubled(pot, 0.0, 1.0, ks, True)
+    assert np.all(err <= 1e-10)
+    for i, k in enumerate(ks):
+        m1, dm1, _, _ = edge._magnus_doubled(pot, 0.0, 1.0, [k], True)
+        for got, want in ((m[..., i], m1[..., 0]), (dm[..., i], dm1[..., 0])):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["cos234", "const_cos"])
+def test_batched_moduli_match_verify_subunitary(name):
+    g = star(THRESHOLD_PANEL[name])
+    ks = np.array([complex(k, eps) for k in (1.125, 2.5, 4.75) for eps in (1e-4, 1e-1)])
+    for e in range(g.num_edges):
+        for k, mod in zip(ks, edge._max_moduli(g, e, ks)):
+            assert mod == pytest.approx(verify_subunitary(g, e, k.real, k.imag)[1], rel=1e-13)
+
+
+def test_unresolvable_potential_raises_through_threshold():
+    g = interval(1.0, {"type": "expr", "expr": "cos(1000000*x)"})
+    with pytest.raises(NumericalError, match="unresolved"):
+        subunitarity_threshold(g)

@@ -1,14 +1,19 @@
 """Graph construction, direction bookkeeping, and the auxiliary doubling."""
 from __future__ import annotations
 
+import gc
 import logging
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import GraphError
 from qgspectra.graph import MetricGraph, auxiliary_graph, build_graph
+from qgspectra.scattering import big_sigma
+from qgspectra.spectrum import scan_spectrum
 
 from .conftest import ZERO, interval, star
 
@@ -146,3 +151,20 @@ def test_matching_vertex_values_stay_silent(caplog):
 def test_total_length_additive(g_star3):
     total = sum(e.length for e in g_star3.edges)
     assert total == pytest.approx(1.0 + math.sqrt(2.0) + math.pi / 3.0)
+
+
+def test_derived_data_is_cached_off_the_graph():
+    # Sigma and the threshold are computed once per graph, without writing
+    # attributes on it and without keeping it alive
+    g = star([(1.0, {"type": "constant", "value": 2.0}), (1.3, ZERO)])
+    before = dict(vars(g))
+    info = subunitarity_threshold(g, detailed=True)
+    sigma = big_sigma(g)
+    scan_spectrum(g, 3.0, 5.0)
+    assert vars(g).keys() == before.keys()
+    assert subunitarity_threshold(g, detailed=True) is info
+    assert big_sigma(g) is sigma
+    ref = weakref.ref(g)
+    del g
+    gc.collect()
+    assert ref() is None

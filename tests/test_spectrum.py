@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from qgspectra import spectrum
+from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import InputError
 from qgspectra.scattering import secular_sweep
 from qgspectra.spectrum import ScanConfig, multiplicity, scan_spectrum
 
-from .conftest import random_delta_star
+from .conftest import random_delta_star, star
 from .oracles import interval_delta_secular, roots_on
 
 # Cross-checked against an independent second-order discretization of the
@@ -202,6 +203,15 @@ def test_scan_work_is_bounded(request, assemble_T_calls, name, budget):
     # deterministic count of S(k) assemblies: sweep, splits, refinement
     scan_spectrum(request.getfixturevalue(name), *SCAN_RANGES[name])
     assert len(assemble_T_calls) <= budget
+
+
+def test_threshold_work_is_bounded(magnus_calls, threshold_points):
+    # deterministic counts on the smooth-scan star: 384 (k, eps, edge) grid
+    # points, batched through the Magnus kernel, each evaluated once
+    arms = [(1.0, {"type": "expr", "expr": f"cos({n}*x)"}) for n in (2, 3, 4)]
+    assert subunitarity_threshold(star(arms)) == 1.0
+    assert len(magnus_calls) <= 100
+    assert len(threshold_points) == len(set(threshold_points)) == 384
 
 
 @pytest.mark.parametrize("name", ["g_interval_pi", "g_star3_eq", "g_delta_star"])
