@@ -17,6 +17,8 @@ and their k-derivatives follow from M' = dM/dk.  M is built per kind:
   matter, and q -> 0 is removable;
 - a point interaction of strength D at x0: free(L - x0) [[1, 0], [D, 1]]
   free(x0), i.e. free(L) plus the rank-one term D [s2; c2] (x) [c1, s1];
+  with D = 0 this is the free factor, so one closed form, evaluated
+  elementwise over arrays of k and edge parameters, serves all three kinds;
 - smooth w: a 4th-order Magnus propagator on 2-point Gauss-Legendre nodes
   (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  Each step is
   the exponential of a traceless 2x2 generator, so M is unimodular and the
@@ -26,6 +28,11 @@ and their k-derivatives follow from M' = dM/dk.  M is built per kind:
   takes an array of wavenumbers: the potential is sampled once per step
   count, and each point keeps the M of the first count at which it
   converged, so a batch gives every point its one-point result.
+
+``_solve_edges`` evaluates every edge of a graph at every k of an array:
+the closed-form edges together over (k, edge), from per-graph parameter
+arrays kept in a weak-keyed table, and each smooth edge by one batched
+propagation.  ``solve_edge`` is the one-point, one-edge case.
 
 Boundary data at x = L determines the 2x2 transition matrix
 
@@ -48,14 +55,16 @@ For constant and smooth edges the threshold is a heuristic scan over a
 pass at every eps and edge.  Grid points are evaluated in blocks of 16 k
 values per edge through the batched propagator, and each (k, eps, edge)
 point once; a failing point sends the scan to the first candidate past it,
-since every candidate in between contains that point.  Nothing between the
-samples is checked, so a t that leaves the unit disc only there is missed
+since every candidate in between contains that point.  The first point of
+a block is the one the scan needs next: it is evaluated alone, and when
+it fails or raises the rest of the block is left for later, so an
+unresolvable edge costs one point's step doubling, not a block's.  Nothing
+between the samples is checked, so a t that leaves the unit disc only there is missed
 and K comes out too low.
 """
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 import weakref
@@ -134,62 +143,70 @@ class TransitionMatrix:
 
 
 # ---------------------------------------------------------------------------
-# fundamental matrices, as row-major 4-tuples (m11, m12, m21, m22)
+# fundamental matrices, as row-major 4-tuples (m11, m12, m21, m22) of arrays
 # ---------------------------------------------------------------------------
 
 
-def _free(q: complex, x: float):
-    """cos(qx) and sin(qx)/q."""
+def _free(q, x):
+    """cos(qx) and sin(qx)/q, elementwise."""
     u = q * x
-    s = x * (1.0 - u * u / 6.0) if abs(u) < 1e-6 else cmath.sin(u) / q
-    return cmath.cos(u), s
+    small = np.abs(u) < 1e-6
+    s = np.where(small, x * (1.0 - u * u / 6.0), np.sin(u) / np.where(small, 1.0, q))
+    return np.cos(u), s
 
 
-def _free_dk(q: complex, x: float, k: complex, c: complex, s: complex):
+def _free_dk(q, x, k, c, s):
     """k-derivatives of (c, s) = _free(q, x) when q^2 = k^2 - const."""
-    z = q * q * x * x
-    if abs(z) < 1e-2:
-        # (x cos(qx) - sin(qx)/q) / q^2 without the cancellation
-        ds = -k * x**3 / 3.0 * (1.0 - z / 10.0 + z * z / 280.0 - z**3 / 15120.0)
-    else:
-        ds = k * (x * c - s) / (q * q)
+    q2 = q * q
+    z = q2 * x * x
+    small = np.abs(z) < 1e-2
+    # (x cos(qx) - sin(qx)/q) / q^2 without the cancellation
+    series = -k * x**3 / 3.0 * (1.0 - z / 10.0 + z * z / 280.0 - z**3 / 15120.0)
+    ds = np.where(small, series, k * (x * c - s) / np.where(small, 1.0, q2))
     return -k * x * s, ds
 
 
-def _free_matrix(q: complex, x: float, k: complex, want_dk: bool):
-    c, s = _free(q, x)
-    m = (c, s, -q * (q * s), c)
-    if not want_dk:
-        return m, None
-    dc, ds = _free_dk(q, x, k, c, s)
-    return m, (dc, ds, -2.0 * k * s - q * q * ds, dc)
-
-
-def _delta_matrix(k: complex, D: float, x1: float, x2: float, want_dk: bool):
-    """free(x2) [[1, 0], [D, 1]] free(x1), i.e. free(x1 + x2) plus the
-    rank-one term D [s2; c2] (x) [c1, s1]."""
-    c1, s1 = _free(k, x1)
-    c2, s2 = _free(k, x2)
-    c = c2 * c1 - k * k * s2 * s1
+def _closed(k, c, D, x1, x2, want_dk: bool):
+    """Closed-form M (and M', else None) of a segment with background
+    constant c and a point interaction of strength D at distance x1 from its
+    start and x2 from its end, elementwise over broadcast arrays:
+    free(x2) [[1, 0], [D, 1]] free(x1) with q^2 = k^2 - c, i.e. free(x1 + x2)
+    plus the rank-one term D [s2; c2] (x) [c1, s1].  Without a point
+    interaction D = 0 and x2 = 0, which leaves free(x1)."""
+    k = np.asarray(k, dtype=complex)
+    q = np.where(c == 0, k, np.sqrt(k * k - c))
+    c1, s1 = _free(q, x1)
+    c2, s2 = _free(q, x2)
+    cc = c2 * c1 - q * q * s2 * s1
     s = s2 * c1 + c2 * s1
     m = (
-        c + D * s2 * c1,
+        cc + D * s2 * c1,
         s + D * s2 * s1,
-        -k * (k * s) + D * c2 * c1,
-        c + D * c2 * s1,
+        -q * (q * s) + D * c2 * c1,
+        cc + D * c2 * s1,
     )
     if not want_dk:
         return m, None
-    dc1, ds1 = _free_dk(k, x1, k, c1, s1)
-    dc2, ds2 = _free_dk(k, x2, k, c2, s2)
-    dc, ds = _free_dk(k, x1 + x2, k, c, s)
+    dc1, ds1 = _free_dk(q, x1, k, c1, s1)
+    dc2, ds2 = _free_dk(q, x2, k, c2, s2)
+    dc, ds = _free_dk(q, x1 + x2, k, cc, s)
     dm = (
         dc + D * (ds2 * c1 + s2 * dc1),
         ds + D * (ds2 * s1 + s2 * ds1),
-        -2.0 * k * s - k * k * ds + D * (dc2 * c1 + c2 * dc1),
+        -2.0 * k * s - q * q * ds + D * (dc2 * c1 + c2 * dc1),
         dc + D * (dc2 * s1 + c2 * ds1),
     )
     return m, dm
+
+
+def _segment(pot: Potential, a: float, b: float):
+    """Arguments (c, D, x1, x2) of ``_closed`` for a closed-form potential on
+    [a, b].  A point interaction belongs to the segment when it lies in
+    (a, b], or at a = 0."""
+    x0 = pot.position
+    if pot.kind == "delta" and (a < x0 <= b or a == x0 == 0.0):
+        return 0.0, pot.strength, x0 - a, b - x0
+    return (pot.value if pot.kind == "constant" else 0.0), 0.0, b - a, 0.0
 
 
 def _steps(w1, w2, h, ks, want_dk: bool):
@@ -313,19 +330,17 @@ def _unresolved(pot: Potential, k: complex) -> NumericalError:
 def _transfer(pot: Potential, a: float, b: float, k: complex, want_dk: bool):
     """Fundamental matrix M mapping (psi, psi') at ``a`` to (psi, psi') at
     ``b``, M' = dM/dk when ``want_dk`` (else None), and an error estimate
-    (0 for the closed forms).  A point interaction belongs to the segment
-    when it lies in (a, b], or at a = 0."""
+    (0 for the closed forms), at one k."""
     if pot.kind == "smooth":
         m, dm, err, _ = _magnus_doubled(pot, a, b, [k], want_dk)
         if not err[0] <= _DEFAULT_TOL:
             raise _unresolved(pot, k)
-        flat = tuple(m.ravel().tolist())
-        return flat, (tuple(dm.ravel().tolist()) if want_dk else None), float(err[0])
-    x0 = pot.position
-    if pot.kind == "delta" and (a < x0 <= b or a == x0 == 0.0):
-        return _delta_matrix(k, pot.strength, x0 - a, b - x0, want_dk) + (0.0,)
-    q = cmath.sqrt(k * k - pot.value) if pot.kind == "constant" else k
-    return _free_matrix(q, b - a, k, want_dk) + (0.0,)
+        m, dm = m.reshape(4), (dm.reshape(4) if want_dk else None)
+    else:
+        m, dm = _closed(k, *_segment(pot, a, b), want_dk)
+        err = [0.0]
+    flat = tuple(complex(v) for v in m)
+    return flat, (tuple(complex(v) for v in dm) if want_dk else None), float(err[0])
 
 
 def solve_edge(
@@ -350,9 +365,63 @@ def solve_edge(
     return _solution(k, L, *_transfer(pot, 0.0, L, k, want_dk))
 
 
-def _solution(k: complex, L: float, m, dm, err: float) -> EdgeSolution:
+# closed-form arguments (c, D, x1, x2) of every edge (placeholders on smooth
+# edges), the edge lengths and the smooth edges of each live graph
+_EDGE_TABLES: "weakref.WeakKeyDictionary[MetricGraph, tuple]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _edge_table(g: MetricGraph):
+    table = _EDGE_TABLES.get(g)
+    if table is None:
+        rows = [
+            (0.0, 0.0, e.length, 0.0)
+            if e.potential.kind == "smooth"
+            else _segment(e.potential, 0.0, e.length)
+            for e in g.edges
+        ]
+        closed = tuple(np.array(col) for col in zip(*rows))
+        lengths = np.array([e.length for e in g.edges])
+        smooth = [e.index for e in g.edges if e.potential.kind == "smooth"]
+        table = _EDGE_TABLES[g] = (closed, lengths, smooth)
+    return table
+
+
+def _solve_edges(g: MetricGraph, ks, want_dk: bool = False) -> EdgeSolution:
+    """Boundary data of every edge at every k of the 1-D array ``ks``: an
+    EdgeSolution whose fields are (len(ks), E) arrays.  Zero, constant and
+    point-interaction edges are evaluated together in closed form, each
+    smooth edge by one batched Magnus propagation over ``ks``, which gives
+    each point its one-point result.  An unresolved propagation raises for
+    the first such k, as ``solve_edge`` would there."""
+    ks = np.asarray(ks, dtype=complex)
+    if np.any(ks == 0):
+        raise InputError("k=0: the normalized solution pair degenerates")
+    closed, lengths, smooth = _edge_table(g)
+    m, dm = _closed(ks[:, None], *closed, want_dk)
+    err = np.zeros((len(ks), g.num_edges))
+    if smooth:
+        m = np.array(m)
+        dm = np.array(dm) if want_dk else None
+        for e in smooth:
+            edge = g.edges[e]
+            me, dme, err[:, e], _ = _magnus_doubled(
+                edge.potential, 0.0, edge.length, ks, want_dk
+            )
+            m[:, :, e] = me.reshape(4, -1)
+            if want_dk:
+                dm[:, :, e] = dme.reshape(4, -1)
+        unresolved = ~(err <= _DEFAULT_TOL)
+        if unresolved.any():
+            i, e = np.argwhere(unresolved)[0]
+            raise _unresolved(g.edges[e].potential, complex(ks[i]))
+    return _solution(ks[:, None], lengths, m, dm, err)
+
+
+def _solution(k, L, m, dm, err) -> EdgeSolution:
     """Boundary data psi_pm = M (1, -+ik) at x = L, and their k-derivatives
-    from M' when given."""
+    from M' when given, elementwise."""
     m11, m12, m21, m22 = m
     ik = 1j * k
     sol = EdgeSolution(
@@ -408,7 +477,8 @@ def edge_profile(
         steps = _steps(w1, w2, h, np.array([k]), False).reshape(4, -1).T.tolist()
     else:
         bounds = grid.tolist()
-        steps = [_transfer(pot, a, b, k, False)[0] for a, b in zip(bounds, bounds[1:])]
+        segments = np.array([_segment(pot, a, b) for a, b in zip(bounds, bounds[1:])])
+        steps = np.array(_closed(k, *segments.T, False)[0]).T.tolist()
     psi = np.empty(grid.size, dtype=complex)
     psi[0] = 1.0
     m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
@@ -428,30 +498,45 @@ def edge_profile(
 # ---------------------------------------------------------------------------
 
 
-def _entries(sol: EdgeSolution):
-    """Entries (trans, r_from, r_to) of t, and their k-derivatives by the
+def _singular(k) -> SingularPointError:
+    return SingularPointError(f"transition-matrix parametrization singular at k={k}")
+
+
+def _t_entries(sol: EdgeSolution):
+    """Entries (trans, r_from, r_to) of t, their k-derivatives by the
     quotient rule on the boundary data when ``sol`` carries them (else
-    None)."""
+    None), and the mask of points where the parametrization is singular,
+    elementwise."""
     k = sol.k
     den = sol.dpsi_p - 1j * k * sol.psi_p
-    scale = max(abs(sol.dpsi_p), abs(k) * abs(sol.psi_p), abs(k))
-    if abs(den) < 1e-12 * scale:
-        raise SingularPointError(
-            f"transition-matrix parametrization singular at k={k}"
-        )
+    scale = np.maximum(
+        np.maximum(np.abs(sol.dpsi_p), np.abs(k) * np.abs(sol.psi_p)), np.abs(k)
+    )
+    singular = np.abs(den) < 1e-12 * scale
     trans = -2j * k / den
     num_f = -(sol.dpsi_m - 1j * k * sol.psi_m)
     num_t = -(sol.dpsi_p + 1j * k * sol.psi_p)
     t = (trans, num_f / den, num_t / den)
     if sol.dk_psi_p is None:
-        return t, None
+        return t, None, singular
     dden = sol.dk_dpsi_p - 1j * sol.psi_p - 1j * k * sol.dk_psi_p
     dtrans = -2j / den + 2j * k * dden / (den * den)
     dnum_f = -(sol.dk_dpsi_m - 1j * sol.psi_m - 1j * k * sol.dk_psi_m)
     dr_from = (dnum_f * den - num_f * dden) / (den * den)
     dnum_t = -(sol.dk_dpsi_p + 1j * sol.psi_p + 1j * k * sol.dk_psi_p)
     dr_to = (dnum_t * den - num_t * dden) / (den * den)
-    return t, (dtrans, dr_from, dr_to)
+    return t, (dtrans, dr_from, dr_to), singular
+
+
+def _entries(sol: EdgeSolution):
+    """(trans, r_from, r_to) and their k-derivatives (or None) as
+    ``_t_entries`` gives them; a singular parametrization raises for the
+    first such point in array order."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t, dt, singular = _t_entries(sol)
+    if np.any(singular):
+        raise _singular(complex(np.broadcast_to(sol.k, singular.shape)[singular][0]))
+    return t, dt
 
 
 def transition_matrix(g: MetricGraph, e: int, k: complex) -> TransitionMatrix:
@@ -526,25 +611,19 @@ def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
     pot, L = edge.potential, edge.length
     if pot.kind == "smooth":
         m, _, err, _ = _magnus_doubled(pot, 0.0, L, ks, False)
-        ok = err <= _DEFAULT_TOL
-        mats = [r if good else None for r, good in zip(m.reshape(4, -1).T.tolist(), ok)]
+        m, resolved = m.reshape(4, -1), err <= _DEFAULT_TOL
     else:
-        mats = [_transfer(pot, 0.0, L, k, False)[0] for k in ks.tolist()]
-    outcomes, ts = [], []
-    for k, mat in zip(ks.tolist(), mats):
-        try:
-            if mat is None:
-                raise _unresolved(pot, k)
-            (trans, r_from, r_to), _ = _entries(_solution(k, L, mat, None, 0.0))
-        except NumericalError as exc:
-            outcomes.append(exc)
-            continue
-        outcomes.append(None)
-        ts.append(((trans, r_to), (r_from, trans)))
-    if ts:
-        mods = iter(np.max(np.abs(np.linalg.eigvals(np.array(ts))), axis=1).tolist())
-        outcomes = [next(mods) if r is None else r for r in outcomes]
-    return outcomes
+        m, _ = _closed(ks, *_segment(pot, 0.0, L), False)
+        resolved = np.ones(len(ks), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        (trans, r_from, r_to), _, singular = _t_entries(_solution(ks, L, m, None, 0.0))
+    good = resolved & ~singular
+    ts = np.array([[trans, r_to], [r_from, trans]])[..., good].transpose(2, 0, 1)
+    mods = iter(np.abs(np.linalg.eigvals(ts)).max(axis=1).tolist() if ts.size else [])
+    return [
+        next(mods) if ok else _unresolved(pot, k) if not r else _singular(k)
+        for k, ok, r in zip(ks.tolist(), good, resolved)
+    ]
 
 
 def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
@@ -570,25 +649,37 @@ def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
     base = math.ceil(start / _K_GRID_STEP) * _K_GRID_STEP
     # Candidate j checks the grid points i = j+1 .. j+32, k_i = base + i*step,
     # at every eps and scan edge.  Each (i, eps, edge) is evaluated once, in
-    # blocks of up to _K_BLOCK points per edge, and its outcome kept; points
-    # are walked in the order of the definition (k, then eps, then edge), so
-    # an error is raised only where that order reaches its point.
+    # blocks of up to _K_BLOCK k values' worth of points per edge, and its
+    # outcome kept; points are walked in the order of the definition (k, then
+    # eps, then edge), so an error is raised only where that order reaches
+    # its point.  Per edge the points are kept in (k, eps) order at
+    # p = i * len(_EPS_GRID) + eps index.
+    n_eps = len(_EPS_GRID)
     outcome = np.full(
-        (len(scan_edges), _K_MAX_CANDIDATES + _K_CONSECUTIVE, len(_EPS_GRID)),
+        (len(scan_edges), (_K_MAX_CANDIDATES + _K_CONSECUTIVE) * n_eps),
         None,
         dtype=object,
     )
 
+    def evaluate(s: int, p: int, stop: int) -> None:
+        ks = np.array([
+            complex(base + (q // n_eps) * _K_GRID_STEP, _EPS_GRID[q % n_eps])
+            for q in range(p, stop)
+        ])
+        # the walk needs point p now: it goes first, alone, and if it fails
+        # or raises the walk stops there, so the rest of the block waits
+        outcome[s, p] = r = _max_moduli(g, scan_edges[s], ks[:1])[0]
+        if stop > p + 1 and not isinstance(r, Exception) and r <= 1.0 + 1e-12:
+            rest = _max_moduli(g, scan_edges[s], ks[1:])
+            outcome[s, p + 1 : stop] = np.array(rest, dtype=object)
+
     def holds(i: int, end: int) -> bool:
-        for a in range(len(_EPS_GRID)):
-            for s, e in enumerate(scan_edges):
-                if outcome[s, i, a] is None:
-                    hi = min(i + _K_BLOCK, end + 1)
-                    ks = [complex(base + p * _K_GRID_STEP, eps)
-                          for p in range(i, hi) for eps in _EPS_GRID]
-                    block = np.array(_max_moduli(g, e, np.array(ks)), dtype=object)
-                    outcome[s, i:hi] = block.reshape(hi - i, len(_EPS_GRID))
-                r = outcome[s, i, a]
+        for a in range(n_eps):
+            for s in range(len(scan_edges)):
+                p = i * n_eps + a
+                if outcome[s, p] is None:
+                    evaluate(s, p, min(p + _K_BLOCK * n_eps, (end + 1) * n_eps))
+                r = outcome[s, p]
                 if isinstance(r, Exception):
                     raise r
                 if not r <= 1.0 + 1e-12:

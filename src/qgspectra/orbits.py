@@ -377,6 +377,9 @@ class TraceReport:
         raise KeyError(f"no residual computed for n_max={n_max}")
 
 
+_NODE_BLOCK = 64  # quadrature nodes assembled and multiplied at once
+
+
 def _gauss_panels(a: float, b: float, width: float, nodes: int):
     """Composite Gauss-Legendre nodes and weights on [a, b]."""
     x, w = np.polynomial.legendre.leggauss(nodes)
@@ -439,16 +442,18 @@ def trace_check(
 
     # One T, T' per node gives the phase density and every orbit row:
     # orbit_terms[m] = Im tr(S^{m-1} S') is the amplitude sum over the
-    # classes of length m, (1/m) Im d/dk tr S^m.
+    # classes of length m, (1/m) Im d/dk tr S^m.  Nodes are taken in
+    # stacked blocks, which bounds the memory.
     sigma = big_sigma(g)
     tp = np.zeros_like(ks)
     orbit_terms = np.zeros((n_max + 1, ks.size))
-    for j, k in enumerate(ks):
-        T, dT = assemble_T(g, float(k), want_dk=True)
-        tp[j] = _theta_prime(T, dT)
+    for lo in range(0, ks.size, _NODE_BLOCK):
+        block = slice(lo, lo + _NODE_BLOCK)
+        T, dT = assemble_T(g, ks[block], want_dk=True)
+        tp[block] = _theta_prime(T, dT)
         S, P = sigma @ T, sigma @ dT
         for m in range(1, n_max + 1):
-            orbit_terms[m, j] = np.trace(P).imag
+            orbit_terms[m, block] = np.trace(P, axis1=1, axis2=2).imag
             P = S @ P
     phis = phi(ks)
     rhs_weyl = float(np.sum(wts * phis * tp) / (2.0 * math.pi))

@@ -18,6 +18,16 @@ is real on the real axis once the square root's branch is fixed by
 continuous unwrapping of the det S phase along the evaluation path; only its
 zeros (not its global sign) carry meaning.  Theta(k) is the continuously
 unwrapped phase of det T; its derivative is the Wigner delay.
+
+``assemble_T`` takes one k or a 1-D array of k.  Over an array the edge
+layer evaluates every edge at every k at once (zero, constant and
+point-interaction edges in closed form over (k, edge), each smooth edge
+by one batched Magnus propagation), and T and T' come out stacked.  The
+secular function along a path is computed from such stacks
+(``_track``): ``secular_sweep`` is a path anchored at its first point and
+``secular`` the one-point case continuing a ``BranchState``.  The
+eigenphases of S, which a scan needs only at some points, are taken for
+the points asked for, in one stacked call.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .edge import _entries, solve_edge
+from .edge import _entries, _solve_edges
 from .errors import NumericalError, PhaseTrackingError
 from .graph import MetricGraph
 
@@ -52,6 +62,7 @@ _SIGMAS: "weakref.WeakKeyDictionary[MetricGraph, np.ndarray]" = (
     weakref.WeakKeyDictionary()
 )
 _KERNEL_PHASE = 1e-12  # eigenphases closer to 0 than this are roots
+_TRACK_BLOCK = 16  # points of a track assembled at once
 
 
 def vertex_sigma(g: MetricGraph, v: str) -> np.ndarray:
@@ -82,29 +93,34 @@ def big_sigma(g: MetricGraph) -> np.ndarray:
     return sigma
 
 
-def _place(M: np.ndarray, e: int, trans, r_from, r_to) -> None:
-    d = 2 * e
-    M[d, d] = r_from
-    M[d + 1, d + 1] = r_to
-    M[d, d + 1] = trans
-    M[d + 1, d] = trans
+def _place(t, n: int) -> np.ndarray:
+    """Stacked T (or T') from the per-edge entries (trans, r_from, r_to),
+    each of shape (n_k, E)."""
+    trans, r_from, r_to = t
+    M = np.zeros((trans.shape[0], n, n), dtype=complex)
+    d = np.arange(0, n, 2)
+    M[:, d, d] = r_from
+    M[:, d + 1, d + 1] = r_to
+    M[:, d, d + 1] = trans
+    M[:, d + 1, d] = trans
+    return M
 
 
-def assemble_T(g: MetricGraph, k: complex, want_dk: bool = False):
-    """T(k), or the pair (T(k), T'(k)) when ``want_dk``; either way one
-    edge solve per edge."""
-    n = g.num_directed
-    T = np.zeros((n, n), dtype=complex)
-    dT = np.zeros((n, n), dtype=complex) if want_dk else None
-    for e in range(g.num_edges):
-        t, dt = _entries(solve_edge(g, e, k, want_dk))
-        _place(T, e, *t)
-        if want_dk:
-            _place(dT, e, *dt)
-    return (T, dT) if want_dk else T
+def assemble_T(g: MetricGraph, k, want_dk: bool = False):
+    """T(k), or the pair (T(k), T'(k)) when ``want_dk``, from one pass of the
+    edge layer over every k.  A scalar k gives 2E x 2E matrices; a 1-D array
+    of k gives them stacked, shape (len(k), 2E, 2E)."""
+    ks = np.asarray(k, dtype=complex)
+    t, dt = _entries(_solve_edges(g, ks.reshape(-1), want_dk))
+    out = [_place(t, g.num_directed)]
+    if want_dk:
+        out.append(_place(dt, g.num_directed))
+    if ks.ndim == 0:
+        out = [M[0] for M in out]
+    return tuple(out) if want_dk else out[0]
 
 
-def assemble_S(g: MetricGraph, k: complex) -> np.ndarray:
+def assemble_S(g: MetricGraph, k) -> np.ndarray:
     return big_sigma(g) @ assemble_T(g, k)
 
 
@@ -168,15 +184,18 @@ class BranchState:
         return other
 
 
-def _det_w(g: MetricGraph, k: complex, S: Optional[np.ndarray] = None) -> complex:
-    """det(I - S(k)); S is assembled unless given."""
+def _det_w(g: MetricGraph, k, S: Optional[np.ndarray] = None):
+    """det(I - S(k)) for a scalar k, or their array for a 1-D array of k;
+    S is assembled unless given."""
     if S is None:
         S = assemble_S(g, k)
-    return complex(np.linalg.det(np.eye(S.shape[0]) - S))
+    w = np.linalg.det(np.eye(S.shape[-1]) - S)
+    return complex(w) if np.ndim(w) == 0 else w
 
 
-def _eigenphases(S: np.ndarray) -> Tuple[float, int]:
-    """(sum_j frac(theta_j / 2 pi), number of theta_j at 0) for S's eigenphases.
+def _eigenphases(S: np.ndarray) -> Tuple[List[float], List[int]]:
+    """Per matrix of the stack S: sum_j frac(theta_j / 2 pi) over its
+    eigenphases theta_j, and the number of theta_j at 0.
 
     Eigenphases within _KERNEL_PHASE of 0 count as exactly 0, so a root on
     an evaluation point is seen by its kernel and counted once.
@@ -184,57 +203,104 @@ def _eigenphases(S: np.ndarray) -> Tuple[float, int]:
     theta = np.angle(np.linalg.eigvals(S))
     at_zero = np.abs(theta) <= _KERNEL_PHASE
     frac = np.where(at_zero, 0.0, np.mod(theta / (2.0 * math.pi), 1.0))
-    return float(frac.sum()), int(at_zero.sum())
+    return frac.sum(axis=-1).tolist(), at_zero.sum(axis=-1).tolist()
+
+
+@dataclasses.dataclass
+class _Track:
+    """S, zeta and the unwrapped det S phase along a k path, one entry per
+    point; theta = phase + theta_offset."""
+
+    ks: np.ndarray
+    S: np.ndarray
+    zeta: np.ndarray
+    phase: np.ndarray
+    theta_offset: float
+
+    def values(self, idx: Sequence[int]) -> List[SecularValue]:
+        """The SecularValue at each point of ``idx``, with the eigenphases
+        of their S from one stacked eigenvalue call."""
+        idx = list(idx)
+        frac, kernel = _eigenphases(self.S[idx])
+        return [
+            SecularValue(
+                complex(self.ks[i]),
+                complex(self.zeta[i]),
+                float(self.phase[i]),
+                float(self.phase[i] + self.theta_offset),
+                f,
+                d,
+            )
+            for i, f, d in zip(idx, frac, kernel)
+        ]
+
+
+def _track(g: MetricGraph, ks, state: BranchState) -> _Track:
+    """The secular function along the points ``ks`` in order, from stacked
+    S, continuing the branch of ``state``.  S is assembled _TRACK_BLOCK
+    points at a time, which bounds the temporaries beside it.
+
+    Each step of the det S phase must stay below 0.9 pi
+    (PhaseTrackingError otherwise); the modulus factor |det S|^(-1/2) is 1
+    on the real axis and restores conjugate symmetry
+    zeta(conj k) = conj zeta(k) off it.
+    """
+    ks = np.asarray(ks, dtype=complex).reshape(-1)
+    sigma = big_sigma(g)
+    S = np.empty((len(ks),) + sigma.shape, dtype=complex)
+    det_w = np.empty(len(ks), dtype=complex)
+    for lo in range(0, len(ks), _TRACK_BLOCK):
+        block = slice(lo, lo + _TRACK_BLOCK)
+        T = assemble_T(g, ks[block])
+        if lo == 0:
+            det_t = complex(np.linalg.det(T[0]))
+        np.matmul(sigma, T, out=S[block])
+        det_w[block] = _det_w(g, None, S[block])
+    det_s = np.linalg.det(S)
+    phase = np.empty(len(ks))
+    for i, d in enumerate(det_s.tolist()):
+        if d == 0:
+            raise NumericalError(f"det S vanishes at k={ks[i]}; prefactor undefined")
+        if not state.started:
+            state.theta_offset = cmath.phase(det_t) - cmath.phase(d)
+        phase[i] = state.advance(d)
+    zeta = np.abs(det_s) ** -0.5 * np.exp(-0.5j * phase) * det_w
+    return _Track(ks, S, zeta, phase, state.theta_offset)
 
 
 def secular(g: MetricGraph, k: complex, state: BranchState) -> SecularValue:
-    """zeta(k) with branch continuation through ``state``.
+    """zeta(k) with branch continuation through ``state``: the one-point
+    case of ``_track``.
 
     The state must be advanced along a path of sufficiently small steps
     starting from the first evaluation (which anchors the branch).
     """
-    T = assemble_T(g, k)
-    S = big_sigma(g) @ T
-    det_s = complex(np.linalg.det(S))
-    if det_s == 0:
-        raise NumericalError(f"det S vanishes at k={k}; prefactor undefined")
-    if not state.started:
-        state.theta_offset = cmath.phase(np.linalg.det(T)) - cmath.phase(det_s)
-    phase_s = state.advance(det_s)
-    # Full (det S)^(-1/2) with the branch fixed by the tracked phase; the
-    # modulus factor is 1 on the real axis and restores conjugate symmetry
-    # zeta(conj k) = conj zeta(k) off it.
-    prefactor = abs(det_s) ** -0.5 * cmath.exp(-0.5j * phase_s)
-    zeta = prefactor * _det_w(g, k, S)
-    return SecularValue(
-        complex(k), zeta, phase_s, phase_s + state.theta_offset, *_eigenphases(S)
-    )
+    return _track(g, [k], state).values([0])[0]
 
 
 def secular_sweep(g: MetricGraph, ks: Sequence[float]) -> List[SecularValue]:
-    """Sequential sweep with a fresh branch anchored at the first point."""
-    state = BranchState()
-    return [secular(g, k, state) for k in ks]
+    """Sweep with a fresh branch anchored at the first point."""
+    tr = _track(g, ks, BranchState())
+    return tr.values(range(len(tr.ks)))
 
 
 def theta_prime(g: MetricGraph, k: float) -> float:
     """d Theta / dk at real k, via the per-edge trace identity."""
-    return _theta_prime(*assemble_T(g, k, want_dk=True))
+    return float(_theta_prime(*assemble_T(g, k, want_dk=True)))
 
 
-def _theta_prime(T: np.ndarray, dT: np.ndarray) -> float:
-    """d/dk log det T / i from T and T'.
+def _theta_prime(T: np.ndarray, dT: np.ndarray):
+    """d/dk log det T / i from T and T', per matrix of a stack.
 
     d/dk log det T = sum_e tr(t_e^{-1} t_e') over the 2x2 edge blocks, here
     read in the display layout [[trans, r_to], [r_from, trans]].  The result
     is real for real k; the imaginary residue is a numerical check discarded
     here.
     """
-    total = 0.0 + 0.0j
-    for d in range(0, T.shape[0], 2):
-        trans, r_from, r_to = T[d, d + 1], T[d, d], T[d + 1, d + 1]
-        dtrans, dr_from, dr_to = dT[d, d + 1], dT[d, d], dT[d + 1, d + 1]
-        det = trans * trans - r_to * r_from
-        tr_adj_dt = trans * dtrans - r_to * dr_from - r_from * dr_to + trans * dtrans
-        total += tr_adj_dt / det
+    d = np.arange(0, T.shape[-1], 2)
+    trans, r_from, r_to = T[..., d, d + 1], T[..., d, d], T[..., d + 1, d + 1]
+    dtrans, dr_from, dr_to = dT[..., d, d + 1], dT[..., d, d], dT[..., d + 1, d + 1]
+    det = trans * trans - r_to * r_from
+    tr_adj_dt = trans * dtrans - r_to * dr_from - r_from * dr_to + trans * dtrans
+    total = (tr_adj_dt / det).sum(axis=-1)
     return (total / 1j).real

@@ -5,18 +5,35 @@ minimal oscillation scale of det(I - S)) and tracks the branch of the
 regularized secular function zeta = (det S)^(-1/2) det(I - S), which is
 proportional to prod_j sin(theta_j / 2) over the eigenphases theta_j of
 S(k).  Above the subunitarity threshold K every theta_j is non-decreasing
-in k, so the eigenvalues in a cell (a, b], counted with multiplicity, are
+in k, so the eigenvalues in a stretch (a, b] of the grid, counted with
+multiplicity, are
 
     N(a, b] = (phi(b) - phi(a)) / 2 pi - (F(b) - F(a)),
 
-with phi the tracked det S phase and F = sum_j frac(theta_j / 2 pi).  A
-cell holding one eigenvalue has a sign change of zeta and is refined by
-Brent's method (scipy's brentq); a cell holding more is split at its midpoint
-until every piece holds at most one, and a piece narrower than root_tol is
-one root whose multiplicity is its count.  An eigenvalue on an evaluation
-point is seen directly: its multiplicity dim ker(I - S) is the number of
-eigenphases at 0.  Cells whose count is not an integer, is negative, or
-disagrees in parity with the sign change are flagged, never dropped.
+with phi the tracked det S phase and F = sum_j frac(theta_j / 2 pi).
+
+A window of the grid is one batch: its S(k) are assembled as a stack, and
+zeta and phi at every node come from stacked determinants.  The
+eigenphases, the costly part, are taken only where the count is still
+open.  Every cell count is >= 0 above K, and a cell where zeta changes
+sign holds an odd count; so a segment whose count N equals its number of
+sign changes holds one simple root in each sign-change cell and none
+elsewhere.  The scan counts the whole window first and halves any segment
+this does not settle (or that has an eigenvalue at an end), down to
+single cells.  A cell is resolved on its own: a count of one is a sign
+change; a larger count is split at midpoints until every piece holds at
+most one, and a piece narrower than root_tol is one root whose
+multiplicity is its count.  An eigenvalue on an evaluation point is seen
+directly: its multiplicity dim ker(I - S) is the number of eigenphases at
+0.  Cells whose count is not an integer, is negative, or disagrees in
+parity with the sign change are flagged, never dropped.  Below K, where
+the eigenphases need not be monotone, every cell is counted on its own.
+
+All single-root brackets of a window are refined together by
+Chandrupatla's bracketing method (scipy's elementwise find_root), one
+stacked det(I - S) per iteration, until each bracket is narrower than
+root_tol; a bracket it cannot refine is flagged.  The residuals
+|det(I - S)| of the window's roots come from one stacked call.
 
 ``multiplicity`` gives the independent argument-principle count on a
 rectangle in the upper half plane, where strict subunitarity of S pins
@@ -37,12 +54,12 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError, PhaseTrackingError
 from .graph import MetricGraph
-from .scattering import BranchState, SecularValue, _det_w, secular
+from .scattering import BranchState, SecularValue, _det_w, _track, _Track, secular
 
 __all__ = [
     "ScanConfig",
@@ -223,12 +240,8 @@ class _WindowReport:
     diagnostics: List[str]
 
 
-def _sweep(g: MetricGraph, ks: np.ndarray):
-    state = BranchState()
-    out = []
-    for k in ks:
-        out.append(secular(g, float(k), state))
-    return out
+def _sweep(g: MetricGraph, ks: np.ndarray) -> _Track:
+    return _track(g, ks, BranchState())
 
 
 def _cell_count(p: SecularValue, q: SecularValue) -> float:
@@ -245,13 +258,16 @@ def _scan_window(
     step: float,
     cfg: ScanConfig,
     closed_left: bool = False,
+    monotone: bool = True,
 ) -> _WindowReport:
-    """Eigenvalues in (a, b], or [a, b] when ``closed_left``."""
+    """Eigenvalues in (a, b], or [a, b] when ``closed_left``.  ``monotone``
+    says that every eigenphase of S is non-decreasing on the window, as it
+    is above the threshold K; it allows counting by segments."""
     n = max(2, int(math.ceil((b - a) / step)) + 1)
     ks = np.linspace(a, b, n)
     for attempt in range(5):
         try:
-            vals = _sweep(g, ks)
+            tr = _sweep(g, ks)
             break
         except PhaseTrackingError:
             if attempt == 4:
@@ -259,66 +275,51 @@ def _scan_window(
             n = 2 * (n - 1) + 1
             ks = np.linspace(a, b, n)
 
-    f = np.array([v.zeta.real for v in vals])
-    absw = np.array([abs(v.zeta) for v in vals])
-    phases = [v.det_s_phase for v in vals]
+    f = tr.zeta.real
+    absw = np.abs(tr.zeta)
     scale = max(float(np.median(absw)), 1e-12)
 
     report = _WindowReport([], [], [])
-    ratios = [
-        abs(v.zeta.imag) / abs(v.zeta) for v in vals if abs(v.zeta) > 1e-9 * scale
-    ]
-    imag_dev = max(ratios) if ratios else 0.0
+    near_zero = absw <= 1e-9 * scale
+    ratios = np.abs(tr.zeta.imag)[~near_zero] / absw[~near_zero]
+    imag_dev = float(ratios.max()) if ratios.size else 0.0
     if imag_dev > 1e-6:
         report.diagnostics.append(
             f"secular branch deviation {imag_dev:.2e} on [{a:.6g}, {b:.6g}]"
         )
 
-    def h_at(phi0: float) -> Callable[[float], float]:
-        # Freeze the branch rotation at a grid node; the sweep keeps the
-        # phase drift below 0.9*pi per cell, so the rotated real part
-        # keeps the sign of the tracked secular branch within a cell of
-        # the freeze point and sign brackets survive the rotation.
-        rot = complex(math.cos(0.5 * phi0), -math.sin(0.5 * phi0))
+    emitted: List[Tuple[float, int]] = []
+    # single-root brackets (lo, hi, rotation), refined together.  The
+    # rotation freezes the branch at the cell's left grid node; the sweep
+    # keeps the phase drift below 0.9*pi per cell, so the rotated real part
+    # keeps the sign of the tracked secular branch within the cell and sign
+    # brackets survive the rotation.
+    singles: List[Tuple[float, float, complex]] = []
+    rots = np.exp(-0.5j * tr.phase)
 
-        def h(k: float) -> float:
-            return (rot * _det_w(g, float(k))).real
-
-        return h
-
-    def emit_root(k: float, mult: int = 1) -> None:
-        report.roots.append((float(k), mult, abs(_det_w(g, float(k)))))
-
-    def flag(p: SecularValue, q: SecularValue, what: str) -> None:
-        lo, hi = p.k.real, q.k.real
-        report.flagged.append((lo, hi))
+    def flag(lo: float, hi: float, what: str) -> None:
+        report.flagged.append((float(lo), float(hi)))
         report.diagnostics.append(f"{what} on ({lo:.9g}, {hi:.9g}]")
 
     def count(p: SecularValue, q: SecularValue) -> Optional[int]:
         c = _cell_count(p, q)
         if abs(c - round(c)) > _COUNT_TOL:
-            flag(p, q, f"eigenvalue count {c:.9g} is not an integer")
+            flag(p.k.real, q.k.real, f"eigenvalue count {c:.9g} is not an integer")
             return None
         return round(c)
 
-    def resolve(
-        h: Callable[[float], float], p: SecularValue, q: SecularValue, m: int
-    ) -> None:
+    def resolve(rot: complex, p: SecularValue, q: SecularValue, m: int) -> None:
         """Locate the m eigenvalues strictly between p.k and q.k."""
+        lo, hi = p.k.real, q.k.real
         if m < 0:
-            flag(p, q, f"negative eigenvalue count {m}: eigenphases not monotone")
+            flag(lo, hi, f"negative eigenvalue count {m}: eigenphases not monotone")
         if m <= 0:
             return
-        lo, hi = p.k.real, q.k.real
         if m == 1 and not (p.kernel_dim or q.kernel_dim):
-            # an odd count is a sign change of zeta, hence of h in the cell
-            hl, hr = h(lo), h(hi)
-            if (hl < 0) == (hr < 0):
-                flag(p, q, "one eigenvalue counted but no sign change")
-            else:
-                emit_root(brentq(h, lo, hi, xtol=cfg.root_tol))
+            # an odd count is a sign change of zeta in the cell
+            singles.append((lo, hi, rot))
         elif hi - lo < cfg.root_tol:
-            emit_root(0.5 * (lo + hi), m)
+            emitted.append((0.5 * (lo + hi), m))
         else:
             # the phase drift of the cell is below pi, so the principal
             # det S phase difference continues the branch to the midpoint
@@ -327,25 +328,89 @@ def _scan_window(
             if left is None:
                 return
             if mid.kernel_dim:
-                emit_root(mid.k.real, mid.kernel_dim)
-            resolve(h, p, mid, left - mid.kernel_dim)
-            resolve(h, mid, q, m - left)
+                emitted.append((mid.k.real, mid.kernel_dim))
+            resolve(rot, p, mid, left - mid.kernel_dim)
+            resolve(rot, mid, q, m - left)
 
-    if closed_left and vals[0].kernel_dim:
-        emit_root(ks[0], vals[0].kernel_dim)
-    for i in range(n - 1):
+    vals = {}
+
+    def resolve_cell(i: int) -> None:
         p, q = vals[i], vals[i + 1]
         c = count(p, q)
         if c is None:
-            continue
+            return
         if q.kernel_dim:
-            emit_root(ks[i + 1], q.kernel_dim)
+            emitted.append((ks[i + 1], q.kernel_dim))
         m = c - q.kernel_dim
-        sign_change = (f[i] < 0) != (f[i + 1] < 0)
-        if not (p.kernel_dim or q.kernel_dim) and m % 2 != sign_change:
-            flag(p, q, f"eigenvalue count {m} disagrees with the sign change")
-            continue
-        resolve(h_at(phases[i]), p, q, m)
+        if not (p.kernel_dim or q.kernel_dim) and m % 2 != (sign[i] != sign[i + 1]):
+            what = f"eigenvalue count {m} disagrees with the sign change"
+            flag(ks[i], ks[i + 1], what)
+            return
+        resolve(rots[i], p, q, m)
+
+    # Count by segments.  Above K every cell count is >= 0 and a cell where
+    # zeta changes sign holds an odd count, so a segment whose count equals
+    # its number of sign changes holds one simple root in each sign-change
+    # cell and none elsewhere.  Other segments are halved at their middle
+    # node, down to single cells; the eigenphases are taken only at segment
+    # ends, one stacked call per level.  A root on a node is seen by its
+    # kernel, so a segment with an eigenvalue at an end, or with a node
+    # inside where zeta all but vanishes, is halved too.
+    sign = f < 0
+    changes = np.concatenate([[0], np.cumsum(sign[1:] != sign[:-1])])
+    near_before = np.concatenate([[0], np.cumsum(near_zero)])
+
+    def settled(i: int, j: int) -> bool:
+        p, q = vals[i], vals[j]
+        if p.kernel_dim or q.kernel_dim or near_before[j] > near_before[i + 1]:
+            return False
+        c = _cell_count(p, q)
+        return abs(c - round(c)) <= _COUNT_TOL and round(c) == changes[j] - changes[i]
+
+    level = [(0, n - 1)] if monotone else [(i, i + 1) for i in range(n - 1)]
+    while level:
+        need = sorted({i for seg in level for i in seg} - vals.keys())
+        vals.update(zip(need, tr.values(need)))
+        halves = []
+        for i, j in level:
+            if j - i == 1:
+                resolve_cell(i)
+            elif settled(i, j):
+                for c in range(i, j):
+                    if sign[c] != sign[c + 1]:
+                        singles.append((ks[c], ks[c + 1], rots[c]))
+            else:
+                mid = (i + j) // 2
+                halves += [(i, mid), (mid, j)]
+        level = halves
+    if closed_left and vals[0].kernel_dim:
+        emitted.append((ks[0], vals[0].kernel_dim))
+
+    if singles:
+        # one bracketing refinement (Chandrupatla) over every single-root
+        # cell, each iteration one stacked det(I - S); it stops when the
+        # bracket is narrower than root_tol
+        lo, hi, rot = (np.array(col) for col in zip(*singles))
+
+        def h(x, rot):
+            return (rot * _det_w(g, x)).real
+
+        res = find_root(
+            h, (lo, hi), args=(rot,), tolerances={"xatol": cfg.root_tol, "xrtol": 0.0}
+        )
+        for (left, right, _), x, status in zip(
+            singles, res.x.tolist(), res.status.tolist()
+        ):
+            if status == 0:
+                emitted.append((x, 1))
+            elif status == -1:
+                flag(left, right, "one eigenvalue counted but no sign change")
+            else:
+                flag(left, right, f"root refinement failed (status {status})")
+    if emitted:
+        roots = np.array([k for k, _ in emitted])
+        residuals = np.abs(_det_w(g, roots)).tolist()
+        report.roots = [(float(k), m, r) for (k, m), r in zip(emitted, residuals)]
     return report
 
 
@@ -403,7 +468,10 @@ def scan_spectrum(
     cells_per = _CELLS_PER_WINDOW
     bounds = [lo + step * i for i in range(0, n_cells, cells_per)] + [k_hi]
     windows = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    tasks = [(g, a, b, step, cfg, i == 0) for i, (a, b) in enumerate(windows)]
+    # eigenphases are monotone, and segments may be counted, above K only
+    tasks = [
+        (g, a, b, step, cfg, i == 0, a > info.K) for i, (a, b) in enumerate(windows)
+    ]
 
     if cfg.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

@@ -143,13 +143,14 @@ def random_delta_star(seed: int, n_arms: int = 10) -> MetricGraph:
     return star(arms)
 
 
-def _record_calls(monkeypatch, original):
-    """List that records the second argument of every call of ``original``,
-    seen under every qgspectra module global that names the function."""
-    calls = []
+def _record_calls(monkeypatch, original, entries=lambda g, x: [x], calls=None):
+    """List (``calls``, or a new one) that records ``entries(g, x)`` of every
+    call ``original(g, x, ...)``, seen under every qgspectra module global
+    that names the function; by default the second argument itself."""
+    calls = [] if calls is None else calls
 
     def counted(g, x, *args, **kwargs):
-        calls.append(x)
+        calls.extend(entries(g, x))
         return original(g, x, *args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
@@ -162,20 +163,57 @@ def _record_calls(monkeypatch, original):
 
 @pytest.fixture
 def solve_edge_calls(monkeypatch):
-    """Edge index of every solve_edge call."""
-    return _record_calls(monkeypatch, edge.solve_edge)
+    """Edge index of every edge solve, one per edge and wavenumber: each
+    solve_edge call, and each (k, edge) point of a _solve_edges batch."""
+    calls = _record_calls(monkeypatch, edge.solve_edge)
+    return _record_calls(
+        monkeypatch,
+        edge._solve_edges,
+        lambda g, ks: [e for _ in np.ravel(ks) for e in range(g.num_edges)],
+        calls,
+    )
 
 
 @pytest.fixture
-def assemble_T_calls(monkeypatch):
-    """Wavenumber of every assemble_T call."""
-    return _record_calls(monkeypatch, scattering.assemble_T)
+def assembled_ks(monkeypatch):
+    """Every wavenumber assemble_T assembles, one entry per k point."""
+    return _record_calls(
+        monkeypatch, scattering.assemble_T, lambda g, k: np.ravel(k).tolist()
+    )
+
+
+@pytest.fixture
+def eigenphase_points(monkeypatch):
+    """Number of matrices S given to each stacked eigenphase evaluation."""
+    counts = []
+    original = scattering._eigenphases
+
+    def counted(S):
+        counts.append(len(S))
+        return original(S)
+
+    monkeypatch.setattr(scattering, "_eigenphases", counted)
+    return counts
 
 
 @pytest.fixture
 def magnus_calls(monkeypatch):
     """One entry (the interval's left end) per Magnus kernel call."""
     return _record_calls(monkeypatch, edge._magnus)
+
+
+@pytest.fixture
+def magnus_steps(monkeypatch):
+    """(step count, number of wavenumbers) of every Magnus kernel call."""
+    calls = []
+    original = edge._magnus
+
+    def counted(w, a, b, ks, n, want_dk):
+        calls.append((n, len(ks)))
+        return original(w, a, b, ks, n, want_dk)
+
+    monkeypatch.setattr(edge, "_magnus", counted)
+    return calls
 
 
 @pytest.fixture

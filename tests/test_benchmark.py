@@ -1,4 +1,4 @@
-"""The benchmark's oracle-checked smooth-scan workload still runs clean."""
+"""The benchmark's oracle-checked scan workloads still run clean."""
 from __future__ import annotations
 
 import json
@@ -9,9 +9,9 @@ from pathlib import Path
 RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
 
 
-def test_smooth_scan_benchmark_smoke():
+def _smoke(workload: str) -> None:
     proc = subprocess.run(
-        [sys.executable, str(RUN), "--workload", "smooth-scan", "--seed", "1",
+        [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
          "--seconds", "0.5", "--smoke"],
         cwd=RUN.parents[1],
         capture_output=True,
@@ -23,3 +23,11 @@ def test_smooth_scan_benchmark_smoke():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] > 0
+
+
+def test_smooth_scan_benchmark_smoke():
+    _smoke("smooth-scan")
+
+
+def test_delta_scan_benchmark_smoke():
+    _smoke("delta-scan")

@@ -299,6 +299,19 @@ def test_batched_moduli_match_verify_subunitary(name):
             assert mod == pytest.approx(verify_subunitary(g, e, k.real, k.imag)[1], rel=1e-13)
 
 
+def test_unresolvable_arm_stops_its_threshold_block(magnus_steps):
+    # the walk's first point on the cos(1000000 x) arm is unresolved: it is
+    # propagated alone, so no other point of its block is doubled to the end
+    g = star([(1.0, {"type": "expr", "expr": f"cos({n}*x)"}) for n in (2, 1000000)])
+    message = (
+        r"Magnus propagator unresolved at 32768 steps for 'cos\(1000000\*x\)' "
+        r"at k=\(1\.125\+0\.0001j\)"
+    )
+    with pytest.raises(NumericalError, match=message):
+        subunitarity_threshold(g)
+    assert sum(p for n, p in magnus_steps if n == edge._MAX_STEPS) == 1
+
+
 def test_unresolvable_potential_raises_through_threshold():
     g = interval(1.0, {"type": "expr", "expr": "cos(1000000*x)"})
     with pytest.raises(NumericalError, match="unresolved"):

@@ -137,6 +137,39 @@ def test_trace_check_orbit_cutoff_beyond_enumeration(g_delta_star):
         assert abs(a["value"] - b["value"]) <= 1e-14
 
 
+def test_batched_quadrature_matches_a_per_node_loop(g_delta_star):
+    # reference: T and T' one quadrature node at a time, the phase density
+    # summed over the 2x2 edge blocks and the orbit rows by single products
+    g, phi, n_max = g_delta_star, TestFunction(20.0, 0.5), 5
+    report = trace_check(g, phi, n_max)
+    q = report.quadrature
+    ks, wts, _ = orbits_module._gauss_panels(
+        q["k_lo"], q["k_hi"], q["panel_width"], q["panel_nodes"]
+    )
+    assert ks.size > orbits_module._NODE_BLOCK
+    sigma = big_sigma(g)
+    tp = np.zeros(ks.size)
+    terms = np.zeros((n_max + 1, ks.size))
+    for j, k in enumerate(ks):
+        T, dT = assemble_T(g, float(k), want_dk=True)
+        for d in range(0, T.shape[0], 2):
+            t, r_f, r_t = T[d, d + 1], T[d, d], T[d + 1, d + 1]
+            dt, dr_f, dr_t = dT[d, d + 1], dT[d, d], dT[d + 1, d + 1]
+            tp[j] += ((2 * t * dt - r_t * dr_f - r_f * dr_t) / (t * t - r_t * r_f) / 1j).real
+        S, P = sigma @ T, sigma @ dT
+        for m in range(1, n_max + 1):
+            terms[m, j] = np.trace(P).imag
+            P = S @ P
+    phis = phi(ks)
+    weyl = float(np.sum(wts * phis * tp) / (2.0 * math.pi))
+    assert report.rhs_weyl == pytest.approx(weyl, rel=1e-13, abs=0)
+    for m, running in enumerate(np.cumsum(terms, axis=0)):
+        value = float(np.sum(wts * phis * running) / math.pi)
+        assert report.rhs_orbits[m]["value"] == pytest.approx(value, rel=1e-13, abs=1e-15)
+        residual = abs(report.lhs - weyl - value)
+        assert report.residuals[m]["value"] == pytest.approx(residual, abs=1e-13 * report.lhs)
+
+
 def test_test_function_shape():
     phi = TestFunction(10.0, 0.5, 8.0)
     assert phi(10.0) == pytest.approx(1.0)

@@ -21,7 +21,7 @@ from qgspectra.scattering import (
     vertex_sigma,
 )
 
-from .conftest import interval
+from .conftest import interval, star
 
 
 def test_vertex_sigma_values(g_delta_star):
@@ -98,6 +98,35 @@ def test_assemble_T_blocks_agree_with_transition_matrices(g_delta_star, g_smooth
             assert np.max(np.abs(_display_block(dT, e) - dt)) <= tol
 
 
+MIXED_ARMS = [
+    (1.0, {"type": "zero"}),
+    (1.3, {"type": "constant", "value": 4.0}),
+    (0.9, {"type": "delta", "strength": 1.5, "position": 0.0}),
+    (1.1, {"type": "delta", "strength": -0.8, "position": 0.4}),
+    (0.7, {"type": "delta", "strength": 2.0, "position": 0.7}),
+    (1.0, {"type": "expr", "expr": "cos(2*x)"}),
+]
+
+
+def test_stacked_T_equals_one_point_calls():
+    # zero, constant (k^2 below and above c = 4), point interactions at
+    # x0 = 0, inside and at L with both signs of D, and a smooth arm, at
+    # real and complex k
+    g = star(MIXED_ARMS)
+    ks = np.array([1.2, 1.9, 3.0, 7.5, 2.0 + 0.05j, 5.0 - 0.3j, 1.5 + 1e-4j])
+    T, dT = assemble_T(g, ks, want_dk=True)
+    assert T.shape == dT.shape == (len(ks), 12, 12)
+    assert np.array_equal(assemble_T(g, ks), T)
+    for i, k in enumerate(ks):
+        T1, dT1 = assemble_T(g, k, want_dk=True)
+        assert T1.shape == (12, 12)
+        for got, want in ((T[i], T1), (dT[i], dT1)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        for e in range(g.num_edges):
+            t = transition_matrix(g, e, k).matrix
+            assert np.max(np.abs(_display_block(T[i], e) - t)) <= 1e-13 * np.max(np.abs(t))
+
+
 def test_T_and_its_derivative_cost_one_edge_solve_per_edge(g_delta_star, solve_edge_calls):
     assemble_T(g_delta_star, 7.3, want_dk=True)
     assert solve_edge_calls == [0, 1, 2]
@@ -128,6 +157,27 @@ def test_delay_density_matches_phase_derivative(g_interval_delta_pi):
     sweep = secular_sweep(g, [k0 - h, k0, k0 + h])
     numeric = (sweep[2].theta - sweep[0].theta) / (2.0 * h)
     assert numeric == pytest.approx(theta_prime(g, k0), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "name, lo, hi, n", [("g_delta_star", 0.5, 6.0, 41), ("g_interval_pi", 0.5, 3.5, 13)]
+)
+def test_sweep_equals_a_chain_of_one_point_values(request, name, lo, hi, n):
+    # the interval's grid holds its roots 1, 2, 3, where the kernel is seen
+    g = request.getfixturevalue(name)
+    ks = np.linspace(lo, hi, n)
+    sweep = secular_sweep(g, ks)
+    state = BranchState()
+    chain = [secular(g, float(k), state) for k in ks]
+    for v, w in zip(sweep, chain):
+        assert v.k == w.k
+        assert abs(v.zeta - w.zeta) <= 1e-13 * max(1.0, abs(w.zeta))
+        assert v.det_s_phase == pytest.approx(w.det_s_phase, rel=0, abs=1e-12)
+        assert v.theta == pytest.approx(w.theta, rel=0, abs=1e-12)
+        assert v.eigenphase_frac == pytest.approx(w.eigenphase_frac, rel=0, abs=1e-12)
+        assert v.kernel_dim == w.kernel_dim
+    if name == "g_interval_pi":
+        assert [v.k.real for v in sweep if v.kernel_dim] == [1.0, 2.0, 3.0]
 
 
 def test_secular_is_real_on_the_real_axis(g_smooth, g_interval_delta_pi):

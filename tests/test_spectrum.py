@@ -199,10 +199,28 @@ def test_close_root_clusters_are_all_found(seed, n_roots, close):
 
 
 @pytest.mark.parametrize("name, budget", [("g_delta_star", 188), ("g_star3_eq", 86)])
-def test_scan_work_is_bounded(request, assemble_T_calls, name, budget):
-    # deterministic count of S(k) assemblies: sweep, splits, refinement
+def test_scan_work_is_bounded(request, assembled_ks, name, budget):
+    # deterministic count of k points whose S(k) is assembled: sweep,
+    # splits, refinement and residuals (164 and 84 when pinned)
     scan_spectrum(request.getfixturevalue(name), *SCAN_RANGES[name])
-    assert len(assemble_T_calls) <= budget
+    assert len(assembled_ks) <= budget
+
+
+@pytest.mark.parametrize(
+    "name, budget", [("g_delta_star", 21), ("g_star3_eq", 65), ("panel1", 45)]
+)
+def test_eigenphases_are_taken_where_the_count_is_open(
+    request, eigenphase_points, name, budget
+):
+    # deterministic count of matrices given to eigvals: segment ends, cells
+    # left open and split midpoints; taking every grid node costs 50, 73
+    # and 449
+    if name == "panel1":
+        g, k_range = random_delta_star(1), (0.5, 30.0)
+    else:
+        g, k_range = request.getfixturevalue(name), SCAN_RANGES[name]
+    scan_spectrum(g, *k_range)
+    assert sum(eigenphase_points) <= budget
 
 
 def test_threshold_work_is_bounded(magnus_calls, threshold_points):
@@ -246,4 +264,44 @@ def test_bad_cell_count_is_flagged(g_delta_star, monkeypatch, shift, message):
     lo, hi = res.flagged[0]
     assert lo < DELTA_STAR_KS[3] <= hi
     assert any(message in d for d in res.diagnostics)
+    assert res.total_count() == len(DELTA_STAR_KS) - 1
+
+
+def test_negative_cell_count_is_flagged(g_delta_star, monkeypatch):
+    # the count of the cell holding 3.27075756 is lowered by 2, to -1.  The
+    # range stops short of the 4.829 / 4.885 pair: a segment holding both
+    # would count as many roots as it has sign changes and settle, since
+    # segment counts are trusted as exact above K
+    count = spectrum._cell_count
+
+    def corrupted(p, q):
+        inside = p.k.real < DELTA_STAR_KS[3] <= q.k.real
+        return count(p, q) - (2.0 if inside else 0.0)
+
+    monkeypatch.setattr(spectrum, "_cell_count", corrupted)
+    res = scan_spectrum(g_delta_star, 0.5, 4.0)
+    assert len(res.flagged) == 1
+    lo, hi = res.flagged[0]
+    assert lo < DELTA_STAR_KS[3] <= hi
+    assert any("negative eigenvalue count -1" in d for d in res.diagnostics)
+    assert list(res.ks) == pytest.approx(DELTA_STAR_KS[:3], abs=5e-9)
+
+
+def test_failed_refinement_is_flagged(g_delta_star, monkeypatch):
+    # the refinement of the cell holding 3.27075756 reports a failure; that
+    # cell is flagged, the other roots are still found
+    find_root = spectrum.find_root
+
+    def failing(f, init, **kwargs):
+        res = find_root(f, init, **kwargs)
+        lo, hi = init
+        res.status[(lo < DELTA_STAR_KS[3]) & (DELTA_STAR_KS[3] <= hi)] = -2
+        return res
+
+    monkeypatch.setattr(spectrum, "find_root", failing)
+    res = scan_spectrum(g_delta_star, 0.5, 12.0)
+    assert len(res.flagged) == 1
+    lo, hi = res.flagged[0]
+    assert lo < DELTA_STAR_KS[3] <= hi
+    assert any("root refinement failed (status -2)" in d for d in res.diagnostics)
     assert res.total_count() == len(DELTA_STAR_KS) - 1
