@@ -30,7 +30,7 @@ from .errors import InputError, NumericalError
 from .graph import build_graph
 from .orbits import TestFunction, _weight, enumerate_orbits, trace_check, wigner_delay
 from .scattering import assemble_S, secular_sweep
-from .spectrum import ScanConfig, scan_spectrum
+from .spectrum import ScanConfig, grid_step, scan_spectrum
 from .wkb import compare_with_exact, wkb_wigner_delay
 
 __all__ = ["main"]
@@ -174,14 +174,17 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_spectrum(args, g, meta, cfg_hash: str) -> str:
-    _require(args, "kmin", "kmax")
-    cfg = ScanConfig(
+def _scan_config(args) -> ScanConfig:
+    return ScanConfig(
         root_tol=args.tol,
         workers=args.workers,
         allow_below_threshold=args.allow_below_k,
     )
-    result = scan_spectrum(g, args.kmin, args.kmax, cfg)
+
+
+def _cmd_spectrum(args, g, meta, cfg_hash: str) -> str:
+    _require(args, "kmin", "kmax")
+    result = scan_spectrum(g, args.kmin, args.kmax, _scan_config(args))
     rows = [[r.k, r.multiplicity, r.residual] for r in result.roots]
     _write_csv(
         os.path.join(args.out, "spectrum.csv"),
@@ -241,12 +244,7 @@ def _cmd_trace_check(args, g, meta, cfg_hash: str) -> str:
     if args.nmax < 0:
         raise InputError("--nmax must be >= 0")
     phi = TestFunction(args.phi_center, args.phi_sigma)
-    cfg = ScanConfig(
-        root_tol=args.tol,
-        workers=args.workers,
-        allow_below_threshold=args.allow_below_k,
-    )
-    report = trace_check(g, phi, args.nmax, scan_config=cfg)
+    report = trace_check(g, phi, args.nmax, scan_config=_scan_config(args))
     # The table's enumeration may exceed its budget; fail before writing.
     orbits = enumerate_orbits(g, args.nmax, on_budget="error") if args.nmax >= 1 else []
     payload = dict(meta)
@@ -275,8 +273,7 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> str:
     _require(args, "kmin", "kmax")
     if args.kmin <= 0 or args.kmax <= args.kmin:
         raise InputError("secular-scan needs 0 < kmin < kmax")
-    step = math.pi / (4.0 * g.total_length)
-    n = max(2, int(math.ceil((args.kmax - args.kmin) / step)) + 1)
+    n = max(2, int(math.ceil((args.kmax - args.kmin) / grid_step(g))) + 1)
     ks = np.linspace(args.kmin, args.kmax, n)
     vals = secular_sweep(g, [float(k) for k in ks])
     rows = [

@@ -29,10 +29,13 @@ and their k-derivatives follow from M' = dM/dk.  M is built per kind:
   count, and each point keeps the M of the first count at which it
   converged, so a batch gives every point its one-point result.
 
-``_solve_edges`` evaluates every edge of a graph at every k of an array:
-the closed-form edges together over (k, edge), from per-graph parameter
-arrays kept in a weak-keyed table, and each smooth edge by one batched
-propagation.  ``solve_edge`` is the one-point, one-edge case.
+``_evaluate`` is the one evaluator of a single potential: M, M' and the
+error estimate at a wavenumber or an array of them, by the closed form or
+the propagator.  ``solve_edge`` is its one-point case, and the threshold
+scan reads t from it.  ``_solve_edges`` evaluates every edge of a graph at
+every k of an array: the closed-form edges together over (k, edge), from
+per-graph parameter arrays kept in a weak-keyed table, and each smooth
+edge through ``_evaluate``.
 
 Boundary data at x = L determines the 2x2 transition matrix
 
@@ -50,22 +53,24 @@ eigenvalue moduli dip below 1 just above the real axis once k clears the
 subunitarity threshold of the potential.
 
 For constant and smooth edges the threshold is a heuristic scan over a
-(k, eps) grid: k on a 0.125 grid above the classical barrier, eps in
-{1e-4, 1e-3, 1e-2, 1e-1}, and a candidate K holds when its next 32 grid k
-pass at every eps and edge.  Grid points are evaluated in blocks of 16 k
-values per edge through the batched propagator, and each (k, eps, edge)
-point once; a failing point sends the scan to the first candidate past it,
-since every candidate in between contains that point.  The first point of
-a block is the one the scan needs next: it is evaluated alone, and when
-it fails or raises the rest of the block is left for later, so an
-unresolvable edge costs one point's step doubling, not a block's.  Nothing
-between the samples is checked, so a t that leaves the unit disc only there is missed
-and K comes out too low.
+(k, eps) grid: rows k_i = base + 0.125 i above the classical barrier, eps
+in {1e-4, 1e-3, 1e-2, 1e-1}, and a row passes when t is subunitary at
+every eps and edge.  One pass over the rows counts the consecutive rows
+that pass, and K is the grid value just below the first run of 32; the
+scan raises when that value is not among the first 400 grid values.  Each
+(k, eps, edge) point is evaluated once, in blocks of up to 16 k values per
+edge through the batched propagator, a block ending at the row where the
+current run would complete.  A block's first point is the one the walk
+needs next: it is evaluated alone, and when it fails or raises the rest of
+the block is not evaluated, so an unresolvable edge costs one point's step
+doubling, not a block's.  Nothing between the samples is checked, so a t
+that leaves the unit disc only there is missed and K comes out too low.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import weakref
 from typing import Optional, Tuple
@@ -327,20 +332,19 @@ def _unresolved(pot: Potential, k: complex) -> NumericalError:
     )
 
 
-def _transfer(pot: Potential, a: float, b: float, k: complex, want_dk: bool):
-    """Fundamental matrix M mapping (psi, psi') at ``a`` to (psi, psi') at
-    ``b``, M' = dM/dk when ``want_dk`` (else None), and an error estimate
-    (0 for the closed forms), at one k."""
-    if pot.kind == "smooth":
-        m, dm, err, _ = _magnus_doubled(pot, a, b, [k], want_dk)
-        if not err[0] <= _DEFAULT_TOL:
-            raise _unresolved(pot, k)
-        m, dm = m.reshape(4), (dm.reshape(4) if want_dk else None)
-    else:
-        m, dm = _closed(k, *_segment(pot, a, b), want_dk)
-        err = [0.0]
-    flat = tuple(complex(v) for v in m)
-    return flat, (tuple(complex(v) for v in dm) if want_dk else None), float(err[0])
+def _evaluate(pot: Potential, L: float, ks, want_dk: bool):
+    """M and M' (or None) over [0, L] of one oriented potential at ``ks``, a
+    wavenumber or an array of them, as row-major 4-tuples of arrays shaped
+    like ``ks``, and the error estimate per point: closed-form kinds exactly
+    (error 0), a smooth potential by the step-doubled Magnus propagator,
+    whose unresolved points have error inf."""
+    shape = np.shape(ks)
+    if pot.kind != "smooth":
+        m, dm = _closed(ks, *_segment(pot, 0.0, L), want_dk)
+        return m, dm, np.zeros(shape)
+    m, dm, err, _ = _magnus_doubled(pot, 0.0, L, np.ravel(ks), want_dk)
+    m, dm = (None if x is None else x.reshape((4,) + shape) for x in (m, dm))
+    return m, dm, err.reshape(shape)
 
 
 def solve_edge(
@@ -362,7 +366,11 @@ def solve_edge(
     L = edge.length
     pot = orient(edge.potential, reverse, L)
     k = complex(k)
-    return _solution(k, L, *_transfer(pot, 0.0, L, k, want_dk))
+    m, dm, err = _evaluate(pot, L, k, want_dk)
+    if not err <= _DEFAULT_TOL:
+        raise _unresolved(pot, k)
+    m, dm = (None if x is None else tuple(complex(v) for v in x) for x in (m, dm))
+    return _solution(k, L, m, dm, float(err))
 
 
 # closed-form arguments (c, D, x1, x2) of every edge (placeholders on smooth
@@ -406,12 +414,10 @@ def _solve_edges(g: MetricGraph, ks, want_dk: bool = False) -> EdgeSolution:
         dm = np.array(dm) if want_dk else None
         for e in smooth:
             edge = g.edges[e]
-            me, dme, err[:, e], _ = _magnus_doubled(
-                edge.potential, 0.0, edge.length, ks, want_dk
-            )
-            m[:, :, e] = me.reshape(4, -1)
+            me, dme, err[:, e] = _evaluate(edge.potential, edge.length, ks, want_dk)
+            m[:, :, e] = me
             if want_dk:
-                dm[:, :, e] = dme.reshape(4, -1)
+                dm[:, :, e] = dme
         unresolved = ~(err <= _DEFAULT_TOL)
         if unresolved.any():
             i, e = np.argwhere(unresolved)[0]
@@ -562,7 +568,7 @@ def verify_subunitary(
     t = transition_matrix(g, e, complex(k, eps))
     mods = np.abs(np.linalg.eigvals(t.matrix))
     max_mod = float(np.max(mods))
-    return max_mod <= 1.0 + 1e-12, max_mod
+    return _subunitary(max_mod), max_mod
 
 
 @dataclasses.dataclass(frozen=True)
@@ -604,17 +610,18 @@ def subunitarity_threshold(g: MetricGraph, detailed: bool = False):
     return info if detailed else info.K
 
 
+def _subunitary(r) -> bool:
+    """Whether an outcome of ``_max_moduli`` is a modulus <= 1."""
+    return not isinstance(r, Exception) and r <= 1.0 + 1e-12
+
+
 def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
     """Per complex k of ``ks``: the largest eigenvalue modulus of t on edge
     ``e``, or the error ``verify_subunitary`` raises there."""
     edge = g.edges[e]
     pot, L = edge.potential, edge.length
-    if pot.kind == "smooth":
-        m, _, err, _ = _magnus_doubled(pot, 0.0, L, ks, False)
-        m, resolved = m.reshape(4, -1), err <= _DEFAULT_TOL
-    else:
-        m, _ = _closed(ks, *_segment(pot, 0.0, L), False)
-        resolved = np.ones(len(ks), dtype=bool)
+    m, _, err = _evaluate(pot, L, ks, False)
+    resolved = err <= _DEFAULT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         (trans, r_from, r_to), _, singular = _t_entries(_solution(ks, L, m, None, 0.0))
     good = resolved & ~singular
@@ -627,72 +634,56 @@ def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
 
 
 def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
-    closed = 0.0
-    needs_scan = False
-    floor = 0.0
+    closed, floor, scan_edges = 0.0, 0.0, []
     for e in g.edges:
         pot = e.potential
-        if pot.kind == "zero":
-            continue
         if pot.kind == "delta":
             closed = max(closed, _delta_threshold(pot.strength, e.length))
-        else:
-            needs_scan = True
+        elif pot.kind != "zero":
             floor = max(floor, math.sqrt(pot.sup_plus(e.length)))
-    if not needs_scan:
+            scan_edges.append(e.index)
+    if not scan_edges:
         return ThresholdInfo(closed, "closed-form")
-
-    scan_edges = [
-        e.index for e in g.edges if e.potential.kind in ("constant", "smooth")
-    ]
-    start = max(floor, closed)
-    base = math.ceil(start / _K_GRID_STEP) * _K_GRID_STEP
-    # Candidate j checks the grid points i = j+1 .. j+32, k_i = base + i*step,
-    # at every eps and scan edge.  Each (i, eps, edge) is evaluated once, in
-    # blocks of up to _K_BLOCK k values' worth of points per edge, and its
-    # outcome kept; points are walked in the order of the definition (k, then
-    # eps, then edge), so an error is raised only where that order reaches
-    # its point.  Per edge the points are kept in (k, eps) order at
-    # p = i * len(_EPS_GRID) + eps index.
+    base = math.ceil(max(floor, closed) / _K_GRID_STEP) * _K_GRID_STEP
+    # One pass over the grid rows i = 1, 2, ..., k_i = base + i*step, each
+    # checked at every eps and scan edge in the order of the definition
+    # (k, then eps, then edge), so an error is raised only where that order
+    # reaches its point.  ``run`` counts the consecutive rows that passed;
+    # the candidate K = base + (i - run)*step holds once it reaches 32.  Per
+    # scan edge, points p = i * len(_EPS_GRID) + eps index are evaluated in
+    # blocks from the first one the walk needs up to the row at which the
+    # current run would complete, ``known[s]`` holding the outcomes from
+    # point ``first[s]`` on.
     n_eps = len(_EPS_GRID)
-    outcome = np.full(
-        (len(scan_edges), (_K_MAX_CANDIDATES + _K_CONSECUTIVE) * n_eps),
-        None,
-        dtype=object,
-    )
-
-    def evaluate(s: int, p: int, stop: int) -> None:
-        ks = np.array([
-            complex(base + (q // n_eps) * _K_GRID_STEP, _EPS_GRID[q % n_eps])
-            for q in range(p, stop)
-        ])
-        # the walk needs point p now: it goes first, alone, and if it fails
-        # or raises the walk stops there, so the rest of the block waits
-        outcome[s, p] = r = _max_moduli(g, scan_edges[s], ks[:1])[0]
-        if stop > p + 1 and not isinstance(r, Exception) and r <= 1.0 + 1e-12:
-            rest = _max_moduli(g, scan_edges[s], ks[1:])
-            outcome[s, p + 1 : stop] = np.array(rest, dtype=object)
-
-    def holds(i: int, end: int) -> bool:
-        for a in range(n_eps):
-            for s in range(len(scan_edges)):
-                p = i * n_eps + a
-                if outcome[s, p] is None:
-                    evaluate(s, p, min(p + _K_BLOCK * n_eps, (end + 1) * n_eps))
-                r = outcome[s, p]
-                if isinstance(r, Exception):
-                    raise r
-                if not r <= 1.0 + 1e-12:
-                    return False
-        return True
-
-    j = 0
-    while j < _K_MAX_CANDIDATES:
-        end = j + _K_CONSECUTIVE
-        bad = next((i for i in range(j + 1, end + 1) if not holds(i, end)), None)
-        if bad is None:
-            return ThresholdInfo(max(base + j * _K_GRID_STEP, closed), "heuristic-scan")
-        # every candidate before ``bad`` holds it and passed all points before
-        # it, so fails there too: skip to the first one past it
-        j = bad
-    raise NumericalError("no subunitarity threshold found within scan budget")
+    first = [0] * len(scan_edges)
+    known = [[] for _ in scan_edges]
+    run = 0
+    for i in itertools.count(1):
+        end = i - run + _K_CONSECUTIVE - 1
+        for a, s in itertools.product(range(n_eps), range(len(scan_edges))):
+            p = i * n_eps + a
+            if not first[s] <= p < first[s] + len(known[s]):
+                ks = np.array([
+                    complex(base + (q // n_eps) * _K_GRID_STEP, _EPS_GRID[q % n_eps])
+                    for q in range(p, min(p + _K_BLOCK * n_eps, (end + 1) * n_eps))
+                ])
+                # point p goes first, alone: when it fails or raises the
+                # walk stops there, so the rest of the block is not needed
+                first[s], known[s] = p, _max_moduli(g, scan_edges[s], ks[:1])
+                if len(ks) > 1 and _subunitary(known[s][0]):
+                    known[s] += _max_moduli(g, scan_edges[s], ks[1:])
+            r = known[s][p - first[s]]
+            if isinstance(r, Exception):
+                raise r
+            if not _subunitary(r):
+                run = 0
+                break
+        else:
+            run += 1
+            if run == _K_CONSECUTIVE:
+                return ThresholdInfo(
+                    max(base + (i - run) * _K_GRID_STEP, closed), "heuristic-scan"
+                )
+        # after a failing row the next run starts at candidate i
+        if not run and i >= _K_MAX_CANDIDATES:
+            raise NumericalError("no subunitarity threshold found within scan budget")

@@ -68,39 +68,32 @@ def _reflecting(pot) -> bool:
     return True
 
 
-def _neighbors(g: MetricGraph, s: int) -> List[Tuple[int, str]]:
-    """Admissible S-steps out of directed edge s as (target, kind).
+def _step_table(g: MetricGraph) -> List[List[Tuple[int, str]]]:
+    """Admissible S-steps out of each directed edge s as (target, kind),
+    read from the vertex coupling big_sigma(g).
 
-    kind "transmit": cross the edge, scatter at tau(s); forbidden back
-    into the reversed edge at a degree-2 vertex (that sigma entry is 0).
-    kind "reflect": bounce off the edge potential, scatter at iota(s);
-    needs a potential that reflects, and the straight-through sigma
-    entry vanishes at degree-2 vertices.
+    kind "transmit": cross the edge and scatter at tau(s) into r, where
+    the coupling Sigma[r, s^1] is nonzero (it vanishes back into the
+    reversed edge at a degree-2 vertex).  kind "reflect": bounce off the
+    edge potential, which must reflect, and scatter at iota(s) into r,
+    where Sigma[r, s] is nonzero.
     """
-    out: List[Tuple[int, str]] = []
-    sb = MetricGraph.reverse(s)
-    vt = g.tau(s)
-    deg_t = g.degree[vt]
-    for r in g.out_directions(vt):
-        if deg_t == 2 and r == sb:
-            continue
-        out.append((r, "transmit"))
-    if _reflecting(g.edge_of(s).potential):
-        vi = g.iota(s)
-        deg_i = g.degree[vi]
-        for r in g.out_directions(vi):
-            if deg_i == 2 and r == s:
-                continue
-            out.append((r, "reflect"))
-    return out
+    sigma = big_sigma(g).tolist()
+    table = []
+    for s in range(g.num_directed):
+        out = [(r, "transmit") for r in g.out_directions(g.tau(s)) if sigma[r][s ^ 1]]
+        if _reflecting(g.edge_of(s).potential):
+            out += [(r, "reflect") for r in g.out_directions(g.iota(s)) if sigma[r][s]]
+        table.append(out)
+    return table
 
 
 def structural_step_matrix(g: MetricGraph) -> np.ndarray:
     """0/1 pattern of admissible S-steps (rows = target, cols = source)."""
     n = 2 * len(g.edges)
     a = np.zeros((n, n), dtype=int)
-    for s in range(n):
-        for r, _ in _neighbors(g, s):
+    for s, out in enumerate(_step_table(g)):
+        for r, _ in out:
             a[r, s] = 1
     return a
 
@@ -150,6 +143,10 @@ def _primitive_period(seq: Tuple[int, ...]) -> int:
 
 def make_orbit(g: MetricGraph, states: Sequence[int]) -> PeriodicOrbit:
     """Build (and validate) the orbit class through the given state cycle."""
+    return _make_orbit(_step_table(g), states)
+
+
+def _make_orbit(table, states: Sequence[int]) -> PeriodicOrbit:
     states = tuple(int(s) for s in states)
     n = len(states)
     if n == 0:
@@ -157,7 +154,7 @@ def make_orbit(g: MetricGraph, states: Sequence[int]) -> PeriodicOrbit:
     kinds = []
     for i, s in enumerate(states):
         r = states[(i + 1) % n]
-        match = [kind for (t, kind) in _neighbors(g, s) if t == r]
+        match = [kind for (t, kind) in table[s] if t == r]
         if not match:
             raise InputError(f"inadmissible step {s} -> {r}")
         kinds.append(match[0])
@@ -195,7 +192,7 @@ def enumerate_orbits(
         raise InputError("on_budget must be 'error' or 'partial'")
 
     n_states = 2 * len(g.edges)
-    nbrs = {s: _neighbors(g, s) for s in range(n_states)}
+    nbrs = _step_table(g)
     orbits: List[PeriodicOrbit] = []
     seen: set = set()
     counter = {"spent": 0}
@@ -220,7 +217,7 @@ def enumerate_orbits(
                 key = _min_rotation(states)
                 if key not in seen:
                     seen.add(key)
-                    orbits.append(make_orbit(g, states))
+                    orbits.append(_make_orbit(nbrs, states))
 
     try:
         for n in range(1, n_max + 1):
@@ -253,14 +250,10 @@ class _Budget(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _sigma_entry(g: MetricGraph, v: str, r: int, s: int) -> float:
-    return 2.0 / g.degree[v] - (1.0 if r == s else 0.0)
-
-
 def step_sigma(g: MetricGraph, s: int, r: int, kind: str) -> float:
-    if kind == "transmit":
-        return _sigma_entry(g, g.tau(s), r, MetricGraph.reverse(s))
-    return _sigma_entry(g, g.iota(s), r, s)
+    """Vertex coupling of the step s -> r: the entry of big_sigma(g) that
+    scatters the wave arriving at the vertex into r."""
+    return float(big_sigma(g)[r, MetricGraph.reverse(s) if kind == "transmit" else s])
 
 
 def _weights(p: PeriodicOrbit, S) -> List[complex]:

@@ -1,7 +1,7 @@
 """Eigenvalue location by secular-function scanning.
 
-The scan walks a k grid (step bounded by pi / (4 * total length), the
-minimal oscillation scale of det(I - S)) and tracks the branch of the
+The scan walks a k grid of step pi / (4 * total length), the minimal
+oscillation scale of det(I - S), and tracks the branch of the
 regularized secular function zeta = (det S)^(-1/2) det(I - S), which is
 proportional to prod_j sin(theta_j / 2) over the eigenphases theta_j of
 S(k).  Above the subunitarity threshold K every theta_j is non-decreasing
@@ -67,10 +67,13 @@ __all__ = [
     "SpectrumResult",
     "scan_spectrum",
     "multiplicity",
+    "grid_step",
 ]
 
 #: Hard lower bound on scanned k; the secular machinery is singular at k = 0.
 K_FLOOR = 1e-3
+_MERGE_TOL = 1e-7  # roots closer than this are fused into one record
+_RESIDUAL_TOL = 1e-6  # |det(I - S)| above this at a root is a diagnostic
 
 # Windows span this many grid cells so that parallel decomposition is a
 # pure partition of the sequential grid.
@@ -80,33 +83,29 @@ _WALK_DEPTH = 24             # max recursive bisections per contour segment
 _COUNT_TOL = 1e-6            # a cell count further from an integer is flagged
 
 
+def grid_step(g: MetricGraph) -> float:
+    """Spacing of the scan grid: pi / (4 * total length), the minimal
+    oscillation scale of det(I - S)."""
+    return math.pi / (4.0 * g.total_length)
+
+
 @dataclasses.dataclass(frozen=True)
 class ScanConfig:
     """Parameters controlling a spectrum scan.
 
-    grid_step: maximum spacing of scan nodes; None picks pi/(4 * total
-        length).  Values above that bound are clipped to it.
     root_tol: bracket width at which sign-change refinement stops.
-    merge_tol: roots closer than this are fused into one record.
-    residual_tol: |det(I - S)| above this at a reported root raises a
-        diagnostic flag.
-    k_floor: smallest admissible k.
     workers: number of scan processes; output does not depend on it.
     allow_below_threshold: scan below the subunitarity threshold K
         (diagnostic mode; eigenvalue certificates are weaker there).
     """
 
-    grid_step: Optional[float] = None
     root_tol: float = 1e-9
-    merge_tol: float = 1e-7
-    residual_tol: float = 1e-6
-    k_floor: float = K_FLOOR
     workers: int = 1
     allow_below_threshold: bool = False
 
     def __post_init__(self) -> None:
-        if self.root_tol <= 0 or self.merge_tol <= 0:
-            raise InputError("tolerances must be positive")
+        if not self.root_tol > 0:
+            raise InputError("root_tol must be positive")
         if self.workers < 1:
             raise InputError("workers must be a positive integer")
 
@@ -430,7 +429,7 @@ def scan_spectrum(
     (and to the k floor) unless the config allows sub-threshold scans,
     in which case K is only reported.  Every grid cell's eigenvalue count
     is found (see the module docstring), roots are polished to root_tol,
-    and roots closer than merge_tol are fused, their multiplicities added.
+    and roots closer than 1e-7 are fused, their multiplicities added.
     """
     cfg = config or ScanConfig()
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)) or k_hi <= k_lo:
@@ -438,9 +437,9 @@ def scan_spectrum(
 
     info = subunitarity_threshold(g, detailed=True)
     diagnostics: List[str] = []
-    lo = max(k_lo, cfg.k_floor)
+    lo = max(k_lo, K_FLOOR)
     if lo > k_lo:
-        diagnostics.append(f"scan start raised to the k floor {cfg.k_floor:g}")
+        diagnostics.append(f"scan start raised to the k floor {K_FLOOR:g}")
     if not cfg.allow_below_threshold and lo <= info.K:
         lo = info.K + max(1e-9, 1e-9 * info.K)
         diagnostics.append(
@@ -458,8 +457,7 @@ def scan_spectrum(
             f"subunitarity threshold K={info.K:.9g}"
         )
 
-    max_step = math.pi / (4.0 * g.total_length)
-    step = max_step if cfg.grid_step is None else min(cfg.grid_step, max_step)
+    step = grid_step(g)
 
     # Fixed partition into windows of _CELLS_PER_WINDOW grid cells; the
     # worker count only changes who scans which window.
@@ -489,7 +487,7 @@ def scan_spectrum(
     records: List[RootRecord] = []
     prev = -math.inf
     for k, mult, residual in sorted(found):
-        if k - prev <= cfg.merge_tol:
+        if k - prev <= _MERGE_TOL:
             last = records[-1]
             k_star = last.k if last.residual <= residual else k
             records[-1] = RootRecord(
@@ -499,7 +497,7 @@ def scan_spectrum(
             records.append(RootRecord(k, mult, residual))
         prev = k
     for r in records:
-        if r.residual > cfg.residual_tol:
+        if r.residual > _RESIDUAL_TOL:
             diagnostics.append(
                 f"large secular residual {r.residual:.2e} at k={r.k:.9f}"
             )

@@ -1,4 +1,4 @@
-"""The benchmark's oracle-checked scan workloads still run clean."""
+"""Every oracle-checked benchmark workload still runs clean."""
 from __future__ import annotations
 
 import json
@@ -31,3 +31,11 @@ def test_smooth_scan_benchmark_smoke():
 
 def test_delta_scan_benchmark_smoke():
     _smoke("delta-scan")
+
+
+def test_trace_formula_benchmark_smoke():
+    _smoke("trace-formula")
+
+
+def test_cli_parallel_benchmark_smoke():
+    _smoke("cli-parallel")

@@ -1,6 +1,7 @@
 """Spectrum scanning, root certification, and multiplicity counting."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from qgspectra import spectrum
 from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import InputError
+from qgspectra.orbits import TestFunction, trace_check
 from qgspectra.scattering import secular_sweep
 from qgspectra.spectrum import ScanConfig, multiplicity, scan_spectrum
 
@@ -36,13 +38,19 @@ DELTA_STAR_KS = [
 
 def test_config_defaults():
     c = ScanConfig()
-    assert c.grid_step is None
+    fields = [f.name for f in dataclasses.fields(c)]
+    assert fields == ["root_tol", "workers", "allow_below_threshold"]
     assert c.root_tol == 1e-9
-    assert c.merge_tol == 1e-7
-    assert c.residual_tol == 1e-6
-    assert c.k_floor == 0.001
     assert c.workers == 1
     assert c.allow_below_threshold is False
+
+
+@pytest.mark.parametrize(
+    "kwargs", [{"root_tol": 0.0}, {"root_tol": -1e-9}, {"root_tol": math.nan}, {"workers": 0}]
+)
+def test_config_rejects_bad_values(kwargs):
+    with pytest.raises(InputError):
+        ScanConfig(**kwargs)
 
 
 def test_neumann_interval_spectrum_is_integers(g_interval_pi):
@@ -221,6 +229,21 @@ def test_eigenphases_are_taken_where_the_count_is_open(
         g, k_range = request.getfixturevalue(name), SCAN_RANGES[name]
     scan_spectrum(g, *k_range)
     assert sum(eigenphase_points) <= budget
+
+
+def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
+    # T, T' once per quadrature node (8 panels x 64 nodes on [16, 24]) plus
+    # the scan of the same support, at any n_max: the orbit rows cost no
+    # edge work
+    phi = TestFunction(20.0, 0.5)
+    scan_spectrum(g_delta_star, *phi.support)
+    scan = len(assembled_ks)
+    counts = []
+    for n_max in (4, 16):
+        assembled_ks.clear()
+        trace_check(g_delta_star, phi, n_max)
+        counts.append(len(assembled_ks))
+    assert counts == [8 * 64 + scan] * 2
 
 
 def test_threshold_work_is_bounded(magnus_calls, threshold_points):
