@@ -96,7 +96,7 @@ __all__ = [
 _DEFAULT_TOL = 1e-10
 _MIN_STEPS = 64
 _MAX_STEPS = 1 << 15
-_POINT_STEPS = 1 << 12  # points x steps built and folded at once
+_POINT_STEPS = 1 << 11  # points x steps built and folded at once (128 KB of E)
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
@@ -228,16 +228,30 @@ def _steps(w1, w2, h, ks, want_dk: bool):
     """
     k = ks[:, None]
     alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
-    gamma = h * (0.5 * (w1 + w2) - k * k)
-    z = -(alpha * alpha + h * gamma)  # nu^2
-    nu = np.sqrt(z + 0j)
-    c, s = np.cos(nu), np.sinc(nu / np.pi)
     size = 4 if want_dk else 2
-    steps = np.zeros((size, size) + z.shape, dtype=complex)
-    steps[0, 0] = c + s * alpha
-    steps[0, 1] = s * h
-    steps[1, 0] = s * gamma
-    steps[1, 1] = c - s * alpha
+    steps = np.empty((size, size, len(ks), len(w1)), dtype=complex)
+    # Each (P, n) value is built in a slot of ``steps`` that is free at that
+    # point: gamma in E[1, 0], nu^2 and nu in E[0, 1] (nu^2 in the zero
+    # block when the derivative needs it), cos(nu) in E[0, 0], sin(nu)/nu in
+    # E[1, 1].  With one (P, n) temporary the heap a call takes stays small
+    # enough that freeing it returns no memory to the system, which the next
+    # call would fault in again.  Operands keep the order of the closed-form
+    # expressions, so the rounding is theirs.
+    gamma, c, s = steps[1, 0], steps[0, 0], steps[1, 1]
+    np.subtract(0.5 * (w1 + w2), k * k, out=gamma)
+    np.multiply(h, gamma, out=gamma)
+    z = np.multiply(h, gamma, out=steps[2, 0] if want_dk else steps[0, 1])
+    z += alpha * alpha
+    np.negative(z, out=z)  # nu^2
+    nu = np.add(z, 0j, out=steps[0, 1])
+    np.sqrt(nu, out=nu)
+    np.cos(nu, out=c)
+    # sin(nu)/nu as np.sinc(nu / pi) computes it
+    nu /= np.pi
+    np.multiply(np.pi, nu, out=nu)
+    nu[nu == 0] = 1e-20
+    np.sin(nu, out=s)
+    s /= nu
     if want_dk:
         # d(nu^2)/dk = 2 h^2 k, d/dk Omega = [[0, 0], [-2kh, 0]]
         dz = 2.0 * h * h * k
@@ -249,11 +263,18 @@ def _steps(w1, w2, h, ks, want_dk: bool):
             (c - s) / (2.0 * zz),
         )
         dc, ds = -0.5 * s * dz, g * dz
-        steps[2:, 2:] = steps[:2, :2]
         steps[0, 2] = dc + ds * alpha
         steps[0, 3] = ds * h
         steps[1, 2] = ds * gamma - 2.0 * k * h * s
         steps[1, 3] = dc - ds * alpha
+        steps[2:, :2] = 0.0
+    np.multiply(s, h, out=steps[0, 1])
+    np.multiply(s, gamma, out=gamma)
+    sa = s * alpha
+    np.subtract(c, sa, out=s)
+    c += sa
+    if want_dk:
+        steps[2:, 2:] = steps[:2, :2]
     return steps
 
 
@@ -263,9 +284,16 @@ def _gauss_values(w, left, h):
 
 def _fold(steps):
     """Product of the matrices along the last axis, whose length is a power
-    of two, folded pairwise with the later step on the left."""
+    of two, folded pairwise with the later step on the left.  Each level
+    adds up the pair products one inner index at a time, in the order a
+    sum over that index takes, so a level holds two arrays of its result's
+    size rather than all the partial products at once."""
     while steps.shape[-1] > 1:
-        steps = (steps[:, :, None, ..., 1::2] * steps[None, ..., ::2]).sum(axis=1)
+        later, earlier = steps[..., 1::2], steps[..., ::2]
+        prod = later[:, 0, None] * earlier[None, 0]
+        for j in range(1, len(steps)):
+            prod += later[:, j, None] * earlier[None, j]
+        steps = prod
     return steps
 
 

@@ -19,7 +19,6 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import InputError, NumericalError
 from .graph import MetricGraph
@@ -147,6 +146,8 @@ class FdResult:
 
 def _eig_band(disc: DiscretizedGraph, count: int) -> Tuple[np.ndarray, np.ndarray]:
     """Smallest eigenvalues, split into (nonnegative-k, negative-lambda)."""
+    import scipy.linalg
+
     n = disc.n_nodes
     want = min(count + 16, n)
     while True:
@@ -200,6 +201,8 @@ def fd_modes(
 ) -> Tuple[FdResult, np.ndarray, DiscretizedGraph]:
     """Like fd_spectrum but also returns eigenvectors (mass-space, i.e.
     nodal values) for discrete boundary-condition checks."""
+    import scipy.linalg
+
     disc = build_discretization(g, h)
     n = disc.n_nodes
     want = min(count + 16, n)

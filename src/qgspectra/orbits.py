@@ -30,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
+import operator
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -142,8 +143,17 @@ def _primitive_period(seq: Tuple[int, ...]) -> int:
 
 
 def make_orbit(g: MetricGraph, states: Sequence[int]) -> PeriodicOrbit:
-    """Build (and validate) the orbit class through the given state cycle."""
-    return _make_orbit(_step_table(g), states)
+    """Build (and validate) the orbit class through the given state cycle;
+    a state is a directed edge, an integer 0 ... 2E - 1."""
+    table = _step_table(g)
+    for s in states:
+        try:
+            i = operator.index(s)
+        except TypeError:
+            raise InputError(f"orbit state {s!r} is not an integer") from None
+        if not 0 <= i < len(table):
+            raise InputError(f"orbit state {i} is outside 0 ... {len(table) - 1}")
+    return _make_orbit(table, states)
 
 
 def _make_orbit(table, states: Sequence[int]) -> PeriodicOrbit:

@@ -208,11 +208,12 @@ def _eigenphases(S: np.ndarray) -> Tuple[List[float], List[int]]:
 
 @dataclasses.dataclass
 class _Track:
-    """S, zeta and the unwrapped det S phase along a k path, one entry per
-    point; theta = phase + theta_offset."""
+    """S, det(I - S), zeta and the unwrapped det S phase along a k path, one
+    entry per point; theta = phase + theta_offset."""
 
     ks: np.ndarray
     S: np.ndarray
+    det_w: np.ndarray
     zeta: np.ndarray
     phase: np.ndarray
     theta_offset: float
@@ -265,7 +266,7 @@ def _track(g: MetricGraph, ks, state: BranchState) -> _Track:
             state.theta_offset = cmath.phase(det_t) - cmath.phase(d)
         phase[i] = state.advance(d)
     zeta = np.abs(det_s) ** -0.5 * np.exp(-0.5j * phase) * det_w
-    return _Track(ks, S, zeta, phase, state.theta_offset)
+    return _Track(ks, S, det_w, zeta, phase, state.theta_offset)
 
 
 def secular(g: MetricGraph, k: complex, state: BranchState) -> SecularValue:

@@ -30,10 +30,12 @@ parity with the sign change are flagged, never dropped.  Below K, where
 the eigenphases need not be monotone, every cell is counted on its own.
 
 All single-root brackets of a window are refined together by
-Chandrupatla's bracketing method (scipy's elementwise find_root), one
-stacked det(I - S) per iteration, until each bracket is narrower than
-root_tol; a bracket it cannot refine is flagged.  The residuals
-|det(I - S)| of the window's roots come from one stacked call.
+Chandrupatla's bracketing method (T. R. Chandrupatla, Adv. Eng. Softw. 28,
+1997; ``_chandrupatla``, whose iterates are those of scipy's elementwise
+find_root), one stacked det(I - S) per iteration, until each bracket is
+narrower than root_tol; a bracket it cannot refine is flagged.  Bracket
+ends on grid nodes take their det(I - S) from the window's sweep.  The
+residuals |det(I - S)| of the window's roots come from one stacked call.
 
 ``multiplicity`` gives the independent argument-principle count on a
 rectangle in the upper half plane, where strict subunitarity of S pins
@@ -54,7 +56,6 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize.elementwise import find_root
 
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError, PhaseTrackingError
@@ -81,6 +82,10 @@ _CELLS_PER_WINDOW = 64
 
 _WALK_DEPTH = 24             # max recursive bisections per contour segment
 _COUNT_TOL = 1e-6            # a cell count further from an integer is flagged
+
+_TINY = float(np.finfo(float).tiny)  # |f| at or below this is a root
+# Chandrupatla's iteration cap: the bisections that span the normal floats
+_MAX_ITER = math.log2(np.finfo(float).max) - math.log2(_TINY)
 
 
 def grid_step(g: MetricGraph) -> float:
@@ -288,12 +293,12 @@ def _scan_window(
         )
 
     emitted: List[Tuple[float, int]] = []
-    # single-root brackets (lo, hi, rotation), refined together.  The
-    # rotation freezes the branch at the cell's left grid node; the sweep
+    # single-root brackets (lo, hi, grid cell), refined together.  The
+    # cell's rotation freezes the branch at its left grid node; the sweep
     # keeps the phase drift below 0.9*pi per cell, so the rotated real part
     # keeps the sign of the tracked secular branch within the cell and sign
     # brackets survive the rotation.
-    singles: List[Tuple[float, float, complex]] = []
+    singles: List[Tuple[float, float, int]] = []
     rots = np.exp(-0.5j * tr.phase)
 
     def flag(lo: float, hi: float, what: str) -> None:
@@ -307,8 +312,9 @@ def _scan_window(
             return None
         return round(c)
 
-    def resolve(rot: complex, p: SecularValue, q: SecularValue, m: int) -> None:
-        """Locate the m eigenvalues strictly between p.k and q.k."""
+    def resolve(i: int, p: SecularValue, q: SecularValue, m: int) -> None:
+        """Locate the m eigenvalues strictly between p.k and q.k, inside the
+        grid cell i."""
         lo, hi = p.k.real, q.k.real
         if m < 0:
             flag(lo, hi, f"negative eigenvalue count {m}: eigenphases not monotone")
@@ -316,7 +322,7 @@ def _scan_window(
             return
         if m == 1 and not (p.kernel_dim or q.kernel_dim):
             # an odd count is a sign change of zeta in the cell
-            singles.append((lo, hi, rot))
+            singles.append((lo, hi, i))
         elif hi - lo < cfg.root_tol:
             emitted.append((0.5 * (lo + hi), m))
         else:
@@ -328,8 +334,8 @@ def _scan_window(
                 return
             if mid.kernel_dim:
                 emitted.append((mid.k.real, mid.kernel_dim))
-            resolve(rot, p, mid, left - mid.kernel_dim)
-            resolve(rot, mid, q, m - left)
+            resolve(i, p, mid, left - mid.kernel_dim)
+            resolve(i, mid, q, m - left)
 
     vals = {}
 
@@ -345,7 +351,7 @@ def _scan_window(
             what = f"eigenvalue count {m} disagrees with the sign change"
             flag(ks[i], ks[i + 1], what)
             return
-        resolve(rots[i], p, q, m)
+        resolve(i, p, q, m)
 
     # Count by segments.  Above K every cell count is >= 0 and a cell where
     # zeta changes sign holds an odd count, so a segment whose count equals
@@ -377,7 +383,7 @@ def _scan_window(
             elif settled(i, j):
                 for c in range(i, j):
                     if sign[c] != sign[c + 1]:
-                        singles.append((ks[c], ks[c + 1], rots[c]))
+                        singles.append((ks[c], ks[c + 1], c))
             else:
                 mid = (i + j) // 2
                 halves += [(i, mid), (mid, j)]
@@ -389,17 +395,21 @@ def _scan_window(
         # one bracketing refinement (Chandrupatla) over every single-root
         # cell, each iteration one stacked det(I - S); it stops when the
         # bracket is narrower than root_tol
-        lo, hi, rot = (np.array(col) for col in zip(*singles))
+        lo, hi, cell = (np.array(col) for col in zip(*singles))
+        rot = rots[cell]
 
-        def h(x, rot):
-            return (rot * _det_w(g, x)).real
+        def h(x, idx):
+            return (rot[idx] * _det_w(g, x)).real
 
-        res = find_root(
-            h, (lo, hi), args=(rot,), tolerances={"xatol": cfg.root_tol, "xrtol": 0.0}
-        )
-        for (left, right, _), x, status in zip(
-            singles, res.x.tolist(), res.status.tolist()
-        ):
+        # bracket ends on grid nodes take det(I - S) from the track; the
+        # ends that split midpoints made come from one stacked call
+        ends, nodes = np.concatenate([lo, hi]), np.concatenate([cell, cell + 1])
+        f_ends = (np.tile(rot, 2) * tr.det_w[nodes]).real
+        split = np.flatnonzero(ends != ks[nodes])
+        if split.size:
+            f_ends[split] = h(ends[split], split % len(cell))
+        xs, statuses = _chandrupatla(h, lo, hi, *np.split(f_ends, 2), cfg.root_tol)
+        for (left, right, _), x, status in zip(singles, xs.tolist(), statuses.tolist()):
             if status == 0:
                 emitted.append((x, 1))
             elif status == -1:
@@ -411,6 +421,72 @@ def _scan_window(
         residuals = np.abs(_det_w(g, roots)).tolist()
         report.roots = [(float(k), m, r) for (k, m), r in zip(emitted, residuals)]
     return report
+
+
+def _chandrupatla(f, x1, x2, f1, f2, xatol: float):
+    """Roots of n real functions, one per bracket [x1, x2] with end values
+    f1, f2, by Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Softw.
+    28, 1997), all brackets at once: ``f(x, idx)`` evaluates the functions
+    numbered ``idx`` at ``x``.  Converged brackets leave the batch.
+
+    Returns the roots and a status per bracket: 0 converged (|x2 - x1| <
+    xatol, or |f| <= the smallest normal float), -1 no sign change, -2
+    iteration cap, -3 an infinite end or NaN at both ends; x is NaN for -1
+    and -3.  The iterates, order of tests and statuses are those of scipy's
+    elementwise ``find_root`` with xrtol = 0 and its default fatol.
+    """
+    x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (x1, x2, f1, f2))
+    x_out = np.full(len(x1), np.nan)
+    status = np.full(len(x1), -2)
+    active = np.arange(len(x1))
+    # NaN, and so no |f| test, where an end value is NaN or both are infinite
+    frtol = 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    x3, f3 = x2, f2  # the discarded point, set by the first step
+    t = 0.5
+    nit = 0
+    while True:
+        # termination tests, in scipy's order
+        left = np.abs(f1) < np.abs(f2)
+        xmin = np.where(left, x1, x2)
+        stop = np.abs(np.where(left, f1, f2)) <= _TINY + frtol
+        code = np.where(stop, 0, -2)  # -2 stands if the cap is reached
+        bad = (np.sign(f1) == np.sign(f2)) & ~stop
+        xmin[bad], code[bad], stop = np.nan, -1, stop | bad
+        bad = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
+        bad &= ~stop
+        xmin[bad], code[bad], stop = np.nan, -3, stop | bad
+        dx = np.abs(x2 - x1)
+        small = (dx < xatol) & ~stop
+        code[small], stop = 0, stop | small
+        x_out[active], status[active] = xmin, code
+        if stop.any():
+            keep = ~stop
+            active, x1, x2, x3, f1, f2, f3, frtol, dx = (
+                v[keep] for v in (active, x1, x2, x3, f1, f2, f3, frtol, dx)
+            )
+        if not active.size or nit >= _MAX_ITER:
+            break
+        if nit:
+            # inverse quadratic interpolation where it is safe, else
+            # bisection; kept a tolerance away from both ends
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi = (x1 - x2) / (x3 - x2)
+                phi = (f1 - f2) / (f3 - f2)
+                alpha = (x3 - x1) / (x2 - x1)
+                j = ((1 - np.sqrt(1 - xi)) < phi) & (phi < np.sqrt(xi))
+                t = np.full_like(alpha, 0.5)
+                a, b, c = f1[j], f2[j], f3[j]
+                t[j] = a / (a - b) * c / (c - b) - alpha[j] * a / (c - a) * b / (b - c)
+            tl = 0.5 * xatol / dx
+            t = np.clip(t, tl, 1 - tl)
+        x = x1 + t * (x2 - x1)
+        fx = np.asarray(f(x, active), dtype=float)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+        nit += 1
+    return x_out, status
 
 
 def _window_task(args) -> _WindowReport:

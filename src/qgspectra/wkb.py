@@ -26,7 +26,6 @@ import math
 from typing import Callable, Dict, List, Tuple
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
 
 from .edge import TransitionMatrix, edge_profile
 from .errors import InputError, NumericalError, TurningPointError
@@ -115,8 +114,15 @@ class WkbEdgeData:
 
 
 def _action(p, L: float) -> Tuple[float, float]:
+    from scipy.integrate import quad
+
     val, err = quad(p, 0.0, L, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=500)
     return float(val), float(err)
+
+
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of y over the grid x, starting at 0."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
 def _eta_grid(p, chi, L: float, j_max: int, n: int = _ETA_NODES):
@@ -129,14 +135,14 @@ def _eta_grid(p, chi, L: float, j_max: int, n: int = _ETA_NODES):
     xs = np.linspace(0.0, L, n)
     pv = p(xs)
     chiv = chi(xs)
-    s = cumulative_trapezoid(pv, xs, initial=0.0)
+    s = _cumulative_trapezoid(pv, xs)
     sin_s, cos_s = np.sin(s), np.cos(s)
     eta = np.exp(-1j * s)
     levels: List[np.ndarray] = []
     for _ in range(j_max):
         f = chiv * eta * pv
-        c_int = cumulative_trapezoid(cos_s * f, xs, initial=0.0)
-        s_int = cumulative_trapezoid(sin_s * f, xs, initial=0.0)
+        c_int = _cumulative_trapezoid(cos_s * f, xs)
+        s_int = _cumulative_trapezoid(sin_s * f, xs)
         eta = -(sin_s * c_int - cos_s * s_int)
         levels.append(eta)
     return xs, s, levels
@@ -249,6 +255,8 @@ def wkb_transition(g: MetricGraph, e: int, k: float) -> TransitionMatrix:
 
 def _period(g: MetricGraph, e: int, k: float) -> float:
     """Classical traversal time integral k / p over edge e."""
+    from scipy.integrate import quad
+
     _, p, _, L = _momentum(g, e, k)
     val, _ = quad(
         lambda x: k / float(p(x)), 0.0, L, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,

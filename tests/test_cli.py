@@ -367,3 +367,41 @@ def test_console_script_installed(tmp_path):
     assert proc.stdout.startswith("usage: qgspectra")
     for command in ("spectrum", "secular-scan", "wkb-compare", "orbits", "trace-check"):
         assert command in proc.stdout
+
+
+def test_import_and_operations_load_no_scipy_submodule():
+    # numpy is the only import a scan or a trace check needs: scipy's
+    # optimize, integrate, linalg and sparse stay unloaded after importing
+    # the package and its CLI, and after running both operations
+    script = """
+import json, sys
+import qgspectra, qgspectra.cli
+from qgspectra.orbits import TestFunction, trace_check
+
+HEAVY = ("scipy.optimize", "scipy.integrate", "scipy.linalg", "scipy.sparse")
+loaded = [[m for m in HEAVY if m in sys.modules]]
+arms = [(2.0, 0.5), (0.7, 0.3), (1.3, 0.8)]
+g = qgspectra.build_graph({
+    "vertices": ["c", "v1", "v2", "v3"],
+    "edges": [
+        {"from": "c", "to": f"v{i + 1}", "length": 1.0,
+         "potential": {"type": "delta", "strength": D, "position": x0}}
+        for i, (D, x0) in enumerate(arms)
+    ],
+})
+roots = len(qgspectra.scan_spectrum(g, 0.5, 12.0).roots)
+trace_check(g, TestFunction(20.0, 0.5), 4)
+loaded.append([m for m in HEAVY if m in sys.modules])
+print(json.dumps({"loaded": loaded, "roots": roots}))
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["roots"] == 12
+    assert out["loaded"] == [[], []]

@@ -104,6 +104,19 @@ def test_make_orbit_validates_steps(g_triangle, g_interval_delta_pi):
     assert p.kinds == ("reflect",)
 
 
+@pytest.mark.parametrize("state", [6, 99, -1])
+def test_make_orbit_rejects_a_state_outside_the_directed_edges(g_delta_star, state):
+    # the 3-arm star has directed edges 0 ... 5
+    with pytest.raises(InputError, match="outside 0 ... 5"):
+        make_orbit(g_delta_star, [0, state])
+
+
+@pytest.mark.parametrize("state", [0.5, 1.0, "1"])
+def test_make_orbit_rejects_a_non_integer_state(g_delta_star, state):
+    with pytest.raises(InputError, match="is not an integer"):
+        make_orbit(g_delta_star, [state])
+
+
 def test_orbit_sum_identity(g_interval_delta_pi, g_triangle):
     for g in (g_interval_delta_pi, g_triangle):
         for n in range(1, 7):

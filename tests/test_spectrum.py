@@ -206,10 +206,11 @@ def test_close_root_clusters_are_all_found(seed, n_roots, close):
         assert min(abs(res.ks - k)) <= 1e-6
 
 
-@pytest.mark.parametrize("name, budget", [("g_delta_star", 188), ("g_star3_eq", 86)])
+@pytest.mark.parametrize("name, budget", [("g_delta_star", 148), ("g_star3_eq", 82)])
 def test_scan_work_is_bounded(request, assembled_ks, name, budget):
     # deterministic count of k points whose S(k) is assembled: sweep,
-    # splits, refinement and residuals (164 and 84 when pinned)
+    # splits, refinement and residuals; bracket ends on grid nodes reuse the
+    # sweep's det(I - S)
     scan_spectrum(request.getfixturevalue(name), *SCAN_RANGES[name])
     assert len(assembled_ks) <= budget
 
@@ -313,18 +314,64 @@ def test_negative_cell_count_is_flagged(g_delta_star, monkeypatch):
 def test_failed_refinement_is_flagged(g_delta_star, monkeypatch):
     # the refinement of the cell holding 3.27075756 reports a failure; that
     # cell is flagged, the other roots are still found
-    find_root = spectrum.find_root
+    refine = spectrum._chandrupatla
 
-    def failing(f, init, **kwargs):
-        res = find_root(f, init, **kwargs)
-        lo, hi = init
-        res.status[(lo < DELTA_STAR_KS[3]) & (DELTA_STAR_KS[3] <= hi)] = -2
-        return res
+    def failing(f, lo, hi, *args):
+        x, status = refine(f, lo, hi, *args)
+        status[(lo < DELTA_STAR_KS[3]) & (DELTA_STAR_KS[3] <= hi)] = -2
+        return x, status
 
-    monkeypatch.setattr(spectrum, "find_root", failing)
+    monkeypatch.setattr(spectrum, "_chandrupatla", failing)
     res = scan_spectrum(g_delta_star, 0.5, 12.0)
     assert len(res.flagged) == 1
     lo, hi = res.flagged[0]
     assert lo < DELTA_STAR_KS[3] <= hi
     assert any("root refinement failed (status -2)" in d for d in res.diagnostics)
     assert res.total_count() == len(DELTA_STAR_KS) - 1
+
+
+def test_refinement_equals_scipy_find_root():
+    # Chandrupatla's iterates are scipy's, bit for bit: smooth, flat, steep
+    # and kinked functions, a root on a bracket end, brackets narrower than
+    # and exactly as wide as the tolerance, no sign change (status -1, also
+    # with an infinite end), a NaN function (-3) and a NaN end beside a
+    # zero one, which scipy does not count as converged
+    from scipy.optimize.elementwise import find_root
+
+    width = 2.0**-30
+
+    funcs = [
+        lambda x: x**3 - 2.0 * x - 5.0,
+        lambda x: np.cos(x) - x,
+        lambda x: np.tanh(40.0 * (x - 0.3)),
+        lambda x: (x - 1.0) ** 5,
+        lambda x: np.exp(x) - 10.0,
+        lambda x: np.sign(x - 0.7) * np.sqrt(np.abs(x - 0.7)),
+        lambda x: np.sin(7.0 * x),
+        lambda x: x - 2.0,
+        lambda x: x * x + 1.0,
+        lambda x: np.nan * x,
+        lambda x: 1e-3 * (x - 0.123456789),
+        lambda x: x - (0.25 + width / 2),
+        lambda x: np.ones_like(x),
+        lambda x: np.where(x < 1.0, np.nan, x - 1.0),
+    ]
+    lo = [0.0, 0.0, -1.0, 0.2, 0.0, 0.0, 0.3, 2.0, -1.0, 0.0, 0.1234567885, 0.25, 1.0, 0.0]
+    hi = [3.0, 1.0, 2.0, 1.7, 5.0, 2.0, 0.6, 3.0, 1.0, 1.0, 0.1234567895, 0.25 + width,
+          np.inf, 1.0]
+    lo, hi = np.array(lo), np.array(hi)
+    every = np.arange(len(funcs))
+
+    def f(x, idx):
+        # the functions numbered idx at x; scipy passes idx as an argument
+        # compressed with x, the refinement passes its active brackets
+        return np.array([funcs[i](xi) for i, xi in zip(idx.tolist(), x)])
+
+    for tol in (1e-9, width, 1e-13):
+        ref = find_root(
+            f, (lo, hi), args=(every,), tolerances={"xatol": tol, "xrtol": 0.0}
+        )
+        x, status = spectrum._chandrupatla(f, lo, hi, f(lo, every), f(hi, every), tol)
+        assert status.tolist() == ref.status.tolist()
+        assert set(status.tolist()) == {0, -1, -3}
+        assert np.array_equal(x, ref.x, equal_nan=True)
