@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -61,8 +61,8 @@ def _make_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--workers",
             type=int,
-            default=os.cpu_count() or 1,
-            help="worker processes for window-parallel scans",
+            default=1,
+            help="worker processes for window-parallel scans (default 1)",
         )
         p.add_argument(
             "--allow-below-K",
@@ -182,7 +182,7 @@ def _scan_config(args) -> ScanConfig:
     )
 
 
-def _cmd_spectrum(args, g, meta, cfg_hash: str) -> str:
+def _cmd_spectrum(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _require(args, "kmin", "kmax")
     result = scan_spectrum(g, args.kmin, args.kmax, _scan_config(args))
     rows = [[r.k, r.multiplicity, r.residual] for r in result.roots]
@@ -202,9 +202,7 @@ def _cmd_spectrum(args, g, meta, cfg_hash: str) -> str:
             "flagged_intervals": [list(t) for t in result.flagged],
         }
     )
-    path = os.path.join(args.out, "meta.json")
-    _write_json(path, meta)
-    return path
+    return os.path.join(args.out, "meta.json"), meta
 
 
 def _orbit_rows(g, orbits, k_sample: float) -> List[List]:
@@ -239,7 +237,7 @@ _ORBIT_HEADER = [
 ]
 
 
-def _cmd_trace_check(args, g, meta, cfg_hash: str) -> str:
+def _cmd_trace_check(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _require(args, "phi_center", "phi_sigma")
     if args.nmax < 0:
         raise InputError("--nmax must be >= 0")
@@ -258,18 +256,16 @@ def _cmd_trace_check(args, g, meta, cfg_hash: str) -> str:
     }
     rep["K"] = rep.pop("threshold")
     payload["report"] = rep
-    path = os.path.join(args.out, "trace_report.json")
-    _write_json(path, payload)
     _write_csv(
         os.path.join(args.out, "orbit_table.csv"),
         _ORBIT_HEADER,
         _orbit_rows(g, orbits, phi.center),
         cfg_hash,
     )
-    return path
+    return os.path.join(args.out, "trace_report.json"), payload
 
 
-def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> str:
+def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _require(args, "kmin", "kmax")
     if args.kmin <= 0 or args.kmax <= args.kmin:
         raise InputError("secular-scan needs 0 < kmin < kmax")
@@ -286,12 +282,10 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> str:
         cfg_hash,
     )
     meta.update({"n_points": n, "grid_step": (args.kmax - args.kmin) / (n - 1)})
-    path = os.path.join(args.out, "meta.json")
-    _write_json(path, meta)
-    return path
+    return os.path.join(args.out, "meta.json"), meta
 
 
-def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> str:
+def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _require(args, "kmin", "kmax")
     if args.kmin <= 0 or args.kmax < args.kmin:
         raise InputError("wkb-compare needs 0 < kmin <= kmax")
@@ -334,12 +328,10 @@ def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> str:
         cfg_hash,
     )
     meta.update({"k_values": ks})
-    path = os.path.join(args.out, "meta.json")
-    _write_json(path, meta)
-    return path
+    return os.path.join(args.out, "meta.json"), meta
 
 
-def _cmd_orbits(args, g, meta, cfg_hash: str) -> str:
+def _cmd_orbits(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     if args.nmax < 1:
         raise InputError("--nmax must be >= 1 for orbit enumeration")
     k_sample = args.kmin if args.kmin is not None else 1.0
@@ -363,9 +355,7 @@ def _cmd_orbits(args, g, meta, cfg_hash: str) -> str:
             },
         }
     )
-    path = os.path.join(args.out, "meta.json")
-    _write_json(path, meta)
-    return path
+    return os.path.join(args.out, "meta.json"), meta
 
 
 _DISPATCH = {
@@ -384,11 +374,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.makedirs(args.out, exist_ok=True)
         g, input_sha, params, cfg_hash = _load(args)
         meta = _meta_base(args, g, input_sha, params, cfg_hash)
-        report_path = _DISPATCH[args.command](args, g, meta, cfg_hash)
-        # Timing is attached after the fact so reproducibility comparisons
-        # can strip exactly one well-known key.
-        with open(report_path, "r", encoding="utf-8") as f:
-            payload = json.load(f)
+        report_path, payload = _DISPATCH[args.command](args, g, meta, cfg_hash)
+        # Timing is one well-known key, which reproducibility comparisons
+        # strip.
         payload["timing"] = {"wall_time_s": time.perf_counter() - started}
         _write_json(report_path, payload)
         return 0

@@ -215,9 +215,8 @@ def _segment(pot: Potential, a: float, b: float):
 
 
 def _steps(w1, w2, h, ks, want_dk: bool):
-    """Magnus step matrices E at every k of ``ks``, shape (2, 2, P, n), or
-    the blocks [[E, E'], [0, E]] with E' = dE/dk, shape (4, 4, P, n), when
-    ``want_dk``; the blocks multiply by the product rule.
+    """Magnus step matrices E at every k of ``ks``, shape (2, 2, P, n), and
+    E' = dE/dk of the same shape when ``want_dk`` (else None).
 
     The n steps have lengths h (a scalar or one per step) and Gauss values
     w1, w2.  With A(x) = [[0, 1], [w - k^2, 0]] the step generator is
@@ -228,19 +227,19 @@ def _steps(w1, w2, h, ks, want_dk: bool):
     """
     k = ks[:, None]
     alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
-    size = 4 if want_dk else 2
-    steps = np.empty((size, size, len(ks), len(w1)), dtype=complex)
-    # Each (P, n) value is built in a slot of ``steps`` that is free at that
-    # point: gamma in E[1, 0], nu^2 and nu in E[0, 1] (nu^2 in the zero
-    # block when the derivative needs it), cos(nu) in E[0, 0], sin(nu)/nu in
-    # E[1, 1].  With one (P, n) temporary the heap a call takes stays small
-    # enough that freeing it returns no memory to the system, which the next
-    # call would fault in again.  Operands keep the order of the closed-form
+    steps = np.empty((2, 2, len(ks), len(w1)), dtype=complex)
+    dsteps = np.empty_like(steps) if want_dk else None
+    # Each (P, n) value is built in a slot that is free at that point: gamma
+    # in E[1, 0], nu^2 and nu in E[0, 1] (nu^2 in E'[1, 1] when the
+    # derivative needs it), cos(nu) in E[0, 0], sin(nu)/nu in E[1, 1].  With
+    # one (P, n) temporary the heap a call takes stays small enough that
+    # freeing it returns no memory to the system, which the next call would
+    # fault in again.  Operands keep the order of the closed-form
     # expressions, so the rounding is theirs.
     gamma, c, s = steps[1, 0], steps[0, 0], steps[1, 1]
     np.subtract(0.5 * (w1 + w2), k * k, out=gamma)
     np.multiply(h, gamma, out=gamma)
-    z = np.multiply(h, gamma, out=steps[2, 0] if want_dk else steps[0, 1])
+    z = np.multiply(h, gamma, out=dsteps[1, 1] if want_dk else steps[0, 1])
     z += alpha * alpha
     np.negative(z, out=z)  # nu^2
     nu = np.add(z, 0j, out=steps[0, 1])
@@ -263,38 +262,43 @@ def _steps(w1, w2, h, ks, want_dk: bool):
             (c - s) / (2.0 * zz),
         )
         dc, ds = -0.5 * s * dz, g * dz
-        steps[0, 2] = dc + ds * alpha
-        steps[0, 3] = ds * h
-        steps[1, 2] = ds * gamma - 2.0 * k * h * s
-        steps[1, 3] = dc - ds * alpha
-        steps[2:, :2] = 0.0
+        dsteps[0, 0] = dc + ds * alpha
+        dsteps[0, 1] = ds * h
+        dsteps[1, 0] = ds * gamma - 2.0 * k * h * s
+        dsteps[1, 1] = dc - ds * alpha
     np.multiply(s, h, out=steps[0, 1])
     np.multiply(s, gamma, out=gamma)
     sa = s * alpha
     np.subtract(c, sa, out=s)
     c += sa
-    if want_dk:
-        steps[2:, 2:] = steps[:2, :2]
-    return steps
+    return steps, dsteps
 
 
 def _gauss_values(w, left, h):
     return w(left + _GAUSS[0] * h), w(left + _GAUSS[1] * h)
 
 
-def _fold(steps):
+def _fold(steps, dsteps=None):
     """Product of the matrices along the last axis, whose length is a power
-    of two, folded pairwise with the later step on the left.  Each level
-    adds up the pair products one inner index at a time, in the order a
-    sum over that index takes, so a level holds two arrays of its result's
-    size rather than all the partial products at once."""
+    of two, folded pairwise with the later step on the left, and its
+    k-derivative by the product rule when the steps' derivatives
+    ``dsteps`` are given (else None).  Each level adds up the pair products
+    one inner index at a time, in the order a sum over that index takes, so
+    a level holds two arrays of its result's size rather than all the
+    partial products at once.  The derivative adds later * dearlier before
+    dlater * earlier, the order of the block product [[E, E'], [0, E]], so
+    M and M' round as that product's blocks do."""
     while steps.shape[-1] > 1:
         later, earlier = steps[..., 1::2], steps[..., ::2]
-        prod = later[:, 0, None] * earlier[None, 0]
-        for j in range(1, len(steps)):
-            prod += later[:, j, None] * earlier[None, j]
-        steps = prod
-    return steps
+        if dsteps is not None:
+            dlater, dearlier = dsteps[..., 1::2], dsteps[..., ::2]
+            dsteps = later[:, 0, None] * dearlier[None, 0]
+            dsteps += later[:, 1, None] * dearlier[None, 1]
+            dsteps += dlater[:, 0, None] * earlier[None, 0]
+            dsteps += dlater[:, 1, None] * earlier[None, 1]
+        steps = later[:, 0, None] * earlier[None, 0]
+        steps += later[:, 1, None] * earlier[None, 1]
+    return steps, dsteps
 
 
 def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool):
@@ -306,15 +310,21 @@ def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool):
     w1, w2 = _gauss_values(w, a + h * np.arange(n), h)
     piece = min(n, _POINT_STEPS)
     chunk = _POINT_STEPS // piece
-    prod = np.empty((2, 4 if want_dk else 2, len(ks)), dtype=complex)
+    m = np.empty((2, 2, len(ks)), dtype=complex)
+    dm = np.empty_like(m) if want_dk else None
     for lo in range(0, len(ks), chunk):
         pks = ks[lo : lo + chunk]
         parts = [
-            _fold(_steps(w1[j : j + piece], w2[j : j + piece], h, pks, want_dk))
+            _fold(*_steps(w1[j : j + piece], w2[j : j + piece], h, pks, want_dk))
             for j in range(0, n, piece)
         ]
-        prod[..., lo : lo + chunk] = _fold(np.concatenate(parts, axis=-1))[:2, ..., 0]
-    return prod[:, :2], (prod[:, 2:] if want_dk else None)
+        e, de = zip(*parts)
+        de = np.concatenate(de, axis=-1) if want_dk else None
+        e, de = _fold(np.concatenate(e, axis=-1), de)
+        m[..., lo : lo + chunk] = e[..., 0]
+        if want_dk:
+            dm[..., lo : lo + chunk] = de[..., 0]
+    return m, dm
 
 
 def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool):
@@ -508,7 +518,7 @@ def edge_profile(
         grid = np.union1d(np.linspace(0.0, L, n[0] + 1), grid)
         h = np.diff(grid)
         w1, w2 = _gauss_values(pot.callable(L), grid[:-1], h)
-        steps = _steps(w1, w2, h, np.array([k]), False).reshape(4, -1).T.tolist()
+        steps = _steps(w1, w2, h, np.array([k]), False)[0].reshape(4, -1).T.tolist()
     else:
         bounds = grid.tolist()
         segments = np.array([_segment(pot, a, b) for a, b in zip(bounds, bounds[1:])])

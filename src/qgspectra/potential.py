@@ -233,54 +233,6 @@ def _is_constant(tree: ExpressionTree) -> bool:
     return False
 
 
-def simplify(tree: ExpressionTree) -> ExpressionTree:
-    """Light constant folding; keeps derivative trees from ballooning."""
-    if isinstance(tree, Neg):
-        c = simplify(tree.child)
-        if isinstance(c, Num):
-            return Num(-c.value)
-        return Neg(c)
-    if isinstance(tree, Func):
-        a = simplify(tree.arg)
-        if isinstance(a, Num):
-            return Num(float(_FUNCTIONS[tree.name](a.value)))
-        return Func(tree.name, a)
-    if not isinstance(tree, BinOp):
-        return tree
-    a, b = simplify(tree.lhs), simplify(tree.rhs)
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(float(BinOp(tree.op, a, b).eval(0.0)))
-    if tree.op == "+":
-        if isinstance(a, Num) and a.value == 0:
-            return b
-        if isinstance(b, Num) and b.value == 0:
-            return a
-    elif tree.op == "-":
-        if isinstance(b, Num) and b.value == 0:
-            return a
-        if isinstance(a, Num) and a.value == 0:
-            return Neg(b)
-    elif tree.op == "*":
-        for u, v in ((a, b), (b, a)):
-            if isinstance(u, Num):
-                if u.value == 0:
-                    return Num(0.0)
-                if u.value == 1:
-                    return v
-    elif tree.op == "/":
-        if isinstance(a, Num) and a.value == 0:
-            return Num(0.0)
-        if isinstance(b, Num) and b.value == 1:
-            return a
-    elif tree.op == "^":
-        if isinstance(b, Num):
-            if b.value == 1:
-                return a
-            if b.value == 0:
-                return Num(1.0)
-    return BinOp(tree.op, a, b)
-
-
 def substitute_reversed(tree: ExpressionTree, length: float) -> ExpressionTree:
     """Replace x by (L - x), realizing the reflected profile."""
     if isinstance(tree, Var):

@@ -20,12 +20,15 @@ sign holds an odd count; so a segment whose count N equals its number of
 sign changes holds one simple root in each sign-change cell and none
 elsewhere.  The scan counts the whole window first and halves any segment
 this does not settle (or that has an eigenvalue at an end), down to
-single cells.  A cell is resolved on its own: a count of one is a sign
-change; a larger count is split at midpoints until every piece holds at
-most one, and a piece narrower than root_tol is one root whose
-multiplicity is its count.  An eigenvalue on an evaluation point is seen
-directly: its multiplicity dim ker(I - S) is the number of eigenphases at
-0.  Cells whose count is not an integer, is negative, or disagrees in
+single cells.  Segments are counted only above a closed-form K; above a
+heuristic K, which may be set too low, every cell is counted on its own,
+so a count short by an even number is flagged rather than settled by a
+segment that also holds an uncounted pair.  A cell is resolved on its
+own: a count of one is a sign change; a larger count is split at
+midpoints until every piece holds at most one, and a piece narrower than
+root_tol is one root whose multiplicity is its count.  An eigenvalue on
+an evaluation point is seen directly: its multiplicity dim ker(I - S) is
+the number of eigenphases at 0.  Cells whose count is not an integer, is negative, or disagrees in
 parity with the sign change are flagged, never dropped.  Below K, where
 the eigenphases need not be monotone, every cell is counted on its own.
 
@@ -266,7 +269,7 @@ def _scan_window(
 ) -> _WindowReport:
     """Eigenvalues in (a, b], or [a, b] when ``closed_left``.  ``monotone``
     says that every eigenphase of S is non-decreasing on the window, as it
-    is above the threshold K; it allows counting by segments."""
+    is above a closed-form threshold K; it allows counting by segments."""
     n = max(2, int(math.ceil((b - a) / step)) + 1)
     ks = np.linspace(a, b, n)
     for attempt in range(5):
@@ -542,9 +545,13 @@ def scan_spectrum(
     cells_per = _CELLS_PER_WINDOW
     bounds = [lo + step * i for i in range(0, n_cells, cells_per)] + [k_hi]
     windows = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
-    # eigenphases are monotone, and segments may be counted, above K only
+    # eigenphases are monotone above K; segments are counted only above a
+    # closed-form K, since a heuristic K set too low would let a count short
+    # by an even number settle a segment unseen
+    by_segments = info.method == "closed-form"
     tasks = [
-        (g, a, b, step, cfg, i == 0, a > info.K) for i, (a, b) in enumerate(windows)
+        (g, a, b, step, cfg, i == 0, a > info.K and by_segments)
+        for i, (a, b) in enumerate(windows)
     ]
 
     if cfg.workers > 1 and len(tasks) > 1:

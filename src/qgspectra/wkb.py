@@ -31,6 +31,7 @@ from .edge import TransitionMatrix, edge_profile
 from .errors import InputError, NumericalError, TurningPointError
 from .graph import MetricGraph
 from .orbits import PeriodicOrbit, step_sigma
+from .potential import eval_array
 
 __all__ = [
     "WkbEdgeData",
@@ -51,7 +52,8 @@ _ETA_NODES = 32769
 
 
 def _momentum(g: MetricGraph, e: int, k: float):
-    """(w, p, chi, L) callables for edge e, validating the WKB regime."""
+    """(w', p, chi, L) for edge e: callables and the edge length,
+    validating the WKB regime."""
     edge = g.edges[e]
     pot = edge.potential
     L = edge.length
@@ -74,21 +76,23 @@ def _momentum(g: MetricGraph, e: int, k: float):
     if pot.kind == "smooth":
         w1 = pot.tree.diff()
         w2 = w1.diff()
-        from .potential import eval_array
+
+        def dw(x):
+            return eval_array(w1, np.asarray(x, dtype=float))
 
         def chi(x):
             x = np.asarray(x, dtype=float)
             p2 = k * k - w(x)
-            return 0.25 * eval_array(w2, x) / p2**2 + (5.0 / 16.0) * eval_array(
-                w1, x
-            ) ** 2 / p2**3
+            return 0.25 * eval_array(w2, x) / p2**2 + (5.0 / 16.0) * dw(x) ** 2 / p2**3
 
     else:
 
-        def chi(x):
+        def dw(x):
             return np.zeros_like(np.asarray(x, dtype=float))
 
-    return w, p, chi, L
+        chi = dw
+
+    return dw, p, chi, L
 
 
 @dataclasses.dataclass(frozen=True)
@@ -155,22 +159,14 @@ def wkb_solution(g: MetricGraph, e: int, k: float) -> WkbEdgeData:
     derivative of the WKB form is reported together with how far it
     sits from the plane-wave approximation -ik psi.
     """
-    w, p, chi, L = _momentum(g, e, k)
+    dw, p, chi, L = _momentum(g, e, k)
     action, err = _action(p, L)
     p0 = float(p(0.0))
     pL = float(p(L))
     amp = math.sqrt(p0 / pL)
     psi_p = amp * complex(math.cos(action), -math.sin(action))
     psi_m = amp * complex(math.cos(action), math.sin(action))
-    # p' = -w'/(2p); for constant/zero potentials it vanishes.
-    pot = g.edges[e].potential
-    if pot.kind == "smooth":
-        from .potential import eval_array
-
-        w1L = float(eval_array(pot.tree.diff(), np.array([L]))[0])
-        dp_L = -w1L / (2.0 * pL)
-    else:
-        dp_L = 0.0
+    dp_L = -float(dw(L)) / (2.0 * pL)  # p' = -w'/(2p)
     damp = -dp_L / (2.0 * pL)  # d/dx log of the amplitude factor
     deriv_p = (damp - 1j * pL) * psi_p
     deriv_m = (damp + 1j * pL) * psi_m
@@ -253,11 +249,10 @@ def wkb_transition(g: MetricGraph, e: int, k: float) -> TransitionMatrix:
     )
 
 
-def _period(g: MetricGraph, e: int, k: float) -> float:
-    """Classical traversal time integral k / p over edge e."""
+def _period(p, L: float, k: float) -> float:
+    """Classical traversal time integral k / p over [0, L]."""
     from scipy.integrate import quad
 
-    _, p, _, L = _momentum(g, e, k)
     val, _ = quad(
         lambda x: k / float(p(x)), 0.0, L, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
         limit=500,
@@ -268,7 +263,8 @@ def _period(g: MetricGraph, e: int, k: float) -> float:
 def wkb_wigner_delay(g: MetricGraph, k: float) -> float:
     """Semiclassical time delay: sum over directed edges of the
     classical traversal time, i.e. twice the per-edge sum."""
-    return 2.0 * sum(_period(g, e, k) for e in range(len(g.edges)))
+    momenta = (_momentum(g, e, k) for e in range(len(g.edges)))
+    return 2.0 * sum(_period(p, L, k) for _, p, _, L in momenta)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -328,7 +324,7 @@ def semiclassical_trace_data(
         if e not in actions:
             _, p, _, L = _momentum(g, e, k)
             actions[e], _ = _action(p, L)
-            periods[e] = _period(g, e, k)
+            periods[e] = _period(p, L, k)
         action += actions[e]
         period += periods[e]
     return SemiclassicalOrbitData(
@@ -364,16 +360,9 @@ def compare_with_exact(
     # damp(0) - i p(0)); for a real potential at real k the two
     # standard solutions are conjugates, so it is a combination of the
     # integrated profile and its conjugate.
-    _, p, _, _ = _momentum(g, e, k)
+    dw, p, _, _ = _momentum(g, e, k)
     p0 = float(p(0.0))
-    pot = g.edges[e].potential
-    if pot.kind == "smooth":
-        from .potential import eval_array
-
-        w10 = float(eval_array(pot.tree.diff(), np.array([0.0]))[0])
-        dp0 = -w10 / (2.0 * p0)
-    else:
-        dp0 = 0.0
+    dp0 = -float(dw(0.0)) / (2.0 * p0)
     slope0 = complex(-dp0 / (2.0 * p0), -p0)
     beta = 0.5 * (1.0 + slope0 / (1j * k))
     matched = (1.0 - beta) * exact + beta * np.conj(exact)

@@ -4,7 +4,9 @@ Everything here is built from first principles with numpy/scipy only — no
 imports from the package under test — so that agreement between the two is
 meaningful.  The one exception is ``threshold_reference``, which restates the
 subunitarity threshold's definition as a plain sequential loop over the
-package's public single-point check ``verify_subunitary``.
+package's public single-point check ``verify_subunitary``.  ``block_fold``
+takes the Magnus step matrices as arrays and folds them the way the package
+did before it folded M and M' as a 2x2 pair.
 """
 from __future__ import annotations
 
@@ -178,6 +180,27 @@ def fundamental_matrix(w: Callable[[float], float], length: float, k: complex) -
     assert sol.success, sol.message
     y = sol.y[:, -1].reshape(2, 4)
     return y[:, :2].T.copy(), y[:, 2:].T.copy()
+
+
+def block_fold(steps: np.ndarray, dsteps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(M, M') from Magnus steps E and E' = dE/dk, (2, 2, P, n) arrays with n
+    a power of two, folded as the 4x4 blocks [[E, E'], [0, E]], whose
+    products carry the product rule.
+
+    The blocks are multiplied pairwise along the last axis, the later step
+    on the left, each level summing over the inner index in order; M and M'
+    are the top-left and top-right blocks of the product, shape (2, 2, P).
+    """
+    blocks = np.zeros((4, 4) + steps.shape[2:], dtype=complex)
+    blocks[:2, :2] = blocks[2:, 2:] = steps
+    blocks[:2, 2:] = dsteps
+    while blocks.shape[-1] > 1:
+        later, earlier = blocks[..., 1::2], blocks[..., ::2]
+        prod = later[:, 0, None] * earlier[None, 0]
+        for j in range(1, 4):
+            prod += later[:, j, None] * earlier[None, j]
+        blocks = prod
+    return blocks[:2, :2, :, 0], blocks[:2, 2:, :, 0]
 
 
 THRESHOLD_EPS = (1e-4, 1e-3, 1e-2, 1e-1)

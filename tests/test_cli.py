@@ -13,6 +13,7 @@ import pytest
 import qgspectra
 from qgspectra import cli
 from qgspectra.orbits import enumerate_orbits
+from qgspectra.spectrum import ScanConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -137,6 +138,38 @@ def test_spectrum_output_layout(tmp_path):
     assert meta["threshold"] == {"K": 0.0, "method": "closed-form"}
     assert meta["graph"] == {"n_edges": 1, "n_vertices": 2, "total_length": math.pi}
     assert len(meta["input_sha256"]) == 64
+
+
+def test_workers_default_to_one():
+    # the ScanConfig default: no process pool unless --workers asks for one
+    parser = cli._make_parser()
+    for command in ("spectrum", "trace-check", "secular-scan", "wkb-compare", "orbits"):
+        args = parser.parse_args([command, "--input", "graph.json"])
+        assert args.workers == ScanConfig().workers == 1
+
+
+def test_each_report_is_written_once(tmp_path, monkeypatch):
+    inp = write_input(tmp_path, DELTA_STAR)
+    written = []
+    write = cli._write_json
+
+    def counted(path, payload):
+        written.append(os.path.basename(path))
+        write(path, payload)
+
+    monkeypatch.setattr(cli, "_write_json", counted)
+    common = ["--input", str(inp), "--out", str(tmp_path / "o")]
+    runs = [
+        ["spectrum", "--kmin", "0.5", "--kmax", "4"],
+        ["secular-scan", "--kmin", "0.5", "--kmax", "4"],
+        ["orbits", "--kmin", "3", "--nmax", "3"],
+        ["trace-check", "--phi-center", "10", "--phi-sigma", "0.5", "--nmax", "3"],
+    ]
+    for argv in runs:
+        assert cli.main(argv + common) == 0
+    assert written == ["meta.json"] * 3 + ["trace_report.json"]
+    report = json.loads((tmp_path / "o" / "trace_report.json").read_text())
+    assert set(report["timing"]) == {"wall_time_s"}
 
 
 def test_spectrum_reruns_are_byte_identical(tmp_path):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from qgspectra.errors import NumericalError
 
 from .conftest import interval, star
 from .oracles import (
+    block_fold,
     central_diff,
     delta_eigenvalues,
     delta_transition_matrix,
@@ -288,6 +290,46 @@ def test_batched_magnus_matches_single_points(expr):
         m1, dm1, _, _ = edge._magnus_doubled(pot, 0.0, 1.0, [k], True)
         for got, want in ((m[..., i], m1[..., 0]), (dm[..., i], dm1[..., 0])):
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+FOLD_POTENTIALS = ["cos(2*x)", "2*cos(3*x)", "x", "-3*cos(2*x)", "5*x*(1-x)", "50*cos(20*x)"]
+FOLD_KS = np.array(
+    [0.7, 2.0, 5.0, 20.0, 80.0, 150.0, 5 + 1e-3j, 3 + 0.1j, 1.125 + 1e-4j, 40 + 2j]
+)
+
+
+@pytest.mark.parametrize("expr", FOLD_POTENTIALS)
+def test_pair_fold_equals_block_fold(expr):
+    # folding E and E' as a pair gives the 4x4 block fold's M and M' bit for
+    # bit, also past _POINT_STEPS, where the steps are folded in pieces
+    w = interval(1.0, _smooth(expr)).edges[0].potential.callable(1.0)
+    for n in (64, 4 * edge._POINT_STEPS):
+        h = 1.0 / n
+        w1, w2 = edge._gauss_values(w, 0.0 + h * np.arange(n), h)
+        want_m, want_dm = block_fold(*edge._steps(w1, w2, h, FOLD_KS, True))
+        m, dm = edge._magnus(w, 0.0, 1.0, FOLD_KS, n, True)
+        assert np.array_equal(m, want_m)
+        assert np.array_equal(dm, want_dm)
+        m, dm = edge._magnus(w, 0.0, 1.0, FOLD_KS, n, False)
+        assert np.array_equal(m, want_m)
+        assert dm is None
+
+
+def test_derivative_fold_heap_stays_near_the_m_only_heap():
+    # E' adds one array of E's size to the steps and one product per level;
+    # 4x4 blocks [[E, E'], [0, E]] took about three times the M-only heap
+    w = interval(1.0, _smooth("2*cos(3*x)")).edges[0].potential.callable(1.0)
+    ks = np.array([4.7 + 0j])
+    peaks = []
+    for want_dk in (False, True):
+        edge._magnus(w, 0.0, 1.0, ks, edge._POINT_STEPS, want_dk)
+        tracemalloc.start()
+        try:
+            edge._magnus(w, 0.0, 1.0, ks, edge._POINT_STEPS, want_dk)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.6 * peaks[0]
 
 
 @pytest.mark.parametrize("name", ["cos234", "const_cos"])

@@ -13,7 +13,6 @@ from qgspectra.potential import (
     eval_oriented,
     orient,
     parse_expression,
-    simplify,
 )
 
 from .oracles import central_diff
@@ -53,14 +52,6 @@ def test_eval_array_vectorized():
     tree = parse_expression("2*cos(3*x)")
     xs = np.linspace(0.0, 1.0, 17)
     np.testing.assert_allclose(eval_array(tree, xs), 2.0 * np.cos(3.0 * xs), rtol=0, atol=1e-15)
-
-
-def test_simplify_reaches_fixed_point():
-    tree = parse_expression("0*x + cos(3*x)*1 + 0")
-    once = simplify(tree)
-    assert str(simplify(once)) == str(once)
-    xs = np.linspace(0.0, 2.0, 9)
-    np.testing.assert_allclose(eval_array(once, xs), np.cos(3.0 * xs), rtol=0, atol=1e-15)
 
 
 def test_derivative_matches_central_difference():

@@ -295,7 +295,7 @@ def test_negative_cell_count_is_flagged(g_delta_star, monkeypatch):
     # the count of the cell holding 3.27075756 is lowered by 2, to -1.  The
     # range stops short of the 4.829 / 4.885 pair: a segment holding both
     # would count as many roots as it has sign changes and settle, since
-    # segment counts are trusted as exact above K
+    # segment counts are trusted as exact above a closed-form K
     count = spectrum._cell_count
 
     def corrupted(p, q):
@@ -309,6 +309,28 @@ def test_negative_cell_count_is_flagged(g_delta_star, monkeypatch):
     assert lo < DELTA_STAR_KS[3] <= hi
     assert any("negative eigenvalue count -1" in d for d in res.diagnostics)
     assert list(res.ks) == pytest.approx(DELTA_STAR_KS[:3], abs=5e-9)
+
+
+def test_negative_cell_count_is_flagged_above_a_heuristic_threshold(monkeypatch):
+    # the smooth star's K is a heuristic scan, so its windows are counted
+    # cell by cell: the cell holding 3.1667 counts -1 and is flagged, where
+    # a segment count would settle it with a pair lost and no flag
+    arms = [(1.0, {"type": "expr", "expr": f"cos({n}*x)"}) for n in (2, 3, 4)]
+    g = star(arms)
+    want = scan_spectrum(g, 3.0, 12.0).ks
+    count = spectrum._cell_count
+
+    def corrupted(p, q):
+        return count(p, q) - (2.0 if p.k.real < 3.1667 <= q.k.real else 0.0)
+
+    monkeypatch.setattr(spectrum, "_cell_count", corrupted)
+    res = scan_spectrum(g, 3.0, 12.0)
+    assert subunitarity_threshold(g, detailed=True).method == "heuristic-scan"
+    assert len(res.flagged) == 1
+    lo, hi = res.flagged[0]
+    assert lo < 3.1667 <= hi
+    assert any("negative eigenvalue count -1" in d for d in res.diagnostics)
+    assert list(res.ks) == list(want[1:])
 
 
 def test_failed_refinement_is_flagged(g_delta_star, monkeypatch):
