@@ -50,13 +50,11 @@ from .orbits import (
 )
 from .potential import Potential, parse_expression
 from .scattering import (
-    BranchState,
     SecularValue,
     assemble_S,
     assemble_T,
     big_sigma,
     secular,
-    secular_sweep,
     theta_prime,
     unitarity_defect,
     vertex_sigma,
@@ -84,7 +82,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuxiliaryGraph",
-    "BranchState",
     "DiscretizedGraph",
     "Edge",
     "EdgeSolution",
@@ -129,7 +126,6 @@ __all__ = [
     "parse_expression",
     "scan_spectrum",
     "secular",
-    "secular_sweep",
     "semiclassical_trace_data",
     "solve_edge",
     "subunitarity_threshold",

@@ -29,7 +29,7 @@ from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import build_graph
 from .orbits import TestFunction, _weight, enumerate_orbits, trace_check, wigner_delay
-from .scattering import assemble_S, secular_sweep
+from .scattering import assemble_S, secular
 from .spectrum import ScanConfig, grid_step, scan_spectrum
 from .wkb import compare_with_exact, wkb_wigner_delay
 
@@ -158,15 +158,14 @@ def _meta_base(args, g, input_sha: str, params: Dict, cfg_hash: str) -> Dict:
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
-    missing = [
-        "--" + n.replace("_", "-")
-        for n in names
-        if getattr(args, n) is None
-    ]
+    """The flags ``names`` must be given, and finite."""
+    flags = {n: "--" + n.replace("_", "-") for n in names}
+    missing = [f for n, f in flags.items() if getattr(args, n) is None]
     if missing:
-        raise InputError(
-            f"{args.command} requires {', '.join(missing)}"
-        )
+        raise InputError(f"{args.command} requires {', '.join(missing)}")
+    infinite = [f for n, f in flags.items() if not math.isfinite(getattr(args, n))]
+    if infinite:
+        raise InputError(f"{args.command} needs finite {', '.join(infinite)}")
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +270,7 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
         raise InputError("secular-scan needs 0 < kmin < kmax")
     n = max(2, int(math.ceil((args.kmax - args.kmin) / grid_step(g))) + 1)
     ks = np.linspace(args.kmin, args.kmax, n)
-    vals = secular_sweep(g, [float(k) for k in ks])
+    vals = secular(g, ks)
     rows = [
         [float(np.real(v.k)), v.zeta.real, v.zeta.imag, v.theta] for v in vals
     ]
@@ -335,8 +334,8 @@ def _cmd_orbits(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     if args.nmax < 1:
         raise InputError("--nmax must be >= 1 for orbit enumeration")
     k_sample = args.kmin if args.kmin is not None else 1.0
-    if k_sample <= 0:
-        raise InputError("--kmin (the sample k for weights) must be positive")
+    if not 0 < k_sample < math.inf:
+        raise InputError("--kmin (the sample k for weights) must be positive and finite")
     orbits = enumerate_orbits(g, args.nmax)
     _write_csv(
         os.path.join(args.out, "orbit_table.csv"),

@@ -91,6 +91,7 @@ __all__ = [
     "verify_subunitary",
     "subunitarity_threshold",
     "ThresholdInfo",
+    "unitarity_defect",
 ]
 
 _DEFAULT_TOL = 1e-10
@@ -143,8 +144,12 @@ class TransitionMatrix:
         return mu[np.lexsort((mu.imag, mu.real))]
 
     def unitarity_defect(self) -> float:
-        m = self.matrix
-        return float(np.linalg.norm(m.conj().T @ m - np.eye(2), 2))
+        return unitarity_defect(self.matrix)
+
+
+def unitarity_defect(m: np.ndarray) -> float:
+    """Spectral norm of m^H m - I, which is 0 for a unitary m."""
+    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]), 2))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,17 @@ descriptions, bad expressions, out-of-domain requests) exits 2,
 NumericalError (solver/tracking failures) exits 1.
 """
 
+__all__ = [
+    "QgError",
+    "InputError",
+    "NumericalError",
+    "GraphError",
+    "ExpressionError",
+    "TurningPointError",
+    "SingularPointError",
+    "PhaseTrackingError",
+]
+
 
 class QgError(Exception):
     pass

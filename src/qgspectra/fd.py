@@ -27,6 +27,7 @@ __all__ = [
     "DiscretizedGraph",
     "FdResult",
     "build_discretization",
+    "fd_modes",
     "fd_spectrum",
     "kirchhoff_defect",
 ]

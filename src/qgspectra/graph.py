@@ -175,10 +175,9 @@ def _warn_on_vertex_discontinuity(g: MetricGraph) -> None:
     for v in g.vertices:
         vals = []
         for d in g.out_directions(v):
-            e = g.edge_of(d)
-            if e.potential.kind == "delta":
-                continue
-            vals.append(float(e.potential.callable(e.length, reverse=bool(d & 1))(0.0)))
+            pot = g.oriented_potential(d)
+            if pot.kind != "delta":
+                vals.append(float(pot.callable(g.direction_length(d))(0.0)))
         if vals and max(vals) - min(vals) > _CONTINUITY_TOL:
             logger.warning(
                 "potential values disagree at vertex %s (range %.3e); the "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -478,8 +478,9 @@ class Potential:
 
     # -- pointwise access ---------------------------------------------------
 
-    def callable(self, length: float, reverse: bool = False) -> Callable:
-        """Vectorized w(x) for non-delta variants."""
+    def callable(self, length: float) -> Callable:
+        """Vectorized w(x) on [0, length] for non-delta variants; the
+        reversed traversal is ``orient(pot, True, length).callable``."""
         if self.kind == "delta":
             raise InputError(
                 "a delta potential has no pointwise values; use the analytic "
@@ -490,10 +491,16 @@ class Potential:
         if self.kind == "constant":
             c = self.value
             return lambda x: np.full_like(np.asarray(x, dtype=float), c)
-        tree = self.tree
-        if reverse:
-            tree = substitute_reversed(tree, length)
-        return lambda x, _t=tree: eval_array(_t, np.asarray(x, dtype=float))
+        return lambda x, _t=self.tree: eval_array(_t, np.asarray(x, dtype=float))
+
+    def _samples(self, length: float, what: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(xs, w(xs)) on _NORM_SAMPLES evenly spaced points of [0, length],
+        the dense sampling behind the norms and the finiteness check;
+        ``what`` names the quantity a delta potential does not have."""
+        if self.kind == "delta":
+            raise InputError(f"{what} is undefined for a delta potential")
+        xs = np.linspace(0.0, length, _NORM_SAMPLES)
+        return xs, self.callable(length)(xs)
 
     def validate_for_length(self, length: float) -> None:
         if self.kind == "delta" and self.position > length:
@@ -501,9 +508,7 @@ class Potential:
                 f"delta position {self.position} exceeds edge length {length}"
             )
         if self.kind == "smooth":
-            xs = np.linspace(0.0, length, _NORM_SAMPLES)
-            vals = eval_array(self.tree, xs)
-            if not np.all(np.isfinite(vals)):
+            if not np.all(np.isfinite(self._samples(length, "")[1])):
                 raise InputError(
                     f"potential {self.source!r} is not finite on [0, {length}]"
                 )
@@ -511,46 +516,22 @@ class Potential:
     # -- norms (dense sampling; used by threshold heuristics) ---------------
 
     def sup_norm(self, length: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return abs(self.value)
-        if self.kind == "delta":
-            raise InputError("sup norm is undefined for a delta potential")
-        xs = np.linspace(0.0, length, _NORM_SAMPLES)
-        return float(np.max(np.abs(eval_array(self.tree, xs))))
+        return float(np.max(np.abs(self._samples(length, "sup norm")[1])))
 
     def sup_plus(self, length: float) -> float:
         """sup of the positive part, the classical barrier height."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return max(self.value, 0.0)
         if self.kind == "delta":
             return 0.0
-        xs = np.linspace(0.0, length, _NORM_SAMPLES)
-        return float(max(np.max(eval_array(self.tree, xs)), 0.0))
+        return max(self.max_value(length), 0.0)
 
     def max_value(self, length: float) -> float:
         """Largest (signed) value of w on [0, length]."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.value
-        if self.kind == "delta":
-            raise InputError("pointwise maximum is undefined for a delta potential")
-        xs = np.linspace(0.0, length, _NORM_SAMPLES)
-        return float(np.max(eval_array(self.tree, xs)))
+        return float(np.max(self._samples(length, "pointwise maximum")[1]))
 
     def l2_norm(self, length: float) -> float:
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
+        if self.kind in ("zero", "constant"):
             return abs(self.value) * math.sqrt(length)
-        if self.kind == "delta":
-            raise InputError("L2 norm is undefined for a delta potential")
-        xs = np.linspace(0.0, length, _NORM_SAMPLES)
-        vals = eval_array(self.tree, xs)
+        xs, vals = self._samples(length, "L2 norm")
         return float(math.sqrt(np.trapezoid(vals**2, xs)))
 
 
@@ -574,4 +555,4 @@ def eval_oriented(pot: Potential, reverse: bool, x: float, length: float) -> flo
             "a delta potential has no pointwise values; use the analytic "
             "edge solution instead"
         )
-    return float(pot.callable(length, reverse)(x))
+    return float(orient(pot, reverse, length).callable(length)(x))

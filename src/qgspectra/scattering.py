@@ -23,11 +23,13 @@ unwrapped phase of det T; its derivative is the Wigner delay.
 layer evaluates every edge at every k at once (zero, constant and
 point-interaction edges in closed form over (k, edge), each smooth edge
 by one batched Magnus propagation), and T and T' come out stacked.  The
-secular function along a path is computed from such stacks
-(``_track``): ``secular_sweep`` is a path anchored at its first point and
-``secular`` the one-point case continuing a ``BranchState``.  The
-eigenphases of S, which a scan needs only at some points, are taken for
-the points asked for, in one stacked call.
+secular function along a path is computed from such stacks (``_track``).
+``secular`` is its one public evaluator: a scalar k gives one value, a
+1-D array the path's values in order.  The branch is fixed by a value,
+not by mutable state: a path continues from the evaluated value
+``after``, or is anchored at its first point, so two continuations from
+one value are two calls.  The eigenphases of S, which a scan needs only
+at some points, are taken for the points asked for, in one stacked call.
 """
 
 from __future__ import annotations
@@ -36,11 +38,11 @@ import cmath
 import dataclasses
 import math
 import weakref
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .edge import _entries, _solve_edges
+from .edge import _entries, _solve_edges, unitarity_defect
 from .errors import NumericalError, PhaseTrackingError
 from .graph import MetricGraph
 
@@ -49,11 +51,10 @@ __all__ = [
     "big_sigma",
     "assemble_T",
     "assemble_S",
-    "BranchState",
     "SecularValue",
     "secular",
-    "secular_sweep",
     "theta_prime",
+    "unitarity_defect",
 ]
 
 _PHASE_STEP_LIMIT = 0.9 * math.pi
@@ -124,10 +125,6 @@ def assemble_S(g: MetricGraph, k) -> np.ndarray:
     return big_sigma(g) @ assemble_T(g, k)
 
 
-def unitarity_defect(m: np.ndarray) -> float:
-    return float(np.linalg.norm(m.conj().T @ m - np.eye(m.shape[0]), 2))
-
-
 @dataclasses.dataclass
 class SecularValue:
     k: complex
@@ -140,48 +137,6 @@ class SecularValue:
     @property
     def zeta_real(self) -> float:
         return self.zeta.real
-
-
-class BranchState:
-    """Continuous phase tracking for det S along a k path.
-
-    Evaluations must walk a path with phase steps below pi; larger apparent
-    jumps cannot be unwrapped reliably and raise PhaseTrackingError.  det T
-    = det S / det Sigma with det Sigma = +-1 independent of k, so the
-    unwrapped det T phase is the det S phase plus ``theta_offset``, fixed
-    at the first evaluation.
-    """
-
-    def __init__(self) -> None:
-        self.started = False
-        self.phase = 0.0
-        self.theta_offset = 0.0
-
-    @classmethod
-    def after(cls, v: SecularValue) -> "BranchState":
-        """A state that continues the branch from the evaluated value ``v``."""
-        state = cls()
-        state.started = True
-        state.phase = v.det_s_phase
-        state.theta_offset = v.theta - v.det_s_phase
-        return state
-
-    def advance(self, det_s: complex) -> float:
-        step = math.remainder(cmath.phase(det_s) - self.phase, 2.0 * math.pi)
-        if self.started and abs(step) >= _PHASE_STEP_LIMIT:
-            raise PhaseTrackingError(
-                f"phase step {step:+.3f} too large; refine the k grid"
-            )
-        self.phase += step
-        self.started = True
-        return self.phase
-
-    def clone(self) -> "BranchState":
-        other = BranchState()
-        other.started = self.started
-        other.phase = self.phase
-        other.theta_offset = self.theta_offset
-        return other
 
 
 def _det_w(g: MetricGraph, k, S: Optional[np.ndarray] = None):
@@ -236,15 +191,18 @@ class _Track:
         ]
 
 
-def _track(g: MetricGraph, ks, state: BranchState) -> _Track:
+def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
     """The secular function along the points ``ks`` in order, from stacked
-    S, continuing the branch of ``state``.  S is assembled _TRACK_BLOCK
-    points at a time, which bounds the temporaries beside it.
+    S, continuing the branch from the evaluated value ``after`` or, without
+    it, anchored at the first point.  S is assembled _TRACK_BLOCK points at
+    a time, which bounds the temporaries beside it.
 
-    Each step of the det S phase must stay below 0.9 pi
-    (PhaseTrackingError otherwise); the modulus factor |det S|^(-1/2) is 1
-    on the real axis and restores conjugate symmetry
-    zeta(conj k) = conj zeta(k) off it.
+    Each step of the det S phase, from ``after`` on, must stay below 0.9 pi
+    (PhaseTrackingError otherwise).  det T = det S / det Sigma with det
+    Sigma = +-1 independent of k, so theta is the det S phase plus an
+    offset, fixed by det T at a fresh path's first point.  The modulus
+    factor |det S|^(-1/2) is 1 on the real axis and restores conjugate
+    symmetry zeta(conj k) = conj zeta(k) off it.
     """
     ks = np.asarray(ks, dtype=complex).reshape(-1)
     sigma = big_sigma(g)
@@ -253,36 +211,43 @@ def _track(g: MetricGraph, ks, state: BranchState) -> _Track:
     for lo in range(0, len(ks), _TRACK_BLOCK):
         block = slice(lo, lo + _TRACK_BLOCK)
         T = assemble_T(g, ks[block])
-        if lo == 0:
+        if lo == 0 and after is None:
             det_t = complex(np.linalg.det(T[0]))
         np.matmul(sigma, T, out=S[block])
         det_w[block] = _det_w(g, None, S[block])
     det_s = np.linalg.det(S)
+    if after is None:
+        prev, offset = 0.0, None
+    else:
+        prev, offset = after.det_s_phase, after.theta - after.det_s_phase
     phase = np.empty(len(ks))
     for i, d in enumerate(det_s.tolist()):
         if d == 0:
             raise NumericalError(f"det S vanishes at k={ks[i]}; prefactor undefined")
-        if not state.started:
-            state.theta_offset = cmath.phase(det_t) - cmath.phase(d)
-        phase[i] = state.advance(d)
+        step = math.remainder(cmath.phase(d) - prev, 2.0 * math.pi)
+        if offset is None:
+            offset = cmath.phase(det_t) - cmath.phase(d)
+        elif abs(step) >= _PHASE_STEP_LIMIT:
+            raise PhaseTrackingError(f"phase step {step:+.3f} too large; refine the k grid")
+        prev += step
+        phase[i] = prev
     zeta = np.abs(det_s) ** -0.5 * np.exp(-0.5j * phase) * det_w
-    return _Track(ks, S, det_w, zeta, phase, state.theta_offset)
+    return _Track(ks, S, det_w, zeta, phase, offset)
 
 
-def secular(g: MetricGraph, k: complex, state: BranchState) -> SecularValue:
-    """zeta(k) with branch continuation through ``state``: the one-point
-    case of ``_track``.
+def secular(
+    g: MetricGraph, k, after: Optional[SecularValue] = None
+) -> Union[SecularValue, List[SecularValue]]:
+    """zeta(k) for a scalar k, or the list of values along a 1-D array of
+    k in order; the branch continues from the evaluated value ``after``,
+    or is anchored at the first point.
 
-    The state must be advanced along a path of sufficiently small steps
-    starting from the first evaluation (which anchors the branch).
+    Consecutive points, ``after`` included, must be close enough that the
+    det S phase moves less than 0.9 pi between them.
     """
-    return _track(g, [k], state).values([0])[0]
-
-
-def secular_sweep(g: MetricGraph, ks: Sequence[float]) -> List[SecularValue]:
-    """Sweep with a fresh branch anchored at the first point."""
-    tr = _track(g, ks, BranchState())
-    return tr.values(range(len(tr.ks)))
+    tr = _track(g, k, after)
+    vals = tr.values(range(len(tr.ks)))
+    return vals[0] if np.ndim(k) == 0 else vals
 
 
 def theta_prime(g: MetricGraph, k: float) -> float:

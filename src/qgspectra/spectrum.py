@@ -63,7 +63,7 @@ import numpy as np
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError, PhaseTrackingError
 from .graph import MetricGraph
-from .scattering import BranchState, SecularValue, _det_w, _track, _Track, secular
+from .scattering import SecularValue, _det_w, _track, _Track, secular
 
 __all__ = [
     "ScanConfig",
@@ -248,7 +248,8 @@ class _WindowReport:
 
 
 def _sweep(g: MetricGraph, ks: np.ndarray) -> _Track:
-    return _track(g, ks, BranchState())
+    """A window's grid as one path, anchored at its first node."""
+    return _track(g, ks)
 
 
 def _cell_count(p: SecularValue, q: SecularValue) -> float:
@@ -331,7 +332,7 @@ def _scan_window(
         else:
             # the phase drift of the cell is below pi, so the principal
             # det S phase difference continues the branch to the midpoint
-            mid = secular(g, 0.5 * (lo + hi), BranchState.after(p))
+            mid = secular(g, 0.5 * (lo + hi), p)
             left = count(p, mid)
             if left is None:
                 return

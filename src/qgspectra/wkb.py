@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -152,6 +152,25 @@ def _eta_grid(p, chi, L: float, j_max: int, n: int = _ETA_NODES):
     return xs, s, levels
 
 
+class _EdgeWkb(NamedTuple):
+    """The WKB set-up of one edge at one k, built once and shared by the
+    solution data and the profiles: ``_momentum``'s callables and length,
+    and the dense ``_eta_grid`` with its levels."""
+
+    dw: Callable
+    p: Callable
+    chi: Callable
+    L: float
+    xs: np.ndarray
+    s: np.ndarray
+    levels: List[np.ndarray]
+
+
+def _edge_wkb(g: MetricGraph, e: int, k: float, j_max: int) -> _EdgeWkb:
+    dw, p, chi, L = _momentum(g, e, k)
+    return _EdgeWkb(dw, p, chi, L, *_eta_grid(p, chi, L, j_max))
+
+
 def wkb_solution(g: MetricGraph, e: int, k: float) -> WkbEdgeData:
     """Leading WKB data for edge e at k (forward orientation).
 
@@ -159,26 +178,29 @@ def wkb_solution(g: MetricGraph, e: int, k: float) -> WkbEdgeData:
     derivative of the WKB form is reported together with how far it
     sits from the plane-wave approximation -ik psi.
     """
-    dw, p, chi, L = _momentum(g, e, k)
+    return _solution(g, e, k, _edge_wkb(g, e, k, 1))
+
+
+def _solution(g: MetricGraph, e: int, k: float, w: _EdgeWkb) -> WkbEdgeData:
+    p, L = w.p, w.L
     action, err = _action(p, L)
     p0 = float(p(0.0))
     pL = float(p(L))
     amp = math.sqrt(p0 / pL)
     psi_p = amp * complex(math.cos(action), -math.sin(action))
     psi_m = amp * complex(math.cos(action), math.sin(action))
-    dp_L = -float(dw(L)) / (2.0 * pL)  # p' = -w'/(2p)
+    dp_L = -float(w.dw(L)) / (2.0 * pL)  # p' = -w'/(2p)
     damp = -dp_L / (2.0 * pL)  # d/dx log of the amplitude factor
     deriv_p = (damp - 1j * pL) * psi_p
     deriv_m = (damp + 1j * pL) * psi_m
-    xs, _, levels = _eta_grid(p, chi, L, 1)
-    eta1_sup = float(np.max(np.abs(levels[0])))
+    eta1_sup = float(np.max(np.abs(w.levels[0])))
     if eta1_sup >= 1.0:
         raise NumericalError(
             f"first correction does not contract: sup|eta_1| = "
             f"{eta1_sup:.3e} >= 1; the expansion is unreliable for this "
             f"potential at k = {k:g}"
         )
-    chi_sup = float(np.max(np.abs(chi(xs))))
+    chi_sup = float(np.max(np.abs(w.chi(w.xs))))
     return WkbEdgeData(
         edge=g.edges[e].eid,
         k=float(k),
@@ -204,8 +226,7 @@ def wkb_correction(g: MetricGraph, e: int, k: float, j: int) -> float:
     strictly smaller than the one before; eta_0 has sup 1)."""
     if j not in (1, 2):
         raise InputError("correction order j must be 1 or 2")
-    _, p, chi, L = _momentum(g, e, k)
-    _, _, levels = _eta_grid(p, chi, L, j)
+    levels = _edge_wkb(g, e, k, j).levels
     prev = 1.0
     for level in levels:
         sup = float(np.max(np.abs(level)))
@@ -223,20 +244,22 @@ def wkb_profile(
 ) -> np.ndarray:
     """psi_WKB+ sampled at xs; corrected=True adds the first correction
     eta_1 inside the amplitude envelope."""
-    _, p, chi, L = _momentum(g, e, k)
+    return _profile(_edge_wkb(g, e, k, int(corrected)), xs, corrected)
+
+
+def _profile(w: _EdgeWkb, xs, corrected: bool) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0 or np.any(xs < -1e-12) or np.any(xs > L + 1e-12):
+    if xs.size == 0 or np.any(xs < -1e-12) or np.any(xs > w.L + 1e-12):
         raise InputError("xs must lie within [0, L]")
-    dense_x, dense_s, levels = _eta_grid(p, chi, L, 1 if corrected else 0)
-    s = np.interp(xs, dense_x, dense_s)
+    s = np.interp(xs, w.xs, w.s)
     phase = np.exp(-1j * s)
     if corrected:
-        eta = levels[0]
-        phase = phase + np.interp(xs, dense_x, eta.real) + 1j * np.interp(
-            xs, dense_x, eta.imag
+        eta = w.levels[0]
+        phase = phase + np.interp(xs, w.xs, eta.real) + 1j * np.interp(
+            xs, w.xs, eta.imag
         )
-    p0 = float(p(0.0))
-    return np.sqrt(p0 / p(xs)) * phase
+    p0 = float(w.p(0.0))
+    return np.sqrt(p0 / w.p(xs)) * phase
 
 
 def wkb_transition(g: MetricGraph, e: int, k: float) -> TransitionMatrix:
@@ -349,20 +372,19 @@ def compare_with_exact(
     isolates the interior propagation error: the plain gap tracks
     sup |eta_1| and the corrected gap drops to the eta_2 scale.
     """
-    L = g.edges[e].length
-    xs = np.linspace(0.0, L, n_points)
+    xs = np.linspace(0.0, g.edges[e].length, n_points)
     exact = edge_profile(g, e, k, xs)
-    plain = wkb_profile(g, e, k, xs, corrected=False)
-    corr = wkb_profile(g, e, k, xs, corrected=True)
-    data = wkb_solution(g, e, k)
+    w = _edge_wkb(g, e, k, 1)
+    plain = _profile(w, xs, corrected=False)
+    corr = _profile(w, xs, corrected=True)
+    data = _solution(g, e, k, w)
 
     # Exact solution with the WKB initial data (value 1, slope
     # damp(0) - i p(0)); for a real potential at real k the two
     # standard solutions are conjugates, so it is a combination of the
     # integrated profile and its conjugate.
-    dw, p, _, _ = _momentum(g, e, k)
-    p0 = float(p(0.0))
-    dp0 = -float(dw(0.0)) / (2.0 * p0)
+    p0 = float(w.p(0.0))
+    dp0 = -float(w.dw(0.0)) / (2.0 * p0)
     slope0 = complex(-dp0 / (2.0 * p0), -p0)
     beta = 0.5 * (1.0 + slope0 / (1j * k))
     matched = (1.0 - beta) * exact + beta * np.conj(exact)

@@ -339,9 +339,21 @@ def test_below_threshold_flag(tmp_path):
     assert any("weaker" in d for d in meta["diagnostics"])
 
 
+# (command, flag, value) of non-finite k flags.  wkb-compare --kmax inf is
+# left out on purpose: without the check its k-doubling loop never ends.
+NON_FINITE = {
+    "secular-kmin-nan": ("secular-scan", "--kmin", "nan"),
+    "secular-kmax-inf": ("secular-scan", "--kmax", "inf"),
+    "spectrum-kmax-nan": ("spectrum", "--kmax", "nan"),
+    "wkb-kmin-nan": ("wkb-compare", "--kmin", "nan"),
+    "orbits-kmin-nan": ("orbits", "--kmin", "nan"),
+    "orbits-kmin-inf": ("orbits", "--kmin", "inf"),
+}
+
+
 @pytest.mark.parametrize(
     "case",
-    ["missing-file", "malformed-json", "self-loop", "missing-phi"],
+    ["missing-file", "malformed-json", "self-loop", "missing-phi", *NON_FINITE],
 )
 def test_usage_errors_exit_two(tmp_path, case):
     if case == "missing-file":
@@ -353,12 +365,21 @@ def test_usage_errors_exit_two(tmp_path, case):
     elif case == "self-loop":
         loop = write_input(tmp_path, SELF_LOOP, "loop.json")
         args = ["spectrum", "--input", str(loop), "--kmin", "1", "--kmax", "2", "--out", str(tmp_path / "o")]
-    else:
+    elif case == "missing-phi":
         inp = write_input(tmp_path, INTERVAL)
         args = ["trace-check", "--input", str(inp), "--out", str(tmp_path / "o")]
+    else:
+        command, flag, value = NON_FINITE[case]
+        inp = write_input(tmp_path, INTERVAL)
+        bounds = {"--kmin": "1", "--kmax": "2", flag: value}
+        args = [command, "--input", str(inp), "--out", str(tmp_path / "o"), "--nmax", "2"]
+        args += [a for item in bounds.items() for a in item]
     proc = run_cli(*args)
     assert proc.returncode == 2
     assert "error" in proc.stderr.lower()
+    assert "Traceback" not in proc.stderr
+    out = tmp_path / "o"
+    assert not (out.exists() and any(out.iterdir()))
 
 
 def test_numerical_failure_exits_one(tmp_path):

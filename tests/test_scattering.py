@@ -10,12 +10,10 @@ import pytest
 from qgspectra.edge import transition_matrix, transition_matrix_dk
 from qgspectra.errors import InputError, PhaseTrackingError
 from qgspectra.scattering import (
-    BranchState,
     assemble_S,
     assemble_T,
     big_sigma,
     secular,
-    secular_sweep,
     theta_prime,
     unitarity_defect,
     vertex_sigma,
@@ -154,7 +152,7 @@ def test_delay_density_for_zero_potential_is_total_phase_length(g_star3):
 def test_delay_density_matches_phase_derivative(g_interval_delta_pi):
     g = g_interval_delta_pi
     k0, h = 3.0, 1e-4
-    sweep = secular_sweep(g, [k0 - h, k0, k0 + h])
+    sweep = secular(g, [k0 - h, k0, k0 + h])
     numeric = (sweep[2].theta - sweep[0].theta) / (2.0 * h)
     assert numeric == pytest.approx(theta_prime(g, k0), abs=1e-6)
 
@@ -166,9 +164,10 @@ def test_sweep_equals_a_chain_of_one_point_values(request, name, lo, hi, n):
     # the interval's grid holds its roots 1, 2, 3, where the kernel is seen
     g = request.getfixturevalue(name)
     ks = np.linspace(lo, hi, n)
-    sweep = secular_sweep(g, ks)
-    state = BranchState()
-    chain = [secular(g, float(k), state) for k in ks]
+    sweep = secular(g, ks)
+    chain = [secular(g, float(ks[0]))]
+    for k in ks[1:]:
+        chain.append(secular(g, float(k), chain[-1]))
     for v, w in zip(sweep, chain):
         assert v.k == w.k
         assert abs(v.zeta - w.zeta) <= 1e-13 * max(1.0, abs(w.zeta))
@@ -182,7 +181,7 @@ def test_sweep_equals_a_chain_of_one_point_values(request, name, lo, hi, n):
 
 def test_secular_is_real_on_the_real_axis(g_smooth, g_interval_delta_pi):
     for g, lo, hi in ((g_smooth, 4.0, 8.0), (g_interval_delta_pi, 0.5, 6.0)):
-        sweep = secular_sweep(g, np.linspace(lo, hi, 101))
+        sweep = secular(g, np.linspace(lo, hi, 101))
         scale = max(abs(v.zeta) for v in sweep)
         for v in sweep:
             assert abs(v.zeta.imag) <= 1e-8 + 1e-6 * scale
@@ -190,37 +189,70 @@ def test_secular_is_real_on_the_real_axis(g_smooth, g_interval_delta_pi):
 
 
 def test_secular_conjugate_symmetry(g_interval_delta_pi):
-    st = BranchState()
-    secular(g_interval_delta_pi, 2.0, st)
-    vp = secular(g_interval_delta_pi, 2.0 + 0.01j, st.clone())
-    vm = secular(g_interval_delta_pi, 2.0 - 0.01j, st.clone())
+    v0 = secular(g_interval_delta_pi, 2.0)
+    vp = secular(g_interval_delta_pi, 2.0 + 0.01j, v0)
+    vm = secular(g_interval_delta_pi, 2.0 - 0.01j, v0)
     assert abs(vp.zeta - vm.zeta.conjugate()) <= 1e-10
 
 
 def test_phase_is_grid_independent(g_interval_delta_pi):
-    coarse = secular_sweep(g_interval_delta_pi, np.linspace(1.0, 4.0, 61))
-    fine = secular_sweep(g_interval_delta_pi, np.linspace(1.0, 4.0, 121))
+    coarse = secular(g_interval_delta_pi, np.linspace(1.0, 4.0, 61))
+    fine = secular(g_interval_delta_pi, np.linspace(1.0, 4.0, 121))
     gap = max(abs(a.theta - b.theta) for a, b in zip(coarse, fine[::2]))
     assert gap <= 1e-8
 
 
 def test_oversized_phase_step_is_rejected(g_interval_pi):
-    st = BranchState()
-    secular(g_interval_pi, 1.0, st)
+    v = secular(g_interval_pi, 1.0)
     with pytest.raises(PhaseTrackingError, match="phase step"):
-        secular(g_interval_pi, 1.49, st)
+        secular(g_interval_pi, 1.49, v)
+    with pytest.raises(PhaseTrackingError, match="phase step"):
+        secular(g_interval_pi, [1.0, 1.49])
 
 
 def test_small_steps_track_through_the_same_range(g_interval_pi):
-    st = BranchState()
-    theta = None
+    v = None
     for k in np.linspace(1.0, 1.49, 15):
-        theta = secular(g_interval_pi, float(k), st).theta
-    assert theta is not None and math.isfinite(theta)
+        v = secular(g_interval_pi, float(k), v)
+    assert v is not None and math.isfinite(v.theta)
+
+
+def test_two_continuations_from_one_value(g_interval_delta_pi):
+    # a value fixes the branch without being changed by its use, so the
+    # two continuations need no copy
+    g = g_interval_delta_pi
+    v0 = secular(g, 2.0)
+    vp = secular(g, 2.0 + 0.01j, v0)
+    vm = secular(g, 2.0 - 0.01j, v0)
+    assert abs(vp.zeta - vm.zeta.conjugate()) <= 1e-10
+    assert secular(g, 2.0 + 0.01j, v0) == vp
+    assert v0 == secular(g, 2.0)
+
+
+@pytest.mark.parametrize("m", [1, 17, 40])
+def test_path_continued_from_a_value_equals_the_whole_path(g_delta_star, m):
+    ks = np.linspace(0.5, 6.0, 41)
+    path = secular(g_delta_star, ks)
+    rest = secular(g_delta_star, ks[m:], after=path[m - 1])
+    assert len(rest) == len(ks) - m
+    for v, w in zip(rest, path[m:]):
+        assert (v.k, v.zeta, v.det_s_phase) == (w.k, w.zeta, w.det_s_phase)
+        assert (v.eigenphase_frac, v.kernel_dim) == (w.eigenphase_frac, w.kernel_dim)
+        assert v.theta == pytest.approx(w.theta, rel=0, abs=1e-12)
+
+
+def test_first_step_after_a_value_is_checked(g_interval_pi):
+    # the limit holds from ``after`` to the first point, not only inside
+    # the path: 1.0 -> 1.49 moves the det S phase by more than 0.9 pi
+    v = secular(g_interval_pi, 1.0)
+    ks = np.linspace(1.49, 1.5, 3)
+    secular(g_interval_pi, ks)  # fine as a fresh path
+    with pytest.raises(PhaseTrackingError, match="phase step"):
+        secular(g_interval_pi, ks, after=v)
 
 
 def test_zero_wavenumber_rejected(g_interval_pi):
     with pytest.raises(InputError, match="k=0"):
         assemble_S(g_interval_pi, 0.0)
     with pytest.raises(InputError, match="k=0"):
-        secular(g_interval_pi, 0.0, BranchState())
+        secular(g_interval_pi, 0.0)

@@ -11,7 +11,7 @@ from qgspectra import spectrum
 from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import InputError
 from qgspectra.orbits import TestFunction, trace_check
-from qgspectra.scattering import secular_sweep
+from qgspectra.scattering import secular
 from qgspectra.spectrum import ScanConfig, multiplicity, scan_spectrum
 
 from .conftest import random_delta_star, star
@@ -260,7 +260,7 @@ def test_threshold_work_is_bounded(magnus_calls, threshold_points):
 def test_total_multiplicity_equals_eigenphase_count(request, name):
     g = request.getfixturevalue(name)
     res = scan_spectrum(g, *SCAN_RANGES[name])
-    sweep = secular_sweep(g, np.linspace(res.k_lo, res.k_hi, 401))
+    sweep = secular(g, np.linspace(res.k_lo, res.k_hi, 401))
     first, last = sweep[0], sweep[-1]
     count = (last.det_s_phase - first.det_s_phase) / (2.0 * math.pi) - (
         last.eigenphase_frac - first.eigenphase_frac

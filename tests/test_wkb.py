@@ -8,6 +8,7 @@ import pytest
 
 from qgspectra.edge import edge_profile, transition_matrix
 from qgspectra.errors import InputError, NumericalError, TurningPointError
+from qgspectra import wkb
 from qgspectra.orbits import make_orbit, orbit_weight, wigner_delay
 from qgspectra.wkb import (
     compare_with_exact,
@@ -81,6 +82,33 @@ def test_profile_helper_agrees_with_report(g_smooth):
     corrected = wkb_profile(g_smooth, 0, k, xs, corrected=True)
     dev_corr = float(np.max(np.abs(exact - corrected)))
     assert dev_corr == pytest.approx(report["corrected_deviation"], rel=1e-9)
+
+
+def test_compare_with_exact_sets_up_the_edge_once(g_smooth, monkeypatch):
+    # one momentum and one eta grid serve both profiles and the solution
+    # data, with the numbers the public helpers give one by one
+    k = 20.0
+    xs = np.linspace(0.0, 1.0, 513)
+    exact = edge_profile(g_smooth, 0, k, xs)
+    expected = {
+        "deviation": float(np.max(np.abs(exact - wkb_profile(g_smooth, 0, k, xs)))),
+        "corrected_deviation": float(
+            np.max(np.abs(exact - wkb_profile(g_smooth, 0, k, xs, corrected=True)))
+        ),
+        "eta1_sup": wkb_solution(g_smooth, 0, k).eta1_sup,
+        "action": wkb_solution(g_smooth, 0, k).action,
+    }
+    calls = []
+    for name in ("_momentum", "_eta_grid"):
+
+        def counted(*args, _name=name, _original=getattr(wkb, name)):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(wkb, name, counted)
+    report = compare_with_exact(g_smooth, 0, k)
+    assert sorted(calls) == ["_eta_grid", "_momentum"]
+    assert {key: report[key] for key in expected} == expected
 
 
 def test_transition_matrix_gap_is_order_k_minus_two(g_smooth):
