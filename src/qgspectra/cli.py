@@ -29,8 +29,8 @@ from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import build_graph
 from .orbits import TestFunction, _weight, enumerate_orbits, trace_check, wigner_delay
-from .scattering import assemble_S, secular
-from .spectrum import ScanConfig, grid_step, scan_spectrum
+from .scattering import _track, assemble_S
+from .spectrum import ScanConfig, _grid_cells, scan_spectrum
 from .wkb import compare_with_exact, wkb_wigner_delay
 
 __all__ = ["main"]
@@ -268,11 +268,15 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _require(args, "kmin", "kmax")
     if args.kmin <= 0 or args.kmax <= args.kmin:
         raise InputError("secular-scan needs 0 < kmin < kmax")
-    n = max(2, int(math.ceil((args.kmax - args.kmin) / grid_step(g))) + 1)
+    n = max(2, _grid_cells(g, args.kmin, args.kmax) + 1)
     ks = np.linspace(args.kmin, args.kmax, n)
-    vals = secular(g, ks)
+    # the path's zeta and theta only: the eigenphases of S, which secular
+    # values carry, are not written
+    tr = _track(g, ks)
+    theta = tr.phase + tr.theta_offset
     rows = [
-        [float(np.real(v.k)), v.zeta.real, v.zeta.imag, v.theta] for v in vals
+        list(row)
+        for row in zip(ks.tolist(), tr.zeta.real.tolist(), tr.zeta.imag.tolist(), theta.tolist())
     ]
     _write_csv(
         os.path.join(args.out, "secular.csv"),

@@ -22,14 +22,30 @@ unwrapped phase of det T; its derivative is the Wigner delay.
 ``assemble_T`` takes one k or a 1-D array of k.  Over an array the edge
 layer evaluates every edge at every k at once (zero, constant and
 point-interaction edges in closed form over (k, edge), each smooth edge
-by one batched Magnus propagation), and T and T' come out stacked.  The
-secular function along a path is computed from such stacks (``_track``).
-``secular`` is its one public evaluator: a scalar k gives one value, a
+by one batched Magnus propagation), and T and T' come out stacked.
+
+The secular function along a path (``_track``) never forms S: it is
+computed from the per-edge entries (trans, r_from, r_to), each of shape
+(n, E).  det S = det Sigma prod_e det t_e, with det Sigma = +-1 cached
+beside Sigma.  det(I - S) (``_det_w``) is the Schur complement over the
+block-diagonal I + T: Sigma = 2 B D^-1 B^T - I for the out-incidence B and
+the vertex degrees D, so
+
+    det(I - S) = prod_e det(I + t_e) * det(I_V - 2 D^-1 B^T T (I + T)^-1 B),
+
+a V x V determinant assembled from the closed-form 2 x 2 blocks of
+T (I + T)^-1 (Berkolaiko & Kuchment, Introduction to Quantum Graphs, AMS
+2013, ch. 2).  A point where some |det(I + t_e)| is below _SCHUR_FLOOR,
+such as an equilateral zero-potential star at k = pi, takes the dense
+2E x 2E determinant instead; the choice depends on that point alone.
+
+``secular`` is the one public evaluator: a scalar k gives one value, a
 1-D array the path's values in order.  The branch is fixed by a value,
 not by mutable state: a path continues from the evaluated value
 ``after``, or is anchored at its first point, so two continuations from
 one value are two calls.  The eigenphases of S, which a scan needs only
-at some points, are taken for the points asked for, in one stacked call.
+at some points, are taken for the points asked for, from S built there,
+in one stacked call.
 """
 
 from __future__ import annotations
@@ -58,12 +74,33 @@ __all__ = [
 ]
 
 _PHASE_STEP_LIMIT = 0.9 * math.pi
-# Sigma of each live graph, built on first use
-_SIGMAS: "weakref.WeakKeyDictionary[MetricGraph, np.ndarray]" = (
+_KERNEL_PHASE = 1e-12  # eigenphases closer to 0 than this are roots
+# A point where some |det(I + t_e)| is below this takes det(I - S) densely.
+# The vertex-space determinant's error grows like eps / min |det(I + t_e)|:
+# over 2.1e5 random real k on three 10-arm delta stars it stayed below
+# 2.5e-14 of the largest |det(I - S)| above this floor, and reached 8e-12
+# below 1e-5.
+_SCHUR_FLOOR = 1e-3
+
+
+@dataclasses.dataclass(frozen=True)
+class _Layout:
+    """Sigma of a graph, det Sigma (+-1), and the scatter table of the
+    vertex-space determinant: per edge, the factor 2 / deg of the vertex
+    of each entry's row, (E, 4), and the flat float index in a complex V x
+    V matrix of the real and imaginary part of each entry, (E, 4, 2), for
+    the entries (x00, x01, x10, x11) of the edge's block of T (I + T)^-1."""
+
+    sigma: np.ndarray
+    det_sigma: float
+    target: np.ndarray
+    weight: np.ndarray
+
+
+# the layout of each live graph, built on first use
+_SIGMAS: "weakref.WeakKeyDictionary[MetricGraph, _Layout]" = (
     weakref.WeakKeyDictionary()
 )
-_KERNEL_PHASE = 1e-12  # eigenphases closer to 0 than this are roots
-_TRACK_BLOCK = 16  # points of a track assembled at once
 
 
 def vertex_sigma(g: MetricGraph, v: str) -> np.ndarray:
@@ -79,9 +116,13 @@ def big_sigma(g: MetricGraph) -> np.ndarray:
     coupling maps the wave arriving along the reversal of d' into the wave
     leaving along d.
     """
-    sigma = _SIGMAS.get(g)
-    if sigma is not None:
-        return sigma
+    return _layout(g).sigma
+
+
+def _layout(g: MetricGraph) -> _Layout:
+    layout = _SIGMAS.get(g)
+    if layout is not None:
+        return layout
     n = g.num_directed
     sigma = np.zeros((n, n))
     for v in g.vertices:
@@ -90,8 +131,19 @@ def big_sigma(g: MetricGraph) -> np.ndarray:
         for a, da in enumerate(dirs):
             for b, db in enumerate(dirs):
                 sigma[da, db] = block[a, b]
-    _SIGMAS[g] = sigma
-    return sigma
+    index = {v: i for i, v in enumerate(g.vertices)}
+    nv = len(index)
+    target, weight = [], []
+    for e in g.edges:
+        u, v = index[e.u], index[e.v]
+        target.append([u * nv + u, u * nv + v, v * nv + u, v * nv + v])
+        weight.append([2.0 / g.degree[e.u]] * 2 + [2.0 / g.degree[e.v]] * 2)
+    det_sigma = float(np.sign(np.linalg.det(sigma)))
+    target = 2 * np.array(target).reshape(-1, 4, 1) + np.arange(2)
+    layout = _SIGMAS[g] = _Layout(
+        sigma, det_sigma, target, np.array(weight).reshape(-1, 4)
+    )
+    return layout
 
 
 def _place(t, n: int) -> np.ndarray:
@@ -105,6 +157,13 @@ def _place(t, n: int) -> np.ndarray:
     M[:, d, d + 1] = trans
     M[:, d + 1, d] = trans
     return M
+
+
+def _edge_entries(g: MetricGraph, ks: np.ndarray):
+    """(trans, r_from, r_to) of every edge at every k of the 1-D complex
+    array ``ks``, each of shape (len(ks), E)."""
+    t, _ = _entries(_solve_edges(g, ks))
+    return t
 
 
 def assemble_T(g: MetricGraph, k, want_dk: bool = False):
@@ -139,13 +198,47 @@ class SecularValue:
         return self.zeta.real
 
 
-def _det_w(g: MetricGraph, k, S: Optional[np.ndarray] = None):
-    """det(I - S(k)) for a scalar k, or their array for a 1-D array of k;
-    S is assembled unless given."""
-    if S is None:
-        S = assemble_S(g, k)
-    w = np.linalg.det(np.eye(S.shape[-1]) - S)
-    return complex(w) if np.ndim(w) == 0 else w
+def _det_s(g: MetricGraph, t) -> np.ndarray:
+    """det S = det Sigma prod_e det t_e at each point, from the edge entries
+    t = (trans, r_from, r_to), each (n, E)."""
+    trans, r_from, r_to = t
+    return _layout(g).det_sigma * np.prod(r_from * r_to - trans * trans, axis=-1)
+
+
+def _det_w(g: MetricGraph, k, t=None):
+    """det(I - S(k)) for a scalar k, or their array for a 1-D array of k,
+    from the edge entries t = (trans, r_from, r_to), each (len(k), E),
+    which are evaluated unless given.
+
+    Sigma = 2 B D^-1 B^T - I, with B the 2E x V out-incidence and D the
+    vertex degrees, so the Schur complement over the block-diagonal I + T
+    gives det(I - S) = det(I + T) det(I_V - 2 D^-1 B^T X B), X = T (I +
+    T)^-1.  Per edge, det(I + t_e) = 1 + r_from + r_to + det t_e, and the
+    block of X is [[r_from + det t_e, trans], [trans, r_to + det t_e]] /
+    det(I + t_e).  A point where some |det(I + t_e)| is below _SCHUR_FLOOR
+    takes the dense 2E x 2E determinant instead.
+    """
+    ks = np.asarray(k, dtype=complex)
+    if t is None:
+        t = _edge_entries(g, ks.reshape(-1))
+    layout = _layout(g)
+    trans, r_from, r_to = t
+    det_t = r_from * r_to - trans * trans
+    det_1t = 1.0 + r_from + r_to + det_t
+    dense = np.abs(det_1t).min(axis=-1) < _SCHUR_FLOOR
+    x = np.stack((r_from + det_t, trans, trans, r_to + det_t), axis=-1)
+    x *= layout.weight / np.where(dense[:, None], 1.0, det_1t)[..., None]
+    # sum the real and imaginary parts of the entries into their V x V
+    # slots, point by point, in one bincount over the interleaved floats
+    n, nv = len(x), len(g.vertices)
+    slots = (2 * nv * nv * np.arange(n))[:, None, None, None] + layout.target
+    m = np.bincount(slots.ravel(), x.view(float).ravel(), 2 * n * nv * nv)
+    a = np.eye(nv) - m.view(complex).reshape(n, nv, nv)
+    w = np.prod(det_1t, axis=-1) * np.linalg.det(a)
+    if dense.any():
+        S = layout.sigma @ _place(tuple(c[dense] for c in t), g.num_directed)
+        w[dense] = np.linalg.det(np.eye(g.num_directed) - S)
+    return complex(w[0]) if ks.ndim == 0 else w
 
 
 def _eigenphases(S: np.ndarray) -> Tuple[List[float], List[int]]:
@@ -163,11 +256,13 @@ def _eigenphases(S: np.ndarray) -> Tuple[List[float], List[int]]:
 
 @dataclasses.dataclass
 class _Track:
-    """S, det(I - S), zeta and the unwrapped det S phase along a k path, one
-    entry per point; theta = phase + theta_offset."""
+    """The edge entries t = (trans, r_from, r_to), det(I - S), zeta and the
+    unwrapped det S phase along a k path, one row per point; theta = phase
+    + theta_offset."""
 
+    sigma: np.ndarray
     ks: np.ndarray
-    S: np.ndarray
+    t: Tuple[np.ndarray, np.ndarray, np.ndarray]
     det_w: np.ndarray
     zeta: np.ndarray
     phase: np.ndarray
@@ -175,9 +270,10 @@ class _Track:
 
     def values(self, idx: Sequence[int]) -> List[SecularValue]:
         """The SecularValue at each point of ``idx``, with the eigenphases
-        of their S from one stacked eigenvalue call."""
+        of their S, built from the entries, in one stacked eigenvalue call."""
         idx = list(idx)
-        frac, kernel = _eigenphases(self.S[idx])
+        S = self.sigma @ _place(tuple(c[idx] for c in self.t), len(self.sigma))
+        frac, kernel = _eigenphases(S)
         return [
             SecularValue(
                 complex(self.ks[i]),
@@ -192,30 +288,22 @@ class _Track:
 
 
 def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
-    """The secular function along the points ``ks`` in order, from stacked
-    S, continuing the branch from the evaluated value ``after`` or, without
-    it, anchored at the first point.  S is assembled _TRACK_BLOCK points at
-    a time, which bounds the temporaries beside it.
+    """The secular function along the points ``ks`` in order, from the edge
+    entries, continuing the branch from the evaluated value ``after`` or,
+    without it, anchored at the first point.
 
-    Each step of the det S phase, from ``after`` on, must stay below 0.9 pi
-    (PhaseTrackingError otherwise).  det T = det S / det Sigma with det
-    Sigma = +-1 independent of k, so theta is the det S phase plus an
-    offset, fixed by det T at a fresh path's first point.  The modulus
-    factor |det S|^(-1/2) is 1 on the real axis and restores conjugate
-    symmetry zeta(conj k) = conj zeta(k) off it.
+    det S = det Sigma prod_e det t_e, with det Sigma = +-1 independent of k,
+    so theta, the phase of det T, is the det S phase plus an offset, fixed
+    at a fresh path's first point.  Each step of the det S phase, from
+    ``after`` on, must stay below 0.9 pi (PhaseTrackingError otherwise).
+    The modulus factor |det S|^(-1/2) is 1 on the real axis and restores
+    conjugate symmetry zeta(conj k) = conj zeta(k) off it.
     """
     ks = np.asarray(ks, dtype=complex).reshape(-1)
-    sigma = big_sigma(g)
-    S = np.empty((len(ks),) + sigma.shape, dtype=complex)
-    det_w = np.empty(len(ks), dtype=complex)
-    for lo in range(0, len(ks), _TRACK_BLOCK):
-        block = slice(lo, lo + _TRACK_BLOCK)
-        T = assemble_T(g, ks[block])
-        if lo == 0 and after is None:
-            det_t = complex(np.linalg.det(T[0]))
-        np.matmul(sigma, T, out=S[block])
-        det_w[block] = _det_w(g, None, S[block])
-    det_s = np.linalg.det(S)
+    t = _edge_entries(g, ks)
+    det_s = _det_s(g, t)
+    det_w = _det_w(g, ks, t)
+    det_sigma = _layout(g).det_sigma
     if after is None:
         prev, offset = 0.0, None
     else:
@@ -226,13 +314,13 @@ def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
             raise NumericalError(f"det S vanishes at k={ks[i]}; prefactor undefined")
         step = math.remainder(cmath.phase(d) - prev, 2.0 * math.pi)
         if offset is None:
-            offset = cmath.phase(det_t) - cmath.phase(d)
+            offset = cmath.phase(det_sigma * d) - cmath.phase(d)  # det T = det Sigma det S
         elif abs(step) >= _PHASE_STEP_LIMIT:
             raise PhaseTrackingError(f"phase step {step:+.3f} too large; refine the k grid")
         prev += step
         phase[i] = prev
     zeta = np.abs(det_s) ** -0.5 * np.exp(-0.5j * phase) * det_w
-    return _Track(ks, S, det_w, zeta, phase, offset)
+    return _Track(big_sigma(g), ks, t, det_w, zeta, phase, offset)
 
 
 def secular(

@@ -12,10 +12,11 @@ multiplicity, are
 
 with phi the tracked det S phase and F = sum_j frac(theta_j / 2 pi).
 
-A window of the grid is one batch: its S(k) are assembled as a stack, and
-zeta and phi at every node come from stacked determinants.  The
-eigenphases, the costly part, are taken only where the count is still
-open.  Every cell count is >= 0 above K, and a cell where zeta changes
+A window of the grid is one batch: its edges are evaluated together at
+every node, and zeta and phi come from the per-edge 2 x 2 blocks (see
+``scattering``).  The eigenphases, the costly part, are taken only where
+the count is still open, from S built for those nodes alone.  Every cell
+count is >= 0 above K, and a cell where zeta changes
 sign holds an odd count; so a segment whose count N equals its number of
 sign changes holds one simple root in each sign-change cell and none
 elsewhere.  The scan counts the whole window first and halves any segment
@@ -32,13 +33,16 @@ the number of eigenphases at 0.  Cells whose count is not an integer, is negativ
 parity with the sign change are flagged, never dropped.  Below K, where
 the eigenphases need not be monotone, every cell is counted on its own.
 
-All single-root brackets of a window are refined together by
-Chandrupatla's bracketing method (T. R. Chandrupatla, Adv. Eng. Softw. 28,
-1997; ``_chandrupatla``, whose iterates are those of scipy's elementwise
-find_root), one stacked det(I - S) per iteration, until each bracket is
-narrower than root_tol; a bracket it cannot refine is flagged.  Bracket
-ends on grid nodes take their det(I - S) from the window's sweep.  The
-residuals |det(I - S)| of the window's roots come from one stacked call.
+A window only counts: it hands on its single-root brackets, whose ends
+on grid nodes take their det(I - S) from the window's sweep.  The windows
+go out in contiguous chunks, one per worker (a serial scan is one chunk)
+and at most _WINDOWS_PER_CHUNK windows each, and all brackets of a chunk
+are refined together by Chandrupatla's bracketing method (T. R.
+Chandrupatla, Adv. Eng. Softw. 28, 1997; ``_chandrupatla``, whose iterates
+are those of scipy's elementwise find_root), one stacked det(I - S) per
+iteration, until each bracket is narrower than root_tol; a bracket it
+cannot refine is flagged.  The residuals |det(I - S)| of all the chunk's
+roots come from one more stacked call.
 
 ``multiplicity`` gives the independent argument-principle count on a
 rectangle in the upper half plane, where strict subunitarity of S pins
@@ -48,7 +52,10 @@ semicircle around an order-m zero carries exactly -m*pi, so the walked
 phase change equals m*pi.
 
 Window decomposition is fixed by the k range alone (never by the worker
-count), so results are identical no matter how the work is distributed.
+count).  Which windows share a chunk does depend on the worker count, but
+every refinement step is elementwise and every determinant is taken per
+matrix, so results are identical no matter how the work is distributed.
+A range whose grid has more than MAX_GRID_POINTS points is refused.
 """
 
 from __future__ import annotations
@@ -82,6 +89,10 @@ _RESIDUAL_TOL = 1e-6  # |det(I - S)| above this at a root is a diagnostic
 # Windows span this many grid cells so that parallel decomposition is a
 # pure partition of the sequential grid.
 _CELLS_PER_WINDOW = 64
+_WINDOWS_PER_CHUNK = 64  # windows whose roots are refined together, at most
+
+#: Most grid points a scan, or a secular sweep, may take.
+MAX_GRID_POINTS = 1_000_000
 
 _WALK_DEPTH = 24             # max recursive bisections per contour segment
 _COUNT_TOL = 1e-6            # a cell count further from an integer is flagged
@@ -95,6 +106,18 @@ def grid_step(g: MetricGraph) -> float:
     """Spacing of the scan grid: pi / (4 * total length), the minimal
     oscillation scale of det(I - S)."""
     return math.pi / (4.0 * g.total_length)
+
+
+def _grid_cells(g: MetricGraph, lo: float, hi: float) -> int:
+    """Number of scan grid cells over [lo, hi]; InputError when their grid
+    would have more than MAX_GRID_POINTS points."""
+    cells = (hi - lo) / grid_step(g)
+    if not cells <= MAX_GRID_POINTS - 1:
+        raise InputError(
+            f"[{lo:g}, {hi:g}] needs {cells + 1:.3g} grid points; "
+            f"at most {MAX_GRID_POINTS} are allowed"
+        )
+    return int(math.ceil(cells))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,8 +135,8 @@ class ScanConfig:
     allow_below_threshold: bool = False
 
     def __post_init__(self) -> None:
-        if not self.root_tol > 0:
-            raise InputError("root_tol must be positive")
+        if not 0 < self.root_tol < math.inf:
+            raise InputError("root_tol must be positive and finite")
         if self.workers < 1:
             raise InputError("workers must be a positive integer")
 
@@ -245,6 +268,16 @@ class _WindowReport:
     roots: List[Tuple[float, int, float]]  # (k, multiplicity, residual)
     flagged: List[Tuple[float, float]]
     diagnostics: List[str]
+    # eigenvalues located by counting, (k, multiplicity), and the
+    # single-root brackets (lo, hi, f(lo), f(hi), rotation) left to refine
+    emitted: List[Tuple[float, int]] = dataclasses.field(default_factory=list)
+    brackets: List[Tuple[float, float, float, float, complex]] = dataclasses.field(
+        default_factory=list
+    )
+
+    def flag(self, lo: float, hi: float, what: str) -> None:
+        self.flagged.append((float(lo), float(hi)))
+        self.diagnostics.append(f"{what} on ({lo:.9g}, {hi:.9g}]")
 
 
 def _sweep(g: MetricGraph, ks: np.ndarray) -> _Track:
@@ -268,9 +301,11 @@ def _scan_window(
     closed_left: bool = False,
     monotone: bool = True,
 ) -> _WindowReport:
-    """Eigenvalues in (a, b], or [a, b] when ``closed_left``.  ``monotone``
-    says that every eigenphase of S is non-decreasing on the window, as it
-    is above a closed-form threshold K; it allows counting by segments."""
+    """Count the eigenvalues in (a, b], or [a, b] when ``closed_left``.
+    ``monotone`` says that every eigenphase of S is non-decreasing on the
+    window, as it is above a closed-form threshold K; it allows counting by
+    segments.  The report holds the eigenvalues the count located and the
+    brackets of the single roots, which ``_scan_chunk`` refines."""
     n = max(2, int(math.ceil((b - a) / step)) + 1)
     ks = np.linspace(a, b, n)
     for attempt in range(5):
@@ -296,18 +331,14 @@ def _scan_window(
             f"secular branch deviation {imag_dev:.2e} on [{a:.6g}, {b:.6g}]"
         )
 
-    emitted: List[Tuple[float, int]] = []
-    # single-root brackets (lo, hi, grid cell), refined together.  The
-    # cell's rotation freezes the branch at its left grid node; the sweep
-    # keeps the phase drift below 0.9*pi per cell, so the rotated real part
-    # keeps the sign of the tracked secular branch within the cell and sign
-    # brackets survive the rotation.
+    emitted = report.emitted
+    # single-root brackets (lo, hi, grid cell).  The cell's rotation freezes
+    # the branch at its left grid node; the sweep keeps the phase drift below
+    # 0.9*pi per cell, so the rotated real part keeps the sign of the tracked
+    # secular branch within the cell and sign brackets survive the rotation.
     singles: List[Tuple[float, float, int]] = []
     rots = np.exp(-0.5j * tr.phase)
-
-    def flag(lo: float, hi: float, what: str) -> None:
-        report.flagged.append((float(lo), float(hi)))
-        report.diagnostics.append(f"{what} on ({lo:.9g}, {hi:.9g}]")
+    flag = report.flag
 
     def count(p: SecularValue, q: SecularValue) -> Optional[int]:
         c = _cell_count(p, q)
@@ -396,35 +427,53 @@ def _scan_window(
         emitted.append((ks[0], vals[0].kernel_dim))
 
     if singles:
-        # one bracketing refinement (Chandrupatla) over every single-root
-        # cell, each iteration one stacked det(I - S); it stops when the
-        # bracket is narrower than root_tol
-        lo, hi, cell = (np.array(col) for col in zip(*singles))
-        rot = rots[cell]
-
-        def h(x, idx):
-            return (rot[idx] * _det_w(g, x)).real
-
         # bracket ends on grid nodes take det(I - S) from the track; the
         # ends that split midpoints made come from one stacked call
+        lo, hi, cell = (np.array(col) for col in zip(*singles))
+        rot = rots[cell]
         ends, nodes = np.concatenate([lo, hi]), np.concatenate([cell, cell + 1])
         f_ends = (np.tile(rot, 2) * tr.det_w[nodes]).real
         split = np.flatnonzero(ends != ks[nodes])
         if split.size:
-            f_ends[split] = h(ends[split], split % len(cell))
-        xs, statuses = _chandrupatla(h, lo, hi, *np.split(f_ends, 2), cfg.root_tol)
-        for (left, right, _), x, status in zip(singles, xs.tolist(), statuses.tolist()):
-            if status == 0:
-                emitted.append((x, 1))
-            elif status == -1:
-                flag(left, right, "one eigenvalue counted but no sign change")
-            else:
-                flag(left, right, f"root refinement failed (status {status})")
-    if emitted:
-        roots = np.array([k for k, _ in emitted])
-        residuals = np.abs(_det_w(g, roots)).tolist()
-        report.roots = [(float(k), m, r) for (k, m), r in zip(emitted, residuals)]
+            f_ends[split] = (np.tile(rot, 2)[split] * _det_w(g, ends[split])).real
+        columns = (lo, hi, *np.split(f_ends, 2), rot)
+        report.brackets = list(zip(*(c.tolist() for c in columns)))
     return report
+
+
+def _scan_chunk(chunk) -> List[_WindowReport]:
+    """Scan the windows of ``chunk`` = (g, step, cfg, windows), each window
+    (a, b, closed_left, monotone), in order, then refine the single-root
+    brackets of all of them together by one bracketing refinement
+    (Chandrupatla), each iteration one stacked det(I - S), until each
+    bracket is narrower than root_tol; the residuals |det(I - S)| of all
+    the chunk's roots come from one stacked call."""
+    g, step, cfg, windows = chunk
+    reports = [_scan_window(g, a, b, step, cfg, *flags) for a, b, *flags in windows]
+    owners = [rep for rep in reports for _ in rep.brackets]
+    if owners:
+        brackets = [b for rep in reports for b in rep.brackets]
+        lo, hi, f_lo, f_hi, rot = (np.array(col) for col in zip(*brackets))
+
+        def h(x, idx):
+            return (rot[idx] * _det_w(g, x)).real
+
+        xs, statuses = _chandrupatla(h, lo, hi, f_lo, f_hi, cfg.root_tol)
+        for rep, left, right, x, status in zip(
+            owners, lo.tolist(), hi.tolist(), xs.tolist(), statuses.tolist()
+        ):
+            if status == 0:
+                rep.emitted.append((x, 1))
+            elif status == -1:
+                rep.flag(left, right, "one eigenvalue counted but no sign change")
+            else:
+                rep.flag(left, right, f"root refinement failed (status {status})")
+    emitted = [(rep, k, m) for rep in reports for k, m in rep.emitted]
+    if emitted:
+        residuals = np.abs(_det_w(g, np.array([k for _, k, _ in emitted]))).tolist()
+        for (rep, k, m), r in zip(emitted, residuals):
+            rep.roots.append((float(k), m, r))
+    return reports
 
 
 def _chandrupatla(f, x1, x2, f1, f2, xatol: float):
@@ -493,10 +542,6 @@ def _chandrupatla(f, x1, x2, f1, f2, xatol: float):
     return x_out, status
 
 
-def _window_task(args) -> _WindowReport:
-    return _scan_window(*args)
-
-
 def scan_spectrum(
     g: MetricGraph,
     k_lo: float,
@@ -538,28 +583,34 @@ def scan_spectrum(
         )
 
     step = grid_step(g)
+    n_cells = _grid_cells(g, lo, k_hi)
 
     # Fixed partition into windows of _CELLS_PER_WINDOW grid cells; the
-    # worker count only changes who scans which window.
-    span = k_hi - lo
-    n_cells = int(math.ceil(span / step))
+    # worker count only changes which chunk of windows is refined together.
     cells_per = _CELLS_PER_WINDOW
     bounds = [lo + step * i for i in range(0, n_cells, cells_per)] + [k_hi]
-    windows = [(bounds[i], bounds[i + 1]) for i in range(len(bounds) - 1)]
     # eigenphases are monotone above K; segments are counted only above a
     # closed-form K, since a heuristic K set too low would let a count short
     # by an even number settle a segment unseen
     by_segments = info.method == "closed-form"
-    tasks = [
-        (g, a, b, step, cfg, i == 0, a > info.K and by_segments)
-        for i, (a, b) in enumerate(windows)
+    windows = [
+        (a, b, i == 0, a > info.K and by_segments)
+        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
     ]
-
-    if cfg.workers > 1 and len(tasks) > 1:
+    # contiguous chunks, one per worker, of at most _WINDOWS_PER_CHUNK
+    # windows, which bounds the stacks of one refinement
+    n = len(windows)
+    n_chunks = min(max(cfg.workers, -(-n // _WINDOWS_PER_CHUNK)), n)
+    chunks = [
+        (g, step, cfg, windows[i * n // n_chunks : (i + 1) * n // n_chunks])
+        for i in range(n_chunks)
+    ]
+    if len(chunks) > 1 and cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            reports = list(pool.map(_window_task, tasks))
+            parts = list(pool.map(_scan_chunk, chunks))
     else:
-        reports = [_window_task(t) for t in tasks]
+        parts = [_scan_chunk(chunk) for chunk in chunks]
+    reports = [rep for part in parts for rep in part]
 
     found: List[Tuple[float, int, float]] = []
     flagged: List[Tuple[float, float]] = []

@@ -176,9 +176,11 @@ def solve_edge_calls(monkeypatch):
 
 @pytest.fixture
 def assembled_ks(monkeypatch):
-    """Every wavenumber assemble_T assembles, one entry per k point."""
+    """Every wavenumber at which the edges are evaluated together, one entry
+    per k point: each _solve_edges batch, which assemble_T and the secular
+    path's edge entries both go through."""
     return _record_calls(
-        monkeypatch, scattering.assemble_T, lambda g, k: np.ravel(k).tolist()
+        monkeypatch, edge._solve_edges, lambda g, ks: np.ravel(ks).tolist()
     )
 
 

@@ -2,9 +2,11 @@
 
 Everything here is built from first principles with numpy/scipy only — no
 imports from the package under test — so that agreement between the two is
-meaningful.  The one exception is ``threshold_reference``, which restates the
-subunitarity threshold's definition as a plain sequential loop over the
-package's public single-point check ``verify_subunitary``.  ``block_fold``
+meaningful.  Two exceptions take one public function of the package:
+``threshold_reference`` restates the subunitarity threshold's definition as
+a plain sequential loop over the single-point check ``verify_subunitary``,
+and ``dense_secular`` takes T from ``assemble_T`` to check the determinants
+built on it.  ``block_fold``
 takes the Magnus step matrices as arrays and folds them the way the package
 did before it folded M and M' as a 2x2 pair.
 """
@@ -243,3 +245,22 @@ def threshold_reference(g) -> Tuple[float, str]:
         ):
             return max(cand, closed), "heuristic-scan"
     raise NumericalError("no subunitarity threshold found within scan budget")
+
+
+def dense_secular(g, ks) -> Tuple[np.ndarray, np.ndarray]:
+    """(det S, det(I - S)) at each k of ``ks``, from the dense 2E x 2E
+    matrices: S = Sigma T with T from the package's ``assemble_T`` and Sigma
+    built here from the graph's vertex table, entry (2/deg) - [d = d'] for
+    directions d, d' leaving the same vertex (direction 2e leaves edge e's
+    "from" end, 2e + 1 its "to" end)."""
+    from qgspectra.scattering import assemble_T
+
+    n = 2 * len(g.edges)
+    leaves = [end for e in g.edges for end in (e.u, e.v)]
+    sigma = np.zeros((n, n))
+    for d in range(n):
+        for d2 in range(n):
+            if leaves[d] == leaves[d2]:
+                sigma[d, d2] = 2.0 / leaves.count(leaves[d]) - (d == d2)
+    S = sigma @ assemble_T(g, np.asarray(ks, dtype=complex))
+    return np.linalg.det(S), np.linalg.det(np.eye(n) - S)

@@ -349,11 +349,16 @@ NON_FINITE = {
     "orbits-kmin-nan": ("orbits", "--kmin", "nan"),
     "orbits-kmin-inf": ("orbits", "--kmin", "inf"),
 }
+# ranges whose scan grid would exceed spectrum.MAX_GRID_POINTS
+TOO_MANY_POINTS = {
+    "spectrum-kmax-1e300": ("spectrum", "--kmax", "1e300"),
+    "secular-kmax-1e9": ("secular-scan", "--kmax", "1e9"),
+}
 
 
 @pytest.mark.parametrize(
     "case",
-    ["missing-file", "malformed-json", "self-loop", "missing-phi", *NON_FINITE],
+    ["missing-file", "malformed-json", "self-loop", "missing-phi", *NON_FINITE, *TOO_MANY_POINTS],
 )
 def test_usage_errors_exit_two(tmp_path, case):
     if case == "missing-file":
@@ -369,7 +374,7 @@ def test_usage_errors_exit_two(tmp_path, case):
         inp = write_input(tmp_path, INTERVAL)
         args = ["trace-check", "--input", str(inp), "--out", str(tmp_path / "o")]
     else:
-        command, flag, value = NON_FINITE[case]
+        command, flag, value = {**NON_FINITE, **TOO_MANY_POINTS}[case]
         inp = write_input(tmp_path, INTERVAL)
         bounds = {"--kmin": "1", "--kmax": "2", flag: value}
         args = [command, "--input", str(inp), "--out", str(tmp_path / "o"), "--nmax", "2"]

@@ -7,9 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from qgspectra import scattering
 from qgspectra.edge import transition_matrix, transition_matrix_dk
 from qgspectra.errors import InputError, PhaseTrackingError
+from qgspectra.graph import build_graph
 from qgspectra.scattering import (
+    _det_s,
+    _det_w,
+    _edge_entries,
     assemble_S,
     assemble_T,
     big_sigma,
@@ -19,7 +24,8 @@ from qgspectra.scattering import (
     vertex_sigma,
 )
 
-from .conftest import interval, star
+from .conftest import ZERO, interval, random_delta_star, star
+from .oracles import dense_secular
 
 
 def test_vertex_sigma_values(g_delta_star):
@@ -40,6 +46,76 @@ def test_big_sigma_is_block_diagonal_by_departure_vertex(g_delta_star):
             if not same_vertex:
                 assert sig[da, db] == 0.0
     assert abs(abs(np.linalg.det(sig)) - 1.0) <= 1e-12
+
+
+def _delta(strength, position):
+    return {"type": "delta", "strength": strength, "position": position}
+
+
+# graphs and real k paths of the determinant oracle; the equilateral star's
+# path holds k = pi, where every I + t_e is singular
+DETERMINANT_CASES = {
+    "delta-star": (lambda r: r.getfixturevalue("g_delta_star"), np.linspace(0.5, 12.0, 47)),
+    "random-delta-star": (lambda r: random_delta_star(1), np.linspace(0.5, 30.0, 118)),
+    "multi-edge-cycle": (
+        lambda r: build_graph(
+            {
+                "vertices": ["a", "b", "c"],
+                "edges": [
+                    {"from": "a", "to": "b", "length": 1.0, "potential": ZERO},
+                    {"from": "b", "to": "a", "length": 1.5, "potential": _delta(1.2, 0.6)},
+                    {"from": "b", "to": "c", "length": 1.2, "potential": _delta(-0.8, 0.3)},
+                    {"from": "c", "to": "a", "length": 0.8, "potential": ZERO},
+                ],
+            }
+        ),
+        np.linspace(1.0, 12.0, 45),
+    ),
+    "constant-edge": (
+        lambda r: star(
+            [
+                (1.0, {"type": "constant", "value": 4.0}),
+                (1.3, ZERO),
+                (0.7, _delta(2.0, 0.2)),
+            ]
+        ),
+        np.linspace(1.0, 12.0, 45),
+    ),
+    "smooth-star": (lambda r: r.getfixturevalue("g_smooth_star"), np.linspace(3.0, 12.0, 37)),
+    "equilateral-star": (
+        lambda r: r.getfixturevalue("g_star3_eq"),
+        np.sort(np.append(np.linspace(1.0, 5.0, 41), math.pi)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINANT_CASES))
+def test_edge_block_determinants_match_dense(request, name):
+    # det S from the edge blocks and det(I - S) by the vertex-space Schur
+    # complement agree with the dense 2E x 2E determinants, real and
+    # complex k, to 1e-12 of the path's largest |det(I - S)|
+    build, ks = DETERMINANT_CASES[name]
+    g = build(request)
+    for path in (ks.astype(complex), ks + 0.3j):
+        det_s, det_w = dense_secular(g, path)
+        scale = np.abs(det_w).max()
+        assert np.abs(_det_s(g, _edge_entries(g, path)) - det_s).max() <= 1e-12 * scale
+        assert np.abs(_det_w(g, path) - det_w).max() <= 1e-12 * scale
+
+
+def test_singular_I_plus_T_takes_the_dense_determinant(g_star3_eq, monkeypatch):
+    # at k = pi every t_e of the equilateral zero star has the eigenvalue
+    # -1, so the Schur complement over I + T fails there: the point takes
+    # the dense determinant, its neighbours keep the vertex-space one
+    ks = np.array([1.0, math.pi, 2.0])
+    _, want = dense_secular(g_star3_eq, ks)
+    got = _det_w(g_star3_eq, ks)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    monkeypatch.setattr(scattering, "_SCHUR_FLOOR", 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        schur = _det_w(g_star3_eq, ks)
+    assert not abs(schur[1] - want[1]) <= 1e-6
+    assert schur[[0, 2]].tolist() == got[[0, 2]].tolist()
 
 
 def test_interval_S_is_antidiagonal_phase(g_interval_pi):

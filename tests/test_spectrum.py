@@ -46,7 +46,14 @@ def test_config_defaults():
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"root_tol": 0.0}, {"root_tol": -1e-9}, {"root_tol": math.nan}, {"workers": 0}]
+    "kwargs",
+    [
+        {"root_tol": 0.0},
+        {"root_tol": -1e-9},
+        {"root_tol": math.nan},
+        {"root_tol": math.inf},
+        {"workers": 0},
+    ],
 )
 def test_config_rejects_bad_values(kwargs):
     with pytest.raises(InputError):
@@ -185,11 +192,42 @@ def test_scan_is_deterministic(g_delta_star):
     assert [r.residual for r in a.roots] == [r.residual for r in b.roots]
 
 
-def test_workers_do_not_change_results(g_delta_star):
-    serial = scan_spectrum(g_delta_star, 0.5, 8.0)
-    parallel = scan_spectrum(g_delta_star, 0.5, 8.0, ScanConfig(workers=2))
-    assert list(serial.ks) == list(parallel.ks)
-    assert list(serial.multiplicities) == list(parallel.multiplicities)
+def test_workers_do_not_change_results():
+    # the windows are refined in one chunk per worker, so every bracket of
+    # a chunk shares its stacked refinement with a different set of others
+    # at each worker count
+    g = random_delta_star(1)
+    runs = [scan_spectrum(g, 0.5, 30.0, ScanConfig(workers=w)) for w in (1, 2, 3)]
+    for res in runs[1:]:
+        assert res.roots == runs[0].roots
+        assert res.diagnostics == runs[0].diagnostics
+        assert res.flagged == runs[0].flagged
+
+
+def test_serial_scan_refines_every_window_at_once(monkeypatch):
+    # the six windows of [0.5, 30] form one chunk: one refinement call
+    # takes all their single-root brackets
+    calls = []
+    refine = spectrum._chandrupatla
+
+    def counted(f, lo, *args):
+        calls.append(len(lo))
+        return refine(f, lo, *args)
+
+    monkeypatch.setattr(spectrum, "_chandrupatla", counted)
+    res = scan_spectrum(random_delta_star(1), 0.5, 30.0)
+    assert len(calls) == 1
+    assert calls[0] <= len(res.roots)
+
+
+def test_grid_beyond_the_cap_is_refused(g_delta_star, monkeypatch):
+    # refused before any window is scanned
+    monkeypatch.setattr(spectrum, "_scan_chunk", None)
+    with pytest.raises(InputError, match="grid points"):
+        scan_spectrum(g_delta_star, 1.0, 1e300)
+    step = spectrum.grid_step(g_delta_star)
+    with pytest.raises(InputError, match="grid points"):
+        scan_spectrum(g_delta_star, 1.0, 1.0 + spectrum.MAX_GRID_POINTS * step)
 
 
 @pytest.mark.parametrize(
