@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -29,11 +29,13 @@ from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import build_graph
 from .orbits import TestFunction, _weight, enumerate_orbits, trace_check, wigner_delay
-from .scattering import _track, assemble_S
+from .scattering import assemble_S, secular
 from .spectrum import ScanConfig, _grid_cells, scan_spectrum
 from .wkb import compare_with_exact, wkb_wigner_delay
 
 __all__ = ["main"]
+
+_SECULAR_BLOCK = 1024  # grid points per secular() call in secular-scan
 
 
 def _make_parser() -> argparse.ArgumentParser:
@@ -113,12 +115,20 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, header: List[str], rows: List[List], cfg_hash: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write(f"# config_hash={cfg_hash}\n")
-        f.write(",".join(header) + "\n")
-        for row in rows:
-            f.write(",".join(_fmt(v) for v in row) + "\n")
+def _write_csv(path: str, header: List[str], rows: Iterable[List], cfg_hash: str) -> None:
+    """Write the rows, which may be produced while writing, to ``path``;
+    if producing them fails, ``path`` is left as it was."""
+    part = path + ".part"
+    with open(part, "w", encoding="utf-8", newline="\n") as f:
+        try:
+            f.write(f"# config_hash={cfg_hash}\n")
+            f.write(",".join(header) + "\n")
+            for row in rows:
+                f.write(",".join(_fmt(v) for v in row) + "\n")
+        except BaseException:
+            os.remove(part)
+            raise
+    os.replace(part, path)
 
 
 def _write_json(path: str, payload: Dict) -> None:
@@ -270,18 +280,19 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
         raise InputError("secular-scan needs 0 < kmin < kmax")
     n = max(2, _grid_cells(g, args.kmin, args.kmax) + 1)
     ks = np.linspace(args.kmin, args.kmax, n)
-    # the path's zeta and theta only: the eigenphases of S, which secular
-    # values carry, are not written
-    tr = _track(g, ks)
-    theta = tr.phase + tr.theta_offset
-    rows = [
-        list(row)
-        for row in zip(ks.tolist(), tr.zeta.real.tolist(), tr.zeta.imag.tolist(), theta.tolist())
-    ]
+
+    def rows():
+        # block by block, each block continuing the branch from the last
+        # value of the one before, so only one block is held at a time
+        last = None
+        for i in range(0, n, _SECULAR_BLOCK):
+            for last in secular(g, ks[i : i + _SECULAR_BLOCK], last):
+                yield [last.k.real, last.zeta.real, last.zeta.imag, last.theta]
+
     _write_csv(
         os.path.join(args.out, "secular.csv"),
         ["k", "zeta_re", "zeta_im", "theta"],
-        rows,
+        rows(),
         cfg_hash,
     )
     meta.update({"n_points": n, "grid_step": (args.kmax - args.kmin) / (n - 1)})

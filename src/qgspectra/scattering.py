@@ -123,26 +123,22 @@ def _layout(g: MetricGraph) -> _Layout:
     layout = _SIGMAS.get(g)
     if layout is not None:
         return layout
-    n = g.num_directed
-    sigma = np.zeros((n, n))
-    for v in g.vertices:
-        dirs = g.out_directions(v)
-        block = vertex_sigma(g, v)
-        for a, da in enumerate(dirs):
-            for b, db in enumerate(dirs):
-                sigma[da, db] = block[a, b]
+    # the vertex each direction leaves, and its degree
     index = {v: i for i, v in enumerate(g.vertices)}
+    origin = np.empty(g.num_directed, dtype=int)
+    for v in g.vertices:
+        origin[g.out_directions(v)] = index[v]
+    deg = np.array([g.degree[v] for v in g.vertices])[origin]
+    same = origin[:, None] == origin[None, :]
+    sigma = np.where(same, 2.0 / deg[:, None], 0.0) - np.eye(g.num_directed)
+    # rows and columns of the entries (x00, x01, x10, x11) of each edge's
+    # block, which couples its directions (2e, 2e+1)
+    pairs = np.arange(g.num_directed).reshape(-1, 2)
+    rows, cols = pairs[:, [0, 0, 1, 1]], pairs[:, [0, 1, 0, 1]]
     nv = len(index)
-    target, weight = [], []
-    for e in g.edges:
-        u, v = index[e.u], index[e.v]
-        target.append([u * nv + u, u * nv + v, v * nv + u, v * nv + v])
-        weight.append([2.0 / g.degree[e.u]] * 2 + [2.0 / g.degree[e.v]] * 2)
+    target = 2 * (origin[rows] * nv + origin[cols])[..., None] + np.arange(2)
     det_sigma = float(np.sign(np.linalg.det(sigma)))
-    target = 2 * np.array(target).reshape(-1, 4, 1) + np.arange(2)
-    layout = _SIGMAS[g] = _Layout(
-        sigma, det_sigma, target, np.array(weight).reshape(-1, 4)
-    )
+    layout = _SIGMAS[g] = _Layout(sigma, det_sigma, target, 2.0 / deg[rows])
     return layout
 
 

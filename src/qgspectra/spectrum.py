@@ -35,12 +35,13 @@ the eigenphases need not be monotone, every cell is counted on its own.
 
 A window only counts: it hands on its single-root brackets, whose ends
 on grid nodes take their det(I - S) from the window's sweep.  The windows
-go out in contiguous chunks, one per worker (a serial scan is one chunk)
-and at most _WINDOWS_PER_CHUNK windows each, and all brackets of a chunk
-are refined together by Chandrupatla's bracketing method (T. R.
-Chandrupatla, Adv. Eng. Softw. 28, 1997; ``_chandrupatla``, whose iterates
-are those of scipy's elementwise find_root), one stacked det(I - S) per
-iteration, until each bracket is narrower than root_tol; a bracket it
+go out in contiguous chunks, one per worker, of at most _WINDOWS_PER_CHUNK
+windows each (a serial scan of up to that many windows is one chunk;
+the cap keeps a refinement's stacks small on long ranges), and all
+brackets of a chunk are refined together by Chandrupatla's bracketing
+method (T. R. Chandrupatla, Adv. Eng. Softw. 28, 1997; ``_chandrupatla``,
+whose iterates are those of scipy's elementwise find_root), one stacked
+det(I - S) per iteration, until each bracket is narrower than root_tol; a bracket it
 cannot refine is flagged.  The residuals |det(I - S)| of all the chunk's
 roots come from one more stacked call.
 
@@ -89,7 +90,11 @@ _RESIDUAL_TOL = 1e-6  # |det(I - S)| above this at a root is a diagnostic
 # Windows span this many grid cells so that parallel decomposition is a
 # pure partition of the sequential grid.
 _CELLS_PER_WINDOW = 64
-_WINDOWS_PER_CHUNK = 64  # windows whose roots are refined together, at most
+# Windows whose roots are refined together, at most.  A refinement's
+# stacks take about 1.9 kB per grid point on a 10-arm delta star: a serial
+# scan of 1e5 points peaked at 233 MB as one chunk and at 69 MB in chunks
+# of 64 windows, so one chunk at MAX_GRID_POINTS would need about 2 GB.
+_WINDOWS_PER_CHUNK = 64
 
 #: Most grid points a scan, or a secular sweep, may take.
 MAX_GRID_POINTS = 1_000_000

@@ -12,7 +12,9 @@ import pytest
 
 import qgspectra
 from qgspectra import cli
+from qgspectra.errors import PhaseTrackingError
 from qgspectra.orbits import enumerate_orbits
+from qgspectra.scattering import secular
 from qgspectra.spectrum import ScanConfig
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -211,6 +213,37 @@ def test_secular_scan_sign_changes(tmp_path):
     changes = sum(1 for a, b in zip(re_vals, re_vals[1:]) if a * b < 0)
     assert changes == 10
     assert max(abs(float(r[2])) for r in rows) <= 1e-8
+
+
+def test_secular_scan_blocks_continue_one_path(tmp_path, monkeypatch):
+    # written block by block, the path is the one of a single secular call
+    inp = write_input(tmp_path, DELTA_STAR)
+    outputs = []
+    for block in (7, 10**6):
+        monkeypatch.setattr(cli, "_SECULAR_BLOCK", block)
+        out = tmp_path / f"block{block}"
+        assert cli.main(["secular-scan", "--input", str(inp), "--kmin", "1", "--kmax", "12", "--out", str(out)]) == 0
+        outputs.append((out / "secular.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert len(read_csv(tmp_path / "block7" / "secular.csv")[2]) > 7 * 5
+
+
+def test_secular_scan_failure_leaves_no_csv(tmp_path, monkeypatch):
+    inp = write_input(tmp_path, DELTA_STAR)
+    out = tmp_path / "sec"
+    blocks = []
+
+    def fails_later(g, ks, after=None):
+        blocks.append(len(ks))
+        if len(blocks) == 3:
+            raise PhaseTrackingError("phase step too large")
+        return secular(g, ks, after)
+
+    monkeypatch.setattr(cli, "_SECULAR_BLOCK", 7)
+    monkeypatch.setattr(cli, "secular", fails_later)
+    assert cli.main(["secular-scan", "--input", str(inp), "--kmin", "1", "--kmax", "12", "--out", str(out)]) == 1
+    assert len(blocks) == 3
+    assert sorted(os.listdir(out)) == []
 
 
 def test_wkb_compare_doubles_k(tmp_path):

@@ -220,6 +220,30 @@ def test_serial_scan_refines_every_window_at_once(monkeypatch):
     assert calls[0] <= len(res.roots)
 
 
+def test_long_serial_scan_is_refined_chunk_by_chunk(monkeypatch):
+    # past _WINDOWS_PER_CHUNK windows a serial scan is cut into contiguous
+    # chunks, so no refinement holds the brackets of the whole range
+    calls, windows = [], []
+    refine, scan_window = spectrum._chandrupatla, spectrum._scan_window
+
+    def counted(f, lo, *args):
+        calls.append(len(lo))
+        return refine(f, lo, *args)
+
+    def seen(g, a, *args):
+        windows.append(a)
+        return scan_window(g, a, *args)
+
+    monkeypatch.setattr(spectrum, "_chandrupatla", counted)
+    monkeypatch.setattr(spectrum, "_scan_window", seen)
+    g = random_delta_star(1)
+    cells = spectrum._CELLS_PER_WINDOW * spectrum._WINDOWS_PER_CHUNK + 32
+    res = scan_spectrum(g, 0.5, 0.5 + cells * spectrum.grid_step(g))
+    assert len(windows) == spectrum._WINDOWS_PER_CHUNK + 1
+    assert len(calls) == 2
+    assert sum(calls) <= len(res.roots)
+
+
 def test_grid_beyond_the_cap_is_refused(g_delta_star, monkeypatch):
     # refused before any window is scanned
     monkeypatch.setattr(spectrum, "_scan_chunk", None)
