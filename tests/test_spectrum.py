@@ -193,9 +193,9 @@ def test_scan_is_deterministic(g_delta_star):
 
 
 def test_workers_do_not_change_results():
-    # the windows are refined in one chunk per worker, so every bracket of
-    # a chunk shares its stacked refinement with a different set of others
-    # at each worker count
+    # the chunks of windows depend on the worker count, so every bracket
+    # of a chunk shares its stacked refinement with a different set of
+    # others at each worker count
     g = random_delta_star(1)
     runs = [scan_spectrum(g, 0.5, 30.0, ScanConfig(workers=w)) for w in (1, 2, 3)]
     for res in runs[1:]:
@@ -218,6 +218,33 @@ def test_serial_scan_refines_every_window_at_once(monkeypatch):
     res = scan_spectrum(random_delta_star(1), 0.5, 30.0)
     assert len(calls) == 1
     assert calls[0] <= len(res.roots)
+
+
+def test_pool_gets_several_chunks_per_worker(monkeypatch):
+    # a pool balances its chunks between the workers only if there are more
+    # chunks than workers: the six windows of [0.5, 30] go out one by one
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, f, chunks):
+            chunks = list(chunks)
+            sizes.extend(len(c[3]) for c in chunks)
+            return [f(c) for c in chunks]
+
+    monkeypatch.setattr(spectrum, "ProcessPoolExecutor", Pool)
+    g = random_delta_star(1)
+    res = scan_spectrum(g, 0.5, 30.0, ScanConfig(workers=2))
+    assert sizes == [1] * 6
+    assert res.roots == scan_spectrum(g, 0.5, 30.0).roots
 
 
 def test_long_serial_scan_is_refined_chunk_by_chunk(monkeypatch):
