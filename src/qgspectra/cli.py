@@ -8,7 +8,22 @@ file's own sha256) so a result can be traced to exactly one input and
 flag set.  Wall-clock time is reported under the "timing" key, which is
 the one field excluded from reproducibility comparisons.
 
-Exit codes: 0 success, 1 numerical failure, 2 input error.
+Each subcommand takes only the flags it reads:
+
+    spectrum      --input --out --kmin --kmax --tol --workers --allow-below-K
+    trace-check   --input --out --phi-center --phi-sigma --nmax
+                  --tol --workers --allow-below-K
+    secular-scan  --input --out --kmin --kmax
+    wkb-compare   --input --out --kmin --kmax
+    orbits        --input --out --kmin (sample k of the weights) --nmax
+
+The hashed parameters are the subcommand's flags other than --input,
+--out and --workers, so the hash covers exactly the values that can
+change the numbers.
+
+Exit codes: 0 success, 1 numerical failure (nothing written), 2 usage or
+input error, including an unreadable --input or an --out that cannot be
+made a directory.
 """
 
 from __future__ import annotations
@@ -45,21 +60,26 @@ def _make_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    # Each subcommand declares only the flags it reads, so a flag that
+    # could not change its output is a usage error, not an inert value
+    # in the config hash.
+    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help="graph description (JSON)")
-        p.add_argument("--kmin", type=float, default=None, help="lower k bound")
-        p.add_argument("--kmax", type=float, default=None, help="upper k bound")
+        p.add_argument("--out", default=".", help="output directory")
+        return p
+
+    def k_range(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--kmin", type=float, required=True, help="lower k bound")
+        p.add_argument("--kmax", type=float, required=True, help="upper k bound")
+
+    def nmax(p: argparse.ArgumentParser) -> None:
         p.add_argument("--nmax", type=int, default=6, help="orbit length cutoff")
-        p.add_argument(
-            "--phi-center", type=float, default=None, help="test-function center"
-        )
-        p.add_argument(
-            "--phi-sigma", type=float, default=None, help="test-function width"
-        )
+
+    def scan(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--tol", type=float, default=1e-9, help="root refinement tolerance"
         )
-        p.add_argument("--out", default=".", help="output directory")
         p.add_argument(
             "--workers",
             type=int,
@@ -73,14 +93,25 @@ def _make_parser() -> argparse.ArgumentParser:
             help="diagnostic mode: scan below the subunitarity threshold",
         )
 
-    for name, help_text in (
-        ("spectrum", "locate eigenvalues in [kmin, kmax]"),
-        ("trace-check", "trace-formula report for a Gaussian test function"),
-        ("secular-scan", "sweep the secular function over [kmin, kmax]"),
-        ("wkb-compare", "WKB vs integrated solutions at doubling k values"),
-        ("orbits", "enumerate periodic-orbit classes up to nmax"),
-    ):
-        common(sub.add_parser(name, help=help_text))
+    p = command("spectrum", "locate eigenvalues in [kmin, kmax]")
+    k_range(p)
+    scan(p)
+    p = command("trace-check", "trace-formula report for a Gaussian test function")
+    p.add_argument(
+        "--phi-center", type=float, required=True, help="test-function center"
+    )
+    p.add_argument(
+        "--phi-sigma", type=float, required=True, help="test-function width"
+    )
+    nmax(p)
+    scan(p)
+    k_range(command("secular-scan", "sweep the secular function over [kmin, kmax]"))
+    k_range(command("wkb-compare", "WKB vs integrated solutions at doubling k values"))
+    p = command("orbits", "enumerate periodic-orbit classes up to nmax")
+    p.add_argument(
+        "--kmin", type=float, default=1.0, help="sample k of the orbit weights"
+    )
+    nmax(p)
     return ap
 
 
@@ -90,17 +121,11 @@ def _make_parser() -> argparse.ArgumentParser:
 
 
 def _params(args: argparse.Namespace) -> Dict:
-    # Execution-infrastructure knobs (workers, output directory) do not
-    # change the numbers and stay out of the provenance hash.
-    return {
-        "kmin": args.kmin,
-        "kmax": args.kmax,
-        "nmax": args.nmax,
-        "phi_center": args.phi_center,
-        "phi_sigma": args.phi_sigma,
-        "tol": args.tol,
-        "allow_below_k": args.allow_below_k,
-    }
+    # The command's own flags, less the ones that do not change the
+    # numbers (input file, output directory, worker count): the input
+    # enters the hash by its sha256 instead.
+    skip = ("command", "input", "out", "workers")
+    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def _config_hash(command: str, input_sha: str, params: Dict) -> str:
@@ -138,8 +163,11 @@ def _write_json(path: str, payload: Dict) -> None:
 
 
 def _load(args: argparse.Namespace):
-    with open(args.input, "rb") as f:
-        raw = f.read()
+    try:
+        with open(args.input, "rb") as f:
+            raw = f.read()
+    except OSError as exc:
+        raise InputError(f"cannot read --input {args.input!r}: {exc.strerror or exc}")
     input_sha = hashlib.sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
@@ -167,12 +195,9 @@ def _meta_base(args, g, input_sha: str, params: Dict, cfg_hash: str) -> Dict:
     }
 
 
-def _require(args: argparse.Namespace, *names: str) -> None:
-    """The flags ``names`` must be given, and finite."""
+def _require_finite(args: argparse.Namespace, *names: str) -> None:
+    """The flags ``names`` must be finite."""
     flags = {n: "--" + n.replace("_", "-") for n in names}
-    missing = [f for n, f in flags.items() if getattr(args, n) is None]
-    if missing:
-        raise InputError(f"{args.command} requires {', '.join(missing)}")
     infinite = [f for n, f in flags.items() if not math.isfinite(getattr(args, n))]
     if infinite:
         raise InputError(f"{args.command} needs finite {', '.join(infinite)}")
@@ -192,7 +217,7 @@ def _scan_config(args) -> ScanConfig:
 
 
 def _cmd_spectrum(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
-    _require(args, "kmin", "kmax")
+    _require_finite(args, "kmin", "kmax")
     result = scan_spectrum(g, args.kmin, args.kmax, _scan_config(args))
     rows = [[r.k, r.multiplicity, r.residual] for r in result.roots]
     _write_csv(
@@ -247,13 +272,13 @@ _ORBIT_HEADER = [
 
 
 def _cmd_trace_check(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
-    _require(args, "phi_center", "phi_sigma")
+    _require_finite(args, "phi_center", "phi_sigma")
     if args.nmax < 0:
         raise InputError("--nmax must be >= 0")
     phi = TestFunction(args.phi_center, args.phi_sigma)
     report = trace_check(g, phi, args.nmax, scan_config=_scan_config(args))
     # The table's enumeration may exceed its budget; fail before writing.
-    orbits = enumerate_orbits(g, args.nmax, on_budget="error") if args.nmax >= 1 else []
+    orbits = enumerate_orbits(g, args.nmax) if args.nmax >= 1 else []
     payload = dict(meta)
     rep = dataclasses.asdict(report)
     # JSON schema of the report file: the test-function center is "k0"
@@ -275,7 +300,7 @@ def _cmd_trace_check(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
 
 
 def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
-    _require(args, "kmin", "kmax")
+    _require_finite(args, "kmin", "kmax")
     if args.kmin <= 0 or args.kmax <= args.kmin:
         raise InputError("secular-scan needs 0 < kmin < kmax")
     n = max(2, _grid_cells(g, args.kmin, args.kmax) + 1)
@@ -300,7 +325,7 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
 
 
 def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
-    _require(args, "kmin", "kmax")
+    _require_finite(args, "kmin", "kmax")
     if args.kmin <= 0 or args.kmax < args.kmin:
         raise InputError("wkb-compare needs 0 < kmin <= kmax")
     ks = []
@@ -348,7 +373,7 @@ def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
 def _cmd_orbits(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     if args.nmax < 1:
         raise InputError("--nmax must be >= 1 for orbit enumeration")
-    k_sample = args.kmin if args.kmin is not None else 1.0
+    k_sample = args.kmin
     if not 0 < k_sample < math.inf:
         raise InputError("--kmin (the sample k for weights) must be positive and finite")
     orbits = enumerate_orbits(g, args.nmax)
@@ -385,8 +410,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = _make_parser().parse_args(argv)
     started = time.perf_counter()
     try:
-        os.makedirs(args.out, exist_ok=True)
         g, input_sha, params, cfg_hash = _load(args)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create --out {args.out!r}: {exc.strerror or exc}")
         meta = _meta_base(args, g, input_sha, params, cfg_hash)
         report_path, payload = _DISPATCH[args.command](args, g, meta, cfg_hash)
         # Timing is one well-known key, which reproducibility comparisons
@@ -394,9 +422,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload["timing"] = {"wall_time_s": time.perf_counter() - started}
         _write_json(report_path, payload)
         return 0
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

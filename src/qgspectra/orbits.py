@@ -28,7 +28,6 @@ orbit table, orbit_sum_check and the WKB orbit data.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 import operator
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -37,11 +36,9 @@ import numpy as np
 
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError
-from .graph import AuxiliaryGraph, MetricGraph
+from .graph import MetricGraph
 from .scattering import _theta_prime, assemble_S, assemble_T, big_sigma, theta_prime
 from .spectrum import K_FLOOR, ScanConfig, scan_spectrum
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "PeriodicOrbit",
@@ -179,27 +176,19 @@ def _make_orbit(table, states: Sequence[int]) -> PeriodicOrbit:
     )
 
 
-def enumerate_orbits(
-    gs,
-    n_max: int,
-    budget: int = 5_000_000,
-    on_budget: str = "partial",
-) -> List[PeriodicOrbit]:
+# Partial paths one enumeration may expand: the class count grows
+# exponentially in n_max, so this bounds the time of a request too large.
+_PATH_BUDGET = 5_000_000
+
+
+def enumerate_orbits(g: MetricGraph, n_max: int) -> List[PeriodicOrbit]:
     """One representative per cyclic class of closed walks with <= n_max steps.
 
-    Accepts the graph or its midpoint-subdivided auxiliary form.  The
-    walk search expands at most `budget` partial paths; exceeding it
-    logs a warning and returns the classes found so far (shorter lengths
-    are then complete, the longest may not be), or raises if
-    on_budget="error".
+    The walk search expands at most _PATH_BUDGET partial paths; exceeding
+    it raises NumericalError, so a returned list is always complete.
     """
-    g = gs.parent if isinstance(gs, AuxiliaryGraph) else gs
-    if not isinstance(g, MetricGraph):
-        raise InputError("enumerate_orbits expects a graph or auxiliary graph")
     if n_max < 1:
         raise InputError("n_max must be >= 1")
-    if on_budget not in ("error", "partial"):
-        raise InputError("on_budget must be 'error' or 'partial'")
 
     n_states = 2 * len(g.edges)
     nbrs = _step_table(g)
@@ -213,7 +202,7 @@ def enumerate_orbits(
     # are deduplicated by the canonical rotation key.
     def walk(s0: int, path: List[int], n: int) -> None:
         counter["spent"] += 1
-        if counter["spent"] > budget:
+        if counter["spent"] > _PATH_BUDGET:
             raise _Budget()
         depth = len(path)
         for r, _ in nbrs[path[-1]]:
@@ -234,18 +223,9 @@ def enumerate_orbits(
             for s0 in range(n_states):
                 walk(s0, [s0], n)
     except _Budget:
-        if on_budget == "partial":
-            logger.warning(
-                "orbit enumeration exceeded its budget of %d path "
-                "expansions; returning the %d classes found so far",
-                budget,
-                len(orbits),
-            )
-            orbits.sort(key=lambda p: (p.n, p.key))
-            return orbits
         raise NumericalError(
-            f"orbit enumeration exceeded its budget of {budget} "
-            "path expansions; raise `budget` or lower n_max"
+            f"orbit enumeration exceeded its budget of {_PATH_BUDGET} "
+            "path expansions; lower n_max"
         )
     orbits.sort(key=lambda p: (p.n, p.key))
     return orbits
@@ -320,7 +300,7 @@ def orbit_sum_check(g: MetricGraph, k: float, n: int) -> float:
     """|sum over classes of n_primitive * prod tau  -  tr S^n| at real k."""
     if n < 1:
         raise InputError("n must be >= 1")
-    orbits = enumerate_orbits(g, n, on_budget="error")
+    orbits = enumerate_orbits(g, n)
     s = assemble_S(g, complex(k))
     rows = s.tolist()
     total = 0.0 + 0j
@@ -381,6 +361,14 @@ class TraceReport:
 
 
 _NODE_BLOCK = 64  # quadrature nodes assembled and multiplied at once
+_PANEL_NODES = 64  # Gauss-Legendre nodes per quadrature panel
+
+
+def _panel_width(g: MetricGraph, n_max: int) -> float:
+    """Quadrature panel width: at most 1, and at most four periods
+    2 pi / (n_max * l_max) of the fastest-oscillating orbit term."""
+    l_max = max(e.length for e in g.edges)
+    return min(1.0, 8.0 * math.pi / (max(n_max, 1) * l_max))
 
 
 def _gauss_panels(a: float, b: float, width: float, nodes: int):
@@ -401,8 +389,6 @@ def trace_check(
     g: MetricGraph,
     phi: TestFunction,
     n_max: int,
-    panel_nodes: int = 64,
-    panel_width: Optional[float] = None,
     scan_config: Optional[ScanConfig] = None,
 ) -> TraceReport:
     """Check the eigenvalue sum against the phase and orbit terms.
@@ -438,10 +424,8 @@ def trace_check(
         sum(r.multiplicity * float(phi(r.k)) for r in spec.roots)
     )
 
-    l_max = max(e.length for e in g.edges)
-    if panel_width is None:
-        panel_width = min(1.0, 8.0 * math.pi / (max(n_max, 1) * l_max))
-    ks, wts, n_panels = _gauss_panels(a, b, panel_width, panel_nodes)
+    panel_width = _panel_width(g, n_max)
+    ks, wts, n_panels = _gauss_panels(a, b, panel_width, _PANEL_NODES)
 
     # One T, T' per node gives the phase density and every orbit row:
     # orbit_terms[m] = Im tr(S^{m-1} S') is the amplitude sum over the
@@ -496,7 +480,7 @@ def trace_check(
             "k_lo": a,
             "k_hi": b,
             "panel_width": panel_width,
-            "panel_nodes": panel_nodes,
+            "panel_nodes": _PANEL_NODES,
             "n_panels": n_panels,
         },
         diagnostics=diagnostics,

@@ -40,7 +40,8 @@ serial scan of up to that many windows is one chunk; the cap keeps a
 refinement's stacks small on long ranges); a pool gets at least
 _CHUNKS_PER_WORKER chunks per worker, so that a worker that starts late
 or runs on a slowed CPU takes fewer of them instead of holding up the
-scan with a fixed half.
+scan with a fixed half.  The pool starts no more processes than there are
+chunks or CPUs; the partition itself depends on the worker count only.
 All brackets of a chunk are refined together by Chandrupatla's bracketing
 method (T. R. Chandrupatla, Adv. Eng. Softw. 28, 1997; ``_chandrupatla``,
 whose iterates are those of scipy's elementwise find_root), one stacked
@@ -66,6 +67,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
@@ -138,7 +140,8 @@ class ScanConfig:
     """Parameters controlling a spectrum scan.
 
     root_tol: bracket width at which sign-change refinement stops.
-    workers: number of scan processes; output does not depend on it.
+    workers: scan processes at most (no more than there are chunks of
+        windows or CPUs); output does not depend on it.
     allow_below_threshold: scan below the subunitarity threshold K
         (diagnostic mode; eigenvalue certificates are weaker there).
     """
@@ -214,12 +217,7 @@ def _arg_walk(
     )
 
 
-def multiplicity(
-    g: MetricGraph,
-    k0: float,
-    radius: float,
-    threshold: Optional[float] = None,
-) -> int:
+def multiplicity(g: MetricGraph, k0: float, radius: float) -> int:
     """Multiplicity of the eigenvalue at k0 by an argument-principle count.
 
     Above the threshold, det(I - S) is holomorphic near the contour and
@@ -233,7 +231,7 @@ def multiplicity(
     """
     if radius <= 0:
         raise InputError("winding radius must be positive")
-    kthr = subunitarity_threshold(g) if threshold is None else threshold
+    kthr = subunitarity_threshold(g)
     if k0 - radius <= kthr:
         raise InputError(
             f"winding contour requires k0 - radius > threshold K={kthr:.6g}"
@@ -620,8 +618,11 @@ def scan_spectrum(
         (g, step, cfg, windows[i * n // n_chunks : (i + 1) * n // n_chunks])
         for i in range(n_chunks)
     ]
-    if len(chunks) > 1 and cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # A pool forks all its processes at the first task, so it gets no more
+    # than there are chunks to take or CPUs to run them.
+    processes = min(cfg.workers, n_chunks, os.cpu_count() or 1)
+    if processes > 1:
+        with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_scan_chunk, chunks))
     else:
         parts = [_scan_chunk(chunk) for chunk in chunks]

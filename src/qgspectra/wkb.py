@@ -359,9 +359,10 @@ def semiclassical_trace_data(
     )
 
 
-def compare_with_exact(
-    g: MetricGraph, e: int, k: float, n_points: int = 513
-) -> Dict[str, float]:
+_COMPARE_POINTS = 513  # grid points on the edge for compare_with_exact
+
+
+def compare_with_exact(g: MetricGraph, e: int, k: float) -> Dict[str, float]:
     """Deviation of the WKB solutions from the integrated one on a grid.
 
     Two comparisons are reported.  "deviation"/"corrected_deviation"
@@ -372,7 +373,7 @@ def compare_with_exact(
     isolates the interior propagation error: the plain gap tracks
     sup |eta_1| and the corrected gap drops to the eta_2 scale.
     """
-    xs = np.linspace(0.0, g.edges[e].length, n_points)
+    xs = np.linspace(0.0, g.edges[e].length, _COMPARE_POINTS)
     exact = edge_profile(g, e, k, xs)
     w = _edge_wkb(g, e, k, 1)
     plain = _profile(w, xs, corrected=False)

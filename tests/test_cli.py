@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import qgspectra
-from qgspectra import cli
+from qgspectra import cli, orbits
 from qgspectra.errors import PhaseTrackingError
 from qgspectra.orbits import enumerate_orbits
 from qgspectra.scattering import secular
@@ -145,8 +145,11 @@ def test_spectrum_output_layout(tmp_path):
 def test_workers_default_to_one():
     # the ScanConfig default: no process pool unless --workers asks for one
     parser = cli._make_parser()
-    for command in ("spectrum", "trace-check", "secular-scan", "wkb-compare", "orbits"):
-        args = parser.parse_args([command, "--input", "graph.json"])
+    for argv in (
+        ["spectrum", "--kmin", "1", "--kmax", "2"],
+        ["trace-check", "--phi-center", "10", "--phi-sigma", "0.5"],
+    ):
+        args = parser.parse_args(argv + ["--input", "graph.json"])
         assert args.workers == ScanConfig().workers == 1
 
 
@@ -273,7 +276,7 @@ def test_wkb_compare_doubles_k(tmp_path):
 def test_orbit_table(tmp_path):
     inp = write_input(tmp_path, TRIANGLE)
     out = tmp_path / "orb"
-    proc = run_cli("orbits", "--input", str(inp), "--kmin", "3.0", "--kmax", "3.0", "--nmax", "4", "--out", str(out))
+    proc = run_cli("orbits", "--input", str(inp), "--kmin", "3.0", "--nmax", "4", "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     _, header, rows = read_csv(out / "orbit_table.csv")
     assert header == [
@@ -305,10 +308,7 @@ def test_orbit_table_solves_each_edge_once(tmp_path, solve_edge_calls):
 
 
 def test_trace_check_refuses_a_truncated_orbit_table(tmp_path, monkeypatch, capsys):
-    def small_budget(g, n_max, budget=5_000_000, on_budget="partial"):
-        return enumerate_orbits(g, n_max, budget=50, on_budget=on_budget)
-
-    monkeypatch.setattr(cli, "enumerate_orbits", small_budget)
+    monkeypatch.setattr(orbits, "_PATH_BUDGET", 50)
     inp = write_input(tmp_path, TRIANGLE)
     out = tmp_path / "tr"
     args = ["trace-check", "--input", str(inp), "--phi-center", "10", "--phi-sigma", "0.5", "--workers", "1", "--out", str(out)]
@@ -317,6 +317,19 @@ def test_trace_check_refuses_a_truncated_orbit_table(tmp_path, monkeypatch, caps
     assert list(out.iterdir()) == []
     assert cli.main(args + ["--nmax", "3"]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["orbit_table.csv", "trace_report.json"]
+
+
+def test_orbits_refuses_a_truncated_table(tmp_path, monkeypatch, capsys):
+    # the table holds every class up to --nmax, or the command fails
+    monkeypatch.setattr(orbits, "_PATH_BUDGET", 50)
+    inp = write_input(tmp_path, TRIANGLE)
+    out = tmp_path / "orb"
+    args = ["orbits", "--input", str(inp), "--out", str(out)]
+    assert cli.main(args + ["--nmax", "12"]) == 1
+    assert "exceeded its budget" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+    assert cli.main(args + ["--nmax", "3"]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["meta.json", "orbit_table.csv"]
 
 
 def test_trace_check_report(tmp_path):
@@ -372,52 +385,63 @@ def test_below_threshold_flag(tmp_path):
     assert any("weaker" in d for d in meta["diagnostics"])
 
 
-# (command, flag, value) of non-finite k flags.  wkb-compare --kmax inf is
-# left out on purpose: without the check its k-doubling loop never ends.
-NON_FINITE = {
-    "secular-kmin-nan": ("secular-scan", "--kmin", "nan"),
-    "secular-kmax-inf": ("secular-scan", "--kmax", "inf"),
-    "spectrum-kmax-nan": ("spectrum", "--kmax", "nan"),
-    "wkb-kmin-nan": ("wkb-compare", "--kmin", "nan"),
-    "orbits-kmin-nan": ("orbits", "--kmin", "nan"),
-    "orbits-kmin-inf": ("orbits", "--kmin", "inf"),
+# argv after --input and --out, and the expected part of the error message,
+# of usage errors on a well-formed input file
+USAGE_ERRORS = {
+    "missing-phi": (["trace-check", "--phi-sigma", "0.5"], "required: --phi-center"),
+    # flags the command does not read
+    "spectrum-nmax": (["spectrum", "--kmin", "1", "--kmax", "2", "--nmax", "2"], "unrecognized arguments: --nmax"),
+    "secular-tol": (["secular-scan", "--kmin", "1", "--kmax", "2", "--tol", "1e-3"], "unrecognized arguments: --tol"),
+    "orbits-kmax": (["orbits", "--kmin", "1", "--kmax", "3"], "unrecognized arguments: --kmax"),
+    # non-finite k flags.  wkb-compare --kmax inf is left out on purpose:
+    # without the check its k-doubling loop never ends.
+    "secular-kmin-nan": (["secular-scan", "--kmin", "nan", "--kmax", "2"], "needs finite --kmin"),
+    "secular-kmax-inf": (["secular-scan", "--kmin", "1", "--kmax", "inf"], "needs finite --kmax"),
+    "spectrum-kmax-nan": (["spectrum", "--kmin", "1", "--kmax", "nan"], "needs finite --kmax"),
+    "wkb-kmin-nan": (["wkb-compare", "--kmin", "nan", "--kmax", "2"], "needs finite --kmin"),
+    "orbits-kmin-nan": (["orbits", "--kmin", "nan", "--nmax", "2"], "must be positive and finite"),
+    "orbits-kmin-inf": (["orbits", "--kmin", "inf", "--nmax", "2"], "must be positive and finite"),
+    # ranges whose scan grid would exceed spectrum.MAX_GRID_POINTS
+    "spectrum-kmax-1e300": (["spectrum", "--kmin", "1", "--kmax", "1e300"], "grid points; at most"),
+    "secular-kmax-1e9": (["secular-scan", "--kmin", "1", "--kmax", "1e9"], "grid points; at most"),
 }
-# ranges whose scan grid would exceed spectrum.MAX_GRID_POINTS
-TOO_MANY_POINTS = {
-    "spectrum-kmax-1e300": ("spectrum", "--kmax", "1e300"),
-    "secular-kmax-1e9": ("secular-scan", "--kmax", "1e9"),
-}
+SPECTRUM = ["spectrum", "--kmin", "1", "--kmax", "2"]
 
 
 @pytest.mark.parametrize(
     "case",
-    ["missing-file", "malformed-json", "self-loop", "missing-phi", *NON_FINITE, *TOO_MANY_POINTS],
+    ["missing-file", "input-directory", "out-file", "malformed-json", "self-loop", *USAGE_ERRORS],
 )
 def test_usage_errors_exit_two(tmp_path, case):
+    inp, out = write_input(tmp_path, INTERVAL), tmp_path / "o"
     if case == "missing-file":
-        args = ["spectrum", "--input", str(tmp_path / "nope.json"), "--kmin", "1", "--kmax", "2", "--out", str(tmp_path / "o")]
+        inp, argv, message = tmp_path / "nope.json", SPECTRUM, "cannot read --input"
+    elif case == "input-directory":
+        inp, argv, message = tmp_path, SPECTRUM, "cannot read --input"
+    elif case == "out-file":
+        out.write_text("")
+        argv, message = SPECTRUM, "cannot create --out"
     elif case == "malformed-json":
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        args = ["spectrum", "--input", str(bad), "--kmin", "1", "--kmax", "2", "--out", str(tmp_path / "o")]
+        inp.write_text("{not json")
+        argv, message = SPECTRUM, "malformed JSON input"
     elif case == "self-loop":
-        loop = write_input(tmp_path, SELF_LOOP, "loop.json")
-        args = ["spectrum", "--input", str(loop), "--kmin", "1", "--kmax", "2", "--out", str(tmp_path / "o")]
-    elif case == "missing-phi":
-        inp = write_input(tmp_path, INTERVAL)
-        args = ["trace-check", "--input", str(inp), "--out", str(tmp_path / "o")]
+        inp = write_input(tmp_path, SELF_LOOP, "loop.json")
+        argv, message = SPECTRUM, "self-loop"
     else:
-        command, flag, value = {**NON_FINITE, **TOO_MANY_POINTS}[case]
-        inp = write_input(tmp_path, INTERVAL)
-        bounds = {"--kmin": "1", "--kmax": "2", flag: value}
-        args = [command, "--input", str(inp), "--out", str(tmp_path / "o"), "--nmax", "2"]
-        args += [a for item in bounds.items() for a in item]
-    proc = run_cli(*args)
+        argv, message = USAGE_ERRORS[case]
+    proc = run_cli(*argv, "--input", str(inp), "--out", str(out))
     assert proc.returncode == 2
-    assert "error" in proc.stderr.lower()
+    lines = proc.stderr.splitlines()
+    assert "error: " in lines[-1] and message in lines[-1]
+    if not message.startswith(("unrecognized", "required")):
+        assert len(lines) == 1  # the program's own message, not a usage text
     assert "Traceback" not in proc.stderr
-    out = tmp_path / "o"
-    assert not (out.exists() and any(out.iterdir()))
+    if case == "out-file":
+        assert out.read_text() == ""
+    elif case in ("missing-file", "input-directory", "malformed-json", "self-loop"):
+        assert not out.exists()  # the input is read before --out is made
+    else:
+        assert not (out.exists() and any(out.iterdir()))
 
 
 def test_numerical_failure_exits_one(tmp_path):

@@ -1,7 +1,6 @@
 """Periodic-orbit enumeration, weights, and the length-spectrum identity."""
 from __future__ import annotations
 
-import logging
 import math
 
 import numpy as np
@@ -131,7 +130,7 @@ def test_amplitude_sums_equal_matrix_traces(request, fixture_name):
     k = 7.3
     T, dT = assemble_T(g, k, want_dk=True)
     S, dS = big_sigma(g) @ T, big_sigma(g) @ dT
-    orbits = enumerate_orbits(g, 5, on_budget="error")
+    orbits = enumerate_orbits(g, 5)
     for n in range(1, 6):
         total = sum(orbit_amplitude(p, g, k) for p in orbits if p.n == n)
         expected = np.trace(np.linalg.matrix_power(S, n - 1) @ dS).imag
@@ -251,14 +250,7 @@ def test_delay_correction_for_point_interaction():
         assert wigner_delay(g, k) == pytest.approx(expected, abs=1e-10)
 
 
-def test_enumeration_budget_partial_result(g_triangle, caplog):
-    with caplog.at_level(logging.WARNING, logger="qgspectra.orbits"):
-        partial = enumerate_orbits(g_triangle, 12, budget=50)
-    assert "exceeded its budget" in caplog.text
-    assert partial  # shorter lengths were already complete
-    assert all(a.n <= b.n for a, b in zip(partial, partial[1:]))
-
-
-def test_enumeration_budget_error_mode(g_triangle):
+def test_enumeration_budget_error_mode(g_triangle, monkeypatch):
+    monkeypatch.setattr(orbits_module, "_PATH_BUDGET", 50)
     with pytest.raises(NumericalError, match="exceeded its budget"):
-        enumerate_orbits(g_triangle, 12, budget=50, on_budget="error")
+        enumerate_orbits(g_triangle, 12)

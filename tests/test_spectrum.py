@@ -220,14 +220,17 @@ def test_serial_scan_refines_every_window_at_once(monkeypatch):
     assert calls[0] <= len(res.roots)
 
 
-def test_pool_gets_several_chunks_per_worker(monkeypatch):
-    # a pool balances its chunks between the workers only if there are more
-    # chunks than workers: the six windows of [0.5, 30] go out one by one
-    sizes = []
+@pytest.fixture
+def pool_chunks(monkeypatch):
+    """Stand-in for the process pool that runs in this process on a host
+    of eight CPUs.  Returns the list that records, per pool started, its
+    max_workers and the window counts of the chunks given to it; the
+    host's CPU count can be set through monkeypatch."""
+    pools = []
 
     class Pool:
         def __init__(self, max_workers):
-            assert max_workers == 2
+            pools.append((max_workers, []))
 
         def __enter__(self):
             return self
@@ -237,12 +240,42 @@ def test_pool_gets_several_chunks_per_worker(monkeypatch):
 
         def map(self, f, chunks):
             chunks = list(chunks)
-            sizes.extend(len(c[3]) for c in chunks)
+            pools[-1][1].extend(len(c[3]) for c in chunks)
             return [f(c) for c in chunks]
 
     monkeypatch.setattr(spectrum, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(spectrum.os, "cpu_count", lambda: 8)
+    return pools
+
+
+def test_pool_gets_several_chunks_per_worker(pool_chunks):
+    # a pool balances its chunks between the workers only if there are more
+    # chunks than workers: the six windows of [0.5, 30] go out one by one
     g = random_delta_star(1)
     res = scan_spectrum(g, 0.5, 30.0, ScanConfig(workers=2))
+    assert pool_chunks == [(2, [1] * 6)]
+    assert res.roots == scan_spectrum(g, 0.5, 30.0).roots
+
+
+@pytest.mark.parametrize("cpus, started", [(8, 6), (3, 3), (None, None)])
+def test_pool_starts_no_more_processes_than_chunks_or_cpus(
+    pool_chunks, monkeypatch, cpus, started
+):
+    # a pool forks all its processes at the first task, so 5000 workers on
+    # the six one-window chunks of [0.5, 30] start one per chunk or per
+    # CPU; with one CPU (or an unknown count) the chunks run in this
+    # process.  The chunks stay those of 5000 workers either way.
+    monkeypatch.setattr(spectrum.os, "cpu_count", lambda: cpus)
+    sizes, scan_chunk = [], spectrum._scan_chunk
+
+    def seen(chunk):
+        sizes.append(len(chunk[3]))
+        return scan_chunk(chunk)
+
+    monkeypatch.setattr(spectrum, "_scan_chunk", seen)
+    g = random_delta_star(1)
+    res = scan_spectrum(g, 0.5, 30.0, ScanConfig(workers=5000))
+    assert pool_chunks == ([] if started is None else [(started, [1] * 6)])
     assert sizes == [1] * 6
     assert res.roots == scan_spectrum(g, 0.5, 30.0).roots
 
