@@ -36,7 +36,7 @@ from .fd import (
     fd_spectrum,
     kirchhoff_defect,
 )
-from .graph import AuxiliaryGraph, Edge, MetricGraph, auxiliary_graph, build_graph
+from .graph import Edge, MetricGraph, build_graph
 from .orbits import (
     PeriodicOrbit,
     TestFunction,
@@ -81,7 +81,6 @@ from .wkb import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryGraph",
     "DiscretizedGraph",
     "Edge",
     "EdgeSolution",
@@ -109,7 +108,6 @@ __all__ = [
     "WkbEdgeData",
     "assemble_S",
     "assemble_T",
-    "auxiliary_graph",
     "big_sigma",
     "build_discretization",
     "build_graph",

@@ -328,6 +328,8 @@ def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _require_finite(args, "kmin", "kmax")
     if args.kmin <= 0 or args.kmax < args.kmin:
         raise InputError("wkb-compare needs 0 < kmin <= kmax")
+    if not math.isfinite(args.kmax * args.kmax):
+        raise InputError(f"wkb-compare needs --kmax whose square is finite, not {args.kmax:g}")
     ks = []
     k = args.kmin
     while k <= args.kmax * (1 + 1e-12):

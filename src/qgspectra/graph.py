@@ -1,5 +1,4 @@
-"""Metric graphs with directed-edge indexing, and the midpoint-subdivided
-auxiliary graph on which periodic orbits live.
+"""Metric graphs with directed-edge indexing.
 
 Edge e owns two directed edges: 2e runs from->to, 2e+1 runs to->from, so
 reversal is XOR with 1.  iota(d) is the vertex d leaves from, tau(d) the
@@ -16,7 +15,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import GraphError
 from .potential import Potential, orient
 
-__all__ = ["Edge", "MetricGraph", "AuxiliaryGraph", "build_graph", "auxiliary_graph"]
+__all__ = ["Edge", "MetricGraph", "build_graph"]
 
 logger = logging.getLogger(__name__)
 
@@ -81,35 +80,6 @@ class MetricGraph:
 
     def delta_strengths(self) -> List[float]:
         return [e.potential.strength for e in self.edges if e.potential.kind == "delta"]
-
-    def has_kind(self, *kinds: str) -> bool:
-        return any(e.potential.kind in kinds for e in self.edges)
-
-
-@dataclasses.dataclass(frozen=True)
-class AuxiliaryGraph:
-    """The parent graph with one midpoint vertex inserted per edge.
-
-    Bipartite by construction: every subdivided edge joins an original vertex
-    to a midpoint vertex.
-    """
-
-    parent: MetricGraph
-    nodes: Tuple[str, ...]
-    links: Tuple[Tuple[str, str], ...]
-    color: Dict[str, int]  # 0 = original vertex, 1 = midpoint
-    midpoint_edge: Dict[str, int]  # midpoint node -> parent edge index
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def num_links(self) -> int:
-        return len(self.links)
-
-    def is_bipartite(self) -> bool:
-        return all(self.color[a] != self.color[b] for a, b in self.links)
 
 
 def build_graph(data: dict) -> MetricGraph:
@@ -187,18 +157,3 @@ def _warn_on_vertex_discontinuity(g: MetricGraph) -> None:
                 max(vals) - min(vals),
             )
 
-
-def auxiliary_graph(g: MetricGraph) -> AuxiliaryGraph:
-    """Insert a degree-2 midpoint vertex on every edge."""
-    nodes = [f"v:{v}" for v in g.vertices]
-    color = {n: 0 for n in nodes}
-    links: List[Tuple[str, str]] = []
-    midpoint_edge: Dict[str, int] = {}
-    for e in g.edges:
-        m = f"m:{e.eid}"
-        nodes.append(m)
-        color[m] = 1
-        midpoint_edge[m] = e.index
-        links.append((f"v:{e.u}", m))
-        links.append((m, f"v:{e.v}"))
-    return AuxiliaryGraph(g, tuple(nodes), tuple(links), color, midpoint_edge)

@@ -22,7 +22,10 @@ integrates Gaussian test functions against the phase derivative (Weyl
 term) and takes its orbit term, (1/pi) integral of phi times
 sum_{n <= N} Im tr(S^{n-1} S'), from those matrix traces, so its cutoff
 N is not bounded by the enumeration budget.  Enumeration serves the
-orbit table, orbit_sum_check and the WKB orbit data.
+orbit table, orbit_sum_check and the WKB orbit data.  It is one
+depth-first walk per least state, over every length up to n_max at
+once, on an explicit stack (no recursion), and it stops with
+NumericalError after _PATH_BUDGET partial paths.
 """
 
 from __future__ import annotations
@@ -116,33 +119,26 @@ class PeriodicOrbit:
         if self.repetitions == 1:
             return self
         m = self.n_primitive
-        return PeriodicOrbit(
-            states=self.states[:m],
-            kinds=self.kinds[:m],
-            n=m,
-            n_primitive=m,
-            repetitions=1,
-            key=_min_rotation(self.states[:m]),
-        )
+        return _orbit(self.states[:m], self.kinds[:m], _min_rotation(self.states[:m]))
 
 
 def _min_rotation(seq: Tuple[int, ...]) -> Tuple[int, ...]:
-    n = len(seq)
-    return min(tuple(seq[i:] + seq[:i]) for i in range(n))
+    """Least rotation of seq; only a rotation starting at its least
+    element can be it."""
+    m = min(seq)
+    return min(seq[i:] + seq[:i] for i, s in enumerate(seq) if s == m)
 
 
 def _primitive_period(seq: Tuple[int, ...]) -> int:
     n = len(seq)
-    for d in range(1, n + 1):
-        if n % d == 0 and all(seq[i] == seq[(i + d) % n] for i in range(n)):
-            return d
-    return n
+    return next(d for d in range(1, n + 1) if n % d == 0 and seq[:d] * (n // d) == seq)
 
 
 def make_orbit(g: MetricGraph, states: Sequence[int]) -> PeriodicOrbit:
     """Build (and validate) the orbit class through the given state cycle;
     a state is a directed edge, an integer 0 ... 2E - 1."""
     table = _step_table(g)
+    cycle = []
     for s in states:
         try:
             i = operator.index(s)
@@ -150,30 +146,26 @@ def make_orbit(g: MetricGraph, states: Sequence[int]) -> PeriodicOrbit:
             raise InputError(f"orbit state {s!r} is not an integer") from None
         if not 0 <= i < len(table):
             raise InputError(f"orbit state {i} is outside 0 ... {len(table) - 1}")
-    return _make_orbit(table, states)
-
-
-def _make_orbit(table, states: Sequence[int]) -> PeriodicOrbit:
-    states = tuple(int(s) for s in states)
-    n = len(states)
-    if n == 0:
+        cycle.append(i)
+    if not cycle:
         raise InputError("an orbit needs at least one step")
     kinds = []
-    for i, s in enumerate(states):
-        r = states[(i + 1) % n]
+    for s, r in zip(cycle, cycle[1:] + cycle[:1]):
         match = [kind for (t, kind) in table[s] if t == r]
         if not match:
             raise InputError(f"inadmissible step {s} -> {r}")
         kinds.append(match[0])
-    np_ = _primitive_period(states)
-    return PeriodicOrbit(
-        states=states,
-        kinds=tuple(kinds),
-        n=n,
-        n_primitive=np_,
-        repetitions=n // np_,
-        key=_min_rotation(states),
-    )
+    return _orbit(tuple(cycle), tuple(kinds), _min_rotation(tuple(cycle)))
+
+
+def _orbit(
+    states: Tuple[int, ...], kinds: Tuple[str, ...], key: Tuple[int, ...]
+) -> PeriodicOrbit:
+    """The class through the state cycle ``states`` with step kinds
+    ``kinds`` and least rotation ``key``, all already checked."""
+    n = len(states)
+    n_primitive = _primitive_period(states)
+    return PeriodicOrbit(states, kinds, n, n_primitive, n // n_primitive, key)
 
 
 # Partial paths one enumeration may expand: the class count grows
@@ -184,55 +176,51 @@ _PATH_BUDGET = 5_000_000
 def enumerate_orbits(g: MetricGraph, n_max: int) -> List[PeriodicOrbit]:
     """One representative per cyclic class of closed walks with <= n_max steps.
 
-    The walk search expands at most _PATH_BUDGET partial paths; exceeding
-    it raises NumericalError, so a returned list is always complete.
+    One depth-first walk from each state s0 covers every length at once:
+    it extends paths whose states never drop below s0 and records each
+    step back into s0 as a closed walk.  A class is thus met only from
+    its least state; the first rotation met represents it and later ones
+    are dropped by their least rotation (key).  The walk expands at most
+    _PATH_BUDGET partial paths; exceeding it raises NumericalError, so a
+    returned list is always complete.
     """
     if n_max < 1:
         raise InputError("n_max must be >= 1")
 
-    n_states = 2 * len(g.edges)
-    nbrs = _step_table(g)
+    table = _step_table(g)
     orbits: List[PeriodicOrbit] = []
     seen: set = set()
-    counter = {"spent": 0}
-
-    # DFS over walks s0 -> ... -> s0 of length n whose interior states
-    # never drop below s0: each cyclic class is found only from its
-    # minimal state, and walks revisiting that minimal state mid-cycle
-    # are deduplicated by the canonical rotation key.
-    def walk(s0: int, path: List[int], n: int) -> None:
-        counter["spent"] += 1
-        if counter["spent"] > _PATH_BUDGET:
-            raise _Budget()
-        depth = len(path)
-        for r, _ in nbrs[path[-1]]:
-            if depth < n:
-                if r >= s0:
-                    path.append(r)
-                    walk(s0, path, n)
-                    path.pop()
-            elif r == s0:
-                states = tuple(path)
-                key = _min_rotation(states)
-                if key not in seen:
-                    seen.add(key)
-                    orbits.append(_make_orbit(nbrs, states))
-
-    try:
-        for n in range(1, n_max + 1):
-            for s0 in range(n_states):
-                walk(s0, [s0], n)
-    except _Budget:
-        raise NumericalError(
-            f"orbit enumeration exceeded its budget of {_PATH_BUDGET} "
-            "path expansions; lower n_max"
-        )
+    spent = 0
+    for s0 in range(len(table)):
+        # states[i] -> states[i + 1] is a step of kind kinds[i + 1];
+        # steps[i] iterates the steps out of states[i] not yet taken
+        states, kinds, steps = [s0], [""], [iter(table[s0])]
+        while steps:
+            for r, kind in steps[-1]:
+                if r == s0:
+                    cycle = tuple(states)
+                    key = _min_rotation(cycle)
+                    if key not in seen:
+                        seen.add(key)
+                        orbits.append(_orbit(cycle, (*kinds[1:], kind), key))
+                if r >= s0 and len(states) < n_max:
+                    states.append(r)
+                    kinds.append(kind)
+                    steps.append(iter(table[r]))
+                    break
+            else:
+                # every step out of the path's last state is taken
+                spent += 1
+                if spent > _PATH_BUDGET:
+                    raise NumericalError(
+                        f"orbit enumeration exceeded its budget of {_PATH_BUDGET} "
+                        "path expansions; lower n_max"
+                    )
+                states.pop()
+                kinds.pop()
+                steps.pop()
     orbits.sort(key=lambda p: (p.n, p.key))
     return orbits
-
-
-class _Budget(Exception):
-    pass
 
 
 # ---------------------------------------------------------------------------

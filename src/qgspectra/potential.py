@@ -27,7 +27,6 @@ __all__ = [
     "ExpressionTree",
     "Potential",
     "parse_expression",
-    "eval_oriented",
     "orient",
 ]
 
@@ -39,7 +38,7 @@ _FUNCTIONS = {
     "abs": np.abs,
 }
 
-_NORM_SAMPLES = 4096
+_DENSE_SAMPLES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +299,26 @@ def _tokenize(src: str):
     return tokens
 
 
+# Deepest parse tree accepted.  Each operator, parenthesis pair and
+# function call is one level; evaluating, differentiating and printing a
+# tree recurse once per level, so this keeps them far from the
+# interpreter's recursion limit.
+MAX_EXPRESSION_DEPTH = 100
+
+_Parsed = Tuple[ExpressionTree, int]  # a parsed subtree and its height
+
+
 class _Parser:
+    """Recursive descent.  Each rule returns (tree, height), the number of
+    levels in the tree it parsed; ``level`` counts the levels open around
+    the current token, so level + height bounds the depth of the finished
+    tree from below."""
+
     def __init__(self, src: str):
         self.src = src
         self.tokens = _tokenize(src)
         self.pos = 0
+        self.level = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -320,41 +334,64 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}", at)
         return self.next()
 
+    def check_depth(self, height: int) -> None:
+        if self.level + height > MAX_EXPRESSION_DEPTH:
+            raise ExpressionError(
+                f"expression nests deeper than {MAX_EXPRESSION_DEPTH} levels",
+                self.peek()[2],
+            )
+
+    def nested(self, rule: Callable[[], _Parsed]) -> _Parsed:
+        """Parse ``rule`` below one more level, the caller's node, refusing
+        before the recursion passes MAX_EXPRESSION_DEPTH."""
+        self.level += 1
+        self.check_depth(0)
+        parsed = rule()
+        self.level -= 1
+        return parsed
+
+    def binop(self, op: str, lhs: _Parsed, rhs: _Parsed) -> _Parsed:
+        (a, ha), (b, hb) = lhs, rhs
+        height = 1 + max(ha, hb)
+        self.check_depth(height)
+        return BinOp(op, a, b), height
+
     def parse(self) -> ExpressionTree:
-        tree = self.expr()
+        tree, _ = self.expr()
         kind, val, at = self.peek()
         if kind != "end":
             raise ExpressionError(f"unexpected trailing input {val!r}", at)
         return tree
 
-    def expr(self) -> ExpressionTree:
+    def expr(self) -> _Parsed:
         node = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.next()
-                node = BinOp(val, node, self.term())
+                node = self.binop(val, node, self.term())
             else:
                 return node
 
-    def term(self) -> ExpressionTree:
+    def term(self) -> _Parsed:
         node = self.unary()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.next()
-                node = BinOp(val, node, self.unary())
+                node = self.binop(val, node, self.unary())
             else:
                 return node
 
-    def unary(self) -> ExpressionTree:
+    def unary(self) -> _Parsed:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.next()
-            return Neg(self.unary())
+            child, height = self.nested(self.unary)
+            return Neg(child), height + 1
         return self.power()
 
-    def power(self) -> ExpressionTree:
+    def power(self) -> _Parsed:
         node = self.base()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
@@ -362,33 +399,34 @@ class _Parser:
             # exponent re-enters at the unary level: ^ binds above unary
             # minus on its left but admits a signed exponent, and chains
             # right-associatively.
-            return BinOp("^", node, self.unary())
+            return self.binop("^", node, self.nested(self.unary))
         return node
 
-    def base(self) -> ExpressionTree:
+    def base(self) -> _Parsed:
         kind, val, at = self.next()
         if kind == "num":
-            return Num(val)
+            return Num(val), 0
         if kind == "id":
             if val == "x":
-                return Var()
+                return Var(), 0
             if val == "pi":
-                return Pi()
+                return Pi(), 0
             if val in _FUNCTIONS:
                 self.expect_op("(")
-                arg = self.expr()
+                arg, height = self.nested(self.expr)
                 self.expect_op(")")
-                return Func(val, arg)
+                return Func(val, arg), height + 1
             raise ExpressionError(f"unknown identifier {val!r}", at)
         if kind == "op" and val == "(":
-            node = self.expr()
+            node, height = self.nested(self.expr)
             self.expect_op(")")
-            return node
+            return node, height + 1
         raise ExpressionError("expected expression", at)
 
 
 def parse_expression(src: str) -> ExpressionTree:
-    """Parse an arithmetic expression in x into an immutable tree."""
+    """Parse an arithmetic expression in x into an immutable tree; a tree
+    deeper than MAX_EXPRESSION_DEPTH levels raises ExpressionError."""
     return _Parser(src).parse()
 
 
@@ -463,19 +501,6 @@ class Potential:
                 raise InputError("expr potential requires an 'expr' field")
         raise InputError(f"unknown potential type {kind!r}")
 
-    def to_dict(self) -> dict:
-        if self.kind == "zero":
-            return {"type": "zero"}
-        if self.kind == "constant":
-            return {"type": "constant", "value": self.value}
-        if self.kind == "delta":
-            return {
-                "type": "delta",
-                "strength": self.strength,
-                "position": self.position,
-            }
-        return {"type": "expr", "expr": self.source}
-
     # -- pointwise access ---------------------------------------------------
 
     def callable(self, length: float) -> Callable:
@@ -493,14 +518,13 @@ class Potential:
             return lambda x: np.full_like(np.asarray(x, dtype=float), c)
         return lambda x, _t=self.tree: eval_array(_t, np.asarray(x, dtype=float))
 
-    def _samples(self, length: float, what: str) -> Tuple[np.ndarray, np.ndarray]:
-        """(xs, w(xs)) on _NORM_SAMPLES evenly spaced points of [0, length],
-        the dense sampling behind the norms and the finiteness check;
-        ``what`` names the quantity a delta potential does not have."""
+    def _samples(self, length: float, what: str) -> np.ndarray:
+        """w on _DENSE_SAMPLES evenly spaced points of [0, length], the
+        dense sampling behind max_value and the finiteness check; ``what``
+        names the quantity a delta potential does not have."""
         if self.kind == "delta":
             raise InputError(f"{what} is undefined for a delta potential")
-        xs = np.linspace(0.0, length, _NORM_SAMPLES)
-        return xs, self.callable(length)(xs)
+        return self.callable(length)(np.linspace(0.0, length, _DENSE_SAMPLES))
 
     def validate_for_length(self, length: float) -> None:
         if self.kind == "delta" and self.position > length:
@@ -508,15 +532,12 @@ class Potential:
                 f"delta position {self.position} exceeds edge length {length}"
             )
         if self.kind == "smooth":
-            if not np.all(np.isfinite(self._samples(length, "")[1])):
+            if not np.all(np.isfinite(self._samples(length, ""))):
                 raise InputError(
                     f"potential {self.source!r} is not finite on [0, {length}]"
                 )
 
-    # -- norms (dense sampling; used by threshold heuristics) ---------------
-
-    def sup_norm(self, length: float) -> float:
-        return float(np.max(np.abs(self._samples(length, "sup norm")[1])))
+    # -- maxima (dense sampling; used by threshold heuristics) --------------
 
     def sup_plus(self, length: float) -> float:
         """sup of the positive part, the classical barrier height."""
@@ -526,13 +547,7 @@ class Potential:
 
     def max_value(self, length: float) -> float:
         """Largest (signed) value of w on [0, length]."""
-        return float(np.max(self._samples(length, "pointwise maximum")[1]))
-
-    def l2_norm(self, length: float) -> float:
-        if self.kind in ("zero", "constant"):
-            return abs(self.value) * math.sqrt(length)
-        xs, vals = self._samples(length, "L2 norm")
-        return float(math.sqrt(np.trapezoid(vals**2, xs)))
+        return float(np.max(self._samples(length, "pointwise maximum")))
 
 
 def orient(pot: Potential, reverse: bool, length: float) -> Potential:
@@ -545,14 +560,3 @@ def orient(pot: Potential, reverse: bool, length: float) -> Potential:
         return Potential.smooth(substitute_reversed(pot.tree, length))
     return pot
 
-
-def eval_oriented(pot: Potential, reverse: bool, x: float, length: float) -> float:
-    """Pointwise value of the oriented potential; deltas are not evaluable."""
-    if not 0 <= x <= length:
-        raise InputError(f"x={x} outside [0, {length}]")
-    if pot.kind == "delta":
-        raise InputError(
-            "a delta potential has no pointwise values; use the analytic "
-            "edge solution instead"
-        )
-    return float(orient(pot, reverse, length).callable(length)(x))

@@ -61,6 +61,8 @@ def _momentum(g: MetricGraph, e: int, k: float):
         raise InputError(
             "WKB asymptotics are undefined across a point interaction"
         )
+    if not math.isfinite(k * k):
+        raise InputError(f"k = {k:.6g} has no finite k^2")
     top = pot.max_value(L)
     if k * k <= top + _MARGIN:
         raise TurningPointError(

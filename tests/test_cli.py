@@ -308,7 +308,7 @@ def test_orbit_table_solves_each_edge_once(tmp_path, solve_edge_calls):
 
 
 def test_trace_check_refuses_a_truncated_orbit_table(tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(orbits, "_PATH_BUDGET", 50)
+    monkeypatch.setattr(orbits, "_PATH_BUDGET", 20)
     inp = write_input(tmp_path, TRIANGLE)
     out = tmp_path / "tr"
     args = ["trace-check", "--input", str(inp), "--phi-center", "10", "--phi-sigma", "0.5", "--workers", "1", "--out", str(out)]
@@ -321,7 +321,7 @@ def test_trace_check_refuses_a_truncated_orbit_table(tmp_path, monkeypatch, caps
 
 def test_orbits_refuses_a_truncated_table(tmp_path, monkeypatch, capsys):
     # the table holds every class up to --nmax, or the command fails
-    monkeypatch.setattr(orbits, "_PATH_BUDGET", 50)
+    monkeypatch.setattr(orbits, "_PATH_BUDGET", 20)
     inp = write_input(tmp_path, TRIANGLE)
     out = tmp_path / "orb"
     args = ["orbits", "--input", str(inp), "--out", str(out)]
@@ -330,6 +330,16 @@ def test_orbits_refuses_a_truncated_table(tmp_path, monkeypatch, capsys):
     assert list(out.iterdir()) == []
     assert cli.main(args + ["--nmax", "3"]) == 0
     assert sorted(p.name for p in out.iterdir()) == ["meta.json", "orbit_table.csv"]
+
+
+def test_orbits_walks_long_cycles(tmp_path):
+    # the enumeration holds no interpreter frame per step
+    inp = write_input(tmp_path, TRIANGLE)
+    out = tmp_path / "orb"
+    proc = run_cli("orbits", "--input", str(inp), "--nmax", "1200", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    _, _, rows = read_csv(out / "orbit_table.csv")
+    assert len(rows) == 800
 
 
 def test_trace_check_report(tmp_path):
@@ -404,13 +414,15 @@ USAGE_ERRORS = {
     # ranges whose scan grid would exceed spectrum.MAX_GRID_POINTS
     "spectrum-kmax-1e300": (["spectrum", "--kmin", "1", "--kmax", "1e300"], "grid points; at most"),
     "secular-kmax-1e9": (["secular-scan", "--kmin", "1", "--kmax", "1e9"], "grid points; at most"),
+    # k^2 overflows: refused before the first k is worked on
+    "wkb-kmax-1e300": (["wkb-compare", "--kmin", "2", "--kmax", "1e300"], "whose square is finite"),
 }
 SPECTRUM = ["spectrum", "--kmin", "1", "--kmax", "2"]
 
 
 @pytest.mark.parametrize(
     "case",
-    ["missing-file", "input-directory", "out-file", "malformed-json", "self-loop", *USAGE_ERRORS],
+    ["missing-file", "input-directory", "out-file", "malformed-json", "self-loop", "deep-expression", *USAGE_ERRORS],
 )
 def test_usage_errors_exit_two(tmp_path, case):
     inp, out = write_input(tmp_path, INTERVAL), tmp_path / "o"
@@ -427,6 +439,10 @@ def test_usage_errors_exit_two(tmp_path, case):
     elif case == "self-loop":
         inp = write_input(tmp_path, SELF_LOOP, "loop.json")
         argv, message = SPECTRUM, "self-loop"
+    elif case == "deep-expression":
+        edge = {**SMOOTH["edges"][0], "potential": {"type": "expr", "expr": "-" * 2000 + "x"}}
+        inp = write_input(tmp_path, {**SMOOTH, "edges": [edge]}, "deep.json")
+        argv, message = SPECTRUM, "deeper than 100 levels"
     else:
         argv, message = USAGE_ERRORS[case]
     proc = run_cli(*argv, "--input", str(inp), "--out", str(out))
@@ -438,7 +454,7 @@ def test_usage_errors_exit_two(tmp_path, case):
     assert "Traceback" not in proc.stderr
     if case == "out-file":
         assert out.read_text() == ""
-    elif case in ("missing-file", "input-directory", "malformed-json", "self-loop"):
+    elif case in ("missing-file", "input-directory", "malformed-json", "self-loop", "deep-expression"):
         assert not out.exists()  # the input is read before --out is made
     else:
         assert not (out.exists() and any(out.iterdir()))

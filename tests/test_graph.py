@@ -11,7 +11,7 @@ import pytest
 
 from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import GraphError
-from qgspectra.graph import MetricGraph, auxiliary_graph, build_graph
+from qgspectra.graph import MetricGraph, build_graph
 from qgspectra.scattering import big_sigma
 from qgspectra.spectrum import scan_spectrum
 
@@ -96,10 +96,7 @@ def test_degrees_on_star(g_delta_star):
 
 def test_potential_helpers(g_delta_star, g_smooth, g_triangle):
     assert g_delta_star.delta_strengths() == [2.0, 0.7, 1.3]
-    assert g_delta_star.has_kind("delta")
-    assert not g_delta_star.has_kind("smooth")
-    assert g_smooth.has_kind("smooth")
-    assert not g_triangle.has_kind("delta")
+    assert g_smooth.delta_strengths() == g_triangle.delta_strengths() == []
 
 
 def test_oriented_potential_mirrors_position(g_delta_star):
@@ -110,16 +107,6 @@ def test_oriented_potential_mirrors_position(g_delta_star):
     assert fwd.position == pytest.approx(0.3)
     assert bwd.position == pytest.approx(0.7)
     assert fwd.strength == bwd.strength == 0.7
-
-
-def test_auxiliary_graph_is_bipartite(g_delta_star, g_triangle, g_star3):
-    for g in (g_delta_star, g_triangle, g_star3):
-        aux = auxiliary_graph(g)
-        assert aux.num_nodes == len(g.vertices) + len(g.edges)
-        assert aux.num_links == 2 * len(g.edges)
-        assert aux.is_bipartite()
-        assert len(aux.midpoint_edge) == len(g.edges)
-        assert len(aux.color) == aux.num_nodes
 
 
 def test_vertex_value_mismatch_logged(caplog):

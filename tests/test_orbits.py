@@ -251,6 +251,31 @@ def test_delay_correction_for_point_interaction():
 
 
 def test_enumeration_budget_error_mode(g_triangle, monkeypatch):
-    monkeypatch.setattr(orbits_module, "_PATH_BUDGET", 50)
+    # the walk expands 11 partial paths at n_max 3 and 29 at n_max 12
+    monkeypatch.setattr(orbits_module, "_PATH_BUDGET", 20)
+    assert len(enumerate_orbits(g_triangle, 3)) == 2
     with pytest.raises(NumericalError, match="exceeded its budget"):
         enumerate_orbits(g_triangle, 12)
+
+
+@pytest.mark.parametrize("fixture_name,n_max", [
+    ("g_triangle", 6),
+    ("g_interval_delta_pi", 6),
+    ("g_interval_pi", 4),
+    ("g_delta_star", 5),
+    ("g_smooth_star", 4),
+])
+def test_enumerated_classes_are_distinct_and_rebuildable(request, fixture_name, n_max):
+    g = request.getfixturevalue(fixture_name)
+    found = enumerate_orbits(g, n_max)
+    keys = [p.key for p in found]
+    assert len(set(keys)) == len(keys)
+    for p in found:
+        assert p.key == min(p.states[i:] + p.states[:i] for i in range(p.n))
+        assert make_orbit(g, p.states) == p
+
+
+def test_long_triangle_orbits_need_no_recursion(g_triangle):
+    # two classes (one per sense of rotation) at each multiple of 3
+    counts = _counts_by_length(enumerate_orbits(g_triangle, 1200), 1200)
+    assert counts == {n: 2 if n % 3 == 0 else 0 for n in range(1, 1201)}

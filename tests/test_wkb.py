@@ -175,3 +175,13 @@ def test_turning_points_are_refused(g_smooth):
 def test_point_interactions_are_refused(g_delta_star):
     with pytest.raises(InputError, match="point interaction"):
         wkb_solution(g_delta_star, 0, 5.0)
+
+
+@pytest.mark.parametrize("fixture_name", ["g_interval_pi", "g_smooth"])
+def test_overflowing_wavenumbers_are_refused(request, fixture_name):
+    # k^2 is inf once k > 1.3e154
+    g = request.getfixturevalue(fixture_name)
+    with pytest.raises(InputError, match="no finite k\\^2"):
+        wkb_solution(g, 0, 1e300)
+    with pytest.raises(InputError, match="no finite k\\^2"):
+        wkb_wigner_delay(g, 1e300)
