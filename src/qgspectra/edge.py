@@ -35,7 +35,9 @@ the propagator.  ``solve_edge`` is its one-point case, and the threshold
 scan reads t from it.  ``_solve_edges`` evaluates every edge of a graph at
 every k of an array: the closed-form edges together over (k, edge), from
 per-graph parameter arrays kept in a weak-keyed table, and each smooth
-edge through ``_evaluate``.
+edge through ``_evaluate``; for the eigenvalue count, also the zeros of
+two solutions on each edge (``_zeros``), from the closed-form pieces or
+the propagator's own steps.
 
 Boundary data at x = L determines the 2x2 transition matrix
 
@@ -118,6 +120,9 @@ class EdgeSolution:
     dk_dpsi_m: Optional[complex] = None
     # last step-doubling difference of M (0 for closed forms)
     error_estimate: float = 0.0
+    # M(L, 0) as (m11, m12, m21, m22), and its ``_zeros`` when counted
+    m: Optional[tuple] = None
+    zeros: Optional[np.ndarray] = None
 
     @property
     def wronskian(self) -> complex:
@@ -283,9 +288,60 @@ def _gauss_values(w, left, h):
     return w(left + _GAUSS[0] * h), w(left + _GAUSS[1] * h)
 
 
-def _fold(steps, dsteps=None):
+def _prefix(steps):
+    """Running products E_i ... E_1 E_0 of the 2x2 matrices (2, 2, ..., n)
+    along the last axis, one per i, by recursive doubling."""
+    run = steps.copy()
+    d = 1
+    while d < run.shape[-1]:
+        later, earlier = run[..., d:], run[..., :-d]
+        run[..., d:] = (
+            later[:, 0, None] * earlier[None, 0] + later[:, 1, None] * earlier[None, 1]
+        )
+        d *= 2
+    return run
+
+
+def _zeros(ends, nu, alpha, h):
+    """Zeros in (0, L] of the solutions that leave x = 0 as (psi, psi') =
+    (1, 0) and (0, 1), an integer array (2, ...).  ``ends`` (2, 2, ..., n +
+    1) is the fundamental matrix at x = 0 and at the end of each segment of
+    the edge, the last its M.  A solution is R sin(theta + s nu), s in [0,
+    1], on a segment of phase nu (q h in closed form; nu^2 = h^2 (k^2 - w)
+    - alpha^2 on a Magnus step; 0 where it holds at most one zero), with
+    theta = atan2(nu psi, alpha psi + h psi') at its start, so it has
+    floor((theta + nu) / pi) zeros there: the count of the parity of the
+    sign change of psi nearest to that value.  The parity comes from the
+    end values, a zero value taking the sign psi has just after it, so the
+    rounding of theta cannot move a zero across an end, and one at x = L is
+    counted exactly when M says so."""
+    psi, dpsi = ends[0], ends[1]
+    neg = (psi < 0) | ((psi == 0) & (dpsi < 0))
+    change = neg[..., 1:] != neg[..., :-1]
+    a, da = psi[..., :-1], dpsi[..., :-1]
+    theta = np.mod(np.arctan2(nu * a, alpha * a + h * da), np.pi)
+    z = np.where(nu > 0, (theta + nu) / np.pi - 0.5, change)
+    return (2 * np.round(0.5 * (z - change)) + change).sum(axis=-1).astype(int)
+
+
+def _closed_zeros(k, c, D, x1, x2, m):
+    """``_zeros`` at real k of closed-form segments (the arguments of
+    ``_closed`` and the M it gives): two pieces each, up to the point
+    interaction and after it."""
+    q = np.where(c == 0, k, np.sqrt(k * k - c)).real
+    mid = np.array(_closed(k, c, D, x1, 0.0, False)[0]).real
+    start = np.zeros_like(mid)
+    start[[0, 3]] = 1.0
+    ends = np.stack([start, mid, np.array(m).real], axis=-1)
+    nu = np.stack(np.broadcast_arrays(q * x1, q * x2), axis=-1)
+    h = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
+    return _zeros(ends.reshape(2, 2, *ends.shape[1:]), nu, 0.0, h)
+
+
+def _fold(steps, dsteps=None, pieces: int = 1):
     """Product of the matrices along the last axis, whose length is a power
-    of two, folded pairwise with the later step on the left, and its
+    of two, folded pairwise with the later step on the left, down to
+    ``pieces`` products of equal spans (a power of two), and its
     k-derivative by the product rule when the steps' derivatives
     ``dsteps`` are given (else None).  Each level adds up the pair products
     one inner index at a time, in the order a sum over that index takes, so
@@ -293,7 +349,7 @@ def _fold(steps, dsteps=None):
     partial products at once.  The derivative adds later * dearlier before
     dlater * earlier, the order of the block product [[E, E'], [0, E]], so
     M and M' round as that product's blocks do."""
-    while steps.shape[-1] > 1:
+    while steps.shape[-1] > pieces:
         later, earlier = steps[..., 1::2], steps[..., ::2]
         if dsteps is not None:
             dlater, dearlier = dsteps[..., 1::2], dsteps[..., ::2]
@@ -306,11 +362,16 @@ def _fold(steps, dsteps=None):
     return steps, dsteps
 
 
-def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool):
+def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool, zeros=None):
     """M (and M', else None) over [a, b] from n equal 4th-order Magnus steps,
     for every k of ``ks``: arrays of shape (2, 2, P).  w is sampled once;
     steps are built and folded _POINT_STEPS point-steps at a time, which
-    bounds the memory, and the pieces' products folded in turn."""
+    bounds the memory, and the pieces' products folded in turn.
+
+    Given an integer array (2, P), ``zeros`` receives the ``_zeros`` of each
+    real k, from the running products of the fold level of spans 2^f h
+    with 2^f h sqrt(k^2 - min w) < pi / 2, on which no solution has two
+    zeros (Sturm comparison), or else of the steps themselves."""
     h = (b - a) / n
     w1, w2 = _gauss_values(w, a + h * np.arange(n), h)
     piece = min(n, _POINT_STEPS)
@@ -319,25 +380,45 @@ def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool):
     dm = np.empty_like(m) if want_dk else None
     for lo in range(0, len(ks), chunk):
         pks = ks[lo : lo + chunk]
-        parts = [
-            _fold(*_steps(w1[j : j + piece], w2[j : j + piece], h, pks, want_dk))
-            for j in range(0, n, piece)
-        ]
+        parts, size = [], 1
+        if zeros is not None:
+            ends = [np.eye(2)[..., None, None] * np.ones((len(pks), 1))]
+            top = float(np.max(pks.real**2)) - min(w1.min(), w2.min())
+            reach = h * math.sqrt(max(top, 0.0))
+            while size < piece and 2 * size * reach < 0.5 * math.pi:
+                size *= 2
+        for j in range(0, n, piece):
+            e = _steps(w1[j : j + piece], w2[j : j + piece], h, pks, want_dk)
+            if zeros is not None:
+                e = _fold(*e, pieces=piece // size)
+                run = np.concatenate([ends[-1][..., -1:], e[0].real], axis=-1)
+                ends.append(_prefix(run)[..., 1:])
+            parts.append(_fold(*e))
         e, de = zip(*parts)
         de = np.concatenate(de, axis=-1) if want_dk else None
         e, de = _fold(np.concatenate(e, axis=-1), de)
         m[..., lo : lo + chunk] = e[..., 0]
         if want_dk:
             dm[..., lo : lo + chunk] = de[..., 0]
+        if zeros is not None:
+            ends = np.concatenate(ends, axis=-1)
+            ends[..., -1] = e[..., 0].real
+            nu = alpha = 0.0
+            if size == 1:
+                alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
+                nu2 = h * h * (pks.real[:, None] ** 2 - 0.5 * (w1 + w2)) - alpha * alpha
+                nu = np.sqrt(np.maximum(nu2, 0.0))
+            zeros[:, lo : lo + chunk] = _zeros(ends, nu, alpha, h)
     return m, dm
 
 
-def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool):
+def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool, zeros=None):
     """Magnus M (and M') over [a, b] at every k of ``ks``.  Each point doubles
     its step count from _MIN_STEPS until two successive M, with psi' scaled
     by 1/|k|, agree to _DEFAULT_TOL relative, and keeps the M of the first
-    count that does.  Returns M, M' (or None), that last difference and the
-    step count per point; a point unresolved at _MAX_STEPS has error inf."""
+    count that does, and its ``_zeros`` in ``zeros`` when that is given.
+    Returns M, M' (or None), that last difference and the step count per
+    point; a point unresolved at _MAX_STEPS has error inf."""
     w = pot.callable(b)
     ks = np.asarray(ks, dtype=complex)
     absk = np.abs(ks)
@@ -351,7 +432,9 @@ def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool):
     prev = None
     n = _MIN_STEPS
     while n <= _MAX_STEPS and active.size:
-        m, dm = _magnus(w, a, b, ks[active], n, want_dk)
+        # no point keeps the M of the first count, so its zeros are not needed
+        z = None if zeros is None or prev is None else np.empty((2, active.size), int)
+        m, dm = _magnus(w, a, b, ks[active], n, want_dk, z)
         ms = m * scale[..., active]
         if prev is not None:
             err = np.max(np.abs(ms - prev), axis=(0, 1)) / np.maximum(
@@ -362,6 +445,8 @@ def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool):
             m_out[..., idx], err_out[idx], n_out[idx] = m[..., done], err[done], n
             if want_dk:
                 dm_out[..., idx] = dm[..., done]
+            if z is not None:
+                zeros[:, idx] = z[:, done]
             active, ms = active[~done], ms[..., ~done]
         prev = ms
         n *= 2
@@ -375,17 +460,18 @@ def _unresolved(pot: Potential, k: complex) -> NumericalError:
     )
 
 
-def _evaluate(pot: Potential, L: float, ks, want_dk: bool):
+def _evaluate(pot: Potential, L: float, ks, want_dk: bool, zeros=None):
     """M and M' (or None) over [0, L] of one oriented potential at ``ks``, a
     wavenumber or an array of them, as row-major 4-tuples of arrays shaped
     like ``ks``, and the error estimate per point: closed-form kinds exactly
     (error 0), a smooth potential by the step-doubled Magnus propagator,
-    whose unresolved points have error inf."""
+    whose unresolved points have error inf, and which fills ``zeros``, when
+    given for a 1-D ``ks`` (see ``_magnus``)."""
     shape = np.shape(ks)
     if pot.kind != "smooth":
         m, dm = _closed(ks, *_segment(pot, 0.0, L), want_dk)
         return m, dm, np.zeros(shape)
-    m, dm, err, _ = _magnus_doubled(pot, 0.0, L, np.ravel(ks), want_dk)
+    m, dm, err, _ = _magnus_doubled(pot, 0.0, L, np.ravel(ks), want_dk, zeros)
     m, dm = (None if x is None else x.reshape((4,) + shape) for x in (m, dm))
     return m, dm, err.reshape(shape)
 
@@ -439,25 +525,30 @@ def _edge_table(g: MetricGraph):
     return table
 
 
-def _solve_edges(g: MetricGraph, ks, want_dk: bool = False) -> EdgeSolution:
+def _solve_edges(
+    g: MetricGraph, ks, want_dk: bool = False, want_count: bool = False
+) -> EdgeSolution:
     """Boundary data of every edge at every k of the 1-D array ``ks``: an
-    EdgeSolution whose fields are (len(ks), E) arrays.  Zero, constant and
-    point-interaction edges are evaluated together in closed form, each
-    smooth edge by one batched Magnus propagation over ``ks``, which gives
-    each point its one-point result.  An unresolved propagation raises for
-    the first such k, as ``solve_edge`` would there."""
+    EdgeSolution whose fields are (len(ks), E) arrays, with the ``_zeros``
+    of every edge, (2, len(ks), E), when ``want_count`` (real k only).
+    Zero, constant and point-interaction edges are evaluated together in
+    closed form, each smooth edge by one batched Magnus propagation over
+    ``ks``, which gives each point its one-point result.  An unresolved
+    propagation raises for the first such k, as ``solve_edge`` would there."""
     ks = np.asarray(ks, dtype=complex)
     if np.any(ks == 0):
         raise InputError("k=0: the normalized solution pair degenerates")
     closed, lengths, smooth = _edge_table(g)
     m, dm = _closed(ks[:, None], *closed, want_dk)
+    zeros = _closed_zeros(ks[:, None], *closed, m) if want_count else None
     err = np.zeros((len(ks), g.num_edges))
     if smooth:
         m = np.array(m)
         dm = np.array(dm) if want_dk else None
         for e in smooth:
             edge = g.edges[e]
-            me, dme, err[:, e] = _evaluate(edge.potential, edge.length, ks, want_dk)
+            z = None if zeros is None else zeros[:, :, e]
+            me, dme, err[:, e] = _evaluate(edge.potential, edge.length, ks, want_dk, z)
             m[:, :, e] = me
             if want_dk:
                 dm[:, :, e] = dme
@@ -465,7 +556,9 @@ def _solve_edges(g: MetricGraph, ks, want_dk: bool = False) -> EdgeSolution:
         if unresolved.any():
             i, e = np.argwhere(unresolved)[0]
             raise _unresolved(g.edges[e].potential, complex(ks[i]))
-    return _solution(ks[:, None], lengths, m, dm, err)
+    sol = _solution(ks[:, None], lengths, m, dm, err)
+    sol.zeros = zeros
+    return sol
 
 
 def _solution(k, L, m, dm, err) -> EdgeSolution:
@@ -481,6 +574,7 @@ def _solution(k, L, m, dm, err) -> EdgeSolution:
         m11 + ik * m12,
         m21 + ik * m22,
         error_estimate=err,
+        m=(m11, m12, m21, m22),
     )
     if dm is not None:
         d11, d12, d21, d22 = dm

@@ -386,8 +386,8 @@ def trace_check(
     term for the cutoff N adds (1/pi) integral of phi times
     sum_{n <= N} Im tr(S^{n-1} S'), the amplitude sum over all classes of
     length up to N, for every N up to n_max.  No orbit is enumerated, so
-    the cost grows linearly in n_max.  A Weyl-count comparison aborts
-    when the scan evidently lost roots.
+    the cost grows linearly in n_max.  The run aborts when the scan found
+    fewer (or more) roots than the eigenvalue count of its range.
     """
     if n_max < 0:
         raise InputError("n_max must be >= 0")
@@ -433,15 +433,15 @@ def trace_check(
     phis = phi(ks)
     rhs_weyl = float(np.sum(wts * phis * tp) / (2.0 * math.pi))
 
-    # Missing-root guard: the integrated phase density counts roots up to
-    # a boundary term bounded by the matrix dimension.
+    # Missing-root guard: the vertex count gives the exact number of
+    # eigenvalues in the range; the Weyl count, the integrated phase
+    # density, is reported beside it
     weyl_count = float(np.sum(wts * tp) / (2.0 * math.pi))
     n_found = spec.total_count()
-    slack = 2 * len(g.edges) + 1
-    if abs(n_found - weyl_count) > slack:
+    if n_found != spec.expected_count:
         raise NumericalError(
-            f"scan found {n_found} roots in [{a:.3f}, {b:.3f}] but the phase "
-            f"count expects {weyl_count:.2f} (+-{slack}); spectrum incomplete"
+            f"scan found {n_found} roots in [{a:.3f}, {b:.3f}] but the vertex "
+            f"count is {spec.expected_count}; spectrum incomplete"
         )
 
     rhs_orbit_rows: List[Dict[str, float]] = []

@@ -43,9 +43,10 @@ such as an equilateral zero-potential star at k = pi, takes the dense
 1-D array the path's values in order.  The branch is fixed by a value,
 not by mutable state: a path continues from the evaluated value
 ``after``, or is anchored at its first point, so two continuations from
-one value are two calls.  The eigenphases of S, which a scan needs only
-at some points, are taken for the points asked for, from S built there,
-in one stacked call.
+one value are two calls.  A scan's path also takes the eigenvalue count
+at each point (``_count``) from the same edge solutions: the inertia of
+the real symmetric vertex Dirichlet-to-Neumann matrix, built from the
+fundamental matrices M of the edges, plus Sturm counts on the edges.
 """
 
 from __future__ import annotations
@@ -54,13 +55,14 @@ import cmath
 import dataclasses
 import math
 import weakref
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .edge import _entries, _solve_edges, unitarity_defect
 from .errors import NumericalError, PhaseTrackingError
-from .graph import MetricGraph
+from .graph import Edge, MetricGraph
+from .potential import Potential, orient
 
 __all__ = [
     "vertex_sigma",
@@ -74,7 +76,17 @@ __all__ = [
 ]
 
 _PHASE_STEP_LIMIT = 0.9 * math.pi
-_KERNEL_PHASE = 1e-12  # eigenphases closer to 0 than this are roots
+# An eigenvalue of the vertex Dirichlet-to-Neumann matrix within this
+# fraction of k, plus 64 rounding units of the sum of the moduli of its
+# entries, is 0: a root at k.
+_KERNEL_TOL = 1e-12
+# A point where an edge of the core has |k m12| at or below this fraction of
+# max(|m11|, |m22|) (near a Dirichlet eigenvalue; or, for an arm of a core
+# of several vertices, |m| at its leaf end below this fraction of
+# max(|k m12|, |m21| / k)) is near a pole of the matrix, whose entries grow
+# like 1 / m12 and whose rounding swamps the small eigenvalues.  The count
+# is taken on the cut graph there (``_cut``).
+_POLE_BAND = 1e-6
 # A point where some |det(I + t_e)| is below this takes det(I - S) densely.
 # The vertex-space determinant's error grows like eps / min |det(I + t_e)|:
 # over 2.1e5 random real k on three 10-arm delta stars it stayed below
@@ -89,18 +101,29 @@ class _Layout:
     vertex-space determinant: per edge, the factor 2 / deg of the vertex
     of each entry's row, (E, 4), and the flat float index in a complex V x
     V matrix of the real and imaginary part of each entry, (E, 4, 2), for
-    the entries (x00, x01, x10, x11) of the edge's block of T (I + T)^-1."""
+    the entries (x00, x01, x10, x11) of the edge's block of T (I + T)^-1.
+    For ``_count``: the number of core vertices, each edge's role (0 in the
+    core, 1 or 2 an arm whose x = L or x = 0 end is a leaf) and the flat
+    index of its entries (uu, uv, vu, vv) in the core's matrix."""
 
     sigma: np.ndarray
     det_sigma: float
     target: np.ndarray
     weight: np.ndarray
+    n_core: int
+    role: np.ndarray
+    dtn_target: np.ndarray
 
 
 # the layout of each live graph, built on first use
 _SIGMAS: "weakref.WeakKeyDictionary[MetricGraph, _Layout]" = (
     weakref.WeakKeyDictionary()
 )
+# the cut graph of each live graph (see ``_cut``), and None for a cut graph
+_CUTS: "weakref.WeakKeyDictionary[MetricGraph, Optional[MetricGraph]]" = (
+    weakref.WeakKeyDictionary()
+)
+_CUT = (math.sqrt(5.0) - 1.0) / 2.0  # where an edge is cut, as a fraction
 
 
 def vertex_sigma(g: MetricGraph, v: str) -> np.ndarray:
@@ -138,7 +161,20 @@ def _layout(g: MetricGraph) -> _Layout:
     nv = len(index)
     target = 2 * (origin[rows] * nv + origin[cols])[..., None] + np.arange(2)
     det_sigma = float(np.sign(np.linalg.det(sigma)))
-    layout = _SIGMAS[g] = _Layout(sigma, det_sigma, target, 2.0 / deg[rows])
+    # the core: every vertex but those of degree 1 (a one-edge graph keeps
+    # its "from" end); an arm adds only to the diagonal entry of its core end
+    leaves = {v for v in g.vertices if g.degree[v] == 1}
+    leaves -= {e.u for e in g.edges if e.v in leaves}
+    core = {v: i for i, v in enumerate(v for v in g.vertices if v not in leaves)}
+    role = np.array([(e.v in leaves) + 2 * (e.u in leaves) for e in g.edges])
+    nc = len(core)
+    u, v = np.array(
+        [(core.get(e.u, core.get(e.v)), core.get(e.v, core.get(e.u))) for e in g.edges]
+    ).T
+    dtn_target = np.stack([u * nc + u, u * nc + v, v * nc + u, v * nc + v], axis=-1)
+    layout = _SIGMAS[g] = _Layout(
+        sigma, det_sigma, target, 2.0 / deg[rows], nc, role, dtn_target
+    )
     return layout
 
 
@@ -186,8 +222,6 @@ class SecularValue:
     zeta: complex
     det_s_phase: float  # unwrapped
     theta: float  # unwrapped phase of det T
-    eigenphase_frac: float  # sum_j frac(theta_j / 2 pi) over the eigenphases of S
-    kernel_dim: int  # eigenphases at 0: dim ker(I - S), the multiplicity at k
 
     @property
     def zeta_real(self) -> float:
@@ -237,56 +271,129 @@ def _det_w(g: MetricGraph, k, t=None):
     return complex(w[0]) if ks.ndim == 0 else w
 
 
-def _eigenphases(S: np.ndarray) -> Tuple[List[float], List[int]]:
-    """Per matrix of the stack S: sum_j frac(theta_j / 2 pi) over its
-    eigenphases theta_j, and the number of theta_j at 0.
+def _count(g: MetricGraph, ks, sol=None) -> Tuple[np.ndarray, np.ndarray]:
+    """The eigenvalue count at each real k > 0 of the 1-D array ``ks``: N,
+    the eigenvalues k_j <= k with multiplicity, and n0, those at k.
+    ``sol`` is the boundary data of every edge at ``ks`` with its zeros
+    (evaluated unless given).
 
-    Eigenphases within _KERNEL_PHASE of 0 count as exactly 0, so a root on
-    an evaluation point is seen by its kernel and counted once.
+    N = N_E + n_+(Lambda) + n_0(Lambda) (Friedlander, Ann. Inst. Fourier
+    55, 2005; Berkolaiko, Cox & Marzuola, Lett. Math. Phys. 106, 2016), for
+    Lambda(k) the real symmetric Dirichlet-to-Neumann matrix of the core
+    vertices: an edge of the core from u (x = 0) to v (x = L) adds -m11/m12
+    to Lambda_uu, -m22/m12 to Lambda_vv and 1/m12 to Lambda_uv and Lambda_vu.
+    Each degree-1 vertex is eliminated in closed form (Haynsworth inertia
+    additivity): an arm whose leaf is at x = L adds -m21/m22 to its core
+    end, one whose leaf is at x = 0 adds -m21/m11.  N_E adds up what each
+    edge holds alone below k^2: its Dirichlet eigenvalues for an edge of
+    the core, its Dirichlet (core) - Neumann (leaf) ones for an arm, by the
+    Sturm counts ``edge._zeros``.  These read their last zero off the same
+    m12, m11 or m22 as Lambda, so the two terms agree up to a pole of an
+    arm's entry, which is taken as +inf there, its limit from below.  An
+    eigenvalue of Lambda within the kernel tolerance (_KERNEL_TOL) is a
+    root at k.  A star's core is its centre, so its count costs O(E) per
+    point; a larger core takes a dense eigvalsh, and a point near one of
+    its poles (_POLE_BAND) is counted on the cut graph.
     """
-    theta = np.angle(np.linalg.eigvals(S))
-    at_zero = np.abs(theta) <= _KERNEL_PHASE
-    frac = np.where(at_zero, 0.0, np.mod(theta / (2.0 * math.pi), 1.0))
-    return frac.sum(axis=-1).tolist(), at_zero.sum(axis=-1).tolist()
+    ks = np.asarray(ks, dtype=float).reshape(-1)
+    if sol is None:
+        sol = _solve_edges(g, ks, want_count=True)
+    layout = _layout(g)
+    m11, m12, m21, m22 = (np.real(x) for x in sol.m)
+    z_n, z_d = sol.zeros
+    core, to_leaf = layout.role == 0, layout.role == 1
+    leaf_m = np.where(to_leaf, m22, m11)
+    arm = np.where(to_leaf, z_d + (m12 * m22 < 0), z_n - (m11 == 0))
+    own = np.where(core, z_d - (m12 == 0), arm)
+    k = ks[:, None]
+    pole = np.where(
+        core,
+        k * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)),
+        (layout.n_core > 1)
+        & (np.abs(leaf_m) <= _POLE_BAND * np.maximum(k * np.abs(m12), np.abs(m21) / k)),
+    ).any(axis=-1)
+    # the entries (uu, uv, vu, vv) of each edge, unused at a pole
+    den = np.where(core, m12, leaf_m)
+    x = np.broadcast_arrays(np.where(core, -m11, -m21), core, core, core * -m22)
+    x = np.stack(x, axis=-1) / np.where(den == 0, 1.0, den)[..., None]
+    x[..., 0] = np.where(~core & (den == 0), np.inf, x[..., 0])
+    x[pole] = 0.0
+    n, nc = len(ks), layout.n_core
+    slots = (nc * nc * np.arange(n))[:, None, None] + layout.dtn_target
+    lam = np.bincount(slots.ravel(), x.ravel(), n * nc * nc).reshape(n, nc, nc)
+    eig = lam.reshape(n, 1) if nc == 1 else np.linalg.eigvalsh(lam)
+    entries = np.abs(np.where(np.isinf(x), 0.0, x)).sum(axis=(1, 2))
+    tol = (_KERNEL_TOL * ks + 64 * np.finfo(float).eps * entries)[:, None]
+    at = (np.abs(eig) <= tol).sum(axis=-1)
+    count = own.sum(axis=-1) + (eig >= -tol).sum(axis=-1)
+    if pole.any():
+        cut = _cut(g)
+        if cut is None:
+            raise NumericalError(
+                f"no eigenvalue count at k={ks[pole][0]:.9g}: a pole of the "
+                "vertex matrix of the graph and of its cut"
+            )
+        count[pole], at[pole] = _count(cut, ks[pole])
+    return count, at
+
+
+def _cut(g: MetricGraph) -> Optional[MetricGraph]:
+    """The graph the count of ``g`` takes at its poles: each edge cut in two
+    at _CUT of its length by a new vertex of degree 2, which leaves the
+    spectrum as it is and moves the Dirichlet eigenvalues of the pieces off
+    those of the edge; None for a cut graph."""
+    if g in _CUTS:
+        return _CUTS[g]
+    vertices, edges = list(g.vertices), []
+    for e in g.edges:
+        pot, x, w = e.potential, _CUT * e.length, f"\0{e.index}"
+        first = second = pot
+        if pot.kind == "delta":
+            first, second = (
+                (pot, Potential.zero())
+                if pot.position <= x
+                else (Potential.zero(), Potential.delta(pot.strength, pot.position - x))
+            )
+        elif pot.kind == "smooth":
+            # w(x + s) on the second piece: reflected on the edge, then on it
+            second = orient(orient(pot, True, e.length), True, e.length - x)
+        vertices.append(w)
+        edges.append(Edge(len(edges), e.eid + "<", e.u, w, x, first))
+        edges.append(Edge(len(edges), e.eid + ">", w, e.v, e.length - x, second))
+    cut = _CUTS[g] = MetricGraph(vertices, edges)
+    _CUTS[cut] = None
+    return cut
 
 
 @dataclasses.dataclass
 class _Track:
-    """The edge entries t = (trans, r_from, r_to), det(I - S), zeta and the
-    unwrapped det S phase along a k path, one row per point; theta = phase
-    + theta_offset."""
+    """det(I - S), zeta and the unwrapped det S phase along a k path, one
+    row per point; theta = phase + theta_offset; and, when counted, the
+    count N and the roots n0 at each point (``_count``)."""
 
-    sigma: np.ndarray
     ks: np.ndarray
-    t: Tuple[np.ndarray, np.ndarray, np.ndarray]
     det_w: np.ndarray
     zeta: np.ndarray
     phase: np.ndarray
     theta_offset: float
+    count: Optional[np.ndarray] = None
+    at: Optional[np.ndarray] = None
 
-    def values(self, idx: Sequence[int]) -> List[SecularValue]:
-        """The SecularValue at each point of ``idx``, with the eigenphases
-        of their S, built from the entries, in one stacked eigenvalue call."""
-        idx = list(idx)
-        S = self.sigma @ _place(tuple(c[idx] for c in self.t), len(self.sigma))
-        frac, kernel = _eigenphases(S)
+    def values(self) -> List[SecularValue]:
+        """The SecularValue at each point."""
         return [
-            SecularValue(
-                complex(self.ks[i]),
-                complex(self.zeta[i]),
-                float(self.phase[i]),
-                float(self.phase[i] + self.theta_offset),
-                f,
-                d,
-            )
-            for i, f, d in zip(idx, frac, kernel)
+            SecularValue(complex(k), complex(z), float(p), float(p + self.theta_offset))
+            for k, z, p in zip(self.ks, self.zeta, self.phase)
         ]
 
 
-def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
+def _track(
+    g: MetricGraph, ks, after: Optional[SecularValue] = None, count: bool = False
+) -> _Track:
     """The secular function along the points ``ks`` in order, from the edge
     entries, continuing the branch from the evaluated value ``after`` or,
-    without it, anchored at the first point.
+    without it, anchored at the first point; with ``count``, also the
+    eigenvalue count at each (real) point, from the same edge solutions.
 
     det S = det Sigma prod_e det t_e, with det Sigma = +-1 independent of k,
     so theta, the phase of det T, is the det S phase plus an offset, fixed
@@ -296,7 +403,8 @@ def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
     conjugate symmetry zeta(conj k) = conj zeta(k) off it.
     """
     ks = np.asarray(ks, dtype=complex).reshape(-1)
-    t = _edge_entries(g, ks)
+    sol = _solve_edges(g, ks, want_count=count)
+    t, _ = _entries(sol)
     det_s = _det_s(g, t)
     det_w = _det_w(g, ks, t)
     det_sigma = _layout(g).det_sigma
@@ -316,7 +424,10 @@ def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
         prev += step
         phase[i] = prev
     zeta = np.abs(det_s) ** -0.5 * np.exp(-0.5j * phase) * det_w
-    return _Track(big_sigma(g), ks, t, det_w, zeta, phase, offset)
+    tr = _Track(ks, det_w, zeta, phase, offset)
+    if count:
+        tr.count, tr.at = _count(g, ks.real, sol)
+    return tr
 
 
 def secular(
@@ -329,8 +440,7 @@ def secular(
     Consecutive points, ``after`` included, must be close enough that the
     det S phase moves less than 0.9 pi between them.
     """
-    tr = _track(g, k, after)
-    vals = tr.values(range(len(tr.ks)))
+    vals = _track(g, k, after).values()
     return vals[0] if np.ndim(k) == 0 else vals
 
 

@@ -2,36 +2,18 @@
 
 The scan walks a k grid of step pi / (4 * total length), the minimal
 oscillation scale of det(I - S), and tracks the branch of the
-regularized secular function zeta = (det S)^(-1/2) det(I - S), which is
-proportional to prod_j sin(theta_j / 2) over the eigenphases theta_j of
-S(k).  Above the subunitarity threshold K every theta_j is non-decreasing
-in k, so the eigenvalues in a stretch (a, b] of the grid, counted with
-multiplicity, are
-
-    N(a, b] = (phi(b) - phi(a)) / 2 pi - (F(b) - F(a)),
-
-with phi the tracked det S phase and F = sum_j frac(theta_j / 2 pi).
-
-A window of the grid is one batch: its edges are evaluated together at
-every node, and zeta and phi come from the per-edge 2 x 2 blocks (see
-``scattering``).  The eigenphases, the costly part, are taken only where
-the count is still open, from S built for those nodes alone.  Every cell
-count is >= 0 above K, and a cell where zeta changes
-sign holds an odd count; so a segment whose count N equals its number of
-sign changes holds one simple root in each sign-change cell and none
-elsewhere.  The scan counts the whole window first and halves any segment
-this does not settle (or that has an eigenvalue at an end), down to
-single cells.  Segments are counted only above a closed-form K; above a
-heuristic K, which may be set too low, every cell is counted on its own,
-so a count short by an even number is flagged rather than settled by a
-segment that also holds an uncounted pair.  A cell is resolved on its
-own: a count of one is a sign change; a larger count is split at
-midpoints until every piece holds at most one, and a piece narrower than
-root_tol is one root whose multiplicity is its count.  An eigenvalue on
-an evaluation point is seen directly: its multiplicity dim ker(I - S) is
-the number of eigenphases at 0.  Cells whose count is not an integer, is negative, or disagrees in
-parity with the sign change are flagged, never dropped.  Below K, where
-the eigenphases need not be monotone, every cell is counted on its own.
+regularized secular function zeta = (det S)^(-1/2) det(I - S), real on
+the real axis.  A window of the grid is one batch: its edges are
+evaluated together at every node, once, for zeta (see ``scattering``)
+and for the eigenvalue count N(k), the eigenvalues k_j <= k with
+multiplicity, from the vertex Dirichlet-to-Neumann index
+(``scattering._count``), an integer by construction at every k > 0.  A
+grid cell (a, b] holds N(b) - N(a) eigenvalues, of which n0(b) lie on
+b, as a kernel of the vertex matrix there.  A cell holding one more is a
+sign change of zeta and a bracket for the refinement; a larger count is
+split at midpoints, each counted the same way, until every piece holds
+at most one, and a piece narrower than root_tol is one root whose
+multiplicity is its count.
 
 A window only counts: it hands on its single-root brackets, whose ends
 on grid nodes take their det(I - S) from the window's sweep.  The windows
@@ -76,7 +58,7 @@ import numpy as np
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError, PhaseTrackingError
 from .graph import MetricGraph
-from .scattering import SecularValue, _det_w, _track, _Track, secular
+from .scattering import _count, _det_w, _track, _Track
 
 __all__ = [
     "ScanConfig",
@@ -110,7 +92,6 @@ _CHUNKS_PER_WORKER = 4
 MAX_GRID_POINTS = 1_000_000
 
 _WALK_DEPTH = 24             # max recursive bisections per contour segment
-_COUNT_TOL = 1e-6            # a cell count further from an integer is flagged
 
 _TINY = float(np.finfo(float).tiny)  # |f| at or below this is a root
 # Chandrupatla's iteration cap: the bisections that span the normal floats
@@ -175,6 +156,9 @@ class SpectrumResult:
     k_hi: float
     diagnostics: List[str]
     flagged: List[Tuple[float, float]]
+    # eigenvalues in [k_lo, k_hi] with multiplicity by the vertex count:
+    # N(k_hi) - N(k_lo) plus the roots at k_lo (scattering._count)
+    expected_count: int
 
     @property
     def ks(self) -> np.ndarray:
@@ -285,6 +269,7 @@ class _WindowReport:
     brackets: List[Tuple[float, float, float, float, complex]] = dataclasses.field(
         default_factory=list
     )
+    counted: int = 0  # eigenvalues in the window by the count
 
     def flag(self, lo: float, hi: float, what: str) -> None:
         self.flagged.append((float(lo), float(hi)))
@@ -292,15 +277,9 @@ class _WindowReport:
 
 
 def _sweep(g: MetricGraph, ks: np.ndarray) -> _Track:
-    """A window's grid as one path, anchored at its first node."""
-    return _track(g, ks)
-
-
-def _cell_count(p: SecularValue, q: SecularValue) -> float:
-    """Eigenvalues in (p.k, q.k] with multiplicity, for monotone eigenphases."""
-    return (q.det_s_phase - p.det_s_phase) / (2.0 * math.pi) - (
-        q.eigenphase_frac - p.eigenphase_frac
-    )
+    """A window's grid as one path, anchored at its first node, with the
+    eigenvalue count at every node."""
+    return _track(g, ks, count=True)
 
 
 def _scan_window(
@@ -310,13 +289,10 @@ def _scan_window(
     step: float,
     cfg: ScanConfig,
     closed_left: bool = False,
-    monotone: bool = True,
 ) -> _WindowReport:
     """Count the eigenvalues in (a, b], or [a, b] when ``closed_left``.
-    ``monotone`` says that every eigenphase of S is non-decreasing on the
-    window, as it is above a closed-form threshold K; it allows counting by
-    segments.  The report holds the eigenvalues the count located and the
-    brackets of the single roots, which ``_scan_chunk`` refines."""
+    The report holds the eigenvalues the count located and the brackets of
+    the single roots, which ``_scan_chunk`` refines."""
     n = max(2, int(math.ceil((b - a) / step)) + 1)
     ks = np.linspace(a, b, n)
     for attempt in range(5):
@@ -329,11 +305,11 @@ def _scan_window(
             n = 2 * (n - 1) + 1
             ks = np.linspace(a, b, n)
 
-    f = tr.zeta.real
     absw = np.abs(tr.zeta)
     scale = max(float(np.median(absw)), 1e-12)
-
-    report = _WindowReport([], [], [])
+    count, at = tr.count, tr.at
+    report = _WindowReport([], [], [], counted=int(count[-1] - count[0]))
+    report.counted += int(closed_left * at[0])
     near_zero = absw <= 1e-9 * scale
     ratios = np.abs(tr.zeta.imag)[~near_zero] / absw[~near_zero]
     imag_dev = float(ratios.max()) if ratios.size else 0.0
@@ -349,93 +325,34 @@ def _scan_window(
     # secular branch within the cell and sign brackets survive the rotation.
     singles: List[Tuple[float, float, int]] = []
     rots = np.exp(-0.5j * tr.phase)
-    flag = report.flag
 
-    def count(p: SecularValue, q: SecularValue) -> Optional[int]:
-        c = _cell_count(p, q)
-        if abs(c - round(c)) > _COUNT_TOL:
-            flag(p.k.real, q.k.real, f"eigenvalue count {c:.9g} is not an integer")
-            return None
-        return round(c)
-
-    def resolve(i: int, p: SecularValue, q: SecularValue, m: int) -> None:
-        """Locate the m eigenvalues strictly between p.k and q.k, inside the
-        grid cell i."""
-        lo, hi = p.k.real, q.k.real
-        if m < 0:
-            flag(lo, hi, f"negative eigenvalue count {m}: eigenphases not monotone")
+    def resolve(i: int, p, q, m: int) -> None:
+        """Locate the m eigenvalues strictly between the points p and q,
+        each (k, N, n0), inside the grid cell i."""
+        lo, hi = p[0], q[0]
         if m <= 0:
             return
-        if m == 1 and not (p.kernel_dim or q.kernel_dim):
-            # an odd count is a sign change of zeta in the cell
+        if m == 1 and not (p[2] or q[2]):
+            # one simple root: zeta changes sign in the cell
             singles.append((lo, hi, i))
         elif hi - lo < cfg.root_tol:
             emitted.append((0.5 * (lo + hi), m))
         else:
-            # the phase drift of the cell is below pi, so the principal
-            # det S phase difference continues the branch to the midpoint
-            mid = secular(g, 0.5 * (lo + hi), p)
-            left = count(p, mid)
-            if left is None:
-                return
-            if mid.kernel_dim:
-                emitted.append((mid.k.real, mid.kernel_dim))
-            resolve(i, p, mid, left - mid.kernel_dim)
-            resolve(i, mid, q, m - left)
+            k = 0.5 * (lo + hi)
+            mid = (k, *(int(c[0]) for c in _count(g, [k])))
+            if mid[2]:
+                emitted.append((mid[0], mid[2]))
+            left = mid[1] - p[1] - mid[2]
+            resolve(i, p, mid, left)
+            resolve(i, mid, q, m - left - mid[2])
 
-    vals = {}
-
-    def resolve_cell(i: int) -> None:
-        p, q = vals[i], vals[i + 1]
-        c = count(p, q)
-        if c is None:
-            return
-        if q.kernel_dim:
-            emitted.append((ks[i + 1], q.kernel_dim))
-        m = c - q.kernel_dim
-        if not (p.kernel_dim or q.kernel_dim) and m % 2 != (sign[i] != sign[i + 1]):
-            what = f"eigenvalue count {m} disagrees with the sign change"
-            flag(ks[i], ks[i + 1], what)
-            return
-        resolve(i, p, q, m)
-
-    # Count by segments.  Above K every cell count is >= 0 and a cell where
-    # zeta changes sign holds an odd count, so a segment whose count equals
-    # its number of sign changes holds one simple root in each sign-change
-    # cell and none elsewhere.  Other segments are halved at their middle
-    # node, down to single cells; the eigenphases are taken only at segment
-    # ends, one stacked call per level.  A root on a node is seen by its
-    # kernel, so a segment with an eigenvalue at an end, or with a node
-    # inside where zeta all but vanishes, is halved too.
-    sign = f < 0
-    changes = np.concatenate([[0], np.cumsum(sign[1:] != sign[:-1])])
-    near_before = np.concatenate([[0], np.cumsum(near_zero)])
-
-    def settled(i: int, j: int) -> bool:
-        p, q = vals[i], vals[j]
-        if p.kernel_dim or q.kernel_dim or near_before[j] > near_before[i + 1]:
-            return False
-        c = _cell_count(p, q)
-        return abs(c - round(c)) <= _COUNT_TOL and round(c) == changes[j] - changes[i]
-
-    level = [(0, n - 1)] if monotone else [(i, i + 1) for i in range(n - 1)]
-    while level:
-        need = sorted({i for seg in level for i in seg} - vals.keys())
-        vals.update(zip(need, tr.values(need)))
-        halves = []
-        for i, j in level:
-            if j - i == 1:
-                resolve_cell(i)
-            elif settled(i, j):
-                for c in range(i, j):
-                    if sign[c] != sign[c + 1]:
-                        singles.append((ks[c], ks[c + 1], c))
-            else:
-                mid = (i + j) // 2
-                halves += [(i, mid), (mid, j)]
-        level = halves
-    if closed_left and vals[0].kernel_dim:
-        emitted.append((ks[0], vals[0].kernel_dim))
+    # a root on a node is a kernel of the vertex matrix there; a cell holds
+    # N(right) - N(left) eigenvalues, those on its right node included
+    emitted.extend((ks[i], int(at[i])) for i in np.flatnonzero(at) if i or closed_left)
+    nodes = list(zip(ks.tolist(), count.tolist(), at.tolist()))
+    inside = np.diff(count) - at[1:]
+    for i in np.flatnonzero(inside > 0).tolist():
+        resolve(i, nodes[i], nodes[i + 1], int(inside[i]))
 
     if singles:
         # bracket ends on grid nodes take det(I - S) from the track; the
@@ -454,13 +371,13 @@ def _scan_window(
 
 def _scan_chunk(chunk) -> List[_WindowReport]:
     """Scan the windows of ``chunk`` = (g, step, cfg, windows), each window
-    (a, b, closed_left, monotone), in order, then refine the single-root
+    (a, b, closed_left), in order, then refine the single-root
     brackets of all of them together by one bracketing refinement
     (Chandrupatla), each iteration one stacked det(I - S), until each
     bracket is narrower than root_tol; the residuals |det(I - S)| of all
     the chunk's roots come from one stacked call."""
     g, step, cfg, windows = chunk
-    reports = [_scan_window(g, a, b, step, cfg, *flags) for a, b, *flags in windows]
+    reports = [_scan_window(g, a, b, step, cfg, left) for a, b, left in windows]
     owners = [rep for rep in reports for _ in rep.brackets]
     if owners:
         brackets = [b for rep in reports for b in rep.brackets]
@@ -566,6 +483,7 @@ def scan_spectrum(
     in which case K is only reported.  Every grid cell's eigenvalue count
     is found (see the module docstring), roots are polished to root_tol,
     and roots closer than 1e-7 are fused, their multiplicities added.
+    The count of the whole range is reported beside the roots.
     """
     cfg = config or ScanConfig()
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)) or k_hi <= k_lo:
@@ -600,14 +518,7 @@ def scan_spectrum(
     # worker count only changes which chunk of windows is refined together.
     cells_per = _CELLS_PER_WINDOW
     bounds = [lo + step * i for i in range(0, n_cells, cells_per)] + [k_hi]
-    # eigenphases are monotone above K; segments are counted only above a
-    # closed-form K, since a heuristic K set too low would let a count short
-    # by an even number settle a segment unseen
-    by_segments = info.method == "closed-form"
-    windows = [
-        (a, b, i == 0, a > info.K and by_segments)
-        for i, (a, b) in enumerate(zip(bounds, bounds[1:]))
-    ]
+    windows = [(a, b, i == 0) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
     # contiguous chunks of at most _WINDOWS_PER_CHUNK windows, which bounds
     # the stacks of one refinement; a pool balances _CHUNKS_PER_WORKER or
     # more per worker
@@ -630,6 +541,7 @@ def scan_spectrum(
 
     found: List[Tuple[float, int, float]] = []
     flagged: List[Tuple[float, float]] = []
+    expected = sum(rep.counted for rep in reports)
     for rep in reports:
         found.extend(rep.roots)
         flagged.extend(rep.flagged)
@@ -661,4 +573,5 @@ def scan_spectrum(
         k_hi=k_hi,
         diagnostics=diagnostics,
         flagged=sorted(set(flagged)),
+        expected_count=expected,
     )

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qgspectra import edge, scattering
+from qgspectra import edge
 from qgspectra.graph import MetricGraph, build_graph
 from qgspectra.orbits import TestFunction
 
@@ -185,20 +185,6 @@ def assembled_ks(monkeypatch):
 
 
 @pytest.fixture
-def eigenphase_points(monkeypatch):
-    """Number of matrices S given to each stacked eigenphase evaluation."""
-    counts = []
-    original = scattering._eigenphases
-
-    def counted(S):
-        counts.append(len(S))
-        return original(S)
-
-    monkeypatch.setattr(scattering, "_eigenphases", counted)
-    return counts
-
-
-@pytest.fixture
 def magnus_calls(monkeypatch):
     """One entry (the interval's left end) per Magnus kernel call."""
     return _record_calls(monkeypatch, edge._magnus)
@@ -210,9 +196,9 @@ def magnus_steps(monkeypatch):
     calls = []
     original = edge._magnus
 
-    def counted(w, a, b, ks, n, want_dk):
+    def counted(w, a, b, ks, n, *args):
         calls.append((n, len(ks)))
-        return original(w, a, b, ks, n, want_dk)
+        return original(w, a, b, ks, n, *args)
 
     monkeypatch.setattr(edge, "_magnus", counted)
     return calls

@@ -184,6 +184,36 @@ def fundamental_matrix(w: Callable[[float], float], length: float, k: complex) -
     return y[:, :2].T.copy(), y[:, 2:].T.copy()
 
 
+def solution_zeros(
+    w: Callable[[float], float], length: float, k: float, delta: Tuple[float, float] = (0.0, 0.0)
+) -> Tuple[int, int]:
+    """Zeros in (0, length] of the solutions of -psi'' + w psi = k^2 psi that
+    start as (psi, psi') = (1, 0) and (0, 1), with a point interaction of
+    strength delta[0] at delta[1] (psi' jumps by D psi there), counted as
+    sign changes of psi on 20001 samples, by DOP853."""
+    strength, x0 = delta
+    xs = np.linspace(0.0, length, 20001)
+
+    def rhs(x, y):
+        return [y[1], (w(x) - k * k) * y[0]]
+
+    counts = []
+    for start in ([1.0, 0.0], [0.0, 1.0]):
+        psi, y0, a = [], start, 0.0
+        for b in ([x0, length] if 0.0 < x0 < length else [length]):
+            grid = xs[(xs >= a) & (xs <= b)] if a == 0.0 else xs[(xs > a) & (xs <= b)]
+            sol = solve_ivp(rhs, (a, b), y0, method="DOP853", rtol=1e-12, atol=1e-14,
+                            dense_output=True)
+            psi.append(sol.sol(grid)[0])
+            y0 = sol.sol(b)
+            y0 = [y0[0], y0[1] + strength * y0[0]]
+            a = b
+        signs = np.sign(np.concatenate(psi)[start[1] == 1.0 :])  # not the zero at 0
+        signs = signs[signs != 0]
+        counts.append(int(np.sum(signs[1:] != signs[:-1])))
+    return counts[0], counts[1]
+
+
 def block_fold(steps: np.ndarray, dsteps: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(M, M') from Magnus steps E and E' = dE/dk, (2, 2, P, n) arrays with n
     a power of two, folded as the 4x4 blocks [[E, E'], [0, E]], whose

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qgspectra
@@ -216,6 +217,21 @@ def test_secular_scan_sign_changes(tmp_path):
     changes = sum(1 for a, b in zip(re_vals, re_vals[1:]) if a * b < 0)
     assert changes == 10
     assert max(abs(float(r[2])) for r in rows) <= 1e-8
+
+
+def test_scan_and_secular_take_no_eigenvalues_of_s(tmp_path, monkeypatch):
+    # counts come from the vertex Dirichlet-to-Neumann index, so neither a
+    # scan nor the secular function calls eigvals
+    def refused(*args, **kwargs):
+        raise AssertionError("np.linalg.eigvals called")
+
+    monkeypatch.setattr(np.linalg, "eigvals", refused)
+    g = qgspectra.build_graph(DELTA_STAR)
+    assert len(qgspectra.scan_spectrum(g, 0.5, 12.0).roots) == 12
+    assert len(secular(g, np.linspace(0.5, 12.0, 50))) == 50
+    inp = write_input(tmp_path, DELTA_STAR)
+    out = tmp_path / "sec"
+    assert cli.main(["secular-scan", "--input", str(inp), "--kmin", "1", "--kmax", "12", "--out", str(out)]) == 0
 
 
 def test_secular_scan_blocks_continue_one_path(tmp_path, monkeypatch):

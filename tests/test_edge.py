@@ -27,6 +27,7 @@ from .oracles import (
     delta_eigenvalues,
     delta_transition_matrix,
     fundamental_matrix,
+    solution_zeros,
     threshold_reference,
 )
 
@@ -358,3 +359,37 @@ def test_unresolvable_potential_raises_through_threshold():
     g = interval(1.0, {"type": "expr", "expr": "cos(1000000*x)"})
     with pytest.raises(NumericalError, match="unresolved"):
         subunitarity_threshold(g)
+
+
+ZERO_CASES = {
+    # (potential, length, the oracle's w, its point interaction (D, x0))
+    "2*cos(3*x)": (
+        {"type": "expr", "expr": "2*cos(3*x)"}, 1.0, ORACLE_POTENTIALS["2*cos(3*x)"], (0, 0)
+    ),
+    "-5*cos(3*x)": (
+        {"type": "expr", "expr": "-5*cos(3*x)"}, 1.0, lambda x: -5 * math.cos(3 * x), (0, 0)
+    ),
+    "constant 4": ({"type": "constant", "value": 4.0}, 2.0, lambda x: 4.0, (0, 0)),
+    "delta -5": (
+        {"type": "delta", "strength": -5.0, "position": 0.6}, 1.2, lambda x: 0.0, (-5.0, 0.6)
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_CASES))
+def test_solution_zeros_match_an_ode_count(name):
+    # the zeros on (0, L] that the eigenvalue count reads, from the closed
+    # form or the Magnus steps, against sign changes of a DOP853 solution;
+    # at 161.7 the Magnus path counts within each of 64 steps, at 4096
+    # steps on the sign changes at the ends of a fold level
+    pot, length, w, delta = ZERO_CASES[name]
+    g = interval(length, pot)
+    ks = np.array([0.7, 3.1, 12.3, 41.0, 161.7])
+    zeros = edge._solve_edges(g, ks, want_count=True).zeros[:, :, 0]
+    want = [solution_zeros(w, length, k, delta) for k in ks]
+    assert zeros.T.tolist() == [list(z) for z in want]
+    if pot["type"] == "expr":
+        for n in (64, 4096):
+            z = np.empty((2, 1), dtype=int)
+            edge._magnus(g.edges[0].potential.callable(length), 0.0, length, ks[-1:], n, False, z)
+            assert z[:, 0].tolist() == list(want[-1])

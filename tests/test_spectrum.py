@@ -11,7 +11,7 @@ from qgspectra import spectrum
 from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import InputError
 from qgspectra.orbits import TestFunction, trace_check
-from qgspectra.scattering import secular
+from qgspectra.scattering import _count
 from qgspectra.spectrum import ScanConfig, multiplicity, scan_spectrum
 
 from .conftest import random_delta_star, star
@@ -337,23 +337,6 @@ def test_scan_work_is_bounded(request, assembled_ks, name, budget):
     assert len(assembled_ks) <= budget
 
 
-@pytest.mark.parametrize(
-    "name, budget", [("g_delta_star", 21), ("g_star3_eq", 65), ("panel1", 45)]
-)
-def test_eigenphases_are_taken_where_the_count_is_open(
-    request, eigenphase_points, name, budget
-):
-    # deterministic count of matrices given to eigvals: segment ends, cells
-    # left open and split midpoints; taking every grid node costs 50, 73
-    # and 449
-    if name == "panel1":
-        g, k_range = random_delta_star(1), (0.5, 30.0)
-    else:
-        g, k_range = request.getfixturevalue(name), SCAN_RANGES[name]
-    scan_spectrum(g, *k_range)
-    assert sum(eigenphase_points) <= budget
-
-
 def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
     # T, T' once per quadrature node (8 panels x 64 nodes on [16, 24]) plus
     # the scan of the same support, at any n_max: the orbit rows cost no
@@ -380,79 +363,46 @@ def test_threshold_work_is_bounded(magnus_calls, threshold_points):
 
 @pytest.mark.parametrize("name", ["g_interval_pi", "g_star3_eq", "g_delta_star"])
 def test_total_multiplicity_equals_eigenphase_count(request, name):
+    # the roots found add up to the eigenvalue count over the range, taken
+    # at its two ends alone (scattering._count): N(k_hi) - N(k_lo) plus the
+    # roots at k_lo; this count replaced the one from the eigenphases of S
     g = request.getfixturevalue(name)
     res = scan_spectrum(g, *SCAN_RANGES[name])
-    sweep = secular(g, np.linspace(res.k_lo, res.k_hi, 401))
-    first, last = sweep[0], sweep[-1]
-    count = (last.det_s_phase - first.det_s_phase) / (2.0 * math.pi) - (
-        last.eigenphase_frac - first.eigenphase_frac
-    )
-    assert abs(count - round(count)) <= 1e-9
-    assert res.total_count() == round(count) + first.kernel_dim
+    count, at = _count(g, [res.k_lo, res.k_hi])
+    assert res.total_count() == count[1] - count[0] + at[0] == res.expected_count
 
 
-@pytest.mark.parametrize(
-    "shift, message",
-    [(0.3, "is not an integer"), (1.0, "disagrees with the sign change")],
-)
-def test_bad_cell_count_is_flagged(g_delta_star, monkeypatch, shift, message):
-    # corrupt the count of the cell holding 3.27075756; that root is
-    # reported as lost, the others are still found
-    count = spectrum._cell_count
+def test_bad_node_count_is_flagged(g_delta_star, monkeypatch):
+    # raise the count at the right node of the grid cell holding 3.27075756
+    # by one: the cell counts two eigenvalues, its split finds the root and
+    # flags the half that holds none; every root is still found
+    sweep, cells = spectrum._sweep, []
 
-    def corrupted(p, q):
-        inside = p.k.real < DELTA_STAR_KS[3] <= q.k.real
-        return count(p, q) + (shift if inside else 0.0)
+    def corrupted(g, ks):
+        tr = sweep(g, ks)
+        i = int(np.searchsorted(ks, DELTA_STAR_KS[3]))
+        if 0 < i < len(ks):
+            tr.count[i] += 1
+            cells.append((ks[i - 1], ks[i]))
+        return tr
 
-    monkeypatch.setattr(spectrum, "_cell_count", corrupted)
+    monkeypatch.setattr(spectrum, "_sweep", corrupted)
     res = scan_spectrum(g_delta_star, 0.5, 12.0)
-    assert len(res.flagged) == 1
-    lo, hi = res.flagged[0]
-    assert lo < DELTA_STAR_KS[3] <= hi
-    assert any(message in d for d in res.diagnostics)
-    assert res.total_count() == len(DELTA_STAR_KS) - 1
+    assert len(cells) == len(res.flagged) == 1
+    (cell_lo, cell_hi), (lo, hi) = cells[0], res.flagged[0]
+    assert cell_lo <= lo < hi <= cell_hi
+    assert any("one eigenvalue counted but no sign change" in d for d in res.diagnostics)
+    assert list(res.ks) == pytest.approx(DELTA_STAR_KS, abs=5e-9)
 
 
-def test_negative_cell_count_is_flagged(g_delta_star, monkeypatch):
-    # the count of the cell holding 3.27075756 is lowered by 2, to -1.  The
-    # range stops short of the 4.829 / 4.885 pair: a segment holding both
-    # would count as many roots as it has sign changes and settle, since
-    # segment counts are trusted as exact above a closed-form K
-    count = spectrum._cell_count
-
-    def corrupted(p, q):
-        inside = p.k.real < DELTA_STAR_KS[3] <= q.k.real
-        return count(p, q) - (2.0 if inside else 0.0)
-
-    monkeypatch.setattr(spectrum, "_cell_count", corrupted)
-    res = scan_spectrum(g_delta_star, 0.5, 4.0)
-    assert len(res.flagged) == 1
-    lo, hi = res.flagged[0]
-    assert lo < DELTA_STAR_KS[3] <= hi
-    assert any("negative eigenvalue count -1" in d for d in res.diagnostics)
-    assert list(res.ks) == pytest.approx(DELTA_STAR_KS[:3], abs=5e-9)
-
-
-def test_negative_cell_count_is_flagged_above_a_heuristic_threshold(monkeypatch):
-    # the smooth star's K is a heuristic scan, so its windows are counted
-    # cell by cell: the cell holding 3.1667 counts -1 and is flagged, where
-    # a segment count would settle it with a pair lost and no flag
-    arms = [(1.0, {"type": "expr", "expr": f"cos({n}*x)"}) for n in (2, 3, 4)]
-    g = star(arms)
-    want = scan_spectrum(g, 3.0, 12.0).ks
-    count = spectrum._cell_count
-
-    def corrupted(p, q):
-        return count(p, q) - (2.0 if p.k.real < 3.1667 <= q.k.real else 0.0)
-
-    monkeypatch.setattr(spectrum, "_cell_count", corrupted)
-    res = scan_spectrum(g, 3.0, 12.0)
-    assert subunitarity_threshold(g, detailed=True).method == "heuristic-scan"
-    assert len(res.flagged) == 1
-    lo, hi = res.flagged[0]
-    assert lo < 3.1667 <= hi
-    assert any("negative eigenvalue count -1" in d for d in res.diagnostics)
-    assert list(res.ks) == list(want[1:])
+def test_cycle_roots_on_dirichlet_eigenvalues_are_found(g_triangle):
+    # the triangle is a circle of length 3: double roots 2 pi m / 3, and the
+    # one at 2 pi is a Dirichlet eigenvalue of its unit edge, a pole of the
+    # vertex matrix, where the count is taken on the cut graph
+    res = scan_spectrum(g_triangle, 1.0, 12.0)
+    assert list(res.multiplicities) == [2] * 5
+    assert list(res.ks) == pytest.approx([2 * math.pi * m / 3 for m in range(1, 6)], abs=1e-9)
+    assert res.flagged == [] and res.diagnostics == []
 
 
 def test_failed_refinement_is_flagged(g_delta_star, monkeypatch):
@@ -519,3 +469,4 @@ def test_refinement_equals_scipy_find_root():
         assert status.tolist() == ref.status.tolist()
         assert set(status.tolist()) == {0, -1, -3}
         assert np.array_equal(x, ref.x, equal_nan=True)
+
