@@ -312,7 +312,8 @@ def _count(g: MetricGraph, ks, sol=None) -> Tuple[np.ndarray, np.ndarray]:
         (layout.n_core > 1)
         & (np.abs(leaf_m) <= _POLE_BAND * np.maximum(k * np.abs(m12), np.abs(m21) / k)),
     ).any(axis=-1)
-    # the entries (uu, uv, vu, vv) of each edge, unused at a pole
+    # the entries (uu, uv, vu, vv) of each edge: (-m11, 1, 1, -m22) / m12 in
+    # the core, (-m21, 0, 0, 0) / m at the leaf for an arm; unused at a pole
     den = np.where(core, m12, leaf_m)
     x = np.broadcast_arrays(np.where(core, -m11, -m21), core, core, core * -m22)
     x = np.stack(x, axis=-1) / np.where(den == 0, 1.0, den)[..., None]

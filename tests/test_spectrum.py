@@ -365,7 +365,7 @@ def test_threshold_work_is_bounded(magnus_calls, threshold_points):
 def test_total_multiplicity_equals_eigenphase_count(request, name):
     # the roots found add up to the eigenvalue count over the range, taken
     # at its two ends alone (scattering._count): N(k_hi) - N(k_lo) plus the
-    # roots at k_lo; this count replaced the one from the eigenphases of S
+    # roots at k_lo (the name keeps the test's id; the count is the DtN one)
     g = request.getfixturevalue(name)
     res = scan_spectrum(g, *SCAN_RANGES[name])
     count, at = _count(g, [res.k_lo, res.k_hi])
