@@ -10,9 +10,8 @@ the one field excluded from reproducibility comparisons.
 
 Each subcommand takes only the flags it reads:
 
-    spectrum      --input --out --kmin --kmax --tol --workers --allow-below-K
-    trace-check   --input --out --phi-center --phi-sigma --nmax
-                  --tol --workers --allow-below-K
+    spectrum      --input --out --kmin --kmax --tol --workers
+    trace-check   --input --out --phi-center --phi-sigma --nmax --tol --workers
     secular-scan  --input --out --kmin --kmax
     wkb-compare   --input --out --kmin --kmax
     orbits        --input --out --kmin (sample k of the weights) --nmax
@@ -85,12 +84,6 @@ def _make_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             help="worker processes for window-parallel scans (default 1)",
-        )
-        p.add_argument(
-            "--allow-below-K",
-            dest="allow_below_k",
-            action="store_true",
-            help="diagnostic mode: scan below the subunitarity threshold",
         )
 
     p = command("spectrum", "locate eigenvalues in [kmin, kmax]")
@@ -180,7 +173,6 @@ def _load(args: argparse.Namespace):
 
 
 def _meta_base(args, g, input_sha: str, params: Dict, cfg_hash: str) -> Dict:
-    info = subunitarity_threshold(g, detailed=True)
     return {
         "command": args.command,
         "config": params,
@@ -191,8 +183,14 @@ def _meta_base(args, g, input_sha: str, params: Dict, cfg_hash: str) -> Dict:
             "n_edges": len(g.edges),
             "total_length": g.total_length,
         },
-        "threshold": {"K": info.K, "method": info.method},
     }
+
+
+def _threshold(g) -> Dict:
+    """The meta.json threshold block of a command whose engine call reads
+    K, which is computed once per graph."""
+    info = subunitarity_threshold(g, detailed=True)
+    return {"K": info.K, "method": info.method}
 
 
 def _require_finite(args: argparse.Namespace, *names: str) -> None:
@@ -209,11 +207,7 @@ def _require_finite(args: argparse.Namespace, *names: str) -> None:
 
 
 def _scan_config(args) -> ScanConfig:
-    return ScanConfig(
-        root_tol=args.tol,
-        workers=args.workers,
-        allow_below_threshold=args.allow_below_k,
-    )
+    return ScanConfig(root_tol=args.tol, workers=args.workers)
 
 
 def _cmd_spectrum(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
@@ -230,6 +224,10 @@ def _cmd_spectrum(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
         {
             "k_lo": result.k_lo,
             "k_hi": result.k_hi,
+            # the closed-form K the scan reports, or null: it does not read K
+            "threshold": None
+            if result.threshold is None
+            else {"K": result.threshold, "method": "closed-form"},
             "n_roots": len(result.roots),
             "total_multiplicity": result.total_count(),
             "diagnostics": result.diagnostics,
@@ -279,7 +277,7 @@ def _cmd_trace_check(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     report = trace_check(g, phi, args.nmax, scan_config=_scan_config(args))
     # The table's enumeration may exceed its budget; fail before writing.
     orbits = enumerate_orbits(g, args.nmax) if args.nmax >= 1 else []
-    payload = dict(meta)
+    payload = dict(meta, threshold=_threshold(g))
     rep = dataclasses.asdict(report)
     # JSON schema of the report file: the test-function center is "k0"
     # and the scattering threshold is "K".
@@ -368,7 +366,7 @@ def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
         rows,
         cfg_hash,
     )
-    meta.update({"k_values": ks})
+    meta.update({"k_values": ks, "threshold": _threshold(g)})
     return os.path.join(args.out, "meta.json"), meta
 
 

@@ -75,7 +75,7 @@ import dataclasses
 import itertools
 import math
 import weakref
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -770,17 +770,27 @@ def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
     ]
 
 
-def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
-    closed, floor, scan_edges = 0.0, 0.0, []
+def _closed_threshold(g: MetricGraph) -> Tuple[float, List[int]]:
+    """The closed-form part of K, the largest delta-edge threshold (0 with
+    none), and the constant and smooth edges, whose part only the heuristic
+    scan gives; K is the closed form itself when there are none."""
+    closed, scan_edges = 0.0, []
     for e in g.edges:
         pot = e.potential
         if pot.kind == "delta":
             closed = max(closed, _delta_threshold(pot.strength, e.length))
         elif pot.kind != "zero":
-            floor = max(floor, math.sqrt(pot.sup_plus(e.length)))
             scan_edges.append(e.index)
+    return closed, scan_edges
+
+
+def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
+    closed, scan_edges = _closed_threshold(g)
     if not scan_edges:
         return ThresholdInfo(closed, "closed-form")
+    floor = max(
+        math.sqrt(g.edges[e].potential.sup_plus(g.edges[e].length)) for e in scan_edges
+    )
     base = math.ceil(max(floor, closed) / _K_GRID_STEP) * _K_GRID_STEP
     # One pass over the grid rows i = 1, 2, ..., k_i = base + i*step, each
     # checked at every eps and scan edge in the order of the definition

@@ -31,6 +31,14 @@ det(I - S) per iteration, until each bracket is narrower than root_tol; a bracke
 cannot refine is flagged.  The residuals |det(I - S)| of all the chunk's
 roots come from one more stacked call.
 
+A scan covers [max(k_lo, K_FLOOR), k_hi] as given, below the subunitarity
+threshold K too, and never computes K.  On the real axis S is unitary and
+no edge's t is singular: its denominator psi_plus'(L) - ik psi_plus(L)
+vanishing at a real k != 0 would make the Wronskian of psi_plus and its
+conjugate read 2ik = -2ik |psi_plus(L)|^2.  So zeta, its branch and the
+count hold at every k > 0; only the orbit expansion of the trace formula
+and the contour of ``multiplicity`` need the complex k above K.
+
 ``multiplicity`` gives the independent argument-principle count on a
 rectangle in the upper half plane, where strict subunitarity of S pins
 every zero of det(I - S) to the real segment.  The boundary is walked
@@ -55,7 +63,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .edge import subunitarity_threshold
+from .edge import _closed_threshold, subunitarity_threshold
 from .errors import InputError, NumericalError, PhaseTrackingError
 from .graph import MetricGraph
 from .scattering import _count, _det_w, _track, _Track
@@ -123,13 +131,13 @@ class ScanConfig:
     root_tol: bracket width at which sign-change refinement stops.
     workers: scan processes at most (no more than there are chunks of
         windows or CPUs); output does not depend on it.
-    allow_below_threshold: scan below the subunitarity threshold K
-        (diagnostic mode; eigenvalue certificates are weaker there).
+
+    No option bounds the range from below: a scan starts at max(k_lo,
+    K_FLOOR), below the subunitarity threshold K too.
     """
 
     root_tol: float = 1e-9
     workers: int = 1
-    allow_below_threshold: bool = False
 
     def __post_init__(self) -> None:
         if not 0 < self.root_tol < math.inf:
@@ -150,8 +158,10 @@ class RootRecord:
 @dataclasses.dataclass
 class SpectrumResult:
     roots: List[RootRecord]
-    threshold: float
-    threshold_method: str
+    # the closed-form subunitarity threshold K (``edge._closed_threshold``),
+    # None where a constant or smooth edge would need the heuristic scan;
+    # the scan itself does not read it
+    threshold: Optional[float]
     k_lo: float
     k_hi: float
     diagnostics: List[str]
@@ -476,39 +486,25 @@ def scan_spectrum(
     k_hi: float,
     config: Optional[ScanConfig] = None,
 ) -> SpectrumResult:
-    """Locate eigenvalues k in [k_lo, k_hi] with multiplicities.
+    """Locate eigenvalues k in [max(k_lo, K_FLOOR), k_hi] with
+    multiplicities, below the subunitarity threshold K too, without
+    computing K (see the module docstring).
 
-    The effective scan start is raised to the subunitarity threshold K
-    (and to the k floor) unless the config allows sub-threshold scans,
-    in which case K is only reported.  Every grid cell's eigenvalue count
-    is found (see the module docstring), roots are polished to root_tol,
-    and roots closer than 1e-7 are fused, their multiplicities added.
-    The count of the whole range is reported beside the roots.
+    Every grid cell's eigenvalue count is found, roots are polished to
+    root_tol, and roots closer than 1e-7 are fused, their multiplicities
+    added.  The count of the whole range is reported beside the roots.
     """
     cfg = config or ScanConfig()
     if not (math.isfinite(k_lo) and math.isfinite(k_hi)) or k_hi <= k_lo:
         raise InputError("scan range must satisfy k_lo < k_hi with finite bounds")
 
-    info = subunitarity_threshold(g, detailed=True)
     diagnostics: List[str] = []
     lo = max(k_lo, K_FLOOR)
     if lo > k_lo:
         diagnostics.append(f"scan start raised to the k floor {K_FLOOR:g}")
-    if not cfg.allow_below_threshold and lo <= info.K:
-        lo = info.K + max(1e-9, 1e-9 * info.K)
-        diagnostics.append(
-            f"scan start raised above the subunitarity threshold K={info.K:.9g} "
-            f"({info.method}); eigenvalues at or below K are not reported"
-        )
-    if cfg.allow_below_threshold and k_lo <= info.K:
-        diagnostics.append(
-            f"scanning below the subunitarity threshold K={info.K:.9g} "
-            f"({info.method}); root certificates are weaker there"
-        )
     if lo >= k_hi:
         raise InputError(
-            f"scan range [{k_lo:g}, {k_hi:g}] lies at or below the "
-            f"subunitarity threshold K={info.K:.9g}"
+            f"scan range [{k_lo:g}, {k_hi:g}] lies at or below the k floor {K_FLOOR:g}"
         )
 
     step = grid_step(g)
@@ -565,10 +561,10 @@ def scan_spectrum(
                 f"large secular residual {r.residual:.2e} at k={r.k:.9f}"
             )
 
+    closed, scanned = _closed_threshold(g)
     return SpectrumResult(
         roots=records,
-        threshold=info.K,
-        threshold_method=info.method,
+        threshold=None if scanned else closed,
         k_lo=lo,
         k_hi=k_hi,
         diagnostics=diagnostics,

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qgspectra
-from qgspectra import cli, orbits
+from qgspectra import cli, edge, orbits
 from qgspectra.errors import PhaseTrackingError
 from qgspectra.orbits import enumerate_orbits
 from qgspectra.scattering import secular
@@ -392,23 +392,49 @@ def test_trace_check_report(tmp_path):
 
 
 def test_below_threshold_flag(tmp_path):
+    # a range below K = sqrt(3)/2 is scanned as given, without a flag (the
+    # name keeps the test's id): it holds no eigenvalue
     inp = write_input(tmp_path, ATTRACTIVE)
-    refused = run_cli(
+    proc = run_cli(
         "spectrum", "--input", str(inp), "--kmin", "0.3", "--kmax", "0.8", "--out", str(tmp_path / "r")
     )
-    assert refused.returncode == 2
-    assert "lies at or below" in refused.stderr
-    allowed = run_cli(
-        "spectrum",
-        "--input", str(inp),
-        "--kmin", "0.3",
-        "--kmax", "6.5",
-        "--out", str(tmp_path / "a"),
-        "--allow-below-K",
-    )
-    assert allowed.returncode == 0, allowed.stderr
-    meta = json.loads((tmp_path / "a" / "meta.json").read_text())
-    assert any("weaker" in d for d in meta["diagnostics"])
+    assert proc.returncode == 0, proc.stderr
+    assert read_csv(tmp_path / "r" / "spectrum.csv")[2] == []
+    meta = json.loads((tmp_path / "r" / "meta.json").read_text())
+    assert (meta["k_lo"], meta["k_hi"], meta["n_roots"]) == (0.3, 0.8, 0)
+    assert meta["diagnostics"] == []
+    assert meta["threshold"] == {"K": pytest.approx(math.sqrt(3.0) / 2.0), "method": "closed-form"}
+
+
+def test_threshold_is_computed_only_where_it_is_read(tmp_path, monkeypatch):
+    # on a smooth graph K needs the heuristic scan: spectrum reports null
+    # and secular-scan and orbits no block, none of them computing K;
+    # wkb-compare and trace-check read K and report it
+    inp = write_input(tmp_path, SMOOTH)
+    common = ["--input", str(inp), "--out", str(tmp_path / "o")]
+    compute = edge._compute_threshold
+
+    def refused(g):
+        raise AssertionError("the heuristic threshold was computed")
+
+    monkeypatch.setattr(edge, "_compute_threshold", refused)
+    for argv in (
+        ["spectrum", "--kmin", "0.5", "--kmax", "4"],
+        ["secular-scan", "--kmin", "0.5", "--kmax", "4"],
+        ["orbits", "--kmin", "3", "--nmax", "2"],
+    ):
+        assert cli.main(argv + common) == 0
+        meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+        assert meta.get("threshold", "absent") == (None if argv[0] == "spectrum" else "absent")
+    monkeypatch.setattr(edge, "_compute_threshold", compute)
+    K = edge.subunitarity_threshold(qgspectra.build_graph(SMOOTH))
+    for argv, report in (
+        (["wkb-compare", "--kmin", "10", "--kmax", "10"], "meta.json"),
+        (["trace-check", "--phi-center", "10", "--phi-sigma", "0.5", "--nmax", "2"], "trace_report.json"),
+    ):
+        assert cli.main(argv + common) == 0
+        meta = json.loads((tmp_path / "o" / report).read_text())
+        assert meta["threshold"] == {"K": K, "method": "heuristic-scan"}
 
 
 # argv after --input and --out, and the expected part of the error message,
@@ -419,6 +445,12 @@ USAGE_ERRORS = {
     "spectrum-nmax": (["spectrum", "--kmin", "1", "--kmax", "2", "--nmax", "2"], "unrecognized arguments: --nmax"),
     "secular-tol": (["secular-scan", "--kmin", "1", "--kmax", "2", "--tol", "1e-3"], "unrecognized arguments: --tol"),
     "orbits-kmax": (["orbits", "--kmin", "1", "--kmax", "3"], "unrecognized arguments: --kmax"),
+    # scans run below the subunitarity threshold without a flag
+    "spectrum-below-K": (["spectrum", "--kmin", "1", "--kmax", "2", "--allow-below-K"], "unrecognized arguments: --allow-below-K"),
+    "trace-below-K": (
+        ["trace-check", "--phi-center", "10", "--phi-sigma", "0.5", "--allow-below-K"],
+        "unrecognized arguments: --allow-below-K",
+    ),
     # non-finite k flags.  wkb-compare --kmax inf is left out on purpose:
     # without the check its k-doubling loop never ends.
     "secular-kmin-nan": (["secular-scan", "--kmin", "nan", "--kmax", "2"], "needs finite --kmin"),

@@ -7,15 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from qgspectra import spectrum
+from qgspectra import edge, spectrum
 from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import InputError
+from qgspectra.fd import fd_spectrum
 from qgspectra.orbits import TestFunction, trace_check
 from qgspectra.scattering import _count
 from qgspectra.spectrum import ScanConfig, multiplicity, scan_spectrum
 
 from .conftest import random_delta_star, star
 from .oracles import interval_delta_secular, roots_on
+
+SMOOTH_ARMS = [(1.0, {"type": "expr", "expr": f"cos({n}*x)"}) for n in (2, 3, 4)]
 
 # Cross-checked against an independent second-order discretization of the
 # same operator (extrapolated in the step size); the two agree to 1.5e-9
@@ -39,10 +42,9 @@ DELTA_STAR_KS = [
 def test_config_defaults():
     c = ScanConfig()
     fields = [f.name for f in dataclasses.fields(c)]
-    assert fields == ["root_tol", "workers", "allow_below_threshold"]
+    assert fields == ["root_tol", "workers"]
     assert c.root_tol == 1e-9
     assert c.workers == 1
-    assert c.allow_below_threshold is False
 
 
 @pytest.mark.parametrize(
@@ -70,13 +72,14 @@ def test_neumann_interval_spectrum_is_integers(g_interval_pi):
     assert res.total_count() == 10
     assert res.flagged == []
     assert res.threshold == 0.0
-    assert res.threshold_method == "closed-form"
 
 
 def test_scan_start_is_floored(g_interval_pi):
     res = scan_spectrum(g_interval_pi, 0.0, 3.5)
     assert res.k_lo == 0.001
     assert [round(k) for k in res.ks] == [1, 2, 3]
+    with pytest.raises(InputError, match="lies at or below the k floor"):
+        scan_spectrum(g_interval_pi, 0.0, 5e-4)
 
 
 def test_roots_on_both_ends_of_the_range_are_kept(g_interval_pi):
@@ -156,28 +159,57 @@ def test_per_root_winding_agrees_with_scan(request, name):
 
 
 def test_scan_below_threshold_is_clamped(g_interval_delta_neg):
+    # the scan starts where it is asked to, below K = sqrt(3)/2 too (the
+    # name keeps the test's id; nothing is clamped any more)
     res = scan_spectrum(g_interval_delta_neg, 0.5, 6.5)
-    K = math.sqrt(3.0) / 2.0
-    assert res.k_lo > K
-    assert any("scan start raised above the subunitarity threshold" in d for d in res.diagnostics)
-    assert len(res.ks) == 2
-    assert abs(res.ks[0] - math.pi) <= 1e-8
-    assert abs(res.ks[1] - 6.120152766860) <= 1e-8
-
-
-def test_scan_below_threshold_opt_in(g_interval_delta_neg):
-    cfg = ScanConfig(allow_below_threshold=True)
-    res = scan_spectrum(g_interval_delta_neg, 0.5, 6.5, cfg)
+    assert math.sqrt(3.0) / 2.0 == pytest.approx(res.threshold)
     assert res.k_lo == 0.5
-    assert any("root certificates are weaker" in d for d in res.diagnostics)
-    assert len(res.ks) == 2
+    assert res.diagnostics == [] and res.flagged == []
+    assert len(res.ks) == 2 == res.expected_count
     assert abs(res.ks[0] - math.pi) <= 1e-8
     assert abs(res.ks[1] - 6.120152766860) <= 1e-8
 
 
 def test_range_entirely_below_threshold_rejected(g_interval_delta_neg):
-    with pytest.raises(InputError, match="lies at or below"):
-        scan_spectrum(g_interval_delta_neg, 0.3, 0.8)
+    # [0.3, 0.8] lies below K and holds no eigenvalue: the first positive
+    # one of the finite-difference operator lies above it (the name keeps
+    # the test's id; the range is scanned, not rejected)
+    res = scan_spectrum(g_interval_delta_neg, 0.3, 0.8)
+    assert res.k_lo == 0.3
+    assert res.roots == [] and res.expected_count == 0
+    assert res.diagnostics == [] and res.flagged == []
+    fd = fd_spectrum(g_interval_delta_neg, 0.002, 3, richardson=True)
+    assert fd.ks[0] > 0.8
+
+
+def test_scan_never_computes_the_heuristic_threshold(monkeypatch):
+    # the smooth-scan window of the cos(2x), cos(3x), cos(4x) star: K needs
+    # the heuristic scan there, which the spectrum scan never starts
+    def refused(g):
+        raise AssertionError("the heuristic threshold was computed")
+
+    monkeypatch.setattr(edge, "_compute_threshold", refused)
+    res = scan_spectrum(star(SMOOTH_ARMS), 4.4, 5.0)
+    assert res.threshold is None
+    assert list(res.ks) == pytest.approx([4.7061183267050, 4.7424765159315], abs=1e-12)
+    assert list(res.multiplicities) == [1, 1]
+    assert res.flagged == [] and res.diagnostics == []
+
+
+def test_roots_below_threshold_match_finite_differences(g_smooth_star):
+    # the same star from k = 0.05, below its K = 1: every root against the
+    # eigenvalues of an independent finite-difference operator (h = 0.005,
+    # extrapolated; 3e-10 apart), and the roots add up to the count
+    g = g_smooth_star
+    res = scan_spectrum(g, 0.05, 6.0)
+    fd = fd_spectrum(g, 0.005, 8, richardson=True)
+    assert len(fd.negative) == 0
+    expected = fd.ks[fd.ks <= 6.0]
+    assert res.ks[0] < 1.0
+    assert list(res.ks) == pytest.approx(expected.tolist(), abs=1e-8)
+    assert list(res.multiplicities) == [1] * len(expected)
+    assert res.expected_count == res.total_count() == 6
+    assert res.flagged == [] and res.diagnostics == []
 
 
 def test_winding_guard_below_threshold(g_interval_delta_neg):
@@ -355,8 +387,7 @@ def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
 def test_threshold_work_is_bounded(magnus_calls, threshold_points):
     # deterministic counts on the smooth-scan star: 384 (k, eps, edge) grid
     # points, batched through the Magnus kernel, each evaluated once
-    arms = [(1.0, {"type": "expr", "expr": f"cos({n}*x)"}) for n in (2, 3, 4)]
-    assert subunitarity_threshold(star(arms)) == 1.0
+    assert subunitarity_threshold(star(SMOOTH_ARMS)) == 1.0
     assert len(magnus_calls) <= 100
     assert len(threshold_points) == len(set(threshold_points)) == 384
 
