@@ -43,10 +43,15 @@ such as an equilateral zero-potential star at k = pi, takes the dense
 1-D array the path's values in order.  The branch is fixed by a value,
 not by mutable state: a path continues from the evaluated value
 ``after``, or is anchored at its first point, so two continuations from
-one value are two calls.  A scan's path also takes the eigenvalue count
-at each point (``_count``) from the same edge solutions: the inertia of
-the real symmetric vertex Dirichlet-to-Neumann matrix, built from the
-fundamental matrices M of the edges, plus Sturm counts on the edges.
+one value are two calls.
+
+A scan tracks no branch.  It reads the real symmetric vertex
+Dirichlet-to-Neumann matrix Lambda, built from the fundamental matrices M
+of the edges, in one assembly (``_vertex_det``): its inertia plus Sturm
+counts on the edges give the eigenvalue count at each point (``_count``),
+and its determinant times the product of the edges' denominators gives
+the real, pole-free vertex determinant F(k), whose zeros are those of
+det(I - S).  The scan brackets and refines roots on F.
 """
 
 from __future__ import annotations
@@ -84,8 +89,8 @@ _KERNEL_TOL = 1e-12
 # max(|m11|, |m22|) (near a Dirichlet eigenvalue; or, for an arm of a core
 # of several vertices, |m| at its leaf end below this fraction of
 # max(|k m12|, |m21| / k)) is near a pole of the matrix, whose entries grow
-# like 1 / m12 and whose rounding swamps the small eigenvalues.  The count
-# is taken on the cut graph there (``_cut``).
+# like 1 / m12 and whose rounding swamps the small eigenvalues.  The count,
+# and F off a star, are taken on the cut graph there (``_cut``).
 _POLE_BAND = 1e-6
 # A point where some |det(I + t_e)| is below this takes det(I - S) densely.
 # The vertex-space determinant's error grows like eps / min |det(I + t_e)|:
@@ -102,7 +107,7 @@ class _Layout:
     of each entry's row, (E, 4), and the flat float index in a complex V x
     V matrix of the real and imaginary part of each entry, (E, 4, 2), for
     the entries (x00, x01, x10, x11) of the edge's block of T (I + T)^-1.
-    For ``_count``: the number of core vertices, each edge's role (0 in the
+    For ``_vertex_det``: the number of core vertices, each edge's role (0 in the
     core, 1 or 2 an arm whose x = L or x = 0 end is a leaf) and the flat
     index of its entries (uu, uv, vu, vv) in the core's matrix."""
 
@@ -295,38 +300,77 @@ def _count(g: MetricGraph, ks, sol=None) -> Tuple[np.ndarray, np.ndarray]:
     point; a larger core takes a dense eigvalsh, and a point near one of
     its poles (_POLE_BAND) is counted on the cut graph.
     """
+    return _vertex_det(g, ks, sol, want_count=True)[:2]
+
+
+def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
+    """The real vertex determinant F at each real k > 0 of the 1-D array
+    ``ks``, or (N, n0, F) with ``want_count``, N and n0 those of
+    ``_count``, from one assembly of Lambda.  ``sol`` is the boundary data
+    of every edge at ``ks``, with its zeros when counted (evaluated unless
+    given).
+
+    F = det Lambda * prod_e den_e, den_e the denominator of the edge's
+    entries of Lambda (k m12 for an edge of the core, m22 or m11 at the
+    leaf end of an arm), is real and pole-free on the real axis, and its
+    zeros are the eigenvalues with their multiplicities (Berkolaiko &
+    Kuchment, Introduction to Quantum Graphs, AMS 2013, chs. 2-3).  The
+    factor k of each core edge's den keeps |F| of order one where the
+    unscaled F falls like k^-(core edges); it moves no sign and no root.
+    A star's core is its centre: F = sum_e num_e prod_{e' != e} den_e', with
+    num_e = -m21 for an arm and k (2 - m11 - m22) for a loop, from prefix
+    and suffix products, so no point is a pole.  A larger core takes det
+    Lambda, and at a pole the cut graph's F: cutting an edge M = M2 M1 gives
+    -(M2 M1)_12 = -m12 and -(M2 M1)_22 = -m22, so F = (-1)^E F(cut)
+    unscaled, and F = (-1)^E k^-E F(cut) once the cut graph's E more core
+    edges are scaled.
+    """
     ks = np.asarray(ks, dtype=float).reshape(-1)
     if sol is None:
-        sol = _solve_edges(g, ks, want_count=True)
+        sol = _solve_edges(g, ks, want_count=want_count)
     layout = _layout(g)
+    n, nc = len(ks), layout.n_core
     m11, m12, m21, m22 = (np.real(x) for x in sol.m)
-    z_n, z_d = sol.zeros
     core, to_leaf = layout.role == 0, layout.role == 1
     leaf_m = np.where(to_leaf, m22, m11)
-    arm = np.where(to_leaf, z_d + (m12 * m22 < 0), z_n - (m11 == 0))
-    own = np.where(core, z_d - (m12 == 0), arm)
     k = ks[:, None]
+    den = np.where(core, m12, leaf_m)
+    scaled = np.where(core, k * m12, leaf_m)
+    if nc == 1:
+        # every entry lands on the centre, so num_e is their sum times den_e
+        num = np.where(core, k * (2.0 - m11 - m22), -m21)
+        before, after = np.ones_like(scaled), np.ones_like(scaled)
+        before[:, 1:] = np.cumprod(scaled[:, :-1], axis=-1)
+        after[:, :-1] = np.cumprod(scaled[:, :0:-1], axis=-1)[:, ::-1]
+        f = (num * before * after).sum(axis=-1)
+        if not want_count:
+            return f
     pole = np.where(
         core,
         k * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)),
-        (layout.n_core > 1)
+        (nc > 1)
         & (np.abs(leaf_m) <= _POLE_BAND * np.maximum(k * np.abs(m12), np.abs(m21) / k)),
     ).any(axis=-1)
     # the entries (uu, uv, vu, vv) of each edge: (-m11, 1, 1, -m22) / m12 in
     # the core, (-m21, 0, 0, 0) / m at the leaf for an arm; unused at a pole
-    den = np.where(core, m12, leaf_m)
     x = np.broadcast_arrays(np.where(core, -m11, -m21), core, core, core * -m22)
     x = np.stack(x, axis=-1) / np.where(den == 0, 1.0, den)[..., None]
     x[..., 0] = np.where(~core & (den == 0), np.inf, x[..., 0])
     x[pole] = 0.0
-    n, nc = len(ks), layout.n_core
     slots = (nc * nc * np.arange(n))[:, None, None] + layout.dtn_target
     lam = np.bincount(slots.ravel(), x.ravel(), n * nc * nc).reshape(n, nc, nc)
-    eig = lam.reshape(n, 1) if nc == 1 else np.linalg.eigvalsh(lam)
-    entries = np.abs(np.where(np.isinf(x), 0.0, x)).sum(axis=(1, 2))
-    tol = (_KERNEL_TOL * ks + 64 * np.finfo(float).eps * entries)[:, None]
-    at = (np.abs(eig) <= tol).sum(axis=-1)
-    count = own.sum(axis=-1) + (eig >= -tol).sum(axis=-1)
+    if nc > 1:
+        f = np.linalg.det(lam) * np.prod(scaled, axis=-1)
+    if want_count:
+        z_n, z_d = sol.zeros
+        arm = np.where(to_leaf, z_d + (m12 * m22 < 0), z_n - (m11 == 0))
+        own = np.where(core, z_d - (m12 == 0), arm)
+        eig = lam.reshape(n, 1) if nc == 1 else np.linalg.eigvalsh(lam)
+        entries = np.abs(np.where(np.isinf(x), 0.0, x)).sum(axis=(1, 2))
+        tol = (_KERNEL_TOL * ks + 64 * np.finfo(float).eps * entries)[:, None]
+        at = (np.abs(eig) <= tol).sum(axis=-1)
+        count = own.sum(axis=-1) + (eig >= -tol).sum(axis=-1)
+    # a star's F holds at its poles; its count, and a larger core, do not
     if pole.any():
         cut = _cut(g)
         if cut is None:
@@ -334,8 +378,12 @@ def _count(g: MetricGraph, ks, sol=None) -> Tuple[np.ndarray, np.ndarray]:
                 f"no eigenvalue count at k={ks[pole][0]:.9g}: a pole of the "
                 "vertex matrix of the graph and of its cut"
             )
-        count[pole], at[pole] = _count(cut, ks[pole])
-    return count, at
+        sub = _vertex_det(cut, ks[pole], want_count=want_count)
+        if want_count:
+            count[pole], at[pole], sub = sub
+        if nc > 1:
+            f[pole] = (-1.0) ** g.num_edges * ks[pole] ** -g.num_edges * sub
+    return (count, at, f) if want_count else f
 
 
 def _cut(g: MetricGraph) -> Optional[MetricGraph]:
@@ -369,16 +417,13 @@ def _cut(g: MetricGraph) -> Optional[MetricGraph]:
 @dataclasses.dataclass
 class _Track:
     """det(I - S), zeta and the unwrapped det S phase along a k path, one
-    row per point; theta = phase + theta_offset; and, when counted, the
-    count N and the roots n0 at each point (``_count``)."""
+    row per point; theta = phase + theta_offset."""
 
     ks: np.ndarray
     det_w: np.ndarray
     zeta: np.ndarray
     phase: np.ndarray
     theta_offset: float
-    count: Optional[np.ndarray] = None
-    at: Optional[np.ndarray] = None
 
     def values(self) -> List[SecularValue]:
         """The SecularValue at each point."""
@@ -388,13 +433,10 @@ class _Track:
         ]
 
 
-def _track(
-    g: MetricGraph, ks, after: Optional[SecularValue] = None, count: bool = False
-) -> _Track:
+def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
     """The secular function along the points ``ks`` in order, from the edge
     entries, continuing the branch from the evaluated value ``after`` or,
-    without it, anchored at the first point; with ``count``, also the
-    eigenvalue count at each (real) point, from the same edge solutions.
+    without it, anchored at the first point.
 
     det S = det Sigma prod_e det t_e, with det Sigma = +-1 independent of k,
     so theta, the phase of det T, is the det S phase plus an offset, fixed
@@ -404,8 +446,7 @@ def _track(
     conjugate symmetry zeta(conj k) = conj zeta(k) off it.
     """
     ks = np.asarray(ks, dtype=complex).reshape(-1)
-    sol = _solve_edges(g, ks, want_count=count)
-    t, _ = _entries(sol)
+    t, _ = _entries(_solve_edges(g, ks))
     det_s = _det_s(g, t)
     det_w = _det_w(g, ks, t)
     det_sigma = _layout(g).det_sigma
@@ -425,10 +466,7 @@ def _track(
         prev += step
         phase[i] = prev
     zeta = np.abs(det_s) ** -0.5 * np.exp(-0.5j * phase) * det_w
-    tr = _Track(ks, det_w, zeta, phase, offset)
-    if count:
-        tr.count, tr.at = _count(g, ks.real, sol)
-    return tr
+    return _Track(ks, det_w, zeta, phase, offset)
 
 
 def secular(

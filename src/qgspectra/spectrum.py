@@ -1,41 +1,42 @@
-"""Eigenvalue location by secular-function scanning.
+"""Eigenvalue location by counting and sign changes of the vertex determinant.
 
 The scan walks a k grid of step pi / (4 * total length), the minimal
-oscillation scale of det(I - S), and tracks the branch of the
-regularized secular function zeta = (det S)^(-1/2) det(I - S), real on
-the real axis.  A window of the grid is one batch: its edges are
-evaluated together at every node, once, for zeta (see ``scattering``)
-and for the eigenvalue count N(k), the eigenvalues k_j <= k with
-multiplicity, from the vertex Dirichlet-to-Neumann index
-(``scattering._count``), an integer by construction at every k > 0.  A
-grid cell (a, b] holds N(b) - N(a) eigenvalues, of which n0(b) lie on
-b, as a kernel of the vertex matrix there.  A cell holding one more is a
-sign change of zeta and a bracket for the refinement; a larger count is
-split at midpoints, each counted the same way, until every piece holds
-at most one, and a piece narrower than root_tol is one root whose
-multiplicity is its count.
+oscillation scale of det(I - S).  A window of the grid is one batch: its
+edges are solved together at every node, once, and the vertex
+Dirichlet-to-Neumann matrix assembled from them gives both the
+eigenvalue count N(k), the eigenvalues k_j <= k with multiplicity, an
+integer by construction at every k > 0 (``scattering._count``), and the
+real, pole-free vertex determinant F(k), whose zeros are those of
+det(I - S) (``scattering._vertex_det``).  The scan tracks no branch of
+the secular function.  A grid cell (a, b] holds N(b) - N(a) eigenvalues,
+of which n0(b) lie on b, as a kernel of the vertex matrix there.  A cell
+holding one more is a sign change of F and a bracket for the refinement;
+a larger count is split at midpoints, each counted (and F taken) the same
+way, until every piece holds at most one, and a piece narrower than
+root_tol is one root whose multiplicity is its count.
 
-A window only counts: it hands on its single-root brackets, whose ends
-on grid nodes take their det(I - S) from the window's sweep.  The windows
-go out in contiguous chunks of at most _WINDOWS_PER_CHUNK windows each (a
-serial scan of up to that many windows is one chunk; the cap keeps a
-refinement's stacks small on long ranges); a pool gets at least
-_CHUNKS_PER_WORKER chunks per worker, so that a worker that starts late
-or runs on a slowed CPU takes fewer of them instead of holding up the
-scan with a fixed half.  The pool starts no more processes than there are
-chunks or CPUs; the partition itself depends on the worker count only.
-All brackets of a chunk are refined together by Chandrupatla's bracketing
-method (T. R. Chandrupatla, Adv. Eng. Softw. 28, 1997; ``_chandrupatla``,
-whose iterates are those of scipy's elementwise find_root), one stacked
-det(I - S) per iteration, until each bracket is narrower than root_tol; a bracket it
-cannot refine is flagged.  The residuals |det(I - S)| of all the chunk's
-roots come from one more stacked call.
+A window only counts: it hands on its single-root brackets with F at
+their ends, from the window's sweep or from the split that made them.
+The windows go out in contiguous chunks of at most _WINDOWS_PER_CHUNK
+windows each (a serial scan of up to that many windows is one chunk; the
+cap keeps a refinement's stacks small on long ranges); a pool gets at
+least _CHUNKS_PER_WORKER chunks per worker, so that a worker that starts
+late or runs on a slowed CPU takes fewer of them instead of holding up
+the scan with a fixed half.  The pool starts no more processes than there
+are chunks or CPUs; the partition itself depends on the worker count
+only.  All brackets of a chunk are refined together by Chandrupatla's
+bracketing method (T. R. Chandrupatla, Adv. Eng. Softw. 28, 1997;
+``_chandrupatla``, whose iterates are those of scipy's elementwise
+find_root), one stacked F per iteration, until each bracket is narrower
+than root_tol; a bracket it cannot refine is flagged.  Each root is
+checked against the paper's secular function: the residuals |det(I - S)|
+of all the chunk's roots come from one more stacked call.
 
 A scan covers [max(k_lo, K_FLOOR), k_hi] as given, below the subunitarity
 threshold K too, and never computes K.  On the real axis S is unitary and
 no edge's t is singular: its denominator psi_plus'(L) - ik psi_plus(L)
 vanishing at a real k != 0 would make the Wronskian of psi_plus and its
-conjugate read 2ik = -2ik |psi_plus(L)|^2.  So zeta, its branch and the
+conjugate read 2ik = -2ik |psi_plus(L)|^2.  So det(I - S), F and the
 count hold at every k > 0; only the orbit expansion of the trace formula
 and the contour of ``multiplicity`` need the complex k above K.
 
@@ -64,9 +65,9 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from .edge import _closed_threshold, subunitarity_threshold
-from .errors import InputError, NumericalError, PhaseTrackingError
+from .errors import InputError, NumericalError
 from .graph import MetricGraph
-from .scattering import _count, _det_w, _track, _Track
+from .scattering import _det_w, _vertex_det
 
 __all__ = [
     "ScanConfig",
@@ -274,9 +275,9 @@ class _WindowReport:
     flagged: List[Tuple[float, float]]
     diagnostics: List[str]
     # eigenvalues located by counting, (k, multiplicity), and the
-    # single-root brackets (lo, hi, f(lo), f(hi), rotation) left to refine
+    # single-root brackets (lo, hi, F(lo), F(hi)) left to refine
     emitted: List[Tuple[float, int]] = dataclasses.field(default_factory=list)
-    brackets: List[Tuple[float, float, float, float, complex]] = dataclasses.field(
+    brackets: List[Tuple[float, float, float, float]] = dataclasses.field(
         default_factory=list
     )
     counted: int = 0  # eigenvalues in the window by the count
@@ -286,10 +287,10 @@ class _WindowReport:
         self.diagnostics.append(f"{what} on ({lo:.9g}, {hi:.9g}]")
 
 
-def _sweep(g: MetricGraph, ks: np.ndarray) -> _Track:
-    """A window's grid as one path, anchored at its first node, with the
-    eigenvalue count at every node."""
-    return _track(g, ks, count=True)
+def _sweep(g: MetricGraph, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The eigenvalue count N, the roots n0 and the vertex determinant F at
+    every node of a window's grid, from one solve of its edges."""
+    return _vertex_det(g, ks, want_count=True)
 
 
 def _scan_window(
@@ -305,77 +306,38 @@ def _scan_window(
     the single roots, which ``_scan_chunk`` refines."""
     n = max(2, int(math.ceil((b - a) / step)) + 1)
     ks = np.linspace(a, b, n)
-    for attempt in range(5):
-        try:
-            tr = _sweep(g, ks)
-            break
-        except PhaseTrackingError:
-            if attempt == 4:
-                raise
-            n = 2 * (n - 1) + 1
-            ks = np.linspace(a, b, n)
-
-    absw = np.abs(tr.zeta)
-    scale = max(float(np.median(absw)), 1e-12)
-    count, at = tr.count, tr.at
+    count, at, f = _sweep(g, ks)
     report = _WindowReport([], [], [], counted=int(count[-1] - count[0]))
     report.counted += int(closed_left * at[0])
-    near_zero = absw <= 1e-9 * scale
-    ratios = np.abs(tr.zeta.imag)[~near_zero] / absw[~near_zero]
-    imag_dev = float(ratios.max()) if ratios.size else 0.0
-    if imag_dev > 1e-6:
-        report.diagnostics.append(
-            f"secular branch deviation {imag_dev:.2e} on [{a:.6g}, {b:.6g}]"
-        )
-
     emitted = report.emitted
-    # single-root brackets (lo, hi, grid cell).  The cell's rotation freezes
-    # the branch at its left grid node; the sweep keeps the phase drift below
-    # 0.9*pi per cell, so the rotated real part keeps the sign of the tracked
-    # secular branch within the cell and sign brackets survive the rotation.
-    singles: List[Tuple[float, float, int]] = []
-    rots = np.exp(-0.5j * tr.phase)
 
-    def resolve(i: int, p, q, m: int) -> None:
+    def resolve(p, q, m: int) -> None:
         """Locate the m eigenvalues strictly between the points p and q,
-        each (k, N, n0), inside the grid cell i."""
+        each (k, N, n0, F)."""
         lo, hi = p[0], q[0]
         if m <= 0:
             return
         if m == 1 and not (p[2] or q[2]):
-            # one simple root: zeta changes sign in the cell
-            singles.append((lo, hi, i))
+            # one simple root: F changes sign between p and q
+            report.brackets.append((lo, hi, p[3], q[3]))
         elif hi - lo < cfg.root_tol:
             emitted.append((0.5 * (lo + hi), m))
         else:
             k = 0.5 * (lo + hi)
-            mid = (k, *(int(c[0]) for c in _count(g, [k])))
+            mid = (k, *(c[0].item() for c in _vertex_det(g, [k], want_count=True)))
             if mid[2]:
                 emitted.append((mid[0], mid[2]))
             left = mid[1] - p[1] - mid[2]
-            resolve(i, p, mid, left)
-            resolve(i, mid, q, m - left - mid[2])
+            resolve(p, mid, left)
+            resolve(mid, q, m - left - mid[2])
 
     # a root on a node is a kernel of the vertex matrix there; a cell holds
     # N(right) - N(left) eigenvalues, those on its right node included
     emitted.extend((ks[i], int(at[i])) for i in np.flatnonzero(at) if i or closed_left)
-    nodes = list(zip(ks.tolist(), count.tolist(), at.tolist()))
+    nodes = list(zip(ks.tolist(), count.tolist(), at.tolist(), f.tolist()))
     inside = np.diff(count) - at[1:]
     for i in np.flatnonzero(inside > 0).tolist():
-        resolve(i, nodes[i], nodes[i + 1], int(inside[i]))
-
-    if singles:
-        # bracket ends on grid nodes take det(I - S) from the track; the
-        # ends that split midpoints made come from one stacked call
-        lo, hi, cell = (np.array(col) for col in zip(*singles))
-        rot = rots[cell]
-        ends, nodes = np.concatenate([lo, hi]), np.concatenate([cell, cell + 1])
-        f_ends = (np.tile(rot, 2) * tr.det_w[nodes]).real
-        split = np.flatnonzero(ends != ks[nodes])
-        if split.size:
-            f_ends[split] = (np.tile(rot, 2)[split] * _det_w(g, ends[split])).real
-        columns = (lo, hi, *np.split(f_ends, 2), rot)
-        report.brackets = list(zip(*(c.tolist() for c in columns)))
+        resolve(nodes[i], nodes[i + 1], int(inside[i]))
     return report
 
 
@@ -383,18 +345,18 @@ def _scan_chunk(chunk) -> List[_WindowReport]:
     """Scan the windows of ``chunk`` = (g, step, cfg, windows), each window
     (a, b, closed_left), in order, then refine the single-root
     brackets of all of them together by one bracketing refinement
-    (Chandrupatla), each iteration one stacked det(I - S), until each
-    bracket is narrower than root_tol; the residuals |det(I - S)| of all
-    the chunk's roots come from one stacked call."""
+    (Chandrupatla), each iteration one stacked F, until each bracket is
+    narrower than root_tol; the residuals |det(I - S)| of all the chunk's
+    roots come from one stacked call."""
     g, step, cfg, windows = chunk
     reports = [_scan_window(g, a, b, step, cfg, left) for a, b, left in windows]
     owners = [rep for rep in reports for _ in rep.brackets]
     if owners:
         brackets = [b for rep in reports for b in rep.brackets]
-        lo, hi, f_lo, f_hi, rot = (np.array(col) for col in zip(*brackets))
+        lo, hi, f_lo, f_hi = (np.array(col) for col in zip(*brackets))
 
         def h(x, idx):
-            return (rot[idx] * _det_w(g, x)).real
+            return _vertex_det(g, x)
 
         xs, statuses = _chandrupatla(h, lo, hi, f_lo, f_hi, cfg.root_tol)
         for rep, left, right, x, status in zip(

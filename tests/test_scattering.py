@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from qgspectra import scattering
-from qgspectra.edge import transition_matrix, transition_matrix_dk
+from qgspectra.edge import _solve_edges, transition_matrix, transition_matrix_dk
 from qgspectra.errors import InputError, NumericalError, PhaseTrackingError
 from qgspectra.fd import fd_spectrum
 from qgspectra.graph import build_graph
@@ -17,6 +17,7 @@ from qgspectra.scattering import (
     _det_s,
     _det_w,
     _edge_entries,
+    _vertex_det,
     assemble_S,
     assemble_T,
     big_sigma,
@@ -425,3 +426,99 @@ def test_a_pole_of_the_cut_graph_too_is_refused(g_triangle, monkeypatch):
     assert _count(g_triangle, [2 * math.pi - 1e-3])[0].tolist() == [5]
     with pytest.raises(NumericalError, match="no eigenvalue count at k=6.28318531"):
         _count(g_triangle, [2 * math.pi])
+
+
+# ---------------------------------------------------------------------------
+# the real vertex determinant F, on which scans refine their roots
+# ---------------------------------------------------------------------------
+
+
+# graph and range: a 10-arm delta star, the smooth star below its K = 1, a
+# cyclic core with a double edge and two delta arms, and the triangle,
+# whose roots are all double
+F_GRAPHS = {
+    "delta-star": (lambda r: random_delta_star(1), 0.5, 30.0),
+    "smooth-star": (lambda r: r.getfixturevalue("g_smooth_star"), 0.05, 8.0),
+    "cycle4": (lambda r: COUNT_GRAPHS["cycle4"](), 0.2, 20.0),
+    "triangle": (lambda r: r.getfixturevalue("g_triangle"), 0.2, 20.0),
+}
+F_SIGN_CHANGES = {"delta-star": 94, "smooth-star": 9, "cycle4": 39, "triangle": 0}
+
+
+@pytest.mark.parametrize("name", list(F_GRAPHS))
+def test_vertex_det_has_the_sign_changes_of_zeta(request, name):
+    # F / zeta is real, of one sign and never 0 or infinite, so F changes
+    # sign where zeta does: the scan's brackets are zeta's
+    make, lo, hi = F_GRAPHS[name]
+    g = make(request)
+    ks = np.linspace(lo, hi, 2001)
+    f = _vertex_det(g, ks)
+    zeta = np.array([v.zeta for v in secular(g, ks)])
+    ratio = f / zeta
+    assert np.isfinite(f).all() and f.dtype == float
+    assert np.all(np.abs(ratio.imag) <= 1e-9 * np.abs(ratio.real))
+    assert (ratio.real > 0).all() or (ratio.real < 0).all()
+    assert np.abs(ratio.real).min() > 1e-6
+    flips = np.flatnonzero(np.diff(np.sign(f)))
+    assert np.array_equal(flips, np.flatnonzero(np.diff(np.sign(zeta.real))))
+    assert len(flips) == F_SIGN_CHANGES[name]
+    if name == "triangle":
+        # a cycle of three zero edges: F = -k^3 zeta exactly, the factor k^3
+        # that of its three scaled core edges
+        assert np.abs(ratio.real / ks**3 + 1.0).max() <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["cycle4", "triangle"])
+def test_vertex_det_of_the_cut_graph(request, name, monkeypatch):
+    # cutting every edge multiplies the unscaled F by (-1)^E, and adds E
+    # core edges, each scaled by k: F = (-1)^E k^-E F(cut).  Without cut
+    # graphs a pole of either graph raises, so only points that are poles
+    # of neither are compared
+    make, lo, hi = F_GRAPHS[name]
+    g = make(request)
+    cut, n = scattering._cut(g), g.num_edges
+    monkeypatch.setattr(scattering, "_cut", lambda g: None)
+    pairs = []
+    for k in np.linspace(lo, hi, 500):
+        try:
+            pairs.append((_vertex_det(g, [k])[0], _vertex_det(cut, [k])[0] / (-k) ** n))
+        except NumericalError:
+            continue
+    f, f_cut = np.array(pairs).T
+    assert len(pairs) >= 495
+    assert np.abs(f_cut - f).max() <= 1e-11 * np.abs(f).max()
+
+
+def test_vertex_det_at_a_pole_comes_from_the_cut_graph():
+    # pi / 0.9 is a Dirichlet eigenvalue of the zero b-c edge of the cyclic
+    # core, a pole of Lambda (within 1.1e-6 of it), but no root: F taken on
+    # the cut graph there joins the det Lambda of the points 1e-5 away
+    g, k = COUNT_GRAPHS["cycle4"](), math.pi / 0.9
+    count, at, f = _vertex_det(g, [k - 1e-5, k, k + 1e-5], want_count=True)
+    assert count.tolist() == [count[0]] * 3 and not at.any()
+    assert abs(f[1] - 0.5 * (f[0] + f[2])) <= 1e-6 * abs(f[1])
+
+
+def test_vertex_det_at_a_zero_denominator(g_star3, g_triangle):
+    # at pi / 2 the unit arm of the star has m22 = cos(pi / 2): set to 0
+    # exactly, a pole of its entry of Lambda, F is the finite product of the
+    # arm's -m21 and the other arms' m22, and the count holds; no division
+    # by 0 (an error under the suite's warning filter)
+    k = math.pi / 2
+    sol = _solve_edges(g_star3, [k], want_count=True)
+    m11, m12, m21, m22 = (np.real(x).copy() for x in sol.m)
+    assert abs(m22[0, 0]) < 1e-15
+    exact = -m21[0, 0] * m22[0, 1] * m22[0, 2]
+    m22[0, 0] = 0.0
+    sol.m = (m11, m12, m21, m22)
+    assert np.isfinite(exact) and exact != 0.0
+    assert _vertex_det(g_star3, [k], sol)[0] == pytest.approx(exact, rel=1e-15)
+    count, at, f = _vertex_det(g_star3, [k], sol, want_count=True)
+    assert f[0] == pytest.approx(exact, rel=1e-15)
+    assert [count[0], at[0]] == [c[0] for c in _count(g_star3, [k])]
+    # and F is continuous there: the unmodified m22 gives the same value
+    assert _vertex_det(g_star3, [k])[0] == pytest.approx(exact, rel=1e-14)
+    # 2 pi, a Dirichlet eigenvalue of the triangle's unit edge, is a pole of
+    # its Lambda and a double root: F comes from the cut graph
+    f = _vertex_det(g_triangle, [2 * math.pi])
+    assert np.isfinite(f).all() and abs(f[0]) <= 1e-9

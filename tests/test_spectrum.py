@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from qgspectra import edge, spectrum
+from qgspectra import edge, scattering, spectrum
 from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import InputError
 from qgspectra.fd import fd_spectrum
@@ -189,9 +189,11 @@ def test_scan_never_computes_the_heuristic_threshold(monkeypatch):
         raise AssertionError("the heuristic threshold was computed")
 
     monkeypatch.setattr(edge, "_compute_threshold", refused)
-    res = scan_spectrum(star(SMOOTH_ARMS), 4.4, 5.0)
+    # refined to 1e-13, so the roots pinned are the converged ones, not an
+    # iterate of the refinement
+    res = scan_spectrum(star(SMOOTH_ARMS), 4.4, 5.0, ScanConfig(root_tol=1e-13))
     assert res.threshold is None
-    assert list(res.ks) == pytest.approx([4.7061183267050, 4.7424765159315], abs=1e-12)
+    assert list(res.ks) == pytest.approx([4.706118326704997, 4.742476515994364], abs=1e-12)
     assert list(res.multiplicities) == [1, 1]
     assert res.flagged == [] and res.diagnostics == []
 
@@ -360,11 +362,11 @@ def test_close_root_clusters_are_all_found(seed, n_roots, close):
         assert min(abs(res.ks - k)) <= 1e-6
 
 
-@pytest.mark.parametrize("name, budget", [("g_delta_star", 148), ("g_star3_eq", 82)])
+@pytest.mark.parametrize("name, budget", [("g_delta_star", 134), ("g_star3_eq", 81)])
 def test_scan_work_is_bounded(request, assembled_ks, name, budget):
-    # deterministic count of k points whose S(k) is assembled: sweep,
-    # splits, refinement and residuals; bracket ends on grid nodes reuse the
-    # sweep's det(I - S)
+    # deterministic count of k points whose edges are solved: sweep,
+    # splits, refinement and residuals; bracket ends reuse F from the sweep
+    # or from the split that made them
     scan_spectrum(request.getfixturevalue(name), *SCAN_RANGES[name])
     assert len(assembled_ks) <= budget
 
@@ -410,12 +412,12 @@ def test_bad_node_count_is_flagged(g_delta_star, monkeypatch):
     sweep, cells = spectrum._sweep, []
 
     def corrupted(g, ks):
-        tr = sweep(g, ks)
+        count, at, f = sweep(g, ks)
         i = int(np.searchsorted(ks, DELTA_STAR_KS[3]))
         if 0 < i < len(ks):
-            tr.count[i] += 1
+            count[i] += 1
             cells.append((ks[i - 1], ks[i]))
-        return tr
+        return count, at, f
 
     monkeypatch.setattr(spectrum, "_sweep", corrupted)
     res = scan_spectrum(g_delta_star, 0.5, 12.0)
@@ -424,6 +426,28 @@ def test_bad_node_count_is_flagged(g_delta_star, monkeypatch):
     assert cell_lo <= lo < hi <= cell_hi
     assert any("one eigenvalue counted but no sign change" in d for d in res.diagnostics)
     assert list(res.ks) == pytest.approx(DELTA_STAR_KS, abs=5e-9)
+
+
+def test_scan_tracks_no_branch(monkeypatch):
+    # the scan counts, brackets and refines on the vertex determinant F: it
+    # never tracks the secular branch nor takes det S, and sweeps each of
+    # the six windows of [0.5, 30] once
+    def refused(*args, **kwargs):
+        raise AssertionError("the scan tracked the secular branch")
+
+    monkeypatch.setattr(scattering, "_track", refused)
+    monkeypatch.setattr(scattering, "_det_s", refused)
+    sweeps, sweep = [], spectrum._sweep
+
+    def counted(g, ks):
+        sweeps.append(len(ks))
+        return sweep(g, ks)
+
+    monkeypatch.setattr(spectrum, "_sweep", counted)
+    res = scan_spectrum(random_delta_star(1), 0.5, 30.0)
+    assert len(sweeps) == 6
+    assert len(res.roots) == res.total_count() == res.expected_count == 94
+    assert res.flagged == [] and res.diagnostics == []
 
 
 def test_cycle_roots_on_dirichlet_eigenvalues_are_found(g_triangle):
