@@ -645,17 +645,32 @@ def _singular(k) -> SingularPointError:
     return SingularPointError(f"transition-matrix parametrization singular at k={k}")
 
 
+def _den(sol: EdgeSolution):
+    """den = psi_plus'(L) - ik psi_plus(L), the denominator of t, and the
+    mask of points where it is below 1e-12 of the boundary data's scale, a
+    pole of t where its parametrization is singular, elementwise."""
+    k = sol.k
+    den = sol.dpsi_p - 1j * k * sol.psi_p
+    scale = np.maximum(
+        np.maximum(np.abs(sol.dpsi_p), np.abs(k) * np.abs(sol.psi_p)), np.abs(k)
+    )
+    return den, np.abs(den) < 1e-12 * scale
+
+
+def _refuse_singular(sol: EdgeSolution, singular) -> None:
+    """SingularPointError at the first point of the mask ``singular``, in
+    array order."""
+    if np.any(singular):
+        raise _singular(complex(np.broadcast_to(sol.k, singular.shape)[singular][0]))
+
+
 def _t_entries(sol: EdgeSolution):
     """Entries (trans, r_from, r_to) of t, their k-derivatives by the
     quotient rule on the boundary data when ``sol`` carries them (else
     None), and the mask of points where the parametrization is singular,
     elementwise."""
     k = sol.k
-    den = sol.dpsi_p - 1j * k * sol.psi_p
-    scale = np.maximum(
-        np.maximum(np.abs(sol.dpsi_p), np.abs(k) * np.abs(sol.psi_p)), np.abs(k)
-    )
-    singular = np.abs(den) < 1e-12 * scale
+    den, singular = _den(sol)
     trans = -2j * k / den
     num_f = -(sol.dpsi_m - 1j * k * sol.psi_m)
     num_t = -(sol.dpsi_p + 1j * k * sol.psi_p)
@@ -677,8 +692,7 @@ def _entries(sol: EdgeSolution):
     first such point in array order."""
     with np.errstate(divide="ignore", invalid="ignore"):
         t, dt, singular = _t_entries(sol)
-    if np.any(singular):
-        raise _singular(complex(np.broadcast_to(sol.k, singular.shape)[singular][0]))
+    _refuse_singular(sol, singular)
     return t, dt
 
 

@@ -24,20 +24,23 @@ layer evaluates every edge at every k at once (zero, constant and
 point-interaction edges in closed form over (k, edge), each smooth edge
 by one batched Magnus propagation), and T and T' come out stacked.
 
-The secular function along a path (``_track``) never forms S: it is
-computed from the per-edge entries (trans, r_from, r_to), each of shape
-(n, E).  det S = det Sigma prod_e det t_e, with det Sigma = +-1 cached
-beside Sigma.  det(I - S) (``_det_w``) is the Schur complement over the
-block-diagonal I + T: Sigma = 2 B D^-1 B^T - I for the out-incidence B and
-the vertex degrees D, so
+The secular function along a path (``_track``) never forms S: det S and
+det(I - S) come from the fundamental matrices M of the edges, one edge
+solve per point.  With den_e = m21 - ik (m11 + m22) - k^2 m12, the
+denominator of t_e, and den+_e = m21 + ik (m11 + m22) - k^2 m12, det t_e =
+den+_e / den_e, so det S = det Sigma prod_e den+_e / den_e (det Sigma =
++-1, cached beside Sigma).  det(I - S) and the vertex determinant F below
+are characteristic determinants of the same vertex conditions
+(Berkolaiko & Kuchment, Introduction to Quantum Graphs, AMS 2013, chs.
+2-3), so (``_det_w``)
 
-    det(I - S) = prod_e det(I + t_e) * det(I_V - 2 D^-1 B^T T (I + T)^-1 B),
+    det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V k^-n_core / prod_v deg(v),
 
-a V x V determinant assembled from the closed-form 2 x 2 blocks of
-T (I + T)^-1 (Berkolaiko & Kuchment, Introduction to Quantum Graphs, AMS
-2013, ch. 2).  A point where some |det(I + t_e)| is below _SCHUR_FLOOR,
-such as an equilateral zero-potential star at k = pi, takes the dense
-2E x 2E determinant instead; the choice depends on that point alone.
+for A the arms eliminated from the core, V the vertices and n_core the
+core's.  The factor is formed from the ratios -4k / den_e, each of order
+one on the real axis, so it does not overflow where prod_e den_e would.  A
+pole of some t_e (den_e = 0, off the real axis only) raises
+SingularPointError.
 
 ``secular`` is the one public evaluator: a scalar k gives one value, a
 1-D array the path's values in order.  The branch is fixed by a value,
@@ -51,7 +54,8 @@ of the edges, in one assembly (``_vertex_det``): its inertia plus Sturm
 counts on the edges give the eigenvalue count at each point (``_count``),
 and its determinant times the product of the edges' denominators gives
 the real, pole-free vertex determinant F(k), whose zeros are those of
-det(I - S).  The scan brackets and refines roots on F.
+det(I - S).  The scan brackets and refines roots on F.  At a complex k the
+same assembly gives a complex F, and no count.
 """
 
 from __future__ import annotations
@@ -64,7 +68,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .edge import _entries, _solve_edges, unitarity_defect
+from .edge import _den, _entries, _refuse_singular, _solve_edges, unitarity_defect
 from .errors import NumericalError, PhaseTrackingError
 from .graph import Edge, MetricGraph
 from .potential import Potential, orient
@@ -92,32 +96,22 @@ _KERNEL_TOL = 1e-12
 # like 1 / m12 and whose rounding swamps the small eigenvalues.  The count,
 # and F off a star, are taken on the cut graph there (``_cut``).
 _POLE_BAND = 1e-6
-# A point where some |det(I + t_e)| is below this takes det(I - S) densely.
-# The vertex-space determinant's error grows like eps / min |det(I + t_e)|:
-# over 2.1e5 random real k on three 10-arm delta stars it stayed below
-# 2.5e-14 of the largest |det(I - S)| above this floor, and reached 8e-12
-# below 1e-5.
-_SCHUR_FLOOR = 1e-3
 
 
 @dataclasses.dataclass(frozen=True)
 class _Layout:
-    """Sigma of a graph, det Sigma (+-1), and the scatter table of the
-    vertex-space determinant: per edge, the factor 2 / deg of the vertex
-    of each entry's row, (E, 4), and the flat float index in a complex V x
-    V matrix of the real and imaginary part of each entry, (E, 4, 2), for
-    the entries (x00, x01, x10, x11) of the edge's block of T (I + T)^-1.
-    For ``_vertex_det``: the number of core vertices, each edge's role (0 in the
-    core, 1 or 2 an arm whose x = L or x = 0 end is a leaf) and the flat
-    index of its entries (uu, uv, vu, vv) in the core's matrix."""
+    """Sigma of a graph and det Sigma (+-1).  For ``_vertex_det``: the
+    number of core vertices, each edge's role (0 in the core, 1 or 2 an arm
+    whose x = L or x = 0 end is a leaf) and the flat index of its entries
+    (uu, uv, vu, vv) in the core's matrix.  For ``_det_w``: the constant
+    (-1)^A i^-V / prod_v deg(v) of det(I - S) / F."""
 
     sigma: np.ndarray
     det_sigma: float
-    target: np.ndarray
-    weight: np.ndarray
     n_core: int
     role: np.ndarray
     dtn_target: np.ndarray
+    w_factor: complex
 
 
 # the layout of each live graph, built on first use
@@ -156,15 +150,10 @@ def _layout(g: MetricGraph) -> _Layout:
     origin = np.empty(g.num_directed, dtype=int)
     for v in g.vertices:
         origin[g.out_directions(v)] = index[v]
-    deg = np.array([g.degree[v] for v in g.vertices])[origin]
+    degrees = np.array([g.degree[v] for v in g.vertices])
+    deg = degrees[origin]
     same = origin[:, None] == origin[None, :]
     sigma = np.where(same, 2.0 / deg[:, None], 0.0) - np.eye(g.num_directed)
-    # rows and columns of the entries (x00, x01, x10, x11) of each edge's
-    # block, which couples its directions (2e, 2e+1)
-    pairs = np.arange(g.num_directed).reshape(-1, 2)
-    rows, cols = pairs[:, [0, 0, 1, 1]], pairs[:, [0, 1, 0, 1]]
-    nv = len(index)
-    target = 2 * (origin[rows] * nv + origin[cols])[..., None] + np.arange(2)
     det_sigma = float(np.sign(np.linalg.det(sigma)))
     # the core: every vertex but those of degree 1 (a one-edge graph keeps
     # its "from" end); an arm adds only to the diagonal entry of its core end
@@ -177,9 +166,9 @@ def _layout(g: MetricGraph) -> _Layout:
         [(core.get(e.u, core.get(e.v)), core.get(e.v, core.get(e.u))) for e in g.edges]
     ).T
     dtn_target = np.stack([u * nc + u, u * nc + v, v * nc + u, v * nc + v], axis=-1)
-    layout = _SIGMAS[g] = _Layout(
-        sigma, det_sigma, target, 2.0 / deg[rows], nc, role, dtn_target
-    )
+    arms = int(np.count_nonzero(role))  # A, and (-i)^V = i^-V
+    w_factor = (-1) ** arms * (-1j) ** (len(index) % 4) / np.prod(degrees, dtype=float)
+    layout = _SIGMAS[g] = _Layout(sigma, det_sigma, nc, role, dtn_target, w_factor)
     return layout
 
 
@@ -194,13 +183,6 @@ def _place(t, n: int) -> np.ndarray:
     M[:, d, d + 1] = trans
     M[:, d + 1, d] = trans
     return M
-
-
-def _edge_entries(g: MetricGraph, ks: np.ndarray):
-    """(trans, r_from, r_to) of every edge at every k of the 1-D complex
-    array ``ks``, each of shape (len(ks), E)."""
-    t, _ = _entries(_solve_edges(g, ks))
-    return t
 
 
 def assemble_T(g: MetricGraph, k, want_dk: bool = False):
@@ -233,46 +215,42 @@ class SecularValue:
         return self.zeta.real
 
 
-def _det_s(g: MetricGraph, t) -> np.ndarray:
-    """det S = det Sigma prod_e det t_e at each point, from the edge entries
-    t = (trans, r_from, r_to), each (n, E)."""
-    trans, r_from, r_to = t
-    return _layout(g).det_sigma * np.prod(r_from * r_to - trans * trans, axis=-1)
+def _dens(sol):
+    """den_e and den+_e = psi_minus' + ik psi_minus of every edge at every
+    point, (n, E), from the boundary data psi_pm = M (1, -+ik) of ``sol``;
+    a pole of some t_e raises SingularPointError."""
+    den, singular = _den(sol)
+    _refuse_singular(sol, singular)
+    return den, sol.dpsi_m + 1j * sol.k * sol.psi_m
 
 
-def _det_w(g: MetricGraph, k, t=None):
+def _det_s(g: MetricGraph, sol) -> np.ndarray:
+    """det S = det Sigma prod_e den+_e / den_e at each point, from the
+    boundary data ``sol`` of every edge, (n, E)."""
+    den, den_plus = _dens(sol)
+    return _layout(g).det_sigma * np.prod(den_plus / den, axis=-1)
+
+
+def _det_w(g: MetricGraph, k, sol=None, f=None):
     """det(I - S(k)) for a scalar k, or their array for a 1-D array of k,
-    from the edge entries t = (trans, r_from, r_to), each (len(k), E),
-    which are evaluated unless given.
+    from the boundary data ``sol`` of every edge at k, (len(k), E), and
+    the vertex determinant F there, each evaluated unless given:
 
-    Sigma = 2 B D^-1 B^T - I, with B the 2E x V out-incidence and D the
-    vertex degrees, so the Schur complement over the block-diagonal I + T
-    gives det(I - S) = det(I + T) det(I_V - 2 D^-1 B^T X B), X = T (I +
-    T)^-1.  Per edge, det(I + t_e) = 1 + r_from + r_to + det t_e, and the
-    block of X is [[r_from + det t_e, trans], [trans, r_to + det t_e]] /
-    det(I + t_e).  A point where some |det(I + t_e)| is below _SCHUR_FLOOR
-    takes the dense 2E x 2E determinant instead.
+        det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V k^-n_core / prod_v deg(v)
+
+    (see the module docstring).  A pole of some t_e raises
+    SingularPointError.
     """
     ks = np.asarray(k, dtype=complex)
-    if t is None:
-        t = _edge_entries(g, ks.reshape(-1))
+    flat = ks.reshape(-1)
+    if sol is None:
+        sol = _solve_edges(g, flat)
+    den, _ = _dens(sol)
+    if f is None:
+        f = _vertex_det(g, flat, sol)
     layout = _layout(g)
-    trans, r_from, r_to = t
-    det_t = r_from * r_to - trans * trans
-    det_1t = 1.0 + r_from + r_to + det_t
-    dense = np.abs(det_1t).min(axis=-1) < _SCHUR_FLOOR
-    x = np.stack((r_from + det_t, trans, trans, r_to + det_t), axis=-1)
-    x *= layout.weight / np.where(dense[:, None], 1.0, det_1t)[..., None]
-    # sum the real and imaginary parts of the entries into their V x V
-    # slots, point by point, in one bincount over the interleaved floats
-    n, nv = len(x), len(g.vertices)
-    slots = (2 * nv * nv * np.arange(n))[:, None, None, None] + layout.target
-    m = np.bincount(slots.ravel(), x.view(float).ravel(), 2 * n * nv * nv)
-    a = np.eye(nv) - m.view(complex).reshape(n, nv, nv)
-    w = np.prod(det_1t, axis=-1) * np.linalg.det(a)
-    if dense.any():
-        S = layout.sigma @ _place(tuple(c[dense] for c in t), g.num_directed)
-        w[dense] = np.linalg.det(np.eye(g.num_directed) - S)
+    w = f * np.prod(-4.0 * flat[:, None] / den, axis=-1) * layout.w_factor
+    w *= flat ** -layout.n_core
     return complex(w[0]) if ks.ndim == 0 else w
 
 
@@ -304,11 +282,12 @@ def _count(g: MetricGraph, ks, sol=None) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
-    """The real vertex determinant F at each real k > 0 of the 1-D array
-    ``ks``, or (N, n0, F) with ``want_count``, N and n0 those of
-    ``_count``, from one assembly of Lambda.  ``sol`` is the boundary data
-    of every edge at ``ks``, with its zeros when counted (evaluated unless
-    given).
+    """The vertex determinant F at each k of the 1-D array ``ks``, or (N,
+    n0, F) with ``want_count``, N and n0 those of ``_count``, from one
+    assembly of Lambda.  ``sol`` is the boundary data of every edge at
+    ``ks``, with its zeros when counted (evaluated unless given).  A path
+    on the real axis, k > 0, gives a real F in real arithmetic; a complex
+    path gives a complex F, and no count.
 
     F = det Lambda * prod_e den_e, den_e the denominator of the edge's
     entries of Lambda (k m12 for an edge of the core, m22 or m11 at the
@@ -325,15 +304,17 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
     unscaled, and F = (-1)^E k^-E F(cut) once the cut graph's E more core
     edges are scaled.
     """
-    ks = np.asarray(ks, dtype=float).reshape(-1)
+    ks = np.asarray(ks).reshape(-1)
+    real = not np.any(np.imag(ks))
+    ks = np.real(ks).astype(float) if real else ks
     if sol is None:
         sol = _solve_edges(g, ks, want_count=want_count)
     layout = _layout(g)
     n, nc = len(ks), layout.n_core
-    m11, m12, m21, m22 = (np.real(x) for x in sol.m)
+    m11, m12, m21, m22 = (np.real(x) for x in sol.m) if real else sol.m
     core, to_leaf = layout.role == 0, layout.role == 1
     leaf_m = np.where(to_leaf, m22, m11)
-    k = ks[:, None]
+    k, ak = ks[:, None], np.abs(ks)[:, None]
     den = np.where(core, m12, leaf_m)
     scaled = np.where(core, k * m12, leaf_m)
     if nc == 1:
@@ -347,9 +328,9 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
             return f
     pole = np.where(
         core,
-        k * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)),
+        ak * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)),
         (nc > 1)
-        & (np.abs(leaf_m) <= _POLE_BAND * np.maximum(k * np.abs(m12), np.abs(m21) / k)),
+        & (np.abs(leaf_m) <= _POLE_BAND * np.maximum(ak * np.abs(m12), np.abs(m21) / ak)),
     ).any(axis=-1)
     # the entries (uu, uv, vu, vv) of each edge: (-m11, 1, 1, -m22) / m12 in
     # the core, (-m21, 0, 0, 0) / m at the leaf for an arm; unused at a pole
@@ -357,8 +338,11 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
     x = np.stack(x, axis=-1) / np.where(den == 0, 1.0, den)[..., None]
     x[..., 0] = np.where(~core & (den == 0), np.inf, x[..., 0])
     x[pole] = 0.0
-    slots = (nc * nc * np.arange(n))[:, None, None] + layout.dtn_target
-    lam = np.bincount(slots.ravel(), x.ravel(), n * nc * nc).reshape(n, nc, nc)
+    slots = ((nc * nc * np.arange(n))[:, None, None] + layout.dtn_target).ravel()
+    lam = np.bincount(slots, x.real.ravel(), n * nc * nc)
+    if not real:
+        lam = lam + 1j * np.bincount(slots, x.imag.ravel(), n * nc * nc)
+    lam = lam.reshape(n, nc, nc)
     if nc > 1:
         f = np.linalg.det(lam) * np.prod(scaled, axis=-1)
     if want_count:
@@ -414,29 +398,13 @@ def _cut(g: MetricGraph) -> Optional[MetricGraph]:
     return cut
 
 
-@dataclasses.dataclass
-class _Track:
-    """det(I - S), zeta and the unwrapped det S phase along a k path, one
-    row per point; theta = phase + theta_offset."""
-
-    ks: np.ndarray
-    det_w: np.ndarray
-    zeta: np.ndarray
-    phase: np.ndarray
-    theta_offset: float
-
-    def values(self) -> List[SecularValue]:
-        """The SecularValue at each point."""
-        return [
-            SecularValue(complex(k), complex(z), float(p), float(p + self.theta_offset))
-            for k, z, p in zip(self.ks, self.zeta, self.phase)
-        ]
-
-
-def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
-    """The secular function along the points ``ks`` in order, from the edge
-    entries, continuing the branch from the evaluated value ``after`` or,
-    without it, anchored at the first point.
+def _track(
+    g: MetricGraph, ks, after: Optional[SecularValue] = None
+) -> List[SecularValue]:
+    """The secular function at the points ``ks`` in order, from one
+    solve of the edges (det S, det(I - S) and the check for a pole of t),
+    continuing the branch from the evaluated value ``after`` or, without
+    it, anchored at the first point.
 
     det S = det Sigma prod_e det t_e, with det Sigma = +-1 independent of k,
     so theta, the phase of det T, is the det S phase plus an offset, fixed
@@ -446,9 +414,9 @@ def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
     conjugate symmetry zeta(conj k) = conj zeta(k) off it.
     """
     ks = np.asarray(ks, dtype=complex).reshape(-1)
-    t, _ = _entries(_solve_edges(g, ks))
-    det_s = _det_s(g, t)
-    det_w = _det_w(g, ks, t)
+    sol = _solve_edges(g, ks)
+    det_w = _det_w(g, ks, sol)
+    det_s = _det_s(g, sol)
     det_sigma = _layout(g).det_sigma
     if after is None:
         prev, offset = 0.0, None
@@ -466,7 +434,10 @@ def _track(g: MetricGraph, ks, after: Optional[SecularValue] = None) -> _Track:
         prev += step
         phase[i] = prev
     zeta = np.abs(det_s) ** -0.5 * np.exp(-0.5j * phase) * det_w
-    return _Track(ks, det_w, zeta, phase, offset)
+    return [
+        SecularValue(complex(k), complex(z), float(p), float(p + offset))
+        for k, z, p in zip(ks, zeta, phase)
+    ]
 
 
 def secular(
@@ -479,7 +450,7 @@ def secular(
     Consecutive points, ``after`` included, must be close enough that the
     det S phase moves less than 0.9 pi between them.
     """
-    vals = _track(g, k, after).values()
+    vals = _track(g, k, after)
     return vals[0] if np.ndim(k) == 0 else vals
 
 

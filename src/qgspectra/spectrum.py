@@ -30,7 +30,10 @@ bracketing method (T. R. Chandrupatla, Adv. Eng. Softw. 28, 1997;
 find_root), one stacked F per iteration, until each bracket is narrower
 than root_tol; a bracket it cannot refine is flagged.  Each root is
 checked against the paper's secular function: the residuals |det(I - S)|
-of all the chunk's roots come from one more stacked call.
+of all the chunk's roots, and F there, come from one more stacked solve of
+the edges.  A root where |F| exceeds _RESIDUAL_TOL times the largest |F|
+at its window's sweep nodes is reported: |det(I - S)| and F grow with the
+graph and k, so no bound on the residual alone fits every graph.
 
 A scan covers [max(k_lo, K_FLOOR), k_hi] as given, below the subunitarity
 threshold K too, and never computes K.  On the real axis S is unitary and
@@ -64,7 +67,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .edge import _closed_threshold, subunitarity_threshold
+from .edge import _closed_threshold, _solve_edges, subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import MetricGraph
 from .scattering import _det_w, _vertex_det
@@ -81,7 +84,9 @@ __all__ = [
 #: Hard lower bound on scanned k; the secular machinery is singular at k = 0.
 K_FLOOR = 1e-3
 _MERGE_TOL = 1e-7  # roots closer than this are fused into one record
-_RESIDUAL_TOL = 1e-6  # |det(I - S)| above this at a root is a diagnostic
+# |F| at a root above this fraction of the largest |F| at the sweep nodes
+# of its window is a diagnostic
+_RESIDUAL_TOL = 1e-6
 
 # Windows span this many grid cells so that parallel decomposition is a
 # pure partition of the sequential grid.
@@ -271,7 +276,8 @@ def multiplicity(g: MetricGraph, k0: float, radius: float) -> int:
 
 @dataclasses.dataclass
 class _WindowReport:
-    roots: List[Tuple[float, int, float]]  # (k, multiplicity, residual)
+    # (k, multiplicity, residual |det(I - S)|, |F| above _RESIDUAL_TOL scale)
+    roots: List[Tuple[float, int, float, bool]]
     flagged: List[Tuple[float, float]]
     diagnostics: List[str]
     # eigenvalues located by counting, (k, multiplicity), and the
@@ -281,6 +287,7 @@ class _WindowReport:
         default_factory=list
     )
     counted: int = 0  # eigenvalues in the window by the count
+    scale: float = 0.0  # the largest |F| at the window's sweep nodes
 
     def flag(self, lo: float, hi: float, what: str) -> None:
         self.flagged.append((float(lo), float(hi)))
@@ -307,7 +314,9 @@ def _scan_window(
     n = max(2, int(math.ceil((b - a) / step)) + 1)
     ks = np.linspace(a, b, n)
     count, at, f = _sweep(g, ks)
-    report = _WindowReport([], [], [], counted=int(count[-1] - count[0]))
+    report = _WindowReport(
+        [], [], [], counted=int(count[-1] - count[0]), scale=float(np.abs(f).max())
+    )
     report.counted += int(closed_left * at[0])
     emitted = report.emitted
 
@@ -347,7 +356,7 @@ def _scan_chunk(chunk) -> List[_WindowReport]:
     brackets of all of them together by one bracketing refinement
     (Chandrupatla), each iteration one stacked F, until each bracket is
     narrower than root_tol; the residuals |det(I - S)| of all the chunk's
-    roots come from one stacked call."""
+    roots, and F there, come from one stacked solve of the edges."""
     g, step, cfg, windows = chunk
     reports = [_scan_window(g, a, b, step, cfg, left) for a, b, left in windows]
     owners = [rep for rep in reports for _ in rep.brackets]
@@ -370,9 +379,12 @@ def _scan_chunk(chunk) -> List[_WindowReport]:
                 rep.flag(left, right, f"root refinement failed (status {status})")
     emitted = [(rep, k, m) for rep in reports for k, m in rep.emitted]
     if emitted:
-        residuals = np.abs(_det_w(g, np.array([k for _, k, _ in emitted]))).tolist()
-        for (rep, k, m), r in zip(emitted, residuals):
-            rep.roots.append((float(k), m, r))
+        ks = np.array([k for _, k, _ in emitted])
+        sol = _solve_edges(g, ks)
+        f = _vertex_det(g, ks, sol)
+        residuals = np.abs(_det_w(g, ks, sol, f)).tolist()
+        for (rep, k, m), r, fk in zip(emitted, residuals, np.abs(f).tolist()):
+            rep.roots.append((float(k), m, r, fk > _RESIDUAL_TOL * rep.scale))
     return reports
 
 
@@ -497,7 +509,7 @@ def scan_spectrum(
         parts = [_scan_chunk(chunk) for chunk in chunks]
     reports = [rep for part in parts for rep in part]
 
-    found: List[Tuple[float, int, float]] = []
+    found: List[Tuple[float, int, float, bool]] = []
     flagged: List[Tuple[float, float]] = []
     expected = sum(rep.counted for rep in reports)
     for rep in reports:
@@ -505,27 +517,26 @@ def scan_spectrum(
         flagged.extend(rep.flagged)
         diagnostics.extend(rep.diagnostics)
 
-    records: List[RootRecord] = []
+    # fused roots keep the point, residual and diagnostic of the one with
+    # the smaller residual
+    merged: List[Tuple[float, int, float, bool]] = []
     prev = -math.inf
-    for k, mult, residual in sorted(found):
+    for root in sorted(found):
+        k, mult, residual, _ = root
         if k - prev <= _MERGE_TOL:
-            last = records[-1]
-            k_star = last.k if last.residual <= residual else k
-            records[-1] = RootRecord(
-                k_star, last.multiplicity + mult, min(last.residual, residual)
-            )
+            last = merged[-1]
+            best = last if last[2] <= residual else root
+            merged[-1] = (best[0], last[1] + mult, best[2], best[3])
         else:
-            records.append(RootRecord(k, mult, residual))
+            merged.append(root)
         prev = k
-    for r in records:
-        if r.residual > _RESIDUAL_TOL:
-            diagnostics.append(
-                f"large secular residual {r.residual:.2e} at k={r.k:.9f}"
-            )
+    diagnostics.extend(
+        f"large secular residual {r:.2e} at k={k:.9f}" for k, _, r, miss in merged if miss
+    )
 
     closed, scanned = _closed_threshold(g)
     return SpectrumResult(
-        roots=records,
+        roots=[RootRecord(k, m, r) for k, m, r, _ in merged],
         threshold=None if scanned else closed,
         k_lo=lo,
         k_hi=k_hi,

@@ -9,14 +9,18 @@ import pytest
 
 from qgspectra import scattering
 from qgspectra.edge import _solve_edges, transition_matrix, transition_matrix_dk
-from qgspectra.errors import InputError, NumericalError, PhaseTrackingError
+from qgspectra.errors import (
+    InputError,
+    NumericalError,
+    PhaseTrackingError,
+    SingularPointError,
+)
 from qgspectra.fd import fd_spectrum
 from qgspectra.graph import build_graph
 from qgspectra.scattering import (
     _count,
     _det_s,
     _det_w,
-    _edge_entries,
     _vertex_det,
     assemble_S,
     assemble_T,
@@ -55,8 +59,27 @@ def _delta(strength, position):
     return {"type": "delta", "strength": strength, "position": position}
 
 
+def _cycle(n: int):
+    """A cycle of n delta edges of lengths in [0.7, 1.3]."""
+    vertices = [f"v{i}" for i in range(n)]
+    edges = []
+    for i in range(n):
+        length = 0.7 + 0.6 * ((0.618 * i) % 1.0)
+        edges.append(
+            {
+                "from": vertices[i],
+                "to": vertices[(i + 1) % n],
+                "length": length,
+                "potential": _delta(1.0, 0.4 * length),
+            }
+        )
+    return build_graph({"vertices": vertices, "edges": edges})
+
+
 # graphs and real k paths of the determinant oracle; the equilateral star's
-# path holds k = pi, where every I + t_e is singular
+# path holds k = pi, where every t_e has the eigenvalue -1, and the
+# triangle's path the Dirichlet points k L = n pi of its edges, poles of
+# its vertex matrix, where F is taken on the cut graph
 DETERMINANT_CASES = {
     "delta-star": (lambda r: r.getfixturevalue("g_delta_star"), np.linspace(0.5, 12.0, 47)),
     "random-delta-star": (lambda r: random_delta_star(1), np.linspace(0.5, 30.0, 118)),
@@ -89,36 +112,94 @@ DETERMINANT_CASES = {
         lambda r: r.getfixturevalue("g_star3_eq"),
         np.sort(np.append(np.linspace(1.0, 5.0, 41), math.pi)),
     ),
+    # a core of three vertices, with a double a-b edge, and an arm at each
+    # of them (leaf at x = 0 and at x = L): zero, delta, constant and
+    # smooth edges in the core and on the arms
+    "mixed-core": (
+        lambda r: build_graph(
+            {
+                "vertices": ["a", "b", "c", "l1", "l2", "l3"],
+                "edges": [
+                    {"from": "a", "to": "b", "length": 1.0, "potential": ZERO},
+                    {"from": "a", "to": "b", "length": 1.3, "potential": _delta(1.5, 0.4)},
+                    {
+                        "from": "b",
+                        "to": "c",
+                        "length": 1.1,
+                        "potential": {"type": "constant", "value": 3.0},
+                    },
+                    {
+                        "from": "c",
+                        "to": "a",
+                        "length": 0.9,
+                        "potential": {"type": "expr", "expr": "cos(2*x)"},
+                    },
+                    {"from": "l1", "to": "a", "length": 0.6, "potential": _delta(-1.0, 0.2)},
+                    {
+                        "from": "b",
+                        "to": "l2",
+                        "length": 0.8,
+                        "potential": {"type": "constant", "value": 2.0},
+                    },
+                    {
+                        "from": "c",
+                        "to": "l3",
+                        "length": 0.7,
+                        "potential": {"type": "expr", "expr": "1+cos(3*x)"},
+                    },
+                ],
+            }
+        ),
+        np.linspace(0.5, 12.0, 47),
+    ),
+    # 70 vertices of degree 2: prod_v deg(v) = 2^70 is past the int64 range
+    "long-cycle": (lambda r: _cycle(70), np.linspace(0.5, 6.0, 23)),
+    "triangle-dirichlet": (
+        lambda r: r.getfixturevalue("g_triangle"),
+        np.sort(
+            np.concatenate(
+                [
+                    np.linspace(0.5, 12.0, 45),
+                    [n * math.pi / L for L in (1.0, 1.2, 0.8) for n in (1, 2, 3)],
+                ]
+            )
+        ),
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(DETERMINANT_CASES))
 def test_edge_block_determinants_match_dense(request, name):
-    # det S from the edge blocks and det(I - S) by the vertex-space Schur
-    # complement agree with the dense 2E x 2E determinants, real and
-    # complex k, to 1e-12 of the path's largest |det(I - S)|
+    # det S and det(I - S), both read off the edges' M, agree with the
+    # dense 2E x 2E determinants, real and complex k, to 1e-12 of the
+    # path's largest |det(I - S)|
     build, ks = DETERMINANT_CASES[name]
     g = build(request)
     for path in (ks.astype(complex), ks + 0.3j):
         det_s, det_w = dense_secular(g, path)
         scale = np.abs(det_w).max()
-        assert np.abs(_det_s(g, _edge_entries(g, path)) - det_s).max() <= 1e-12 * scale
+        assert np.abs(_det_s(g, _solve_edges(g, path)) - det_s).max() <= 1e-12 * scale
         assert np.abs(_det_w(g, path) - det_w).max() <= 1e-12 * scale
 
 
-def test_singular_I_plus_T_takes_the_dense_determinant(g_star3_eq, monkeypatch):
-    # at k = pi every t_e of the equilateral zero star has the eigenvalue
-    # -1, so the Schur complement over I + T fails there: the point takes
-    # the dense determinant, its neighbours keep the vertex-space one
-    ks = np.array([1.0, math.pi, 2.0])
-    _, want = dense_secular(g_star3_eq, ks)
-    got = _det_w(g_star3_eq, ks)
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-    monkeypatch.setattr(scattering, "_SCHUR_FLOOR", 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        schur = _det_w(g_star3_eq, ks)
-    assert not abs(schur[1] - want[1]) <= 1e-6
-    assert schur[[0, 2]].tolist() == got[[0, 2]].tolist()
+def test_a_pole_of_t_is_a_typed_error():
+    # 1.5i is the bound state of the attractive point interaction on the
+    # line, a pole of t: det(I - S) and zeta have none there
+    g = interval(1.0, _delta(-3.0, 0.5))
+    with pytest.raises(SingularPointError):
+        _det_w(g, 1.5j)
+    with pytest.raises(SingularPointError):
+        secular(g, 1.5j)
+
+
+def test_secular_solves_the_edges_once_per_point(g_delta_star, assembled_ks):
+    # det S, det(I - S) and the check for a pole of t share one edge solve
+    ks = np.linspace(0.5, 6.0, 41)
+    secular(g_delta_star, ks)
+    assert assembled_ks == ks.tolist()
+    assembled_ks.clear()
+    secular(g_delta_star, 2.0 + 0.3j)
+    assert assembled_ks == [2.0 + 0.3j]
 
 
 def test_interval_S_is_antidiagonal_phase(g_interval_pi):

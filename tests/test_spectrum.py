@@ -460,6 +460,33 @@ def test_cycle_roots_on_dirichlet_eigenvalues_are_found(g_triangle):
     assert res.flagged == [] and res.diagnostics == []
 
 
+def test_residual_diagnostic_is_relative_to_the_window():
+    # |det(I - S)| on the 40-arm star reaches 1.5e10 on [0.5, 60], so
+    # accurate roots have residuals far above 1e-6; |F| at each stays below
+    # 5e-9 of the largest |F| at its window's sweep nodes: none is reported
+    res = scan_spectrum(random_delta_star(3, 40), 0.5, 60.0)
+    assert len(res.roots) == res.total_count() == 801
+    assert max(r.residual for r in res.roots) > 1e-4
+    assert res.flagged == [] and res.diagnostics == []
+
+
+def test_coarse_roots_get_the_residual_diagnostic():
+    # at root_tol 1e-3 the refinement stops early: 63 of the 94 roots are
+    # reported, with their residual |det(I - S)|, and each of them lies
+    # more than 1e-6 from the root converged at the default root_tol
+    g = random_delta_star(1)
+    fine = scan_spectrum(g, 0.5, 30.0).ks
+    coarse = scan_spectrum(g, 0.5, 30.0, ScanConfig(root_tol=1e-3))
+    reported = [
+        r
+        for r in coarse.roots
+        if f"large secular residual {r.residual:.2e} at k={r.k:.9f}" in coarse.diagnostics
+    ]
+    assert len(reported) == len(coarse.diagnostics) == 63
+    assert len(coarse.roots) == len(fine) == 94
+    assert min(np.abs(fine - r.k).min() for r in reported) > 1e-6
+
+
 def test_failed_refinement_is_flagged(g_delta_star, monkeypatch):
     # the refinement of the cell holding 3.27075756 reports a failure; that
     # cell is flagged, the other roots are still found
