@@ -34,13 +34,12 @@ are characteristic determinants of the same vertex conditions
 (Berkolaiko & Kuchment, Introduction to Quantum Graphs, AMS 2013, chs.
 2-3), so (``_det_w``)
 
-    det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V k^-n_core / prod_v deg(v),
+    det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V / (k prod_v deg(v)),
 
-for A the arms eliminated from the core, V the vertices and n_core the
-core's.  The factor is formed from the ratios -4k / den_e, each of order
-one on the real axis, so it does not overflow where prod_e den_e would.  A
-pole of some t_e (den_e = 0, off the real axis only) raises
-SingularPointError.
+for A the arms eliminated from the core and V the vertices.  The factor
+is formed from the ratios -4k / den_e, each of order one on the real
+axis, so it does not overflow where prod_e den_e would.  A pole of some
+t_e (den_e = 0, off the real axis only) raises SingularPointError.
 
 ``secular`` is the one public evaluator: a scalar k gives one value, a
 1-D array the path's values in order.  The branch is fixed by a value,
@@ -52,10 +51,10 @@ A scan tracks no branch.  It reads the real symmetric vertex
 Dirichlet-to-Neumann matrix Lambda, built from the fundamental matrices M
 of the edges, in one assembly (``_vertex_det``): its inertia plus Sturm
 counts on the edges give the eigenvalue count at each point (``_count``),
-and its determinant times the product of the edges' denominators gives
-the real, pole-free vertex determinant F(k), whose zeros are those of
-det(I - S).  The scan brackets and refines roots on F.  At a complex k the
-same assembly gives a complex F, and no count.
+and its determinant times the product of the edges' denominators and a
+power of k gives the real, pole-free vertex determinant F(k), whose zeros
+are those of det(I - S).  The scan brackets and refines roots on F.  At a
+complex k the same assembly gives a complex F, and no count.
 """
 
 from __future__ import annotations
@@ -104,7 +103,7 @@ class _Layout:
     number of core vertices, each edge's role (0 in the core, 1 or 2 an arm
     whose x = L or x = 0 end is a leaf) and the flat index of its entries
     (uu, uv, vu, vv) in the core's matrix.  For ``_det_w``: the constant
-    (-1)^A i^-V / prod_v deg(v) of det(I - S) / F."""
+    (-1)^A i^-V / prod_v deg(v) of k det(I - S) / F."""
 
     sigma: np.ndarray
     det_sigma: float
@@ -224,34 +223,30 @@ def _dens(sol):
     return den, sol.dpsi_m + 1j * sol.k * sol.psi_m
 
 
-def _det_s(g: MetricGraph, sol) -> np.ndarray:
+def _det_s(g: MetricGraph, den, den_plus) -> np.ndarray:
     """det S = det Sigma prod_e den+_e / den_e at each point, from the
-    boundary data ``sol`` of every edge, (n, E)."""
-    den, den_plus = _dens(sol)
+    ``_dens`` of every edge there, (n, E) each."""
     return _layout(g).det_sigma * np.prod(den_plus / den, axis=-1)
 
 
-def _det_w(g: MetricGraph, k, sol=None, f=None):
-    """det(I - S(k)) for a scalar k, or their array for a 1-D array of k,
-    from the boundary data ``sol`` of every edge at k, (len(k), E), and
-    the vertex determinant F there, each evaluated unless given:
+def _det_w(g: MetricGraph, ks, sol=None, den=None):
+    """det(I - S) and the vertex determinant F at each k of the 1-D array
+    ``ks``, from the boundary data ``sol`` of every edge at ``ks`` and its
+    denominators ``den`` (``_dens``), each evaluated unless given:
 
-        det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V k^-n_core / prod_v deg(v)
+        det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V / (k prod_v deg(v))
 
     (see the module docstring).  A pole of some t_e raises
     SingularPointError.
     """
-    ks = np.asarray(k, dtype=complex)
-    flat = ks.reshape(-1)
+    ks = np.asarray(ks).reshape(-1)
     if sol is None:
-        sol = _solve_edges(g, flat)
-    den, _ = _dens(sol)
-    if f is None:
-        f = _vertex_det(g, flat, sol)
-    layout = _layout(g)
-    w = f * np.prod(-4.0 * flat[:, None] / den, axis=-1) * layout.w_factor
-    w *= flat ** -layout.n_core
-    return complex(w[0]) if ks.ndim == 0 else w
+        sol = _solve_edges(g, ks)
+    if den is None:
+        den = _dens(sol)[0]
+    f = _vertex_det(g, ks, sol)
+    w = f * np.prod(-4.0 * ks[:, None] / den, axis=-1) * _layout(g).w_factor / ks
+    return w, f
 
 
 def _count(g: MetricGraph, ks, sol=None) -> Tuple[np.ndarray, np.ndarray]:
@@ -289,20 +284,22 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
     on the real axis, k > 0, gives a real F in real arithmetic; a complex
     path gives a complex F, and no count.
 
-    F = det Lambda * prod_e den_e, den_e the denominator of the edge's
-    entries of Lambda (k m12 for an edge of the core, m22 or m11 at the
-    leaf end of an arm), is real and pole-free on the real axis, and its
-    zeros are the eigenvalues with their multiplicities (Berkolaiko &
-    Kuchment, Introduction to Quantum Graphs, AMS 2013, chs. 2-3).  The
-    factor k of each core edge's den keeps |F| of order one where the
-    unscaled F falls like k^-(core edges); it moves no sign and no root.
-    A star's core is its centre: F = sum_e num_e prod_{e' != e} den_e', with
-    num_e = -m21 for an arm and k (2 - m11 - m22) for a loop, from prefix
-    and suffix products, so no point is a pole.  A larger core takes det
-    Lambda, and at a pole the cut graph's F: cutting an edge M = M2 M1 gives
-    -(M2 M1)_12 = -m12 and -(M2 M1)_22 = -m22, so F = (-1)^E F(cut)
-    unscaled, and F = (-1)^E k^-E F(cut) once the cut graph's E more core
-    edges are scaled.
+    F = k^(1 - n_core) det Lambda prod_e den_e, den_e the denominator of
+    the edge's entries of Lambda (k m12 for an edge of the core, m22 or m11
+    at the leaf end of an arm), is real and pole-free on the real axis,
+    and its zeros are the eigenvalues with their multiplicities (Berkolaiko
+    & Kuchment, Introduction to Quantum Graphs, AMS 2013, chs. 2-3).  The
+    powers of k move no sign and no root: they keep |F| near k at large k,
+    where the entries of Lambda grow like k, and near k^b at small k, b =
+    core edges - n_core + 1.  A star's core is its centre: F = sum_e num_e
+    prod_{e' != e} den_e', with num_e = -m21 for an arm and k (2 - m11 -
+    m22) for a loop, from prefix and suffix products, so no point is a
+    pole.  A larger core takes det Lambda in logarithms, since det Lambda
+    overflows at large k on a core of many vertices and prod_e den_e
+    underflows at small k, and at a pole the cut graph's F: cutting an
+    edge M = M2 M1 gives -(M2 M1)_12 = -m12 and -(M2 M1)_22 = -m22, and the
+    cut graph has E more core vertices and E more core edges, so F =
+    (-1)^E F(cut).
     """
     ks = np.asarray(ks).reshape(-1)
     real = not np.any(np.imag(ks))
@@ -344,7 +341,12 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
         lam = lam + 1j * np.bincount(slots, x.imag.ravel(), n * nc * nc)
     lam = lam.reshape(n, nc, nc)
     if nc > 1:
-        f = np.linalg.det(lam) * np.prod(scaled, axis=-1)
+        sign, log_det = np.linalg.slogdet(lam)
+        mag = np.abs(scaled)
+        mag = np.where(mag == 0, 1.0, mag)  # its sign, 0, zeroes F
+        unit = sign * np.prod(scaled / mag, axis=-1) * (ks / np.abs(ks)) ** (1 - nc)
+        log_k = (1 - nc) * np.log(np.abs(ks))
+        f = unit * np.exp(log_det + np.log(mag).sum(axis=-1) + log_k)
     if want_count:
         z_n, z_d = sol.zeros
         arm = np.where(to_leaf, z_d + (m12 * m22 < 0), z_n - (m11 == 0))
@@ -366,7 +368,7 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
         if want_count:
             count[pole], at[pole], sub = sub
         if nc > 1:
-            f[pole] = (-1.0) ** g.num_edges * ks[pole] ** -g.num_edges * sub
+            f[pole] = (-1.0) ** g.num_edges * sub
     return (count, at, f) if want_count else f
 
 
@@ -415,8 +417,9 @@ def _track(
     """
     ks = np.asarray(ks, dtype=complex).reshape(-1)
     sol = _solve_edges(g, ks)
-    det_w = _det_w(g, ks, sol)
-    det_s = _det_s(g, sol)
+    den, den_plus = _dens(sol)
+    det_w = _det_w(g, ks, sol, den)[0]
+    det_s = _det_s(g, den, den_plus)
     det_sigma = _layout(g).det_sigma
     if after is None:
         prev, offset = 0.0, None

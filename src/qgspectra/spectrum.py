@@ -67,7 +67,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .edge import _closed_threshold, _solve_edges, subunitarity_threshold
+from .edge import _closed_threshold, subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import MetricGraph
 from .scattering import _det_w, _vertex_det
@@ -238,7 +238,7 @@ def multiplicity(g: MetricGraph, k0: float, radius: float) -> int:
         )
 
     def w(z: complex) -> complex:
-        return _det_w(g, z)
+        return complex(_det_w(g, [z])[0][0])
 
     eps = 0.01 * radius
     path = [
@@ -380,10 +380,8 @@ def _scan_chunk(chunk) -> List[_WindowReport]:
     emitted = [(rep, k, m) for rep in reports for k, m in rep.emitted]
     if emitted:
         ks = np.array([k for _, k, _ in emitted])
-        sol = _solve_edges(g, ks)
-        f = _vertex_det(g, ks, sol)
-        residuals = np.abs(_det_w(g, ks, sol, f)).tolist()
-        for (rep, k, m), r, fk in zip(emitted, residuals, np.abs(f).tolist()):
+        residuals, f = (np.abs(v).tolist() for v in _det_w(g, ks))
+        for (rep, k, m), r, fk in zip(emitted, residuals, f):
             rep.roots.append((float(k), m, r, fk > _RESIDUAL_TOL * rep.scale))
     return reports
 

@@ -19,6 +19,7 @@ from qgspectra.fd import fd_spectrum
 from qgspectra.graph import build_graph
 from qgspectra.scattering import (
     _count,
+    _dens,
     _det_s,
     _det_w,
     _vertex_det,
@@ -30,6 +31,7 @@ from qgspectra.scattering import (
     unitarity_defect,
     vertex_sigma,
 )
+from qgspectra.spectrum import K_FLOOR
 
 from .conftest import ZERO, interval, random_delta_star, star
 from .oracles import dense_secular
@@ -152,8 +154,12 @@ DETERMINANT_CASES = {
         ),
         np.linspace(0.5, 12.0, 47),
     ),
-    # 70 vertices of degree 2: prod_v deg(v) = 2^70 is past the int64 range
-    "long-cycle": (lambda r: _cycle(70), np.linspace(0.5, 6.0, 23)),
+    # 150 vertices of degree 2: prod_v deg(v) = 2^150 is past the int64
+    # range, det Lambda alone overflows at k = 60, and k^-149 at the k floor
+    "long-cycle": (
+        lambda r: _cycle(150),
+        np.array([K_FLOOR, 6.0, 20.0, 59.0, 60.0, 61.0]),
+    ),
     "triangle-dirichlet": (
         lambda r: r.getfixturevalue("g_triangle"),
         np.sort(
@@ -178,8 +184,9 @@ def test_edge_block_determinants_match_dense(request, name):
     for path in (ks.astype(complex), ks + 0.3j):
         det_s, det_w = dense_secular(g, path)
         scale = np.abs(det_w).max()
-        assert np.abs(_det_s(g, _solve_edges(g, path)) - det_s).max() <= 1e-12 * scale
-        assert np.abs(_det_w(g, path) - det_w).max() <= 1e-12 * scale
+        den, den_plus = _dens(_solve_edges(g, path))
+        assert np.abs(_det_s(g, den, den_plus) - det_s).max() <= 1e-12 * scale
+        assert np.abs(_det_w(g, path)[0] - det_w).max() <= 1e-12 * scale
 
 
 def test_a_pole_of_t_is_a_typed_error():
@@ -187,7 +194,7 @@ def test_a_pole_of_t_is_a_typed_error():
     # line, a pole of t: det(I - S) and zeta have none there
     g = interval(1.0, _delta(-3.0, 0.5))
     with pytest.raises(SingularPointError):
-        _det_w(g, 1.5j)
+        _det_w(g, [1.5j])
     with pytest.raises(SingularPointError):
         secular(g, 1.5j)
 
@@ -544,15 +551,15 @@ def test_vertex_det_has_the_sign_changes_of_zeta(request, name):
     assert np.array_equal(flips, np.flatnonzero(np.diff(np.sign(zeta.real))))
     assert len(flips) == F_SIGN_CHANGES[name]
     if name == "triangle":
-        # a cycle of three zero edges: F = -k^3 zeta exactly, the factor k^3
-        # that of its three scaled core edges
-        assert np.abs(ratio.real / ks**3 + 1.0).max() <= 1e-9
+        # a cycle of three zero edges: F = -k zeta exactly
+        assert np.abs(ratio.real / ks + 1.0).max() <= 1e-9
 
 
 @pytest.mark.parametrize("name", ["cycle4", "triangle"])
 def test_vertex_det_of_the_cut_graph(request, name, monkeypatch):
-    # cutting every edge multiplies the unscaled F by (-1)^E, and adds E
-    # core edges, each scaled by k: F = (-1)^E k^-E F(cut).  Without cut
+    # cutting every edge multiplies det Lambda prod_e den_e by (-1)^E, and
+    # adds E core vertices and E core edges, whose powers of k cancel: F =
+    # (-1)^E F(cut).  Without cut
     # graphs a pole of either graph raises, so only points that are poles
     # of neither are compared
     make, lo, hi = F_GRAPHS[name]
@@ -562,7 +569,7 @@ def test_vertex_det_of_the_cut_graph(request, name, monkeypatch):
     pairs = []
     for k in np.linspace(lo, hi, 500):
         try:
-            pairs.append((_vertex_det(g, [k])[0], _vertex_det(cut, [k])[0] / (-k) ** n))
+            pairs.append((_vertex_det(g, [k])[0], _vertex_det(cut, [k])[0] * (-1) ** n))
         except NumericalError:
             continue
     f, f_cut = np.array(pairs).T
