@@ -83,7 +83,8 @@ def _make_parser() -> argparse.ArgumentParser:
             "--workers",
             type=int,
             default=1,
-            help="worker processes for window-parallel scans (default 1)",
+            help="worker processes for window-parallel scans, at most one per "
+            "chunk of 64 windows (default 1)",
         )
 
     p = command("spectrum", "locate eigenvalues in [kmin, kmax]")

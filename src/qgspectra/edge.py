@@ -33,11 +33,11 @@ and their k-derivatives follow from M' = dM/dk.  M is built per kind:
 error estimate at a wavenumber or an array of them, by the closed form or
 the propagator.  ``solve_edge`` is its one-point case, and the threshold
 scan reads t from it.  ``_solve_edges`` evaluates every edge of a graph at
-every k of an array: the closed-form edges together over (k, edge), from
-per-graph parameter arrays kept in a weak-keyed table, and each smooth
-edge through ``_evaluate``; for the eigenvalue count, also the zeros of
-two solutions on each edge (``_zeros``), from the closed-form pieces or
-the propagator's own steps.
+every k of an array: the closed-form edges together over (k, edge), in
+float64 at real k, from per-graph parameter arrays kept in a weak-keyed
+table, and each smooth edge through ``_evaluate``; for the eigenvalue
+count, also the zeros of two solutions on each edge (``_zeros``), from the
+closed-form pieces or the propagator's own steps.
 
 Boundary data at x = L determines the 2x2 transition matrix
 
@@ -181,15 +181,27 @@ def _free_dk(q, x, k, c, s):
     return -k * x * s, ds
 
 
+def _wavenumber(k, c):
+    """q with q^2 = k^2 - c (q = k where c = 0), elementwise over broadcast
+    arrays: real when k is real and no k^2 < c, else complex (q is
+    imaginary over a barrier, k^2 < c)."""
+    k = np.asarray(k)
+    if np.iscomplexobj(k) or np.any(k * k < c):
+        k = k.astype(complex)
+    return np.where(c == 0, k, np.sqrt(k * k - c))
+
+
 def _closed(k, c, D, x1, x2, want_dk: bool):
     """Closed-form M (and M', else None) of a segment with background
     constant c and a point interaction of strength D at distance x1 from its
     start and x2 from its end, elementwise over broadcast arrays:
     free(x2) [[1, 0], [D, 1]] free(x1) with q^2 = k^2 - c, i.e. free(x1 + x2)
     plus the rank-one term D [s2; c2] (x) [c1, s1].  Without a point
-    interaction D = 0 and x2 = 0, which leaves free(x1)."""
-    k = np.asarray(k, dtype=complex)
-    q = np.where(c == 0, k, np.sqrt(k * k - c))
+    interaction D = 0 and x2 = 0, which leaves free(x1).  M is real for a
+    real k: it is computed in float64 then, in complex arithmetic only over
+    a barrier (``_wavenumber``), and returned as float64 either way."""
+    k = np.asarray(k)
+    q = _wavenumber(k, c)
     c1, s1 = _free(q, x1)
     c2, s2 = _free(q, x2)
     cc = c2 * c1 - q * q * s2 * s1
@@ -200,6 +212,9 @@ def _closed(k, c, D, x1, x2, want_dk: bool):
         -q * (q * s) + D * c2 * c1,
         cc + D * c2 * s1,
     )
+    real = not np.iscomplexobj(k)
+    if real:
+        m = tuple(np.real(x) for x in m)
     if not want_dk:
         return m, None
     dc1, ds1 = _free_dk(q, x1, k, c1, s1)
@@ -211,7 +226,7 @@ def _closed(k, c, D, x1, x2, want_dk: bool):
         -2.0 * k * s - q * q * ds + D * (dc2 * c1 + c2 * dc1),
         dc + D * (dc2 * s1 + c2 * ds1),
     )
-    return m, dm
+    return m, tuple(np.real(x) for x in dm) if real else dm
 
 
 def _segment(pot: Potential, a: float, b: float):
@@ -327,13 +342,15 @@ def _zeros(ends, nu, alpha, h):
 def _closed_zeros(k, c, D, x1, x2, m):
     """``_zeros`` at real k of closed-form segments (the arguments of
     ``_closed`` and the M it gives): two pieces each, up to the point
-    interaction and after it."""
-    q = np.where(c == 0, k, np.sqrt(k * k - c)).real
-    mid = np.array(_closed(k, c, D, x1, 0.0, False)[0]).real
+    interaction and after it, whose phase is 0 over a barrier."""
+    q = _wavenumber(k, c)
+    c1, s1 = _free(q, x1)
+    # M up to the point interaction, as _closed gives it with x2 = 0
+    mid = np.array([c1, s1, -q * (q * s1) + D * c1, c1 + D * s1]).real
     start = np.zeros_like(mid)
     start[[0, 3]] = 1.0
     ends = np.stack([start, mid, np.array(m).real], axis=-1)
-    nu = np.stack(np.broadcast_arrays(q * x1, q * x2), axis=-1)
+    nu = np.stack(np.broadcast_arrays(q.real * x1, q.real * x2), axis=-1)
     h = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
     return _zeros(ends.reshape(2, 2, *ends.shape[1:]), nu, 0.0, h)
 
@@ -533,9 +550,12 @@ def _solve_edges(
     of every edge, (2, len(ks), E), when ``want_count`` (real k only).
     Zero, constant and point-interaction edges are evaluated together in
     closed form, each smooth edge by one batched Magnus propagation over
-    ``ks``, which gives each point its one-point result.  An unresolved
-    propagation raises for the first such k, as ``solve_edge`` would there."""
-    ks = np.asarray(ks, dtype=complex)
+    ``ks``, which gives each point its one-point result.  A real ``ks`` stays
+    float64, and so does M where every edge is in closed form; a complex
+    ``ks`` (of any values) gives complex M.  An unresolved propagation
+    raises for the first such k, as ``solve_edge`` would there."""
+    ks = np.asarray(ks)
+    ks = ks.astype(complex if np.iscomplexobj(ks) else float)
     if np.any(ks == 0):
         raise InputError("k=0: the normalized solution pair degenerates")
     closed, lengths, smooth = _edge_table(g)
@@ -543,8 +563,8 @@ def _solve_edges(
     zeros = _closed_zeros(ks[:, None], *closed, m) if want_count else None
     err = np.zeros((len(ks), g.num_edges))
     if smooth:
-        m = np.array(m)
-        dm = np.array(dm) if want_dk else None
+        m = np.array(m, dtype=complex)
+        dm = np.array(dm, dtype=complex) if want_dk else None
         for e in smooth:
             edge = g.edges[e]
             z = None if zeros is None else zeros[:, :, e]

@@ -17,16 +17,14 @@ root_tol is one root whose multiplicity is its count.
 
 A window only counts: it hands on its single-root brackets with F at
 their ends, from the window's sweep or from the split that made them.
-The windows go out in contiguous chunks of at most _WINDOWS_PER_CHUNK
-windows each (a serial scan of up to that many windows is one chunk; the
-cap keeps a refinement's stacks small on long ranges); a pool gets at
-least _CHUNKS_PER_WORKER chunks per worker, so that a worker that starts
-late or runs on a slowed CPU takes fewer of them instead of holding up
-the scan with a fixed half.  The pool starts no more processes than there
-are chunks or CPUs; the partition itself depends on the worker count
-only.  All brackets of a chunk are refined together by Chandrupatla's
-bracketing method (T. R. Chandrupatla, Adv. Eng. Softw. 28, 1997;
-``_chandrupatla``, whose iterates are those of scipy's elementwise
+The windows go out in ceil(windows / _WINDOWS_PER_CHUNK) contiguous chunks
+of at most _WINDOWS_PER_CHUNK windows each, whatever the worker count (a
+scan of up to that many windows is one chunk; the cap keeps a
+refinement's stacks small on long ranges).  A pool starts no more
+processes than there are chunks or CPUs, so a scan of one chunk runs in
+this process.  All brackets of a chunk are refined together by
+Chandrupatla's bracketing method (T. R. Chandrupatla, Adv. Eng. Softw. 28,
+1997; ``_chandrupatla``, whose iterates are those of scipy's elementwise
 find_root), one stacked F per iteration, until each bracket is narrower
 than root_tol; a bracket it cannot refine is flagged.  Each root is
 checked against the paper's secular function: the residuals |det(I - S)|
@@ -50,10 +48,10 @@ with the candidate indented out of the real side; the omitted indentation
 semicircle around an order-m zero carries exactly -m*pi, so the walked
 phase change equals m*pi.
 
-Window decomposition is fixed by the k range alone (never by the worker
-count).  Which windows share a chunk does depend on the worker count, but
-every refinement step is elementwise and every determinant is taken per
-matrix, so results are identical no matter how the work is distributed.
+Windows and chunks are fixed by the k range alone, never by the worker
+count, and every refinement step is elementwise and every determinant is
+taken per matrix, so results are identical no matter which process
+refines a chunk.
 A range whose grid has more than MAX_GRID_POINTS points is refused.
 """
 
@@ -96,11 +94,6 @@ _CELLS_PER_WINDOW = 64
 # scan of 1e5 points peaked at 233 MB as one chunk and at 69 MB in chunks
 # of 64 windows, so one chunk at MAX_GRID_POINTS would need about 2 GB.
 _WINDOWS_PER_CHUNK = 64
-# Chunks per worker, at least, when a pool refines them: with one chunk
-# per worker the two workers of a 6-window scan finished a median 6.9 ms
-# apart (quartile spread 9.8 ms) against 2.7 ms (2.4 ms) one window per
-# task, so the scan time followed the slower worker.
-_CHUNKS_PER_WORKER = 4
 
 #: Most grid points a scan, or a secular sweep, may take.
 MAX_GRID_POINTS = 1_000_000
@@ -136,7 +129,8 @@ class ScanConfig:
 
     root_tol: bracket width at which sign-change refinement stops.
     workers: scan processes at most (no more than there are chunks of
-        windows or CPUs); output does not depend on it.
+        windows or CPUs, so a pool only over more than one chunk); the
+        chunks, and the output, do not depend on it.
 
     No option bounds the range from below: a scan starts at max(k_lo,
     K_FLOOR), below the subunitarity threshold K too.
@@ -482,17 +476,14 @@ def scan_spectrum(
     step = grid_step(g)
     n_cells = _grid_cells(g, lo, k_hi)
 
-    # Fixed partition into windows of _CELLS_PER_WINDOW grid cells; the
-    # worker count only changes which chunk of windows is refined together.
+    # Fixed partition into windows of _CELLS_PER_WINDOW grid cells, and of
+    # those into the fewest contiguous chunks of at most _WINDOWS_PER_CHUNK
+    # windows, which bounds the stacks of one refinement
     cells_per = _CELLS_PER_WINDOW
     bounds = [lo + step * i for i in range(0, n_cells, cells_per)] + [k_hi]
     windows = [(a, b, i == 0) for i, (a, b) in enumerate(zip(bounds, bounds[1:]))]
-    # contiguous chunks of at most _WINDOWS_PER_CHUNK windows, which bounds
-    # the stacks of one refinement; a pool balances _CHUNKS_PER_WORKER or
-    # more per worker
     n = len(windows)
-    least = _CHUNKS_PER_WORKER * cfg.workers if cfg.workers > 1 else 1
-    n_chunks = min(max(least, -(-n // _WINDOWS_PER_CHUNK)), n)
+    n_chunks = -(-n // _WINDOWS_PER_CHUNK)
     chunks = [
         (g, step, cfg, windows[i * n // n_chunks : (i + 1) * n // n_chunks])
         for i in range(n_chunks)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qgspectra.edge import (
 )
 from qgspectra.errors import NumericalError
 
-from .conftest import interval, star
+from .conftest import ZERO, interval, star
 from .oracles import (
     block_fold,
     central_diff,
@@ -393,3 +394,35 @@ def test_solution_zeros_match_an_ode_count(name):
             z = np.empty((2, 1), dtype=int)
             edge._magnus(g.edges[0].potential.callable(length), 0.0, length, ks[-1:], n, False, z)
             assert z[:, 0].tolist() == list(want[-1])
+
+
+# a zero, a point-interaction and a constant edge (c = 4), for real ks below
+# and above the constant's barrier: below it q is imaginary, and M is taken
+# in complex arithmetic there
+REAL_K_STAR = [
+    (1.0, ZERO),
+    (1.2, {"type": "delta", "strength": -5.0, "position": 0.6}),
+    (2.0, {"type": "constant", "value": 4.0}),
+]
+
+
+@pytest.mark.parametrize(
+    "ks", [[0.7, 1.9], [2.5, 12.3, 161.7], [0.7, 12.3]], ids=["below", "above", "both"]
+)
+def test_real_k_gives_float64_m_of_the_complex_path(ks):
+    # M and M' are real at real k; a real ks keeps them in float64, which
+    # matches the complex path's values to rounding, with no warning
+    g = star(REAL_K_STAR)
+    ks = np.array(ks)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        real = edge._solve_edges(g, ks, want_dk=True, want_count=True)
+    cplx = edge._solve_edges(g, ks.astype(complex), want_dk=True, want_count=True)
+    m, want = np.array(real.m), np.array(cplx.m)
+    assert m.dtype == np.float64 and want.dtype == complex
+    assert np.all(np.abs(m - want) <= 1e-14 * np.abs(want).max(axis=0))
+    for name in ("psi_p", "dpsi_p", "dk_psi_p", "dk_dpsi_p"):
+        got, ref = getattr(real, name), getattr(cplx, name)
+        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), name
+    # the Sturm counts read the same pieces either way
+    assert real.zeros.tolist() == cplx.zeros.tolist()

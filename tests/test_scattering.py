@@ -209,6 +209,22 @@ def test_secular_solves_the_edges_once_per_point(g_delta_star, assembled_ks):
     assert assembled_ks == [2.0 + 0.3j]
 
 
+def test_secular_takes_the_complex_path_on_a_real_grid(g_delta_star, monkeypatch):
+    # the edges of the secular path are solved in complex arithmetic, so a
+    # real grid gives bit for bit the values of the same grid as complex
+    dtypes, solve = [], scattering._solve_edges
+
+    def seen(g, ks, *args, **kwargs):
+        dtypes.append(np.asarray(ks).dtype)
+        return solve(g, ks, *args, **kwargs)
+
+    monkeypatch.setattr(scattering, "_solve_edges", seen)
+    ks = np.linspace(0.5, 6.0, 41)
+    real = secular(g_delta_star, ks)
+    assert real == secular(g_delta_star, ks.astype(complex))
+    assert dtypes == [np.dtype(complex)] * 2
+
+
 def test_interval_S_is_antidiagonal_phase(g_interval_pi):
     k = 2.3
     S = assemble_S(g_interval_pi, k)

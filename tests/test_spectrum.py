@@ -226,10 +226,10 @@ def test_scan_is_deterministic(g_delta_star):
     assert [r.residual for r in a.roots] == [r.residual for r in b.roots]
 
 
-def test_workers_do_not_change_results():
-    # the chunks of windows depend on the worker count, so every bracket
-    # of a chunk shares its stacked refinement with a different set of
-    # others at each worker count
+def test_workers_do_not_change_results(monkeypatch):
+    # one window per chunk, so two and three workers run a real forked pool
+    # over the six chunks of [0.5, 30]
+    monkeypatch.setattr(spectrum, "_WINDOWS_PER_CHUNK", 1)
     g = random_delta_star(1)
     runs = [scan_spectrum(g, 0.5, 30.0, ScanConfig(workers=w)) for w in (1, 2, 3)]
     for res in runs[1:]:
@@ -282,12 +282,12 @@ def pool_chunks(monkeypatch):
     return pools
 
 
-def test_pool_gets_several_chunks_per_worker(pool_chunks):
-    # a pool balances its chunks between the workers only if there are more
-    # chunks than workers: the six windows of [0.5, 30] go out one by one
+def test_one_chunk_scan_starts_no_pool(pool_chunks):
+    # the six windows of [0.5, 30] are one chunk at any worker count, and
+    # a pool of one process would only add its fork and join
     g = random_delta_star(1)
     res = scan_spectrum(g, 0.5, 30.0, ScanConfig(workers=2))
-    assert pool_chunks == [(2, [1] * 6)]
+    assert pool_chunks == []
     assert res.roots == scan_spectrum(g, 0.5, 30.0).roots
 
 
@@ -296,9 +296,10 @@ def test_pool_starts_no_more_processes_than_chunks_or_cpus(
     pool_chunks, monkeypatch, cpus, started
 ):
     # a pool forks all its processes at the first task, so 5000 workers on
-    # the six one-window chunks of [0.5, 30] start one per chunk or per
-    # CPU; with one CPU (or an unknown count) the chunks run in this
-    # process.  The chunks stay those of 5000 workers either way.
+    # the six one-window chunks of [0.5, 30] (one window per chunk here)
+    # start one per chunk or per CPU; with one CPU (or an unknown count)
+    # the chunks run in this process.  The chunks stay the same either way.
+    monkeypatch.setattr(spectrum, "_WINDOWS_PER_CHUNK", 1)
     monkeypatch.setattr(spectrum.os, "cpu_count", lambda: cpus)
     sizes, scan_chunk = [], spectrum._scan_chunk
 
