@@ -23,7 +23,6 @@ from .errors import (
     GraphError,
     InputError,
     NumericalError,
-    PhaseTrackingError,
     QgError,
     SingularPointError,
     TurningPointError,
@@ -91,7 +90,6 @@ __all__ = [
     "MetricGraph",
     "NumericalError",
     "PeriodicOrbit",
-    "PhaseTrackingError",
     "Potential",
     "QgError",
     "RootRecord",

@@ -306,12 +306,10 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     ks = np.linspace(args.kmin, args.kmax, n)
 
     def rows():
-        # block by block, each block continuing the branch from the last
-        # value of the one before, so only one block is held at a time
-        last = None
+        # block by block, so only one block is held at a time
         for i in range(0, n, _SECULAR_BLOCK):
-            for last in secular(g, ks[i : i + _SECULAR_BLOCK], last):
-                yield [last.k.real, last.zeta.real, last.zeta.imag, last.theta]
+            for v in secular(g, ks[i : i + _SECULAR_BLOCK]):
+                yield [v.k.real, v.zeta.real, v.zeta.imag, v.theta]
 
     _write_csv(
         os.path.join(args.out, "secular.csv"),

@@ -2,7 +2,7 @@
 
 Two top-level families, mapped to CLI exit codes: InputError (bad graph
 descriptions, bad expressions, out-of-domain requests) exits 2,
-NumericalError (solver/tracking failures) exits 1.
+NumericalError (solver failures) exits 1.
 """
 
 __all__ = [
@@ -13,7 +13,6 @@ __all__ = [
     "ExpressionError",
     "TurningPointError",
     "SingularPointError",
-    "PhaseTrackingError",
 ]
 
 
@@ -47,7 +46,3 @@ class TurningPointError(InputError):
 
 class SingularPointError(NumericalError):
     """The transition-matrix parametrization is singular at this k."""
-
-
-class PhaseTrackingError(NumericalError):
-    """Phase step between consecutive grid points too large to unwrap safely."""

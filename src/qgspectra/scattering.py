@@ -14,25 +14,32 @@ det(I - S(k)) = 0.  The secular function
 
     zeta(k) = (det S)^(-1/2) det(I - S)
 
-is real on the real axis once the square root's branch is fixed by
-continuous unwrapping of the det S phase along the evaluation path; only its
-zeros (not its global sign) carry meaning.  Theta(k) is the continuously
-unwrapped phase of det T; its derivative is the Wigner delay.
+is real on the real axis; only its zeros (not its global sign) carry
+meaning.  The square root's branch is fixed pointwise by theta(k), the
+phase of det T, a function of k alone: at real k > 0
+
+    theta = sum_e arg det t_e,  arg det t_e = -2 arg den_e,
+
+with arg den_e continued along the edge from psi_plus(0) = 1 (``_theta``),
+so a free edge of length L adds pi + 2kL.  Off the axis theta is continued
+from Re k by the principal phase of det T(k) / det T(Re k).  Its
+derivative is the Wigner delay, and theta / 2 pi the trace formula's Weyl
+term.
 
 ``assemble_T`` takes one k or a 1-D array of k.  Over an array the edge
 layer evaluates every edge at every k at once (zero, constant and
 point-interaction edges in closed form over (k, edge), each smooth edge
 by one batched Magnus propagation), and T and T' come out stacked.
 
-The secular function along a path (``_track``) never forms S: det S and
-det(I - S) come from the fundamental matrices M of the edges, one edge
-solve per point.  With den_e = m21 - ik (m11 + m22) - k^2 m12, the
-denominator of t_e, and den+_e = m21 + ik (m11 + m22) - k^2 m12, det t_e =
-den+_e / den_e, so det S = det Sigma prod_e den+_e / den_e (det Sigma =
-+-1, cached beside Sigma).  det(I - S) and the vertex determinant F below
-are characteristic determinants of the same vertex conditions
-(Berkolaiko & Kuchment, Introduction to Quantum Graphs, AMS 2013, chs.
-2-3), so (``_det_w``)
+``secular``, the one public evaluator of zeta and theta, never forms S:
+det S and det(I - S) come from the fundamental matrices M of the edges,
+one edge solve per point (and one more at Re k off the axis).  With den_e
+= m21 - ik (m11 + m22) - k^2 m12, the denominator of t_e, and den+_e =
+m21 + ik (m11 + m22) - k^2 m12, det t_e = den+_e / den_e, so det S = det
+Sigma prod_e den+_e / den_e (det Sigma = +-1, cached beside Sigma).
+det(I - S) and the vertex determinant F below are characteristic
+determinants of the same vertex conditions (Berkolaiko & Kuchment,
+Introduction to Quantum Graphs, AMS 2013, chs. 2-3), so (``_det_w``)
 
     det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V / (k prod_v deg(v)),
 
@@ -41,13 +48,7 @@ is formed from the ratios -4k / den_e, each of order one on the real
 axis, so it does not overflow where prod_e den_e would.  A pole of some
 t_e (den_e = 0, off the real axis only) raises SingularPointError.
 
-``secular`` is the one public evaluator: a scalar k gives one value, a
-1-D array the path's values in order.  The branch is fixed by a value,
-not by mutable state: a path continues from the evaluated value
-``after``, or is anchored at its first point, so two continuations from
-one value are two calls.
-
-A scan tracks no branch.  It reads the real symmetric vertex
+A scan reads neither theta nor det S.  It reads the real symmetric vertex
 Dirichlet-to-Neumann matrix Lambda, built from the fundamental matrices M
 of the edges, in one assembly (``_vertex_det``): its inertia plus Sturm
 counts on the edges give the eigenvalue count at each point (``_count``),
@@ -59,7 +60,6 @@ complex k the same assembly gives a complex F, and no count.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 import math
 import weakref
@@ -68,7 +68,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .edge import _den, _entries, _refuse_singular, _solve_edges, unitarity_defect
-from .errors import NumericalError, PhaseTrackingError
+from .errors import InputError, NumericalError
 from .graph import Edge, MetricGraph
 from .potential import Potential, orient
 
@@ -83,7 +83,6 @@ __all__ = [
     "unitarity_defect",
 ]
 
-_PHASE_STEP_LIMIT = 0.9 * math.pi
 # An eigenvalue of the vertex Dirichlet-to-Neumann matrix within this
 # fraction of k, plus 64 rounding units of the sum of the moduli of its
 # entries, is 0: a root at k.
@@ -202,12 +201,13 @@ def assemble_S(g: MetricGraph, k) -> np.ndarray:
     return big_sigma(g) @ assemble_T(g, k)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class SecularValue:
+    """zeta and theta, the phase of det T, at one k (see ``secular``)."""
+
     k: complex
     zeta: complex
-    det_s_phase: float  # unwrapped
-    theta: float  # unwrapped phase of det T
+    theta: float
 
     @property
     def zeta_real(self) -> float:
@@ -400,60 +400,64 @@ def _cut(g: MetricGraph) -> Optional[MetricGraph]:
     return cut
 
 
-def _track(
-    g: MetricGraph, ks, after: Optional[SecularValue] = None
-) -> List[SecularValue]:
-    """The secular function at the points ``ks`` in order, from one
-    solve of the edges (det S, det(I - S) and the check for a pole of t),
-    continuing the branch from the evaluated value ``after`` or, without
-    it, anchored at the first point.
+def _theta(sol, den) -> np.ndarray:
+    """theta, the phase of det T, at each real k > 0 of the boundary data
+    ``sol`` (with its zeros), from the denominators ``den`` of its edges.
 
-    det S = det Sigma prod_e det t_e, with det Sigma = +-1 independent of k,
-    so theta, the phase of det T, is the det S phase plus an offset, fixed
-    at a fresh path's first point.  Each step of the det S phase, from
-    ``after`` on, must stay below 0.9 pi (PhaseTrackingError otherwise).
-    The modulus factor |det S|^(-1/2) is 1 on the real axis and restores
-    conjugate symmetry zeta(conj k) = conj zeta(k) off it.
+    On the real axis det t_e = conj(den_e) / den_e, and den_e = psi_plus(L)
+    w_e with w_e = psi_plus'(L) / psi_plus(L) - ik, so theta = -2 sum_e
+    (phi_e + Arg w_e).  Im w_e = -k / |psi_plus(L)|^2 - k < 0, so Arg w_e
+    is continuous in k.  phi_e, the phase of psi_plus = m11 - ik m12
+    continued along the edge from 0, falls monotonically (the flux of
+    psi_plus is -k) and passes a multiple of pi exactly at each zero of
+    m12: with z of them in (0, L] (the Dirichlet Sturm count) and s =
+    (-1)^z, phi_e = -z pi + atan2(-k s m12, s m11), the last term in
+    (-pi, 0].
     """
-    ks = np.asarray(ks, dtype=complex).reshape(-1)
-    sol = _solve_edges(g, ks)
-    den, den_plus = _dens(sol)
-    det_w = _det_w(g, ks, sol, den)[0]
-    det_s = _det_s(g, den, den_plus)
+    m11, m12 = np.real(sol.m[0]), np.real(sol.m[1])
+    z = sol.zeros[1]
+    s = 1 - 2 * (z % 2)
+    phi = -math.pi * z + np.arctan2(-sol.k * s * m12, s * m11)
+    arg_w = np.angle(den * np.conj(sol.psi_p))  # Arg(w_e |psi_plus(L)|^2)
+    return -2.0 * (phi + arg_w).sum(axis=-1)
+
+
+def secular(g: MetricGraph, k) -> Union[SecularValue, List[SecularValue]]:
+    """zeta(k) and theta(k) for a scalar k, or the list of values at the
+    points of a 1-D array of k, each a function of its k alone, for finite
+    k with Re k > 0 (InputError otherwise).
+
+    theta is ``_theta`` at Re k, continued off the axis by the principal
+    phase of det T(k) / det T(Re k), and zeta = |det S|^(-1/2) e^(-i phi /
+    2) det(I - S), with phi = theta + arg det Sigma the phase of det S; the
+    modulus factor, 1 on the real axis, restores zeta(conj k) = conj
+    zeta(k) off it.  The real parts are solved in real arithmetic with their
+    Sturm counts, the complex points once more; a pole of some t_e there
+    raises SingularPointError.
+    """
+    ks = np.asarray(k)
+    if ks.ndim > 1:
+        raise InputError(f"secular takes one k or a 1-D array of k, not shape {ks.shape}")
+    ks = ks.reshape(-1)
+    bad = ~np.isfinite(ks) | (np.real(ks) <= 0)
+    if bad.any():
+        k0 = ks[bad][0]
+        raise InputError(f"secular needs finite k with Re k > 0, not k={0 if k0 == 0 else k0}")
+    re = np.real(ks).astype(float)
+    sol = _solve_edges(g, re, want_count=True)
+    den = _den(sol)[0]
+    theta = _theta(sol, den)
+    det_w = _det_w(g, re, sol, den)[0]
     det_sigma = _layout(g).det_sigma
-    if after is None:
-        prev, offset = 0.0, None
-    else:
-        prev, offset = after.det_s_phase, after.theta - after.det_s_phase
-    phase = np.empty(len(ks))
-    for i, d in enumerate(det_s.tolist()):
-        if d == 0:
-            raise NumericalError(f"det S vanishes at k={ks[i]}; prefactor undefined")
-        step = math.remainder(cmath.phase(d) - prev, 2.0 * math.pi)
-        if offset is None:
-            offset = cmath.phase(det_sigma * d) - cmath.phase(d)  # det T = det Sigma det S
-        elif abs(step) >= _PHASE_STEP_LIMIT:
-            raise PhaseTrackingError(f"phase step {step:+.3f} too large; refine the k grid")
-        prev += step
-        phase[i] = prev
-    zeta = np.abs(det_s) ** -0.5 * np.exp(-0.5j * phase) * det_w
-    return [
-        SecularValue(complex(k), complex(z), float(p), float(p + offset))
-        for k, z, p in zip(ks, zeta, phase)
-    ]
-
-
-def secular(
-    g: MetricGraph, k, after: Optional[SecularValue] = None
-) -> Union[SecularValue, List[SecularValue]]:
-    """zeta(k) for a scalar k, or the list of values along a 1-D array of
-    k in order; the branch continues from the evaluated value ``after``,
-    or is anchored at the first point.
-
-    Consecutive points, ``after`` included, must be close enough that the
-    det S phase moves less than 0.9 pi between them.
-    """
-    vals = _track(g, k, after)
+    off = np.flatnonzero(np.imag(ks))
+    if off.size:
+        sol = _solve_edges(g, ks[off])
+        den, den_plus = _dens(sol)
+        det_s = _det_s(g, den, den_plus)
+        theta[off] += np.angle(det_sigma * det_s * np.exp(-1j * theta[off]))
+        det_w[off] = _det_w(g, ks[off], sol, den)[0] / np.sqrt(np.abs(det_s))
+    zeta = np.exp(-0.5j * (theta + (math.pi if det_sigma < 0 else 0.0))) * det_w
+    vals = [SecularValue(complex(k), z, t) for k, z, t in zip(ks, zeta.tolist(), theta.tolist())]
     return vals[0] if np.ndim(k) == 0 else vals
 
 

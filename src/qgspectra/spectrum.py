@@ -7,8 +7,8 @@ Dirichlet-to-Neumann matrix assembled from them gives both the
 eigenvalue count N(k), the eigenvalues k_j <= k with multiplicity, an
 integer by construction at every k > 0 (``scattering._count``), and the
 real, pole-free vertex determinant F(k), whose zeros are those of
-det(I - S) (``scattering._vertex_det``).  The scan tracks no branch of
-the secular function.  A grid cell (a, b] holds N(b) - N(a) eigenvalues,
+det(I - S) (``scattering._vertex_det``).  The scan reads neither theta
+nor det S.  A grid cell (a, b] holds N(b) - N(a) eigenvalues,
 of which n0(b) lie on b, as a kernel of the vertex matrix there.  A cell
 holding one more is a sign change of F and a bracket for the refinement;
 a larger count is split at midpoints, each counted (and F taken) the same

@@ -13,7 +13,7 @@ import pytest
 
 import qgspectra
 from qgspectra import cli, edge, orbits
-from qgspectra.errors import PhaseTrackingError
+from qgspectra.errors import SingularPointError
 from qgspectra.orbits import enumerate_orbits
 from qgspectra.scattering import secular
 from qgspectra.spectrum import ScanConfig
@@ -234,8 +234,9 @@ def test_scan_and_secular_take_no_eigenvalues_of_s(tmp_path, monkeypatch):
     assert cli.main(["secular-scan", "--input", str(inp), "--kmin", "1", "--kmax", "12", "--out", str(out)]) == 0
 
 
-def test_secular_scan_blocks_continue_one_path(tmp_path, monkeypatch):
-    # written block by block, the path is the one of a single secular call
+def test_secular_scan_blocks_match_one_call(tmp_path, monkeypatch):
+    # written block by block, with nothing carried from one block to the
+    # next, the file is the one of a single secular call
     inp = write_input(tmp_path, DELTA_STAR)
     outputs = []
     for block in (7, 10**6):
@@ -252,11 +253,11 @@ def test_secular_scan_failure_leaves_no_csv(tmp_path, monkeypatch):
     out = tmp_path / "sec"
     blocks = []
 
-    def fails_later(g, ks, after=None):
+    def fails_later(g, ks):
         blocks.append(len(ks))
         if len(blocks) == 3:
-            raise PhaseTrackingError("phase step too large")
-        return secular(g, ks, after)
+            raise SingularPointError("transition-matrix parametrization singular")
+        return secular(g, ks)
 
     monkeypatch.setattr(cli, "_SECULAR_BLOCK", 7)
     monkeypatch.setattr(cli, "secular", fails_later)

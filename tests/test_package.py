@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 
 import qgspectra
 
@@ -23,9 +24,11 @@ def test_every_module_names_its_public_surface():
 
 def test_one_secular_evaluator():
     scattering = importlib.import_module("qgspectra.scattering")
-    for gone in ("BranchState", "secular_sweep"):
-        assert not hasattr(qgspectra, gone)
-        assert not hasattr(scattering, gone)
-        assert gone not in qgspectra.__all__ and gone not in scattering.__all__
+    errors = importlib.import_module("qgspectra.errors")
+    for gone in ("BranchState", "secular_sweep", "PhaseTrackingError"):
+        for module in (qgspectra, scattering, errors):
+            assert not hasattr(module, gone)
+            assert gone not in module.__all__
+    assert "after" not in inspect.signature(qgspectra.secular).parameters
     assert qgspectra.secular is scattering.secular
     assert scattering.unitarity_defect is importlib.import_module("qgspectra.edge").unitarity_defect

@@ -9,12 +9,7 @@ import pytest
 
 from qgspectra import scattering
 from qgspectra.edge import _solve_edges, transition_matrix, transition_matrix_dk
-from qgspectra.errors import (
-    InputError,
-    NumericalError,
-    PhaseTrackingError,
-    SingularPointError,
-)
+from qgspectra.errors import InputError, NumericalError, SingularPointError
 from qgspectra.fd import fd_spectrum
 from qgspectra.graph import build_graph
 from qgspectra.scattering import (
@@ -191,38 +186,42 @@ def test_edge_block_determinants_match_dense(request, name):
 
 def test_a_pole_of_t_is_a_typed_error():
     # 1.5i is the bound state of the attractive point interaction on the
-    # line, a pole of t: det(I - S) and zeta have none there
+    # line, a pole of t: det(I - S) and zeta have none there.  secular
+    # takes Re k > 0 only; a constant edge has a pole of t there, a
+    # resonance where |den| is about 2e-15
     g = interval(1.0, _delta(-3.0, 0.5))
     with pytest.raises(SingularPointError):
         _det_w(g, [1.5j])
+    g = interval(1.0, {"type": "constant", "value": 4.0})
     with pytest.raises(SingularPointError):
-        secular(g, 1.5j)
+        secular(g, 2.3183553694129726 - 1.4667227028713161j)
 
 
 def test_secular_solves_the_edges_once_per_point(g_delta_star, assembled_ks):
-    # det S, det(I - S) and the check for a pole of t share one edge solve
+    # theta, det(I - S) and the check for a pole of t share one edge solve;
+    # off the axis theta is continued from one more solve at Re k
     ks = np.linspace(0.5, 6.0, 41)
     secular(g_delta_star, ks)
     assert assembled_ks == ks.tolist()
     assembled_ks.clear()
     secular(g_delta_star, 2.0 + 0.3j)
-    assert assembled_ks == [2.0 + 0.3j]
+    assert assembled_ks == [2.0, 2.0 + 0.3j]
 
 
-def test_secular_takes_the_complex_path_on_a_real_grid(g_delta_star, monkeypatch):
-    # the edges of the secular path are solved in complex arithmetic, so a
-    # real grid gives bit for bit the values of the same grid as complex
-    dtypes, solve = [], scattering._solve_edges
+def test_secular_solves_a_real_grid_once_in_real_arithmetic(g_delta_star, monkeypatch):
+    # a real grid and the same grid as complex are both solved once, in
+    # real arithmetic with the Sturm counts, so they agree bit for bit
+    calls, solve = [], scattering._solve_edges
 
     def seen(g, ks, *args, **kwargs):
-        dtypes.append(np.asarray(ks).dtype)
+        calls.append((np.asarray(ks).dtype, kwargs.get("want_count")))
         return solve(g, ks, *args, **kwargs)
 
     monkeypatch.setattr(scattering, "_solve_edges", seen)
     ks = np.linspace(0.5, 6.0, 41)
     real = secular(g_delta_star, ks)
     assert real == secular(g_delta_star, ks.astype(complex))
-    assert dtypes == [np.dtype(complex)] * 2
+    assert calls == [(np.dtype(float), True)] * 2
 
 
 def test_interval_S_is_antidiagonal_phase(g_interval_pi):
@@ -344,18 +343,13 @@ def test_delay_density_matches_phase_derivative(g_interval_delta_pi):
     "name, lo, hi, n", [("g_delta_star", 0.5, 6.0, 41), ("g_interval_pi", 0.5, 3.5, 13)]
 )
 def test_sweep_equals_a_chain_of_one_point_values(request, name, lo, hi, n):
-    # the interval's grid holds its roots 1, 2, 3, where zeta vanishes
+    # each value is a function of its k alone: one-point calls give the
+    # sweep's values bit for bit.  The interval's grid holds its roots 1,
+    # 2, 3, where zeta vanishes
     g = request.getfixturevalue(name)
     ks = np.linspace(lo, hi, n)
     sweep = secular(g, ks)
-    chain = [secular(g, float(ks[0]))]
-    for k in ks[1:]:
-        chain.append(secular(g, float(k), chain[-1]))
-    for v, w in zip(sweep, chain):
-        assert v.k == w.k
-        assert abs(v.zeta - w.zeta) <= 1e-13 * max(1.0, abs(w.zeta))
-        assert v.det_s_phase == pytest.approx(w.det_s_phase, rel=0, abs=1e-12)
-        assert v.theta == pytest.approx(w.theta, rel=0, abs=1e-12)
+    assert sweep == [secular(g, float(k)) for k in ks]
     if name == "g_interval_pi":
         scale = max(abs(v.zeta) for v in sweep)
         roots = [v.k.real for v in sweep if abs(v.zeta) <= 1e-12 * scale]
@@ -371,11 +365,15 @@ def test_secular_is_real_on_the_real_axis(g_smooth, g_interval_delta_pi):
             assert v.zeta_real == pytest.approx(v.zeta.real)
 
 
-def test_secular_conjugate_symmetry(g_interval_delta_pi):
-    v0 = secular(g_interval_delta_pi, 2.0)
-    vp = secular(g_interval_delta_pi, 2.0 + 0.01j, v0)
-    vm = secular(g_interval_delta_pi, 2.0 - 0.01j, v0)
-    assert abs(vp.zeta - vm.zeta.conjugate()) <= 1e-10
+def test_secular_conjugate_symmetry(g_interval_delta_pi, g_smooth_star):
+    # with no anchor, zeta(conj k) = conj zeta(k) and theta(conj k) =
+    # theta(k) point by point, and a value is the same at each call
+    for g in (g_interval_delta_pi, g_smooth_star):
+        for k in (2.0 + 0.01j, 5.3 + 0.4j):
+            vp, vm = secular(g, [k, k.conjugate()])
+            assert abs(vp.zeta - vm.zeta.conjugate()) <= 1e-10 * max(1.0, abs(vp.zeta))
+            assert vp.theta == pytest.approx(vm.theta, rel=0, abs=1e-12)
+            assert secular(g, k) == vp and secular(g, k.conjugate()) == vm
 
 
 def test_phase_is_grid_independent(g_interval_delta_pi):
@@ -385,59 +383,138 @@ def test_phase_is_grid_independent(g_interval_delta_pi):
     assert gap <= 1e-8
 
 
-def test_oversized_phase_step_is_rejected(g_interval_pi):
-    v = secular(g_interval_pi, 1.0)
-    with pytest.raises(PhaseTrackingError, match="phase step"):
-        secular(g_interval_pi, 1.49, v)
-    with pytest.raises(PhaseTrackingError, match="phase step"):
-        secular(g_interval_pi, [1.0, 1.49])
+def test_a_coarse_step_gives_the_fine_grid_value(g_interval_pi):
+    # 1.0 -> 1.49 moves the det S phase by more than 0.9 pi in one step;
+    # the coarse path, the fine one and the points alone agree there
+    g = g_interval_pi
+    fine = secular(g, np.linspace(1.0, 1.49, 15))
+    coarse = secular(g, [1.0, 1.49])
+    assert coarse == [fine[0], fine[-1]] == [secular(g, 1.0), secular(g, 1.49)]
+    assert math.isfinite(coarse[1].theta)
 
 
 def test_small_steps_track_through_the_same_range(g_interval_pi):
-    v = None
-    for k in np.linspace(1.0, 1.49, 15):
-        v = secular(g_interval_pi, float(k), v)
-    assert v is not None and math.isfinite(v.theta)
+    # one-point calls stepping through 1.0 -> 1.49 give the path's values
+    ks = np.linspace(1.0, 1.49, 15)
+    steps = [secular(g_interval_pi, float(k)) for k in ks]
+    assert steps == secular(g_interval_pi, ks)
+    assert all(math.isfinite(v.theta) for v in steps)
 
 
 def test_two_continuations_from_one_value(g_interval_delta_pi):
-    # a value fixes the branch without being changed by its use, so the
-    # two continuations need no copy
+    # both values off the axis are continued from the same real point 2.0,
+    # by less than pi, and neither call changes what the others return
     g = g_interval_delta_pi
     v0 = secular(g, 2.0)
-    vp = secular(g, 2.0 + 0.01j, v0)
-    vm = secular(g, 2.0 - 0.01j, v0)
+    vp = secular(g, 2.0 + 0.01j)
+    vm = secular(g, 2.0 - 0.01j)
     assert abs(vp.zeta - vm.zeta.conjugate()) <= 1e-10
-    assert secular(g, 2.0 + 0.01j, v0) == vp
+    assert abs(vp.theta - v0.theta) < math.pi and abs(vm.theta - v0.theta) < math.pi
+    assert secular(g, 2.0 + 0.01j) == vp
     assert v0 == secular(g, 2.0)
 
 
 @pytest.mark.parametrize("m", [1, 17, 40])
 def test_path_continued_from_a_value_equals_the_whole_path(g_delta_star, m):
+    # a path started at its m-th point gives the whole path's values there
     ks = np.linspace(0.5, 6.0, 41)
     path = secular(g_delta_star, ks)
-    rest = secular(g_delta_star, ks[m:], after=path[m - 1])
+    rest = secular(g_delta_star, ks[m:])
     assert len(rest) == len(ks) - m
-    for v, w in zip(rest, path[m:]):
-        assert (v.k, v.zeta, v.det_s_phase) == (w.k, w.zeta, w.det_s_phase)
-        assert v.theta == pytest.approx(w.theta, rel=0, abs=1e-12)
+    assert rest == path[m:]
 
 
 def test_first_step_after_a_value_is_checked(g_interval_pi):
-    # the limit holds from ``after`` to the first point, not only inside
-    # the path: 1.0 -> 1.49 moves the det S phase by more than 0.9 pi
-    v = secular(g_interval_pi, 1.0)
+    # 1.0 -> 1.49 moves the det S phase by more than 0.9 pi; the path from
+    # 1.49 gives the same values whether or not 1.0 comes first
     ks = np.linspace(1.49, 1.5, 3)
-    secular(g_interval_pi, ks)  # fine as a fresh path
-    with pytest.raises(PhaseTrackingError, match="phase step"):
-        secular(g_interval_pi, ks, after=v)
+    fresh = secular(g_interval_pi, ks)
+    assert secular(g_interval_pi, np.concatenate(([1.0], ks)))[1:] == fresh
+
+
+def test_a_shuffled_path_gives_the_sorted_values(g_delta_star):
+    ks = np.linspace(0.5, 6.0, 41)
+    path = secular(g_delta_star, ks)
+    order = np.random.default_rng(0).permutation(len(ks))
+    assert secular(g_delta_star, ks[order]) == [path[i] for i in order]
 
 
 def test_zero_wavenumber_rejected(g_interval_pi):
     with pytest.raises(InputError, match="k=0"):
         assemble_S(g_interval_pi, 0.0)
-    with pytest.raises(InputError, match="k=0"):
-        secular(g_interval_pi, 0.0)
+    for k in (0.0, -0.0, 0j):
+        with pytest.raises(InputError, match="k=0$"):
+            secular(g_interval_pi, k)
+
+
+@pytest.mark.parametrize(
+    "k",
+    [math.nan, math.inf, 2.0 + math.nan * 1j, [2.0, math.nan], -2.0, 1.5j, -1.0 + 0.5j,
+     np.ones((2, 2))],
+    ids=["nan", "inf", "nan-imag", "nan-in-path", "negative", "imaginary", "left", "2-d"],
+)
+def test_secular_refuses_k_outside_its_domain(g_interval_pi, k):
+    # theta is defined point by point for finite k with Re k > 0, and a
+    # path is a 1-D array: anything else is refused before any arithmetic
+    # (the suite makes a RuntimeWarning an error)
+    with pytest.raises(InputError, match="secular"):
+        secular(g_interval_pi, k)
+
+
+@pytest.mark.parametrize("name", ["g_interval_pi", "g_star3", "g_triangle"])
+def test_theta_of_free_edges(request, name):
+    # each free edge of length L adds pi + 2kL to theta
+    g = request.getfixturevalue(name)
+    ks = np.linspace(0.5, 30.0, 301)
+    theta = np.array([v.theta for v in secular(g, ks)])
+    total = sum(e.length for e in g.edges)
+    assert np.abs(theta - (g.num_edges * math.pi + 2.0 * total * ks)).max() <= 1e-12 * ks.max()
+
+
+def test_theta_is_unchanged_by_reversing_every_edge():
+    # arg det t_e does not depend on the edge's orientation: an asymmetric
+    # delta, a constant and a smooth edge on a cyclic core with a delta arm
+    edges = [
+        ("a", "b", 1.0, _delta(1.5, 0.3), _delta(1.5, 0.7)),
+        ("b", "c", 1.2, {"type": "constant", "value": 3.0}, {"type": "constant", "value": 3.0}),
+        (
+            "c",
+            "a",
+            0.9,
+            {"type": "expr", "expr": "x^2 + cos(3*x)"},
+            {"type": "expr", "expr": "(0.9 - x)^2 + cos(3*(0.9 - x))"},
+        ),
+        ("a", "l", 0.7, _delta(-0.8, 0.2), _delta(-0.8, 0.5)),
+    ]
+    ks = np.linspace(0.5, 15.0, 201)
+    theta = []
+    for flip in (False, True):
+        g = build_graph(
+            {
+                "vertices": ["a", "b", "c", "l"],
+                "edges": [
+                    {"from": v, "to": u, "length": L, "potential": back}
+                    if flip
+                    else {"from": u, "to": v, "length": L, "potential": pot}
+                    for u, v, L, pot, back in edges
+                ],
+            }
+        )
+        theta.append(np.array([v.theta for v in secular(g, ks)]))
+    assert np.abs(theta[0] - theta[1]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("name", sorted(DETERMINANT_CASES))
+def test_zeta_changes_sign_with_the_count(request, name):
+    # theta is absolute, so sign zeta(k) (-1)^N(k) is one constant per
+    # graph: zeta changes sign exactly where the count N moves by an odd
+    # number.  400 random points, each a value of its own k alone
+    build, ks = DETERMINANT_CASES[name]
+    g = build(request)
+    pts = np.random.default_rng(0).uniform(ks.min(), ks.max(), 400)
+    zeta = np.array([v.zeta.real for v in secular(g, pts)])
+    signs = np.sign(zeta) * (-1) ** _count(g, pts)[0]
+    assert signs[0] != 0 and np.all(signs == signs[0])
 
 
 # ---------------------------------------------------------------------------

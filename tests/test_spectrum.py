@@ -431,12 +431,12 @@ def test_bad_node_count_is_flagged(g_delta_star, monkeypatch):
 
 def test_scan_tracks_no_branch(monkeypatch):
     # the scan counts, brackets and refines on the vertex determinant F: it
-    # never tracks the secular branch nor takes det S, and sweeps each of
-    # the six windows of [0.5, 30] once
+    # never evaluates theta nor takes det S, and sweeps each of the six
+    # windows of [0.5, 30] once
     def refused(*args, **kwargs):
-        raise AssertionError("the scan tracked the secular branch")
+        raise AssertionError("the scan evaluated the secular phase")
 
-    monkeypatch.setattr(scattering, "_track", refused)
+    monkeypatch.setattr(scattering, "_theta", refused)
     monkeypatch.setattr(scattering, "_det_s", refused)
     sweeps, sweep = [], spectrum._sweep
 
