@@ -72,6 +72,7 @@ that leaves the unit disc only there is missed and K comes out too low.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 import weakref
@@ -99,30 +100,72 @@ __all__ = [
 _DEFAULT_TOL = 1e-10
 _MIN_STEPS = 64
 _MAX_STEPS = 1 << 15
-_POINT_STEPS = 1 << 11  # points x steps built and folded at once (128 KB of E)
+# points x steps a Magnus kernel builds and folds at once (128 KB of E),
+# and points x edges a scan sweeps in one call
+_POINT_STEPS = 1 << 11
 _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 
 @dataclasses.dataclass
 class EdgeSolution:
-    """Boundary data of the normalized solution pair at x = L."""
+    """Boundary data of the normalized solution pair at x = L.
+
+    The fundamental matrix M(L, 0) (and M' = dM/dk when requested) is what
+    a solve computes; the boundary values psi_pm = M (1, -+ik) and their
+    k-derivatives are formed from it, elementwise, on first read, so a
+    caller that reads only M (the vertex determinant, the count) never
+    builds them."""
 
     k: complex
     length: float
-    psi_p: complex  # psi_plus(L)
-    dpsi_p: complex  # psi_plus'(L)
-    psi_m: complex  # psi_minus(L)
-    dpsi_m: complex  # psi_minus'(L)
-    # k-derivatives of the four boundary values (present when requested)
-    dk_psi_p: Optional[complex] = None
-    dk_dpsi_p: Optional[complex] = None
-    dk_psi_m: Optional[complex] = None
-    dk_dpsi_m: Optional[complex] = None
+    # M(L, 0) as (m11, m12, m21, m22), and M' the same way when requested
+    m: tuple
+    dm: Optional[tuple] = None
     # last step-doubling difference of M (0 for closed forms)
     error_estimate: float = 0.0
-    # M(L, 0) as (m11, m12, m21, m22), and its ``_zeros`` when counted
-    m: Optional[tuple] = None
+    # the ``_zeros`` of M when counted
     zeros: Optional[np.ndarray] = None
+
+    @functools.cached_property
+    def psi_p(self):
+        """psi_plus(L)"""
+        return self.m[0] - 1j * self.k * self.m[1]
+
+    @functools.cached_property
+    def dpsi_p(self):
+        """psi_plus'(L)"""
+        return self.m[2] - 1j * self.k * self.m[3]
+
+    @functools.cached_property
+    def psi_m(self):
+        """psi_minus(L)"""
+        return self.m[0] + 1j * self.k * self.m[1]
+
+    @functools.cached_property
+    def dpsi_m(self):
+        """psi_minus'(L)"""
+        return self.m[2] + 1j * self.k * self.m[3]
+
+    # k-derivatives of the four boundary values (None unless M' was solved)
+    @functools.cached_property
+    def dk_psi_p(self):
+        if self.dm is not None:
+            return self.dm[0] - 1j * self.m[1] - 1j * self.k * self.dm[1]
+
+    @functools.cached_property
+    def dk_dpsi_p(self):
+        if self.dm is not None:
+            return self.dm[2] - 1j * self.m[3] - 1j * self.k * self.dm[3]
+
+    @functools.cached_property
+    def dk_psi_m(self):
+        if self.dm is not None:
+            return self.dm[0] + 1j * self.m[1] + 1j * self.k * self.dm[1]
+
+    @functools.cached_property
+    def dk_dpsi_m(self):
+        if self.dm is not None:
+            return self.dm[2] + 1j * self.m[3] + 1j * self.k * self.dm[3]
 
     @property
     def wronskian(self) -> complex:
@@ -516,7 +559,7 @@ def solve_edge(
     if not err <= _DEFAULT_TOL:
         raise _unresolved(pot, k)
     m, dm = (None if x is None else tuple(complex(v) for v in x) for x in (m, dm))
-    return _solution(k, L, m, dm, float(err))
+    return EdgeSolution(k, L, m, dm, float(err))
 
 
 # closed-form arguments (c, D, x1, x2) of every edge (placeholders on smooth
@@ -576,33 +619,7 @@ def _solve_edges(
         if unresolved.any():
             i, e = np.argwhere(unresolved)[0]
             raise _unresolved(g.edges[e].potential, complex(ks[i]))
-    sol = _solution(ks[:, None], lengths, m, dm, err)
-    sol.zeros = zeros
-    return sol
-
-
-def _solution(k, L, m, dm, err) -> EdgeSolution:
-    """Boundary data psi_pm = M (1, -+ik) at x = L, and their k-derivatives
-    from M' when given, elementwise."""
-    m11, m12, m21, m22 = m
-    ik = 1j * k
-    sol = EdgeSolution(
-        k,
-        L,
-        m11 - ik * m12,
-        m21 - ik * m22,
-        m11 + ik * m12,
-        m21 + ik * m22,
-        error_estimate=err,
-        m=(m11, m12, m21, m22),
-    )
-    if dm is not None:
-        d11, d12, d21, d22 = dm
-        sol.dk_psi_p = d11 - 1j * m12 - ik * d12
-        sol.dk_dpsi_p = d21 - 1j * m22 - ik * d22
-        sol.dk_psi_m = d11 + 1j * m12 + ik * d12
-        sol.dk_dpsi_m = d21 + 1j * m22 + ik * d22
-    return sol
+    return EdgeSolution(ks[:, None], lengths, tuple(m), dm, err, zeros)
 
 
 def edge_profile(
@@ -794,7 +811,7 @@ def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
     m, _, err = _evaluate(pot, L, ks, False)
     resolved = err <= _DEFAULT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        (trans, r_from, r_to), _, singular = _t_entries(_solution(ks, L, m, None, 0.0))
+        (trans, r_from, r_to), _, singular = _t_entries(EdgeSolution(ks, L, m))
     good = resolved & ~singular
     ts = np.array([[trans, r_to], [r_from, trans]])[..., good].transpose(2, 0, 1)
     mods = iter(np.abs(np.linalg.eigvals(ts)).max(axis=1).tolist() if ts.size else [])

@@ -232,7 +232,7 @@ def _det_s(g: MetricGraph, den, den_plus) -> np.ndarray:
 def _det_w(g: MetricGraph, ks, sol=None, den=None):
     """det(I - S) and the vertex determinant F at each k of the 1-D array
     ``ks``, from the boundary data ``sol`` of every edge at ``ks`` and its
-    denominators ``den`` (``_dens``), each evaluated unless given:
+    denominators ``den`` (``edge._den``), each evaluated unless given:
 
         det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V / (k prod_v deg(v))
 
@@ -243,7 +243,8 @@ def _det_w(g: MetricGraph, ks, sol=None, den=None):
     if sol is None:
         sol = _solve_edges(g, ks)
     if den is None:
-        den = _dens(sol)[0]
+        den, singular = _den(sol)
+        _refuse_singular(sol, singular)
     f = _vertex_det(g, ks, sol)
     w = f * np.prod(-4.0 * ks[:, None] / den, axis=-1) * _layout(g).w_factor / ks
     return w, f
@@ -431,9 +432,13 @@ def secular(g: MetricGraph, k) -> Union[SecularValue, List[SecularValue]]:
     phase of det T(k) / det T(Re k), and zeta = |det S|^(-1/2) e^(-i phi /
     2) det(I - S), with phi = theta + arg det Sigma the phase of det S; the
     modulus factor, 1 on the real axis, restores zeta(conj k) = conj
-    zeta(k) off it.  The real parts are solved in real arithmetic with their
-    Sturm counts, the complex points once more; a pole of some t_e there
-    raises SingularPointError.
+    zeta(k) off it.  That continuation is pointwise, and continuous in k
+    only near the axis: where the principal phase crosses +-pi, theta
+    jumps by 2 pi and zeta changes sign (along Im k = 1 on a 10-arm delta
+    star, not along Im k = 0.05).  A contour integral of zeta far from the
+    axis needs its own continuation.  The real parts are solved in real
+    arithmetic with their Sturm counts, the complex points once more; a
+    pole of some t_e there raises SingularPointError.
     """
     ks = np.asarray(k)
     if ks.ndim > 1:

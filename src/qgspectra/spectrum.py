@@ -1,19 +1,23 @@
 """Eigenvalue location by counting and sign changes of the vertex determinant.
 
 The scan walks a k grid of step pi / (4 * total length), the minimal
-oscillation scale of det(I - S).  A window of the grid is one batch: its
-edges are solved together at every node, once, and the vertex
-Dirichlet-to-Neumann matrix assembled from them gives both the
-eigenvalue count N(k), the eigenvalues k_j <= k with multiplicity, an
-integer by construction at every k > 0 (``scattering._count``), and the
-real, pole-free vertex determinant F(k), whose zeros are those of
-det(I - S) (``scattering._vertex_det``).  The scan reads neither theta
-nor det S.  A grid cell (a, b] holds N(b) - N(a) eigenvalues,
-of which n0(b) lie on b, as a kernel of the vertex matrix there.  A cell
-holding one more is a sign change of F and a bracket for the refinement;
-a larger count is split at midpoints, each counted (and F taken) the same
-way, until every piece holds at most one, and a piece narrower than
-root_tol is one root whose multiplicity is its count.
+oscillation scale of det(I - S), in windows of _CELLS_PER_WINDOW cells.
+Consecutive windows are swept together, their edges solved at every node
+once, in as few stacked calls as the edge layer's element budget allows
+(their nodes times the edges at most ``edge._POINT_STEPS``, and at least
+one window a call).  The vertex Dirichlet-to-Neumann matrix assembled
+from the solves gives both the eigenvalue count N(k), the eigenvalues
+k_j <= k with multiplicity, an integer by construction at every k > 0
+(``scattering._count``), and the real, pole-free vertex determinant
+F(k), whose zeros are those of det(I - S) (``scattering._vertex_det``).
+The scan reads neither theta nor det S.  A grid cell (a, b] holds N(b) -
+N(a) eigenvalues, of which n0(b) lie on b, as a kernel of the vertex
+matrix there.  A cell holding one more is a sign change of F and a
+bracket for the refinement; a larger count is split at its midpoint, and
+the pieces again, until every piece holds at most one, and a piece
+narrower than root_tol is one root whose multiplicity is its count.  The
+splits of a chunk go level by level: the midpoints of all its cells at
+one depth are counted (and F taken) in one stacked call.
 
 A window only counts: it hands on its single-root brackets with F at
 their ends, from the window's sweep or from the split that made them.
@@ -65,6 +69,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
+from . import edge
 from .edge import _closed_threshold, subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import MetricGraph
@@ -90,9 +95,11 @@ _RESIDUAL_TOL = 1e-6
 # pure partition of the sequential grid.
 _CELLS_PER_WINDOW = 64
 # Windows whose roots are refined together, at most.  A refinement's
-# stacks take about 1.9 kB per grid point on a 10-arm delta star: a serial
-# scan of 1e5 points peaked at 233 MB as one chunk and at 69 MB in chunks
-# of 64 windows, so one chunk at MAX_GRID_POINTS would need about 2 GB.
+# stacks take about 0.5 kB per grid point on a 10-arm delta star: a serial
+# scan of 1e5 points (random_delta_star(1), 25,002 roots) peaked at 97.5
+# MB as one chunk and at 62 MB in chunks of 64 windows, 45 MB of it before
+# the scan (ru_maxrss, Python 3.11, numpy 2.4), so one chunk at
+# MAX_GRID_POINTS would need about 0.5 GB more.
 _WINDOWS_PER_CHUNK = 64
 
 #: Most grid points a scan, or a secular sweep, may take.
@@ -290,58 +297,67 @@ class _WindowReport:
 
 def _sweep(g: MetricGraph, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenvalue count N, the roots n0 and the vertex determinant F at
-    every node of a window's grid, from one solve of its edges."""
+    every node of the grids of one or more windows, from one solve of their
+    edges."""
     return _vertex_det(g, ks, want_count=True)
 
 
-def _scan_window(
-    g: MetricGraph,
-    a: float,
-    b: float,
-    step: float,
-    cfg: ScanConfig,
-    closed_left: bool = False,
-) -> _WindowReport:
-    """Count the eigenvalues in (a, b], or [a, b] when ``closed_left``.
-    The report holds the eigenvalues the count located and the brackets of
-    the single roots, which ``_scan_chunk`` refines."""
-    n = max(2, int(math.ceil((b - a) / step)) + 1)
-    ks = np.linspace(a, b, n)
-    count, at, f = _sweep(g, ks)
+def _scan_window(ks: np.ndarray, swept, root_tol: float, closed_left: bool = False):
+    """Count the eigenvalues in (a, b], or [a, b] when ``closed_left``, from
+    the sweep ``swept`` = (N, n0, F) at the window's grid ``ks`` from a to
+    b.  Returns
+    the report, with the eigenvalues on grid nodes and the brackets of the
+    single roots, and the cells left to split (``_settle``)."""
+    count, at, f = swept
     report = _WindowReport(
         [], [], [], counted=int(count[-1] - count[0]), scale=float(np.abs(f).max())
     )
     report.counted += int(closed_left * at[0])
-    emitted = report.emitted
-
-    def resolve(p, q, m: int) -> None:
-        """Locate the m eigenvalues strictly between the points p and q,
-        each (k, N, n0, F)."""
-        lo, hi = p[0], q[0]
-        if m <= 0:
-            return
-        if m == 1 and not (p[2] or q[2]):
-            # one simple root: F changes sign between p and q
-            report.brackets.append((lo, hi, p[3], q[3]))
-        elif hi - lo < cfg.root_tol:
-            emitted.append((0.5 * (lo + hi), m))
-        else:
-            k = 0.5 * (lo + hi)
-            mid = (k, *(c[0].item() for c in _vertex_det(g, [k], want_count=True)))
-            if mid[2]:
-                emitted.append((mid[0], mid[2]))
-            left = mid[1] - p[1] - mid[2]
-            resolve(p, mid, left)
-            resolve(mid, q, m - left - mid[2])
-
     # a root on a node is a kernel of the vertex matrix there; a cell holds
     # N(right) - N(left) eigenvalues, those on its right node included
-    emitted.extend((ks[i], int(at[i])) for i in np.flatnonzero(at) if i or closed_left)
+    report.emitted.extend(
+        (ks[i], int(at[i])) for i in np.flatnonzero(at) if i or closed_left
+    )
     nodes = list(zip(ks.tolist(), count.tolist(), at.tolist(), f.tolist()))
-    inside = np.diff(count) - at[1:]
-    for i in np.flatnonzero(inside > 0).tolist():
-        resolve(nodes[i], nodes[i + 1], int(inside[i]))
-    return report
+    inside = (np.diff(count) - at[1:]).tolist()
+    cells = ((report, nodes[i], nodes[i + 1], m) for i, m in enumerate(inside))
+    return report, _settle(cells, root_tol)
+
+
+def _settle(cells, root_tol: float) -> list:
+    """The cells of ``cells`` that must be split, each (report, p, q, m) with
+    m eigenvalues strictly between the nodes p and q, each (k, N, n0, F).
+    The others are settled in their report: a cell of one simple root is a
+    bracket (lo, hi, F(lo), F(hi)), one narrower than root_tol an
+    eigenvalue of multiplicity m, and one of none is dropped."""
+    split = []
+    for rep, p, q, m in cells:
+        if m <= 0:
+            continue
+        if m == 1 and not (p[2] or q[2]):
+            # one simple root: F changes sign between p and q
+            rep.brackets.append((p[0], q[0], p[3], q[3]))
+        elif q[0] - p[0] < root_tol:
+            rep.emitted.append((0.5 * (p[0] + q[0]), m))
+        else:
+            split.append((rep, p, q, m))
+    return split
+
+
+def _split(g: MetricGraph, cells, root_tol: float) -> None:
+    """Split the cells (report, p, q, m) of ``_settle`` at their midpoints,
+    level by level, until every piece is settled: the midpoints of a level
+    are counted (and F taken) in one stacked ``_vertex_det``."""
+    while cells:
+        ks = [0.5 * (p[0] + q[0]) for _, p, q, _ in cells]
+        mids = zip(ks, *(c.tolist() for c in _vertex_det(g, ks, want_count=True)))
+        halves = []
+        for (rep, p, q, m), mid in zip(cells, mids):
+            if mid[2]:
+                rep.emitted.append((mid[0], mid[2]))
+            left = mid[1] - p[1] - mid[2]
+            halves += [(rep, p, mid, left), (rep, mid, q, m - left - mid[2])]
+        cells = _settle(halves, root_tol)
 
 
 def _scan_chunk(chunk) -> List[_WindowReport]:
@@ -350,9 +366,40 @@ def _scan_chunk(chunk) -> List[_WindowReport]:
     brackets of all of them together by one bracketing refinement
     (Chandrupatla), each iteration one stacked F, until each bracket is
     narrower than root_tol; the residuals |det(I - S)| of all the chunk's
-    roots, and F there, come from one stacked solve of the edges."""
+    roots, and F there, come from one stacked solve of the edges.
+
+    Consecutive windows are swept together while their nodes times the
+    edges fit ``edge._POINT_STEPS``, at least one window a sweep, and the
+    cells of the chunk that hold more than one root are split level by
+    level (``_split``)."""
     g, step, cfg, windows = chunk
-    reports = [_scan_window(g, a, b, step, cfg, left) for a, b, left in windows]
+    grids = [
+        np.linspace(a, b, max(2, int(math.ceil((b - a) / step)) + 1))
+        for a, b, _ in windows
+    ]
+    sweeps: List[List[int]] = []
+    size = math.inf
+    for i, ks in enumerate(grids):
+        if (size + len(ks)) * g.num_edges > edge._POINT_STEPS:
+            sweeps.append([])
+            size = 0
+        sweeps[-1].append(i)
+        size += len(ks)
+    reports, cells = [], []
+    for sweep in sweeps:
+        swept = _sweep(g, np.concatenate([grids[i] for i in sweep]))
+        start = 0
+        for i in sweep:
+            ks = grids[i]
+            part = tuple(x[start : start + len(ks)] for x in swept)
+            rep, held = _scan_window(ks, part, cfg.root_tol, windows[i][2])
+            reports.append(rep)
+            cells += held
+            start += len(ks)
+    _split(g, cells, cfg.root_tol)
+    # in cell order, as the chunk's refinement and its diagnostics take them
+    for rep in reports:
+        rep.brackets.sort(key=lambda bracket: bracket[0])
     owners = [rep for rep in reports for _ in rep.brackets]
     if owners:
         brackets = [b for rep in reports for b in rep.brackets]

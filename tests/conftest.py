@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qgspectra import edge
+from qgspectra import edge, scattering
 from qgspectra.graph import MetricGraph, build_graph
 from qgspectra.orbits import TestFunction
 
@@ -181,6 +181,15 @@ def assembled_ks(monkeypatch):
     path's edge entries both go through."""
     return _record_calls(
         monkeypatch, edge._solve_edges, lambda g, ks: np.ravel(ks).tolist()
+    )
+
+
+@pytest.fixture
+def vertex_det_points(monkeypatch):
+    """The wavenumbers of every _vertex_det call, one list per call: a
+    scan's sweeps, split levels, refinement iterations and residuals."""
+    return _record_calls(
+        monkeypatch, scattering._vertex_det, lambda g, ks: [np.ravel(ks).tolist()]
     )
 
 

@@ -414,6 +414,16 @@ def test_two_continuations_from_one_value(g_interval_delta_pi):
     assert v0 == secular(g, 2.0)
 
 
+def test_theta_near_the_axis_is_continuous():
+    # off the axis theta is the principal continuation from Re k, which is
+    # continuous in k only near the axis: along Im k = 0.05 it steps by
+    # less than pi between neighbouring points (by 0.19 to 0.36 here, where
+    # along Im k = 1 it jumps by 2 pi once)
+    ks = np.linspace(0.5, 20.0, 2001) + 0.05j
+    theta = np.array([v.theta for v in secular(random_delta_star(1), ks)])
+    assert np.abs(np.diff(theta)).max() < math.pi
+
+
 @pytest.mark.parametrize("m", [1, 17, 40])
 def test_path_continued_from_a_value_equals_the_whole_path(g_delta_star, m):
     # a path started at its m-th point gives the whole path's values there

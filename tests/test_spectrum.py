@@ -325,9 +325,9 @@ def test_long_serial_scan_is_refined_chunk_by_chunk(monkeypatch):
         calls.append(len(lo))
         return refine(f, lo, *args)
 
-    def seen(g, a, *args):
-        windows.append(a)
-        return scan_window(g, a, *args)
+    def seen(ks, *args):
+        windows.append(ks[0])
+        return scan_window(ks, *args)
 
     monkeypatch.setattr(spectrum, "_chandrupatla", counted)
     monkeypatch.setattr(spectrum, "_scan_window", seen)
@@ -370,6 +370,49 @@ def test_scan_work_is_bounded(request, assembled_ks, name, budget):
     # or from the split that made them
     scan_spectrum(request.getfixturevalue(name), *SCAN_RANGES[name])
     assert len(assembled_ks) <= budget
+
+
+@pytest.mark.parametrize(
+    "seed, arms, hi, calls, points", [(1, 10, 30.0, 13, 1040), (3, 40, 60.0, 63, 8666)]
+)
+def test_scan_pays_for_points_not_calls(vertex_det_points, seed, arms, hi, calls, points):
+    # deterministic counts of F evaluations: the sweeps, as many windows a
+    # call as fit the element budget (2 on the 10-arm star, 1 per window on
+    # the 40-arm one), one call per split level, one per refinement
+    # iteration and one for the residuals of all roots
+    scan_spectrum(random_delta_star(seed, arms), 0.5, hi)
+    assert len(vertex_det_points) == calls
+    assert sum(map(len, vertex_det_points)) == points
+
+
+BATCHED_SCANS = {
+    "delta-star-1": (lambda request: random_delta_star(1), 0.5, 30.0, 1),
+    "delta-star-6": (lambda request: random_delta_star(6), 0.5, 30.0, 1),
+    "triangle": (lambda request: request.getfixturevalue("g_triangle"), 1.0, 12.0, 1),
+    "smooth-star": (lambda request: star(SMOOTH_ARMS), 4.4, 5.0, 1),
+    "pool": (lambda request: random_delta_star(1), 0.5, 30.0, 2),
+}
+
+
+@pytest.mark.parametrize("name", list(BATCHED_SCANS))
+def test_sweep_batching_leaves_the_scan_as_it_is(request, monkeypatch, name):
+    # one window a sweep, the default budget, and a whole chunk in one
+    # sweep give the same roots, flags, diagnostics and count, bit for bit:
+    # every step of a scan is elementwise per point.  The triangle's core
+    # has three vertices and its count passes through the cut graph; on the
+    # smooth star the budget also sizes the Magnus kernel's pieces; the
+    # pool case runs two workers over one-window chunks
+    build, lo, hi, workers = BATCHED_SCANS[name]
+    g = build(request)
+    if workers > 1:
+        monkeypatch.setattr(spectrum, "_WINDOWS_PER_CHUNK", 1)
+    runs = []
+    for budget in (1, edge._POINT_STEPS, 10**7):
+        monkeypatch.setattr(edge, "_POINT_STEPS", budget)
+        res = scan_spectrum(g, lo, hi, ScanConfig(workers=workers))
+        runs.append((res.roots, res.flagged, res.diagnostics, res.expected_count))
+    assert runs[0][0]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
@@ -431,22 +474,34 @@ def test_bad_node_count_is_flagged(g_delta_star, monkeypatch):
 
 def test_scan_tracks_no_branch(monkeypatch):
     # the scan counts, brackets and refines on the vertex determinant F: it
-    # never evaluates theta nor takes det S, and sweeps each of the six
-    # windows of [0.5, 30] once
+    # never evaluates theta nor takes det S, and sweeps every node of the
+    # six windows of [0.5, 30] exactly once, as many windows a sweep as fit
+    # the edge layer's element budget: ceil(378 * 10 / 2048) = 2 sweeps
     def refused(*args, **kwargs):
         raise AssertionError("the scan evaluated the secular phase")
 
     monkeypatch.setattr(scattering, "_theta", refused)
     monkeypatch.setattr(scattering, "_det_s", refused)
     sweeps, sweep = [], spectrum._sweep
+    grids, scan_window = [], spectrum._scan_window
 
     def counted(g, ks):
-        sweeps.append(len(ks))
+        sweeps.append(ks)
         return sweep(g, ks)
 
+    def seen(ks, *args):
+        grids.append(ks)
+        return scan_window(ks, *args)
+
     monkeypatch.setattr(spectrum, "_sweep", counted)
-    res = scan_spectrum(random_delta_star(1), 0.5, 30.0)
-    assert len(sweeps) == 6
+    monkeypatch.setattr(spectrum, "_scan_window", seen)
+    g = random_delta_star(1)
+    res = scan_spectrum(g, 0.5, 30.0)
+    assert len(grids) == 6
+    nodes = sum(len(ks) for ks in grids)
+    assert nodes == 378
+    assert np.array_equal(np.concatenate(sweeps), np.concatenate(grids))
+    assert len(sweeps) == math.ceil(nodes * g.num_edges / edge._POINT_STEPS) == 2
     assert len(res.roots) == res.total_count() == res.expected_count == 94
     assert res.flagged == [] and res.diagnostics == []
 
