@@ -3,13 +3,8 @@
 For one edge of length L carrying a potential w, every solution of
 -psi'' + w psi = k^2 psi is carried along the edge by its 2x2 fundamental
 matrix M(b, a), which maps (psi, psi') at x = a to (psi, psi') at x = b.
-The two normalized solutions are fixed by psi(0) = 1 and psi'(0) = -ik
-(plus branch) or +ik (minus branch), so at any real or complex k
-
-    (psi_plus,  psi_plus')(L)  = M(L, 0) (1, -ik)
-    (psi_minus, psi_minus')(L) = M(L, 0) (1, +ik)
-
-and their k-derivatives follow from M' = dM/dk.  M is built per kind:
+A solve gives M = M(L, 0), and M' = dM/dk on request; every per-edge
+quantity below is a closed form in them.  M is built per kind:
 
 - zero and constant w = c: one exact factor
   [[cos qx, sin(qx)/q], [-q^2 sin(qx)/q, cos qx]] with q^2 = k^2 - c
@@ -39,20 +34,23 @@ table, and each smooth edge through ``_evaluate``; for the eigenvalue
 count, also the zeros of two solutions on each edge (``_zeros``), from the
 closed-form pieces or the propagator's own steps.
 
-Boundary data at x = L determines the 2x2 transition matrix
+M determines the 2x2 transition matrix
 
     t = [[trans, r_to], [r_from, trans]]
 
-whose entries are, with den = psi_plus'(L) - ik psi_plus(L):
+whose entries are, with p = m21 + k^2 m12, q = ik (m11 - m22) and the
+denominator den = m21 - ik (m11 + m22) - k^2 m12:
 
     trans  = -2ik / den
-    r_from = -(psi_minus'(L) - ik psi_minus(L)) / den
-    r_to   = -(psi_plus'(L)  + ik psi_plus(L))  / den
+    r_from = -(p - q) / den
+    r_to   = -(p + q) / den
 
 r_from is the reflection seen from the edge's "from" end, r_to from the "to"
-end; trans is direction-independent.  t is unitary for real k, and its
-eigenvalue moduli dip below 1 just above the real axis once k clears the
-subunitarity threshold of the potential.
+end; trans is direction-independent, and reversing the edge swaps m11 and
+m22, so q changes sign and the reflections swap.  t' follows from M' by
+the quotient rule, and the eigenvalues of t are trans -+ sqrt(r_from r_to).
+t is unitary for real k, and its eigenvalue moduli dip below 1 just above
+the real axis once k clears the subunitarity threshold of the potential.
 
 For constant and smooth edges the threshold is a heuristic scan over a
 (k, eps) grid: rows k_i = base + 0.125 i above the classical barrier, eps
@@ -72,7 +70,6 @@ that leaves the unit disc only there is missed and K comes out too low.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 import math
 import weakref
@@ -108,13 +105,10 @@ _GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
 
 @dataclasses.dataclass
 class EdgeSolution:
-    """Boundary data of the normalized solution pair at x = L.
-
-    The fundamental matrix M(L, 0) (and M' = dM/dk when requested) is what
-    a solve computes; the boundary values psi_pm = M (1, -+ik) and their
-    k-derivatives are formed from it, elementwise, on first read, so a
-    caller that reads only M (the vertex determinant, the count) never
-    builds them."""
+    """What a solve of an edge computes: its fundamental matrix M(L, 0), M'
+    = dM/dk when requested, the error estimate and, for the eigenvalue
+    count, the zeros.  t, its denominator and the rest are closed forms in
+    M (and M'), formed where they are read."""
 
     k: complex
     length: float
@@ -126,50 +120,12 @@ class EdgeSolution:
     # the ``_zeros`` of M when counted
     zeros: Optional[np.ndarray] = None
 
-    @functools.cached_property
-    def psi_p(self):
-        """psi_plus(L)"""
-        return self.m[0] - 1j * self.k * self.m[1]
-
-    @functools.cached_property
-    def dpsi_p(self):
-        """psi_plus'(L)"""
-        return self.m[2] - 1j * self.k * self.m[3]
-
-    @functools.cached_property
-    def psi_m(self):
-        """psi_minus(L)"""
-        return self.m[0] + 1j * self.k * self.m[1]
-
-    @functools.cached_property
-    def dpsi_m(self):
-        """psi_minus'(L)"""
-        return self.m[2] + 1j * self.k * self.m[3]
-
-    # k-derivatives of the four boundary values (None unless M' was solved)
-    @functools.cached_property
-    def dk_psi_p(self):
-        if self.dm is not None:
-            return self.dm[0] - 1j * self.m[1] - 1j * self.k * self.dm[1]
-
-    @functools.cached_property
-    def dk_dpsi_p(self):
-        if self.dm is not None:
-            return self.dm[2] - 1j * self.m[3] - 1j * self.k * self.dm[3]
-
-    @functools.cached_property
-    def dk_psi_m(self):
-        if self.dm is not None:
-            return self.dm[0] + 1j * self.m[1] + 1j * self.k * self.dm[1]
-
-    @functools.cached_property
-    def dk_dpsi_m(self):
-        if self.dm is not None:
-            return self.dm[2] + 1j * self.m[3] + 1j * self.k * self.dm[3]
-
     @property
     def wronskian(self) -> complex:
-        return self.psi_p * self.dpsi_m - self.dpsi_p * self.psi_m
+        """The Wronskian of the solutions leaving x = 0 as (1, -+ik), 2ik
+        det M."""
+        m11, m12, m21, m22 = self.m
+        return 2j * self.k * (m11 * m22 - m12 * m21)
 
 
 @dataclasses.dataclass
@@ -188,7 +144,7 @@ class TransitionMatrix:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        mu = np.linalg.eigvals(self.matrix)
+        mu = np.array(_t_eigenvalues(self.trans, self.r_from, self.r_to))
         return mu[np.lexsort((mu.imag, mu.real))]
 
     def unitarity_defect(self) -> float:
@@ -388,11 +344,14 @@ def _closed_zeros(k, c, D, x1, x2, m):
     interaction and after it, whose phase is 0 over a barrier."""
     q = _wavenumber(k, c)
     c1, s1 = _free(q, x1)
-    # M up to the point interaction, as _closed gives it with x2 = 0
-    mid = np.array([c1, s1, -q * (q * s1) + D * c1, c1 + D * s1]).real
-    start = np.zeros_like(mid)
-    start[[0, 3]] = 1.0
-    ends = np.stack([start, mid, np.array(m).real], axis=-1)
+    # the identity, M up to the point interaction (as _closed gives it with
+    # x2 = 0) and M, written into one array
+    ends = np.zeros((4, *c1.shape, 3))
+    ends[[0, 3], ..., 0] = 1.0
+    for i, x in enumerate((c1, s1, -q * (q * s1) + D * c1, c1 + D * s1)):
+        ends[i, ..., 1] = np.real(x)
+    for i, x in enumerate(m):
+        ends[i, ..., 2] = np.real(x)
     nu = np.stack(np.broadcast_arrays(q.real * x1, q.real * x2), axis=-1)
     h = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
     return _zeros(ends.reshape(2, 2, *ends.shape[1:]), nu, 0.0, h)
@@ -543,11 +502,11 @@ def solve_edge(
     want_dk: bool = False,
     reverse: bool = False,
 ) -> EdgeSolution:
-    """Boundary data of the normalized solution pair on edge ``e`` at ``k``.
+    """The fundamental matrix M of edge ``e`` at ``k``.
 
     ``reverse=True`` solves the direction-reversed edge (reflected
-    potential).  ``want_dk`` adds the k-derivatives.  k = 0 is rejected:
-    the two normalized solutions degenerate there.
+    potential).  ``want_dk`` adds M' = dM/dk.  k = 0 is rejected: the two
+    normalized solutions, M (1, -+ik), degenerate there.
     """
     if k == 0:
         raise InputError("k=0: the normalized solution pair degenerates")
@@ -588,7 +547,7 @@ def _edge_table(g: MetricGraph):
 def _solve_edges(
     g: MetricGraph, ks, want_dk: bool = False, want_count: bool = False
 ) -> EdgeSolution:
-    """Boundary data of every edge at every k of the 1-D array ``ks``: an
+    """M of every edge at every k of the 1-D array ``ks``: an
     EdgeSolution whose fields are (len(ks), E) arrays, with the ``_zeros``
     of every edge, (2, len(ks), E), when ``want_count`` (real k only).
     Zero, constant and point-interaction edges are evaluated together in
@@ -629,11 +588,12 @@ def edge_profile(
     xs,
     reverse: bool = False,
 ) -> np.ndarray:
-    """psi_plus sampled at increasing positions ``xs`` along edge ``e``
-    (x = 0 is the "from" end; ``reverse=True`` flips the orientation), from
-    the fundamental matrix accumulated along the edge.  A smooth edge is
-    swept once at the step count its whole-edge M needs, with the requested
-    positions as extra breakpoints."""
+    """psi_plus = m11 - ik m12, the solution that leaves x = 0 as (1, -ik),
+    sampled at increasing positions ``xs`` along edge ``e`` (x = 0 is the
+    "from" end; ``reverse=True`` flips the orientation), from the running
+    products of M along the edge (``_prefix``).  A smooth edge is swept once
+    at the step count its whole-edge M needs, with the requested positions
+    as extra breakpoints."""
     if k == 0:
         raise InputError("k=0: the normalized solution pair degenerates")
     edge = g.edges[e]
@@ -654,22 +614,13 @@ def edge_profile(
         grid = np.union1d(np.linspace(0.0, L, n[0] + 1), grid)
         h = np.diff(grid)
         w1, w2 = _gauss_values(pot.callable(L), grid[:-1], h)
-        steps = _steps(w1, w2, h, np.array([k]), False)[0].reshape(4, -1).T.tolist()
+        steps = _steps(w1, w2, h, np.array([k]), False)[0][:, :, 0]
     else:
         bounds = grid.tolist()
         segments = np.array([_segment(pot, a, b) for a, b in zip(bounds, bounds[1:])])
-        steps = np.array(_closed(k, *segments.T, False)[0]).T.tolist()
-    psi = np.empty(grid.size, dtype=complex)
-    psi[0] = 1.0
-    m11, m12, m21, m22 = 1.0, 0.0, 0.0, 1.0
-    for i, (a11, a12, a21, a22) in enumerate(steps, 1):
-        m11, m12, m21, m22 = (
-            a11 * m11 + a12 * m21,
-            a11 * m12 + a12 * m22,
-            a21 * m11 + a22 * m21,
-            a21 * m12 + a22 * m22,
-        )
-        psi[i] = m11 - 1j * k * m12
+        steps = np.reshape(_closed(k, *segments.T, False)[0], (2, 2, -1))
+    run = _prefix(steps)
+    psi = np.concatenate([[1.0], run[0, 0] - 1j * k * run[0, 1]])
     return psi[np.searchsorted(grid, xs)]
 
 
@@ -683,14 +634,15 @@ def _singular(k) -> SingularPointError:
 
 
 def _den(sol: EdgeSolution):
-    """den = psi_plus'(L) - ik psi_plus(L), the denominator of t, and the
-    mask of points where it is below 1e-12 of the boundary data's scale, a
-    pole of t where its parametrization is singular, elementwise."""
+    """den = m21 - ik (m11 + m22) - k^2 m12, the denominator of t, and the
+    mask of points where it is below 1e-12 of the scale of M, a pole of t
+    where its parametrization is singular, elementwise."""
     k = sol.k
-    den = sol.dpsi_p - 1j * k * sol.psi_p
-    scale = np.maximum(
-        np.maximum(np.abs(sol.dpsi_p), np.abs(k) * np.abs(sol.psi_p)), np.abs(k)
-    )
+    m11, m12, m21, m22 = sol.m
+    # (psi, psi') = M (1, -ik), whose size sets the scale of the pole test
+    psi, dpsi = m11 - 1j * k * m12, m21 - 1j * k * m22
+    den = dpsi - 1j * k * psi
+    scale = np.maximum(np.maximum(np.abs(dpsi), np.abs(k) * np.abs(psi)), np.abs(k))
     return den, np.abs(den) < 1e-12 * scale
 
 
@@ -703,24 +655,28 @@ def _refuse_singular(sol: EdgeSolution, singular) -> None:
 
 def _t_entries(sol: EdgeSolution):
     """Entries (trans, r_from, r_to) of t, their k-derivatives by the
-    quotient rule on the boundary data when ``sol`` carries them (else
-    None), and the mask of points where the parametrization is singular,
-    elementwise."""
+    quotient rule on M' when ``sol`` carries it (else None), and the mask of
+    points where the parametrization is singular, elementwise."""
     k = sol.k
+    m11, m12, m21, m22 = sol.m
     den, singular = _den(sol)
-    trans = -2j * k / den
-    num_f = -(sol.dpsi_m - 1j * k * sol.psi_m)
-    num_t = -(sol.dpsi_p + 1j * k * sol.psi_p)
-    t = (trans, num_f / den, num_t / den)
-    if sol.dk_psi_p is None:
+    p, q = m21 + k * k * m12, 1j * k * (m11 - m22)
+    t = (-2j * k / den, -(p - q) / den, -(p + q) / den)
+    if sol.dm is None:
         return t, None, singular
-    dden = sol.dk_dpsi_p - 1j * sol.psi_p - 1j * k * sol.dk_psi_p
-    dtrans = -2j / den + 2j * k * dden / (den * den)
-    dnum_f = -(sol.dk_dpsi_m - 1j * sol.psi_m - 1j * k * sol.dk_psi_m)
-    dr_from = (dnum_f * den - num_f * dden) / (den * den)
-    dnum_t = -(sol.dk_dpsi_p + 1j * sol.psi_p + 1j * k * sol.dk_psi_p)
-    dr_to = (dnum_t * den - num_t * dden) / (den * den)
-    return t, (dtrans, dr_from, dr_to), singular
+    d11, d12, d21, d22 = sol.dm
+    dp = d21 + 2.0 * k * m12 + k * k * d12
+    dq = 1j * (m11 - m22) + 1j * k * (d11 - d22)
+    dden = d21 - 2.0 * k * m12 - k * k * d12 - 1j * (m11 + m22) - 1j * k * (d11 + d22)
+    # (num / den)' = (num' - (num / den) den') / den, entry by entry
+    dt = (-2j, -(dp - dq), -(dp + dq))
+    return t, tuple((dn - x * dden) / den for dn, x in zip(dt, t)), singular
+
+
+def _t_eigenvalues(trans, r_from, r_to):
+    """The eigenvalues trans -+ sqrt(r_from r_to) of t, elementwise."""
+    root = np.sqrt(r_from * r_to)
+    return trans - root, trans + root
 
 
 def _entries(sol: EdgeSolution):
@@ -740,8 +696,8 @@ def transition_matrix(g: MetricGraph, e: int, k: complex) -> TransitionMatrix:
 
 
 def transition_matrix_dk(g: MetricGraph, e: int, k: complex) -> np.ndarray:
-    """d/dk of the 2x2 transition matrix, by the quotient rule on the
-    boundary data (from M and M' = dM/dk)."""
+    """d/dk of the 2x2 transition matrix, by the quotient rule on M and M' =
+    dM/dk."""
     sol = solve_edge(g, e, k, want_dk=True)
     _, (dtrans, dr_from, dr_to) = _entries(sol)
     return np.array([[dtrans, dr_to], [dr_from, dtrans]], dtype=complex)
@@ -750,12 +706,13 @@ def transition_matrix_dk(g: MetricGraph, e: int, k: complex) -> np.ndarray:
 def verify_subunitary(
     g: MetricGraph, e: int, k: float, eps: float
 ) -> Tuple[bool, float]:
-    """Check both eigenvalue moduli of t(k + i*eps) are <= 1."""
+    """Check both eigenvalue moduli of t(k + i*eps) are <= 1: the one-point
+    case of ``_max_moduli``, raising the error it gives there."""
     if eps <= 0:
         raise InputError("eps must be positive")
-    t = transition_matrix(g, e, complex(k, eps))
-    mods = np.abs(np.linalg.eigvals(t.matrix))
-    max_mod = float(np.max(mods))
+    (max_mod,) = _max_moduli(g, e, np.array([complex(k, eps)]))
+    if isinstance(max_mod, Exception):
+        raise max_mod
     return _subunitary(max_mod), max_mod
 
 
@@ -811,13 +768,11 @@ def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
     m, _, err = _evaluate(pot, L, ks, False)
     resolved = err <= _DEFAULT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        (trans, r_from, r_to), _, singular = _t_entries(EdgeSolution(ks, L, m))
-    good = resolved & ~singular
-    ts = np.array([[trans, r_to], [r_from, trans]])[..., good].transpose(2, 0, 1)
-    mods = iter(np.abs(np.linalg.eigvals(ts)).max(axis=1).tolist() if ts.size else [])
+        t, _, singular = _t_entries(EdgeSolution(ks, L, m))
+        mods = np.maximum(*(np.abs(mu) for mu in _t_eigenvalues(*t)))
     return [
-        next(mods) if ok else _unresolved(pot, k) if not r else _singular(k)
-        for k, ok, r in zip(ks.tolist(), good, resolved)
+        _unresolved(pot, k) if not r else _singular(k) if s else mod
+        for k, mod, r, s in zip(ks.tolist(), mods.tolist(), resolved, singular)
     ]
 
 

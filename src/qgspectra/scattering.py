@@ -51,7 +51,7 @@ t_e (den_e = 0, off the real axis only) raises SingularPointError.
 A scan reads neither theta nor det S.  It reads the real symmetric vertex
 Dirichlet-to-Neumann matrix Lambda, built from the fundamental matrices M
 of the edges, in one assembly (``_vertex_det``): its inertia plus Sturm
-counts on the edges give the eigenvalue count at each point (``_count``),
+counts on the edges give the eigenvalue count at each point,
 and its determinant times the product of the edges' denominators and a
 power of k gives the real, pole-free vertex determinant F(k), whose zeros
 are those of det(I - S).  The scan brackets and refines roots on F.  At a
@@ -63,7 +63,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import weakref
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
 import numpy as np
 
@@ -215,12 +215,13 @@ class SecularValue:
 
 
 def _dens(sol):
-    """den_e and den+_e = psi_minus' + ik psi_minus of every edge at every
-    point, (n, E), from the boundary data psi_pm = M (1, -+ik) of ``sol``;
-    a pole of some t_e raises SingularPointError."""
+    """den_e and den+_e = m21 + ik (m11 + m22) - k^2 m12 of every edge at
+    every point, (n, E), from the fundamental matrices M of ``sol``; a pole
+    of some t_e raises SingularPointError."""
     den, singular = _den(sol)
     _refuse_singular(sol, singular)
-    return den, sol.dpsi_m + 1j * sol.k * sol.psi_m
+    m11, m12, m21, m22 = sol.m
+    return den, m21 + 1j * sol.k * (m11 + m22) - sol.k * sol.k * m12
 
 
 def _det_s(g: MetricGraph, den, den_plus) -> np.ndarray:
@@ -231,8 +232,9 @@ def _det_s(g: MetricGraph, den, den_plus) -> np.ndarray:
 
 def _det_w(g: MetricGraph, ks, sol=None, den=None):
     """det(I - S) and the vertex determinant F at each k of the 1-D array
-    ``ks``, from the boundary data ``sol`` of every edge at ``ks`` and its
-    denominators ``den`` (``edge._den``), each evaluated unless given:
+    ``ks``, from the fundamental matrices ``sol`` of every edge at ``ks``
+    and their denominators ``den`` (``edge._den``), each evaluated unless
+    given:
 
         det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V / (k prod_v deg(v))
 
@@ -250,18 +252,22 @@ def _det_w(g: MetricGraph, ks, sol=None, den=None):
     return w, f
 
 
-def _count(g: MetricGraph, ks, sol=None) -> Tuple[np.ndarray, np.ndarray]:
-    """The eigenvalue count at each real k > 0 of the 1-D array ``ks``: N,
-    the eigenvalues k_j <= k with multiplicity, and n0, those at k.
-    ``sol`` is the boundary data of every edge at ``ks`` with its zeros
-    (evaluated unless given).
+def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
+    """The vertex determinant F at each k of the 1-D array ``ks``, or (N,
+    n0, F) with ``want_count``, from one assembly of Lambda.  ``sol`` is the
+    fundamental matrices M of every edge at ``ks``, with their zeros when
+    counted (evaluated unless given).  A path on the real axis, k > 0,
+    gives a real F in real arithmetic; a complex path gives a complex F,
+    and no count.
 
-    N = N_E + n_+(Lambda) + n_0(Lambda) (Friedlander, Ann. Inst. Fourier
-    55, 2005; Berkolaiko, Cox & Marzuola, Lett. Math. Phys. 106, 2016), for
-    Lambda(k) the real symmetric Dirichlet-to-Neumann matrix of the core
-    vertices: an edge of the core from u (x = 0) to v (x = L) adds -m11/m12
-    to Lambda_uu, -m22/m12 to Lambda_vv and 1/m12 to Lambda_uv and Lambda_vu.
-    Each degree-1 vertex is eliminated in closed form (Haynsworth inertia
+    N is the eigenvalue count at each real k > 0, the eigenvalues k_j <= k
+    with multiplicity, and n0 those at k: N = N_E + n_+(Lambda) +
+    n_0(Lambda) (Friedlander, Ann. Inst. Fourier 55, 2005; Berkolaiko, Cox
+    & Marzuola, Lett. Math. Phys. 106, 2016), for Lambda(k) the real
+    symmetric Dirichlet-to-Neumann matrix of the core vertices: an edge of
+    the core from u (x = 0) to v (x = L) adds -m11/m12 to Lambda_uu,
+    -m22/m12 to Lambda_vv and 1/m12 to Lambda_uv and Lambda_vu.  Each
+    degree-1 vertex is eliminated in closed form (Haynsworth inertia
     additivity): an arm whose leaf is at x = L adds -m21/m22 to its core
     end, one whose leaf is at x = 0 adds -m21/m11.  N_E adds up what each
     edge holds alone below k^2: its Dirichlet eigenvalues for an edge of
@@ -273,17 +279,6 @@ def _count(g: MetricGraph, ks, sol=None) -> Tuple[np.ndarray, np.ndarray]:
     root at k.  A star's core is its centre, so its count costs O(E) per
     point; a larger core takes a dense eigvalsh, and a point near one of
     its poles (_POLE_BAND) is counted on the cut graph.
-    """
-    return _vertex_det(g, ks, sol, want_count=True)[:2]
-
-
-def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
-    """The vertex determinant F at each k of the 1-D array ``ks``, or (N,
-    n0, F) with ``want_count``, N and n0 those of ``_count``, from one
-    assembly of Lambda.  ``sol`` is the boundary data of every edge at
-    ``ks``, with its zeros when counted (evaluated unless given).  A path
-    on the real axis, k > 0, gives a real F in real arithmetic; a complex
-    path gives a complex F, and no count.
 
     F = k^(1 - n_core) det Lambda prod_e den_e, den_e the denominator of
     the edge's entries of Lambda (k m12 for an edge of the core, m22 or m11
@@ -402,14 +397,16 @@ def _cut(g: MetricGraph) -> Optional[MetricGraph]:
 
 
 def _theta(sol, den) -> np.ndarray:
-    """theta, the phase of det T, at each real k > 0 of the boundary data
-    ``sol`` (with its zeros), from the denominators ``den`` of its edges.
+    """theta, the phase of det T, at each real k > 0 of the fundamental
+    matrices ``sol`` (with their zeros), from the denominators ``den`` of
+    its edges.
 
-    On the real axis det t_e = conj(den_e) / den_e, and den_e = psi_plus(L)
-    w_e with w_e = psi_plus'(L) / psi_plus(L) - ik, so theta = -2 sum_e
-    (phi_e + Arg w_e).  Im w_e = -k / |psi_plus(L)|^2 - k < 0, so Arg w_e
-    is continuous in k.  phi_e, the phase of psi_plus = m11 - ik m12
-    continued along the edge from 0, falls monotonically (the flux of
+    On the real axis det t_e = conj(den_e) / den_e, and den_e = psi' - ik
+    psi for (psi, psi') = M (1, -ik), psi_plus at x = L.  So den_e =
+    psi_plus(L) w_e with w_e = psi_plus'(L) / psi_plus(L) - ik, and theta
+    = -2 sum_e (phi_e + Arg w_e).  Im w_e = -k / |psi_plus(L)|^2 - k < 0,
+    so Arg w_e is continuous in k.  phi_e, the phase of psi_plus = m11 - ik
+    m12 continued along the edge from 0, falls monotonically (the flux of
     psi_plus is -k) and passes a multiple of pi exactly at each zero of
     m12: with z of them in (0, L] (the Dirichlet Sturm count) and s =
     (-1)^z, phi_e = -z pi + atan2(-k s m12, s m11), the last term in
@@ -419,7 +416,8 @@ def _theta(sol, den) -> np.ndarray:
     z = sol.zeros[1]
     s = 1 - 2 * (z % 2)
     phi = -math.pi * z + np.arctan2(-sol.k * s * m12, s * m11)
-    arg_w = np.angle(den * np.conj(sol.psi_p))  # Arg(w_e |psi_plus(L)|^2)
+    psi = sol.m[0] - 1j * sol.k * sol.m[1]  # psi_plus(L)
+    arg_w = np.angle(den * np.conj(psi))  # Arg(w_e |psi_plus(L)|^2)
     return -2.0 * (phi + arg_w).sum(axis=-1)
 
 

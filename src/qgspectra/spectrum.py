@@ -7,9 +7,9 @@ once, in as few stacked calls as the edge layer's element budget allows
 (their nodes times the edges at most ``edge._POINT_STEPS``, and at least
 one window a call).  The vertex Dirichlet-to-Neumann matrix assembled
 from the solves gives both the eigenvalue count N(k), the eigenvalues
-k_j <= k with multiplicity, an integer by construction at every k > 0
-(``scattering._count``), and the real, pole-free vertex determinant
-F(k), whose zeros are those of det(I - S) (``scattering._vertex_det``).
+k_j <= k with multiplicity, an integer by construction at every k > 0,
+and the real, pole-free vertex determinant F(k), whose zeros are those
+of det(I - S) (both from ``scattering._vertex_det``).
 The scan reads neither theta nor det S.  A grid cell (a, b] holds N(b) -
 N(a) eigenvalues, of which n0(b) lie on b, as a kernel of the vertex
 matrix there.  A cell holding one more is a sign change of F and a
@@ -174,7 +174,7 @@ class SpectrumResult:
     diagnostics: List[str]
     flagged: List[Tuple[float, float]]
     # eigenvalues in [k_lo, k_hi] with multiplicity by the vertex count:
-    # N(k_hi) - N(k_lo) plus the roots at k_lo (scattering._count)
+    # N(k_hi) - N(k_lo) plus the roots at k_lo (scattering._vertex_det)
     expected_count: int
 
     @property

@@ -19,7 +19,7 @@ from qgspectra.edge import (
     transition_matrix_dk,
     verify_subunitary,
 )
-from qgspectra.errors import NumericalError
+from qgspectra.errors import NumericalError, SingularPointError
 
 from .conftest import ZERO, interval, star
 from .oracles import (
@@ -133,12 +133,11 @@ def test_verify_subunitary_brackets_the_threshold(g_interval_delta_neg):
 
 
 def test_derivative_fields_populated_on_request(g_smooth):
-    plain = solve_edge(g_smooth, 0, 6.0)
-    assert plain.dk_psi_p is None
+    assert solve_edge(g_smooth, 0, 6.0).dm is None
     rich = solve_edge(g_smooth, 0, 6.0, want_dk=True)
-    assert rich.dk_psi_p is not None
-    num = central_diff(lambda kk: solve_edge(g_smooth, 0, kk).psi_p, 6.0)
-    assert abs(rich.dk_psi_p - num) <= 1e-6
+    for i in range(4):
+        num = central_diff(lambda kk: solve_edge(g_smooth, 0, kk).m[i], 6.0)
+        assert abs(rich.dm[i] - num) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -163,9 +162,9 @@ def test_reversal_keeps_transmission_and_swaps_reflections(pot, tol):
             assert abs(r_to_r - r_from) <= tol * scale
 
 
-def _scaled(rows, k):
-    # (psi, psi') rows with psi' scaled by 1/|k|, so free solutions are O(1)
-    return np.diag([1.0, 1.0 / abs(k)]) @ np.asarray(rows)
+def _scaled(m, k):
+    # M with psi' scaled by 1/|k| on both sides, so free solutions are O(1)
+    return np.diag([1.0, 1.0 / abs(k)]) @ np.reshape(m, (2, 2)) @ np.diag([1.0, abs(k)])
 
 
 @pytest.mark.parametrize("expr", sorted(ORACLE_POTENTIALS))
@@ -173,15 +172,9 @@ def test_smooth_edge_matches_fundamental_matrix_oracle(expr):
     g = interval(1.0, {"type": "expr", "expr": expr})
     for k in (2.0, 5.0, 20.0, 80.0, 5 + 1e-3j):
         m, dm = fundamental_matrix(ORACLE_POTENTIALS[expr], 1.0, complex(k))
-        start = np.array([[1.0, 1.0], [-1j * k, 1j * k]])  # (psi_+, psi_-) at 0
-        dstart = np.array([[0.0, 0.0], [-1j, 1j]])
-        want = _scaled(m @ start, k)
-        dwant = _scaled(dm @ start + m @ dstart, k)
+        want, dwant = _scaled(m, k), _scaled(dm, k)
         sol = solve_edge(g, 0, k, want_dk=True)
-        got = _scaled([[sol.psi_p, sol.psi_m], [sol.dpsi_p, sol.dpsi_m]], k)
-        dgot = _scaled(
-            [[sol.dk_psi_p, sol.dk_psi_m], [sol.dk_dpsi_p, sol.dk_dpsi_m]], k
-        )
+        got, dgot = _scaled(sol.m, k), _scaled(sol.dm, k)
         assert np.max(np.abs(got - want)) <= 1e-9 * max(1.0, np.max(np.abs(want)))
         assert np.max(np.abs(dgot - dwant)) <= 1e-9 * max(1.0, np.max(np.abs(dwant)))
         assert sol.error_estimate <= 1e-9
@@ -236,7 +229,8 @@ def test_edge_profile_sweeps_the_edge_once(monkeypatch):
     steps.clear()
     profile = edge_profile(g, 0, k, xs)
     assert sum(steps) - doubling <= n + len(xs)
-    assert profile[-1] == pytest.approx(solve_edge(g, 0, k).psi_p, abs=1e-9)
+    m11, m12, _, _ = solve_edge(g, 0, k).m
+    assert profile[-1] == pytest.approx(m11 - 1j * k * m12, abs=1e-9)
 
 
 def _smooth(expr):
@@ -343,6 +337,37 @@ def test_batched_moduli_match_verify_subunitary(name):
             assert mod == pytest.approx(verify_subunitary(g, e, k.real, k.imag)[1], rel=1e-13)
 
 
+EIGENVALUE_EDGES = {
+    "zero": (1.3, ZERO),
+    "delta": (1.0, {"type": "delta", "strength": -1.7, "position": 0.3}),
+    # k^2 < c at k = 0.9 and 1.5: q is imaginary there
+    "constant": (math.pi, _constant(4.0)),
+    "smooth": (1.0, _smooth("2*cos(3*x)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EIGENVALUE_EDGES))
+def test_t_eigenvalues_are_closed_form(name):
+    # trans -+ sqrt(r_from r_to) are the eigenvalues of t, on the axis and
+    # off it, and verify_subunitary is the one-point case of _max_moduli
+    g = interval(*EIGENVALUE_EDGES[name])
+    for k in (0.9, 1.5 + 1e-3j, 3.0, 7.25, 7.25 + 0.1j):
+        t = transition_matrix(g, 0, k)
+        mu = np.linalg.eigvals(t.matrix)
+        assert np.max(np.abs(t.eigenvalues - mu[np.lexsort((mu.imag, mu.real))])) <= 1e-13
+        if complex(k).imag:
+            (mod,) = edge._max_moduli(g, 0, np.array([complex(k)]))
+            assert verify_subunitary(g, 0, k.real, k.imag) == (edge._subunitary(mod), mod)
+
+
+def test_verify_subunitary_raises_at_a_pole_of_t():
+    # 1.5i is the bound state of the attractive point interaction, a pole of t
+    g = interval(1.0, {"type": "delta", "strength": -3.0, "position": 0.5})
+    assert isinstance(edge._max_moduli(g, 0, np.array([1.5j]))[0], SingularPointError)
+    with pytest.raises(SingularPointError):
+        verify_subunitary(g, 0, 0.0, 1.5)
+
+
 def test_unresolvable_arm_stops_its_threshold_block(magnus_steps):
     # the walk's first point on the cos(1000000 x) arm is unresolved: it is
     # propagated alone, so no other point of its block is doubled to the end
@@ -421,8 +446,8 @@ def test_real_k_gives_float64_m_of_the_complex_path(ks):
     m, want = np.array(real.m), np.array(cplx.m)
     assert m.dtype == np.float64 and want.dtype == complex
     assert np.all(np.abs(m - want) <= 1e-14 * np.abs(want).max(axis=0))
-    for name in ("psi_p", "dpsi_p", "dk_psi_p", "dk_dpsi_p"):
-        got, ref = getattr(real, name), getattr(cplx, name)
-        assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), name
+    dm, dwant = np.array(real.dm), np.array(cplx.dm)
+    assert dm.dtype == np.float64
+    assert np.all(np.abs(dm - dwant) <= 1e-14 * np.abs(dwant).max(axis=0))
     # the Sturm counts read the same pieces either way
     assert real.zeros.tolist() == cplx.zeros.tolist()

@@ -13,7 +13,6 @@ from qgspectra.errors import InputError, NumericalError, SingularPointError
 from qgspectra.fd import fd_spectrum
 from qgspectra.graph import build_graph
 from qgspectra.scattering import (
-    _count,
     _dens,
     _det_s,
     _det_w,
@@ -523,7 +522,7 @@ def test_zeta_changes_sign_with_the_count(request, name):
     g = build(request)
     pts = np.random.default_rng(0).uniform(ks.min(), ks.max(), 400)
     zeta = np.array([v.zeta.real for v in secular(g, pts)])
-    signs = np.sign(zeta) * (-1) ** _count(g, pts)[0]
+    signs = np.sign(zeta) * (-1) ** _vertex_det(g, pts, want_count=True)[0]
     assert signs[0] != 0 and np.all(signs == signs[0])
 
 
@@ -581,7 +580,7 @@ def test_count_equals_the_finite_difference_count(request, name):
     g = request.getfixturevalue(name) if make is None else make()
     fd = fd_spectrum(g, 0.01, 60, richardson=True)
     ks = np.linspace(0.05, 12.0, 200)
-    count, at = _count(g, ks)
+    count, at = _vertex_det(g, ks, want_count=True)[:2]
     kept = np.array([np.min(np.abs(fd.ks - k)) > 1e-3 for k in ks])
     expected = len(fd.negative) + np.searchsorted(fd.ks, ks)
     assert kept.sum() >= 190
@@ -596,7 +595,7 @@ def test_count_across_a_dirichlet_coincidence(g_star3_eq, delta):
     # the arms are eliminated in closed form, so the count is exact right
     # up to both (a root within the kernel tolerance is counted at k)
     ks = [math.pi - delta, math.pi + delta, math.pi / 2 - delta, math.pi / 2 + delta]
-    count, at = _count(g_star3_eq, ks)
+    count, at = _vertex_det(g_star3_eq, ks, want_count=True)[:2]
     assert (count - at).tolist()[::2] == [3, 1]
     assert count.tolist()[1::2] == [4, 3]
 
@@ -605,7 +604,8 @@ def test_count_across_a_dirichlet_coincidence(g_star3_eq, delta):
 def test_count_on_a_pole_is_taken_on_the_cut_graph(g_triangle, delta):
     # 2 pi is a Dirichlet eigenvalue of the triangle's unit edge, so a pole
     # of its vertex matrix, and a double root: 5 eigenvalues lie below it
-    count, at = _count(g_triangle, [2 * math.pi - delta, 2 * math.pi + delta])
+    ks = [2 * math.pi - delta, 2 * math.pi + delta]
+    count, at = _vertex_det(g_triangle, ks, want_count=True)[:2]
     assert (count - at)[0] == 5 and count[1] == 7
     assert at.tolist() == ([2, 2] if delta <= 1e-12 else [0, 0])
 
@@ -614,9 +614,9 @@ def test_a_pole_of_the_cut_graph_too_is_refused(g_triangle, monkeypatch):
     # without a cut graph the count at 2 pi, a pole of the triangle's vertex
     # matrix, cannot be taken: a typed error, not a wrong count
     monkeypatch.setattr(scattering, "_cut", lambda g: None)
-    assert _count(g_triangle, [2 * math.pi - 1e-3])[0].tolist() == [5]
+    assert _vertex_det(g_triangle, [2 * math.pi - 1e-3], want_count=True)[0].tolist() == [5]
     with pytest.raises(NumericalError, match="no eigenvalue count at k=6.28318531"):
-        _count(g_triangle, [2 * math.pi])
+        _vertex_det(g_triangle, [2 * math.pi], want_count=True)
 
 
 # ---------------------------------------------------------------------------
@@ -706,7 +706,7 @@ def test_vertex_det_at_a_zero_denominator(g_star3, g_triangle):
     assert _vertex_det(g_star3, [k], sol)[0] == pytest.approx(exact, rel=1e-15)
     count, at, f = _vertex_det(g_star3, [k], sol, want_count=True)
     assert f[0] == pytest.approx(exact, rel=1e-15)
-    assert [count[0], at[0]] == [c[0] for c in _count(g_star3, [k])]
+    assert [count[0], at[0]] == [c[0] for c in _vertex_det(g_star3, [k], want_count=True)[:2]]
     # and F is continuous there: the unmodified m22 gives the same value
     assert _vertex_det(g_star3, [k])[0] == pytest.approx(exact, rel=1e-14)
     # 2 pi, a Dirichlet eigenvalue of the triangle's unit edge, is a pole of

@@ -12,7 +12,7 @@ from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import InputError
 from qgspectra.fd import fd_spectrum
 from qgspectra.orbits import TestFunction, trace_check
-from qgspectra.scattering import _count
+from qgspectra.scattering import _vertex_det
 from qgspectra.spectrum import ScanConfig, multiplicity, scan_spectrum
 
 from .conftest import random_delta_star, star
@@ -441,11 +441,11 @@ def test_threshold_work_is_bounded(magnus_calls, threshold_points):
 @pytest.mark.parametrize("name", ["g_interval_pi", "g_star3_eq", "g_delta_star"])
 def test_total_multiplicity_equals_eigenphase_count(request, name):
     # the roots found add up to the eigenvalue count over the range, taken
-    # at its two ends alone (scattering._count): N(k_hi) - N(k_lo) plus the
+    # at its two ends alone (scattering._vertex_det): N(k_hi) - N(k_lo) plus the
     # roots at k_lo (the name keeps the test's id; the count is the DtN one)
     g = request.getfixturevalue(name)
     res = scan_spectrum(g, *SCAN_RANGES[name])
-    count, at = _count(g, [res.k_lo, res.k_hi])
+    count, at = _vertex_det(g, [res.k_lo, res.k_hi], want_count=True)[:2]
     assert res.total_count() == count[1] - count[0] + at[0] == res.expected_count
 
 
