@@ -617,7 +617,8 @@ def edge_profile(
         steps = _steps(w1, w2, h, np.array([k]), False)[0][:, :, 0]
     else:
         bounds = grid.tolist()
-        segments = np.array([_segment(pot, a, b) for a, b in zip(bounds, bounds[1:])])
+        pieces = [_segment(pot, a, b) for a, b in zip(bounds, bounds[1:])]
+        segments = np.reshape(pieces, (-1, 4))  # a one-point grid has no segment
         steps = np.reshape(_closed(k, *segments.T, False)[0], (2, 2, -1))
     run = _prefix(steps)
     psi = np.concatenate([[1.0], run[0, 0] - 1j * k * run[0, 1]])

@@ -152,7 +152,9 @@ def _layout(g: MetricGraph) -> _Layout:
     deg = degrees[origin]
     same = origin[:, None] == origin[None, :]
     sigma = np.where(same, 2.0 / deg[:, None], 0.0) - np.eye(g.num_directed)
-    det_sigma = float(np.sign(np.linalg.det(sigma)))
+    # each vertex block (2/d) J - I has eigenvalues 1 (once) and -1 (d - 1
+    # times), so det Sigma = (-1)^(2E - V) = (-1)^V
+    det_sigma = float((-1) ** len(index))
     # the core: every vertex but those of degree 1 (a one-edge graph keeps
     # its "from" end); an arm adds only to the diagonal entry of its core end
     leaves = {v for v in g.vertices if g.degree[v] == 1}

@@ -13,6 +13,12 @@ produces corrections of order k^{-2j} as long as chi is small enough
 for the iteration to contract.  Point interactions have no WKB regime
 and are refused; so is any edge with a classical turning point.
 
+The edge record ``WkbEdgeData`` holds the action s(L), its quadrature
+error bound and sup |eta_1|.  Actions and periods share one quadrature
+(``_integral``), the eta_j one contraction check (``_contraction``).  On
+zero and constant edges chi = 0, so every eta_j vanishes and the WKB
+form is exact.  k must be positive.
+
 The semiclassical pieces at the end package orbit data in which only
 transmission survives: stability |prod sigma|, backscatter count from
 negative vertex entries, the summed action, and the classical period
@@ -63,6 +69,8 @@ def _momentum(g: MetricGraph, e: int, k: float):
         )
     if not math.isfinite(k * k):
         raise InputError(f"k = {k:.6g} has no finite k^2")
+    if k <= 0:
+        raise InputError(f"k = {k:.6g} is not positive")
     top = pot.max_value(L)
     if k * k <= top + _MARGIN:
         raise TurningPointError(
@@ -99,30 +107,24 @@ def _momentum(g: MetricGraph, e: int, k: float):
 
 @dataclasses.dataclass(frozen=True)
 class WkbEdgeData:
-    """WKB data of one edge at one k: action, endpoint values of the
-    leading solutions, the derivative correction magnitude, and the
-    size of the first iterative correction."""
+    """WKB data of one edge at one k: the action s(L) with the error bound
+    of its quadrature, and sup |eta_1|, the size of the first iterative
+    correction."""
 
     edge: str
     k: float
     length: float
     action: float
     action_error: float
-    p0: float
-    pL: float
-    chi_sup: float
-    psi_plus_L: complex
-    psi_minus_L: complex
-    deriv_plus_L: complex
-    deriv_minus_L: complex
-    deriv_correction: float
     eta1_sup: float
 
 
-def _action(p, L: float) -> Tuple[float, float]:
+def _integral(f, L: float) -> Tuple[float, float]:
+    """Integral of f over [0, L] by adaptive quadrature at 1e-12, and its
+    error bound."""
     from scipy.integrate import quad
 
-    val, err = quad(p, 0.0, L, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=500)
+    val, err = quad(f, 0.0, L, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=500)
     return float(val), float(err)
 
 
@@ -131,14 +133,14 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def _eta_grid(p, chi, L: float, j_max: int, n: int = _ETA_NODES):
+def _eta_grid(p, chi, L: float, j_max: int):
     """Dense-grid evaluation of the correction recursion.
 
     Returns (xs, s, [eta_1, ..., eta_j_max]); integrals in the action
     variable u are pulled back to x with du = p dx and accumulated by
     trapezoids, so each level costs one pass over the grid.
     """
-    xs = np.linspace(0.0, L, n)
+    xs = np.linspace(0.0, L, _ETA_NODES)
     pv = p(xs)
     chiv = chi(xs)
     s = _cumulative_trapezoid(pv, xs)
@@ -156,12 +158,11 @@ def _eta_grid(p, chi, L: float, j_max: int, n: int = _ETA_NODES):
 
 class _EdgeWkb(NamedTuple):
     """The WKB set-up of one edge at one k, built once and shared by the
-    solution data and the profiles: ``_momentum``'s callables and length,
-    and the dense ``_eta_grid`` with its levels."""
+    solution data and the profiles: ``_momentum``'s w', p and length, and
+    the dense ``_eta_grid`` with its levels."""
 
     dw: Callable
     p: Callable
-    chi: Callable
     L: float
     xs: np.ndarray
     s: np.ndarray
@@ -170,75 +171,52 @@ class _EdgeWkb(NamedTuple):
 
 def _edge_wkb(g: MetricGraph, e: int, k: float, j_max: int) -> _EdgeWkb:
     dw, p, chi, L = _momentum(g, e, k)
-    return _EdgeWkb(dw, p, chi, L, *_eta_grid(p, chi, L, j_max))
+    return _EdgeWkb(dw, p, L, *_eta_grid(p, chi, L, j_max))
+
+
+def _contraction(levels: List[np.ndarray], k: float) -> List[float]:
+    """sup |eta_j| of each level, raising where the iteration does not
+    contract: a nonzero level must stay below the one before (eta_0 has
+    sup 1).  A zero level is exact, as on zero and constant edges."""
+    sups = [float(np.max(np.abs(level))) for level in levels]
+    for j, (prev, sup) in enumerate(zip([1.0] + sups, sups), 1):
+        if sup and sup >= prev:
+            raise NumericalError(
+                f"correction iteration does not contract: sup|eta_{j}| = "
+                f"{sup:.3e} >= {prev:.3e}; the expansion is unreliable for "
+                f"this potential at k = {k:g}"
+            )
+    return sups
 
 
 def wkb_solution(g: MetricGraph, e: int, k: float) -> WkbEdgeData:
-    """Leading WKB data for edge e at k (forward orientation).
-
-    The action integral is adaptive quadrature at 1e-12; the endpoint
-    derivative of the WKB form is reported together with how far it
-    sits from the plane-wave approximation -ik psi.
-    """
+    """Leading WKB data for edge e at k > 0 (forward orientation): the
+    action by adaptive quadrature at 1e-12 with its error bound, and
+    sup |eta_1|, refused when it is not below 1."""
     return _solution(g, e, k, _edge_wkb(g, e, k, 1))
 
 
 def _solution(g: MetricGraph, e: int, k: float, w: _EdgeWkb) -> WkbEdgeData:
-    p, L = w.p, w.L
-    action, err = _action(p, L)
-    p0 = float(p(0.0))
-    pL = float(p(L))
-    amp = math.sqrt(p0 / pL)
-    psi_p = amp * complex(math.cos(action), -math.sin(action))
-    psi_m = amp * complex(math.cos(action), math.sin(action))
-    dp_L = -float(w.dw(L)) / (2.0 * pL)  # p' = -w'/(2p)
-    damp = -dp_L / (2.0 * pL)  # d/dx log of the amplitude factor
-    deriv_p = (damp - 1j * pL) * psi_p
-    deriv_m = (damp + 1j * pL) * psi_m
-    eta1_sup = float(np.max(np.abs(w.levels[0])))
-    if eta1_sup >= 1.0:
-        raise NumericalError(
-            f"first correction does not contract: sup|eta_1| = "
-            f"{eta1_sup:.3e} >= 1; the expansion is unreliable for this "
-            f"potential at k = {k:g}"
-        )
-    chi_sup = float(np.max(np.abs(w.chi(w.xs))))
+    action, err = _integral(w.p, w.L)
     return WkbEdgeData(
         edge=g.edges[e].eid,
         k=float(k),
-        length=L,
+        length=w.L,
         action=action,
         action_error=err,
-        p0=p0,
-        pL=pL,
-        chi_sup=chi_sup,
-        psi_plus_L=psi_p,
-        psi_minus_L=psi_m,
-        deriv_plus_L=deriv_p,
-        deriv_minus_L=deriv_m,
-        deriv_correction=abs(deriv_p - (-1j * k * psi_p)),
-        eta1_sup=eta1_sup,
+        eta1_sup=_contraction(w.levels, k)[0],
     )
 
 
 def wkb_correction(g: MetricGraph, e: int, k: float, j: int) -> float:
-    """sup |eta_j| over the edge, j in {1, 2}.
+    """sup |eta_j| over the edge, j in {1, 2}; 0.0 on zero and constant
+    edges, where the WKB form is exact.
 
-    Raises when the iteration fails to contract (each level must be
-    strictly smaller than the one before; eta_0 has sup 1)."""
+    Raises when the iteration fails to contract (each nonzero level must
+    be strictly smaller than the one before; eta_0 has sup 1)."""
     if j not in (1, 2):
         raise InputError("correction order j must be 1 or 2")
-    levels = _edge_wkb(g, e, k, j).levels
-    prev = 1.0
-    for level in levels:
-        sup = float(np.max(np.abs(level)))
-        if sup >= prev:
-            raise NumericalError(
-                f"correction iteration is not contracting: sup|eta| grew "
-                f"from {prev:.3e} to {sup:.3e}"
-            )
-        prev = sup
-    return prev
+    return _contraction(_edge_wkb(g, e, k, j).levels, k)[-1]
 
 
 def wkb_profile(
@@ -274,22 +252,11 @@ def wkb_transition(g: MetricGraph, e: int, k: float) -> TransitionMatrix:
     )
 
 
-def _period(p, L: float, k: float) -> float:
-    """Classical traversal time integral k / p over [0, L]."""
-    from scipy.integrate import quad
-
-    val, _ = quad(
-        lambda x: k / float(p(x)), 0.0, L, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
-        limit=500,
-    )
-    return float(val)
-
-
 def wkb_wigner_delay(g: MetricGraph, k: float) -> float:
     """Semiclassical time delay: sum over directed edges of the
-    classical traversal time, i.e. twice the per-edge sum."""
+    classical traversal time integral k / p, i.e. twice the per-edge sum."""
     momenta = (_momentum(g, e, k) for e in range(len(g.edges)))
-    return 2.0 * sum(_period(p, L, k) for _, p, _, L in momenta)
+    return 2.0 * sum(_integral(lambda x, p=p: k / float(p(x)), L)[0] for _, p, _, L in momenta)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -348,8 +315,8 @@ def semiclassical_trace_data(
         e = s // 2
         if e not in actions:
             _, p, _, L = _momentum(g, e, k)
-            actions[e], _ = _action(p, L)
-            periods[e] = _period(p, L, k)
+            actions[e] = _integral(p, L)[0]
+            periods[e] = _integral(lambda x: k / float(p(x)), L)[0]
         action += actions[e]
         period += periods[e]
     return SemiclassicalOrbitData(
@@ -375,9 +342,9 @@ def compare_with_exact(g: MetricGraph, e: int, k: float) -> Dict[str, float]:
     isolates the interior propagation error: the plain gap tracks
     sup |eta_1| and the corrected gap drops to the eta_2 scale.
     """
-    xs = np.linspace(0.0, g.edges[e].length, _COMPARE_POINTS)
-    exact = edge_profile(g, e, k, xs)
     w = _edge_wkb(g, e, k, 1)
+    xs = np.linspace(0.0, w.L, _COMPARE_POINTS)
+    exact = edge_profile(g, e, k, xs)
     plain = _profile(w, xs, corrected=False)
     corr = _profile(w, xs, corrected=True)
     data = _solution(g, e, k, w)

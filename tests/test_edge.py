@@ -233,6 +233,20 @@ def test_edge_profile_sweeps_the_edge_once(monkeypatch):
     assert profile[-1] == pytest.approx(m11 - 1j * k * m12, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "pot",
+    [ZERO, {"type": "constant", "value": 4.0}, {"type": "delta", "strength": 1.0, "position": 0.5},
+     {"type": "expr", "expr": "2*cos(3*x)"}],
+    ids=["zero", "constant", "delta", "smooth"],
+)
+def test_edge_profile_at_the_start_alone(pot):
+    # a one-point grid at x = 0 has no segment to propagate over
+    g, k = interval(1.0, pot), 3.0
+    assert edge_profile(g, 0, k, [0.0]).tolist() == [1.0]
+    m11, m12, _, _ = solve_edge(g, 0, k).m
+    assert edge_profile(g, 0, k, [0.0, 0.0, 1.0]).tolist() == [1.0, 1.0, m11 - 1j * k * m12]
+
+
 def _smooth(expr):
     return {"type": "expr", "expr": expr}
 

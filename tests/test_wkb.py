@@ -20,6 +20,7 @@ from qgspectra.wkb import (
     wkb_wigner_delay,
 )
 
+from .conftest import ZERO, interval, star
 from .oracles import smooth_action
 
 KS_DOUBLING = (10.0, 20.0, 40.0, 80.0)
@@ -165,6 +166,38 @@ def test_non_contracting_expansion_is_refused(g_divergent):
         wkb_solution(g_divergent, 0, 7.2)
     with pytest.raises(NumericalError, match="does not contract"):
         compare_with_exact(g_divergent, 0, 7.2)
+
+
+def test_zero_and_constant_edges_are_exact(g_divergent):
+    # chi = 0 there, so every eta_j vanishes; a nonzero level must still shrink
+    for pot in (ZERO, {"type": "constant", "value": 4.0}):
+        g = interval(math.pi, pot)
+        assert [wkb_correction(g, 0, 10.0, j) for j in (1, 2)] == [0.0, 0.0]
+    for j in (1, 2):
+        with pytest.raises(NumericalError, match="does not contract"):
+            wkb_correction(g_divergent, 0, 7.2, j)
+
+
+@pytest.mark.parametrize(
+    "pot", [{"type": "expr", "expr": "2*cos(3*x)"}, {"type": "constant", "value": -100.0}]
+)
+@pytest.mark.parametrize("k", [-10.0, 0.0])
+def test_nonpositive_wavenumbers_are_refused(pot, k):
+    # a constant -100 edge clears the turning-point check even at k = 0
+    g = star([(1.0, pot)] * 3)
+    orbit = make_orbit(g, [0, 1])
+    entries = {
+        "wkb_solution": lambda: wkb_solution(g, 0, k),
+        "wkb_correction": lambda: wkb_correction(g, 0, k, 1),
+        "wkb_profile": lambda: wkb_profile(g, 0, k, [0.0, 0.5]),
+        "wkb_transition": lambda: wkb_transition(g, 0, k),
+        "wkb_wigner_delay": lambda: wkb_wigner_delay(g, k),
+        "semiclassical_trace_data": lambda: semiclassical_trace_data(orbit, g, k),
+        "compare_with_exact": lambda: compare_with_exact(g, 0, k),
+    }
+    for call in entries.values():
+        with pytest.raises(InputError, match="not positive"):
+            call()
 
 
 def test_turning_points_are_refused(g_smooth):
