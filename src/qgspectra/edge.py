@@ -20,19 +20,19 @@ quantity below is a closed form in them.  M is built per kind:
   Wronskian 2ik is exact by construction.  The step count is doubled from
   64 until two successive M agree to 1e-10; that last difference is the
   solution's ``error_estimate`` (0 for the closed forms).  The propagator
-  takes an array of wavenumbers: the potential is sampled once per step
-  count, and each point keeps the M of the first count at which it
-  converged, so a batch gives every point its one-point result.
+  takes rows of (edge, k): each edge is sampled once per step count, and
+  each row keeps the M of the first count at which it converged, so a
+  batch gives every row its one-point result.
 
 ``_evaluate`` is the one evaluator of a single potential: M, M' and the
 error estimate at a wavenumber or an array of them, by the closed form or
 the propagator.  ``solve_edge`` is its one-point case, and the threshold
 scan reads t from it.  ``_solve_edges`` evaluates every edge of a graph at
-every k of an array: the closed-form edges together over (k, edge), in
-float64 at real k, from per-graph parameter arrays kept in a weak-keyed
-table, and each smooth edge through ``_evaluate``; for the eigenvalue
-count, also the zeros of two solutions on each edge (``_zeros``), from the
-closed-form pieces or the propagator's own steps.
+every k of an array, from per-graph arrays kept in a weak-keyed table: the
+closed-form edges together over (k, edge), in float64 at real k, and the
+smooth edges in one propagation, whose samples the table keeps; for the
+eigenvalue count, also the zeros of two solutions on each edge
+(``_zeros``), from the closed-form pieces or the propagator's own steps.
 
 M determines the 2x2 transition matrix
 
@@ -242,8 +242,9 @@ def _steps(w1, w2, h, ks, want_dk: bool):
     """Magnus step matrices E at every k of ``ks``, shape (2, 2, P, n), and
     E' = dE/dk of the same shape when ``want_dk`` (else None).
 
-    The n steps have lengths h (a scalar or one per step) and Gauss values
-    w1, w2.  With A(x) = [[0, 1], [w - k^2, 0]] the step generator is
+    The n steps have Gauss values w1, w2 (steps along the last axis) and
+    lengths h: a scalar, one per step or a column of one per k.  With
+    A(x) = [[0, 1], [w - k^2, 0]] the step generator is
     Omega = h (A1 + A2)/2 + (sqrt(3) h^2/12) [A2, A1]
     = [[alpha, h], [gamma, -alpha]]; the commutator term is
     alpha diag(1, -1) with alpha = (sqrt(3) h^2/12)(w1 - w2), free of k.
@@ -251,7 +252,7 @@ def _steps(w1, w2, h, ks, want_dk: bool):
     """
     k = ks[:, None]
     alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
-    steps = np.empty((2, 2, len(ks), len(w1)), dtype=complex)
+    steps = np.empty((2, 2, len(ks), w1.shape[-1]), dtype=complex)
     dsteps = np.empty_like(steps) if want_dk else None
     # Each (P, n) value is built in a slot that is free at that point: gamma
     # in E[1, 0], nu^2 and nu in E[0, 1] (nu^2 in E'[1, 1] when the
@@ -381,33 +382,37 @@ def _fold(steps, dsteps=None, pieces: int = 1):
     return steps, dsteps
 
 
-def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool, zeros=None):
-    """M (and M', else None) over [a, b] from n equal 4th-order Magnus steps,
-    for every k of ``ks``: arrays of shape (2, 2, P).  w is sampled once;
-    steps are built and folded _POINT_STEPS point-steps at a time, which
-    bounds the memory, and the pieces' products folded in turn.
+def _magnus(samples, hs, edges, ks, want_dk: bool, zeros=None):
+    """M (and M', else None) from n equal 4th-order Magnus steps per row, row
+    i being edge ``edges[i]`` at ``ks[i]``: arrays (2, 2, P).  The edges'
+    steps have lengths ``hs`` and Gauss values ``samples`` (W1, W2), each
+    (edges, n).  Steps are built and folded _POINT_STEPS row-steps at a
+    time, which bounds the memory, and the pieces' products folded in turn.
 
     Given an integer array (2, P), ``zeros`` receives the ``_zeros`` of each
     real k, from the running products of the fold level of spans 2^f h
-    with 2^f h sqrt(k^2 - min w) < pi / 2, on which no solution has two
-    zeros (Sturm comparison), or else of the steps themselves."""
-    h = (b - a) / n
-    w1, w2 = _gauss_values(w, a + h * np.arange(n), h)
+    with 2^f h sqrt(k^2 - min w) < pi / 2 on every row of a block (h and w
+    its edge's), on which no solution has two zeros (Sturm comparison), or
+    else of the steps themselves."""
+    W1, W2 = samples
+    n = W1.shape[-1]
+    wmin = np.minimum(W1.min(axis=-1), W2.min(axis=-1))
     piece = min(n, _POINT_STEPS)
     chunk = _POINT_STEPS // piece
     m = np.empty((2, 2, len(ks)), dtype=complex)
     dm = np.empty_like(m) if want_dk else None
     for lo in range(0, len(ks), chunk):
-        pks = ks[lo : lo + chunk]
+        pks, rows = ks[lo : lo + chunk], edges[lo : lo + chunk]
+        h = hs[rows][:, None]
         parts, size = [], 1
         if zeros is not None:
             ends = [np.eye(2)[..., None, None] * np.ones((len(pks), 1))]
-            top = float(np.max(pks.real**2)) - min(w1.min(), w2.min())
-            reach = h * math.sqrt(max(top, 0.0))
+            top = np.maximum(pks.real**2 - wmin[rows], 0.0)
+            reach = float(np.max(h[:, 0] * np.sqrt(top)))
             while size < piece and 2 * size * reach < 0.5 * math.pi:
                 size *= 2
         for j in range(0, n, piece):
-            e = _steps(w1[j : j + piece], w2[j : j + piece], h, pks, want_dk)
+            e = _steps(W1[rows, j : j + piece], W2[rows, j : j + piece], h, pks, want_dk)
             if zeros is not None:
                 e = _fold(*e, pieces=piece // size)
                 run = np.concatenate([ends[-1][..., -1:], e[0].real], axis=-1)
@@ -424,6 +429,7 @@ def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool, zeros=None):
             ends[..., -1] = e[..., 0].real
             nu = alpha = 0.0
             if size == 1:
+                w1, w2 = W1[rows], W2[rows]
                 alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
                 nu2 = h * h * (pks.real[:, None] ** 2 - 0.5 * (w1 + w2)) - alpha * alpha
                 nu = np.sqrt(np.maximum(nu2, 0.0))
@@ -431,15 +437,21 @@ def _magnus(w, a: float, b: float, ks, n: int, want_dk: bool, zeros=None):
     return m, dm
 
 
-def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool, zeros=None):
-    """Magnus M (and M') over [a, b] at every k of ``ks``.  Each point doubles
-    its step count from _MIN_STEPS until two successive M, with psi' scaled
-    by 1/|k|, agree to _DEFAULT_TOL relative, and keeps the M of the first
-    count that does, and its ``_zeros`` in ``zeros`` when that is given.
-    Returns M, M' (or None), that last difference and the step count per
-    point; a point unresolved at _MAX_STEPS has error inf."""
-    w = pot.callable(b)
-    ks = np.asarray(ks, dtype=complex)
+def _magnus_doubled(pots, lengths, ks, want_dk: bool, zeros=None, table=None):
+    """Magnus M (and M') over [0, L] of every edge (oriented potentials
+    ``pots`` on ``lengths``) at every k of ``ks``, in one propagation of the
+    (k, edge) rows.  Each row doubles its step count from _MIN_STEPS until
+    two successive M, with psi' scaled by 1/|k|, agree to _DEFAULT_TOL
+    relative, and keeps the M of the first count that does, and its
+    ``_zeros`` in ``zeros`` (2, len(ks), edges) when that is given.  The
+    edges are sampled once per step count, and kept in ``table`` (step count
+    -> samples) when given.  Returns M, M' (or None), that last difference
+    and the step count, each shaped (..., len(ks), edges); a row unresolved
+    at _MAX_STEPS has error inf."""
+    table = {} if table is None else table
+    shape = (len(ks), len(pots))
+    edges = np.tile(np.arange(len(pots)), len(ks))
+    ks = np.repeat(np.asarray(ks, dtype=complex), len(pots))
     absk = np.abs(ks)
     scale = np.ones((2, 2, len(ks)))
     scale[0, 1], scale[1, 0] = absk, 1.0 / absk
@@ -451,9 +463,14 @@ def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool, zeros
     prev = None
     n = _MIN_STEPS
     while n <= _MAX_STEPS and active.size:
-        # no point keeps the M of the first count, so its zeros are not needed
+        hs = np.divide(lengths, n)
+        if n not in table:
+            ws = [_gauss_values(p.callable(L), h * np.arange(n), h)
+                  for p, L, h in zip(pots, lengths, hs)]
+            table[n] = tuple(np.array(x) for x in zip(*ws))
+        # no row keeps the M of the first count, so its zeros are not needed
         z = None if zeros is None or prev is None else np.empty((2, active.size), int)
-        m, dm = _magnus(w, a, b, ks[active], n, want_dk, z)
+        m, dm = _magnus(table[n], hs, edges[active], ks[active], want_dk, z)
         ms = m * scale[..., active]
         if prev is not None:
             err = np.max(np.abs(ms - prev), axis=(0, 1)) / np.maximum(
@@ -465,11 +482,12 @@ def _magnus_doubled(pot: Potential, a: float, b: float, ks, want_dk: bool, zeros
             if want_dk:
                 dm_out[..., idx] = dm[..., done]
             if z is not None:
-                zeros[:, idx] = z[:, done]
+                zeros[:, idx // shape[1], idx % shape[1]] = z[:, done]
             active, ms = active[~done], ms[..., ~done]
         prev = ms
         n *= 2
-    return m_out, dm_out, err_out, n_out
+    out = (m_out, dm_out, err_out, n_out)
+    return tuple(None if x is None else x.reshape(x.shape[:-1] + shape) for x in out)
 
 
 def _unresolved(pot: Potential, k: complex) -> NumericalError:
@@ -479,20 +497,27 @@ def _unresolved(pot: Potential, k: complex) -> NumericalError:
     )
 
 
-def _evaluate(pot: Potential, L: float, ks, want_dk: bool, zeros=None):
+def _evaluate(pot: Potential, L: float, ks, want_dk: bool):
     """M and M' (or None) over [0, L] of one oriented potential at ``ks``, a
     wavenumber or an array of them, as row-major 4-tuples of arrays shaped
     like ``ks``, and the error estimate per point: closed-form kinds exactly
     (error 0), a smooth potential by the step-doubled Magnus propagator,
-    whose unresolved points have error inf, and which fills ``zeros``, when
-    given for a 1-D ``ks`` (see ``_magnus``)."""
+    whose unresolved points have error inf."""
     shape = np.shape(ks)
     if pot.kind != "smooth":
         m, dm = _closed(ks, *_segment(pot, 0.0, L), want_dk)
         return m, dm, np.zeros(shape)
-    m, dm, err, _ = _magnus_doubled(pot, 0.0, L, np.ravel(ks), want_dk, zeros)
+    m, dm, err, _ = _magnus_doubled([pot], [L], np.ravel(ks), want_dk)
     m, dm = (None if x is None else x.reshape((4,) + shape) for x in (m, dm))
     return m, dm, err.reshape(shape)
+
+
+def _refuse_k(ks) -> None:
+    """InputError unless every k of ``ks`` is finite and nonzero."""
+    if np.any(ks == 0):
+        raise InputError("k=0: the normalized solution pair degenerates")
+    if not np.all(np.isfinite(ks)):
+        raise InputError("k must be finite")
 
 
 def solve_edge(
@@ -505,11 +530,10 @@ def solve_edge(
     """The fundamental matrix M of edge ``e`` at ``k``.
 
     ``reverse=True`` solves the direction-reversed edge (reflected
-    potential).  ``want_dk`` adds M' = dM/dk.  k = 0 is rejected: the two
-    normalized solutions, M (1, -+ik), degenerate there.
+    potential).  ``want_dk`` adds M' = dM/dk.  k must be finite and nonzero
+    (``_refuse_k``).
     """
-    if k == 0:
-        raise InputError("k=0: the normalized solution pair degenerates")
+    _refuse_k(k)
     edge = g.edges[e]
     L = edge.length
     pot = orient(edge.potential, reverse, L)
@@ -522,7 +546,7 @@ def solve_edge(
 
 
 # closed-form arguments (c, D, x1, x2) of every edge (placeholders on smooth
-# edges), the edge lengths and the smooth edges of each live graph
+# edges), the lengths, the smooth edges and their Gauss samples by step count
 _EDGE_TABLES: "weakref.WeakKeyDictionary[MetricGraph, tuple]" = (
     weakref.WeakKeyDictionary()
 )
@@ -540,7 +564,7 @@ def _edge_table(g: MetricGraph):
         closed = tuple(np.array(col) for col in zip(*rows))
         lengths = np.array([e.length for e in g.edges])
         smooth = [e.index for e in g.edges if e.potential.kind == "smooth"]
-        table = _EDGE_TABLES[g] = (closed, lengths, smooth)
+        table = _EDGE_TABLES[g] = (closed, lengths, smooth, {})
     return table
 
 
@@ -551,29 +575,31 @@ def _solve_edges(
     EdgeSolution whose fields are (len(ks), E) arrays, with the ``_zeros``
     of every edge, (2, len(ks), E), when ``want_count`` (real k only).
     Zero, constant and point-interaction edges are evaluated together in
-    closed form, each smooth edge by one batched Magnus propagation over
-    ``ks``, which gives each point its one-point result.  A real ``ks`` stays
-    float64, and so does M where every edge is in closed form; a complex
-    ``ks`` (of any values) gives complex M.  An unresolved propagation
+    closed form, the smooth edges by one Magnus propagation over their
+    (k, edge) rows, from the graph's samples, which gives each row its
+    one-point result.  A real ``ks`` stays float64, and so does M where
+    every edge is in closed form; a complex ``ks`` gives complex M.  An unresolved propagation
     raises for the first such k, as ``solve_edge`` would there."""
     ks = np.asarray(ks)
     ks = ks.astype(complex if np.iscomplexobj(ks) else float)
-    if np.any(ks == 0):
-        raise InputError("k=0: the normalized solution pair degenerates")
-    closed, lengths, smooth = _edge_table(g)
+    _refuse_k(ks)
+    closed, lengths, smooth, samples = _edge_table(g)
     m, dm = _closed(ks[:, None], *closed, want_dk)
     zeros = _closed_zeros(ks[:, None], *closed, m) if want_count else None
     err = np.zeros((len(ks), g.num_edges))
     if smooth:
         m = np.array(m, dtype=complex)
         dm = np.array(dm, dtype=complex) if want_dk else None
-        for e in smooth:
-            edge = g.edges[e]
-            z = None if zeros is None else zeros[:, :, e]
-            me, dme, err[:, e] = _evaluate(edge.potential, edge.length, ks, want_dk, z)
-            m[:, :, e] = me
-            if want_dk:
-                dm[:, :, e] = dme
+        pots = [g.edges[e].potential for e in smooth]
+        z = None if zeros is None else zeros[:, :, smooth]
+        me, dme, err[:, smooth], _ = _magnus_doubled(
+            pots, lengths[smooth], ks, want_dk, z, samples
+        )
+        m[:, :, smooth] = me.reshape(4, len(ks), -1)
+        if want_dk:
+            dm[:, :, smooth] = dme.reshape(4, len(ks), -1)
+        if z is not None:
+            zeros[:, :, smooth] = z
         unresolved = ~(err <= _DEFAULT_TOL)
         if unresolved.any():
             i, e = np.argwhere(unresolved)[0]
@@ -594,24 +620,23 @@ def edge_profile(
     products of M along the edge (``_prefix``).  A smooth edge is swept once
     at the step count its whole-edge M needs, with the requested positions
     as extra breakpoints."""
-    if k == 0:
-        raise InputError("k=0: the normalized solution pair degenerates")
+    _refuse_k(k)
     edge = g.edges[e]
     L = edge.length
     pot = orient(edge.potential, reverse, L)
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise InputError("xs must be a nonempty 1-D array")
-    if np.any(np.diff(xs) < 0) or xs[0] < -1e-12 or xs[-1] > L + 1e-12:
-        raise InputError("xs must be increasing and lie within [0, L]")
+    if not (np.all(np.diff(xs) >= 0) and -1e-12 <= xs[0] and xs[-1] <= L + 1e-12):
+        raise InputError("xs must be finite, increasing and lie within [0, L]")
     k = complex(k)
     xs = np.clip(xs, 0.0, L)
     grid = np.union1d(0.0, xs)
     if pot.kind == "smooth":
-        _, _, err, n = _magnus_doubled(pot, 0.0, L, [k], False)
-        if not err[0] <= _DEFAULT_TOL:
+        _, _, err, n = _magnus_doubled([pot], [L], [k], False)
+        if not err.item() <= _DEFAULT_TOL:
             raise _unresolved(pot, k)
-        grid = np.union1d(np.linspace(0.0, L, n[0] + 1), grid)
+        grid = np.union1d(np.linspace(0.0, L, n.item() + 1), grid)
         h = np.diff(grid)
         w1, w2 = _gauss_values(pot.callable(L), grid[:-1], h)
         steps = _steps(w1, w2, h, np.array([k]), False)[0][:, :, 0]

@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Tuple
@@ -149,7 +150,11 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if not 0 < self.root_tol < math.inf:
             raise InputError("root_tol must be positive and finite")
-        if self.workers < 1:
+        try:
+            workers = operator.index(self.workers)
+        except TypeError:
+            workers = 0
+        if workers < 1:
             raise InputError("workers must be a positive integer")
 
 

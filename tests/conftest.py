@@ -195,22 +195,28 @@ def vertex_det_points(monkeypatch):
 
 @pytest.fixture
 def magnus_calls(monkeypatch):
-    """One entry (the interval's left end) per Magnus kernel call."""
-    return _record_calls(monkeypatch, edge._magnus)
+    """One entry (the step count) per Magnus kernel call."""
+    return _record_calls(monkeypatch, edge._magnus, lambda samples, hs: [samples[0].shape[-1]])
 
 
 @pytest.fixture
 def magnus_steps(monkeypatch):
-    """(step count, number of wavenumbers) of every Magnus kernel call."""
+    """(step count, number of (edge, k) rows) of every Magnus kernel call."""
     calls = []
     original = edge._magnus
 
-    def counted(w, a, b, ks, n, *args):
-        calls.append((n, len(ks)))
-        return original(w, a, b, ks, n, *args)
+    def counted(samples, hs, edges, ks, *args):
+        calls.append((samples[0].shape[-1], len(ks)))
+        return original(samples, hs, edges, ks, *args)
 
     monkeypatch.setattr(edge, "_magnus", counted)
     return calls
+
+
+@pytest.fixture
+def gauss_samplings(monkeypatch):
+    """The step count of every sampling of one potential at its Gauss nodes."""
+    return _record_calls(monkeypatch, edge._gauss_values, lambda w, left: [len(left)])
 
 
 @pytest.fixture

@@ -2,9 +2,12 @@
 from __future__ import annotations
 
 import cmath
+import gc
+import itertools
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +22,7 @@ from qgspectra.edge import (
     transition_matrix_dk,
     verify_subunitary,
 )
-from qgspectra.errors import NumericalError, SingularPointError
+from qgspectra.errors import InputError, NumericalError, SingularPointError
 
 from .conftest import ZERO, interval, star
 from .oracles import (
@@ -220,7 +223,7 @@ def test_edge_profile_sweeps_the_edge_once(monkeypatch):
     build = edge._steps
 
     def counted(w1, *args):
-        steps.append(len(w1))
+        steps.append(w1.shape[-1])
         return build(w1, *args)
 
     monkeypatch.setattr(edge, "_steps", counted)
@@ -290,16 +293,35 @@ def test_threshold_skips_past_a_failing_point(threshold_points):
     )
 
 
-@pytest.mark.parametrize("expr", ["2*cos(3*x)", "x"])
-def test_batched_magnus_matches_single_points(expr):
-    pot = interval(1.0, {"type": "expr", "expr": expr}).edges[0].potential
-    ks = np.array([2.0, 5.0, 20.0, 80.0, 5 + 1e-3j, 3 + 0.1j, 1.125 + 1e-4j])
-    m, dm, err, _ = edge._magnus_doubled(pot, 0.0, 1.0, ks, True)
+BATCH_EDGES = [(1.0, "2*cos(3*x)"), (1.0, "x"), (0.7, "-3*cos(2*x)"), (1.3, "5*x*(1-x)")]
+BATCH_KS = {
+    "real": np.array([0.7, 2.0, 3.1, 5.0, 9.5, 12.3, 20.0, 33.3, 41.0, 80.0, 120.0, 161.7]),
+    "complex": np.array(
+        [5 + 1e-3j, 3 + 0.1j, 1.125 + 1e-4j, 40 + 2j, 2 + 0j, 80 + 0j, 0.7 + 1e-2j, 12.3 + 0.5j, 161.7j]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_KS))
+def test_batched_magnus_matches_single_points(name):
+    # every (k, edge) row of one batch over edges of different lengths and
+    # potentials, with more rows than a block of 64 steps holds, gives the
+    # M, M', error, step count and zeros of its edge alone at its k alone
+    pots = [interval(L, _smooth(expr)).edges[0].potential for L, expr in BATCH_EDGES]
+    lengths = [L for L, _ in BATCH_EDGES]
+    ks = BATCH_KS[name]
+    assert len(ks) * len(pots) > edge._POINT_STEPS // edge._MIN_STEPS
+    zeros = np.empty((2, len(ks), len(pots)), dtype=int) if name == "real" else None
+    m, dm, err, n = edge._magnus_doubled(pots, lengths, ks, True, zeros)
     assert np.all(err <= 1e-10)
-    for i, k in enumerate(ks):
-        m1, dm1, _, _ = edge._magnus_doubled(pot, 0.0, 1.0, [k], True)
-        for got, want in ((m[..., i], m1[..., 0]), (dm[..., i], dm1[..., 0])):
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for (i, k), (e, pot) in itertools.product(enumerate(ks), enumerate(pots)):
+        z = None if zeros is None else np.empty((2, 1, 1), dtype=int)
+        m1, dm1, err1, n1 = edge._magnus_doubled([pot], [lengths[e]], [k], True, z)
+        assert np.array_equal(m[..., i, e], m1[..., 0, 0])
+        assert np.array_equal(dm[..., i, e], dm1[..., 0, 0])
+        assert (err[i, e], n[i, e]) == (err1[0, 0], n1[0, 0])
+        if zeros is not None:
+            assert zeros[:, i, e].tolist() == z[:, 0, 0].tolist()
 
 
 FOLD_POTENTIALS = ["cos(2*x)", "2*cos(3*x)", "x", "-3*cos(2*x)", "5*x*(1-x)", "50*cos(20*x)"]
@@ -308,19 +330,27 @@ FOLD_KS = np.array(
 )
 
 
+def one_edge_magnus(expr, length, n, ks):
+    """The Magnus kernel's first arguments for n steps on one edge of
+    ``expr`` at every k of ``ks``: its samples, step length, rows and ks."""
+    w = interval(length, _smooth(expr)).edges[0].potential.callable(length)
+    h = length / n
+    w1, w2 = edge._gauss_values(w, h * np.arange(n), h)
+    return (w1[None], w2[None]), np.array([h]), np.zeros(len(ks), dtype=int), ks
+
+
 @pytest.mark.parametrize("expr", FOLD_POTENTIALS)
 def test_pair_fold_equals_block_fold(expr):
     # folding E and E' as a pair gives the 4x4 block fold's M and M' bit for
     # bit, also past _POINT_STEPS, where the steps are folded in pieces
-    w = interval(1.0, _smooth(expr)).edges[0].potential.callable(1.0)
     for n in (64, 4 * edge._POINT_STEPS):
-        h = 1.0 / n
-        w1, w2 = edge._gauss_values(w, 0.0 + h * np.arange(n), h)
+        args = one_edge_magnus(expr, 1.0, n, FOLD_KS)
+        ((w1,), (w2,)), (h,) = args[:2]
         want_m, want_dm = block_fold(*edge._steps(w1, w2, h, FOLD_KS, True))
-        m, dm = edge._magnus(w, 0.0, 1.0, FOLD_KS, n, True)
+        m, dm = edge._magnus(*args, True)
         assert np.array_equal(m, want_m)
         assert np.array_equal(dm, want_dm)
-        m, dm = edge._magnus(w, 0.0, 1.0, FOLD_KS, n, False)
+        m, dm = edge._magnus(*args, False)
         assert np.array_equal(m, want_m)
         assert dm is None
 
@@ -328,14 +358,13 @@ def test_pair_fold_equals_block_fold(expr):
 def test_derivative_fold_heap_stays_near_the_m_only_heap():
     # E' adds one array of E's size to the steps and one product per level;
     # 4x4 blocks [[E, E'], [0, E]] took about three times the M-only heap
-    w = interval(1.0, _smooth("2*cos(3*x)")).edges[0].potential.callable(1.0)
-    ks = np.array([4.7 + 0j])
+    args = one_edge_magnus("2*cos(3*x)", 1.0, edge._POINT_STEPS, np.array([4.7 + 0j]))
     peaks = []
     for want_dk in (False, True):
-        edge._magnus(w, 0.0, 1.0, ks, edge._POINT_STEPS, want_dk)
+        edge._magnus(*args, want_dk)
         tracemalloc.start()
         try:
-            edge._magnus(w, 0.0, 1.0, ks, edge._POINT_STEPS, want_dk)
+            edge._magnus(*args, want_dk)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -372,6 +401,40 @@ def test_t_eigenvalues_are_closed_form(name):
         if complex(k).imag:
             (mod,) = edge._max_moduli(g, 0, np.array([complex(k)]))
             assert verify_subunitary(g, 0, k.real, k.imag) == (edge._subunitary(mod), mod)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(3.0, math.nan)])
+@pytest.mark.parametrize("name", sorted(EIGENVALUE_EDGES))
+def test_edge_layer_refuses_non_finite_input(name, bad):
+    # a k or a position that is not finite is refused on every edge kind,
+    # before it can give a NaN M or double a smooth edge to 2^15 steps
+    g = interval(*EIGENVALUE_EDGES[name])
+    calls = [
+        lambda: solve_edge(g, 0, bad),
+        lambda: solve_edge(g, 0, bad, want_dk=True, reverse=True),
+        lambda: transition_matrix(g, 0, bad),
+        lambda: edge._solve_edges(g, np.array([3.0, bad])),
+        lambda: edge_profile(g, 0, bad, [0.0, 0.5]),
+        lambda: edge_profile(g, 0, 3.0, [0.0, abs(bad)]),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="finite"):
+            call()
+
+
+def test_sample_table_is_released_with_its_graph():
+    # the smooth edges' Gauss samples, 2 n values per edge and step count,
+    # are drawn once per graph and dropped with it
+    g = star([(1.0, _smooth("cos(2*x)")), (0.7, ZERO), (1.3, _smooth("x"))])
+    edge._solve_edges(g, np.array([4.7, 9.5]))
+    samples = edge._edge_table(g)[3]
+    assert samples and all(w.shape == (2, n) for n, pair in samples.items() for w in pair)
+    ref = weakref.ref(samples[edge._MIN_STEPS][0])
+    edge._solve_edges(g, np.array([4.7, 9.5]))
+    assert samples[edge._MIN_STEPS][0] is ref()
+    del g, samples
+    gc.collect()
+    assert ref() is None
 
 
 def test_verify_subunitary_raises_at_a_pole_of_t():
@@ -431,7 +494,7 @@ def test_solution_zeros_match_an_ode_count(name):
     if pot["type"] == "expr":
         for n in (64, 4096):
             z = np.empty((2, 1), dtype=int)
-            edge._magnus(g.edges[0].potential.callable(length), 0.0, length, ks[-1:], n, False, z)
+            edge._magnus(*one_edge_magnus(pot["expr"], length, n, ks[-1:]), False, z)
             assert z[:, 0].tolist() == list(want[-1])
 
 

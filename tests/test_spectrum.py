@@ -45,6 +45,7 @@ def test_config_defaults():
     assert fields == ["root_tol", "workers"]
     assert c.root_tol == 1e-9
     assert c.workers == 1
+    assert ScanConfig(workers=np.int64(2)).workers == 2
 
 
 @pytest.mark.parametrize(
@@ -55,6 +56,9 @@ def test_config_defaults():
         {"root_tol": math.nan},
         {"root_tol": math.inf},
         {"workers": 0},
+        {"workers": "2"},
+        {"workers": 2.5},
+        {"workers": None},
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -436,6 +440,17 @@ def test_threshold_work_is_bounded(magnus_calls, threshold_points):
     assert subunitarity_threshold(star(SMOOTH_ARMS)) == 1.0
     assert len(magnus_calls) <= 100
     assert len(threshold_points) == len(set(threshold_points)) == 384
+
+
+def test_smooth_scan_propagates_its_arms_together(magnus_steps, gauss_samplings):
+    # the smooth-scan star on [4.4, 5.0]: every edge solve step-doubles the
+    # three arms in one batch, and each arm is sampled once per step count
+    # (64 to 512) for the whole scan
+    res = scan_spectrum(star(SMOOTH_ARMS), 4.4, 5.0)
+    assert len(res.roots) == 2
+    assert len(magnus_steps) <= 44
+    assert sum(n * rows for n, rows in magnus_steps) == 38976
+    assert len(gauss_samplings) <= 12
 
 
 @pytest.mark.parametrize("name", ["g_interval_pi", "g_star3_eq", "g_delta_star"])
