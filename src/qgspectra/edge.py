@@ -14,15 +14,16 @@ quantity below is a closed form in them.  M is built per kind:
   free(x0), i.e. free(L) plus the rank-one term D [s2; c2] (x) [c1, s1];
   with D = 0 this is the free factor, so one closed form, evaluated
   elementwise over arrays of k and edge parameters, serves all three kinds;
-- smooth w: a 4th-order Magnus propagator on 2-point Gauss-Legendre nodes
-  (Iserles & Norsett 1999; Blanes, Casas, Oteo & Ros 2009).  Each step is
-  the exponential of a traceless 2x2 generator, so M is unimodular and the
-  Wronskian 2ik is exact by construction.  The step count is doubled from
-  64 until two successive M agree to 1e-10; that last difference is the
-  solution's ``error_estimate`` (0 for the closed forms).  The propagator
-  takes rows of (edge, k): each edge is sampled once per step count, and
-  each row keeps the M of the first count at which it converged, so a
-  batch gives every row its one-point result.
+- smooth w: a 6th-order Magnus propagator on 3-point Gauss-Legendre nodes
+  1/2 -+ sqrt(15)/10 and 1/2 (Iserles & Norsett 1999; Blanes, Casas & Ros
+  2000).  Each step is the exponential of a traceless 2x2 generator, one
+  cos and one sin, so M is unimodular and the Wronskian 2ik is exact by
+  construction.  The step count is doubled from 64 until two successive M
+  agree to 1e-10; that last difference, the error of the coarser count's
+  M, is the solution's ``error_estimate`` (0 for the closed forms).  The
+  propagator takes rows of (edge, k): each edge is sampled once per step
+  count its rows reach, and each row keeps the M of the first count at
+  which it converged, so a batch gives every row its one-point result.
 
 ``_evaluate`` is the one evaluator of a single potential: M, M' and the
 error estimate at a wavenumber or an array of them, by the closed form or
@@ -30,7 +31,8 @@ the propagator.  ``solve_edge`` is its one-point case, and the threshold
 scan reads t from it.  ``_solve_edges`` evaluates every edge of a graph at
 every k of an array, from per-graph arrays kept in a weak-keyed table: the
 closed-form edges together over (k, edge), in float64 at real k, and the
-smooth edges in one propagation, whose samples the table keeps; for the
+smooth edges in one propagation, whose samples the table keeps per edge
+and step count (the threshold scan reads and adds to them too); for the
 eigenvalue count, also the zeros of two solutions on each edge
 (``_zeros``), from the closed-form pieces or the propagator's own steps.
 
@@ -100,7 +102,7 @@ _MAX_STEPS = 1 << 15
 # points x steps a Magnus kernel builds and folds at once (128 KB of E),
 # and points x edges a scan sweeps in one call
 _POINT_STEPS = 1 << 11
-_GAUSS = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_GAUSS = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 
 
 @dataclasses.dataclass
@@ -238,69 +240,126 @@ def _segment(pot: Potential, a: float, b: float):
     return (pot.value if pot.kind == "constant" else 0.0), 0.0, b - a, 0.0
 
 
-def _steps(w1, w2, h, ks, want_dk: bool):
+def _generator(w1, w2, w3, h, k, alpha=None, gamma=None):
+    """Entries of the step generator Omega = [[alpha, beta], [gamma,
+    -alpha]] of steps with Gauss values w1, w2, w3 and lengths h at
+    wavenumbers k (broadcast), alpha and gamma written into the arrays given
+    for them.  Returns alpha, beta, gamma and the k-free factors ``da`` and
+    ``dg`` of d(alpha)/dk = -2k da and d(gamma)/dk = -2k dg; beta is free of
+    k.
+
+    With A(x) = [[0, 1], [w - k^2, 0]], g = w2 - k^2, a2 = (sqrt(15) h/3)
+    (w3 - w1) and a3 = (10 h/3)(w3 - 2 w2 + w1), the 6th-order Magnus
+    generator (Blanes, Casas & Ros 2000) is
+
+        alpha = -a2 h/12 + g a2 h^3/180
+        beta  = h - a3 h^2/180
+        gamma = g h + a3/12 + g a3 h^2/180 - a2^2 h/120
+
+    without its terms a2 a3 h^2/7200 in alpha, a2^2 h^3/3600 in beta and (g
+    a2^2 h^3 + a3^2 h)/3600 in gamma: they are O(h^7) per step, so dropping
+    them keeps the order, and they are odd in h, so it keeps the time
+    symmetry.
+    """
+    a2 = (math.sqrt(15.0) / 3.0) * h * (w3 - w1)
+    a3 = w3 + w1
+    a3 -= 2.0 * w2
+    a3 *= (10.0 / 3.0) * h
+    h2 = h * h / 180.0
+    da = a2 * h
+    gamma = np.subtract(w2, k * k, out=gamma)
+    alpha = np.multiply(gamma, h2, out=alpha)
+    alpha -= 1.0 / 12.0
+    alpha *= da
+    da *= h2
+    dg = a3 * h2
+    beta = h - dg
+    dg += h
+    gamma *= dg
+    a3 /= 12.0
+    a3 -= a2 * a2 * (h / 120.0)
+    gamma += a3
+    return alpha, beta, gamma, da, dg
+
+
+def _steps(w1, w2, w3, h, ks, want_dk: bool):
     """Magnus step matrices E at every k of ``ks``, shape (2, 2, P, n), and
     E' = dE/dk of the same shape when ``want_dk`` (else None).
 
-    The n steps have Gauss values w1, w2 (steps along the last axis) and
-    lengths h: a scalar, one per step or a column of one per k.  With
-    A(x) = [[0, 1], [w - k^2, 0]] the step generator is
-    Omega = h (A1 + A2)/2 + (sqrt(3) h^2/12) [A2, A1]
-    = [[alpha, h], [gamma, -alpha]]; the commutator term is
-    alpha diag(1, -1) with alpha = (sqrt(3) h^2/12)(w1 - w2), free of k.
-    Omega^2 = -nu^2 I, so exp(Omega) = cos(nu) I + (sin(nu)/nu) Omega.
+    The n steps have Gauss values w1, w2, w3 (steps along the last axis) and
+    lengths h: a scalar, one per step or a column of one per k.  Each step
+    is the exponential of its 6th-order generator Omega = [[alpha, beta],
+    [gamma, -alpha]] (``_generator``), which is traceless, so Omega^2 =
+    -nu^2 I with nu^2 = -(alpha^2 + beta gamma), and exp(Omega) = cos(nu) I
+    + (sin(nu)/nu) Omega: one cos and one sin per step.  A step is off by
+    O(h^7), so M after n steps is off by O(n^-6): doubling n cuts the error
+    about 64 times, and the difference of M at n/2 and n steps that the
+    step doubling reports as ``error_estimate`` is the error of the M at
+    n/2, about 64 times that of the M at n it keeps.
     """
     k = ks[:, None]
-    alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
     steps = np.empty((2, 2, len(ks), w1.shape[-1]), dtype=complex)
     dsteps = np.empty_like(steps) if want_dk else None
-    # Each (P, n) value is built in a slot that is free at that point: gamma
-    # in E[1, 0], nu^2 and nu in E[0, 1] (nu^2 in E'[1, 1] when the
-    # derivative needs it), cos(nu) in E[0, 0], sin(nu)/nu in E[1, 1].  With
-    # one (P, n) temporary the heap a call takes stays small enough that
-    # freeing it returns no memory to the system, which the next call would
-    # fault in again.  Operands keep the order of the closed-form
-    # expressions, so the rounding is theirs.
-    gamma, c, s = steps[1, 0], steps[0, 0], steps[1, 1]
-    np.subtract(0.5 * (w1 + w2), k * k, out=gamma)
-    np.multiply(h, gamma, out=gamma)
-    z = np.multiply(h, gamma, out=dsteps[1, 1] if want_dk else steps[0, 1])
-    z += alpha * alpha
+    # Each (P, n) value is built in a slot that is free at that point: alpha
+    # in E[0, 1], gamma in E[1, 0], nu^2 in E[1, 1] (E'[1, 1] when the
+    # derivative needs it), nu and then cos(nu) in E[0, 0], sin(nu)/nu in
+    # E[1, 1].  With one complex (P, n) temporary the heap a call takes
+    # stays small enough that freeing it returns no memory to the system,
+    # which the next call would fault in again.
+    alpha, gamma, c, s = steps[0, 1], steps[1, 0], steps[0, 0], steps[1, 1]
+    _, beta, _, da, dg = _generator(w1, w2, w3, h, k, alpha, gamma)
+    z = dsteps[1, 1] if want_dk else s
+    np.multiply(alpha, alpha, out=z)
+    np.multiply(beta, gamma, out=c)
+    z += c
     np.negative(z, out=z)  # nu^2
-    nu = np.add(z, 0j, out=steps[0, 1])
-    np.sqrt(nu, out=nu)
-    np.cos(nu, out=c)
-    # sin(nu)/nu as np.sinc(nu / pi) computes it
-    nu /= np.pi
-    np.multiply(np.pi, nu, out=nu)
+    nu = np.sqrt(z, out=c)
     nu[nu == 0] = 1e-20
     np.sin(nu, out=s)
     s /= nu
+    np.cos(nu, out=c)
     if want_dk:
-        # d(nu^2)/dk = 2 h^2 k, d/dk Omega = [[0, 0], [-2kh, 0]]
-        dz = 2.0 * h * h * k
+        # d(nu^2)/dk = 2k (2 alpha da + beta dg); with dc = -s/2 d(nu^2) and
+        # ds = (cos(nu) - sin(nu)/nu) / (2 nu^2) d(nu^2) the derivative of
+        # cos(nu) I + (sin(nu)/nu) Omega is dc I + ds Omega + s dOmega/dk
+        d00, d01, d10, d11 = dsteps[0, 0], dsteps[0, 1], dsteps[1, 0], dsteps[1, 1]
         small = np.abs(z) < 0.1
-        zz = np.where(small, 1.0, z)
-        g = np.where(  # (cos(nu) - sin(nu)/nu) / (2 nu^2)
-            small,
-            -1 / 6 + z / 60 - z**2 / 1680 + z**3 / 90720 - z**4 / 7983360,
-            (c - s) / (2.0 * zz),
-        )
-        dc, ds = -0.5 * s * dz, g * dz
-        dsteps[0, 0] = dc + ds * alpha
-        dsteps[0, 1] = ds * h
-        dsteps[1, 0] = ds * gamma - 2.0 * k * h * s
-        dsteps[1, 1] = dc - ds * alpha
-    np.multiply(s, h, out=steps[0, 1])
-    np.multiply(s, gamma, out=gamma)
+        zs = z[small]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.subtract(c, s, out=d00)
+            d00 /= 2.0 * z
+        d00[small] = -1 / 6 + zs / 60 - zs**2 / 1680 + zs**3 / 90720 - zs**4 / 7983360
+        np.multiply(alpha, 2.0 * da, out=d01)
+        d01 += beta * dg
+        d01 *= 2.0 * k  # d(nu^2)/dk
+        d00 *= d01  # ds
+        np.multiply(s, d01, out=d11)
+        d11 *= -0.5  # dc
+        np.multiply(d00, beta, out=d01)
+        np.multiply(d00, gamma, out=d10)
+        d00 *= alpha
+        # s dgamma/dk and s dalpha/dk, each product written into its own
+        # array: numpy may compute a complex product in place of a large
+        # temporary operand, with a rounding of its own
+        t = np.multiply(s, dg)
+        t *= 2.0 * k
+        d10 -= t
+        np.multiply(s, da, out=t)
+        t *= 2.0 * k
+        d00 -= t  # ds alpha + s dalpha/dk
+        np.subtract(d11, d00, out=t)
+        d00 += d11
+        d11[...] = t
     sa = s * alpha
+    np.multiply(s, beta, out=steps[0, 1])
+    np.multiply(s, gamma, out=gamma)
     np.subtract(c, sa, out=s)
     c += sa
     return steps, dsteps
 
 
 def _gauss_values(w, left, h):
-    return w(left + _GAUSS[0] * h), w(left + _GAUSS[1] * h)
+    return tuple(w(left + node * h) for node in _GAUSS)
 
 
 def _prefix(steps):
@@ -317,24 +376,26 @@ def _prefix(steps):
     return run
 
 
-def _zeros(ends, nu, alpha, h):
+def _zeros(ends, nu, alpha, beta):
     """Zeros in (0, L] of the solutions that leave x = 0 as (psi, psi') =
     (1, 0) and (0, 1), an integer array (2, ...).  ``ends`` (2, 2, ..., n +
     1) is the fundamental matrix at x = 0 and at the end of each segment of
-    the edge, the last its M.  A solution is R sin(theta + s nu), s in [0,
-    1], on a segment of phase nu (q h in closed form; nu^2 = h^2 (k^2 - w)
-    - alpha^2 on a Magnus step; 0 where it holds at most one zero), with
-    theta = atan2(nu psi, alpha psi + h psi') at its start, so it has
-    floor((theta + nu) / pi) zeros there: the count of the parity of the
-    sign change of psi nearest to that value.  The parity comes from the
-    end values, a zero value taking the sign psi has just after it, so the
-    rounding of theta cannot move a zero across an end, and one at x = L is
-    counted exactly when M says so."""
+    the edge, the last its M.  On a segment whose propagator is exp(s
+    Omega), s in [0, 1], with Omega = [[alpha, beta], [gamma, -alpha]] real
+    and Omega^2 = -nu^2 I (alpha = 0, beta = h and nu = q h in closed form;
+    a Magnus step's generator, ``_generator``; nu = 0 where the segment
+    holds at most one zero), a solution is R sin(theta + s nu) with theta =
+    atan2(nu psi, alpha psi + beta psi') at its start, so it has floor((theta
+    + nu) / pi) zeros there: the count of the parity of the sign change of
+    psi nearest to that value.  The parity comes from the end values, a zero
+    value taking the sign psi has just after it, so the rounding of theta
+    cannot move a zero across an end, and one at x = L is counted exactly
+    when M says so."""
     psi, dpsi = ends[0], ends[1]
     neg = (psi < 0) | ((psi == 0) & (dpsi < 0))
     change = neg[..., 1:] != neg[..., :-1]
     a, da = psi[..., :-1], dpsi[..., :-1]
-    theta = np.mod(np.arctan2(nu * a, alpha * a + h * da), np.pi)
+    theta = np.mod(np.arctan2(nu * a, alpha * a + beta * da), np.pi)
     z = np.where(nu > 0, (theta + nu) / np.pi - 0.5, change)
     return (2 * np.round(0.5 * (z - change)) + change).sum(axis=-1).astype(int)
 
@@ -383,20 +444,20 @@ def _fold(steps, dsteps=None, pieces: int = 1):
 
 
 def _magnus(samples, hs, edges, ks, want_dk: bool, zeros=None):
-    """M (and M', else None) from n equal 4th-order Magnus steps per row, row
+    """M (and M', else None) from n equal 6th-order Magnus steps per row, row
     i being edge ``edges[i]`` at ``ks[i]``: arrays (2, 2, P).  The edges'
-    steps have lengths ``hs`` and Gauss values ``samples`` (W1, W2), each
-    (edges, n).  Steps are built and folded _POINT_STEPS row-steps at a
+    steps have lengths ``hs`` and Gauss values ``samples`` (W1, W2, W3),
+    each (edges, n).  Steps are built and folded _POINT_STEPS row-steps at a
     time, which bounds the memory, and the pieces' products folded in turn.
 
     Given an integer array (2, P), ``zeros`` receives the ``_zeros`` of each
     real k, from the running products of the fold level of spans 2^f h
     with 2^f h sqrt(k^2 - min w) < pi / 2 on every row of a block (h and w
-    its edge's), on which no solution has two zeros (Sturm comparison), or
-    else of the steps themselves."""
-    W1, W2 = samples
-    n = W1.shape[-1]
-    wmin = np.minimum(W1.min(axis=-1), W2.min(axis=-1))
+    its edge's, the minimum over all three nodes), on which no solution has
+    two zeros (Sturm comparison), or else of the steps themselves."""
+    n = samples[0].shape[-1]
+    if zeros is not None:
+        wmin = np.min([w.min(axis=-1) for w in samples], axis=0)
     piece = min(n, _POINT_STEPS)
     chunk = _POINT_STEPS // piece
     m = np.empty((2, 2, len(ks)), dtype=complex)
@@ -412,7 +473,8 @@ def _magnus(samples, hs, edges, ks, want_dk: bool, zeros=None):
             while size < piece and 2 * size * reach < 0.5 * math.pi:
                 size *= 2
         for j in range(0, n, piece):
-            e = _steps(W1[rows, j : j + piece], W2[rows, j : j + piece], h, pks, want_dk)
+            w = (x[rows, j : j + piece] for x in samples)
+            e = _steps(*w, h, pks, want_dk)
             if zeros is not None:
                 e = _fold(*e, pieces=piece // size)
                 run = np.concatenate([ends[-1][..., -1:], e[0].real], axis=-1)
@@ -428,27 +490,29 @@ def _magnus(samples, hs, edges, ks, want_dk: bool, zeros=None):
             ends = np.concatenate(ends, axis=-1)
             ends[..., -1] = e[..., 0].real
             nu = alpha = 0.0
+            beta = h
             if size == 1:
-                w1, w2 = W1[rows], W2[rows]
-                alpha = (math.sqrt(3.0) / 12.0) * h * h * (w1 - w2)
-                nu2 = h * h * (pks.real[:, None] ** 2 - 0.5 * (w1 + w2)) - alpha * alpha
-                nu = np.sqrt(np.maximum(nu2, 0.0))
-            zeros[:, lo : lo + chunk] = _zeros(ends, nu, alpha, h)
+                w = [x[rows] for x in samples]
+                alpha, beta, gamma, _, _ = _generator(*w, h, pks.real[:, None])
+                nu = np.sqrt(np.maximum(-(alpha * alpha + beta * gamma), 0.0))
+            zeros[:, lo : lo + chunk] = _zeros(ends, nu, alpha, beta)
     return m, dm
 
 
-def _magnus_doubled(pots, lengths, ks, want_dk: bool, zeros=None, table=None):
+def _magnus_doubled(pots, lengths, ks, want_dk: bool, zeros=None, tables=None):
     """Magnus M (and M') over [0, L] of every edge (oriented potentials
     ``pots`` on ``lengths``) at every k of ``ks``, in one propagation of the
     (k, edge) rows.  Each row doubles its step count from _MIN_STEPS until
     two successive M, with psi' scaled by 1/|k|, agree to _DEFAULT_TOL
     relative, and keeps the M of the first count that does, and its
-    ``_zeros`` in ``zeros`` (2, len(ks), edges) when that is given.  The
-    edges are sampled once per step count, and kept in ``table`` (step count
-    -> samples) when given.  Returns M, M' (or None), that last difference
-    and the step count, each shaped (..., len(ks), edges); a row unresolved
-    at _MAX_STEPS has error inf."""
-    table = {} if table is None else table
+    ``_zeros`` in ``zeros`` (2, len(ks), edges) when that is given.  An edge
+    is sampled once per step count its rows reach, and only at those, into
+    its dict of ``tables`` (step count -> Gauss samples (3, n)) when given.
+    Returns M, M' (or None), that last difference and the step count, each
+    shaped (..., len(ks), edges); a row unresolved at _MAX_STEPS has error
+    inf."""
+    tables = [{} for _ in pots] if tables is None else tables
+    lengths = np.asarray(lengths, dtype=float)
     shape = (len(ks), len(pots))
     edges = np.tile(np.arange(len(pots)), len(ks))
     ks = np.repeat(np.asarray(ks, dtype=complex), len(pots))
@@ -463,14 +527,18 @@ def _magnus_doubled(pots, lengths, ks, want_dk: bool, zeros=None, table=None):
     prev = None
     n = _MIN_STEPS
     while n <= _MAX_STEPS and active.size:
-        hs = np.divide(lengths, n)
-        if n not in table:
-            ws = [_gauss_values(p.callable(L), h * np.arange(n), h)
-                  for p, L, h in zip(pots, lengths, hs)]
-            table[n] = tuple(np.array(x) for x in zip(*ws))
+        # the edges with rows left, and each row's place among them
+        live = np.flatnonzero(np.bincount(edges[active], minlength=len(pots)))
+        rows = np.searchsorted(live, edges[active])
+        hs = lengths[live] / n
+        for e, h in zip(live.tolist(), hs):
+            if n not in tables[e]:
+                w = _gauss_values(pots[e].callable(lengths[e]), h * np.arange(n), h)
+                tables[e][n] = np.array(w)
+        samples = np.stack([tables[e][n] for e in live.tolist()], axis=1)
         # no row keeps the M of the first count, so its zeros are not needed
         z = None if zeros is None or prev is None else np.empty((2, active.size), int)
-        m, dm = _magnus(table[n], hs, edges[active], ks[active], want_dk, z)
+        m, dm = _magnus(samples, hs, rows, ks[active], want_dk, z)
         ms = m * scale[..., active]
         if prev is not None:
             err = np.max(np.abs(ms - prev), axis=(0, 1)) / np.maximum(
@@ -497,17 +565,19 @@ def _unresolved(pot: Potential, k: complex) -> NumericalError:
     )
 
 
-def _evaluate(pot: Potential, L: float, ks, want_dk: bool):
+def _evaluate(pot: Potential, L: float, ks, want_dk: bool, table=None):
     """M and M' (or None) over [0, L] of one oriented potential at ``ks``, a
     wavenumber or an array of them, as row-major 4-tuples of arrays shaped
     like ``ks``, and the error estimate per point: closed-form kinds exactly
     (error 0), a smooth potential by the step-doubled Magnus propagator,
-    whose unresolved points have error inf."""
+    whose unresolved points have error inf, from the Gauss samples of
+    ``table`` (step count -> samples) when given."""
     shape = np.shape(ks)
     if pot.kind != "smooth":
         m, dm = _closed(ks, *_segment(pot, 0.0, L), want_dk)
         return m, dm, np.zeros(shape)
-    m, dm, err, _ = _magnus_doubled([pot], [L], np.ravel(ks), want_dk)
+    tables = None if table is None else [table]
+    m, dm, err, _ = _magnus_doubled([pot], [L], np.ravel(ks), want_dk, None, tables)
     m, dm = (None if x is None else x.reshape((4,) + shape) for x in (m, dm))
     return m, dm, err.reshape(shape)
 
@@ -546,7 +616,8 @@ def solve_edge(
 
 
 # closed-form arguments (c, D, x1, x2) of every edge (placeholders on smooth
-# edges), the lengths, the smooth edges and their Gauss samples by step count
+# edges), the lengths, the smooth edges and, per smooth edge, its Gauss
+# samples by step count
 _EDGE_TABLES: "weakref.WeakKeyDictionary[MetricGraph, tuple]" = (
     weakref.WeakKeyDictionary()
 )
@@ -564,7 +635,7 @@ def _edge_table(g: MetricGraph):
         closed = tuple(np.array(col) for col in zip(*rows))
         lengths = np.array([e.length for e in g.edges])
         smooth = [e.index for e in g.edges if e.potential.kind == "smooth"]
-        table = _EDGE_TABLES[g] = (closed, lengths, smooth, {})
+        table = _EDGE_TABLES[g] = (closed, lengths, smooth, {e: {} for e in smooth})
     return table
 
 
@@ -593,7 +664,7 @@ def _solve_edges(
         pots = [g.edges[e].potential for e in smooth]
         z = None if zeros is None else zeros[:, :, smooth]
         me, dme, err[:, smooth], _ = _magnus_doubled(
-            pots, lengths[smooth], ks, want_dk, z, samples
+            pots, lengths[smooth], ks, want_dk, z, [samples[e] for e in smooth]
         )
         m[:, :, smooth] = me.reshape(4, len(ks), -1)
         if want_dk:
@@ -638,8 +709,8 @@ def edge_profile(
             raise _unresolved(pot, k)
         grid = np.union1d(np.linspace(0.0, L, n.item() + 1), grid)
         h = np.diff(grid)
-        w1, w2 = _gauss_values(pot.callable(L), grid[:-1], h)
-        steps = _steps(w1, w2, h, np.array([k]), False)[0][:, :, 0]
+        w = _gauss_values(pot.callable(L), grid[:-1], h)
+        steps = _steps(*w, h, np.array([k]), False)[0][:, :, 0]
     else:
         bounds = grid.tolist()
         pieces = [_segment(pot, a, b) for a, b in zip(bounds, bounds[1:])]
@@ -788,10 +859,12 @@ def _subunitary(r) -> bool:
 
 def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
     """Per complex k of ``ks``: the largest eigenvalue modulus of t on edge
-    ``e``, or the error ``verify_subunitary`` raises there."""
+    ``e``, or the error ``verify_subunitary`` raises there.  A smooth edge
+    reads its Gauss samples from the graph's table (the edge is not
+    reversed), and adds to it the step counts it reaches first."""
     edge = g.edges[e]
     pot, L = edge.potential, edge.length
-    m, _, err = _evaluate(pot, L, ks, False)
+    m, _, err = _evaluate(pot, L, ks, False, _edge_table(g)[3].get(e))
     resolved = err <= _DEFAULT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         t, _, singular = _t_entries(EdgeSolution(ks, L, m))

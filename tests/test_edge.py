@@ -335,8 +335,8 @@ def one_edge_magnus(expr, length, n, ks):
     ``expr`` at every k of ``ks``: its samples, step length, rows and ks."""
     w = interval(length, _smooth(expr)).edges[0].potential.callable(length)
     h = length / n
-    w1, w2 = edge._gauss_values(w, h * np.arange(n), h)
-    return (w1[None], w2[None]), np.array([h]), np.zeros(len(ks), dtype=int), ks
+    samples = tuple(x[None] for x in edge._gauss_values(w, h * np.arange(n), h))
+    return samples, np.array([h]), np.zeros(len(ks), dtype=int), ks
 
 
 @pytest.mark.parametrize("expr", FOLD_POTENTIALS)
@@ -345,14 +345,29 @@ def test_pair_fold_equals_block_fold(expr):
     # bit, also past _POINT_STEPS, where the steps are folded in pieces
     for n in (64, 4 * edge._POINT_STEPS):
         args = one_edge_magnus(expr, 1.0, n, FOLD_KS)
-        ((w1,), (w2,)), (h,) = args[:2]
-        want_m, want_dm = block_fold(*edge._steps(w1, w2, h, FOLD_KS, True))
+        ((w1,), (w2,), (w3,)), (h,) = args[:2]
+        want_m, want_dm = block_fold(*edge._steps(w1, w2, w3, h, FOLD_KS, True))
         m, dm = edge._magnus(*args, True)
         assert np.array_equal(m, want_m)
         assert np.array_equal(dm, want_dm)
         m, dm = edge._magnus(*args, False)
         assert np.array_equal(m, want_m)
         assert dm is None
+
+
+def test_magnus_step_is_sixth_order():
+    # the kernel's M and M' on cos(4x) at 32, 64 and 128 steps against 2^14
+    # steps: a 6th-order step cuts the error 2^6 = 64 times per doubling (at
+    # least 40 here), where a 4th-order step cuts it 16 times and a step
+    # that drops one power of h from a commutator term 8 times
+    ks = np.array([5.0 + 0j, 50.0 + 0j])
+
+    def propagate(n):
+        return np.array(edge._magnus(*one_edge_magnus("cos(4*x)", 1.0, n, ks), True))
+
+    ref = propagate(1 << 14)
+    errs = np.array([np.max(np.abs(propagate(n) - ref), axis=(1, 2)) for n in (32, 64, 128)])
+    assert np.all(errs[:-1] >= 40.0 * errs[1:])
 
 
 def test_derivative_fold_heap_stays_near_the_m_only_heap():
@@ -423,18 +438,49 @@ def test_edge_layer_refuses_non_finite_input(name, bad):
 
 
 def test_sample_table_is_released_with_its_graph():
-    # the smooth edges' Gauss samples, 2 n values per edge and step count,
+    # the smooth edges' Gauss samples, 3 n values per edge and step count,
     # are drawn once per graph and dropped with it
     g = star([(1.0, _smooth("cos(2*x)")), (0.7, ZERO), (1.3, _smooth("x"))])
     edge._solve_edges(g, np.array([4.7, 9.5]))
     samples = edge._edge_table(g)[3]
-    assert samples and all(w.shape == (2, n) for n, pair in samples.items() for w in pair)
-    ref = weakref.ref(samples[edge._MIN_STEPS][0])
+    assert sorted(samples) == [0, 2] and all(samples.values())
+    assert all(w.shape == (3, n) for counts in samples.values() for n, w in counts.items())
+    ref = weakref.ref(samples[0][edge._MIN_STEPS])
     edge._solve_edges(g, np.array([4.7, 9.5]))
-    assert samples[edge._MIN_STEPS][0] is ref()
+    assert samples[0][edge._MIN_STEPS] is ref()
     del g, samples
     gc.collect()
     assert ref() is None
+
+
+def test_each_edge_is_sampled_at_its_own_step_counts(gauss_samplings):
+    # the cos(1000000 x) arm is unresolved at every count; the other arms
+    # are sampled only at the counts their own rows reach, once each
+    arms = ["cos(2*x)", "cos(1000000*x)", "cos(3*x)"]
+    g = star([(1.0, _smooth(expr)) for expr in arms])
+    message = (
+        r"Magnus propagator unresolved at 32768 steps for 'cos\(1000000\*x\)' "
+        r"at k=\(4\.7\+0j\)"
+    )
+    with pytest.raises(NumericalError, match=message):
+        edge._solve_edges(g, np.array([4.7]))
+    samples = edge._edge_table(g)[3]
+    assert sorted(gauss_samplings) == sorted(n for counts in samples.values() for n in counts)
+    assert max(samples[1]) == edge._MAX_STEPS
+    for e in (0, 2):
+        _, _, err, n = edge._magnus_doubled([g.edges[e].potential], [1.0], [4.7], False)
+        assert err.item() <= 1e-10
+        assert max(samples[e]) == n.item()
+
+
+def test_threshold_reads_the_graph_sample_table(gauss_samplings):
+    # the threshold walk and a later solve of the same graph share its
+    # samples: each (edge, step count) is sampled once, and K is unchanged
+    g = star(THRESHOLD_PANEL["cos234"])
+    assert subunitarity_threshold(g) == 1.0
+    edge._solve_edges(g, np.array([4.7, 9.5, 40.0]))
+    samples = edge._edge_table(g)[3]
+    assert sorted(gauss_samplings) == sorted(n for counts in samples.values() for n in counts)
 
 
 def test_verify_subunitary_raises_at_a_pole_of_t():
