@@ -25,16 +25,16 @@ quantity below is a closed form in them.  M is built per kind:
   count its rows reach, and each row keeps the M of the first count at
   which it converged, so a batch gives every row its one-point result.
 
-``_evaluate`` is the one evaluator of a single potential: M, M' and the
-error estimate at a wavenumber or an array of them, by the closed form or
-the propagator.  ``solve_edge`` is its one-point case, and the threshold
-scan reads t from it.  ``_solve_edges`` evaluates every edge of a graph at
-every k of an array, from per-graph arrays kept in a weak-keyed table: the
-closed-form edges together over (k, edge), in float64 at real k, and the
-smooth edges in one propagation, whose samples the table keeps per edge
-and step count (the threshold scan reads and adds to them too); for the
-eigenvalue count, also the zeros of two solutions on each edge
-(``_zeros``), from the closed-form pieces or the propagator's own steps.
+``_evaluate`` is the one evaluator: M, M' and the error estimate of some
+or all edges of a graph at every k of an array and, for the eigenvalue
+count, the zeros of two solutions on each edge (``_zeros``), from per-graph
+arrays kept in a weak-keyed table.  The closed-form edges are evaluated
+together over (k, edge), in float64 at real k, and the smooth edges in one
+propagation, whose samples the table keeps per edge and step count.
+``_solve_edges`` is its all-edges case, ``solve_edge`` its one-point case,
+and the threshold scan reads t from it one edge at a time; ``edge_profile``
+finds its step count from the same samples.  So every solve of a graph's
+edges samples a smooth potential once per step count.
 
 M determines the 2x2 transition matrix
 
@@ -81,7 +81,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, SingularPointError
 from .graph import MetricGraph
-from .potential import Potential, orient
+from .potential import Potential
 
 __all__ = [
     "EdgeSolution",
@@ -499,19 +499,19 @@ def _magnus(samples, hs, edges, ks, want_dk: bool, zeros=None):
     return m, dm
 
 
-def _magnus_doubled(pots, lengths, ks, want_dk: bool, zeros=None, tables=None):
+def _magnus_doubled(pots, lengths, ks, want_dk: bool, zeros, tables):
     """Magnus M (and M') over [0, L] of every edge (oriented potentials
     ``pots`` on ``lengths``) at every k of ``ks``, in one propagation of the
     (k, edge) rows.  Each row doubles its step count from _MIN_STEPS until
     two successive M, with psi' scaled by 1/|k|, agree to _DEFAULT_TOL
     relative, and keeps the M of the first count that does, and its
-    ``_zeros`` in ``zeros`` (2, len(ks), edges) when that is given.  An edge
+    ``_zeros`` in ``zeros`` (2, len(ks), edges) unless that is None.  An edge
     is sampled once per step count its rows reach, and only at those, into
-    its dict of ``tables`` (step count -> Gauss samples (3, n)) when given.
+    its dict of ``tables`` (step count -> Gauss samples (3, n)), where a
+    count already drawn is read.
     Returns M, M' (or None), that last difference and the step count, each
     shaped (..., len(ks), edges); a row unresolved at _MAX_STEPS has error
     inf."""
-    tables = [{} for _ in pots] if tables is None else tables
     lengths = np.asarray(lengths, dtype=float)
     shape = (len(ks), len(pots))
     edges = np.tile(np.arange(len(pots)), len(ks))
@@ -565,23 +565,6 @@ def _unresolved(pot: Potential, k: complex) -> NumericalError:
     )
 
 
-def _evaluate(pot: Potential, L: float, ks, want_dk: bool, table=None):
-    """M and M' (or None) over [0, L] of one oriented potential at ``ks``, a
-    wavenumber or an array of them, as row-major 4-tuples of arrays shaped
-    like ``ks``, and the error estimate per point: closed-form kinds exactly
-    (error 0), a smooth potential by the step-doubled Magnus propagator,
-    whose unresolved points have error inf, from the Gauss samples of
-    ``table`` (step count -> samples) when given."""
-    shape = np.shape(ks)
-    if pot.kind != "smooth":
-        m, dm = _closed(ks, *_segment(pot, 0.0, L), want_dk)
-        return m, dm, np.zeros(shape)
-    tables = None if table is None else [table]
-    m, dm, err, _ = _magnus_doubled([pot], [L], np.ravel(ks), want_dk, None, tables)
-    m, dm = (None if x is None else x.reshape((4,) + shape) for x in (m, dm))
-    return m, dm, err.reshape(shape)
-
-
 def _refuse_k(ks) -> None:
     """InputError unless every k of ``ks`` is finite and nonzero."""
     if np.any(ks == 0):
@@ -590,33 +573,8 @@ def _refuse_k(ks) -> None:
         raise InputError("k must be finite")
 
 
-def solve_edge(
-    g: MetricGraph,
-    e: int,
-    k: complex,
-    want_dk: bool = False,
-    reverse: bool = False,
-) -> EdgeSolution:
-    """The fundamental matrix M of edge ``e`` at ``k``.
-
-    ``reverse=True`` solves the direction-reversed edge (reflected
-    potential).  ``want_dk`` adds M' = dM/dk.  k must be finite and nonzero
-    (``_refuse_k``).
-    """
-    _refuse_k(k)
-    edge = g.edges[e]
-    L = edge.length
-    pot = orient(edge.potential, reverse, L)
-    k = complex(k)
-    m, dm, err = _evaluate(pot, L, k, want_dk)
-    if not err <= _DEFAULT_TOL:
-        raise _unresolved(pot, k)
-    m, dm = (None if x is None else tuple(complex(v) for v in x) for x in (m, dm))
-    return EdgeSolution(k, L, m, dm, float(err))
-
-
 # closed-form arguments (c, D, x1, x2) of every edge (placeholders on smooth
-# edges), the lengths, the smooth edges and, per smooth edge, its Gauss
+# edges), the lengths and, keyed by the smooth edges, each one's Gauss
 # samples by step count
 _EDGE_TABLES: "weakref.WeakKeyDictionary[MetricGraph, tuple]" = (
     weakref.WeakKeyDictionary()
@@ -634,67 +592,94 @@ def _edge_table(g: MetricGraph):
         ]
         closed = tuple(np.array(col) for col in zip(*rows))
         lengths = np.array([e.length for e in g.edges])
-        smooth = [e.index for e in g.edges if e.potential.kind == "smooth"]
-        table = _EDGE_TABLES[g] = (closed, lengths, smooth, {e: {} for e in smooth})
+        samples = {e.index: {} for e in g.edges if e.potential.kind == "smooth"}
+        table = _EDGE_TABLES[g] = (closed, lengths, samples)
     return table
+
+
+def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False):
+    """M and M' (or None) of the edges ``edges`` of ``g`` (an index of the
+    edge axis: a slice reads the graph's table without copying it) at every
+    k of the 1-D array ``ks``, as row-major 4-tuples or (4, ...) arrays, the
+    error estimate and, when ``want_count`` (real k only), the ``_zeros``
+    (2, ...) (else None), each shaped (..., len(ks), len(edges)).
+
+    Zero, constant and point-interaction edges are evaluated together in
+    closed form from the table's columns (error 0): in float64 at a real
+    ``ks``, whose M stays float64 where every edge is in closed form.  The
+    smooth edges go through one ``_magnus_doubled`` batch over their (k,
+    edge) rows, from the graph's samples, which gives each row its one-point
+    result.  An unresolved row does not raise: its error is inf."""
+    closed, lengths, samples = _edge_table(g)
+    columns = tuple(col[edges] for col in closed)
+    m, dm = _closed(ks[:, None], *columns, want_dk)
+    zeros = _closed_zeros(ks[:, None], *columns, m) if want_count else None
+    err = np.zeros((len(ks), len(columns[0])))
+    # the smooth edges among those chosen: their places and their indices
+    ids = np.arange(g.num_edges)[edges].tolist() if samples else []
+    at = [i for i, e in enumerate(ids) if e in samples]
+    live = [ids[i] for i in at]
+    if live:
+        m = np.array(m, dtype=complex)
+        dm = np.array(dm, dtype=complex) if want_dk else None
+        pots = [g.edges[e].potential for e in live]
+        z = None if zeros is None else zeros[:, :, at]
+        me, dme, err[:, at], _ = _magnus_doubled(
+            pots, lengths[live], ks, want_dk, z, [samples[e] for e in live]
+        )
+        m[:, :, at] = me.reshape(4, len(ks), -1)
+        if want_dk:
+            dm[:, :, at] = dme.reshape(4, len(ks), -1)
+        if z is not None:
+            zeros[:, :, at] = z
+    return m, dm, err, zeros
+
+
+def solve_edge(g: MetricGraph, e: int, k: complex, want_dk: bool = False) -> EdgeSolution:
+    """The fundamental matrix M of edge ``e`` at ``k``, and M' = dM/dk when
+    ``want_dk``: the one-point case of ``_evaluate``, which reads and adds
+    to the graph's samples.  k must be finite and nonzero (``_refuse_k``)."""
+    _refuse_k(k)
+    edge = g.edges[e]
+    k = complex(k)
+    m, dm, err, _ = _evaluate(g, np.array([k]), [e], want_dk)
+    if not err[0, 0] <= _DEFAULT_TOL:
+        raise _unresolved(edge.potential, k)
+    m, dm = (None if x is None else tuple(complex(v[0, 0]) for v in x) for x in (m, dm))
+    return EdgeSolution(k, edge.length, m, dm, float(err[0, 0]))
 
 
 def _solve_edges(
     g: MetricGraph, ks, want_dk: bool = False, want_count: bool = False
 ) -> EdgeSolution:
-    """M of every edge at every k of the 1-D array ``ks``: an
-    EdgeSolution whose fields are (len(ks), E) arrays, with the ``_zeros``
-    of every edge, (2, len(ks), E), when ``want_count`` (real k only).
-    Zero, constant and point-interaction edges are evaluated together in
-    closed form, the smooth edges by one Magnus propagation over their
-    (k, edge) rows, from the graph's samples, which gives each row its
-    one-point result.  A real ``ks`` stays float64, and so does M where
-    every edge is in closed form; a complex ``ks`` gives complex M.  An unresolved propagation
-    raises for the first such k, as ``solve_edge`` would there."""
+    """M of every edge at every k of the 1-D array ``ks``: an EdgeSolution
+    whose fields are (len(ks), E) arrays, with the ``_zeros`` of every edge,
+    (2, len(ks), E), when ``want_count`` (real k only), all from one call of
+    ``_evaluate``.  A real ``ks`` stays float64; a complex ``ks`` gives
+    complex M.  An unresolved propagation raises for the first such k in
+    (k, edge) order, as ``solve_edge`` would there."""
     ks = np.asarray(ks)
     ks = ks.astype(complex if np.iscomplexobj(ks) else float)
     _refuse_k(ks)
-    closed, lengths, smooth, samples = _edge_table(g)
-    m, dm = _closed(ks[:, None], *closed, want_dk)
-    zeros = _closed_zeros(ks[:, None], *closed, m) if want_count else None
-    err = np.zeros((len(ks), g.num_edges))
-    if smooth:
-        m = np.array(m, dtype=complex)
-        dm = np.array(dm, dtype=complex) if want_dk else None
-        pots = [g.edges[e].potential for e in smooth]
-        z = None if zeros is None else zeros[:, :, smooth]
-        me, dme, err[:, smooth], _ = _magnus_doubled(
-            pots, lengths[smooth], ks, want_dk, z, [samples[e] for e in smooth]
-        )
-        m[:, :, smooth] = me.reshape(4, len(ks), -1)
-        if want_dk:
-            dm[:, :, smooth] = dme.reshape(4, len(ks), -1)
-        if z is not None:
-            zeros[:, :, smooth] = z
-        unresolved = ~(err <= _DEFAULT_TOL)
-        if unresolved.any():
-            i, e = np.argwhere(unresolved)[0]
-            raise _unresolved(g.edges[e].potential, complex(ks[i]))
-    return EdgeSolution(ks[:, None], lengths, tuple(m), dm, err, zeros)
+    m, dm, err, zeros = _evaluate(g, ks, slice(None), want_dk, want_count)
+    resolved = err <= _DEFAULT_TOL
+    if not resolved.all():
+        i, e = np.argwhere(~resolved)[0]
+        raise _unresolved(g.edges[e].potential, complex(ks[i]))
+    return EdgeSolution(ks[:, None], _edge_table(g)[1], tuple(m), dm, err, zeros)
 
 
-def edge_profile(
-    g: MetricGraph,
-    e: int,
-    k: complex,
-    xs,
-    reverse: bool = False,
-) -> np.ndarray:
-    """psi_plus = m11 - ik m12, the solution that leaves x = 0 as (1, -ik),
-    sampled at increasing positions ``xs`` along edge ``e`` (x = 0 is the
-    "from" end; ``reverse=True`` flips the orientation), from the running
-    products of M along the edge (``_prefix``).  A smooth edge is swept once
-    at the step count its whole-edge M needs, with the requested positions
-    as extra breakpoints."""
+def edge_profile(g: MetricGraph, e: int, k: complex, xs) -> np.ndarray:
+    """psi_plus = m11 - ik m12, the solution that leaves x = 0 (the "from"
+    end) as (1, -ik), sampled at increasing positions ``xs`` along edge
+    ``e``, from the running products of M along the edge (``_prefix``).  A
+    smooth edge is swept once at the step count its whole-edge M needs, which
+    ``_magnus_doubled`` finds from the graph's samples, with the requested
+    positions as extra breakpoints; only that sweep samples the potential
+    anew."""
     _refuse_k(k)
     edge = g.edges[e]
-    L = edge.length
-    pot = orient(edge.potential, reverse, L)
+    L, pot = edge.length, edge.potential
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise InputError("xs must be a nonempty 1-D array")
@@ -703,8 +688,9 @@ def edge_profile(
     k = complex(k)
     xs = np.clip(xs, 0.0, L)
     grid = np.union1d(0.0, xs)
-    if pot.kind == "smooth":
-        _, _, err, n = _magnus_doubled([pot], [L], [k], False)
+    samples = _edge_table(g)[2]
+    if e in samples:
+        _, _, err, n = _magnus_doubled([pot], [L], [k], False, None, [samples[e]])
         if not err.item() <= _DEFAULT_TOL:
             raise _unresolved(pot, k)
         grid = np.union1d(np.linspace(0.0, L, n.item() + 1), grid)
@@ -859,18 +845,17 @@ def _subunitary(r) -> bool:
 
 def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
     """Per complex k of ``ks``: the largest eigenvalue modulus of t on edge
-    ``e``, or the error ``verify_subunitary`` raises there.  A smooth edge
-    reads its Gauss samples from the graph's table (the edge is not
-    reversed), and adds to it the step counts it reaches first."""
+    ``e``, or the error ``verify_subunitary`` raises there, from ``_evaluate``
+    at ``ks`` on that edge alone (so a smooth edge reads and adds to the
+    graph's samples)."""
     edge = g.edges[e]
-    pot, L = edge.potential, edge.length
-    m, _, err = _evaluate(pot, L, ks, False, _edge_table(g)[3].get(e))
-    resolved = err <= _DEFAULT_TOL
+    m, _, err, _ = _evaluate(g, ks, [e], False)
+    resolved = err[:, 0] <= _DEFAULT_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
-        t, _, singular = _t_entries(EdgeSolution(ks, L, m))
+        t, _, singular = _t_entries(EdgeSolution(ks, edge.length, tuple(x[:, 0] for x in m)))
         mods = np.maximum(*(np.abs(mu) for mu in _t_eigenvalues(*t)))
     return [
-        _unresolved(pot, k) if not r else _singular(k) if s else mod
+        _unresolved(edge.potential, k) if not r else _singular(k) if s else mod
         for k, mod, r, s in zip(ks.tolist(), mods.tolist(), resolved, singular)
     ]
 

@@ -2,8 +2,11 @@
 
 Two top-level families, mapped to CLI exit codes: InputError (bad graph
 descriptions, bad expressions, out-of-domain requests) exits 2,
-NumericalError (solver failures) exits 1.
+NumericalError (solver failures) exits 1.  ``_index`` is the check of an
+integer argument that raises InputError.
 """
+
+import operator
 
 __all__ = [
     "QgError",
@@ -46,3 +49,15 @@ class TurningPointError(InputError):
 
 class SingularPointError(NumericalError):
     """The transition-matrix parametrization is singular at this k."""
+
+
+def _index(value, least: int, message: str) -> int:
+    """``value`` as an int by ``operator.index``, which refuses 2.5, "2" and
+    None; InputError(message) unless it is an integer >= ``least``."""
+    try:
+        i = operator.index(value)
+    except TypeError:
+        raise InputError(message) from None
+    if i < least:
+        raise InputError(message)
+    return i

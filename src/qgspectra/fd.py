@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _index
 from .graph import MetricGraph
 
 __all__ = [
@@ -178,8 +178,7 @@ def fd_spectrum(
     second-order extrapolation (4 k_{h/2} - k_h) / 3 is returned, which
     cancels the leading h^2 error of the stencil.
     """
-    if count < 1:
-        raise InputError("count must be a positive integer")
+    count = _index(count, 1, "count must be a positive integer")
     disc = build_discretization(g, h)
     ks, neg = _eig_band(disc, count)
     if not richardson:

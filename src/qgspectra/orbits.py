@@ -38,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .edge import subunitarity_threshold
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _index
 from .graph import MetricGraph
 from .scattering import _theta_prime, assemble_S, assemble_T, big_sigma, theta_prime
 from .spectrum import K_FLOOR, ScanConfig, scan_spectrum
@@ -184,8 +184,7 @@ def enumerate_orbits(g: MetricGraph, n_max: int) -> List[PeriodicOrbit]:
     _PATH_BUDGET partial paths; exceeding it raises NumericalError, so a
     returned list is always complete.
     """
-    if n_max < 1:
-        raise InputError("n_max must be >= 1")
+    n_max = _index(n_max, 1, "n_max must be >= 1")
 
     table = _step_table(g)
     orbits: List[PeriodicOrbit] = []
@@ -272,9 +271,9 @@ def orbit_amplitude(p: PeriodicOrbit, g: MetricGraph, k: float) -> float:
     Vertex factors are k-independent; the edge factors carry all the
     k-dependence, so the step derivatives tau' are the entries of
     S' = Sigma T'."""
-    kthr = subunitarity_threshold(g)
-    if not complex(k).imag == 0.0:
+    if np.iscomplexobj(k):
         raise InputError("orbit amplitudes are defined for real k")
+    kthr = subunitarity_threshold(g)
     if k <= kthr:
         raise InputError(f"orbit amplitude requires k > threshold K={kthr:.6g}")
     T, dT = assemble_T(g, complex(k), want_dk=True)
@@ -286,8 +285,7 @@ def orbit_amplitude(p: PeriodicOrbit, g: MetricGraph, k: float) -> float:
 
 def orbit_sum_check(g: MetricGraph, k: float, n: int) -> float:
     """|sum over classes of n_primitive * prod tau  -  tr S^n| at real k."""
-    if n < 1:
-        raise InputError("n must be >= 1")
+    n = _index(n, 1, "n must be >= 1")
     orbits = enumerate_orbits(g, n)
     s = assemble_S(g, complex(k))
     rows = s.tolist()
@@ -389,8 +387,7 @@ def trace_check(
     the cost grows linearly in n_max.  The run aborts when the scan found
     fewer (or more) roots than the eigenvalue count of its range.
     """
-    if n_max < 0:
-        raise InputError("n_max must be >= 0")
+    n_max = _index(n_max, 0, "n_max must be >= 0")
     info = subunitarity_threshold(g, detailed=True)
     lo_floor = max(info.K + 1e-9, K_FLOOR)
     a, b = phi.support
@@ -477,6 +474,8 @@ def trace_check(
 
 def wigner_delay(g: MetricGraph, k: float) -> float:
     """Derivative of the total transition phase at k (time-delay form)."""
+    if np.iscomplexobj(k):
+        raise InputError("the Wigner delay is defined for real k")
     kthr = subunitarity_threshold(g)
     if k <= kthr:
         raise InputError(f"Wigner delay requires k > threshold K={kthr:.6g}")

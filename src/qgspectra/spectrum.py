@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import operator
 import os
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Tuple
@@ -72,7 +71,7 @@ import numpy as np
 
 from . import edge
 from .edge import _closed_threshold, subunitarity_threshold
-from .errors import InputError, NumericalError
+from .errors import InputError, NumericalError, _index
 from .graph import MetricGraph
 from .scattering import _det_w, _vertex_det
 
@@ -150,12 +149,7 @@ class ScanConfig:
     def __post_init__(self) -> None:
         if not 0 < self.root_tol < math.inf:
             raise InputError("root_tol must be positive and finite")
-        try:
-            workers = operator.index(self.workers)
-        except TypeError:
-            workers = 0
-        if workers < 1:
-            raise InputError("workers must be a positive integer")
+        _index(self.workers, 1, "workers must be a positive integer")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -235,6 +229,8 @@ def multiplicity(g: MetricGraph, k0: float, radius: float) -> int:
     zero of order m the omitted indentation semicircle carries -m*pi, so
     the walked total equals m*pi (and 0 when k0 is not a root).
     """
+    if np.iscomplexobj(k0):
+        raise InputError("multiplicity is defined for real k0")
     if radius <= 0:
         raise InputError("winding radius must be positive")
     kthr = subunitarity_threshold(g)

@@ -34,7 +34,7 @@ from typing import Callable, Dict, List, NamedTuple, Tuple
 import numpy as np
 
 from .edge import TransitionMatrix, edge_profile
-from .errors import InputError, NumericalError, TurningPointError
+from .errors import InputError, NumericalError, TurningPointError, _index
 from .graph import MetricGraph
 from .orbits import PeriodicOrbit, step_sigma
 from .potential import eval_array
@@ -214,8 +214,10 @@ def wkb_correction(g: MetricGraph, e: int, k: float, j: int) -> float:
 
     Raises when the iteration fails to contract (each nonzero level must
     be strictly smaller than the one before; eta_0 has sup 1)."""
-    if j not in (1, 2):
-        raise InputError("correction order j must be 1 or 2")
+    message = "correction order j must be 1 or 2"
+    j = _index(j, 1, message)
+    if j > 2:
+        raise InputError(message)
     return _contraction(_edge_wkb(g, e, k, j).levels, k)[-1]
 
 
@@ -229,8 +231,8 @@ def wkb_profile(
 
 def _profile(w: _EdgeWkb, xs, corrected: bool) -> np.ndarray:
     xs = np.asarray(xs, dtype=float)
-    if xs.size == 0 or np.any(xs < -1e-12) or np.any(xs > w.L + 1e-12):
-        raise InputError("xs must lie within [0, L]")
+    if xs.size == 0 or not np.all((-1e-12 <= xs) & (xs <= w.L + 1e-12)):
+        raise InputError("xs must be finite and lie within [0, L]")
     s = np.interp(xs, w.xs, w.s)
     phase = np.exp(-1j * s)
     if corrected:

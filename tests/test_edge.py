@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import gc
 import itertools
 import math
@@ -23,6 +24,8 @@ from qgspectra.edge import (
     verify_subunitary,
 )
 from qgspectra.errors import InputError, NumericalError, SingularPointError
+from qgspectra.graph import MetricGraph
+from qgspectra.potential import orient
 
 from .conftest import ZERO, interval, star
 from .oracles import (
@@ -154,11 +157,19 @@ def test_derivative_fields_populated_on_request(g_smooth):
 )
 def test_reversal_keeps_transmission_and_swaps_reflections(pot, tol):
     g = interval(1.3, pot)
+    # the edge traversed the other way, on a graph of its own: the reflected
+    # potential w(L - x) from the "from" end
+    e = g.edges[0]
+    back = dataclasses.replace(e, potential=orient(e.potential, True, e.length))
+    g_rev = MetricGraph(g.vertices, [back])
     for k in (2.7, 5 + 1e-3j):
-        fwd = _entries(solve_edge(g, 0, k, want_dk=True))
-        rev = _entries(solve_edge(g, 0, k, want_dk=True, reverse=True))
+        fwd, rev = solve_edge(g, 0, k, want_dk=True), solve_edge(g_rev, 0, k, want_dk=True)
+        # reversing the edge swaps m11 and m22, in M and in M' = dM/dk
+        for m, m_rev in ((fwd.m, rev.m), (fwd.dm, rev.dm)):
+            scale = max(1.0, *map(abs, m))
+            assert max(abs(x - y) for x, y in zip(m_rev, (m[3], m[1], m[2], m[0]))) <= tol * scale
         # t, then t' = dt/dk
-        for (trans, r_from, r_to), (trans_r, r_from_r, r_to_r) in zip(fwd, rev):
+        for (trans, r_from, r_to), (trans_r, r_from_r, r_to_r) in zip(_entries(fwd), _entries(rev)):
             scale = max(1.0, abs(trans), abs(r_from), abs(r_to))
             assert abs(trans_r - trans) <= tol * scale
             assert abs(r_from_r - r_to) <= tol * scale
@@ -312,16 +323,29 @@ def test_batched_magnus_matches_single_points(name):
     ks = BATCH_KS[name]
     assert len(ks) * len(pots) > edge._POINT_STEPS // edge._MIN_STEPS
     zeros = np.empty((2, len(ks), len(pots)), dtype=int) if name == "real" else None
-    m, dm, err, n = edge._magnus_doubled(pots, lengths, ks, True, zeros)
+    m, dm, err, n = edge._magnus_doubled(pots, lengths, ks, True, zeros, [{} for _ in pots])
     assert np.all(err <= 1e-10)
     for (i, k), (e, pot) in itertools.product(enumerate(ks), enumerate(pots)):
         z = None if zeros is None else np.empty((2, 1, 1), dtype=int)
-        m1, dm1, err1, n1 = edge._magnus_doubled([pot], [lengths[e]], [k], True, z)
+        m1, dm1, err1, n1 = edge._magnus_doubled([pot], [lengths[e]], [k], True, z, [{}])
         assert np.array_equal(m[..., i, e], m1[..., 0, 0])
         assert np.array_equal(dm[..., i, e], dm1[..., 0, 0])
         assert (err[i, e], n[i, e]) == (err1[0, 0], n1[0, 0])
         if zeros is not None:
             assert zeros[:, i, e].tolist() == z[:, 0, 0].tolist()
+
+
+def test_one_edge_solve_is_a_column_of_the_graph_solve():
+    # solve_edge is the all-edges evaluation at [k] restricted to one edge,
+    # bit for bit, on every edge kind
+    g = star([EIGENVALUE_EDGES[name] for name in sorted(EIGENVALUE_EDGES)])
+    for k in (3.0, 5 + 1e-3j, 7.25 + 0.1j):
+        sol = edge._solve_edges(g, np.array([complex(k)]), want_dk=True)
+        for e in range(g.num_edges):
+            one = solve_edge(g, e, k, want_dk=True)
+            assert one.m == tuple(complex(x[0, e]) for x in sol.m)
+            assert one.dm == tuple(complex(x[0, e]) for x in sol.dm)
+            assert one.error_estimate == sol.error_estimate[0, e]
 
 
 FOLD_POTENTIALS = ["cos(2*x)", "2*cos(3*x)", "x", "-3*cos(2*x)", "5*x*(1-x)", "50*cos(20*x)"]
@@ -426,7 +450,7 @@ def test_edge_layer_refuses_non_finite_input(name, bad):
     g = interval(*EIGENVALUE_EDGES[name])
     calls = [
         lambda: solve_edge(g, 0, bad),
-        lambda: solve_edge(g, 0, bad, want_dk=True, reverse=True),
+        lambda: solve_edge(g, 0, bad, want_dk=True),
         lambda: transition_matrix(g, 0, bad),
         lambda: edge._solve_edges(g, np.array([3.0, bad])),
         lambda: edge_profile(g, 0, bad, [0.0, 0.5]),
@@ -442,7 +466,7 @@ def test_sample_table_is_released_with_its_graph():
     # are drawn once per graph and dropped with it
     g = star([(1.0, _smooth("cos(2*x)")), (0.7, ZERO), (1.3, _smooth("x"))])
     edge._solve_edges(g, np.array([4.7, 9.5]))
-    samples = edge._edge_table(g)[3]
+    samples = edge._edge_table(g)[2]
     assert sorted(samples) == [0, 2] and all(samples.values())
     assert all(w.shape == (3, n) for counts in samples.values() for n, w in counts.items())
     ref = weakref.ref(samples[0][edge._MIN_STEPS])
@@ -464,11 +488,11 @@ def test_each_edge_is_sampled_at_its_own_step_counts(gauss_samplings):
     )
     with pytest.raises(NumericalError, match=message):
         edge._solve_edges(g, np.array([4.7]))
-    samples = edge._edge_table(g)[3]
+    samples = edge._edge_table(g)[2]
     assert sorted(gauss_samplings) == sorted(n for counts in samples.values() for n in counts)
     assert max(samples[1]) == edge._MAX_STEPS
     for e in (0, 2):
-        _, _, err, n = edge._magnus_doubled([g.edges[e].potential], [1.0], [4.7], False)
+        _, _, err, n = edge._magnus_doubled([g.edges[e].potential], [1.0], [4.7], False, None, [{}])
         assert err.item() <= 1e-10
         assert max(samples[e]) == n.item()
 
@@ -479,8 +503,31 @@ def test_threshold_reads_the_graph_sample_table(gauss_samplings):
     g = star(THRESHOLD_PANEL["cos234"])
     assert subunitarity_threshold(g) == 1.0
     edge._solve_edges(g, np.array([4.7, 9.5, 40.0]))
-    samples = edge._edge_table(g)[3]
+    samples = edge._edge_table(g)[2]
     assert sorted(gauss_samplings) == sorted(n for counts in samples.values() for n in counts)
+
+
+def test_edge_profile_reads_the_graph_sample_table(gauss_samplings):
+    # a solve at k = 40 samples each arm at 64, 128 and 256 steps; a profile
+    # at that k then finds its step count from those samples and samples only
+    # its own grid, once per call
+    g = star([(1.0, _smooth("2*cos(3*x)"))] * 3)
+    edge._solve_edges(g, np.array([40.0]))
+    assert sorted(edge._edge_table(g)[2][0]) == [64, 128, 256]
+    gauss_samplings.clear()
+    for _ in range(3):
+        edge_profile(g, 0, 40.0, np.linspace(0.0, 1.0, 33))
+    assert len(gauss_samplings) == 3
+
+
+def test_one_edge_solves_read_the_graph_sample_table(gauss_samplings):
+    # t and t' at three k of one smooth edge, all converged at 128 steps,
+    # sample it once at 64 and once at 128 steps
+    g = interval(1.0, _smooth("2*cos(3*x)"))
+    for k in (5.0, 5.5, 6.0):
+        transition_matrix(g, 0, k)
+        transition_matrix_dk(g, 0, k)
+    assert sorted(gauss_samplings) == [64, 128]
 
 
 def test_verify_subunitary_raises_at_a_pole_of_t():

@@ -1,8 +1,11 @@
-"""The public surface: what ``qgspectra`` exports and where it lives."""
+"""The public surface: what ``qgspectra`` exports, where it lives, and the
+typed errors it gives for arguments of the wrong kind."""
 from __future__ import annotations
 
 import importlib
 import inspect
+
+import pytest
 
 import qgspectra
 
@@ -32,3 +35,48 @@ def test_one_secular_evaluator():
     assert "after" not in inspect.signature(qgspectra.secular).parameters
     assert qgspectra.secular is scattering.secular
     assert scattering.unitarity_defect is importlib.import_module("qgspectra.edge").unitarity_defect
+
+
+def test_one_edge_evaluator():
+    # every edge solve goes through the core evaluator of a graph's edges:
+    # no reversed solve and no per-potential evaluator beside it
+    edge = importlib.import_module("qgspectra.edge")
+    for func in (edge.solve_edge, edge.edge_profile):
+        assert "reverse" not in inspect.signature(func).parameters
+    assert list(inspect.signature(edge._evaluate).parameters) == [
+        "g", "ks", "edges", "want_dk", "want_count"
+    ]
+    assert "orient" not in vars(edge)
+
+
+CUTOFFS = {
+    "enumerate_orbits": qgspectra.enumerate_orbits,
+    "orbit_sum_check": lambda g, x: qgspectra.orbit_sum_check(g, 5.0, x),
+    "trace_check": lambda g, x: qgspectra.trace_check(g, qgspectra.TestFunction(20.0, 0.5), x),
+    "fd_spectrum": lambda g, x: qgspectra.fd_spectrum(g, 0.01, x),
+    "wkb_correction": lambda g, x: qgspectra.wkb_correction(g, 0, 20.0, x),
+}
+
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, "2", None])
+@pytest.mark.parametrize("name", sorted(CUTOFFS))
+def test_non_integer_cutoffs_are_refused(g_smooth_star, name, bad):
+    # an integer cutoff is read by operator.index: a float, even a whole
+    # one, is refused with a typed error rather than truncated or passed on
+    with pytest.raises(qgspectra.InputError):
+        CUTOFFS[name](g_smooth_star, bad)
+
+
+def test_complex_wavenumbers_are_refused_where_k_is_real(g_delta_star):
+    # 5+0j is refused as well: each of these compares k with the threshold
+    p = importlib.import_module("qgspectra.orbits").make_orbit(g_delta_star, [0, 1])
+    calls = [
+        lambda: qgspectra.wigner_delay(g_delta_star, 5 + 1j),
+        lambda: qgspectra.wigner_delay(g_delta_star, 5 + 0j),
+        lambda: qgspectra.multiplicity(g_delta_star, 5 + 0j, 0.3),
+        lambda: qgspectra.orbit_amplitude(p, g_delta_star, 5 + 0j),
+        lambda: qgspectra.orbit_amplitude(p, g_delta_star, 5 + 1j),
+    ]
+    for call in calls:
+        with pytest.raises(qgspectra.InputError, match="real k"):
+            call()

@@ -200,6 +200,15 @@ def test_nonpositive_wavenumbers_are_refused(pot, k):
             call()
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("corrected", [False, True])
+def test_non_finite_positions_are_refused(g_smooth, corrected, bad):
+    # as edge_profile refuses them; a nan position passed the range check
+    for xs in ([bad], [0.0, bad]):
+        with pytest.raises(InputError, match="finite"):
+            wkb_profile(g_smooth, 0, 20.0, xs, corrected)
+
+
 def test_turning_points_are_refused(g_smooth):
     with pytest.raises(TurningPointError, match="does not clear"):
         wkb_solution(g_smooth, 0, 1.5)
