@@ -27,8 +27,11 @@ quantity below is a closed form in them.  M is built per kind:
 
 ``_evaluate`` is the one evaluator: M, M' and the error estimate of some
 or all edges of a graph at every k of an array and, for the eigenvalue
-count, the zeros of two solutions on each edge (``_zeros``), from per-graph
-arrays kept in a weak-keyed table.  The closed-form edges are evaluated
+count, the zeros of two solutions on each edge, from per-graph arrays kept
+in a weak-keyed table.  One rule counts the zeros on a segment
+(``_segment_zeros``): ``_closed`` applies it to the two pieces of a
+closed-form edge, from the arrays that give M, and ``_zeros`` to the
+segments of a Magnus propagation.  The closed-form edges are evaluated
 together over (k, edge), in float64 at real k, and the smooth edges in one
 propagation, whose samples the table keeps per edge and step count.
 ``_solve_edges`` is its all-edges case, ``solve_edge`` its one-point case,
@@ -192,15 +195,22 @@ def _wavenumber(k, c):
     return np.where(c == 0, k, np.sqrt(k * k - c))
 
 
-def _closed(k, c, D, x1, x2, want_dk: bool):
-    """Closed-form M (and M', else None) of a segment with background
-    constant c and a point interaction of strength D at distance x1 from its
-    start and x2 from its end, elementwise over broadcast arrays:
-    free(x2) [[1, 0], [D, 1]] free(x1) with q^2 = k^2 - c, i.e. free(x1 + x2)
-    plus the rank-one term D [s2; c2] (x) [c1, s1].  Without a point
-    interaction D = 0 and x2 = 0, which leaves free(x1).  M is real for a
-    real k: it is computed in float64 then, in complex arithmetic only over
-    a barrier (``_wavenumber``), and returned as float64 either way."""
+def _closed(k, c, D, x1, x2, want_dk: bool, want_count: bool = False):
+    """Closed-form M, M' (else None) and, with ``want_count`` (real k), the
+    ``_zeros`` (else None) of a segment with background constant c and a
+    point interaction of strength D at distance x1 from its start and x2
+    from its end, elementwise over broadcast arrays: free(x2) [[1, 0], [D,
+    1]] free(x1) with q^2 = k^2 - c, i.e. free(x1 + x2) plus the rank-one
+    term D [s2; c2] (x) [c1, s1].  Without a point interaction D = 0 and x2
+    = 0, which leaves free(x1).  M is real for a real k: it is computed in
+    float64 then, in complex arithmetic only over a barrier
+    (``_wavenumber``), and returned as float64 either way.
+
+    The zeros are counted on two pieces, up to the point interaction and
+    after it, from the same q, c1 and s1 as M (``_segment_zeros``, with nu =
+    Re q times the piece's length, 0 over a barrier).  The first piece
+    starts from (psi, psi') = (1, 0) and (0, 1), whose phases are exactly
+    pi/2 and 0; only the second takes an atan2 per solution."""
     k = np.asarray(k)
     q = _wavenumber(k, c)
     c1, s1 = _free(q, x1)
@@ -216,8 +226,20 @@ def _closed(k, c, D, x1, x2, want_dk: bool):
     real = not np.iscomplexobj(k)
     if real:
         m = tuple(np.real(x) for x in m)
+    zeros = None
+    if want_count:
+        # (psi, psi') of the two solutions just past the point interaction
+        psi = np.real(np.stack((c1, s1)))
+        dpsi = np.real(np.stack((-q * (q * s1) + D * c1, c1 + D * s1)))
+        mid = _negative(psi, dpsi)
+        end = _negative(*np.real(np.reshape(m, (2, 2, *psi.shape[1:]))))
+        start = np.reshape([0.5 * np.pi, 0.0], (2,) + (1,) * c1.ndim)
+        first = _segment_zeros(start, q.real * x1, False, mid)
+        nu = q.real * x2
+        theta = np.mod(np.arctan2(nu * psi, x2 * dpsi), np.pi)
+        zeros = (first + _segment_zeros(theta, nu, mid, end)).astype(int)
     if not want_dk:
-        return m, None
+        return m, None, zeros
     dc1, ds1 = _free_dk(q, x1, k, c1, s1)
     dc2, ds2 = _free_dk(q, x2, k, c2, s2)
     dc, ds = _free_dk(q, x1 + x2, k, cc, s)
@@ -227,7 +249,7 @@ def _closed(k, c, D, x1, x2, want_dk: bool):
         -2.0 * k * s - q * q * ds + D * (dc2 * c1 + c2 * dc1),
         dc + D * (dc2 * s1 + c2 * ds1),
     )
-    return m, tuple(np.real(x) for x in dm) if real else dm
+    return m, tuple(np.real(x) for x in dm) if real else dm, zeros
 
 
 def _segment(pot: Potential, a: float, b: float):
@@ -376,47 +398,42 @@ def _prefix(steps):
     return run
 
 
+def _negative(psi, dpsi):
+    """Whether psi is negative, a zero value taking the sign psi has just
+    after it (that of psi'), elementwise."""
+    return (psi < 0) | ((psi == 0) & (dpsi < 0))
+
+
+def _segment_zeros(theta, nu, start, end):
+    """Zeros of solutions on segments, as floats, elementwise.  On a segment
+    whose propagator is exp(s Omega), s in [0, 1], with Omega = [[alpha,
+    beta], [gamma, -alpha]] real and Omega^2 = -nu^2 I (alpha = 0, beta = h
+    and nu = q h in closed form; a Magnus step's generator, ``_generator``;
+    nu = 0 where the segment holds at most one zero), a solution is R
+    sin(theta + s nu) with theta = atan2(nu psi, alpha psi + beta psi') mod
+    pi at its start, so it has floor((theta + nu) / pi) zeros there: the
+    count of the parity of the sign change of psi nearest to that value.
+    The parity comes from ``start`` and ``end``, whether psi is negative at
+    the segment's ends (``_negative``), so the rounding of theta cannot move
+    a zero across an end, and one at the end is counted exactly when the
+    end value says so."""
+    change = end != start
+    z = np.where(nu > 0, (theta + nu) / np.pi - 0.5, change)
+    return 2 * np.round(0.5 * (z - change)) + change
+
+
 def _zeros(ends, nu, alpha, beta):
     """Zeros in (0, L] of the solutions that leave x = 0 as (psi, psi') =
-    (1, 0) and (0, 1), an integer array (2, ...).  ``ends`` (2, 2, ..., n +
-    1) is the fundamental matrix at x = 0 and at the end of each segment of
-    the edge, the last its M.  On a segment whose propagator is exp(s
-    Omega), s in [0, 1], with Omega = [[alpha, beta], [gamma, -alpha]] real
-    and Omega^2 = -nu^2 I (alpha = 0, beta = h and nu = q h in closed form;
-    a Magnus step's generator, ``_generator``; nu = 0 where the segment
-    holds at most one zero), a solution is R sin(theta + s nu) with theta =
-    atan2(nu psi, alpha psi + beta psi') at its start, so it has floor((theta
-    + nu) / pi) zeros there: the count of the parity of the sign change of
-    psi nearest to that value.  The parity comes from the end values, a zero
-    value taking the sign psi has just after it, so the rounding of theta
-    cannot move a zero across an end, and one at x = L is counted exactly
-    when M says so."""
+    (1, 0) and (0, 1), an integer array (2, ...), from the Magnus steps of
+    an edge: ``ends`` (2, 2, ..., n + 1) is the fundamental matrix at x = 0
+    and at the end of each segment of the edge, the last its M, and nu,
+    alpha and beta describe each segment's propagator as
+    ``_segment_zeros`` reads them; the counts of the segments are added."""
     psi, dpsi = ends[0], ends[1]
-    neg = (psi < 0) | ((psi == 0) & (dpsi < 0))
-    change = neg[..., 1:] != neg[..., :-1]
+    neg = _negative(psi, dpsi)
     a, da = psi[..., :-1], dpsi[..., :-1]
     theta = np.mod(np.arctan2(nu * a, alpha * a + beta * da), np.pi)
-    z = np.where(nu > 0, (theta + nu) / np.pi - 0.5, change)
-    return (2 * np.round(0.5 * (z - change)) + change).sum(axis=-1).astype(int)
-
-
-def _closed_zeros(k, c, D, x1, x2, m):
-    """``_zeros`` at real k of closed-form segments (the arguments of
-    ``_closed`` and the M it gives): two pieces each, up to the point
-    interaction and after it, whose phase is 0 over a barrier."""
-    q = _wavenumber(k, c)
-    c1, s1 = _free(q, x1)
-    # the identity, M up to the point interaction (as _closed gives it with
-    # x2 = 0) and M, written into one array
-    ends = np.zeros((4, *c1.shape, 3))
-    ends[[0, 3], ..., 0] = 1.0
-    for i, x in enumerate((c1, s1, -q * (q * s1) + D * c1, c1 + D * s1)):
-        ends[i, ..., 1] = np.real(x)
-    for i, x in enumerate(m):
-        ends[i, ..., 2] = np.real(x)
-    nu = np.stack(np.broadcast_arrays(q.real * x1, q.real * x2), axis=-1)
-    h = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
-    return _zeros(ends.reshape(2, 2, *ends.shape[1:]), nu, 0.0, h)
+    return _segment_zeros(theta, nu, neg[..., :-1], neg[..., 1:]).sum(axis=-1).astype(int)
 
 
 def _fold(steps, dsteps=None, pieces: int = 1):
@@ -566,7 +583,11 @@ def _unresolved(pot: Potential, k: complex) -> NumericalError:
 
 
 def _refuse_k(ks) -> None:
-    """InputError unless every k of ``ks`` is finite and nonzero."""
+    """InputError unless every k of ``ks`` is finite and nonzero: one pass
+    when they are, the messages only on failure, the zero check first."""
+    ks = np.asarray(ks)
+    if ks.all() and np.isfinite(ks).all():
+        return
     if np.any(ks == 0):
         raise InputError("k=0: the normalized solution pair degenerates")
     if not np.all(np.isfinite(ks)):
@@ -612,8 +633,7 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
     result.  An unresolved row does not raise: its error is inf."""
     closed, lengths, samples = _edge_table(g)
     columns = tuple(col[edges] for col in closed)
-    m, dm = _closed(ks[:, None], *columns, want_dk)
-    zeros = _closed_zeros(ks[:, None], *columns, m) if want_count else None
+    m, dm, zeros = _closed(ks[:, None], *columns, want_dk, want_count)
     err = np.zeros((len(ks), len(columns[0])))
     # the smooth edges among those chosen: their places and their indices
     ids = np.arange(g.num_edges)[edges].tolist() if samples else []

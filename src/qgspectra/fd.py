@@ -64,6 +64,8 @@ def build_discretization(g: MetricGraph, h: float) -> DiscretizedGraph:
     Requires h <= min edge length / 16 so every edge carries a
     resolved grid.
     """
+    if np.iscomplexobj(h):
+        raise InputError(f"grid step h={h} must be real")
     min_len = min(e.length for e in g.edges)
     if not (0 < h <= min_len / 16.0):
         raise InputError(

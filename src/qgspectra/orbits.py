@@ -285,6 +285,8 @@ def orbit_amplitude(p: PeriodicOrbit, g: MetricGraph, k: float) -> float:
 
 def orbit_sum_check(g: MetricGraph, k: float, n: int) -> float:
     """|sum over classes of n_primitive * prod tau  -  tr S^n| at real k."""
+    if np.iscomplexobj(k):
+        raise InputError("the orbit sum check is defined for real k")
     n = _index(n, 1, "n must be >= 1")
     orbits = enumerate_orbits(g, n)
     s = assemble_S(g, complex(k))
@@ -312,6 +314,8 @@ class TestFunction:
     support_sigmas: float = 8.0
 
     def __post_init__(self) -> None:
+        if any(np.iscomplexobj(x) for x in (self.center, self.sigma, self.support_sigmas)):
+            raise InputError("test function needs a real center, sigma and support")
         if not (math.isfinite(self.center) and self.sigma > 0):
             raise InputError("test function needs finite center and sigma > 0")
 

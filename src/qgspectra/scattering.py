@@ -274,13 +274,17 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
     end, one whose leaf is at x = 0 adds -m21/m11.  N_E adds up what each
     edge holds alone below k^2: its Dirichlet eigenvalues for an edge of
     the core, its Dirichlet (core) - Neumann (leaf) ones for an arm, by the
-    Sturm counts ``edge._zeros``.  These read their last zero off the same
+    Sturm counts of ``sol`` (``edge._segment_zeros``, which ``edge._closed``
+    applies to the two pieces of a closed-form edge and ``edge._zeros`` to
+    a smooth edge's Magnus steps).  These read their last zero off the same
     m12, m11 or m22 as Lambda, so the two terms agree up to a pole of an
     arm's entry, which is taken as +inf there, its limit from below.  An
     eigenvalue of Lambda within the kernel tolerance (_KERNEL_TOL) is a
-    root at k.  A star's core is its centre, so its count costs O(E) per
-    point; a larger core takes a dense eigvalsh, and a point near one of
-    its poles (_POLE_BAND) is counted on the cut graph.
+    root at k.  A star's core is its centre, so Lambda is one number per
+    point, its edges' entries added in their order, and its count costs
+    O(E) per point; a larger core scatters the entries into dense matrices
+    and takes their eigvalsh, and a point near one of its poles
+    (_POLE_BAND) is counted on the cut graph.
 
     F = k^(1 - n_core) det Lambda prod_e den_e, den_e the denominator of
     the edge's entries of Lambda (k m12 for an edge of the core, m22 or m11
@@ -321,24 +325,26 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
         f = (num * before * after).sum(axis=-1)
         if not want_count:
             return f
-    pole = np.where(
-        core,
-        ak * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)),
-        (nc > 1)
-        & (np.abs(leaf_m) <= _POLE_BAND * np.maximum(ak * np.abs(m12), np.abs(m21) / ak)),
-    ).any(axis=-1)
+    pole = core & (ak * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)))
+    if nc > 1:
+        leaf = np.abs(leaf_m) <= _POLE_BAND * np.maximum(ak * np.abs(m12), np.abs(m21) / ak)
+        pole |= ~core & leaf
+    pole = pole.any(axis=-1)
     # the entries (uu, uv, vu, vv) of each edge: (-m11, 1, 1, -m22) / m12 in
     # the core, (-m21, 0, 0, 0) / m at the leaf for an arm; unused at a pole
     x = np.broadcast_arrays(np.where(core, -m11, -m21), core, core, core * -m22)
     x = np.stack(x, axis=-1) / np.where(den == 0, 1.0, den)[..., None]
     x[..., 0] = np.where(~core & (den == 0), np.inf, x[..., 0])
     x[pole] = 0.0
-    slots = ((nc * nc * np.arange(n))[:, None, None] + layout.dtn_target).ravel()
-    lam = np.bincount(slots, x.real.ravel(), n * nc * nc)
-    if not real:
-        lam = lam + 1j * np.bincount(slots, x.imag.ravel(), n * nc * nc)
-    lam = lam.reshape(n, nc, nc)
-    if nc > 1:
+    if nc == 1:
+        # the centre's one entry: each point's entries added in their order
+        lam = np.add.accumulate(x.reshape(n, -1), axis=-1)[:, -1:]
+    else:
+        slots = ((nc * nc * np.arange(n))[:, None, None] + layout.dtn_target).ravel()
+        lam = np.bincount(slots, x.real.ravel(), n * nc * nc)
+        if not real:
+            lam = lam + 1j * np.bincount(slots, x.imag.ravel(), n * nc * nc)
+        lam = lam.reshape(n, nc, nc)
         sign, log_det = np.linalg.slogdet(lam)
         mag = np.abs(scaled)
         mag = np.where(mag == 0, 1.0, mag)  # its sign, 0, zeroes F
@@ -349,7 +355,7 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
         z_n, z_d = sol.zeros
         arm = np.where(to_leaf, z_d + (m12 * m22 < 0), z_n - (m11 == 0))
         own = np.where(core, z_d - (m12 == 0), arm)
-        eig = lam.reshape(n, 1) if nc == 1 else np.linalg.eigvalsh(lam)
+        eig = lam if nc == 1 else np.linalg.eigvalsh(lam)
         entries = np.abs(np.where(np.isinf(x), 0.0, x)).sum(axis=(1, 2))
         tol = (_KERNEL_TOL * ks + 64 * np.finfo(float).eps * entries)[:, None]
         at = (np.abs(eig) <= tol).sum(axis=-1)

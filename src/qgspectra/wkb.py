@@ -67,6 +67,8 @@ def _momentum(g: MetricGraph, e: int, k: float):
         raise InputError(
             "WKB asymptotics are undefined across a point interaction"
         )
+    if np.iscomplexobj(k):
+        raise InputError("WKB data are defined for real k")
     if not math.isfinite(k * k):
         raise InputError(f"k = {k:.6g} has no finite k^2")
     if k <= 0:

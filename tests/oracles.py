@@ -189,8 +189,9 @@ def solution_zeros(
 ) -> Tuple[int, int]:
     """Zeros in (0, length] of the solutions of -psi'' + w psi = k^2 psi that
     start as (psi, psi') = (1, 0) and (0, 1), with a point interaction of
-    strength delta[0] at delta[1] (psi' jumps by D psi there), counted as
-    sign changes of psi on 20001 samples, by DOP853."""
+    strength delta[0] at delta[1] (psi' jumps by D psi there; at x = 0 it
+    acts on the starting values, and at x = length it moves no zero),
+    counted as sign changes of psi on 20001 samples, by DOP853."""
     strength, x0 = delta
     xs = np.linspace(0.0, length, 20001)
 
@@ -199,7 +200,8 @@ def solution_zeros(
 
     counts = []
     for start in ([1.0, 0.0], [0.0, 1.0]):
-        psi, y0, a = [], start, 0.0
+        kick = strength * start[0] if x0 == 0.0 else 0.0
+        psi, y0, a = [], [start[0], start[1] + kick], 0.0
         for b in ([x0, length] if 0.0 < x0 < length else [length]):
             grid = xs[(xs >= a) & (xs <= b)] if a == 0.0 else xs[(xs > a) & (xs <= b)]
             sol = solve_ivp(rhs, (a, b), y0, method="DOP853", rtol=1e-12, atol=1e-14,

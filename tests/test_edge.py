@@ -591,6 +591,62 @@ def test_solution_zeros_match_an_ode_count(name):
             assert z[:, 0].tolist() == list(want[-1])
 
 
+# closed-form arms: (length, potential, the oracle's w, its (D, x0))
+CLOSED_ARMS = {
+    "zero": (1.3, ZERO, lambda x: 0.0, (0.0, 0.0)),
+    "delta": (1.2, {"type": "delta", "strength": 2.0, "position": 0.45}, lambda x: 0.0,
+              (2.0, 0.45)),
+    "delta D < 0": (1.2, {"type": "delta", "strength": -5.0, "position": 0.6},
+                    lambda x: 0.0, (-5.0, 0.6)),
+    "delta at 0": (0.9, {"type": "delta", "strength": 1.7, "position": 0.0}, lambda x: 0.0,
+                   (1.7, 0.0)),
+    "delta at L": (1.1, {"type": "delta", "strength": -2.5, "position": 1.1},
+                   lambda x: 0.0, (-2.5, 1.1)),
+    "constant 4": (2.0, {"type": "constant", "value": 4.0}, lambda x: 4.0, (0.0, 0.0)),
+    "constant -3": (0.7, {"type": "constant", "value": -3.0}, lambda x: -3.0, (0.0, 0.0)),
+}
+
+
+def _assembled_zeros(ks, c, D, x1, x2):
+    """The zeros of closed-form edges by the generic rule, ``edge._zeros``,
+    on the ends of their two pieces: the identity, M up to and with the
+    point interaction (``_closed`` with x2 = 0) and M."""
+    k = ks[:, None]
+    mid, end = (edge._closed(k, c, D, x1, x, False)[0] for x in (0.0, x2))
+    eye = [np.full(mid[0].shape, v) for v in (1.0, 0.0, 0.0, 1.0)]
+    ends = np.real(np.stack([np.stack(m) for m in (eye, mid, end)], axis=-1))
+    q = edge._wavenumber(k, c)
+    nu = np.stack(np.broadcast_arrays(q.real * x1, q.real * x2), axis=-1)
+    h = np.stack(np.broadcast_arrays(x1, x2), axis=-1)
+    return edge._zeros(ends.reshape(2, 2, *ends.shape[1:]), nu, 0.0, h)
+
+
+def test_closed_form_counts_match_the_generic_rule_and_an_ode_count():
+    # the Sturm counts that _closed takes from its own q, cos and sin, on a
+    # dense grid that crosses the barrier of c = 4 (q imaginary below k = 2)
+    # and holds k in _free's small-u branch (q x < 1e-6: tiny k, k^2 at c,
+    # and x1 = 0 for the point interaction at 0) and k = j pi / L on the
+    # zero edge, against the generic rule on the assembled ends, and on a
+    # sparser grid against sign changes of a DOP853 solution
+    g = star([(length, pot) for length, pot, _, _ in CLOSED_ARMS.values()])
+    j = np.arange(1, 25)
+    special = [1e-7, 2.0, 2.0 + 2.5e-14, 2.0 - 2.5e-14, *(j * np.pi / CLOSED_ARMS["zero"][0])]
+    ks = np.concatenate([np.linspace(1e-3, 60.0, 6001), special])
+    sol = edge._solve_edges(g, ks, want_count=True)
+    assert sol.zeros.tolist() == _assembled_zeros(ks, *edge._edge_table(g)[0]).tolist()
+    # at k = j pi / L the zero at L is counted exactly when m12 says so
+    dirichlet = sol.zeros[1, -len(j) :, 0]
+    assert np.all((dirichlet == j - 1) | (dirichlet == j))
+    assert np.array_equal((-1) ** dirichlet, np.sign(sol.m[1][-len(j) :, 0]))
+    oracle_ks = [1e-3, 0.7, 1.9, 2.5, 12.3, 41.0]
+    want = [
+        [solution_zeros(w, length, k, delta) for k in oracle_ks]
+        for length, _, w, delta in CLOSED_ARMS.values()
+    ]
+    got = edge._solve_edges(g, np.array(oracle_ks), want_count=True).zeros
+    assert np.transpose(got, (2, 1, 0)).tolist() == [[list(z) for z in w] for w in want]
+
+
 # a zero, a point-interaction and a constant edge (c = 4), for real ks below
 # and above the constant's barrier: below it q is imaginary, and M is taken
 # in complex arithmetic there

@@ -67,16 +67,27 @@ def test_non_integer_cutoffs_are_refused(g_smooth_star, name, bad):
         CUTOFFS[name](g_smooth_star, bad)
 
 
-def test_complex_wavenumbers_are_refused_where_k_is_real(g_delta_star):
-    # 5+0j is refused as well: each of these compares k with the threshold
+def test_complex_wavenumbers_are_refused_where_k_is_real(g_delta_star, g_smooth_star):
+    # 5+0j is refused as well: each of these compares k (or a grid step or
+    # a window parameter) with a real bound, or reads it as a real number
     p = importlib.import_module("qgspectra.orbits").make_orbit(g_delta_star, [0, 1])
     calls = [
-        lambda: qgspectra.wigner_delay(g_delta_star, 5 + 1j),
-        lambda: qgspectra.wigner_delay(g_delta_star, 5 + 0j),
-        lambda: qgspectra.multiplicity(g_delta_star, 5 + 0j, 0.3),
-        lambda: qgspectra.orbit_amplitude(p, g_delta_star, 5 + 0j),
-        lambda: qgspectra.orbit_amplitude(p, g_delta_star, 5 + 1j),
+        (lambda: qgspectra.wigner_delay(g_delta_star, 5 + 1j), "real k"),
+        (lambda: qgspectra.wigner_delay(g_delta_star, 5 + 0j), "real k"),
+        (lambda: qgspectra.multiplicity(g_delta_star, 5 + 0j, 0.3), "real k"),
+        (lambda: qgspectra.orbit_amplitude(p, g_delta_star, 5 + 0j), "real k"),
+        (lambda: qgspectra.orbit_amplitude(p, g_delta_star, 5 + 1j), "real k"),
+        (lambda: qgspectra.orbit_sum_check(g_delta_star, 5 + 0j, 2), "real k"),
+        (lambda: qgspectra.orbit_sum_check(g_delta_star, 5 + 1j, 2), "real k"),
+        (lambda: qgspectra.scan_spectrum(g_delta_star, 1 + 0j, 5.0), "real k"),
+        (lambda: qgspectra.scan_spectrum(g_delta_star, 1.0, 5 + 1j), "real k"),
+        (lambda: qgspectra.wkb_solution(g_smooth_star, 0, 5 + 0j), "real k"),
+        (lambda: qgspectra.wkb_wigner_delay(g_smooth_star, 5 + 1j), "real k"),
+        (lambda: qgspectra.fd_spectrum(g_delta_star, 0.01 + 0j, 3), "must be real"),
+        (lambda: qgspectra.TestFunction(20 + 0j, 0.5), "real center"),
+        (lambda: qgspectra.TestFunction(20.0, 0.5 + 0j), "real center"),
+        (lambda: qgspectra.TestFunction(20.0, 0.5, 8 + 0j), "real center"),
     ]
-    for call in calls:
-        with pytest.raises(qgspectra.InputError, match="real k"):
+    for call, message in calls:
+        with pytest.raises(qgspectra.InputError, match=message):
             call()

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -713,3 +714,21 @@ def test_vertex_det_at_a_zero_denominator(g_star3, g_triangle):
     # its Lambda and a double root: F comes from the cut graph
     f = _vertex_det(g_triangle, [2 * math.pi])
     assert np.isfinite(f).all() and abs(f[0]) <= 1e-9
+
+
+def test_counted_vertex_det_stays_within_its_memory():
+    # a gate on work that no wall time blurs: the tracemalloc peak of one
+    # counted call at 196 points of a 10-arm delta star, after a first call
+    # has built the graph's tables.  The Sturm count takes its two pieces
+    # from the closed form's own arrays, with no stack of the ends: 487 KiB
+    # here, where building that stack peaked at 655 KiB
+    g = random_delta_star(1)
+    ks = np.linspace(0.5, 30.0, 196)
+    _vertex_det(g, ks, want_count=True)
+    tracemalloc.start()
+    try:
+        _vertex_det(g, ks, want_count=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * 1024
