@@ -583,14 +583,12 @@ def _unresolved(pot: Potential, k: complex) -> NumericalError:
 
 
 def _refuse_k(ks) -> None:
-    """InputError unless every k of ``ks`` is finite and nonzero: one pass
-    when they are, the messages only on failure, the zero check first."""
+    """InputError unless every k of ``ks`` is finite and nonzero, the zero
+    check first."""
     ks = np.asarray(ks)
-    if ks.all() and np.isfinite(ks).all():
-        return
-    if np.any(ks == 0):
+    if not ks.all():
         raise InputError("k=0: the normalized solution pair degenerates")
-    if not np.all(np.isfinite(ks)):
+    if not np.isfinite(ks).all():
         raise InputError("k must be finite")
 
 

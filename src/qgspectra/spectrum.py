@@ -319,23 +319,22 @@ def _scan_window(ks: np.ndarray, swept, root_tol: float, closed_left: bool = Fal
     report.emitted.extend(
         (ks[i], int(at[i])) for i in np.flatnonzero(at) if i or closed_left
     )
-    inside = np.diff(count) - at[1:]
-    # only the cells that hold eigenvalues, in order, with their two nodes
-    held = np.flatnonzero(inside > 0)
-    nodes = [x[held].tolist() for x in (ks, count, at, f)]
-    ends = [x[held + 1].tolist() for x in (ks, count, at, f)]
-    cells = zip(zip(*nodes), zip(*ends), inside[held].tolist())
-    return report, _settle([(report, p, q, m) for p, q, m in cells], root_tol)
+    nodes = list(zip(ks.tolist(), count.tolist(), at.tolist(), f.tolist()))
+    inside = (np.diff(count) - at[1:]).tolist()
+    cells = ((report, nodes[i], nodes[i + 1], m) for i, m in enumerate(inside))
+    return report, _settle(cells, root_tol)
 
 
 def _settle(cells, root_tol: float) -> list:
     """The cells of ``cells`` that must be split, each (report, p, q, m) with
-    m > 0 eigenvalues strictly between the nodes p and q, each (k, N, n0,
-    F).  The others are settled in their report: a cell of one simple root
-    is a bracket (lo, hi, F(lo), F(hi)), and one narrower than root_tol an
-    eigenvalue of multiplicity m."""
+    m eigenvalues strictly between the nodes p and q, each (k, N, n0, F).
+    The others are settled in their report: a cell of one simple root is a
+    bracket (lo, hi, F(lo), F(hi)), one narrower than root_tol an
+    eigenvalue of multiplicity m, and one of none is dropped."""
     split = []
     for rep, p, q, m in cells:
+        if m <= 0:
+            continue
         if m == 1 and not (p[2] or q[2]):
             # one simple root: F changes sign between p and q
             rep.brackets.append((p[0], q[0], p[3], q[3]))
@@ -359,7 +358,7 @@ def _split(g: MetricGraph, cells, root_tol: float) -> None:
                 rep.emitted.append((mid[0], mid[2]))
             left = mid[1] - p[1] - mid[2]
             halves += [(rep, p, mid, left), (rep, mid, q, m - left - mid[2])]
-        cells = _settle([half for half in halves if half[3] > 0], root_tol)
+        cells = _settle(halves, root_tol)
 
 
 def _scan_chunk(chunk) -> List[_WindowReport]:
