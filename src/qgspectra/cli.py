@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -52,7 +53,10 @@ __all__ = ["main"]
 _SECULAR_BLOCK = 1024  # grid points per secular() call in secular-scan
 
 
+@functools.lru_cache(maxsize=1)
 def _make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it as
+    it was."""
     ap = argparse.ArgumentParser(
         prog="qgspectra",
         description="Spectral computations on metric graphs with edge potentials.",

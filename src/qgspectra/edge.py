@@ -170,6 +170,8 @@ def _free(q, x):
     """cos(qx) and sin(qx)/q, elementwise."""
     u = q * x
     small = np.abs(u) < 1e-6
+    if not small.any():
+        return np.cos(u), np.sin(u) / q
     s = np.where(small, x * (1.0 - u * u / 6.0), np.sin(u) / np.where(small, 1.0, q))
     return np.cos(u), s
 

@@ -31,6 +31,7 @@ NumericalError after _PATH_BUDGET partial paths.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import operator
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -340,7 +341,11 @@ class TraceReport:
     residuals: List[Dict[str, float]]
     eigenvalue_count: int
     weyl_count: float
-    quadrature: Dict[str, float]
+    # k_lo, k_hi, panel_width and n_panels (the panels); n_nodes, the nodes
+    # evaluated; panel_levels, the node count of each panel's accepted
+    # Clenshaw-Curtis rule; errors, each row's quadrature error estimate
+    # ({"rhs_weyl", "weyl_count", "rhs_orbits": one per n_max})
+    quadrature: Dict[str, object]
     diagnostics: List[str]
 
     def residual(self, n_max: int) -> float:
@@ -351,7 +356,9 @@ class TraceReport:
 
 
 _NODE_BLOCK = 64  # quadrature nodes assembled and multiplied at once
-_PANEL_NODES = 64  # Gauss-Legendre nodes per quadrature panel
+_QUAD_TOL = 1e-12  # absolute quadrature error of every row over the support
+_CC_FIRST = 8  # a panel's first Clenshaw-Curtis rule has 9 nodes ...
+_CC_LAST = 1024  # ... and its last 1025
 
 
 def _panel_width(g: MetricGraph, n_max: int) -> float:
@@ -361,18 +368,85 @@ def _panel_width(g: MetricGraph, n_max: int) -> float:
     return min(1.0, 8.0 * math.pi / (max(n_max, 1) * l_max))
 
 
-def _gauss_panels(a: float, b: float, width: float, nodes: int):
-    """Composite Gauss-Legendre nodes and weights on [a, b]."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    n_panels = max(1, int(math.ceil((b - a) / width)))
-    edges = np.linspace(a, b, n_panels + 1)
-    ks = []
-    wts = []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        ks.append(mid + half * x)
-        wts.append(half * w)
-    return np.concatenate(ks), np.concatenate(wts), n_panels
+@functools.lru_cache(maxsize=None)
+def _cc_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Clenshaw-Curtis nodes cos(j pi / n), j = 0 ... n, on [-1, 1] and
+    their weights, for even n (Trefethen, Spectral Methods in MATLAB,
+    clencurt).  It integrates polynomials of degree up to n exactly, and
+    the rule of 2n holds its nodes at its even indices."""
+    theta = math.pi * np.arange(n + 1) / n
+    inner = theta[1:-1]
+    k = np.arange(1, n // 2)
+    v = (
+        1.0
+        - 2.0 * (np.cos(2.0 * np.outer(inner, k)) / (4.0 * k * k - 1.0)).sum(axis=1)
+        - np.cos(n * inner) / (n * n - 1.0)
+    )
+    w = np.empty(n + 1)
+    w[0] = w[-1] = 1.0 / (n * n - 1.0)
+    w[1:-1] = 2.0 * v / n
+    x = np.cos(theta)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
+def _nested_quadrature(f, a: float, b: float, n_panels: int):
+    """Integrals over [a, b] of the rows of f by nested Clenshaw-Curtis
+    rules on n_panels equal panels.
+
+    f maps a 1-D array of k to the (rows, k.size) integrand values.  Each
+    panel starts at _CC_FIRST + 1 nodes and doubles; a doubling evaluates
+    only the new (odd-index) nodes, those of every panel still active in one
+    call of f.  A panel is accepted when its last two rules agree on every
+    row within _QUAD_TOL / n_panels, and keeps the finer one; the last
+    difference is its error.  A panel still active at _CC_LAST + 1 nodes
+    keeps that rule and is named in the diagnostics.  Returns the
+    integrals, their errors (the panels' errors summed), the nodes
+    evaluated, each panel's node count and the diagnostics.
+    """
+    ends = np.linspace(a, b, n_panels + 1)
+    mid = 0.5 * (ends[:-1] + ends[1:])[:, None]
+    half = 0.5 * (ends[1:] - ends[:-1])[:, None]
+    tol = _QUAD_TOL / n_panels
+
+    n = _CC_FIRST
+    x, w = _cc_rule(n)
+    fx = f((mid + half * x).ravel())
+    rows = fx.shape[0]
+    # per active panel: its values at the current rule's nodes, and its integrals
+    vals = fx.reshape(rows, n_panels, n + 1).transpose(1, 0, 2)
+    coarse = half * (vals @ w)
+    n_nodes = fx.shape[1]
+
+    values = np.empty((n_panels, rows))
+    errors = np.empty((n_panels, rows))
+    levels = np.empty(n_panels, dtype=int)
+    diagnostics: List[str] = []
+    active = np.arange(n_panels)
+    while active.size:
+        n *= 2
+        x, w = _cc_rule(n)
+        fx = f((mid[active] + half[active] * x[1::2]).ravel())
+        n_nodes += fx.shape[1]
+        finer = np.empty((active.size, rows, n + 1))
+        finer[..., ::2] = vals
+        finer[..., 1::2] = fx.reshape(rows, active.size, n // 2).transpose(1, 0, 2)
+        fine = half[active] * (finer @ w)
+        diff = np.abs(fine - coarse)
+        done = np.all(diff <= tol, axis=1)
+        if n >= _CC_LAST:
+            for i in np.flatnonzero(~done):
+                p = active[i]
+                diagnostics.append(
+                    f"quadrature error {diff[i].max():.3g} at {n + 1} nodes "
+                    f"on ({ends[p]:.9g}, {ends[p + 1]:.9g}]"
+                )
+            done[:] = True
+        values[active[done]] = fine[done]
+        errors[active[done]] = diff[done]
+        levels[active[done]] = n + 1
+        active, vals, coarse = active[~done], finer[~done], fine[~done]
+    return values.sum(axis=0), errors.sum(axis=0), n_nodes, levels, diagnostics
 
 
 def trace_check(
@@ -388,8 +462,12 @@ def trace_check(
     term for the cutoff N adds (1/pi) integral of phi times
     sum_{n <= N} Im tr(S^{n-1} S'), the amplitude sum over all classes of
     length up to N, for every N up to n_max.  No orbit is enumerated, so
-    the cost grows linearly in n_max.  The run aborts when the scan found
-    fewer (or more) roots than the eigenvalue count of its range.
+    the cost per node grows linearly in n_max.  The integrals are taken
+    by nested Clenshaw-Curtis rules, doubled per panel until every row
+    agrees within _QUAD_TOL over the support; each row's error estimate
+    is reported in ``quadrature["errors"]``.  The run aborts when the
+    scan found fewer (or more) roots than the eigenvalue count of its
+    range.
     """
     n_max = _index(n_max, 0, "n_max must be >= 0")
     info = subunitarity_threshold(g, detailed=True)
@@ -413,31 +491,41 @@ def trace_check(
         sum(r.multiplicity * float(phi(r.k)) for r in spec.roots)
     )
 
-    panel_width = _panel_width(g, n_max)
-    ks, wts, n_panels = _gauss_panels(a, b, panel_width, _PANEL_NODES)
-
-    # One T, T' per node gives the phase density and every orbit row:
-    # orbit_terms[m] = Im tr(S^{m-1} S') is the amplitude sum over the
-    # classes of length m, (1/m) Im d/dk tr S^m.  Nodes are taken in
-    # stacked blocks, which bounds the memory.
     sigma = big_sigma(g)
-    tp = np.zeros_like(ks)
-    orbit_terms = np.zeros((n_max + 1, ks.size))
-    for lo in range(0, ks.size, _NODE_BLOCK):
-        block = slice(lo, lo + _NODE_BLOCK)
-        T, dT = assemble_T(g, ks[block], want_dk=True)
-        tp[block] = _theta_prime(T, dT)
-        S, P = sigma @ T, sigma @ dT
-        for m in range(1, n_max + 1):
-            orbit_terms[m, block] = np.trace(P, axis1=1, axis2=2).imag
-            P = S @ P
-    phis = phi(ks)
-    rhs_weyl = float(np.sum(wts * phis * tp) / (2.0 * math.pi))
+
+    def integrands(ks: np.ndarray) -> np.ndarray:
+        # One T, T' per node gives the phase density and every orbit row:
+        # orbit_terms[m] = Im tr(S^{m-1} S') is the amplitude sum over the
+        # classes of length m, (1/m) Im d/dk tr S^m.  Nodes are taken in
+        # stacked blocks, which bounds the memory.  Rows: rhs_weyl,
+        # weyl_count and rhs_orbits for n_max = 0 ... n_max.
+        tp = np.empty(ks.size)
+        orbit_terms = np.zeros((n_max + 1, ks.size))
+        for lo in range(0, ks.size, _NODE_BLOCK):
+            block = slice(lo, lo + _NODE_BLOCK)
+            T, dT = assemble_T(g, ks[block], want_dk=True)
+            tp[block] = _theta_prime(T, dT)
+            S, P = sigma @ T, sigma @ dT
+            for m in range(1, n_max + 1):
+                orbit_terms[m, block] = np.trace(P, axis1=1, axis2=2).imag
+                P = S @ P
+        phis = phi(ks)
+        weyl = tp / (2.0 * math.pi)
+        return np.vstack(
+            [phis * weyl, weyl, phis * np.cumsum(orbit_terms, axis=0) / math.pi]
+        )
+
+    panel_width = _panel_width(g, n_max)
+    n_panels = max(1, int(math.ceil((b - a) / panel_width)))
+    totals, errors, n_nodes, levels, quad_diagnostics = _nested_quadrature(
+        integrands, a, b, n_panels
+    )
+    diagnostics.extend(quad_diagnostics)
+    rhs_weyl, weyl_count = float(totals[0]), float(totals[1])
 
     # Missing-root guard: the vertex count gives the exact number of
     # eigenvalues in the range; the Weyl count, the integrated phase
     # density, is reported beside it
-    weyl_count = float(np.sum(wts * tp) / (2.0 * math.pi))
     n_found = spec.total_count()
     if n_found != spec.expected_count:
         raise NumericalError(
@@ -447,8 +535,7 @@ def trace_check(
 
     rhs_orbit_rows: List[Dict[str, float]] = []
     residual_rows: List[Dict[str, float]] = []
-    for m, running in enumerate(np.cumsum(orbit_terms, axis=0)):
-        value = float(np.sum(wts * phis * running) / math.pi)
+    for m, value in enumerate(totals[2:].tolist()):
         rhs_orbit_rows.append({"n_max": m, "value": value})
         residual_rows.append({"n_max": m, "value": abs(lhs - rhs_weyl - value)})
 
@@ -469,8 +556,14 @@ def trace_check(
             "k_lo": a,
             "k_hi": b,
             "panel_width": panel_width,
-            "panel_nodes": _PANEL_NODES,
             "n_panels": n_panels,
+            "n_nodes": n_nodes,
+            "panel_levels": levels.tolist(),
+            "errors": {
+                "rhs_weyl": float(errors[0]),
+                "weyl_count": float(errors[1]),
+                "rhs_orbits": errors[2:].tolist(),
+            },
         },
         diagnostics=diagnostics,
     )

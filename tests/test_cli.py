@@ -389,6 +389,15 @@ def test_trace_check_report(tmp_path):
     assert report["phi"] == {"k0": 10.0, "sigma": 0.5, "support_sigmas": 8.0}
     assert report["K"] == 0.0
     assert report["eigenvalue_count"] == 9
+    quad = report["quadrature"]
+    assert set(quad) == {
+        "errors", "k_hi", "k_lo", "n_nodes", "n_panels", "panel_levels", "panel_width"
+    }
+    assert sum(quad["panel_levels"]) == quad["n_nodes"] > 0
+    errors = [quad["errors"]["rhs_weyl"], quad["errors"]["weyl_count"]]
+    errors += quad["errors"]["rhs_orbits"]
+    assert len(errors) == 2 + 5
+    assert all(math.isfinite(e) and 0 <= e <= 1e-11 for e in errors)
     assert (out / "orbit_table.csv").exists()
 
 

@@ -19,8 +19,9 @@ from qgspectra.orbits import (
     trace_check,
     wigner_delay,
 )
-from qgspectra.scattering import assemble_T, big_sigma
+from qgspectra.scattering import _theta_prime, assemble_T, big_sigma
 
+from .conftest import random_delta_star
 from .oracles import brute_classes, burnside_classes, gaussian_moment
 
 
@@ -138,10 +139,13 @@ def test_amplitude_sums_equal_matrix_traces(request, fixture_name):
 
 
 def test_trace_check_orbit_cutoff_beyond_enumeration(g_delta_star):
+    # the same panels; n_max 16 refines more of them (its rows oscillate
+    # faster), so the shared rows agree to rounding
     phi = TestFunction(20.0, 0.5)
     long = trace_check(g_delta_star, phi, 16)
     short = trace_check(g_delta_star, phi, 5)
-    assert long.quadrature == short.quadrature
+    same = ("k_lo", "k_hi", "panel_width", "n_panels")
+    assert [long.quadrature[key] for key in same] == [short.quadrature[key] for key in same]
     assert [row["n_max"] for row in long.rhs_orbits] == list(range(17))
     assert len(short.rhs_orbits) == 6
     for a, b in zip(long.rhs_orbits, short.rhs_orbits):
@@ -149,16 +153,28 @@ def test_trace_check_orbit_cutoff_beyond_enumeration(g_delta_star):
         assert abs(a["value"] - b["value"]) <= 1e-14
 
 
+def _accepted_nodes(q):
+    """Nodes and weights of the Clenshaw-Curtis rules the report accepted,
+    panel by panel."""
+    ends = np.linspace(q["k_lo"], q["k_hi"], q["n_panels"] + 1)
+    ks, wts = [], []
+    for lo, hi, nodes in zip(ends[:-1], ends[1:], q["panel_levels"]):
+        x, w = orbits_module._cc_rule(nodes - 1)
+        ks.append(0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+        wts.append(0.5 * (hi - lo) * w)
+    return np.concatenate(ks), np.concatenate(wts)
+
+
 def test_batched_quadrature_matches_a_per_node_loop(g_delta_star):
     # reference: T and T' one quadrature node at a time, the phase density
-    # summed over the 2x2 edge blocks and the orbit rows by single products
+    # summed over the 2x2 edge blocks and the orbit rows by single products,
+    # on the nodes of every panel's accepted rule; the rules are nested, so
+    # those are all the nodes evaluated
     g, phi, n_max = g_delta_star, TestFunction(20.0, 0.5), 5
     report = trace_check(g, phi, n_max)
     q = report.quadrature
-    ks, wts, _ = orbits_module._gauss_panels(
-        q["k_lo"], q["k_hi"], q["panel_width"], q["panel_nodes"]
-    )
-    assert ks.size > orbits_module._NODE_BLOCK
+    ks, wts = _accepted_nodes(q)
+    assert ks.size == q["n_nodes"] > orbits_module._NODE_BLOCK
     sigma = big_sigma(g)
     tp = np.zeros(ks.size)
     terms = np.zeros((n_max + 1, ks.size))
@@ -279,3 +295,122 @@ def test_long_triangle_orbits_need_no_recursion(g_triangle):
     # two classes (one per sense of rotation) at each multiple of 3
     counts = _counts_by_length(enumerate_orbits(g_triangle, 1200), 1200)
     assert counts == {n: 2 if n % 3 == 0 else 0 for n in range(1, 1201)}
+
+
+@pytest.mark.parametrize("n", [8, 16, 32, 64, 1024])
+def test_clenshaw_curtis_rules_are_exact_and_nested(n):
+    # n + 1 nodes integrate every polynomial of degree <= n over [-1, 1]
+    # exactly, and the rule of 2n evaluates the nodes of n again
+    x, w = orbits_module._cc_rule(n)
+    assert x.size == w.size == n + 1
+    for d in range(n + 1):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(np.sum(w * x**d) - exact) <= 1e-14
+    assert np.array_equal(orbits_module._cc_rule(2 * n)[0][::2], x)
+
+
+def _integrands(g, phi, n_max, ks):
+    """Integrands of rhs_weyl, weyl_count and every rhs_orbits row at ks,
+    one row each, from one stacked T, T' and dense S powers."""
+    T, dT = assemble_T(g, ks, want_dk=True)
+    sigma = big_sigma(g)
+    S, P = sigma @ T, sigma @ dT
+    weyl = _theta_prime(T, dT) / (2.0 * math.pi)
+    terms = np.zeros((n_max + 1, ks.size))
+    for m in range(1, n_max + 1):
+        terms[m] = np.trace(P, axis1=1, axis2=2).imag
+        P = S @ P
+    phis = phi(ks)
+    return np.vstack([phis * weyl, weyl, phis * np.cumsum(terms, axis=0) / math.pi])
+
+
+def _gauss_rows(g, phi, n_max, q, nodes=128):
+    """rhs_weyl, weyl_count and every rhs_orbits row on the report's panels
+    by Gauss-Legendre with ``nodes`` nodes per panel."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    ends = np.linspace(q["k_lo"], q["k_hi"], q["n_panels"] + 1)
+    half = 0.5 * np.diff(ends)[:, None]
+    ks = (0.5 * (ends[:-1] + ends[1:])[:, None] + half * x).ravel()
+    return _integrands(g, phi, n_max, ks) @ (half * w).ravel()
+
+
+def _last_differences(g, phi, n_max, q):
+    """Per row, the sum over panels of |accepted rule - the rule before it|,
+    recomputed on the accepted nodes."""
+    ends = np.linspace(q["k_lo"], q["k_hi"], q["n_panels"] + 1)
+    total = 0.0
+    for lo, hi, nodes in zip(ends[:-1], ends[1:], q["panel_levels"]):
+        x, w = orbits_module._cc_rule(nodes - 1)
+        f = _integrands(g, phi, n_max, 0.5 * (lo + hi) + 0.5 * (hi - lo) * x)
+        coarse = f[:, ::2] @ orbits_module._cc_rule((nodes - 1) // 2)[1]
+        total = total + 0.5 * (hi - lo) * np.abs(f @ w - coarse)
+    return total
+
+
+def _rows_and_errors(report):
+    e = report.quadrature["errors"]
+    rows = [report.rhs_weyl, report.weyl_count] + [r["value"] for r in report.rhs_orbits]
+    return np.array(rows), np.array([e["rhs_weyl"], e["weyl_count"], *e["rhs_orbits"]])
+
+
+QUADRATURE_CASES = {
+    "delta-star-5": ("g_delta_star", 20.0, 5),
+    "delta-star-16": ("g_delta_star", 20.0, 16),
+    "smooth-star-8": ("g_smooth_star", 12.0, 8),
+    "random-delta-star-32": (None, 20.0, 32),
+}
+
+
+def _quadrature_case(request, name):
+    fixture, center, n_max = QUADRATURE_CASES[name]
+    g = request.getfixturevalue(fixture) if fixture else random_delta_star(1)
+    return g, TestFunction(center, 0.5), n_max
+
+
+@pytest.mark.parametrize("name", list(QUADRATURE_CASES))
+def test_nested_quadrature_matches_a_gauss_reference(request, name):
+    # every row within 1e-13 of 128 Gauss-Legendre nodes per panel, with
+    # an error estimate of at most 1e-11 (at this tolerance it is at the
+    # rounding level, which the reference shares), on no more nodes than
+    # the 64 Gauss-Legendre nodes per panel of the fixed rule it replaced
+    g, phi, n_max = _quadrature_case(request, name)
+    report = trace_check(g, phi, n_max)
+    q = report.quadrature
+    rows, errors = _rows_and_errors(report)
+    ref = _gauss_rows(g, phi, n_max, q)
+    assert np.all(np.abs(rows - ref) <= 1e-13)
+    assert np.all(errors <= 1e-11) and np.all(np.isfinite(errors))
+    assert sum(q["panel_levels"]) == q["n_nodes"] <= 64 * q["n_panels"]
+    assert set(q["panel_levels"]) <= {9, 17, 33, 65, 129, 257, 513, 1025}
+    assert not any("quadrature" in d for d in report.diagnostics)
+
+
+@pytest.mark.parametrize("name", ["delta-star-16", "random-delta-star-32"])
+def test_reported_quadrature_error_bounds_the_true_error(request, monkeypatch, name):
+    # loosened, the rule stops at coarser levels whose error is well above
+    # rounding; each row is still within its reported error of the
+    # reference (up to the reference's own rounding), and that error is
+    # the difference of each panel's last two rules
+    monkeypatch.setattr(orbits_module, "_QUAD_TOL", 1e-6)
+    g, phi, n_max = _quadrature_case(request, name)
+    report = trace_check(g, phi, n_max)
+    rows, errors = _rows_and_errors(report)
+    dev = np.abs(rows - _gauss_rows(g, phi, n_max, report.quadrature))
+    assert dev.max() > 1e-12
+    assert np.all(dev <= errors + 1e-13)
+    # and the reported error is the last difference, summed over panels
+    last = _last_differences(g, phi, n_max, report.quadrature)
+    np.testing.assert_allclose(errors, last, rtol=1e-6, atol=1e-13)
+
+
+def test_unresolved_panels_are_reported(g_delta_star, monkeypatch):
+    # a tolerance no rule meets: every panel stops at the last level, keeps
+    # it, and is named with its error in the diagnostics
+    monkeypatch.setattr(orbits_module, "_QUAD_TOL", 0.0)
+    monkeypatch.setattr(orbits_module, "_CC_LAST", 32)
+    report = trace_check(g_delta_star, TestFunction(20.0, 0.5), 5)
+    q = report.quadrature
+    assert q["panel_levels"] == [33] * q["n_panels"]
+    unresolved = [d for d in report.diagnostics if d.startswith("quadrature error")]
+    assert len(unresolved) == q["n_panels"]
+    assert unresolved[0].endswith("at 33 nodes on (16, 17]")

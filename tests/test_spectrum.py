@@ -421,9 +421,11 @@ def test_sweep_batching_leaves_the_scan_as_it_is(request, monkeypatch, name):
 
 
 def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
-    # T, T' once per quadrature node (8 panels x 64 nodes on [16, 24]) plus
-    # the scan of the same support, at any n_max: the orbit rows cost no
-    # edge work
+    # T, T' once per quadrature node evaluated plus the scan of the same
+    # support: 8 panels on [16, 24], each at 9, 17, 33 or 65 nested
+    # Clenshaw-Curtis nodes (232 in all at n_max 4, where the rows
+    # oscillate slower, 456 at 16; the fixed rule took 8 x 64 = 512 at
+    # both).  The orbit rows cost no edge work
     phi = TestFunction(20.0, 0.5)
     scan_spectrum(g_delta_star, *phi.support)
     scan = len(assembled_ks)
@@ -432,7 +434,7 @@ def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
         assembled_ks.clear()
         trace_check(g_delta_star, phi, n_max)
         counts.append(len(assembled_ks))
-    assert counts == [8 * 64 + scan] * 2
+    assert counts == [232 + scan, 456 + scan]
 
 
 def test_threshold_work_is_bounded(magnus_calls, threshold_points):
