@@ -36,14 +36,14 @@ import math
 import os
 import sys
 import time
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError
 from .graph import build_graph
-from .orbits import TestFunction, _weight, enumerate_orbits, trace_check, wigner_delay
+from .orbits import TestFunction, _class_weights, _classes, trace_check, wigner_delay
 from .scattering import assemble_S, secular
 from .spectrum import ScanConfig, _grid_cells, scan_spectrum
 from .wkb import compare_with_exact, wkb_wigner_delay
@@ -51,6 +51,7 @@ from .wkb import compare_with_exact, wkb_wigner_delay
 __all__ = ["main"]
 
 _SECULAR_BLOCK = 1024  # grid points per secular() call in secular-scan
+_TABLE_ROWS = 4096  # orbit-table rows formatted at a time
 
 
 @functools.lru_cache(maxsize=1)
@@ -138,16 +139,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _write_csv(path: str, header: List[str], rows: Iterable[List], cfg_hash: str) -> None:
-    """Write the rows, which may be produced while writing, to ``path``;
-    if producing them fails, ``path`` is left as it was."""
+def _csv_lines(rows: Iterable[List]) -> Iterator[str]:
+    """The CSV lines of ``rows``, each value written by _fmt."""
+    for row in rows:
+        yield ",".join(_fmt(v) for v in row) + "\n"
+
+
+def _write_csv(path: str, header: List[str], lines: Iterable[str], cfg_hash: str) -> None:
+    """Write the CSV lines (see _csv_lines), which may be produced while
+    writing, to ``path``; if producing them fails, ``path`` is left as it
+    was."""
     part = path + ".part"
     with open(part, "w", encoding="utf-8", newline="\n") as f:
         try:
             f.write(f"# config_hash={cfg_hash}\n")
             f.write(",".join(header) + "\n")
-            for row in rows:
-                f.write(",".join(_fmt(v) for v in row) + "\n")
+            f.writelines(lines)
         except BaseException:
             os.remove(part)
             raise
@@ -222,7 +229,7 @@ def _cmd_spectrum(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _write_csv(
         os.path.join(args.out, "spectrum.csv"),
         ["k", "multiplicity", "residual"],
-        rows,
+        _csv_lines(rows),
         cfg_hash,
     )
     meta.update(
@@ -242,24 +249,35 @@ def _cmd_spectrum(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     return os.path.join(args.out, "meta.json"), meta
 
 
-def _orbit_rows(g, orbits, k_sample: float) -> List[List]:
-    S = assemble_S(g, complex(k_sample)).tolist()
-    rows = []
-    for i, p in enumerate(orbits):
-        wt = _weight(p, S)
-        rows.append(
-            [
-                i,
-                p.n,
-                p.n_primitive,
-                p.repetitions,
-                "-".join(str(s) for s in p.states),
-                "".join("T" if kind == "transmit" else "R" for kind in p.kinds),
-                wt.real,
-                wt.imag,
-            ]
-        )
-    return rows
+def _orbit_lines(g, blocks, k_sample: float) -> Iterator[str]:
+    """The orbit table's CSV lines of the classes ``blocks`` (see
+    orbits._classes), with their step-weight products at k_sample, joined
+    _TABLE_ROWS rows at a time.  Each line is formatted by one format
+    string, which writes the values as _fmt does."""
+    weight_re, weight_im = _class_weights(blocks, assemble_S(g, complex(k_sample)))
+    names = [str(s) for s in range(g.num_directed)]
+    start = 0
+    for b in blocks:
+        m, n = b.states.shape
+        kinds = b.kinds.view(f"S{n}").ravel().astype(str)
+        w_re, w_im = weight_re[start : start + m], weight_im[start : start + m]
+        for lo in range(0, m, _TABLE_ROWS):
+            part = slice(lo, lo + _TABLE_ROWS)
+            rows = zip(
+                b.n_primitive[part].tolist(),
+                b.states[part].tolist(),
+                kinds[part].tolist(),
+                w_re[part].tolist(),
+                w_im[part].tolist(),
+            )
+            yield "".join(
+                [
+                    "%d,%d,%d,%d,%s,%s,%.12e,%.12e\n"
+                    % (i, n, p, n // p, "-".join([names[s] for s in states]), kind, re, im)
+                    for i, (p, states, kind, re, im) in enumerate(rows, start + lo)
+                ]
+            )
+        start += m
 
 
 _ORBIT_HEADER = [
@@ -281,7 +299,7 @@ def _cmd_trace_check(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     phi = TestFunction(args.phi_center, args.phi_sigma)
     report = trace_check(g, phi, args.nmax, scan_config=_scan_config(args))
     # The table's enumeration may exceed its budget; fail before writing.
-    orbits = enumerate_orbits(g, args.nmax) if args.nmax >= 1 else []
+    blocks = _classes(g, args.nmax) if args.nmax >= 1 else []
     payload = dict(meta, threshold=_threshold(g))
     rep = dataclasses.asdict(report)
     # JSON schema of the report file: the test-function center is "k0"
@@ -296,7 +314,7 @@ def _cmd_trace_check(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _write_csv(
         os.path.join(args.out, "orbit_table.csv"),
         _ORBIT_HEADER,
-        _orbit_rows(g, orbits, phi.center),
+        _orbit_lines(g, blocks, phi.center),
         cfg_hash,
     )
     return os.path.join(args.out, "trace_report.json"), payload
@@ -318,7 +336,7 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _write_csv(
         os.path.join(args.out, "secular.csv"),
         ["k", "zeta_re", "zeta_im", "theta"],
-        rows(),
+        _csv_lines(rows()),
         cfg_hash,
     )
     meta.update({"n_points": n, "grid_step": (args.kmax - args.kmin) / (n - 1)})
@@ -366,7 +384,7 @@ def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
             "wigner_delay",
             "wigner_delay_wkb",
         ],
-        rows,
+        _csv_lines(rows),
         cfg_hash,
     )
     meta.update({"k_values": ks, "threshold": _threshold(g)})
@@ -379,21 +397,21 @@ def _cmd_orbits(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     k_sample = args.kmin
     if not 0 < k_sample < math.inf:
         raise InputError("--kmin (the sample k for weights) must be positive and finite")
-    orbits = enumerate_orbits(g, args.nmax)
+    blocks = _classes(g, args.nmax)
     _write_csv(
         os.path.join(args.out, "orbit_table.csv"),
         _ORBIT_HEADER,
-        _orbit_rows(g, orbits, k_sample),
+        _orbit_lines(g, blocks, k_sample),
         cfg_hash,
     )
+    per_length = {b.states.shape[1]: len(b.states) for b in blocks}
     meta.update(
         {
-            "n_orbits": len(orbits),
+            "n_orbits": sum(per_length.values()),
             "n_max": args.nmax,
             "k_sample": k_sample,
             "classes_per_length": {
-                str(n): sum(1 for p in orbits if p.n == n)
-                for n in range(1, args.nmax + 1)
+                str(n): per_length.get(n, 0) for n in range(1, args.nmax + 1)
             },
         }
     )

@@ -22,10 +22,12 @@ integrates Gaussian test functions against the phase derivative (Weyl
 term) and takes its orbit term, (1/pi) integral of phi times
 sum_{n <= N} Im tr(S^{n-1} S'), from those matrix traces, so its cutoff
 N is not bounded by the enumeration budget.  Enumeration serves the
-orbit table, orbit_sum_check and the WKB orbit data.  It is one
-depth-first walk per least state, over every length up to n_max at
-once, on an explicit stack (no recursion), and it stops with
-NumericalError after _PATH_BUDGET partial paths.
+orbit table, orbit_sum_check and the WKB orbit data.  It is one array
+enumeration (_classes): per length, the walks that start at their least
+state and stay at or above it are one integer array, extended one step
+at a time up to n_max, with no recursion.  It is refused with
+NumericalError, before any walk is built, when the partial paths counted
+from the step matrix exceed _PATH_BUDGET.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import dataclasses
 import functools
 import math
 import operator
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -169,57 +171,159 @@ def _orbit(
     return PeriodicOrbit(states, kinds, n, n_primitive, n // n_primitive, key)
 
 
-# Partial paths one enumeration may expand: the class count grows
-# exponentially in n_max, so this bounds the time of a request too large.
+# Partial paths one enumeration may hold: the walks that start at their
+# least state and stay at or above it, counted over every length up to
+# n_max.  The count grows exponentially in n_max, like the class count; it
+# is summed before any walk is built, so a request too large is refused at
+# once.
 _PATH_BUDGET = 5_000_000
+
+_KIND_CODES = {"transmit": ord("T"), "reflect": ord("R")}
+_KIND_NAMES = {code: kind for kind, code in _KIND_CODES.items()}
+
+
+class _Block(NamedTuple):
+    """The classes of one length n, sorted by key: row i holds class i's
+    representative (states), its least rotation (keys), the kinds of its
+    steps as the bytes "T" and "R" (kinds), all (classes, n), and its
+    primitive period (n_primitive)."""
+
+    states: np.ndarray
+    keys: np.ndarray
+    kinds: np.ndarray
+    n_primitive: np.ndarray
+
+
+def _path_count(steps: np.ndarray, n_max: int) -> int:
+    """Walks of 1 ... n_max states that start at their least state s0 and
+    stay >= s0, for ``steps`` the 0/1 step pattern (rows = target, cols =
+    source): the sum over s0 and j < n_max of 1^T B^j e_s0, B the pattern
+    restricted to states >= s0.  The sum stops once it passes _PATH_BUDGET,
+    so a count above the budget is a lower bound."""
+    steps = np.asarray(steps, dtype=np.int64)
+    above = np.tril(np.ones_like(steps))  # [state, s0]: state >= s0
+    paths = np.eye(len(steps), dtype=np.int64)  # [state, s0]: the j-step walks
+    total = 0
+    for _ in range(n_max):
+        total += int(paths.sum())
+        if total > _PATH_BUDGET:
+            break
+        paths = (steps @ paths) * above
+    return total
+
+
+def _classes(g: MetricGraph, n_max: int) -> List[_Block]:
+    """The cyclic classes of closed walks with <= n_max steps, one block per
+    length that has any, in order of length.
+
+    A class is built only from its least state s0.  Per length n the walks
+    that start at s0 and stay >= s0 are one (n, walks) array in the smallest
+    integer dtype, extended one step at a time in the order of _step_table,
+    so each length's walks are in the order of their step sequences.  A
+    walk whose last state steps back to s0 is closed; the first closed
+    rotation of a class in that order represents it (it is the one a
+    depth-first walk meets first).  Raises NumericalError, before building
+    any walk, when the walks would number more than _PATH_BUDGET.
+    """
+    table = _step_table(g)
+    n_states = len(table)
+    kinds = np.zeros((n_states, n_states), dtype=np.uint8)  # [s, r]
+    for s, out in enumerate(table):
+        for r, kind in out:
+            kinds[s, r] = _KIND_CODES[kind]
+    closes = kinds != 0
+    if _path_count(closes.T, n_max) > _PATH_BUDGET:
+        raise NumericalError(
+            f"orbit enumeration exceeded its budget of {_PATH_BUDGET} "
+            "path expansions; lower n_max"
+        )
+    dtype = np.min_scalar_type(n_states - 1)
+    # the steps out of each state in table order, padded with -1
+    succ = np.full((n_states, max(map(len, table))), -1, dtype=np.min_scalar_type(-n_states))
+    for s, out in enumerate(table):
+        succ[s, : len(out)] = [r for r, _ in out]
+
+    blocks = []
+    walks = np.arange(n_states, dtype=dtype)[None, :]
+    for n in range(1, n_max + 1):
+        first, last = walks[0], walks[-1]
+        closed = walks[:, closes[last, first]]
+        if closed.shape[1]:
+            states, keys, n_primitive = _representatives(closed)
+            step_kinds = kinds[states, _next_states(states)]
+            blocks.append(_Block(states, keys, step_kinds, n_primitive))
+        if n == n_max or not walks.shape[1]:
+            break
+        step = succ[last]
+        keep = step >= first[:, None]
+        if n + 1 == n_max:
+            keep &= closes[step, first[:, None]]  # the last length keeps closed walks only
+        parent = np.repeat(np.arange(walks.shape[1], dtype=np.int32), keep.sum(axis=1))
+        longer = np.empty((n + 1, parent.size), dtype=dtype)
+        np.take(walks, parent, axis=1, out=longer[:n], mode="clip")
+        longer[n] = step[keep]
+        walks = longer
+    return blocks
+
+
+def _next_states(states: np.ndarray) -> np.ndarray:
+    """The state after each of the (classes, n) cycles ``states``."""
+    return np.concatenate([states[:, 1:], states[:, :1]], axis=1)
+
+
+def _representatives(closed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(states, keys, n_primitive) of the classes of ``closed``, the (n,
+    walks) closed walks of one length, each starting at its least state s0,
+    in the order of their step sequences; sorted by key."""
+    n, m = closed.shape
+    period = np.full(m, n)
+    for d in range(1, n):
+        if n % d == 0:
+            period[(period == n) & np.all(closed[d:] == closed[:-d], axis=0)] = d
+    # the least rotation starts at s0, within one primitive period: compare
+    # each walk's t-th such rotation, for all walks at once
+    keys = closed.T.copy()
+    at_s0 = (closed[1:] == closed[0]) & (np.arange(1, n)[:, None] < period)
+    row, shift = np.nonzero(at_s0.T)
+    nth = np.arange(row.size) - np.searchsorted(row, row)
+    twice = np.concatenate([closed, closed])
+    for t in range(nth.max() + 1 if nth.size else 0):
+        r, j = row[nth == t], shift[nth == t] + 1
+        rotation, best = twice[j[:, None] + np.arange(n), r[:, None]], keys[r]
+        differ = rotation != best
+        i = (np.arange(r.size), differ.argmax(axis=1))
+        less = differ[i] & (rotation[i] < best[i])
+        keys[r[less]] = rotation[less]
+    # a stable sort keeps each class's first walk first
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    first = np.ones(m, dtype=bool)
+    first[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    rep = order[first]
+    return closed.T[rep], keys[first], period[rep]
 
 
 def enumerate_orbits(g: MetricGraph, n_max: int) -> List[PeriodicOrbit]:
-    """One representative per cyclic class of closed walks with <= n_max steps.
+    """One representative per cyclic class of closed walks with <= n_max
+    steps, sorted by (n, key); the classes of _classes as PeriodicOrbit.
 
-    One depth-first walk from each state s0 covers every length at once:
-    it extends paths whose states never drop below s0 and records each
-    step back into s0 as a closed walk.  A class is thus met only from
-    its least state; the first rotation met represents it and later ones
-    are dropped by their least rotation (key).  The walk expands at most
-    _PATH_BUDGET partial paths; exceeding it raises NumericalError, so a
-    returned list is always complete.
+    Raises NumericalError when the enumeration would exceed its budget of
+    _PATH_BUDGET partial paths, so a returned list is always complete.
     """
     n_max = _index(n_max, 1, "n_max must be >= 1")
-
-    table = _step_table(g)
-    orbits: List[PeriodicOrbit] = []
-    seen: set = set()
-    spent = 0
-    for s0 in range(len(table)):
-        # states[i] -> states[i + 1] is a step of kind kinds[i + 1];
-        # steps[i] iterates the steps out of states[i] not yet taken
-        states, kinds, steps = [s0], [""], [iter(table[s0])]
-        while steps:
-            for r, kind in steps[-1]:
-                if r == s0:
-                    cycle = tuple(states)
-                    key = _min_rotation(cycle)
-                    if key not in seen:
-                        seen.add(key)
-                        orbits.append(_orbit(cycle, (*kinds[1:], kind), key))
-                if r >= s0 and len(states) < n_max:
-                    states.append(r)
-                    kinds.append(kind)
-                    steps.append(iter(table[r]))
-                    break
-            else:
-                # every step out of the path's last state is taken
-                spent += 1
-                if spent > _PATH_BUDGET:
-                    raise NumericalError(
-                        f"orbit enumeration exceeded its budget of {_PATH_BUDGET} "
-                        "path expansions; lower n_max"
-                    )
-                states.pop()
-                kinds.pop()
-                steps.pop()
-    orbits.sort(key=lambda p: (p.n, p.key))
+    orbits = []
+    for block in _classes(g, n_max):
+        n = block.states.shape[1]
+        for states, kinds, key, n_primitive in zip(
+            block.states.tolist(),
+            block.kinds.tolist(),
+            block.keys.tolist(),
+            block.n_primitive.tolist(),
+        ):
+            kinds = tuple(_KIND_NAMES[c] for c in kinds)
+            orbits.append(
+                PeriodicOrbit(tuple(states), kinds, n, n_primitive, n // n_primitive, tuple(key))
+            )
     return orbits
 
 
@@ -247,6 +351,27 @@ def _weight(p: PeriodicOrbit, S) -> complex:
     for w in _weights(p, S):
         out *= w
     return out
+
+
+def _class_weights(blocks: Sequence[_Block], S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(re, im) of the step-weight products of the classes of ``blocks``,
+    in their order, with S[r, s] gathered from S.  Each product is taken as
+    _weight takes it, from 1 in the order of the states, in the real
+    arithmetic of Python's complex product, so the two agree to the bit."""
+    if not blocks:
+        return np.empty(0), np.empty(0)
+    lengths = np.concatenate([np.full(len(b.states), b.states.shape[1]) for b in blocks])
+    w = np.concatenate([S[_next_states(b.states), b.states].ravel() for b in blocks])
+    w_re, w_im = w.real, w.imag
+    starts = np.cumsum(lengths) - lengths
+    re, im = np.ones(lengths.size), np.zeros(lengths.size)
+    for j in range(lengths[-1]):
+        # the rows with more than j steps: a tail, the lengths ascending
+        lo = np.searchsorted(lengths, j, side="right")
+        c, d = w_re[starts[lo:] + j], w_im[starts[lo:] + j]
+        a, b = re[lo:], im[lo:]
+        re[lo:], im[lo:] = a * c - b * d, a * d + b * c
+    return re, im
 
 
 def orbit_weight(p: PeriodicOrbit, g: MetricGraph, k: complex) -> complex:
@@ -343,8 +468,9 @@ class TraceReport:
     weyl_count: float
     # k_lo, k_hi, panel_width and n_panels (the panels); n_nodes, the nodes
     # evaluated; panel_levels, the node count of each panel's accepted
-    # Clenshaw-Curtis rule; errors, each row's quadrature error estimate
-    # ({"rhs_weyl", "weyl_count", "rhs_orbits": one per n_max})
+    # Clenshaw-Curtis rule, whose ends neighbours share, so n_nodes is their
+    # sum less up to n_panels - 1; errors, each row's quadrature error
+    # estimate ({"rhs_weyl", "weyl_count", "rhs_orbits": one per n_max})
     quadrature: Dict[str, object]
     diagnostics: List[str]
 
@@ -394,15 +520,18 @@ def _nested_quadrature(f, a: float, b: float, n_panels: int):
     """Integrals over [a, b] of the rows of f by nested Clenshaw-Curtis
     rules on n_panels equal panels.
 
-    f maps a 1-D array of k to the (rows, k.size) integrand values.  Each
-    panel starts at _CC_FIRST + 1 nodes and doubles; a doubling evaluates
-    only the new (odd-index) nodes, those of every panel still active in one
-    call of f.  A panel is accepted when its last two rules agree on every
-    row within _QUAD_TOL / n_panels, and keeps the finer one; the last
+    f maps a 1-D array of k to the (rows, k.size) integrand values, each
+    column a function of its k alone.  Each panel starts at _CC_FIRST + 1
+    nodes and doubles; neighbours evaluate their common end once (where the
+    two computed nodes agree to the bit), and a doubling evaluates only the
+    new (odd-index) nodes, those of every panel still active in one call of
+    f.  A panel is accepted when its last two rules agree on every row
+    within _QUAD_TOL / n_panels, and keeps the finer one; the last
     difference is its error.  A panel still active at _CC_LAST + 1 nodes
     keeps that rule and is named in the diagnostics.  Returns the
     integrals, their errors (the panels' errors summed), the nodes
-    evaluated, each panel's node count and the diagnostics.
+    evaluated (the sum of the panels' node counts less the shared ends),
+    each panel's node count and the diagnostics.
     """
     ends = np.linspace(a, b, n_panels + 1)
     mid = 0.5 * (ends[:-1] + ends[1:])[:, None]
@@ -411,12 +540,20 @@ def _nested_quadrature(f, a: float, b: float, n_panels: int):
 
     n = _CC_FIRST
     x, w = _cc_rule(n)
-    fx = f((mid + half * x).ravel())
-    rows = fx.shape[0]
+    ks = mid + half * x  # x runs from 1 to -1: column 0 is a panel's right end
+    # a panel's left end is evaluated once with its left neighbour's right
+    # end, where the two nodes agree to the bit
+    own = np.ones(ks.shape, dtype=bool)
+    own[1:, n] = ks[1:, n] != ks[:-1, 0]
+    fx = f(ks[own])
+    rows, n_nodes = fx.shape
     # per active panel: its values at the current rule's nodes, and its integrals
-    vals = fx.reshape(rows, n_panels, n + 1).transpose(1, 0, 2)
+    vals = np.empty((rows,) + ks.shape)
+    vals[:, own] = fx
+    shared = np.flatnonzero(~own[:, n])
+    vals[:, shared, n] = vals[:, shared - 1, 0]
+    vals = vals.transpose(1, 0, 2)
     coarse = half * (vals @ w)
-    n_nodes = fx.shape[1]
 
     values = np.empty((n_panels, rows))
     errors = np.empty((n_panels, rows))

@@ -330,16 +330,22 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
         leaf = np.abs(leaf_m) <= _POLE_BAND * np.maximum(ak * np.abs(m12), np.abs(m21) / ak)
         pole |= ~core & leaf
     pole = pole.any(axis=-1)
-    # the entries (uu, uv, vu, vv) of each edge: (-m11, 1, 1, -m22) / m12 in
-    # the core, (-m21, 0, 0, 0) / m at the leaf for an arm; unused at a pole
-    x = np.broadcast_arrays(np.where(core, -m11, -m21), core, core, core * -m22)
-    x = np.stack(x, axis=-1) / np.where(den == 0, 1.0, den)[..., None]
-    x[..., 0] = np.where(~core & (den == 0), np.inf, x[..., 0])
-    x[pole] = 0.0
     if nc == 1:
-        # the centre's one entry: each point's entries added in their order
-        lam = np.add.accumulate(x.reshape(n, -1), axis=-1)[:, -1:]
+        # each edge's entry on the centre, -m21 / m at the leaf for an arm
+        # and (2 - m11 - m22) / m12 for a loop (unused at a pole), added in
+        # their order
+        x = np.where(core, 2.0 - m11 - m22, -m21) / np.where(den == 0, 1.0, den)
+        x = np.where(~core & (den == 0), np.inf, x)
+        x[pole] = 0.0
+        lam = np.add.accumulate(x, axis=-1)[:, -1:]
     else:
+        # the entries (uu, uv, vu, vv) of each edge: (-m11, 1, 1, -m22) / m12
+        # in the core, (-m21, 0, 0, 0) / m at the leaf for an arm; unused at
+        # a pole
+        x = np.broadcast_arrays(np.where(core, -m11, -m21), core, core, core * -m22)
+        x = np.stack(x, axis=-1) / np.where(den == 0, 1.0, den)[..., None]
+        x[..., 0] = np.where(~core & (den == 0), np.inf, x[..., 0])
+        x[pole] = 0.0
         slots = ((nc * nc * np.arange(n))[:, None, None] + layout.dtn_target).ravel()
         lam = np.bincount(slots, x.real.ravel(), n * nc * nc)
         if not real:
@@ -356,7 +362,7 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
         arm = np.where(to_leaf, z_d + (m12 * m22 < 0), z_n - (m11 == 0))
         own = np.where(core, z_d - (m12 == 0), arm)
         eig = lam if nc == 1 else np.linalg.eigvalsh(lam)
-        entries = np.abs(np.where(np.isinf(x), 0.0, x)).sum(axis=(1, 2))
+        entries = np.abs(np.where(np.isinf(x), 0.0, x)).sum(axis=tuple(range(1, x.ndim)))
         tol = (_KERNEL_TOL * ks + 64 * np.finfo(float).eps * entries)[:, None]
         at = (np.abs(eig) <= tol).sum(axis=-1)
         count = own.sum(axis=-1) + (eig >= -tol).sum(axis=-1)

@@ -8,7 +8,9 @@ a plain sequential loop over the single-point check ``verify_subunitary``,
 and ``dense_secular`` takes T from ``assemble_T`` to check the determinants
 built on it.  ``block_fold``
 takes the Magnus step matrices as arrays and folds them the way the package
-did before it folded M and M' as a 2x2 pair.
+did before it folded M and M' as a 2x2 pair.  ``walk_orbits`` is the
+package's former depth-first orbit enumeration, on the package's step table
+and class record, kept as the reference of the array enumeration.
 """
 from __future__ import annotations
 
@@ -296,3 +298,48 @@ def dense_secular(g, ks) -> Tuple[np.ndarray, np.ndarray]:
                 sigma[d, d2] = 2.0 / leaves.count(leaves[d]) - (d == d2)
     S = sigma @ assemble_T(g, np.asarray(ks, dtype=complex))
     return np.linalg.det(S), np.linalg.det(np.eye(n) - S)
+
+
+def walk_orbits(g, n_max: int):
+    """(classes, partial paths) of the depth-first orbit enumeration: one
+    representative per cyclic class of closed walks with <= n_max steps,
+    sorted by (n, least rotation), and the partial paths the walk expanded.
+
+    One depth-first walk from each state s0 covers every length at once: it
+    extends paths whose states never drop below s0 and records each step
+    back into s0 as a closed walk.  A class is thus met only from its least
+    state; the first rotation met represents it and later ones are dropped
+    by their least rotation (key).  It takes the step table, the least
+    rotation and the class record from the package and has no budget.
+    """
+    from qgspectra.orbits import _min_rotation, _orbit, _step_table
+
+    table = _step_table(g)
+    orbits = []
+    seen: set = set()
+    spent = 0
+    for s0 in range(len(table)):
+        # states[i] -> states[i + 1] is a step of kind kinds[i + 1];
+        # steps[i] iterates the steps out of states[i] not yet taken
+        states, kinds, steps = [s0], [""], [iter(table[s0])]
+        while steps:
+            for r, kind in steps[-1]:
+                if r == s0:
+                    cycle = tuple(states)
+                    key = _min_rotation(cycle)
+                    if key not in seen:
+                        seen.add(key)
+                        orbits.append(_orbit(cycle, (*kinds[1:], kind), key))
+                if r >= s0 and len(states) < n_max:
+                    states.append(r)
+                    kinds.append(kind)
+                    steps.append(iter(table[r]))
+                    break
+            else:
+                # every step out of the path's last state is taken
+                spent += 1
+                states.pop()
+                kinds.pop()
+                steps.pop()
+    orbits.sort(key=lambda p: (p.n, p.key))
+    return orbits, spent

@@ -15,8 +15,10 @@ import qgspectra
 from qgspectra import cli, edge, orbits
 from qgspectra.errors import SingularPointError
 from qgspectra.orbits import enumerate_orbits
-from qgspectra.scattering import secular
+from qgspectra.scattering import assemble_S, secular
 from qgspectra.spectrum import ScanConfig
+
+from .oracles import walk_orbits
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -324,6 +326,60 @@ def test_orbit_table_solves_each_edge_once(tmp_path, solve_edge_calls):
     assert sorted(solve_edge_calls) == [0, 1, 2]
 
 
+def _reference_table(g, n_max, k_sample):
+    """The orbit table's rows, past its config-hash line, from the
+    depth-first walk's classes, each weight taken by ``_weight`` and each
+    value written by ``_fmt``."""
+    S = assemble_S(g, complex(k_sample)).tolist()
+    lines = [",".join(cli._ORBIT_HEADER) + "\n"]
+    for i, p in enumerate(walk_orbits(g, n_max)[0]):
+        wt = orbits._weight(p, S)
+        states = "-".join(str(s) for s in p.states)
+        kinds = "".join("T" if kind == "transmit" else "R" for kind in p.kinds)
+        row = [i, p.n, p.n_primitive, p.repetitions, states, kinds, wt.real, wt.imag]
+        lines.append(",".join(cli._fmt(v) for v in row) + "\n")
+    return "".join(lines)
+
+
+ORBIT_TABLES = {
+    "trace-check-delta-star": ("trace-check", DELTA_STAR, 6, ["--phi-center", "20", "--phi-sigma", "0.5"]),
+    "orbits-delta-star": ("orbits", DELTA_STAR, 6, ["--kmin", "20"]),
+    "orbits-smooth": ("orbits", SMOOTH, 8, ["--kmin", "3"]),
+    "orbits-triangle": ("orbits", TRIANGLE, 60, ["--kmin", "3"]),
+}
+
+
+@pytest.mark.parametrize("case", list(ORBIT_TABLES))
+def test_orbit_table_is_the_depth_first_walks(tmp_path, case):
+    # both commands write the walk's classes and weights, byte for byte
+    command, graph, n_max, flags = ORBIT_TABLES[case]
+    inp = write_input(tmp_path, graph)
+    out = tmp_path / "out"
+    args = [command, "--input", str(inp), "--out", str(out), "--nmax", str(n_max), *flags]
+    assert cli.main(args) == 0
+    head, rows = (out / "orbit_table.csv").read_text().split("\n", 1)
+    assert head.startswith("# config_hash=")
+    assert rows == _reference_table(qgspectra.build_graph(graph), n_max, float(flags[1]))
+
+
+def test_over_budget_orbit_table_is_refused_before_walking(tmp_path, capsys):
+    # 6.1 million partial paths up to length 12 on the cos 2x/3x/4x star:
+    # refused from their count, after the trace check, with nothing written
+    graph = {
+        "vertices": ["c", "v1", "v2", "v3"],
+        "edges": [
+            {"from": "c", "to": f"v{i}", "length": 1.0, "potential": {"type": "expr", "expr": f"cos({i + 1}*x)"}}
+            for i in (1, 2, 3)
+        ],
+    }
+    inp = write_input(tmp_path, graph)
+    out = tmp_path / "tr"
+    args = ["trace-check", "--input", str(inp), "--phi-center", "12", "--phi-sigma", "0.5", "--nmax", "12", "--out", str(out)]
+    assert cli.main(args) == 1
+    assert "exceeded its budget" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_trace_check_refuses_a_truncated_orbit_table(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(orbits, "_PATH_BUDGET", 20)
     inp = write_input(tmp_path, TRIANGLE)
@@ -393,7 +449,8 @@ def test_trace_check_report(tmp_path):
     assert set(quad) == {
         "errors", "k_hi", "k_lo", "n_nodes", "n_panels", "panel_levels", "panel_width"
     }
-    assert sum(quad["panel_levels"]) == quad["n_nodes"] > 0
+    # 8 panels of width 1 on [6, 14]: neighbours share their 7 common ends
+    assert sum(quad["panel_levels"]) - (quad["n_panels"] - 1) == quad["n_nodes"] > 0
     errors = [quad["errors"]["rhs_weyl"], quad["errors"]["weyl_count"]]
     errors += quad["errors"]["rhs_orbits"]
     assert len(errors) == 2 + 5

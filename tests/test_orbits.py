@@ -22,7 +22,7 @@ from qgspectra.orbits import (
 from qgspectra.scattering import _theta_prime, assemble_T, big_sigma
 
 from .conftest import random_delta_star
-from .oracles import brute_classes, burnside_classes, gaussian_moment
+from .oracles import brute_classes, burnside_classes, gaussian_moment, walk_orbits
 
 
 def _counts_by_length(orbits, n_max):
@@ -169,12 +169,13 @@ def test_batched_quadrature_matches_a_per_node_loop(g_delta_star):
     # reference: T and T' one quadrature node at a time, the phase density
     # summed over the 2x2 edge blocks and the orbit rows by single products,
     # on the nodes of every panel's accepted rule; the rules are nested, so
-    # those are all the nodes evaluated
+    # those are all the nodes evaluated, less the 7 interior panel ends
+    # (integer here), each evaluated once for the two panels it ends
     g, phi, n_max = g_delta_star, TestFunction(20.0, 0.5), 5
     report = trace_check(g, phi, n_max)
     q = report.quadrature
     ks, wts = _accepted_nodes(q)
-    assert ks.size == q["n_nodes"] > orbits_module._NODE_BLOCK
+    assert ks.size - (q["n_panels"] - 1) == q["n_nodes"] > orbits_module._NODE_BLOCK
     sigma = big_sigma(g)
     tp = np.zeros(ks.size)
     terms = np.zeros((n_max + 1, ks.size))
@@ -291,6 +292,52 @@ def test_enumerated_classes_are_distinct_and_rebuildable(request, fixture_name, 
         assert make_orbit(g, p.states) == p
 
 
+ENUMERATION_CASES = [
+    ("g_triangle", 6),
+    ("g_interval_delta_pi", 6),
+    ("g_interval_pi", 4),
+    ("g_delta_star", 5),
+    ("g_smooth_star", 4),
+    ("g_delta_star", 8),  # the trace-formula benchmark's star
+    ("g_interval_delta_pi", 12),
+    ("g_triangle", 1200),
+]
+
+
+@pytest.mark.parametrize("fixture_name,n_max", ENUMERATION_CASES)
+def test_enumeration_matches_the_depth_first_walk(request, fixture_name, n_max):
+    # the same classes, representatives, kinds and order as the walk, with
+    # Python ints throughout
+    g = request.getfixturevalue(fixture_name)
+    found = enumerate_orbits(g, n_max)
+    assert found == walk_orbits(g, n_max)[0]
+    for p in found:
+        fields = (*p.states, *p.key, p.n, p.n_primitive, p.repetitions)
+        assert all(type(v) is int for v in fields)
+
+
+@pytest.mark.parametrize("fixture_name,n_max", ENUMERATION_CASES)
+def test_path_count_is_the_walks_count(request, fixture_name, n_max):
+    g = request.getfixturevalue(fixture_name)
+    steps = structural_step_matrix(g)
+    assert orbits_module._path_count(steps, n_max) == walk_orbits(g, n_max)[1]
+
+
+def test_over_budget_enumeration_is_refused_before_walking(g_smooth_star):
+    # the smooth star holds 6.1 million partial paths up to length 12: the
+    # count alone refuses it, holding no walk
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="exceeded its budget"):
+            enumerate_orbits(g_smooth_star, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
+
+
 def test_long_triangle_orbits_need_no_recursion(g_triangle):
     # two classes (one per sense of rotation) at each multiple of 3
     counts = _counts_by_length(enumerate_orbits(g_triangle, 1200), 1200)
@@ -380,7 +427,9 @@ def test_nested_quadrature_matches_a_gauss_reference(request, name):
     ref = _gauss_rows(g, phi, n_max, q)
     assert np.all(np.abs(rows - ref) <= 1e-13)
     assert np.all(errors <= 1e-11) and np.all(np.isfinite(errors))
-    assert sum(q["panel_levels"]) == q["n_nodes"] <= 64 * q["n_panels"]
+    # neighbours share the panel ends that they compute to the same bits
+    levels = sum(q["panel_levels"])
+    assert levels - (q["n_panels"] - 1) <= q["n_nodes"] <= levels <= 64 * q["n_panels"]
     assert set(q["panel_levels"]) <= {9, 17, 33, 65, 129, 257, 513, 1025}
     assert not any("quadrature" in d for d in report.diagnostics)
 

@@ -425,7 +425,8 @@ def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
     # support: 8 panels on [16, 24], each at 9, 17, 33 or 65 nested
     # Clenshaw-Curtis nodes (232 in all at n_max 4, where the rows
     # oscillate slower, 456 at 16; the fixed rule took 8 x 64 = 512 at
-    # both).  The orbit rows cost no edge work
+    # both), less the 7 interior panel ends, each evaluated once for both
+    # its panels.  The orbit rows cost no edge work
     phi = TestFunction(20.0, 0.5)
     scan_spectrum(g_delta_star, *phi.support)
     scan = len(assembled_ks)
@@ -434,7 +435,7 @@ def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
         assembled_ks.clear()
         trace_check(g_delta_star, phi, n_max)
         counts.append(len(assembled_ks))
-    assert counts == [232 + scan, 456 + scan]
+    assert counts == [225 + scan, 449 + scan]
 
 
 def test_threshold_work_is_bounded(magnus_calls, threshold_points):
