@@ -236,7 +236,8 @@ def _cmd_spectrum(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
         {
             "k_lo": result.k_lo,
             "k_hi": result.k_hi,
-            # the closed-form K the scan reports, or null: it does not read K
+            # K = 0 where no edge has a potential, else null: the scan does
+            # not compute K
             "threshold": None
             if result.threshold is None
             else {"K": result.threshold, "method": "closed-form"},

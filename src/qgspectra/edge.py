@@ -35,7 +35,7 @@ segments of a Magnus propagation.  The closed-form edges are evaluated
 together over (k, edge), in float64 at real k, and the smooth edges in one
 propagation, whose samples the table keeps per edge and step count.
 ``_solve_edges`` is its all-edges case, ``solve_edge`` its one-point case,
-and the threshold scan reads t from it one edge at a time; ``edge_profile``
+and the threshold reads t and t' from it on a real grid; ``edge_profile``
 finds its step count from the same samples.  So every solve of a graph's
 edges samples a smooth potential once per step count.
 
@@ -54,28 +54,17 @@ r_from is the reflection seen from the edge's "from" end, r_to from the "to"
 end; trans is direction-independent, and reversing the edge swaps m11 and
 m22, so q changes sign and the reflections swap.  t' follows from M' by
 the quotient rule, and the eigenvalues of t are trans -+ sqrt(r_from r_to).
-t is unitary for real k, and its eigenvalue moduli dip below 1 just above
-the real axis once k clears the subunitarity threshold of the potential.
-
-For constant and smooth edges the threshold is a heuristic scan over a
-(k, eps) grid: rows k_i = base + 0.125 i above the classical barrier, eps
-in {1e-4, 1e-3, 1e-2, 1e-1}, and a row passes when t is subunitary at
-every eps and edge.  One pass over the rows counts the consecutive rows
-that pass, and K is the grid value just below the first run of 32; the
-scan raises when that value is not among the first 400 grid values.  Each
-(k, eps, edge) point is evaluated once, in blocks of up to 16 k values per
-edge through the batched propagator, a block ending at the row where the
-current run would complete.  A block's first point is the one the walk
-needs next: it is evaluated alone, and when it fails or raises the rest of
-the block is not evaluated, so an unresolvable edge costs one point's step
-doubling, not a block's.  Nothing between the samples is checked, so a t
-that leaves the unit disc only there is missed and K comes out too low.
+t is unitary for real k.  Just above the real axis ||t(k + i eps) v||^2 =
+||v||^2 - 2 eps v^H Q v + O(eps^2), with Q = -i t^H t' the edge's
+Wigner-Smith delay matrix (Smith, Phys. Rev. 118, 1960), so t is
+subunitary there where the smaller eigenvalue of Q is positive; the
+subunitarity threshold is the last sign change of that eigenvalue, found
+on one real grid of all edges at once (``subunitarity_threshold``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import weakref
 from typing import List, Optional, Tuple
@@ -149,7 +138,9 @@ class TransitionMatrix:
 
     @property
     def eigenvalues(self) -> np.ndarray:
-        mu = np.array(_t_eigenvalues(self.trans, self.r_from, self.r_to))
+        """trans -+ sqrt(r_from r_to), sorted."""
+        root = np.sqrt(self.r_from * self.r_to)
+        mu = np.array([self.trans - root, self.trans + root])
         return mu[np.lexsort((mu.imag, mu.real))]
 
     def unitarity_defect(self) -> float:
@@ -776,12 +767,6 @@ def _t_entries(sol: EdgeSolution):
     return t, tuple((dn - x * dden) / den for dn, x in zip(dt, t)), singular
 
 
-def _t_eigenvalues(trans, r_from, r_to):
-    """The eigenvalues trans -+ sqrt(r_from r_to) of t, elementwise."""
-    root = np.sqrt(r_from * r_to)
-    return trans - root, trans + root
-
-
 def _entries(sol: EdgeSolution):
     """(trans, r_from, r_to) and their k-derivatives (or None) as
     ``_t_entries`` gives them; a singular parametrization raises for the
@@ -806,34 +791,35 @@ def transition_matrix_dk(g: MetricGraph, e: int, k: complex) -> np.ndarray:
     return np.array([[dtrans, dr_to], [dr_from, dtrans]], dtype=complex)
 
 
-def verify_subunitary(
-    g: MetricGraph, e: int, k: float, eps: float
-) -> Tuple[bool, float]:
-    """Check both eigenvalue moduli of t(k + i*eps) are <= 1: the one-point
-    case of ``_max_moduli``, raising the error it gives there."""
+def verify_subunitary(g: MetricGraph, e: int, k: float, eps: float) -> Tuple[bool, float]:
+    """Whether t(k + i eps) of edge ``e`` is subunitary, and its spectral
+    norm ||t||_2, the quantity checked (to 1e-12).
+
+    Sigma is real orthogonal, so ||S|| <= ||T|| = max_e ||t_e||: a norm
+    at most 1 on every edge is the edge-local condition under which the
+    orbit expansion of the trace formula converges.  A spot check of one
+    point; ``subunitarity_threshold`` gives the k above which it holds just
+    off the real axis."""
     if eps <= 0:
         raise InputError("eps must be positive")
-    (max_mod,) = _max_moduli(g, e, np.array([complex(k, eps)]))
-    if isinstance(max_mod, Exception):
-        raise max_mod
-    return _subunitary(max_mod), max_mod
+    norm = float(np.linalg.norm(transition_matrix(g, e, complex(k, eps)).matrix, 2))
+    return norm <= 1.0 + 1e-12, norm
 
 
 @dataclasses.dataclass(frozen=True)
 class ThresholdInfo:
+    """The subunitarity threshold K of a graph (``subunitarity_threshold``)
+    and where its edges' t came from: "closed-form" when every edge with a
+    potential is a point interaction or a constant, "sampled" when a
+    smooth edge's t comes from the Magnus propagator at the grid's k."""
+
     K: float
-    method: str  # "closed-form" or "heuristic-scan"
+    method: str
 
 
-def _delta_threshold(D: float, L: float) -> float:
-    return math.sqrt(max(0.0, -D / L - D * D / 4.0))
-
-
-_EPS_GRID = (1e-4, 1e-3, 1e-2, 1e-1)
-_K_GRID_STEP = 0.125
-_K_CONSECUTIVE = 32
-_K_MAX_CANDIDATES = 400
-_K_BLOCK = 16  # grid k values per edge evaluated in one batch
+# threshold grid points per period pi / L_max of the edges' phases, and at
+# least this many below the large-k bound
+_K_POINTS = 32
 
 # ThresholdInfo of each live graph, computed on first use
 _THRESHOLDS: "weakref.WeakKeyDictionary[MetricGraph, ThresholdInfo]" = (
@@ -842,15 +828,38 @@ _THRESHOLDS: "weakref.WeakKeyDictionary[MetricGraph, ThresholdInfo]" = (
 
 
 def subunitarity_threshold(g: MetricGraph, detailed: bool = False):
-    """Energy floor K above which every edge matrix is subunitary just off
-    the real axis.
+    """The energy floor K above which every edge's t is subunitary just off
+    the real axis, so that ||S(k + i eps)|| <= max_e ||t_e|| <= 1
+    (``verify_subunitary``); with ``detailed``, the ThresholdInfo.  It is
+    computed once per graph.
 
-    Zero and delta potentials have a closed form (K = 0 for nonnegative
-    strengths).  Constant/smooth potentials get an empirical scan: the
-    smallest grid value above the classical barrier sqrt(sup w+) for which
-    subunitarity holds over an eps grid and 32 consecutive k samples.  The
-    scanned value is a heuristic and is flagged as such: nothing between
-    the samples is checked.  The result is computed once per graph.
+    The quantity checked is the smaller eigenvalue lambda(k) of each edge's
+    Wigner-Smith matrix Q = -i t^H t' on the real axis: to first order in
+    eps, ||t(k + i eps) v||^2 = ||v||^2 - 2 eps v^H Q v, so t is subunitary
+    just above k where lambda(k) >= 0.  K is the largest k at which some
+    lambda changes sign, 0 where none does.  A potential-free edge (Q = L I)
+    is skipped.
+
+    The large-k bound: write the solution for incoming amplitudes v, |v| =
+    1, as alpha e^{ikx} + beta e^{-ikx} (variation of constants), and A =
+    |alpha|^2 + |beta|^2.  Then v^H Q v = int A dx - Re[(1/ik) int (alpha
+    conj(beta))' e^{2ikx} dx], as the end terms of that integration by
+    parts cancel the interference term of Smith's split.  With V = int |w|
+    (plus |D| for a point interaction; ``_strength``) and s = V / k, |A'|
+    <= 2 |w| A / k and A(0) + A(L) = 2 give e^{-2s} <= A <= e^{2s}, and the
+    variation of alpha conj(beta) is at most s (1 + s/2) e^{2s}, so
+
+        lambda(k) >= L e^{-2s} - s (1 + s/2) e^{2s} / k,
+
+    which is positive where s^2 (1 + s/2) e^{4s} < L V.  At s = ln(1 +
+    sqrt(L V)) / 3 the left side is below 0.23 L V, so no sign change lies
+    above B = 3 V / ln(1 + sqrt(L V)).  The grid runs from K_FLOOR to the
+    largest B, with spacing at most pi / (32 L_max) and at least 32
+    points, in one batch of the edges with a potential (its first point
+    alone, so that an edge the propagator cannot resolve raises after one
+    point's step doubling).  The last bracket in which some lambda is
+    negative is refined by ``spectrum._chandrupatla``.  A sign change that
+    the grid steps over is missed.
     """
     info = _THRESHOLDS.get(g)
     if info is None:
@@ -858,89 +867,71 @@ def subunitarity_threshold(g: MetricGraph, detailed: bool = False):
     return info if detailed else info.K
 
 
-def _subunitary(r) -> bool:
-    """Whether an outcome of ``_max_moduli`` is a modulus <= 1."""
-    return not isinstance(r, Exception) and r <= 1.0 + 1e-12
+def _strength(e) -> float:
+    """V of the threshold's large-k bound: |D| for a point interaction, else
+    the integral of |w| over the edge."""
+    pot = e.potential
+    return abs(pot.strength) if pot.kind == "delta" else pot.abs_integral(e.length)
 
 
-def _max_moduli(g: MetricGraph, e: int, ks: np.ndarray) -> list:
-    """Per complex k of ``ks``: the largest eigenvalue modulus of t on edge
-    ``e``, or the error ``verify_subunitary`` raises there, from ``_evaluate``
-    at ``ks`` on that edge alone (so a smooth edge reads and adds to the
-    graph's samples)."""
-    edge = g.edges[e]
-    m, _, err, _ = _evaluate(g, ks, [e], False)
-    resolved = err[:, 0] <= _DEFAULT_TOL
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t, _, singular = _t_entries(EdgeSolution(ks, edge.length, tuple(x[:, 0] for x in m)))
-        mods = np.maximum(*(np.abs(mu) for mu in _t_eigenvalues(*t)))
-    return [
-        _unresolved(edge.potential, k) if not r else _singular(k) if s else mod
-        for k, mod, r, s in zip(ks.tolist(), mods.tolist(), resolved, singular)
-    ]
-
-
-def _closed_threshold(g: MetricGraph) -> Tuple[float, List[int]]:
-    """The closed-form part of K, the largest delta-edge threshold (0 with
-    none), and the constant and smooth edges, whose part only the heuristic
-    scan gives; K is the closed form itself when there are none."""
-    closed, scan_edges = 0.0, []
-    for e in g.edges:
-        pot = e.potential
-        if pot.kind == "delta":
-            closed = max(closed, _delta_threshold(pot.strength, e.length))
-        elif pot.kind != "zero":
-            scan_edges.append(e.index)
-    return closed, scan_edges
+def _delay_floor(g: MetricGraph, ks: np.ndarray, edges: List[int]) -> np.ndarray:
+    """The smaller eigenvalue of the Wigner-Smith matrix Q = -i t^H t' of
+    the edges ``edges`` at every real k of ``ks``, (len(ks), len(edges)),
+    from one ``_evaluate``; an unresolved point raises, the first in (k,
+    edge) order."""
+    m, dm, err, _ = _evaluate(g, ks, edges, True)
+    unresolved = np.argwhere(~(err <= _DEFAULT_TOL))
+    if unresolved.size:
+        i, j = unresolved[0]
+        raise _unresolved(g.edges[edges[j]].potential, complex(ks[i]))
+    sol = EdgeSolution(ks[:, None], _edge_table(g)[1][edges], tuple(m), tuple(dm))
+    (tr, rf, rt), (dtr, drf, drt) = _entries(sol)
+    # t^H t' with t = [[tr, rt], [rf, tr]]; Q is Hermitian where t is
+    # unitary, so its diagonal is the imaginary part of this one's, and the
+    # off-diagonal entry is averaged with the conjugate of its mirror
+    q11 = (tr.conj() * dtr + rf.conj() * drf).imag
+    q22 = (rt.conj() * drt + tr.conj() * dtr).imag
+    a12 = tr.conj() * drt + rf.conj() * dtr
+    a21 = rt.conj() * dtr + tr.conj() * drf
+    q12 = 0.5 * np.abs(a21.conj() - a12)
+    return 0.5 * (q11 + q22) - np.hypot(0.5 * (q11 - q22), q12)
 
 
 def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
-    closed, scan_edges = _closed_threshold(g)
-    if not scan_edges:
-        return ThresholdInfo(closed, "closed-form")
-    floor = max(
-        math.sqrt(g.edges[e].potential.sup_plus(g.edges[e].length)) for e in scan_edges
+    from .spectrum import K_FLOOR, _chandrupatla  # spectrum imports this module
+
+    strengths = [_strength(e) for e in g.edges]
+    live = [i for i, v in enumerate(strengths) if v > 0]
+    sampled = any(g.edges[i].potential.kind == "smooth" for i in live)
+    method = "sampled" if sampled else "closed-form"
+    if not live:
+        return ThresholdInfo(0.0, method)
+    # each edge's B, sqrt(L V) taken root by root so that a subnormal V
+    # does not underflow it to 0
+    bounds = [
+        3.0 * strengths[i] / math.log1p(math.sqrt(g.edges[i].length) * math.sqrt(strengths[i]))
+        for i in live
+    ]
+    top = max(K_FLOOR, *bounds)
+    step = min(top, math.pi / max(g.edges[i].length for i in live)) / _K_POINTS
+    ks = np.linspace(K_FLOOR, top, math.ceil((top - K_FLOOR) / step) + 1)
+    # a smooth edge's first point alone: one that the propagator cannot
+    # resolve raises after that point's step doubling
+    parts = [ks[:1], ks[1:]] if sampled else [ks]
+    lam = np.concatenate([_delay_floor(g, part, live) for part in parts])
+    below = np.flatnonzero((lam < 0).any(axis=1))
+    if not below.size:
+        return ThresholdInfo(0.0, method)
+    # the bound leaves every lambda positive at the grid's last point
+    i = below[-1]
+    cols = np.flatnonzero(lam[i] < 0)
+    neg = [live[j] for j in cols]
+
+    def floor(x, idx):
+        return _delay_floor(g, x, neg).min(axis=1)
+
+    (K,), _ = _chandrupatla(
+        floor, ks[i : i + 1], ks[i + 1 : i + 2], [lam[i, cols].min()],
+        [lam[i + 1, cols].min()], 1e-14 * ks[i + 1],
     )
-    base = math.ceil(max(floor, closed) / _K_GRID_STEP) * _K_GRID_STEP
-    # One pass over the grid rows i = 1, 2, ..., k_i = base + i*step, each
-    # checked at every eps and scan edge in the order of the definition
-    # (k, then eps, then edge), so an error is raised only where that order
-    # reaches its point.  ``run`` counts the consecutive rows that passed;
-    # the candidate K = base + (i - run)*step holds once it reaches 32.  Per
-    # scan edge, points p = i * len(_EPS_GRID) + eps index are evaluated in
-    # blocks from the first one the walk needs up to the row at which the
-    # current run would complete, ``known[s]`` holding the outcomes from
-    # point ``first[s]`` on.
-    n_eps = len(_EPS_GRID)
-    first = [0] * len(scan_edges)
-    known = [[] for _ in scan_edges]
-    run = 0
-    for i in itertools.count(1):
-        end = i - run + _K_CONSECUTIVE - 1
-        for a, s in itertools.product(range(n_eps), range(len(scan_edges))):
-            p = i * n_eps + a
-            if not first[s] <= p < first[s] + len(known[s]):
-                ks = np.array([
-                    complex(base + (q // n_eps) * _K_GRID_STEP, _EPS_GRID[q % n_eps])
-                    for q in range(p, min(p + _K_BLOCK * n_eps, (end + 1) * n_eps))
-                ])
-                # point p goes first, alone: when it fails or raises the
-                # walk stops there, so the rest of the block is not needed
-                first[s], known[s] = p, _max_moduli(g, scan_edges[s], ks[:1])
-                if len(ks) > 1 and _subunitary(known[s][0]):
-                    known[s] += _max_moduli(g, scan_edges[s], ks[1:])
-            r = known[s][p - first[s]]
-            if isinstance(r, Exception):
-                raise r
-            if not _subunitary(r):
-                run = 0
-                break
-        else:
-            run += 1
-            if run == _K_CONSECUTIVE:
-                return ThresholdInfo(
-                    max(base + (i - run) * _K_GRID_STEP, closed), "heuristic-scan"
-                )
-        # after a failing row the next run starts at candidate i
-        if not run and i >= _K_MAX_CANDIDATES:
-            raise NumericalError("no subunitarity threshold found within scan budget")
+    return ThresholdInfo(float(K), method)

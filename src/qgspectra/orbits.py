@@ -522,8 +522,8 @@ def _nested_quadrature(f, a: float, b: float, n_panels: int):
 
     f maps a 1-D array of k to the (rows, k.size) integrand values, each
     column a function of its k alone.  Each panel starts at _CC_FIRST + 1
-    nodes and doubles; neighbours evaluate their common end once (where the
-    two computed nodes agree to the bit), and a doubling evaluates only the
+    nodes and doubles; its end nodes are ``ends`` exactly, neighbours
+    evaluate their common end once, and a doubling evaluates only the
     new (odd-index) nodes, those of every panel still active in one call of
     f.  A panel is accepted when its last two rules agree on every row
     within _QUAD_TOL / n_panels, and keeps the finer one; the last
@@ -541,18 +541,16 @@ def _nested_quadrature(f, a: float, b: float, n_panels: int):
     n = _CC_FIRST
     x, w = _cc_rule(n)
     ks = mid + half * x  # x runs from 1 to -1: column 0 is a panel's right end
-    # a panel's left end is evaluated once with its left neighbour's right
-    # end, where the two nodes agree to the bit
-    own = np.ones(ks.shape, dtype=bool)
-    own[1:, n] = ks[1:, n] != ks[:-1, 0]
-    fx = f(ks[own])
+    # the ends are ``ends`` exactly, and a panel's left end is evaluated once,
+    # as its left neighbour's right end
+    ks[:, 0] = ends[1:]
+    fx = f(np.append(ends[0], ks[:, :n]))
     rows, n_nodes = fx.shape
     # per active panel: its values at the current rule's nodes, and its integrals
-    vals = np.empty((rows,) + ks.shape)
-    vals[:, own] = fx
-    shared = np.flatnonzero(~own[:, n])
-    vals[:, shared, n] = vals[:, shared - 1, 0]
-    vals = vals.transpose(1, 0, 2)
+    vals = np.empty((n_panels, rows, n + 1))
+    vals[..., :n] = fx[:, 1:].reshape(rows, n_panels, n).transpose(1, 0, 2)
+    vals[0, :, n] = fx[:, 0]
+    vals[1:, :, n] = vals[:-1, :, 0]
     coarse = half * (vals @ w)
 
     values = np.empty((n_panels, rows))

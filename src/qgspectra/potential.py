@@ -537,17 +537,16 @@ class Potential:
                     f"potential {self.source!r} is not finite on [0, {length}]"
                 )
 
-    # -- maxima (dense sampling; used by threshold heuristics) --------------
-
-    def sup_plus(self, length: float) -> float:
-        """sup of the positive part, the classical barrier height."""
-        if self.kind == "delta":
-            return 0.0
-        return max(self.max_value(length), 0.0)
+    # -- maximum and integral (dense sampling) ------------------------------
 
     def max_value(self, length: float) -> float:
         """Largest (signed) value of w on [0, length]."""
         return float(np.max(self._samples(length, "pointwise maximum")))
+
+    def abs_integral(self, length: float) -> float:
+        """The integral of |w| over [0, length], as length times the mean of
+        |w| at the dense samples."""
+        return length * float(np.mean(np.abs(self._samples(length, "pointwise integral"))))
 
 
 def orient(pot: Potential, reverse: bool, length: float) -> Potential:

@@ -70,7 +70,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from . import edge
-from .edge import _closed_threshold, subunitarity_threshold
+from .edge import subunitarity_threshold
 from .errors import InputError, NumericalError, _index
 from .graph import MetricGraph
 from .scattering import _det_w, _vertex_det
@@ -164,9 +164,8 @@ class RootRecord:
 @dataclasses.dataclass
 class SpectrumResult:
     roots: List[RootRecord]
-    # the closed-form subunitarity threshold K (``edge._closed_threshold``),
-    # None where a constant or smooth edge would need the heuristic scan;
-    # the scan itself does not read it
+    # the subunitarity threshold K where no edge has a potential (0.0), else
+    # None: the scan neither reads nor computes K
     threshold: Optional[float]
     k_lo: float
     k_hi: float
@@ -573,10 +572,10 @@ def scan_spectrum(
         f"large secular residual {r:.2e} at k={k:.9f}" for k, _, r, miss in merged if miss
     )
 
-    closed, scanned = _closed_threshold(g)
+    free = all(e.potential.kind == "zero" for e in g.edges)
     return SpectrumResult(
         roots=[RootRecord(k, m, r) for k, m, r, _ in merged],
-        threshold=None if scanned else closed,
+        threshold=0.0 if free else None,
         k_lo=lo,
         k_hi=k_hi,
         diagnostics=diagnostics,

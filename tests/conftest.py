@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from qgspectra import edge, scattering
 from qgspectra.graph import MetricGraph, build_graph
@@ -13,6 +14,10 @@ from qgspectra.orbits import TestFunction
 
 # keep pytest from trying to collect the library's Gaussian window class
 TestFunction.__test__ = False
+
+# property tests draw the same examples on every run and keep no database
+settings.register_profile("qgspectra", derandomize=True, database=None, deadline=None)
+settings.load_profile("qgspectra")
 
 ZERO = {"type": "zero"}
 
@@ -217,18 +222,3 @@ def magnus_steps(monkeypatch):
 def gauss_samplings(monkeypatch):
     """The step count of every sampling of one potential at its Gauss nodes."""
     return _record_calls(monkeypatch, edge._gauss_values, lambda w, left: [len(left)])
-
-
-@pytest.fixture
-def threshold_points(monkeypatch):
-    """(edge index, complex k) of every grid point the threshold scan
-    evaluates."""
-    points = []
-    moduli = edge._max_moduli
-
-    def recorded(g, e, ks):
-        points.extend((e, k) for k in ks.tolist())
-        return moduli(g, e, ks)
-
-    monkeypatch.setattr(edge, "_max_moduli", recorded)
-    return points

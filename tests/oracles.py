@@ -2,10 +2,8 @@
 
 Everything here is built from first principles with numpy/scipy only — no
 imports from the package under test — so that agreement between the two is
-meaningful.  Two exceptions take one public function of the package:
-``threshold_reference`` restates the subunitarity threshold's definition as
-a plain sequential loop over the single-point check ``verify_subunitary``,
-and ``dense_secular`` takes T from ``assemble_T`` to check the determinants
+meaningful.  One exception takes a public function of the package:
+``dense_secular`` takes T from ``assemble_T`` to check the determinants
 built on it.  ``block_fold``
 takes the Magnus step matrices as arrays and folds them the way the package
 did before it folded M and M' as a 2x2 pair.  ``walk_orbits`` is the
@@ -237,48 +235,6 @@ def block_fold(steps: np.ndarray, dsteps: np.ndarray) -> Tuple[np.ndarray, np.nd
             prod += later[:, j, None] * earlier[None, j]
         blocks = prod
     return blocks[:2, :2, :, 0], blocks[:2, 2:, :, 0]
-
-
-THRESHOLD_EPS = (1e-4, 1e-3, 1e-2, 1e-1)
-THRESHOLD_STEP = 0.125
-THRESHOLD_RUN = 32
-THRESHOLD_CANDIDATES = 400
-
-
-def threshold_reference(g) -> Tuple[float, str]:
-    """(K, method) of the subunitarity threshold by its definition.
-
-    Delta edges give the closed form sqrt(max(0, -D/L - D^2/4)).  With any
-    constant or smooth edge, K is the first candidate on the 0.125 grid from
-    max(sqrt(sup w+), closed form) up whose next 32 grid k pass
-    ``verify_subunitary`` at every eps and scan edge, each candidate checked
-    from scratch, k outer, then eps, then edge.
-    """
-    from qgspectra.edge import verify_subunitary
-    from qgspectra.errors import NumericalError
-
-    closed, floor, scan = 0.0, 0.0, []
-    for e in g.edges:
-        pot = e.potential
-        if pot.kind == "delta":
-            d = pot.strength
-            closed = max(closed, math.sqrt(max(0.0, -d / e.length - d * d / 4.0)))
-        elif pot.kind in ("constant", "smooth"):
-            floor = max(floor, math.sqrt(pot.sup_plus(e.length)))
-            scan.append(e.index)
-    if not scan:
-        return closed, "closed-form"
-    base = math.ceil(max(floor, closed) / THRESHOLD_STEP) * THRESHOLD_STEP
-    for j in range(THRESHOLD_CANDIDATES):
-        cand = base + j * THRESHOLD_STEP
-        if all(
-            verify_subunitary(g, e, cand + m * THRESHOLD_STEP, eps)[0]
-            for m in range(1, THRESHOLD_RUN + 1)
-            for eps in THRESHOLD_EPS
-            for e in scan
-        ):
-            return max(cand, closed), "heuristic-scan"
-    raise NumericalError("no subunitarity threshold found within scan budget")
 
 
 def dense_secular(g, ks) -> Tuple[np.ndarray, np.ndarray]:

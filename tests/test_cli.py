@@ -470,19 +470,20 @@ def test_below_threshold_flag(tmp_path):
     meta = json.loads((tmp_path / "r" / "meta.json").read_text())
     assert (meta["k_lo"], meta["k_hi"], meta["n_roots"]) == (0.3, 0.8, 0)
     assert meta["diagnostics"] == []
-    assert meta["threshold"] == {"K": pytest.approx(math.sqrt(3.0) / 2.0), "method": "closed-form"}
+    # the scan reports no K on a graph with a potential
+    assert meta["threshold"] is None
 
 
 def test_threshold_is_computed_only_where_it_is_read(tmp_path, monkeypatch):
-    # on a smooth graph K needs the heuristic scan: spectrum reports null
-    # and secular-scan and orbits no block, none of them computing K;
-    # wkb-compare and trace-check read K and report it
+    # on a smooth graph spectrum reports null and secular-scan and orbits
+    # no block, none of them computing K; wkb-compare and trace-check read
+    # K and report it
     inp = write_input(tmp_path, SMOOTH)
     common = ["--input", str(inp), "--out", str(tmp_path / "o")]
     compute = edge._compute_threshold
 
     def refused(g):
-        raise AssertionError("the heuristic threshold was computed")
+        raise AssertionError("the threshold was computed")
 
     monkeypatch.setattr(edge, "_compute_threshold", refused)
     for argv in (
@@ -501,7 +502,7 @@ def test_threshold_is_computed_only_where_it_is_read(tmp_path, monkeypatch):
     ):
         assert cli.main(argv + common) == 0
         meta = json.loads((tmp_path / "o" / report).read_text())
-        assert meta["threshold"] == {"K": K, "method": "heuristic-scan"}
+        assert meta["threshold"] == {"K": K, "method": "sampled"}
 
 
 # argv after --input and --out, and the expected part of the error message,

@@ -12,6 +12,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgspectra import edge
 from qgspectra.edge import (
@@ -25,7 +27,7 @@ from qgspectra.edge import (
 )
 from qgspectra.errors import InputError, NumericalError, SingularPointError
 from qgspectra.graph import MetricGraph
-from qgspectra.potential import orient
+from qgspectra.potential import Potential, orient
 
 from .conftest import ZERO, interval, star
 from .oracles import (
@@ -35,7 +37,6 @@ from .oracles import (
     delta_transition_matrix,
     fundamental_matrix,
     solution_zeros,
-    threshold_reference,
 )
 
 # the potentials of the Magnus accuracy checks, written independently of the
@@ -111,22 +112,41 @@ def test_derivative_matches_central_difference(g_smooth):
         assert np.max(np.abs(dk - num)) <= 1e-6
 
 
-def test_threshold_closed_form_for_point_interactions(g_interval_delta_neg, g_interval_pi):
+def test_threshold_closed_form_for_point_interactions(
+    g_interval_delta_neg, g_interval_pi, g_delta_star
+):
     info = subunitarity_threshold(g_interval_delta_neg, detailed=True)
     assert info.K == pytest.approx(math.sqrt(3.0) / 2.0, abs=1e-12)
     assert info.method == "closed-form"
     info0 = subunitarity_threshold(g_interval_pi, detailed=True)
     assert info0.K == 0.0
     assert info0.method == "closed-form"
+    # repulsive point interactions leave every lambda positive
+    info = subunitarity_threshold(g_delta_star, detailed=True)
+    assert (info.K, info.method) == (0.0, "closed-form")
+    # a centred point interaction crosses at sqrt(-D/L - D^2/4)
+    g = interval(1.0, {"type": "delta", "strength": -2.0, "position": 0.5})
+    assert subunitarity_threshold(g) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_threshold_scan_for_smooth_potentials(g_smooth):
+    # the smooth edge's t is sampled; K lies below the classical barrier
+    # sqrt(max w) = sqrt(2), which the criterion does not read (the name
+    # keeps the test's id)
     info = subunitarity_threshold(g_smooth, detailed=True)
-    assert info.method == "heuristic-scan"
-    # the classical barrier sqrt(max w) = sqrt(2) is a hard floor
-    assert info.K >= math.sqrt(2.0) - 1e-12
-    assert info.K <= 4.0
+    assert info.method == "sampled"
+    assert info.K == pytest.approx(0.304662897877, abs=1e-9)
     assert subunitarity_threshold(g_smooth) == info.K
+
+
+def test_verify_subunitary_checks_the_norm():
+    # an off-centre well: t's eigenvalues stay inside the unit disc at k =
+    # 1 while its norm exceeds 1, and the norm is what ||S|| <= ||T|| uses
+    g = interval(1.0, {"type": "delta", "strength": -3.0, "position": 0.2})
+    ok, norm = verify_subunitary(g, 0, 1.0, 1e-4)
+    assert not ok
+    assert norm - 1.0 == pytest.approx(1.41e-5, rel=0.01)
+    assert max(abs(transition_matrix(g, 0, 1.0 + 1e-4j).eigenvalues)) < 1.0
 
 
 def test_verify_subunitary_brackets_the_threshold(g_interval_delta_neg):
@@ -283,25 +303,160 @@ THRESHOLD_PANEL = {
 }
 
 
+# K of the panel, the last sign change of some edge's smaller Wigner-Smith
+# eigenvalue; where the complex-k walk it replaced gave less, the norm
+# check fails between the two
+THRESHOLD_K = {
+    "cos234": 0.469470505550,
+    "2cos3": 0.304662897877,
+    "mixed": 0.985292462485,
+    "const_cos": 1.137982841251,
+    "const": 1.137982841251,
+    "delta_const": 0.876065517517,
+}
+
+# single edges whose K the closed form or the walk put too low
+THRESHOLD_CASES = {
+    "off-centre-delta": (
+        (1.0, {"type": "delta", "strength": -3.0, "position": 0.2}), 1.248999599680
+    ),
+    "delta-at-end": ((1.0, {"type": "delta", "strength": -8.0, "position": 0.0}), 2.828427124746),
+    "deep-well": ((1.0, _constant(-10.0)), 0.358732258111),
+}
+
+
+def _threshold_case(name):
+    if name in THRESHOLD_PANEL:
+        return star(THRESHOLD_PANEL[name]), THRESHOLD_K[name]
+    arm, K = THRESHOLD_CASES[name]
+    return interval(*arm), K
+
+
+def _norms(g, ks):
+    """||t_e(k)||_2 of every edge at every complex k of ``ks``, (len(ks), E),
+    from one batch of the edges: the quantity of ``verify_subunitary``."""
+    (trans, r_from, r_to), _ = _entries(edge._solve_edges(g, ks))
+    t = np.stack([np.stack([trans, r_to], -1), np.stack([r_from, trans], -1)], -2)
+    return np.linalg.norm(t, 2, axis=(-2, -1))
+
+
+def _wigner_smith_floor(g, e, k):
+    """The smaller eigenvalue of -i t^H t' of edge ``e`` at one real k, from
+    the public one-point t and t' and a dense Hermitian eigensolver."""
+    t = transition_matrix(g, e, k).matrix
+    q = -1j * t.conj().T @ transition_matrix_dk(g, e, k)
+    return np.linalg.eigvalsh(0.5 * (q + q.conj().T))[0]
+
+
 @pytest.mark.parametrize("name", sorted(THRESHOLD_PANEL))
 def test_threshold_matches_sequential_reference(name):
-    info = subunitarity_threshold(star(THRESHOLD_PANEL[name]), detailed=True)
-    assert (info.K, info.method) == threshold_reference(star(THRESHOLD_PANEL[name]))
+    # the batched closed-form eigenvalue against one eigvalsh per point:
+    # some edge's is negative just below K and none just above
+    g = star(THRESHOLD_PANEL[name])
+    info = subunitarity_threshold(g, detailed=True)
+    smooth = any(pot.get("type") == "expr" for _, pot in THRESHOLD_PANEL[name])
+    assert info.method == ("sampled" if smooth else "closed-form")
+    assert info.K == pytest.approx(THRESHOLD_K[name], abs=1e-9)
+    below = [_wigner_smith_floor(g, e, info.K - 1e-6) for e in range(g.num_edges)]
+    above = [_wigner_smith_floor(g, e, info.K + 1e-6) for e in range(g.num_edges)]
+    assert min(below) < 0 < min(above)
+    ks = np.linspace(0.05, 6.0, 7)
+    floors = edge._delay_floor(g, ks, list(range(g.num_edges)))
+    for e in range(g.num_edges):
+        ref = [_wigner_smith_floor(g, e, k) for k in ks]
+        assert floors[:, e] == pytest.approx(ref, abs=1e-9)
 
 
-def test_threshold_skips_past_a_failing_point(threshold_points):
-    # the first candidate, 1.0, fails at k = 1.125; the scan goes on from
-    # the candidate past that point and evaluates no grid point twice
-    info = subunitarity_threshold(star(THRESHOLD_PANEL["const_cos"]), detailed=True)
-    assert info.K == 1.125
-    assert info.method == "heuristic-scan"
-    assert len(threshold_points) == len(set(threshold_points))
+def test_threshold_skips_past_a_failing_point():
+    # the complex-k walk reported K = 1.125 on this star, but the c = -4
+    # edge fails the norm check up to about 1.138; K now lies past it
     g = star(THRESHOLD_PANEL["const_cos"])
-    assert not all(
-        verify_subunitary(g, e, 1.125, eps)[0]
-        for eps in (1e-4, 1e-3, 1e-2, 1e-1)
-        for e in (0, 1)
-    )
+    assert not verify_subunitary(g, 0, 1.13, 1e-4)[0]
+    assert subunitarity_threshold(g) > 1.13
+
+
+@pytest.mark.parametrize("name", sorted(THRESHOLD_PANEL) + sorted(THRESHOLD_CASES))
+def test_threshold_holds_above_and_is_tight(name):
+    # ||t_e(k + i eps)|| <= 1 at 400 points of (K, K + 2] for eps = 1e-4,
+    # 1e-2 and 1e-1, and at eps = 1e-4 some point within 0.01 below K fails
+    g, expected = _threshold_case(name)
+    K = subunitarity_threshold(g)
+    assert K == pytest.approx(expected, abs=1e-9)
+    above = K + 2.0 * np.arange(1, 401) / 400
+    for eps in (1e-4, 1e-2, 1e-1):
+        assert _norms(g, above + 1j * eps).max() <= 1.0 + 1e-12
+    below = K - 0.01 * np.arange(1, 11) / 10
+    assert _norms(g, below + 1e-4j).max() > 1.0 + 1e-12
+
+
+@st.composite
+def _threshold_edges(draw):
+    """(L, potential): a point interaction of either sign anywhere on the
+    edge, a constant of either sign, or a low-amplitude smooth w."""
+    L = draw(st.sampled_from([0.6, 1.0, 1.3]))
+    kind = draw(st.sampled_from(["delta", "constant", "smooth"]))
+    if kind == "delta":
+        D, x0 = draw(st.floats(-6.0, 6.0)), draw(st.floats(0.0, 1.0)) * L
+        return L, {"type": "delta", "strength": D, "position": x0}
+    if kind == "constant":
+        return L, _constant(draw(st.floats(-8.0, 8.0)))
+    a = draw(st.sampled_from([-1.5, -0.6, 0.4, 1.0]))
+    b = draw(st.sampled_from([-0.8, 0.0, 0.7]))
+    return L, _smooth(f"{a}*cos({draw(st.integers(1, 4))}*x) + {b}*x")
+
+
+def _reversed(L, pot):
+    """The description of ``pot`` seen from the edge's other end (``orient``)."""
+    q = orient(Potential.from_dict(pot), True, L)
+    if q.kind == "delta":
+        return {"type": "delta", "strength": q.strength, "position": q.position}
+    return _constant(q.value) if q.kind == "constant" else _smooth(q.source)
+
+
+@settings(max_examples=30)
+@given(_threshold_edges())
+def test_threshold_properties_on_random_edges(drawn):
+    # K does not depend on the edge's orientation, the norm check holds
+    # above it, and below it the check fails within 0.01
+    L, pot = drawn
+    g = interval(L, pot)
+    K = subunitarity_threshold(g)
+    assert subunitarity_threshold(interval(L, _reversed(L, pot))) == pytest.approx(K, abs=1e-9)
+    above = K + 2.0 * np.arange(1, 41) / 40
+    for eps in (1e-4, 1e-2, 1e-1):
+        assert _norms(g, above + 1j * eps).max() <= 1.0 + 1e-12
+    below = K - 0.01 * np.arange(1, 11) / 10
+    below = below[below > 0]
+    if K > 0 and below.size:
+        assert _norms(g, below + 1e-4j).max() > 1.0 + 1e-12
+
+
+# edges of the large-k bound check: point interactions of either sign and
+# position, wells and barriers, and smooth edges
+BOUND_EDGES = {
+    "delta-well-end": (1.0, {"type": "delta", "strength": -8.0, "position": 0.0}),
+    "delta-well": (0.7, {"type": "delta", "strength": -3.0, "position": 0.2}),
+    "delta-barrier": (1.3, {"type": "delta", "strength": 5.0, "position": 1.3}),
+    "well": (1.0, _constant(-10.0)),
+    "barrier": (0.5, _constant(6.0)),
+    "smooth": (1.0, _smooth("-3*cos(2*x)")),
+    "smooth-barrier": (1.0, _smooth("5*x*(1-x)")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_EDGES))
+def test_threshold_large_k_bound(name):
+    # lambda(k) >= L e^{-2s} - s (1 + s/2) e^{2s} / k with s = V / k, which
+    # is positive from B = 3 V / ln(1 + sqrt(L V)) on, where the grid stops
+    g = interval(*BOUND_EDGES[name])
+    L, V = g.edges[0].length, edge._strength(g.edges[0])
+    top = 3.0 * V / math.log1p(math.sqrt(L * V))
+    ks = np.linspace(0.2, 3.0 * top, 400)
+    lam = edge._delay_floor(g, ks, [0])[:, 0]
+    s = V / ks
+    bound = L * np.exp(-2 * s) - s * (1 + s / 2) * np.exp(2 * s) / ks
+    assert np.all(lam >= bound - 1e-9)
+    assert np.all(bound[ks >= top] > 0)
 
 
 BATCH_EDGES = [(1.0, "2*cos(3*x)"), (1.0, "x"), (0.7, "-3*cos(2*x)"), (1.3, "5*x*(1-x)")]
@@ -412,11 +567,15 @@ def test_derivative_fold_heap_stays_near_the_m_only_heap():
 
 @pytest.mark.parametrize("name", ["cos234", "const_cos"])
 def test_batched_moduli_match_verify_subunitary(name):
+    # the batched norms of the threshold checks are verify_subunitary's
     g = star(THRESHOLD_PANEL[name])
     ks = np.array([complex(k, eps) for k in (1.125, 2.5, 4.75) for eps in (1e-4, 1e-1)])
+    norms = _norms(g, ks)
     for e in range(g.num_edges):
-        for k, mod in zip(ks, edge._max_moduli(g, e, ks)):
-            assert mod == pytest.approx(verify_subunitary(g, e, k.real, k.imag)[1], rel=1e-13)
+        for k, norm in zip(ks, norms[:, e]):
+            ok, ref = verify_subunitary(g, e, k.real, k.imag)
+            assert norm == pytest.approx(ref, rel=1e-13)
+            assert ok == (ref <= 1.0 + 1e-12)
 
 
 EIGENVALUE_EDGES = {
@@ -431,15 +590,15 @@ EIGENVALUE_EDGES = {
 @pytest.mark.parametrize("name", sorted(EIGENVALUE_EDGES))
 def test_t_eigenvalues_are_closed_form(name):
     # trans -+ sqrt(r_from r_to) are the eigenvalues of t, on the axis and
-    # off it, and verify_subunitary is the one-point case of _max_moduli
+    # off it, and verify_subunitary reads the spectral norm of t
     g = interval(*EIGENVALUE_EDGES[name])
     for k in (0.9, 1.5 + 1e-3j, 3.0, 7.25, 7.25 + 0.1j):
         t = transition_matrix(g, 0, k)
         mu = np.linalg.eigvals(t.matrix)
         assert np.max(np.abs(t.eigenvalues - mu[np.lexsort((mu.imag, mu.real))])) <= 1e-13
         if complex(k).imag:
-            (mod,) = edge._max_moduli(g, 0, np.array([complex(k)]))
-            assert verify_subunitary(g, 0, k.real, k.imag) == (edge._subunitary(mod), mod)
+            norm = np.linalg.norm(t.matrix, 2)
+            assert verify_subunitary(g, 0, k.real, k.imag)[1] == pytest.approx(norm, rel=1e-13)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(3.0, math.nan)])
@@ -498,10 +657,10 @@ def test_each_edge_is_sampled_at_its_own_step_counts(gauss_samplings):
 
 
 def test_threshold_reads_the_graph_sample_table(gauss_samplings):
-    # the threshold walk and a later solve of the same graph share its
-    # samples: each (edge, step count) is sampled once, and K is unchanged
+    # the threshold's grid and a later solve of the same graph share its
+    # samples: each (edge, step count) is sampled once
     g = star(THRESHOLD_PANEL["cos234"])
-    assert subunitarity_threshold(g) == 1.0
+    assert subunitarity_threshold(g) == pytest.approx(THRESHOLD_K["cos234"], abs=1e-9)
     edge._solve_edges(g, np.array([4.7, 9.5, 40.0]))
     samples = edge._edge_table(g)[2]
     assert sorted(gauss_samplings) == sorted(n for counts in samples.values() for n in counts)
@@ -533,18 +692,17 @@ def test_one_edge_solves_read_the_graph_sample_table(gauss_samplings):
 def test_verify_subunitary_raises_at_a_pole_of_t():
     # 1.5i is the bound state of the attractive point interaction, a pole of t
     g = interval(1.0, {"type": "delta", "strength": -3.0, "position": 0.5})
-    assert isinstance(edge._max_moduli(g, 0, np.array([1.5j]))[0], SingularPointError)
     with pytest.raises(SingularPointError):
         verify_subunitary(g, 0, 0.0, 1.5)
 
 
 def test_unresolvable_arm_stops_its_threshold_block(magnus_steps):
-    # the walk's first point on the cos(1000000 x) arm is unresolved: it is
-    # propagated alone, so no other point of its block is doubled to the end
+    # the grid's first point on the cos(1000000 x) arm is unresolved: it is
+    # propagated alone, so no other point of the grid is doubled to the end
     g = star([(1.0, {"type": "expr", "expr": f"cos({n}*x)"}) for n in (2, 1000000)])
     message = (
         r"Magnus propagator unresolved at 32768 steps for 'cos\(1000000\*x\)' "
-        r"at k=\(1\.125\+0\.0001j\)"
+        r"at k=\(0\.001\+0j\)"
     )
     with pytest.raises(NumericalError, match=message):
         subunitarity_threshold(g)

@@ -1,6 +1,8 @@
 """Expression parsing, calculus helpers, and potential descriptors."""
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -118,15 +120,17 @@ def test_orientation_mirrors_delta_position():
 
 def test_norms_for_uniform_kinds():
     assert Potential.constant(4.0).max_value(1.0) == 4.0
-    p = Potential.smooth("2*cos(3*x)")
-    assert p.sup_plus(1.0) == pytest.approx(2.0, abs=1e-12)
+    assert Potential.constant(-4.0).abs_integral(0.5) == pytest.approx(2.0, rel=1e-15)
+    # int_0^pi |cos x| = 2, by the mean of the dense samples
+    assert Potential.smooth("-3*cos(x)").abs_integral(math.pi) == pytest.approx(6.0, rel=1e-3)
 
 
 def test_point_interaction_norms_are_undefined():
     d = Potential.delta(-3.0, 0.5)
     with pytest.raises(InputError, match="undefined for a delta potential"):
         d.max_value(1.0)
-    assert d.sup_plus(1.0) == 0.0
+    with pytest.raises(InputError, match="undefined for a delta potential"):
+        d.abs_integral(1.0)
 
 
 def test_validation_rejects_singular_expressions():

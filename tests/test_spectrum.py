@@ -164,9 +164,11 @@ def test_per_root_winding_agrees_with_scan(request, name):
 
 def test_scan_below_threshold_is_clamped(g_interval_delta_neg):
     # the scan starts where it is asked to, below K = sqrt(3)/2 too (the
-    # name keeps the test's id; nothing is clamped any more)
+    # name keeps the test's id; nothing is clamped any more), and reports
+    # no K on a graph with a potential
     res = scan_spectrum(g_interval_delta_neg, 0.5, 6.5)
-    assert math.sqrt(3.0) / 2.0 == pytest.approx(res.threshold)
+    assert res.threshold is None
+    assert subunitarity_threshold(g_interval_delta_neg) == pytest.approx(math.sqrt(3.0) / 2.0)
     assert res.k_lo == 0.5
     assert res.diagnostics == [] and res.flagged == []
     assert len(res.ks) == 2 == res.expected_count
@@ -187,10 +189,10 @@ def test_range_entirely_below_threshold_rejected(g_interval_delta_neg):
 
 
 def test_scan_never_computes_the_heuristic_threshold(monkeypatch):
-    # the smooth-scan window of the cos(2x), cos(3x), cos(4x) star: K needs
-    # the heuristic scan there, which the spectrum scan never starts
+    # the smooth-scan window of the cos(2x), cos(3x), cos(4x) star: the
+    # spectrum scan never computes K (the name keeps the test's id)
     def refused(g):
-        raise AssertionError("the heuristic threshold was computed")
+        raise AssertionError("the threshold was computed")
 
     monkeypatch.setattr(edge, "_compute_threshold", refused)
     # refined to 1e-13, so the roots pinned are the converged ones, not an
@@ -204,7 +206,7 @@ def test_scan_never_computes_the_heuristic_threshold(monkeypatch):
 
 
 def test_roots_below_threshold_match_finite_differences(g_smooth_star):
-    # the same star from k = 0.05, below its K = 1: every root against the
+    # the same star from k = 0.05, below its K: every root against the
     # eigenvalues of an independent finite-difference operator (h = 0.005,
     # extrapolated; 3e-10 apart), and the roots add up to the count
     g = g_smooth_star
@@ -438,12 +440,14 @@ def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
     assert counts == [225 + scan, 449 + scan]
 
 
-def test_threshold_work_is_bounded(magnus_calls, threshold_points):
-    # deterministic counts on the smooth-scan star: 384 (k, eps, edge) grid
-    # points, batched through the Magnus kernel, each evaluated once
-    assert subunitarity_threshold(star(SMOOTH_ARMS)) == 1.0
-    assert len(magnus_calls) <= 100
-    assert len(threshold_points) == len(set(threshold_points)) == 384
+def test_threshold_work_is_bounded(magnus_calls, gauss_samplings):
+    # deterministic counts on the smooth-scan star: each arm sampled at 64
+    # and 128 steps; two Magnus calls (64 and 128 steps) for the grid's
+    # first point, two for the rest of it and two per refinement step, 16
+    K = subunitarity_threshold(star(SMOOTH_ARMS))
+    assert K == pytest.approx(0.469470505550, abs=1e-9)
+    assert sorted(gauss_samplings) == [64] * 3 + [128] * 3
+    assert len(magnus_calls) <= 16
 
 
 def test_smooth_scan_propagates_its_arms_together(magnus_steps, gauss_samplings):
