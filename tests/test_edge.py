@@ -303,9 +303,8 @@ THRESHOLD_PANEL = {
 }
 
 
-# K of the panel, the last sign change of some edge's smaller Wigner-Smith
-# eigenvalue; where the complex-k walk it replaced gave less, the norm
-# check fails between the two
+# K of the panel: the last sign change of some edge's smaller Wigner-Smith
+# eigenvalue
 THRESHOLD_K = {
     "cos234": 0.469470505550,
     "2cos3": 0.304662897877,
@@ -315,7 +314,8 @@ THRESHOLD_K = {
     "delta_const": 0.876065517517,
 }
 
-# single edges whose K the closed form or the walk put too low
+# single edges with K > 0: an off-centre well, a well at the edge's end and a
+# deep constant well
 THRESHOLD_CASES = {
     "off-centre-delta": (
         (1.0, {"type": "delta", "strength": -3.0, "position": 0.2}), 1.248999599680
@@ -368,8 +368,8 @@ def test_threshold_matches_sequential_reference(name):
 
 
 def test_threshold_skips_past_a_failing_point():
-    # the complex-k walk reported K = 1.125 on this star, but the c = -4
-    # edge fails the norm check up to about 1.138; K now lies past it
+    # the c = -4 edge fails the norm check up to about 1.138, between rows
+    # 0.125 apart; K lies past that point
     g = star(THRESHOLD_PANEL["const_cos"])
     assert not verify_subunitary(g, 0, 1.13, 1e-4)[0]
     assert subunitarity_threshold(g) > 1.13
