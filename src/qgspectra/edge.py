@@ -32,8 +32,10 @@ in a weak-keyed table.  One rule counts the zeros on a segment
 (``_segment_zeros``): ``_closed`` applies it to the two pieces of a
 closed-form edge, from the arrays that give M, and ``_zeros`` to the
 segments of a Magnus propagation.  The closed-form edges are evaluated
-together over (k, edge), in float64 at real k, and the smooth edges in one
-propagation, whose samples the table keeps per edge and step count.
+together over (k, edge), and the smooth edges in one propagation, whose
+samples the table keeps per edge and step count.  A real k is evaluated in
+float64, with cosh and sinh on classically forbidden Magnus steps; a
+complex k is evaluated in complex arithmetic.
 ``_solve_edges`` is its all-edges case, ``solve_edge`` its one-point case,
 and the threshold reads t and t' from it on a real grid; ``edge_profile``
 finds its step count from the same samples.  So every solve of a graph's
@@ -306,21 +308,26 @@ def _steps(w1, w2, w3, h, ks, want_dk: bool):
     is the exponential of its 6th-order generator Omega = [[alpha, beta],
     [gamma, -alpha]] (``_generator``), which is traceless, so Omega^2 =
     -nu^2 I with nu^2 = -(alpha^2 + beta gamma), and exp(Omega) = cos(nu) I
-    + (sin(nu)/nu) Omega: one cos and one sin per step.  A step is off by
-    O(h^7), so M after n steps is off by O(n^-6): doubling n cuts the error
-    about 64 times, and the difference of M at n/2 and n steps that the
-    step doubling reports as ``error_estimate`` is the error of the M at
-    n/2, about 64 times that of the M at n it keeps.
+    + (sin(nu)/nu) Omega: one cos and one sin per step.  A real ``ks`` is
+    evaluated in float64, with cosh and sinh (of sqrt(-nu^2)) on
+    classically forbidden steps (nu^2 < 0), chosen step by step; a complex
+    ``ks`` is evaluated in complex arithmetic.  A step is off by O(h^7), so
+    M after n steps is off by O(n^-6): doubling n cuts the error about 64
+    times, and the difference of M at n/2 and n steps that the step
+    doubling reports as ``error_estimate`` is the error of the M at n/2,
+    about 64 times that of the M at n it keeps.
     """
     k = ks[:, None]
-    steps = np.empty((2, 2, len(ks), w1.shape[-1]), dtype=complex)
+    real = not np.iscomplexobj(ks)
+    steps = np.empty((2, 2, len(ks), w1.shape[-1]), dtype=float if real else complex)
     dsteps = np.empty_like(steps) if want_dk else None
     # Each (P, n) value is built in a slot that is free at that point: alpha
     # in E[0, 1], gamma in E[1, 0], nu^2 in E[1, 1] (E'[1, 1] when the
-    # derivative needs it), nu and then cos(nu) in E[0, 0], sin(nu)/nu in
-    # E[1, 1].  With one complex (P, n) temporary the heap a call takes
-    # stays small enough that freeing it returns no memory to the system,
-    # which the next call would fault in again.
+    # derivative needs it), nu (|nu| at a real k) and then cos(nu) in E[0,
+    # 0], sin(nu)/nu in E[1, 1]; a forbidden step's cosh and sinh overwrite
+    # its cos and sin.  With one (P, n) temporary of the steps' dtype the
+    # heap a call takes stays small enough that freeing it returns no
+    # memory to the system, which the next call would fault in again.
     alpha, gamma, c, s = steps[0, 1], steps[1, 0], steps[0, 0], steps[1, 1]
     _, beta, _, da, dg = _generator(w1, w2, w3, h, k, alpha, gamma)
     z = dsteps[1, 1] if want_dk else s
@@ -328,11 +335,16 @@ def _steps(w1, w2, w3, h, ks, want_dk: bool):
     np.multiply(beta, gamma, out=c)
     z += c
     np.negative(z, out=z)  # nu^2
-    nu = np.sqrt(z, out=c)
+    forbidden = z < 0 if real else None
+    nu = np.sqrt(np.abs(z, out=c) if real else z, out=c)
     nu[nu == 0] = 1e-20
+    mu = nu[forbidden] if real else None
     np.sin(nu, out=s)
     s /= nu
     np.cos(nu, out=c)
+    if real and mu.size:
+        c[forbidden] = np.cosh(mu)
+        s[forbidden] = np.sinh(mu) / mu
     if want_dk:
         # d(nu^2)/dk = 2k (2 alpha da + beta dg); with dc = -s/2 d(nu^2) and
         # ds = (cos(nu) - sin(nu)/nu) / (2 nu^2) d(nu^2) the derivative of
@@ -459,6 +471,8 @@ def _magnus(samples, hs, edges, ks, want_dk: bool, zeros=None):
     steps have lengths ``hs`` and Gauss values ``samples`` (W1, W2, W3),
     each (edges, n).  Steps are built and folded _POINT_STEPS row-steps at a
     time, which bounds the memory, and the pieces' products folded in turn.
+    A real ``ks`` is evaluated in float64, with cosh and sinh on classically
+    forbidden steps; a complex ``ks`` is evaluated in complex arithmetic.
 
     Given an integer array (2, P), ``zeros`` receives the ``_zeros`` of each
     real k, from the running products of the fold level of spans 2^f h
@@ -470,7 +484,7 @@ def _magnus(samples, hs, edges, ks, want_dk: bool, zeros=None):
         wmin = np.min([w.min(axis=-1) for w in samples], axis=0)
     piece = min(n, _POINT_STEPS)
     chunk = _POINT_STEPS // piece
-    m = np.empty((2, 2, len(ks)), dtype=complex)
+    m = np.empty((2, 2, len(ks)), dtype=ks.dtype)
     dm = np.empty_like(m) if want_dk else None
     for lo in range(0, len(ks), chunk):
         pks, rows = ks[lo : lo + chunk], edges[lo : lo + chunk]
@@ -525,11 +539,12 @@ def _magnus_doubled(pots, lengths, ks, want_dk: bool, zeros, tables):
     lengths = np.asarray(lengths, dtype=float)
     shape = (len(ks), len(pots))
     edges = np.tile(np.arange(len(pots)), len(ks))
-    ks = np.repeat(np.asarray(ks, dtype=complex), len(pots))
+    ks = np.asarray(ks)
+    ks = np.repeat(ks.astype(complex if np.iscomplexobj(ks) else float), len(pots))
     absk = np.abs(ks)
     scale = np.ones((2, 2, len(ks)))
     scale[0, 1], scale[1, 0] = absk, 1.0 / absk
-    m_out = np.full((2, 2, len(ks)), np.nan, dtype=complex)
+    m_out = np.full((2, 2, len(ks)), np.nan, dtype=ks.dtype)
     dm_out = np.full_like(m_out, np.nan) if want_dk else None
     err_out = np.full(len(ks), np.inf)
     n_out = np.zeros(len(ks), dtype=int)
@@ -614,35 +629,47 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
     edge axis: a slice reads the graph's table without copying it) at every
     k of the 1-D array ``ks``, as row-major 4-tuples or (4, ...) arrays, the
     error estimate and, when ``want_count`` (real k only), the ``_zeros``
-    (2, ...) (else None), each shaped (..., len(ks), len(edges)).
+    (2, ...) (else None), each shaped (..., len(ks), len(edges)).  A real
+    ``ks`` is evaluated in float64, with cosh and sinh on classically
+    forbidden Magnus steps; a complex ``ks`` is evaluated in complex
+    arithmetic.
 
     Zero, constant and point-interaction edges are evaluated together in
-    closed form from the table's columns (error 0): in float64 at a real
-    ``ks``, whose M stays float64 where every edge is in closed form.  The
-    smooth edges go through one ``_magnus_doubled`` batch over their (k,
-    edge) rows, from the graph's samples, which gives each row its one-point
-    result.  An unresolved row does not raise: its error is inf."""
+    closed form from the table's columns (error 0).  The smooth edges go
+    through one ``_magnus_doubled`` batch over their (k, edge) rows, from
+    the graph's samples, which gives each row its one-point result.  An
+    unresolved row does not raise: its error is inf."""
     closed, lengths, samples = _edge_table(g)
-    columns = tuple(col[edges] for col in closed)
-    m, dm, zeros = _closed(ks[:, None], *columns, want_dk, want_count)
-    err = np.zeros((len(ks), len(columns[0])))
-    # the smooth edges among those chosen: their places and their indices
+    # the chosen edges' indices, and the places of the smooth ones among them
     ids = np.arange(g.num_edges)[edges].tolist() if samples else []
     at = [i for i, e in enumerate(ids) if e in samples]
+    if not at:
+        columns = tuple(col[edges] for col in closed)
+        m, dm, zeros = _closed(ks[:, None], *columns, want_dk, want_count)
+        return m, dm, np.zeros((len(ks), len(columns[0]))), zeros
     live = [ids[i] for i in at]
-    if live:
-        m = np.array(m, dtype=complex)
-        dm = np.array(dm, dtype=complex) if want_dk else None
-        pots = [g.edges[e].potential for e in live]
-        z = None if zeros is None else zeros[:, :, at]
-        me, dme, err[:, at], _ = _magnus_doubled(
-            pots, lengths[live], ks, want_dk, z, [samples[e] for e in live]
-        )
-        m[:, :, at] = me.reshape(4, len(ks), -1)
+    pots = [g.edges[e].potential for e in live]
+    z = np.empty((2, len(ks), len(at)), dtype=int) if want_count else None
+    me, dme, err_at, _ = _magnus_doubled(
+        pots, lengths[live], ks, want_dk, z, [samples[e] for e in live]
+    )
+    shape = (len(ks), len(ids))
+    m = np.empty((4, *shape), dtype=me.dtype)
+    dm = np.empty_like(m) if want_dk else None
+    zeros = np.empty((2, *shape), dtype=int) if want_count else None
+    err = np.zeros(shape)
+    err[:, at] = err_at
+    parts = [(at, me, dme, z)]
+    rest = [i for i, e in enumerate(ids) if e not in samples]
+    if rest:
+        columns = tuple(col[[ids[i] for i in rest]] for col in closed)
+        parts.append((rest, *_closed(ks[:, None], *columns, want_dk, want_count)))
+    for places, pm, pdm, pz in parts:
+        m[:, :, places] = np.reshape(pm, (4, len(ks), -1))
         if want_dk:
-            dm[:, :, at] = dme.reshape(4, len(ks), -1)
-        if z is not None:
-            zeros[:, :, at] = z
+            dm[:, :, places] = np.reshape(pdm, (4, len(ks), -1))
+        if want_count:
+            zeros[:, :, places] = pz
     return m, dm, err, zeros
 
 
@@ -666,9 +693,10 @@ def _solve_edges(
     """M of every edge at every k of the 1-D array ``ks``: an EdgeSolution
     whose fields are (len(ks), E) arrays, with the ``_zeros`` of every edge,
     (2, len(ks), E), when ``want_count`` (real k only), all from one call of
-    ``_evaluate``.  A real ``ks`` stays float64; a complex ``ks`` gives
-    complex M.  An unresolved propagation raises for the first such k in
-    (k, edge) order, as ``solve_edge`` would there."""
+    ``_evaluate``.  A real ``ks`` is evaluated in float64, with cosh and
+    sinh on classically forbidden Magnus steps; a complex ``ks`` is
+    evaluated in complex arithmetic.  An unresolved propagation raises for
+    the first such k in (k, edge) order, as ``solve_edge`` would there."""
     ks = np.asarray(ks)
     ks = ks.astype(complex if np.iscomplexobj(ks) else float)
     _refuse_k(ks)

@@ -8,7 +8,6 @@ vertex it arrives at; iota(d) == tau(d^1) always.
 from __future__ import annotations
 
 import dataclasses
-import logging
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -16,8 +15,6 @@ from .errors import GraphError
 from .potential import Potential, orient
 
 __all__ = ["Edge", "MetricGraph", "build_graph"]
-
-logger = logging.getLogger(__name__)
 
 _CONTINUITY_TOL = 1e-9
 
@@ -149,7 +146,9 @@ def _warn_on_vertex_discontinuity(g: MetricGraph) -> None:
             if pot.kind != "delta":
                 vals.append(float(pot.callable(g.direction_length(d))(0.0)))
         if vals and max(vals) - min(vals) > _CONTINUITY_TOL:
-            logger.warning(
+            import logging  # only here: the package import stays without it
+
+            logging.getLogger(__name__).warning(
                 "potential values disagree at vertex %s (range %.3e); the "
                 "operator is still well defined but the smoothness assumption "
                 "is violated",

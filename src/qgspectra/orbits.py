@@ -402,7 +402,7 @@ def orbit_amplitude(p: PeriodicOrbit, g: MetricGraph, k: float) -> float:
     kthr = subunitarity_threshold(g)
     if k <= kthr:
         raise InputError(f"orbit amplitude requires k > threshold K={kthr:.6g}")
-    T, dT = assemble_T(g, complex(k), want_dk=True)
+    T, dT = assemble_T(g, float(k), want_dk=True)
     sigma = big_sigma(g)
     ws = _weights(p, (sigma @ T).tolist())
     dws = _weights(p, (sigma @ dT).tolist())
@@ -415,7 +415,7 @@ def orbit_sum_check(g: MetricGraph, k: float, n: int) -> float:
         raise InputError("the orbit sum check is defined for real k")
     n = _index(n, 1, "n must be >= 1")
     orbits = enumerate_orbits(g, n)
-    s = assemble_S(g, complex(k))
+    s = assemble_S(g, float(k))
     rows = s.tolist()
     total = 0.0 + 0j
     for p in orbits:

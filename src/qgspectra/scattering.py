@@ -188,8 +188,11 @@ def _place(t, n: int) -> np.ndarray:
 def assemble_T(g: MetricGraph, k, want_dk: bool = False):
     """T(k), or the pair (T(k), T'(k)) when ``want_dk``, from one pass of the
     edge layer over every k.  A scalar k gives 2E x 2E matrices; a 1-D array
-    of k gives them stacked, shape (len(k), 2E, 2E)."""
-    ks = np.asarray(k, dtype=complex)
+    of k gives them stacked, shape (len(k), 2E, 2E).  A real k is evaluated
+    in float64, with cosh and sinh on classically forbidden Magnus steps; a
+    complex k is evaluated in complex arithmetic.  T is complex either
+    way."""
+    ks = np.asarray(k)
     t, dt = _entries(_solve_edges(g, ks.reshape(-1), want_dk))
     out = [_place(t, g.num_directed)]
     if want_dk:

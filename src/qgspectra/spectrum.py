@@ -64,7 +64,6 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
@@ -541,6 +540,10 @@ def scan_spectrum(
     # than there are chunks to take or CPUs to run them.
     processes = min(cfg.workers, n_chunks, os.cpu_count() or 1)
     if processes > 1:
+        # imported here: multiprocessing and its dependencies cost every
+        # serial run and every import of the package several milliseconds
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=processes) as pool:
             parts = list(pool.map(_scan_chunk, chunks))
     else:

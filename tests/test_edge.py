@@ -478,8 +478,28 @@ def test_batched_magnus_matches_single_points(name):
     ks = BATCH_KS[name]
     assert len(ks) * len(pots) > edge._POINT_STEPS // edge._MIN_STEPS
     zeros = np.empty((2, len(ks), len(pots)), dtype=int) if name == "real" else None
-    m, dm, err, n = edge._magnus_doubled(pots, lengths, ks, True, zeros, [{} for _ in pots])
+    tables = [{} for _ in pots]
+    m, dm, err, n = edge._magnus_doubled(pots, lengths, ks, True, zeros, tables)
     assert np.all(err <= 1e-10)
+    if zeros is not None:
+        # real ks run in float64 and give the rows of the complex arithmetic
+        # at k + 0j: M and M' to rounding, the same step counts and zeros
+        assert m.dtype == dm.dtype == np.float64
+        zc = np.empty_like(zeros)
+        mc, dmc, _, nc = edge._magnus_doubled(pots, lengths, ks + 0j, True, zc, [{} for _ in pots])
+        for got, want in ((m, mc), (dm, dmc)):
+            assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=(0, 1)))
+        assert np.array_equal(n, nc)
+        assert np.array_equal(zeros, zc)
+        # and some kept step is classically forbidden (nu^2 < 0: k = 0.7 on
+        # 5 x (1 - x)), so the cosh and sinh branch is among those rows
+        nu2 = []
+        for (i, k), e in itertools.product(enumerate(ks), range(len(pots))):
+            alpha, beta, gamma, _, _ = edge._generator(
+                *tables[e][n[i, e]], lengths[e] / n[i, e], k
+            )
+            nu2.append(np.min(-(alpha * alpha + beta * gamma)))
+        assert min(nu2) < 0
     for (i, k), (e, pot) in itertools.product(enumerate(ks), enumerate(pots)):
         z = None if zeros is None else np.empty((2, 1, 1), dtype=int)
         m1, dm1, err1, n1 = edge._magnus_doubled([pot], [lengths[e]], [k], True, z, [{}])

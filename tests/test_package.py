@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import subprocess
+import sys
 
 import pytest
 
 import qgspectra
+
+from .test_cli import subprocess_env
 
 
 def test_every_export_is_public_in_its_home_module():
@@ -47,6 +51,24 @@ def test_one_edge_evaluator():
         "g", "ks", "edges", "want_dk", "want_count"
     ]
     assert "orient" not in vars(edge)
+
+
+def test_package_import_leaves_out_the_pool_and_logging():
+    # a serial run never starts a process or logs: the modules the package
+    # adds on top of numpy and scipy, in a fresh interpreter, hold neither
+    code = (
+        "import sys, numpy, scipy\n"
+        "before = set(sys.modules)\n"
+        "import qgspectra, qgspectra.cli\n"
+        "print('\\n'.join(sorted(set(sys.modules) - before)))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=subprocess_env(), check=True,
+    )
+    added = set(out.stdout.split())
+    assert "qgspectra.cli" in added
+    assert not {"multiprocessing", "concurrent.futures.process", "logging"} & added
 
 
 CUTOFFS = {

@@ -267,7 +267,9 @@ def _display_block(M, e):
     return np.array([[M[d, d + 1], M[d + 1, d + 1]], [M[d, d], M[d + 1, d]]])
 
 
-def test_assemble_T_blocks_agree_with_transition_matrices(g_delta_star, g_smooth):
+def test_assemble_T_blocks_agree_with_transition_matrices(
+    g_delta_star, g_smooth, g_smooth_star
+):
     k = 2.9
     for g, tol in ((g_delta_star, 1e-13), (g_smooth, 1e-9)):
         T, dT = assemble_T(g, k, want_dk=True)
@@ -276,6 +278,12 @@ def test_assemble_T_blocks_agree_with_transition_matrices(g_delta_star, g_smooth
             assert np.max(np.abs(_display_block(T, e) - t)) <= tol
             dt = transition_matrix_dk(g, e, k)
             assert np.max(np.abs(_display_block(dT, e) - dt)) <= tol
+    # real k (float64 edges, forbidden Magnus steps at 0.7) against the
+    # same k in complex arithmetic
+    ks = np.array([0.7, 2.9, 12.0, 47.5, 133.0])
+    for g in (g_delta_star, g_smooth_star):
+        for got, want in zip(assemble_T(g, ks, want_dk=True), assemble_T(g, ks + 0j, want_dk=True)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 MIXED_ARMS = [

@@ -1,6 +1,7 @@
 """Spectrum scanning, root certification, and multiplicity counting."""
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import math
 
@@ -284,7 +285,7 @@ def pool_chunks(monkeypatch):
             pools[-1][1].extend(len(c[3]) for c in chunks)
             return [f(c) for c in chunks]
 
-    monkeypatch.setattr(spectrum, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
     monkeypatch.setattr(spectrum.os, "cpu_count", lambda: 8)
     return pools
 
