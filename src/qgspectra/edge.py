@@ -21,9 +21,12 @@ quantity below is a closed form in them.  M is built per kind:
   construction.  The step count is doubled from 64 until two successive M
   agree to 1e-10; that last difference, the error of the coarser count's
   M, is the solution's ``error_estimate`` (0 for the closed forms).  The
-  propagator takes rows of (edge, k): each edge is sampled once per step
-  count its rows reach, and each row keeps the M of the first count at
-  which it converged, so a batch gives every row its one-point result.
+  first comparison, 64 against 128 steps, is one kernel pass, whose steps
+  of both counts are built and folded as one array; each later count is
+  one pass of the rows left.  The propagator takes rows of (edge, k):
+  each edge is sampled once per step count its rows reach, and each row
+  keeps the M of the first count at which it converged, so a batch gives
+  every row its one-point result.
 
 ``_evaluate`` is the one evaluator: M, M' and the error estimate of some
 or all edges of a graph at every k of an array and, for the eigenvalue
@@ -33,7 +36,8 @@ in a weak-keyed table.  One rule counts the zeros on a segment
 closed-form edge, from the arrays that give M, and ``_zeros`` to the
 segments of a Magnus propagation.  The closed-form edges are evaluated
 together over (k, edge), and the smooth edges in one propagation, whose
-samples the table keeps per edge and step count.  A real k is evaluated in
+samples the table keeps stacked over the edges per kernel pass, with
+each edge's minimum of w.  A real k is evaluated in
 float64, with cosh and sinh on classically forbidden Magnus steps; a
 complex k is evaluated in complex arithmetic.
 ``_solve_edges`` is its all-edges case, ``solve_edge`` its one-point case,
@@ -304,7 +308,9 @@ def _steps(w1, w2, w3, h, ks, want_dk: bool):
     E' = dE/dk of the same shape when ``want_dk`` (else None).
 
     The n steps have Gauss values w1, w2, w3 (steps along the last axis) and
-    lengths h: a scalar, one per step or a column of one per k.  Each step
+    lengths h: a scalar, one per step or a column of one per k.  A
+    ``_magnus`` pass gives it sub-rows of steps, a column h and one k per
+    sub-row, those of both counts of a pair in one call.  Each step
     is the exponential of its 6th-order generator Omega = [[alpha, beta],
     [gamma, -alpha]] (``_generator``), which is traceless, so Omega^2 =
     -nu^2 I with nu^2 = -(alpha^2 + beta gamma), and exp(Omega) = cos(nu) I
@@ -427,15 +433,19 @@ def _segment_zeros(theta, nu, start, end):
     return 2 * np.round(0.5 * (z - change)) + change
 
 
-def _zeros(ends, nu, alpha, beta):
+def _zeros(ends, nu=0.0, alpha=0.0, beta=0.0):
     """Zeros in (0, L] of the solutions that leave x = 0 as (psi, psi') =
     (1, 0) and (0, 1), an integer array (2, ...), from the Magnus steps of
     an edge: ``ends`` (2, 2, ..., n + 1) is the fundamental matrix at x = 0
     and at the end of each segment of the edge, the last its M, and nu,
     alpha and beta describe each segment's propagator as
-    ``_segment_zeros`` reads them; the counts of the segments are added."""
+    ``_segment_zeros`` reads them; the counts of the segments are added.
+    A scalar nu = 0 (no segment holds two zeros) leaves the count of sign
+    changes, which ``_segment_zeros`` gives there, without the phases."""
     psi, dpsi = ends[0], ends[1]
     neg = _negative(psi, dpsi)
+    if np.ndim(nu) == 0 and nu == 0:
+        return np.count_nonzero(neg[..., :-1] != neg[..., 1:], axis=-1)
     a, da = psi[..., :-1], dpsi[..., :-1]
     theta = np.mod(np.arctan2(nu * a, alpha * a + beta * da), np.pi)
     return _segment_zeros(theta, nu, neg[..., :-1], neg[..., 1:]).sum(axis=-1).astype(int)
@@ -465,120 +475,229 @@ def _fold(steps, dsteps=None, pieces: int = 1):
     return steps, dsteps
 
 
-def _magnus(samples, hs, edges, ks, want_dk: bool, zeros=None):
-    """M (and M', else None) from n equal 6th-order Magnus steps per row, row
-    i being edge ``edges[i]`` at ``ks[i]``: arrays (2, 2, P).  The edges'
-    steps have lengths ``hs`` and Gauss values ``samples`` (W1, W2, W3),
-    each (edges, n).  Steps are built and folded _POINT_STEPS row-steps at a
-    time, which bounds the memory, and the pieces' products folded in turn.
-    A real ``ks`` is evaluated in float64, with cosh and sinh on classically
-    forbidden steps; a complex ``ks`` is evaluated in complex arithmetic.
+class _Samples:
+    """Gauss samples of some smooth edges (oriented potentials ``pots`` on
+    ``lengths``), drawn edge by edge on first use.  For the step counts of a
+    ``_magnus`` pass, ``w[counts]`` holds the values W1, W2, W3 of every
+    edge as one (3, edges, sum(counts)) array, each count's samples after
+    the previous count's (the rows of edges not yet drawn are left unset),
+    and ``wmin[counts]`` each drawn edge's minimum of w over the last
+    count's, from which ``_magnus`` sizes its zero-count level."""
 
-    Given an integer array (2, P), ``zeros`` receives the ``_zeros`` of each
-    real k, from the running products of the fold level of spans 2^f h
-    with 2^f h sqrt(k^2 - min w) < pi / 2 on every row of a block (h and w
-    its edge's, the minimum over all three nodes), on which no solution has
-    two zeros (Sturm comparison), or else of the steps themselves."""
-    n = samples[0].shape[-1]
+    def __init__(self, pots, lengths):
+        self.pots = list(pots)
+        self.lengths = np.asarray(lengths, dtype=float)
+        self.w, self.wmin, self.drawn = {}, {}, {}
+
+    def draw(self, counts, edges) -> None:
+        """Sample each edge of ``edges`` (indices, repeats allowed) at the
+        step counts ``counts`` (a tuple) unless it is already."""
+        if counts not in self.w:
+            self.w[counts] = np.empty((3, len(self.pots), sum(counts)))
+            self.wmin[counts] = np.empty(len(self.pots))
+            self.drawn[counts] = np.zeros(len(self.pots), dtype=bool)
+        drawn = self.drawn[counts]
+        for e in sorted(set(edges[~drawn[edges]].tolist())):
+            L, w = self.lengths[e], self.w[counts][:, e]
+            f = self.pots[e].callable(L)
+            start = 0
+            for n in counts:
+                h = L / n
+                w[:, start : start + n] = _gauss_values(f, h * np.arange(n), h)
+                start += n
+            self.wmin[counts][e] = w[:, -counts[-1] :].min()
+            drawn[e] = True
+
+
+def _magnus(table, counts, edges, ks, want_dk: bool, zeros=None, prev=None):
+    """M (and M', else None) after n equal 6th-order Magnus steps per row,
+    for each step count n of ``counts`` (one count, or a pair n, 2n): arrays
+    (len(counts), 2, 2, P), row i being edge ``edges[i]`` of the
+    ``_Samples`` ``table``, drawn at ``counts``, at ``ks[i]``; and each
+    row's error, the step-doubling difference of the last count's M from the
+    M of the count before it, the pair's first or ``prev`` (2, 2, P): the
+    largest entry of the difference, with psi' scaled by 1/|k|, relative to
+    the larger of 1 and the largest entry of the last M so scaled (None for
+    one count without ``prev``).  A real ``ks`` is evaluated in float64,
+    with cosh and sinh on classically forbidden steps; a complex ``ks`` is
+    evaluated in complex arithmetic.
+
+    All the counts of a row go through one pass.  Its steps are cut into
+    sub-rows of the first count's steps (of _POINT_STEPS, when that is
+    fewer), so a pair's 2n steps are two sub-rows; the sub-rows of all the
+    counts are built and folded as one array, and then each count's sub-row
+    products are folded in turn.  So every count's M is the pairwise fold
+    of its steps (``_fold``), the same tree as a pass of that count alone.
+    A row's counts together take at most _POINT_STEPS row-steps, which
+    bounds the memory: chunks of rows are built at once, or one row's
+    sub-rows one at a time when its counts exceed that.
+
+    Given an integer array (2, P), ``zeros`` receives the ``_zeros`` of the
+    last count at each real k whose error is at most _DEFAULT_TOL (at every
+    k when there is no error), from the running products of the fold level
+    of spans 2^f h with 2^f h sqrt(k^2 - min w) < pi / 2 on every row of a
+    chunk (h and w its edge's, the minimum over all three nodes), on which
+    no solution has two zeros (Sturm comparison), or else of the steps
+    themselves; 2^f is at most _POINT_STEPS.  Those products are kept over
+    runs of chunks with the same level, at most _POINT_STEPS of them, and
+    the zeros of a run counted at once."""
+    top = counts[-1]
+    whole = sum(counts) <= _POINT_STEPS
+    piece = counts[0] if whole else min(counts[0], _POINT_STEPS)
+    chunk = _POINT_STEPS // sum(counts) if whole else 1
+    subs = [n // piece for n in counts]
+    per, last = sum(subs), slice(sum(subs) - subs[-1], None)
+    samples = table.w[counts]
+    if whole:
+        # each sub-row's step length and k, row after row
+        hs = (table.lengths[edges][:, None] / np.repeat(counts, subs)).ravel()
+        sks = np.repeat(ks, per)
+    else:
+        # each sub-row's place along the samples and step count
+        starts = np.cumsum((0,) + counts).tolist()
+        spans = [(a + j, n) for a, n in zip(starts, counts) for j in range(0, n, piece)]
     if zeros is not None:
-        wmin = np.min([w.min(axis=-1) for w in samples], axis=0)
-    piece = min(n, _POINT_STEPS)
-    chunk = _POINT_STEPS // piece
-    m = np.empty((2, 2, len(ks)), dtype=ks.dtype)
+        h = table.lengths[edges] / top
+        reach = h * np.sqrt(np.maximum(ks.real**2 - table.wmin[counts][edges], 0.0))
+    # each row's sub-row products
+    prods = np.empty((2, 2, len(ks), per), dtype=ks.dtype)
+    dprods = np.empty_like(prods) if want_dk else None
+    m = np.empty((len(counts), 2, 2, len(ks)), dtype=ks.dtype)
     dm = np.empty_like(m) if want_dk else None
+    err = None if prev is None and len(counts) == 1 else np.empty(len(ks))
+
+    def finish(lo, hi, size, taps):
+        """M, M', the error and the zeros of rows lo to hi, whose chunks
+        have the zero-count level ``size``, from their sub-row products and
+        ``taps``, each chunk's list of the last count's products at that
+        level, build by build."""
+        span = slice(lo, hi)
+        start = 0
+        for i, s in enumerate(subs):
+            e = prods[:, :, span, start : start + s]
+            de = dprods[:, :, span, start : start + s] if want_dk else None
+            start += s
+            if zeros is not None and size > piece and i == len(subs) - 1:
+                e, de = _fold(e, de, pieces=top // size)
+                taps = [[e]]
+            e, de = _fold(e, de)
+            m[i, ..., span] = e[..., 0]
+            if want_dk:
+                dm[i, ..., span] = de[..., 0]
+        keep, kept = slice(None), hi - lo  # the rows whose zeros are counted
+        if err is not None:
+            scale = np.ones((2, 2, hi - lo))
+            scale[0, 1] = np.abs(ks[span])
+            scale[1, 0] = 1.0 / scale[0, 1]
+            ms = m[-1, ..., span] * scale
+            ref = (m[0, ..., span] if prev is None else prev[..., span]) * scale
+            diff = np.abs(ms - ref).max(axis=(0, 1))
+            err[span] = diff = diff / np.maximum(1.0, np.abs(ms).max(axis=(0, 1)))
+            accepted = diff <= _DEFAULT_TOL
+            if not accepted.all():
+                keep = np.flatnonzero(accepted)
+                kept = keep.size
+        if zeros is None or not kept:
+            return
+        # the running products of the kept rows, each build's from the end
+        # of the one before
+        ends = [np.eye(2)[..., None, None] * np.ones((kept, 1))]
+        for part in zip(*taps):
+            part = np.concatenate(part, axis=2)[:, :, keep]
+            run = np.concatenate([ends[-1][..., -1:], part.real], axis=-1)
+            ends.append(_prefix(run)[..., 1:])
+        ends = np.concatenate(ends, axis=-1)
+        ends[..., -1] = m[-1, ..., span][..., keep].real
+        segments = ()  # at a coarser level no segment holds two zeros
+        if size == 1:
+            w = samples[:, edges[span][keep], -top:]
+            k = ks[span][keep].real[:, None]
+            alpha, beta, gamma, _, _ = _generator(*w, h[span][keep, None], k)
+            segments = (np.sqrt(np.maximum(-(alpha * alpha + beta * gamma), 0.0)), alpha, beta)
+        zeros[:, span][:, keep] = _zeros(ends, *segments)
+
+    # the current run of chunks: its first row, zero-count level and taps
+    first, level, taps = 0, 1, []
     for lo in range(0, len(ks), chunk):
-        pks, rows = ks[lo : lo + chunk], edges[lo : lo + chunk]
-        h = hs[rows][:, None]
-        parts, size = [], 1
+        rows = edges[lo : lo + chunk]
+        r, span = len(rows), slice(lo, lo + chunk)
+        size = 1
         if zeros is not None:
-            ends = [np.eye(2)[..., None, None] * np.ones((len(pks), 1))]
-            top = np.maximum(pks.real**2 - wmin[rows], 0.0)
-            reach = float(np.max(h[:, 0] * np.sqrt(top)))
-            while size < piece and 2 * size * reach < 0.5 * math.pi:
+            top_reach = float(np.max(reach[span]))
+            while size < min(top, _POINT_STEPS) and 2 * size * top_reach < 0.5 * math.pi:
                 size *= 2
-        for j in range(0, n, piece):
-            w = (x[rows, j : j + piece] for x in samples)
-            e = _steps(*w, h, pks, want_dk)
-            if zeros is not None:
+            if taps and (size != level or (lo + r - first) * top // size > _POINT_STEPS):
+                finish(first, lo, level, taps)
+                first, taps = lo, []
+            level = size
+        # each build: its sub-rows' samples, step lengths and ks, and which
+        # of a row's sub-rows it holds are the last count's
+        if whole:
+            sub = slice(lo * per, (lo + r) * per)
+            builds = [(samples[:, rows].reshape(3, -1, piece), hs[sub], sks[sub], last)]
+        else:
+            builds = [
+                (samples[:, rows, a : a + piece], table.lengths[rows] / n, ks[span],
+                 slice(0, 1 if n == top else 0))
+                for a, n in spans
+            ]
+        parts = []
+        taps.append([])
+        for w, bhs, bks, taken in builds:
+            e = _steps(*w, bhs[:, None], bks, want_dk)
+            if zeros is not None and size <= piece:
                 e = _fold(*e, pieces=piece // size)
-                run = np.concatenate([ends[-1][..., -1:], e[0].real], axis=-1)
-                ends.append(_prefix(run)[..., 1:])
+                part = e[0].reshape(2, 2, r, -1, piece // size)[:, :, :, taken]
+                if part.size:
+                    taps[-1].append(part.reshape(2, 2, r, -1))
             parts.append(_fold(*e))
         e, de = zip(*parts)
-        de = np.concatenate(de, axis=-1) if want_dk else None
-        e, de = _fold(np.concatenate(e, axis=-1), de)
-        m[..., lo : lo + chunk] = e[..., 0]
+        prods[:, :, span] = np.concatenate(e, axis=2).reshape(2, 2, r, per)
         if want_dk:
-            dm[..., lo : lo + chunk] = de[..., 0]
-        if zeros is not None:
-            ends = np.concatenate(ends, axis=-1)
-            ends[..., -1] = e[..., 0].real
-            nu = alpha = 0.0
-            beta = h
-            if size == 1:
-                w = [x[rows] for x in samples]
-                alpha, beta, gamma, _, _ = _generator(*w, h, pks.real[:, None])
-                nu = np.sqrt(np.maximum(-(alpha * alpha + beta * gamma), 0.0))
-            zeros[:, lo : lo + chunk] = _zeros(ends, nu, alpha, beta)
-    return m, dm
+            dprods[:, :, span] = np.concatenate(de, axis=2).reshape(2, 2, r, per)
+    finish(first, len(ks), level, taps)
+    return m, dm, err
 
 
-def _magnus_doubled(pots, lengths, ks, want_dk: bool, zeros, tables):
-    """Magnus M (and M') over [0, L] of every edge (oriented potentials
-    ``pots`` on ``lengths``) at every k of ``ks``, in one propagation of the
+def _magnus_doubled(table, edges, ks, want_dk: bool, zeros):
+    """Magnus M (and M') over [0, L] of the edges ``edges`` (indices) of the
+    ``_Samples`` ``table`` at every k of ``ks``, in one propagation of the
     (k, edge) rows.  Each row doubles its step count from _MIN_STEPS until
     two successive M, with psi' scaled by 1/|k|, agree to _DEFAULT_TOL
     relative, and keeps the M of the first count that does, and its
-    ``_zeros`` in ``zeros`` (2, len(ks), edges) unless that is None.  An edge
-    is sampled once per step count its rows reach, and only at those, into
-    its dict of ``tables`` (step count -> Gauss samples (3, n)), where a
-    count already drawn is read.
+    ``_zeros`` in ``zeros`` (2, len(ks), edges) unless that is None.  The
+    first comparison, _MIN_STEPS against twice that, is one ``_magnus``
+    pass of the pair; each later count is one pass of the rows left.  An
+    edge is sampled once per step count its rows reach, and only at those,
+    into the table, where a count already drawn is read.
     Returns M, M' (or None), that last difference and the step count, each
     shaped (..., len(ks), edges); a row unresolved at _MAX_STEPS has error
     inf."""
-    lengths = np.asarray(lengths, dtype=float)
-    shape = (len(ks), len(pots))
-    edges = np.tile(np.arange(len(pots)), len(ks))
+    edges = np.asarray(edges)
+    shape = (len(ks), len(edges))
+    rows = np.tile(edges, len(ks))
     ks = np.asarray(ks)
-    ks = np.repeat(ks.astype(complex if np.iscomplexobj(ks) else float), len(pots))
-    absk = np.abs(ks)
-    scale = np.ones((2, 2, len(ks)))
-    scale[0, 1], scale[1, 0] = absk, 1.0 / absk
+    ks = np.repeat(ks.astype(complex if np.iscomplexobj(ks) else float), len(edges))
     m_out = np.full((2, 2, len(ks)), np.nan, dtype=ks.dtype)
     dm_out = np.full_like(m_out, np.nan) if want_dk else None
     err_out = np.full(len(ks), np.inf)
     n_out = np.zeros(len(ks), dtype=int)
     active = np.arange(len(ks))
     prev = None
-    n = _MIN_STEPS
-    while n <= _MAX_STEPS and active.size:
-        # the edges with rows left, and each row's place among them
-        live = np.flatnonzero(np.bincount(edges[active], minlength=len(pots)))
-        rows = np.searchsorted(live, edges[active])
-        hs = lengths[live] / n
-        for e, h in zip(live.tolist(), hs):
-            if n not in tables[e]:
-                w = _gauss_values(pots[e].callable(lengths[e]), h * np.arange(n), h)
-                tables[e][n] = np.array(w)
-        samples = np.stack([tables[e][n] for e in live.tolist()], axis=1)
-        # no row keeps the M of the first count, so its zeros are not needed
-        z = None if zeros is None or prev is None else np.empty((2, active.size), int)
-        m, dm = _magnus(samples, hs, rows, ks[active], want_dk, z)
-        ms = m * scale[..., active]
-        if prev is not None:
-            err = np.max(np.abs(ms - prev), axis=(0, 1)) / np.maximum(
-                1.0, np.max(np.abs(ms), axis=(0, 1))
-            )
-            done = err <= _DEFAULT_TOL
-            idx = active[done]
-            m_out[..., idx], err_out[idx], n_out[idx] = m[..., done], err[done], n
-            if want_dk:
-                dm_out[..., idx] = dm[..., done]
-            if z is not None:
-                zeros[:, idx // shape[1], idx % shape[1]] = z[:, done]
-            active, ms = active[~done], ms[..., ~done]
-        prev = ms
-        n *= 2
+    counts = (_MIN_STEPS, 2 * _MIN_STEPS)
+    while counts[-1] <= _MAX_STEPS and active.size:
+        table.draw(counts, rows[active])
+        z = None if zeros is None else np.empty((2, active.size), int)
+        m, dm, err = _magnus(table, counts, rows[active], ks[active], want_dk, z, prev)
+        done = err <= _DEFAULT_TOL
+        idx = active[done]
+        m_out[..., idx], err_out[idx], n_out[idx] = m[-1][..., done], err[done], counts[-1]
+        if want_dk:
+            dm_out[..., idx] = dm[-1][..., done]
+        if z is not None:
+            zeros[:, idx // shape[1], idx % shape[1]] = z[:, done]
+        active, prev = active[~done], m[-1][..., ~done]
+        counts = (2 * counts[-1],)
     out = (m_out, dm_out, err_out, n_out)
     return tuple(None if x is None else x.reshape(x.shape[:-1] + shape) for x in out)
 
@@ -601,8 +720,8 @@ def _refuse_k(ks) -> None:
 
 
 # closed-form arguments (c, D, x1, x2) of every edge (placeholders on smooth
-# edges), the lengths and, keyed by the smooth edges, each one's Gauss
-# samples by step count
+# edges), the lengths, each edge's place among the smooth edges (-1 on the
+# others) and the smooth edges' ``_Samples``
 _EDGE_TABLES: "weakref.WeakKeyDictionary[MetricGraph, tuple]" = (
     weakref.WeakKeyDictionary()
 )
@@ -619,8 +738,11 @@ def _edge_table(g: MetricGraph):
         ]
         closed = tuple(np.array(col) for col in zip(*rows))
         lengths = np.array([e.length for e in g.edges])
-        samples = {e.index: {} for e in g.edges if e.potential.kind == "smooth"}
-        table = _EDGE_TABLES[g] = (closed, lengths, samples)
+        smooth = [e for e in g.edges if e.potential.kind == "smooth"]
+        slots = np.full(g.num_edges, -1)
+        slots[[e.index for e in smooth]] = np.arange(len(smooth))
+        samples = _Samples([e.potential for e in smooth], [e.length for e in smooth])
+        table = _EDGE_TABLES[g] = (closed, lengths, slots, samples)
     return table
 
 
@@ -639,31 +761,31 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
     through one ``_magnus_doubled`` batch over their (k, edge) rows, from
     the graph's samples, which gives each row its one-point result.  An
     unresolved row does not raise: its error is inf."""
-    closed, lengths, samples = _edge_table(g)
-    # the chosen edges' indices, and the places of the smooth ones among them
-    ids = np.arange(g.num_edges)[edges].tolist() if samples else []
-    at = [i for i, e in enumerate(ids) if e in samples]
-    if not at:
+    closed, _, slots, samples = _edge_table(g)
+    # the chosen edges' places among the smooth edges (-1 on the others),
+    # and the places of the smooth ones among the chosen
+    at = ()
+    if samples.pots:
+        ids = slots[edges]
+        at = np.flatnonzero(ids >= 0)
+    if not len(at):
         columns = tuple(col[edges] for col in closed)
         m, dm, zeros = _closed(ks[:, None], *columns, want_dk, want_count)
         return m, dm, np.zeros((len(ks), len(columns[0]))), zeros
-    live = [ids[i] for i in at]
-    pots = [g.edges[e].potential for e in live]
     z = np.empty((2, len(ks), len(at)), dtype=int) if want_count else None
-    me, dme, err_at, _ = _magnus_doubled(
-        pots, lengths[live], ks, want_dk, z, [samples[e] for e in live]
-    )
+    me, dme, err_at, _ = _magnus_doubled(samples, ids[at], ks, want_dk, z)
+    if at.size == ids.size:
+        m, dm = (None if x is None else x.reshape(4, *x.shape[2:]) for x in (me, dme))
+        return m, dm, err_at, z
     shape = (len(ks), len(ids))
     m = np.empty((4, *shape), dtype=me.dtype)
     dm = np.empty_like(m) if want_dk else None
     zeros = np.empty((2, *shape), dtype=int) if want_count else None
     err = np.zeros(shape)
     err[:, at] = err_at
-    parts = [(at, me, dme, z)]
-    rest = [i for i, e in enumerate(ids) if e not in samples]
-    if rest:
-        columns = tuple(col[[ids[i] for i in rest]] for col in closed)
-        parts.append((rest, *_closed(ks[:, None], *columns, want_dk, want_count)))
+    rest = np.flatnonzero(ids < 0)
+    columns = tuple(col[edges][rest] for col in closed)
+    parts = [(at, me, dme, z), (rest, *_closed(ks[:, None], *columns, want_dk, want_count))]
     for places, pm, pdm, pz in parts:
         m[:, :, places] = np.reshape(pm, (4, len(ks), -1))
         if want_dk:
@@ -727,9 +849,9 @@ def edge_profile(g: MetricGraph, e: int, k: complex, xs) -> np.ndarray:
     k = complex(k)
     xs = np.clip(xs, 0.0, L)
     grid = np.union1d(0.0, xs)
-    samples = _edge_table(g)[2]
-    if e in samples:
-        _, _, err, n = _magnus_doubled([pot], [L], [k], False, None, [samples[e]])
+    _, _, slots, samples = _edge_table(g)
+    if slots[e] >= 0:
+        _, _, err, n = _magnus_doubled(samples, slots[[e]], [k], False, None)
         if not err.item() <= _DEFAULT_TOL:
             raise _unresolved(pot, k)
         grid = np.union1d(np.linspace(0.0, L, n.item() + 1), grid)

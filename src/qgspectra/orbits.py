@@ -481,7 +481,10 @@ class TraceReport:
         raise KeyError(f"no residual computed for n_max={n_max}")
 
 
-_NODE_BLOCK = 64  # quadrature nodes assembled and multiplied at once
+# quadrature nodes assembled and multiplied at once: at least _NODE_BLOCK,
+# and about _BLOCK_ENTRIES entries of each 2E x 2E stack when that is more
+_NODE_BLOCK = 64
+_BLOCK_ENTRIES = 4096
 _QUAD_TOL = 1e-12  # absolute quadrature error of every row over the support
 _CC_FIRST = 8  # a panel's first Clenshaw-Curtis rule has 9 nodes ...
 _CC_LAST = 1024  # ... and its last 1025
@@ -514,6 +517,12 @@ def _cc_rule(n: int) -> Tuple[np.ndarray, np.ndarray]:
     x = np.cos(theta)
     x.flags.writeable = w.flags.writeable = False
     return x, w
+
+
+def _node_block(g: MetricGraph) -> int:
+    """Quadrature nodes of ``g`` whose T, T' and orbit products are formed
+    at once (see _NODE_BLOCK)."""
+    return max(_NODE_BLOCK, _BLOCK_ENTRIES // (2 * g.num_edges) ** 2)
 
 
 def _nested_quadrature(f, a: float, b: float, n_panels: int):
@@ -627,6 +636,7 @@ def trace_check(
     )
 
     sigma = big_sigma(g)
+    node_block = _node_block(g)
 
     def integrands(ks: np.ndarray) -> np.ndarray:
         # One T, T' per node gives the phase density and every orbit row:
@@ -636,8 +646,8 @@ def trace_check(
         # weyl_count and rhs_orbits for n_max = 0 ... n_max.
         tp = np.empty(ks.size)
         orbit_terms = np.zeros((n_max + 1, ks.size))
-        for lo in range(0, ks.size, _NODE_BLOCK):
-            block = slice(lo, lo + _NODE_BLOCK)
+        for lo in range(0, ks.size, node_block):
+            block = slice(lo, lo + node_block)
             T, dT = assemble_T(g, ks[block], want_dk=True)
             tp[block] = _theta_prime(T, dT)
             S, P = sigma @ T, sigma @ dT

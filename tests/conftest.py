@@ -200,19 +200,21 @@ def vertex_det_points(monkeypatch):
 
 @pytest.fixture
 def magnus_calls(monkeypatch):
-    """One entry (the step count) per Magnus kernel call."""
-    return _record_calls(monkeypatch, edge._magnus, lambda samples, hs: [samples[0].shape[-1]])
+    """One entry per Magnus kernel pass: its step counts, (64, 128) for the
+    pass that starts the step doubling and (n,) for each later one."""
+    return _record_calls(monkeypatch, edge._magnus, lambda table, counts: [counts])
 
 
 @pytest.fixture
 def magnus_steps(monkeypatch):
-    """(step count, number of (edge, k) rows) of every Magnus kernel call."""
+    """One list per Magnus kernel pass: (step count, number of (edge, k)
+    rows) of each of its counts; a count's row-steps are their product."""
     calls = []
     original = edge._magnus
 
-    def counted(samples, hs, edges, ks, *args):
-        calls.append((samples[0].shape[-1], len(ks)))
-        return original(samples, hs, edges, ks, *args)
+    def counted(table, counts, edges, ks, *args):
+        calls.append([(n, len(ks)) for n in counts])
+        return original(table, counts, edges, ks, *args)
 
     monkeypatch.setattr(edge, "_magnus", counted)
     return calls

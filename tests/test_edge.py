@@ -478,15 +478,17 @@ def test_batched_magnus_matches_single_points(name):
     ks = BATCH_KS[name]
     assert len(ks) * len(pots) > edge._POINT_STEPS // edge._MIN_STEPS
     zeros = np.empty((2, len(ks), len(pots)), dtype=int) if name == "real" else None
-    tables = [{} for _ in pots]
-    m, dm, err, n = edge._magnus_doubled(pots, lengths, ks, True, zeros, tables)
+    table = edge._Samples(pots, lengths)
+    m, dm, err, n = edge._magnus_doubled(table, np.arange(len(pots)), ks, True, zeros)
     assert np.all(err <= 1e-10)
     if zeros is not None:
         # real ks run in float64 and give the rows of the complex arithmetic
         # at k + 0j: M and M' to rounding, the same step counts and zeros
         assert m.dtype == dm.dtype == np.float64
         zc = np.empty_like(zeros)
-        mc, dmc, _, nc = edge._magnus_doubled(pots, lengths, ks + 0j, True, zc, [{} for _ in pots])
+        mc, dmc, _, nc = edge._magnus_doubled(
+            edge._Samples(pots, lengths), np.arange(len(pots)), ks + 0j, True, zc
+        )
         for got, want in ((m, mc), (dm, dmc)):
             assert np.all(np.abs(got - want) <= 1e-13 * np.max(np.abs(want), axis=(0, 1)))
         assert np.array_equal(n, nc)
@@ -496,18 +498,85 @@ def test_batched_magnus_matches_single_points(name):
         nu2 = []
         for (i, k), e in itertools.product(enumerate(ks), range(len(pots))):
             alpha, beta, gamma, _, _ = edge._generator(
-                *tables[e][n[i, e]], lengths[e] / n[i, e], k
+                *drawn_samples(table, e, n[i, e]), lengths[e] / n[i, e], k
             )
             nu2.append(np.min(-(alpha * alpha + beta * gamma)))
         assert min(nu2) < 0
     for (i, k), (e, pot) in itertools.product(enumerate(ks), enumerate(pots)):
         z = None if zeros is None else np.empty((2, 1, 1), dtype=int)
-        m1, dm1, err1, n1 = edge._magnus_doubled([pot], [lengths[e]], [k], True, z, [{}])
+        one = edge._Samples([pot], [lengths[e]])
+        m1, dm1, err1, n1 = edge._magnus_doubled(one, np.arange(1), [k], True, z)
         assert np.array_equal(m[..., i, e], m1[..., 0, 0])
         assert np.array_equal(dm[..., i, e], dm1[..., 0, 0])
         assert (err[i, e], n[i, e]) == (err1[0, 0], n1[0, 0])
         if zeros is not None:
             assert zeros[:, i, e].tolist() == z[:, 0, 0].tolist()
+
+
+# the real ks include a classically forbidden step (k = 0.7 on 5 x (1 - x))
+# and rows that go on past 128 steps
+PAIR_KS = {
+    "real": np.array([0.7, 5.0, 41.0]),
+    "complex": np.array([5 + 1e-3j, 0.7 + 1e-2j, 40 + 2j]),
+}
+
+
+def split_pair(table, counts, edges, ks, want_dk, zeros=None, prev=None, kernel=edge._magnus):
+    """The Magnus kernel with a pair of counts taken as two passes of one
+    count each, the second compared with the first."""
+    if len(counts) == 1:
+        return kernel(table, counts, edges, ks, want_dk, zeros, prev)
+    for n in counts:
+        table.draw((n,), edges)
+    m0, dm0, _ = kernel(table, counts[:1], edges, ks, want_dk)
+    m1, dm1, err = kernel(table, counts[1:], edges, ks, want_dk, zeros, m0[0])
+    dm = None if dm0 is None else np.concatenate([dm0, dm1])
+    return np.concatenate([m0, m1]), dm, err
+
+
+@pytest.mark.parametrize("budget", [1, edge._POINT_STEPS])
+@pytest.mark.parametrize("name", sorted(PAIR_KS))
+def test_pair_pass_equals_single_count_passes(monkeypatch, name, budget):
+    # one kernel pass of 64 and 128 steps gives the M and M' of each count,
+    # the error and the zeros of two passes of one count each, bit for bit,
+    # with and without M' and zeros; and so the step doubling gives every
+    # row the M, M', error, step count and zeros it gets from passes of one
+    # count each.  At a budget of one row-step the steps are built one at a
+    # time; at the default, rows of both counts are built together
+    monkeypatch.setattr(edge, "_POINT_STEPS", budget)
+    pots = [interval(L, _smooth(expr)).edges[0].potential for L, expr in BATCH_EDGES]
+    lengths = [L for L, _ in BATCH_EDGES]
+    ks = PAIR_KS[name]
+    rows, rks = np.tile(np.arange(len(pots)), len(ks)), np.repeat(ks, len(pots))
+    pair = (edge._MIN_STEPS, 2 * edge._MIN_STEPS)
+    real = name == "real"
+    for want_dk, count in [(False, real), (True, real), (True, False)]:
+        table = edge._Samples(pots, lengths)
+        table.draw(pair, rows)
+        z, zs = (np.full((2, len(rks)), -1) for _ in range(2)) if count else (None, None)
+        got = edge._magnus(table, pair, rows, rks, want_dk, z)
+        want = split_pair(table, pair, rows, rks, want_dk, zs)
+        for a, b in zip(got, want):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        if count:
+            assert (z >= 0).any() and np.array_equal(z, zs)
+        zeros = [np.empty((2, len(ks), len(pots)), dtype=int) if count else None for _ in range(2)]
+        def ladder(z):
+            table = edge._Samples(pots, lengths)
+            return edge._magnus_doubled(table, np.arange(len(pots)), ks, want_dk, z)
+
+        runs = [ladder(zeros[0])]
+        monkeypatch.setattr(edge, "_magnus", split_pair)
+        try:
+            runs.append(ladder(zeros[1]))
+        finally:
+            monkeypatch.undo()
+            monkeypatch.setattr(edge, "_POINT_STEPS", budget)
+        assert np.all(runs[0][2] <= 1e-10) and runs[0][3].max() > pair[1]
+        for a, b in zip(*runs):
+            assert (a is None and b is None) or np.array_equal(a, b)
+        if count:
+            assert np.array_equal(*zeros)
 
 
 def test_one_edge_solve_is_a_column_of_the_graph_solve():
@@ -529,13 +598,28 @@ FOLD_KS = np.array(
 )
 
 
-def one_edge_magnus(expr, length, n, ks):
-    """The Magnus kernel's first arguments for n steps on one edge of
-    ``expr`` at every k of ``ks``: its samples, step length, rows and ks."""
-    w = interval(length, _smooth(expr)).edges[0].potential.callable(length)
-    h = length / n
-    samples = tuple(x[None] for x in edge._gauss_values(w, h * np.arange(n), h))
-    return samples, np.array([h]), np.zeros(len(ks), dtype=int), ks
+def one_edge_magnus(expr, length, counts, ks):
+    """The Magnus kernel's first arguments for the step counts ``counts``
+    on one edge of ``expr`` at every k of ``ks``: its sample table, drawn at
+    those counts, the counts, rows and ks."""
+    table = edge._Samples([interval(length, _smooth(expr)).edges[0].potential], [length])
+    rows = np.zeros(len(ks), dtype=int)
+    table.draw(counts, rows)
+    return table, counts, rows, ks
+
+
+def drawn_counts(table, e):
+    """The step counts at which edge ``e`` of a sample table is drawn."""
+    return sorted(n for counts, drawn in table.drawn.items() if drawn[e] for n in counts)
+
+
+def drawn_samples(table, e, n):
+    """The Gauss samples (3, n) of edge ``e`` of a sample table at n steps."""
+    for counts, drawn in table.drawn.items():
+        if drawn[e] and n in counts:
+            start = sum(counts[: counts.index(n)])
+            return table.w[counts][:, e, start : start + n]
+    raise KeyError(n)
 
 
 @pytest.mark.parametrize("expr", FOLD_POTENTIALS)
@@ -543,13 +627,13 @@ def test_pair_fold_equals_block_fold(expr):
     # folding E and E' as a pair gives the 4x4 block fold's M and M' bit for
     # bit, also past _POINT_STEPS, where the steps are folded in pieces
     for n in (64, 4 * edge._POINT_STEPS):
-        args = one_edge_magnus(expr, 1.0, n, FOLD_KS)
-        ((w1,), (w2,), (w3,)), (h,) = args[:2]
-        want_m, want_dm = block_fold(*edge._steps(w1, w2, w3, h, FOLD_KS, True))
-        m, dm = edge._magnus(*args, True)
+        args = one_edge_magnus(expr, 1.0, (n,), FOLD_KS)
+        w1, w2, w3 = args[0].w[(n,)][:, 0]
+        want_m, want_dm = block_fold(*edge._steps(w1, w2, w3, 1.0 / n, FOLD_KS, True))
+        (m,), (dm,), _ = edge._magnus(*args, True)
         assert np.array_equal(m, want_m)
         assert np.array_equal(dm, want_dm)
-        m, dm = edge._magnus(*args, False)
+        (m,), dm, _ = edge._magnus(*args, False)
         assert np.array_equal(m, want_m)
         assert dm is None
 
@@ -562,7 +646,8 @@ def test_magnus_step_is_sixth_order():
     ks = np.array([5.0 + 0j, 50.0 + 0j])
 
     def propagate(n):
-        return np.array(edge._magnus(*one_edge_magnus("cos(4*x)", 1.0, n, ks), True))
+        (m,), (dm,), _ = edge._magnus(*one_edge_magnus("cos(4*x)", 1.0, (n,), ks), True)
+        return np.array([m, dm])
 
     ref = propagate(1 << 14)
     errs = np.array([np.max(np.abs(propagate(n) - ref), axis=(1, 2)) for n in (32, 64, 128)])
@@ -572,7 +657,7 @@ def test_magnus_step_is_sixth_order():
 def test_derivative_fold_heap_stays_near_the_m_only_heap():
     # E' adds one array of E's size to the steps and one product per level;
     # 4x4 blocks [[E, E'], [0, E]] took about three times the M-only heap
-    args = one_edge_magnus("2*cos(3*x)", 1.0, edge._POINT_STEPS, np.array([4.7 + 0j]))
+    args = one_edge_magnus("2*cos(3*x)", 1.0, (edge._POINT_STEPS,), np.array([4.7 + 0j]))
     peaks = []
     for want_dk in (False, True):
         edge._magnus(*args, want_dk)
@@ -642,15 +727,21 @@ def test_edge_layer_refuses_non_finite_input(name, bad):
 
 def test_sample_table_is_released_with_its_graph():
     # the smooth edges' Gauss samples, 3 n values per edge and step count,
-    # are drawn once per graph and dropped with it
+    # stacked over the smooth edges with both counts of the first pass side
+    # by side, are drawn once per graph and dropped with it
     g = star([(1.0, _smooth("cos(2*x)")), (0.7, ZERO), (1.3, _smooth("x"))])
     edge._solve_edges(g, np.array([4.7, 9.5]))
-    samples = edge._edge_table(g)[2]
-    assert sorted(samples) == [0, 2] and all(samples.values())
-    assert all(w.shape == (3, n) for counts in samples.values() for n, w in counts.items())
-    ref = weakref.ref(samples[0][edge._MIN_STEPS])
+    _, _, slots, samples = edge._edge_table(g)
+    assert slots.tolist() == [0, -1, 1]
+    pair = (edge._MIN_STEPS, 2 * edge._MIN_STEPS)
+    assert list(samples.w) == [pair] and samples.drawn[pair].all()
+    assert samples.w[pair].shape == (3, 2, sum(pair))
+    assert samples.wmin[pair].tolist() == [
+        drawn_samples(samples, e, pair[1]).min() for e in range(2)
+    ]
+    ref = weakref.ref(samples.w[pair])
     edge._solve_edges(g, np.array([4.7, 9.5]))
-    assert samples[0][edge._MIN_STEPS] is ref()
+    assert samples.w[pair] is ref()
     del g, samples
     gc.collect()
     assert ref() is None
@@ -667,13 +758,15 @@ def test_each_edge_is_sampled_at_its_own_step_counts(gauss_samplings):
     )
     with pytest.raises(NumericalError, match=message):
         edge._solve_edges(g, np.array([4.7]))
-    samples = edge._edge_table(g)[2]
-    assert sorted(gauss_samplings) == sorted(n for counts in samples.values() for n in counts)
-    assert max(samples[1]) == edge._MAX_STEPS
+    samples = edge._edge_table(g)[3]
+    drawn = [drawn_counts(samples, e) for e in range(3)]
+    assert sorted(gauss_samplings) == sorted(n for counts in drawn for n in counts)
+    assert max(drawn[1]) == edge._MAX_STEPS
     for e in (0, 2):
-        _, _, err, n = edge._magnus_doubled([g.edges[e].potential], [1.0], [4.7], False, None, [{}])
+        one = edge._Samples([g.edges[e].potential], [1.0])
+        _, _, err, n = edge._magnus_doubled(one, np.arange(1), [4.7], False, None)
         assert err.item() <= 1e-10
-        assert max(samples[e]) == n.item()
+        assert max(drawn[e]) == n.item()
 
 
 def test_threshold_reads_the_graph_sample_table(gauss_samplings):
@@ -682,8 +775,9 @@ def test_threshold_reads_the_graph_sample_table(gauss_samplings):
     g = star(THRESHOLD_PANEL["cos234"])
     assert subunitarity_threshold(g) == pytest.approx(THRESHOLD_K["cos234"], abs=1e-9)
     edge._solve_edges(g, np.array([4.7, 9.5, 40.0]))
-    samples = edge._edge_table(g)[2]
-    assert sorted(gauss_samplings) == sorted(n for counts in samples.values() for n in counts)
+    samples = edge._edge_table(g)[3]
+    drawn = [n for e in range(len(samples.pots)) for n in drawn_counts(samples, e)]
+    assert sorted(gauss_samplings) == sorted(drawn)
 
 
 def test_edge_profile_reads_the_graph_sample_table(gauss_samplings):
@@ -692,7 +786,7 @@ def test_edge_profile_reads_the_graph_sample_table(gauss_samplings):
     # its own grid, once per call
     g = star([(1.0, _smooth("2*cos(3*x)"))] * 3)
     edge._solve_edges(g, np.array([40.0]))
-    assert sorted(edge._edge_table(g)[2][0]) == [64, 128, 256]
+    assert drawn_counts(edge._edge_table(g)[3], 0) == [64, 128, 256]
     gauss_samplings.clear()
     for _ in range(3):
         edge_profile(g, 0, 40.0, np.linspace(0.0, 1.0, 33))
@@ -726,7 +820,7 @@ def test_unresolvable_arm_stops_its_threshold_block(magnus_steps):
     )
     with pytest.raises(NumericalError, match=message):
         subunitarity_threshold(g)
-    assert sum(p for n, p in magnus_steps if n == edge._MAX_STEPS) == 1
+    assert sum(p for levels in magnus_steps for n, p in levels if n == edge._MAX_STEPS) == 1
 
 
 def test_unresolvable_potential_raises_through_threshold():
@@ -765,7 +859,7 @@ def test_solution_zeros_match_an_ode_count(name):
     if pot["type"] == "expr":
         for n in (64, 4096):
             z = np.empty((2, 1), dtype=int)
-            edge._magnus(*one_edge_magnus(pot["expr"], length, n, ks[-1:]), False, z)
+            edge._magnus(*one_edge_magnus(pot["expr"], length, (n,), ks[-1:]), False, z)
             assert z[:, 0].tolist() == list(want[-1])
 
 

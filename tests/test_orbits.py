@@ -165,6 +165,24 @@ def _accepted_nodes(q):
     return np.concatenate(ks), np.concatenate(wts)
 
 
+def test_each_quadrature_level_is_one_block(g_delta_star, monkeypatch):
+    # the node block is about 4,096 entries of each 2E x 2E stack and at
+    # least 64 nodes: 4096 // 6^2 = 113 nodes on the 3-edge star, so each
+    # nested Clenshaw-Curtis level of its trace check (65, 64 and 112 new
+    # nodes at n_max 5) takes one assemble_T call; 64 on a 10-edge star
+    assert orbits_module._node_block(g_delta_star) == 113
+    assert orbits_module._node_block(random_delta_star(1)) == 64
+    sizes, assemble = [], orbits_module.assemble_T
+
+    def counted(g, ks, *args, **kwargs):
+        sizes.append(np.size(ks))
+        return assemble(g, ks, *args, **kwargs)
+
+    monkeypatch.setattr(orbits_module, "assemble_T", counted)
+    trace_check(g_delta_star, TestFunction(20.0, 0.5), 5)
+    assert sizes == [65, 64, 112]
+
+
 def test_batched_quadrature_matches_a_per_node_loop(g_delta_star):
     # reference: T and T' one quadrature node at a time, the phase density
     # summed over the 2x2 edge blocks and the orbit rows by single products,
@@ -175,7 +193,7 @@ def test_batched_quadrature_matches_a_per_node_loop(g_delta_star):
     report = trace_check(g, phi, n_max)
     q = report.quadrature
     ks, wts = _accepted_nodes(q)
-    assert ks.size - (q["n_panels"] - 1) == q["n_nodes"] > orbits_module._NODE_BLOCK
+    assert ks.size - (q["n_panels"] - 1) == q["n_nodes"] > orbits_module._node_block(g)
     sigma = big_sigma(g)
     tp = np.zeros(ks.size)
     terms = np.zeros((n_max + 1, ks.size))

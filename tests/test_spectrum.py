@@ -443,23 +443,41 @@ def test_trace_check_work_is_bounded(g_delta_star, assembled_ks):
 
 def test_threshold_work_is_bounded(magnus_calls, gauss_samplings):
     # deterministic counts on the smooth-scan star: each arm sampled at 64
-    # and 128 steps; two Magnus calls (64 and 128 steps) for the grid's
-    # first point, two for the rest of it and two per refinement step, 16
+    # and 128 steps; one Magnus pass (64 and 128 steps together) for the
+    # grid's first point, one for the rest of it and one per refinement
+    # step, 8 (16 when each count took a pass of its own)
     K = subunitarity_threshold(star(SMOOTH_ARMS))
     assert K == pytest.approx(0.469470505550, abs=1e-9)
     assert sorted(gauss_samplings) == [64] * 3 + [128] * 3
-    assert len(magnus_calls) <= 16
+    assert len(magnus_calls) <= 8
 
 
 def test_smooth_scan_propagates_its_arms_together(magnus_steps, gauss_samplings):
     # the smooth-scan star on [4.4, 5.0]: every edge solve step-doubles the
     # three arms in one batch, and each arm is sampled once per step count
-    # (64 and 128: every row converges at 128) for the whole scan
+    # (64 and 128: every row converges at 128) for the whole scan; each of
+    # the 11 edge solves is one pass of 64 and 128 steps (22 passes when
+    # each count took one), with the same row-steps
     res = scan_spectrum(star(SMOOTH_ARMS), 4.4, 5.0)
     assert len(res.roots) == 2
-    assert len(magnus_steps) <= 22
-    assert sum(n * rows for n, rows in magnus_steps) == 12096
+    assert len(magnus_steps) == 11
+    assert all([n for n, _ in levels] == [64, 128] for levels in magnus_steps)
+    assert sum(n * rows for levels in magnus_steps for n, rows in levels) == 12096
     assert sorted(gauss_samplings) == [64] * 3 + [128] * 3
+
+
+def test_smooth_scan_past_128_steps_pays_one_pass_per_count(magnus_steps):
+    # the same star on [20, 40], where rows go on to 256 steps: the first
+    # pass takes 64 and 128 steps together and each later count one pass of
+    # the rows left, 34 passes (51 when each count took one) over the same
+    # 270,592 row-steps
+    res = scan_spectrum(star(SMOOTH_ARMS), 20.0, 40.0)
+    assert len(res.roots) == res.expected_count == 20
+    counts = [[n for n, _ in levels] for levels in magnus_steps]
+    assert len(counts) == 34
+    assert max(n for levels in counts for n in levels) == 256
+    assert counts.count([64, 128]) == counts.count([256]) == 17
+    assert sum(n * rows for levels in magnus_steps for n, rows in levels) == 270592
 
 
 @pytest.mark.parametrize("name", ["g_interval_pi", "g_star3_eq", "g_delta_star"])
