@@ -187,10 +187,13 @@ def _free_dk(q, x, k, c, s):
 def _wavenumber(k, c):
     """q with q^2 = k^2 - c (q = k where c = 0), elementwise over broadcast
     arrays: real when k is real and no k^2 < c, else complex (q is
-    imaginary over a barrier, k^2 < c)."""
+    imaginary over a barrier, k^2 < c).  Where every c is 0 it is k itself,
+    not broadcast against c, which spares its copies and its products."""
     k = np.asarray(k)
     if np.iscomplexobj(k) or np.any(k * k < c):
         k = k.astype(complex)
+    if not np.any(c):
+        return k
     return np.where(c == 0, k, np.sqrt(k * k - c))
 
 
@@ -216,13 +219,40 @@ def _closed(k, c, D, x1, x2, want_dk: bool, want_count: bool = False):
     c2, s2 = _free(q, x2)
     cc = c2 * c1 - q * q * s2 * s1
     s = s2 * c1 + c2 * s1
-    m = (
-        cc + D * s2 * c1,
-        s + D * s2 * s1,
-        -q * (q * s) + D * c2 * c1,
-        cc + D * c2 * s1,
-    )
     real = not np.iscomplexobj(k)
+    dm = None
+    if want_dk:
+        dc1, ds1 = _free_dk(q, x1, k, c1, s1)
+        dc2, ds2 = _free_dk(q, x2, k, c2, s2)
+        dc, ds = _free_dk(q, x1 + x2, k, cc, s)
+        dm = (
+            dc + D * (ds2 * c1 + s2 * dc1),
+            ds + D * (ds2 * s1 + s2 * ds1),
+            -2.0 * k * s - q * q * ds + D * (dc2 * c1 + c2 * dc1),
+            dc + D * (dc2 * s1 + c2 * ds1),
+        )
+        dm = tuple(np.real(x) for x in dm) if real else dm
+    # M = (cc + D s2 c1, s + D s2 s1, -q (q s) + D c2 c1, cc + D c2 s1), each
+    # product and sum as written, operands in order, s and cc becoming m12
+    # and m22 last.  The sums are formed in place, and so are the products
+    # of a real batch, which leaves a large batch three fewer temporaries
+    # (numpy may round a complex product formed in place differently)
+    def into(x):
+        return None if np.iscomplexobj(x) else x
+
+    m21 = q * s
+    m21 = np.multiply(-q, m21, out=into(m21))
+    term = D * c2
+    m21 += np.multiply(term, c1, out=into(term))
+    del term
+    m11 = D * s2
+    m11 = np.multiply(m11, c1, out=into(m11))
+    m11 += cc
+    s2 = np.multiply(D, s2, out=into(s2))
+    s += np.multiply(s2, s1, out=into(s2))
+    c2 = np.multiply(D, c2, out=into(c2))
+    cc += np.multiply(c2, s1, out=into(c2))
+    m = (m11, s, m21, cc)
     if real:
         m = tuple(np.real(x) for x in m)
     zeros = None
@@ -237,18 +267,7 @@ def _closed(k, c, D, x1, x2, want_dk: bool, want_count: bool = False):
         nu = q.real * x2
         theta = np.mod(np.arctan2(nu * psi, x2 * dpsi), np.pi)
         zeros = (first + _segment_zeros(theta, nu, mid, end)).astype(int)
-    if not want_dk:
-        return m, None, zeros
-    dc1, ds1 = _free_dk(q, x1, k, c1, s1)
-    dc2, ds2 = _free_dk(q, x2, k, c2, s2)
-    dc, ds = _free_dk(q, x1 + x2, k, cc, s)
-    dm = (
-        dc + D * (ds2 * c1 + s2 * dc1),
-        ds + D * (ds2 * s1 + s2 * ds1),
-        -2.0 * k * s - q * q * ds + D * (dc2 * c1 + c2 * dc1),
-        dc + D * (dc2 * s1 + c2 * ds1),
-    )
-    return m, tuple(np.real(x) for x in dm) if real else dm, zeros
+    return m, dm, zeros
 
 
 def _segment(pot: Potential, a: float, b: float):

@@ -235,11 +235,11 @@ def _det_s(g: MetricGraph, den, den_plus) -> np.ndarray:
     return _layout(g).det_sigma * np.prod(den_plus / den, axis=-1)
 
 
-def _det_w(g: MetricGraph, ks, sol=None, den=None):
+def _det_w(g: MetricGraph, ks, sol=None, den=None, f=None):
     """det(I - S) and the vertex determinant F at each k of the 1-D array
-    ``ks``, from the fundamental matrices ``sol`` of every edge at ``ks``
-    and their denominators ``den`` (``edge._den``), each evaluated unless
-    given:
+    ``ks``, from the fundamental matrices ``sol`` of every edge at ``ks``,
+    their denominators ``den`` (``edge._den``) and F (``_vertex_det`` of
+    ``sol``), each evaluated unless given:
 
         det(I - S) = F prod_e (-4k / den_e) (-1)^A i^-V / (k prod_v deg(v))
 
@@ -252,7 +252,8 @@ def _det_w(g: MetricGraph, ks, sol=None, den=None):
     if den is None:
         den, singular = _den(sol)
         _refuse_singular(sol, singular)
-    f = _vertex_det(g, ks, sol)
+    if f is None:
+        f = _vertex_det(g, ks, sol)
     w = f * np.prod(-4.0 * ks[:, None] / den, axis=-1) * _layout(g).w_factor / ks
     return w, f
 
@@ -317,17 +318,27 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
     core, to_leaf = layout.role == 0, layout.role == 1
     leaf_m = np.where(to_leaf, m22, m11)
     k, ak = ks[:, None], np.abs(ks)[:, None]
-    den = np.where(core, m12, leaf_m)
     scaled = np.where(core, k * m12, leaf_m)
     if nc == 1:
-        # every entry lands on the centre, so num_e is their sum times den_e
-        num = np.where(core, k * (2.0 - m11 - m22), -m21)
-        before, after = np.ones_like(scaled), np.ones_like(scaled)
-        before[:, 1:] = np.cumprod(scaled[:, :-1], axis=-1)
-        after[:, :-1] = np.cumprod(scaled[:, :0:-1], axis=-1)[:, ::-1]
-        f = (num * before * after).sum(axis=-1)
+        # every entry lands on the centre, so num_e is their sum times den_e.
+        # num, k (2 - m11 - m22) on a loop and -m21 on an arm, is formed and
+        # multiplied by the products of the scaled den before e and after it
+        # in place on the real axis, which keeps a large batch's temporaries
+        # few (numpy may round a complex product formed in place differently)
+        num = 2.0 - m11
+        num -= m22
+        num = np.multiply(k, num, out=num if real else None)
+        np.negative(m21, out=num, where=~core)
+        part = np.ones_like(scaled)
+        np.cumprod(scaled[:, :-1], axis=-1, out=part[:, 1:])
+        num = np.multiply(num, part, out=num if real else None)
+        part[:, -1] = 1.0
+        np.cumprod(scaled[:, :0:-1], axis=-1, out=part[:, -2::-1])
+        num = np.multiply(num, part, out=num if real else None)
+        f = num.sum(axis=-1)
         if not want_count:
             return f
+    den = np.where(core, m12, leaf_m)
     pole = core & (ak * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)))
     if nc > 1:
         leaf = np.abs(leaf_m) <= _POLE_BAND * np.maximum(ak * np.abs(m12), np.abs(m21) / ak)

@@ -13,11 +13,14 @@ of det(I - S) (both from ``scattering._vertex_det``).
 The scan reads neither theta nor det S.  A grid cell (a, b] holds N(b) -
 N(a) eigenvalues, of which n0(b) lie on b, as a kernel of the vertex
 matrix there.  A cell holding one more is a sign change of F and a
-bracket for the refinement; a larger count is split at its midpoint, and
-the pieces again, until every piece holds at most one, and a piece
-narrower than root_tol is one root whose multiplicity is its count.  The
-splits of a chunk go level by level: the midpoints of all its cells at
-one depth are counted (and F taken) in one stacked call.
+bracket for the refinement.  A cell of m >= 2 is first cut into 2m equal
+pieces, all counted at once (a cell of one with a root on an end node in
+two), and a piece holding more than one is halved, until every piece
+holds at most one; a piece narrower than root_tol is one root whose
+multiplicity is its count, reported at the split point that made the
+piece.  The splits of a chunk go level by level: the points of all its
+cells at one depth are counted (and F taken) in one stacked solve of the
+edges, whose M rows each point keeps.
 
 A window only counts: it hands on its single-root brackets with F at
 their ends, from the window's sweep or from the split that made them.
@@ -31,11 +34,17 @@ Chandrupatla's bracketing method (T. R. Chandrupatla, Adv. Eng. Softw. 28,
 1997; ``_chandrupatla``, whose iterates are those of scipy's elementwise
 find_root), one stacked F per iteration, until each bracket is narrower
 than root_tol; a bracket it cannot refine is flagged.  Each root is
-checked against the paper's secular function: the residuals |det(I - S)|
-of all the chunk's roots, and F there, come from one more stacked solve of
-the edges.  A root where |F| exceeds _RESIDUAL_TOL times the largest |F|
-at its window's sweep nodes is reported: |det(I - S)| and F grow with the
-graph and k, so no bound on the residual alone fits every graph.
+checked against the paper's secular function.  Its residual |det(I - S)|
+and F there are those of the evaluation that reported it: the split
+level that counted it, or the refinement step that gave the bracket end
+it converged to (the refinement carries the edges' M at each bracket's
+two current ends, and no more).  One ``scattering._det_w`` over the
+chunk's roots reads them all from those rows; only a root without one, on
+a sweep node or at a bracket end from the sweep that never moved, has its
+edges solved again, in one stacked solve.  A root where |F| exceeds
+_RESIDUAL_TOL times the largest |F| at its window's sweep nodes is
+reported: |det(I - S)| and F grow with the graph and k, so no bound on
+the residual alone fits every graph.
 
 A scan covers [max(k_lo, K_FLOOR), k_hi] as given, below the subunitarity
 threshold K too, and never computes K.  On the real axis S is unitary and
@@ -64,12 +73,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import os
+from itertools import repeat
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from . import edge
-from .edge import subunitarity_threshold
+from .edge import EdgeSolution, _solve_edges, subunitarity_threshold
 from .errors import InputError, NumericalError, _index
 from .graph import MetricGraph
 from .scattering import _det_w, _vertex_det
@@ -280,12 +290,13 @@ class _WindowReport:
     roots: List[Tuple[float, int, float, bool]]
     flagged: List[Tuple[float, float]]
     diagnostics: List[str]
-    # eigenvalues located by counting, (k, multiplicity), and the
-    # single-root brackets (lo, hi, F(lo), F(hi)) left to refine
-    emitted: List[Tuple[float, int]] = dataclasses.field(default_factory=list)
-    brackets: List[Tuple[float, float, float, float]] = dataclasses.field(
-        default_factory=list
-    )
+    # while the chunk is scanned: the eigenvalues located by counting, (k,
+    # multiplicity, F(k), row(k)), and the single-root brackets (lo, hi,
+    # F(lo), F(hi), row(lo), row(hi)) left to refine, each row the M of
+    # every edge at its point, (4, E), or None where no kept solve took the
+    # point (an eigenvalue's F is then None too)
+    emitted: list = dataclasses.field(default_factory=list)
+    brackets: list = dataclasses.field(default_factory=list)
     counted: int = 0  # eigenvalues in the window by the count
     scale: float = 0.0  # the largest |F| at the window's sweep nodes
 
@@ -313,50 +324,76 @@ def _scan_window(ks: np.ndarray, swept, root_tol: float, closed_left: bool = Fal
     )
     report.counted += int(closed_left * at[0])
     # a root on a node is a kernel of the vertex matrix there; a cell holds
-    # N(right) - N(left) eigenvalues, those on its right node included
+    # N(right) - N(left) eigenvalues, those on its right node included.  The
+    # sweep keeps no rows
     report.emitted.extend(
-        (ks[i], int(at[i])) for i in np.flatnonzero(at) if i or closed_left
+        (ks[i], int(at[i]), None, None) for i in np.flatnonzero(at) if i or closed_left
     )
-    nodes = list(zip(ks.tolist(), count.tolist(), at.tolist(), f.tolist()))
+    nodes = list(zip(ks.tolist(), count.tolist(), at.tolist(), f.tolist(), repeat(None)))
     inside = (np.diff(count) - at[1:]).tolist()
-    cells = ((report, nodes[i], nodes[i + 1], m) for i, m in enumerate(inside))
+    cells = ((report, nodes[i], nodes[i + 1], m, None) for i, m in enumerate(inside))
     return report, _settle(cells, root_tol)
 
 
 def _settle(cells, root_tol: float) -> list:
-    """The cells of ``cells`` that must be split, each (report, p, q, m) with
-    m eigenvalues strictly between the nodes p and q, each (k, N, n0, F).
-    The others are settled in their report: a cell of one simple root is a
-    bracket (lo, hi, F(lo), F(hi)), one narrower than root_tol an
-    eigenvalue of multiplicity m, and one of none is dropped."""
+    """The cells of ``cells`` that must be split, each (report, p, q, m, made)
+    with m eigenvalues strictly between the nodes p and q, each (k, N, n0,
+    F, row), and ``made`` the split node that made the cell (None for a
+    cell of the sweep).  The others are settled in their report: a cell of
+    one simple root is a bracket (lo, hi, F(lo), F(hi), row(lo), row(hi)),
+    one of none is dropped, and one narrower than root_tol an eigenvalue of
+    multiplicity m at ``made``, which lies within root_tol of each of them
+    and has a row (at the midpoint of a sweep cell, with none)."""
     split = []
-    for rep, p, q, m in cells:
+    for rep, p, q, m, made in cells:
         if m <= 0:
             continue
         if m == 1 and not (p[2] or q[2]):
             # one simple root: F changes sign between p and q
-            rep.brackets.append((p[0], q[0], p[3], q[3]))
+            rep.brackets.append((p[0], q[0], p[3], q[3], p[4], q[4]))
+        elif made is None and q[0] - p[0] < root_tol:
+            rep.emitted.append((0.5 * (p[0] + q[0]), m, None, None))
         elif q[0] - p[0] < root_tol:
-            rep.emitted.append((0.5 * (p[0] + q[0]), m))
+            rep.emitted.append((made[0], m, made[3], made[4]))
         else:
-            split.append((rep, p, q, m))
+            split.append((rep, p, q, m, made))
     return split
 
 
 def _split(g: MetricGraph, cells, root_tol: float) -> None:
-    """Split the cells (report, p, q, m) of ``_settle`` at their midpoints,
-    level by level, until every piece is settled: the midpoints of a level
-    are counted (and F taken) in one stacked ``_vertex_det``."""
+    """Split the cells of ``_settle``, all of them from the sweep, level by
+    level until every piece is settled.  The first level cuts a cell of m >=
+    2 eigenvalues into 2m equal pieces and a cell of one (with a root on an
+    end node) in two; later levels halve.  The nodes of a level are counted,
+    and F taken, in one stacked solve of the edges (``_vertex_det``), and
+    each node keeps its row of that solve's M for the residual of a root
+    reported there or refined from it."""
+    first = True
     while cells:
-        ks = [0.5 * (p[0] + q[0]) for _, p, q, _ in cells]
-        mids = zip(ks, *(c.tolist() for c in _vertex_det(g, ks, want_count=True)))
-        halves = []
-        for (rep, p, q, m), mid in zip(cells, mids):
-            if mid[2]:
-                rep.emitted.append((mid[0], mid[2]))
-            left = mid[1] - p[1] - mid[2]
-            halves += [(rep, p, mid, left), (rep, mid, q, m - left - mid[2])]
-        cells = _settle(halves, root_tol)
+        cuts = [2 * m if first and m > 1 else 2 for *_, m, _ in cells]
+        # ((n - j) p + j q) / n is (p + q) / 2 for n = 2, bit for bit
+        ks = [
+            ((n - j) * p[0] + j * q[0]) / n
+            for (_, p, q, _, _), n in zip(cells, cuts)
+            for j in range(1, n)
+        ]
+        sol = _solve_edges(g, ks, want_count=True)
+        count, at, f = _vertex_det(g, ks, sol, want_count=True)
+        rows = np.array(sol.m).transpose(1, 0, 2)
+        nodes = zip(ks, count.tolist(), at.tolist(), f.tolist(), rows)
+        pieces = []
+        for (rep, p, q, m, _), n in zip(cells, cuts):
+            # each piece is made by its right node, the last by its left
+            for _ in range(n - 1):
+                node = next(nodes)
+                if node[2]:
+                    rep.emitted.append((node[0], node[2], node[3], node[4]))
+                inside = node[1] - p[1] - node[2]
+                pieces.append((rep, p, node, inside, node))
+                m -= inside + node[2]
+                p = node
+            pieces.append((rep, p, q, m, p))
+        cells, first = _settle(pieces, root_tol), False
 
 
 def _scan_chunk(chunk) -> List[_WindowReport]:
@@ -364,13 +401,18 @@ def _scan_chunk(chunk) -> List[_WindowReport]:
     (a, b, closed_left), in order, then refine the single-root
     brackets of all of them together by one bracketing refinement
     (Chandrupatla), each iteration one stacked F, until each bracket is
-    narrower than root_tol; the residuals |det(I - S)| of all the chunk's
-    roots, and F there, come from one stacked solve of the edges.
+    narrower than root_tol.
 
     Consecutive windows are swept together while their nodes times the
     edges fit ``edge._POINT_STEPS``, at least one window a sweep, and the
     cells of the chunk that hold more than one root are split level by
-    level (``_split``)."""
+    level (``_split``).  Each root's residual |det(I - S)|, and F there,
+    come from the M rows of the solve that reported it: the split that
+    counted it, or the refinement step that gave the end it converged to,
+    whose rows the refinement carries with its bracket ends.  One
+    ``_det_w`` over the chunk's roots takes them all; only the roots
+    without a row, those on a sweep node or at a bracket end from the
+    sweep, have their edges solved again, in one stacked solve."""
     g, step, cfg, windows = chunk
     grids = [
         np.linspace(a, b, max(2, int(math.ceil((b - a) / step)) + 1))
@@ -396,37 +438,62 @@ def _scan_chunk(chunk) -> List[_WindowReport]:
             cells += held
             start += len(ks)
     _split(g, cells, cfg.root_tol)
+    # NaN rows stand for the points no kept solve took
+    none = np.full((4, g.num_edges), np.nan)
     # in cell order, as the chunk's refinement and its diagnostics take them
     for rep in reports:
         rep.brackets.sort(key=lambda bracket: bracket[0])
     owners = [rep for rep in reports for _ in rep.brackets]
     if owners:
-        brackets = [b for rep in reports for b in rep.brackets]
-        lo, hi, f_lo, f_hi = (np.array(col) for col in zip(*brackets))
+        cols = list(zip(*[b for rep in reports for b in rep.brackets]))
+        lo, hi, f_lo, f_hi = (np.array(col) for col in cols[:4])
+        # the rows the splits gave the ends, after the NaN row of the others
+        given = cols[4] + cols[5]
+        held = [i for i, row in enumerate(given) if row is not None]
+        ids = np.zeros(len(given), dtype=int)
+        ids[held] = np.arange(1, len(held) + 1)
+        store = np.array([none] + [given[i] for i in held])
+        ends = (store, ids[: len(owners)], ids[len(owners) :])
 
         def h(x, idx):
-            return _vertex_det(g, x)
+            sol = _solve_edges(g, x)
+            return _vertex_det(g, x, sol), np.array(sol.m).transpose(1, 0, 2)
 
-        xs, statuses = _chandrupatla(h, lo, hi, f_lo, f_hi, cfg.root_tol)
-        for rep, left, right, x, status in zip(
-            owners, lo.tolist(), hi.tolist(), xs.tolist(), statuses.tolist()
+        xs, statuses, fs, rows = _chandrupatla(h, lo, hi, f_lo, f_hi, cfg.root_tol, ends)
+        for rep, left, right, x, status, fx, row in zip(
+            owners, lo.tolist(), hi.tolist(), xs.tolist(), statuses.tolist(), fs.tolist(), rows
         ):
             if status == 0:
-                rep.emitted.append((x, 1))
+                rep.emitted.append((x, 1, fx, row))
             elif status == -1:
                 rep.flag(left, right, "one eigenvalue counted but no sign change")
             else:
                 rep.flag(left, right, f"root refinement failed (status {status})")
-    emitted = [(rep, k, m) for rep in reports for k, m in rep.emitted]
+        del rows
+    emitted = [(rep, *root) for rep in reports for root in rep.emitted]
+    for rep in reports:
+        # these working lists hold M rows: none of them leaves the chunk
+        rep.emitted, rep.brackets = [], []
     if emitted:
-        ks = np.array([k for _, k, _ in emitted])
-        residuals, f = (np.abs(v).tolist() for v in _det_w(g, ks))
-        for (rep, k, m), r, fk in zip(emitted, residuals, f):
-            rep.roots.append((float(k), m, r, fk > _RESIDUAL_TOL * rep.scale))
+        reps, ks, mults, f, rows = zip(*emitted)
+        del emitted
+        ks, f = np.array(ks), np.array(f, dtype=float)  # F None is NaN
+        m = np.array([none if row is None else row for row in rows])
+        del rows  # m holds them now
+        m = m.transpose(1, 0, 2)  # (4, roots, E), as the edge layer gives M
+        missing = np.isnan(m[0, :, 0])
+        if missing.any():
+            again = _solve_edges(g, ks[missing])
+            m[:, missing] = again.m
+            f[missing] = _vertex_det(g, ks[missing], again)
+        sol = EdgeSolution(ks[:, None], edge._edge_table(g)[1], tuple(m))
+        residuals, f = (np.abs(v).tolist() for v in _det_w(g, ks, sol, f=f))
+        for rep, k, mult, r, fk in zip(reps, ks.tolist(), mults, residuals, f):
+            rep.roots.append((k, mult, r, fk > _RESIDUAL_TOL * rep.scale))
     return reports
 
 
-def _chandrupatla(f, x1, x2, f1, f2, xatol: float):
+def _chandrupatla(f, x1, x2, f1, f2, xatol: float, rows=None):
     """Roots of n real functions, one per bracket [x1, x2] with end values
     f1, f2, by Chandrupatla's method (T. R. Chandrupatla, Adv. Eng. Softw.
     28, 1997), all brackets at once: ``f(x, idx)`` evaluates the functions
@@ -437,8 +504,23 @@ def _chandrupatla(f, x1, x2, f1, f2, xatol: float):
     iteration cap, -3 an infinite end or NaN at both ends; x is NaN for -1
     and -3.  The iterates, order of tests and statuses are those of scipy's
     elementwise ``find_root`` with xrtol = 0 and its default fatol.
+
+    With ``rows`` = (store, i1, i2), the rows of the ends (what the
+    evaluation of f1 and f2 gave beside them) being store[i1] and
+    store[i2], ``f`` returns its values and their rows, each end keeps its
+    row through the swaps, and the value and the row at each root follow
+    the status, from the end it was taken at (a bracket stopped by the cap
+    returns no value and the row of its x2).  Only the rows of each
+    bracket's two current ends are held: x2's by bracket number, which at
+    the end are the rows returned, and x1's as the last evaluation gave
+    them.
     """
     x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (x1, x2, f1, f2))
+    carry = rows is not None
+    if carry:
+        r1, r2 = (rows[0][i] for i in rows[1:])
+        at1 = np.arange(len(x1))  # where each active bracket's x1 is in r1
+        f_out = np.full(len(x1), np.nan)
     x_out = np.full(len(x1), np.nan)
     status = np.full(len(x1), -2)
     active = np.arange(len(x1))
@@ -450,8 +532,8 @@ def _chandrupatla(f, x1, x2, f1, f2, xatol: float):
     while True:
         # termination tests, in scipy's order
         left = np.abs(f1) < np.abs(f2)
-        xmin = np.where(left, x1, x2)
-        stop = np.abs(np.where(left, f1, f2)) <= _TINY + frtol
+        xmin, fmin = np.where(left, x1, x2), np.where(left, f1, f2)
+        stop = np.abs(fmin) <= _TINY + frtol
         code = np.where(stop, 0, -2)  # -2 stands if the cap is reached
         bad = (np.sign(f1) == np.sign(f2)) & ~stop
         xmin[bad], code[bad], stop = np.nan, -1, stop | bad
@@ -464,6 +546,12 @@ def _chandrupatla(f, x1, x2, f1, f2, xatol: float):
         x_out[active], status[active] = xmin, code
         if stop.any():
             keep = ~stop
+            if carry:
+                # a root taken at x1 moves its row to x2's place
+                took = stop & left
+                r2[active[took]] = r1[at1[took]]
+                f_out[active[stop]] = fmin[stop]
+                at1 = at1[keep]
             active, x1, x2, x3, f1, f2, f3, frtol, dx = (
                 v[keep] for v in (active, x1, x2, x3, f1, f2, f3, frtol, dx)
             )
@@ -483,13 +571,24 @@ def _chandrupatla(f, x1, x2, f1, f2, xatol: float):
             tl = 0.5 * xatol / dx
             t = np.clip(t, tl, 1 - tl)
         x = x1 + t * (x2 - x1)
-        fx = np.asarray(f(x, active), dtype=float)
+        fx = f(x, active)
+        if carry:
+            fx, row = fx
+        fx = np.asarray(fx, dtype=float)
         same = np.sign(fx) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, fx
+        if carry:
+            # x1 becomes x2 where the sign changed
+            moved = ~same
+            r2[active[moved]] = r1[at1[moved]]
+            r1, at1 = row, np.arange(len(active))
+            del row  # held in r1 alone
         nit += 1
-    return x_out, status
+    if not carry:
+        return x_out, status
+    return x_out, status, f_out, r2
 
 
 def scan_spectrum(

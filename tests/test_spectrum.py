@@ -1,6 +1,7 @@
 """Spectrum scanning, root certification, and multiplicity counting."""
 from __future__ import annotations
 
+import collections
 import concurrent.futures
 import dataclasses
 import math
@@ -381,16 +382,118 @@ def test_scan_work_is_bounded(request, assembled_ks, name, budget):
 
 
 @pytest.mark.parametrize(
-    "seed, arms, hi, calls, points", [(1, 10, 30.0, 13, 1040), (3, 40, 60.0, 63, 8666)]
+    "seed, arms, hi, calls, points",
+    [(1, 10, 30.0, 11, 949), (3, 40, 60.0, 60, 7868)],
+    ids=["10-arm", "40-arm"],
 )
 def test_scan_pays_for_points_not_calls(vertex_det_points, seed, arms, hi, calls, points):
     # deterministic counts of F evaluations: the sweeps, as many windows a
     # call as fit the element budget (2 on the 10-arm star, 1 per window on
-    # the 40-arm one), one call per split level, one per refinement
-    # iteration and one for the residuals of all roots
+    # the 40-arm one), one call per split level (one here) and one per
+    # refinement iteration; the residuals read F and the edges' M from the
+    # evaluation that reported each root, so no root is evaluated again
     scan_spectrum(random_delta_star(seed, arms), 0.5, hi)
     assert len(vertex_det_points) == calls
     assert sum(map(len, vertex_det_points)) == points
+
+
+RESIDUAL_SCANS = {
+    "delta-star": (lambda request: request.getfixturevalue("g_delta_star"), 0.5, 12.0),
+    "smooth-window": (lambda request: star(SMOOTH_ARMS), 4.4, 5.0),
+    "smooth-20-40": (lambda request: star(SMOOTH_ARMS), 20.0, 40.0),
+    "triangle": (lambda request: request.getfixturevalue("g_triangle"), 1.0, 12.0),
+    "equilateral": (lambda request: request.getfixturevalue("g_star3_eq"), 0.5, 12.0),
+}
+
+
+@pytest.mark.parametrize("name", list(RESIDUAL_SCANS))
+def test_residuals_are_those_of_a_fresh_solve(request, monkeypatch, name):
+    # each root's residual |det(I - S)| and large-residual flag are read
+    # from the M rows and F of the evaluation that reported it, and equal
+    # those of a solve at that k alone, bit for bit.  The triangle's core
+    # has three vertices, and its roots at Dirichlet eigenvalues of an edge
+    # are counted on the cut graph; the equilateral star's double roots are
+    # reported at split nodes
+    build, lo, hi = RESIDUAL_SCANS[name]
+    g = build(request)
+    reports, scan_chunk = [], spectrum._scan_chunk
+
+    def seen(chunk):
+        reports.extend(scan_chunk(chunk))
+        return reports[-len(chunk[3]) :]
+
+    monkeypatch.setattr(spectrum, "_scan_chunk", seen)
+    res = scan_spectrum(g, lo, hi)
+    roots = [(rep, root) for rep in reports for root in rep.roots]
+    assert len(roots) >= len(res.roots) > 0
+    for rep, (k, _, residual, flag) in roots:
+        w, f = np.abs(scattering._det_w(g, [k]))
+        assert residual == w[0]
+        assert flag == (f[0] > spectrum._RESIDUAL_TOL * rep.scale)
+
+
+@pytest.mark.parametrize(
+    "g, lo, hi",
+    [(random_delta_star(seed), 0.5, 30.0) for seed in range(5)]
+    + [(star(SMOOTH_ARMS), 4.4, 5.0)],
+    ids=[f"delta-panel-{seed}" for seed in range(5)] + ["smooth-window"],
+)
+def test_no_point_is_solved_twice(assembled_ks, monkeypatch, g, lo, hi):
+    # the five delta panels of the delta-scan benchmark (random_delta_star
+    # 0-4) and the smooth-scan window: no root lies on a sweep node or at a
+    # bracket end the refinement never moved, so every root's residual is
+    # read from rows already solved.  Past the sweeps, which solve the node
+    # two windows share once for each, no point is solved twice
+    swept, sweep = [], spectrum._sweep
+
+    def seen(g, ks):
+        swept.extend(ks.tolist())
+        return sweep(g, ks)
+
+    monkeypatch.setattr(spectrum, "_sweep", seen)
+    res = scan_spectrum(g, lo, hi)
+    assert res.roots
+    rest = collections.Counter(assembled_ks) - collections.Counter(swept)
+    assert sum(rest.values()) == len(assembled_ks) - len(swept)
+    assert max(rest.values()) == 1 and not set(rest) & set(swept)
+
+
+@pytest.fixture
+def split_levels(monkeypatch):
+    """The points of each counted split level of a scan: the edge solves
+    that ``_split`` makes with their zeros (the sweeps count through
+    ``_vertex_det`` and the refinement and residuals do not count)."""
+    levels, solve = [], spectrum._solve_edges
+
+    def counted(g, ks, *args, want_count=False, **kwargs):
+        if want_count:
+            levels.append(list(ks))
+        return solve(g, ks, *args, want_count=want_count, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_solve_edges", counted)
+    return levels
+
+
+def test_a_cell_is_split_by_its_count(split_levels):
+    # the three roots near 17.183413 of random_delta_star(1) lie in one grid
+    # cell: its first split cuts it in 6 pieces, 5 points counted in the
+    # scan's one split level, which separates them
+    g = random_delta_star(1)
+    step = spectrum.grid_step(g)
+    res = scan_spectrum(g, 0.5, 30.0)
+    assert len([k for k in res.ks if abs(k - 17.183413) < step]) == 3
+    assert res.flagged == []
+    assert len(split_levels) == 1
+    points = [k for k in split_levels[0] if abs(k - 17.183413) < step]
+    assert len(points) == 5 and max(points) - min(points) < step
+
+
+def test_close_pair_is_split_in_two_levels(split_levels):
+    # the smooth-scan window's one cell of two roots, (4.706, 4.742), is cut
+    # in 4 pieces (3 points) and the piece holding both halved once more
+    res = scan_spectrum(star(SMOOTH_ARMS), 4.4, 5.0)
+    assert list(res.ks) == pytest.approx([4.706, 4.742], abs=1e-3)
+    assert [len(level) for level in split_levels] == [3, 1]
 
 
 BATCHED_SCANS = {
@@ -456,28 +559,27 @@ def test_smooth_scan_propagates_its_arms_together(magnus_steps, gauss_samplings)
     # the smooth-scan star on [4.4, 5.0]: every edge solve step-doubles the
     # three arms in one batch, and each arm is sampled once per step count
     # (64 and 128: every row converges at 128) for the whole scan; each of
-    # the 11 edge solves is one pass of 64 and 128 steps (22 passes when
-    # each count took one), with the same row-steps
+    # the 9 edge solves (the sweep, two split levels and six refinement
+    # steps; the residuals solve nothing) is one pass of 64 and 128 steps
     res = scan_spectrum(star(SMOOTH_ARMS), 4.4, 5.0)
     assert len(res.roots) == 2
-    assert len(magnus_steps) == 11
+    assert len(magnus_steps) == 9
     assert all([n for n, _ in levels] == [64, 128] for levels in magnus_steps)
-    assert sum(n * rows for levels in magnus_steps for n, rows in levels) == 12096
+    assert sum(n * rows for levels in magnus_steps for n, rows in levels) == 11520
     assert sorted(gauss_samplings) == [64] * 3 + [128] * 3
 
 
 def test_smooth_scan_past_128_steps_pays_one_pass_per_count(magnus_steps):
     # the same star on [20, 40], where rows go on to 256 steps: the first
     # pass takes 64 and 128 steps together and each later count one pass of
-    # the rows left, 34 passes (51 when each count took one) over the same
-    # 270,592 row-steps
+    # the rows left, 30 passes for 15 edge solves over 256,960 row-steps
     res = scan_spectrum(star(SMOOTH_ARMS), 20.0, 40.0)
     assert len(res.roots) == res.expected_count == 20
     counts = [[n for n, _ in levels] for levels in magnus_steps]
-    assert len(counts) == 34
+    assert len(counts) == 30
     assert max(n for levels in counts for n in levels) == 256
-    assert counts.count([64, 128]) == counts.count([256]) == 17
-    assert sum(n * rows for levels in magnus_steps for n, rows in levels) == 270592
+    assert counts.count([64, 128]) == counts.count([256]) == 15
+    assert sum(n * rows for levels in magnus_steps for n, rows in levels) == 256960
 
 
 @pytest.mark.parametrize("name", ["g_interval_pi", "g_star3_eq", "g_delta_star"])
@@ -586,15 +688,74 @@ def test_coarse_roots_get_the_residual_diagnostic():
     assert min(np.abs(fine - r.k).min() for r in reported) > 1e-6
 
 
+def test_scan_memory_stays_bounded():
+    # tracemalloc peak of the 40-arm star over [0.5, 400]: 5,341 roots in six
+    # chunks of about 890 brackets, whose refinement carries the M rows of
+    # both ends (2 x 4 x 40 floats a bracket).  The closed-form edges and the
+    # star's F are formed in place to make room for them: the peak was 6.29
+    # MB when each residual solved its edges anew, and stays within 1.1
+    # times that
+    import tracemalloc
+
+    g = random_delta_star(3, 40)
+    scan_spectrum(g, 0.5, 2.0)  # the graph's tables, built outside the measure
+    tracemalloc.start()
+    try:
+        res = scan_spectrum(g, 0.5, 400.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.roots) == res.expected_count == 5341
+    assert peak <= 1.1 * 6.29e6
+
+
+def test_refinement_carries_the_rows_of_its_ends():
+    # rows change no iterate nor status; each root comes with the value and
+    # the row of the evaluation that gave it, a root on a starting end (x -
+    # 2 on [2, 3]) with that end's row from the store
+    funcs = [
+        lambda x: x**3 - 2.0 * x - 5.0,
+        lambda x: np.cos(x) - x,
+        lambda x: x - 2.0,
+        lambda x: np.tanh(40.0 * (x - 0.3)),
+        lambda x: x * x + 1.0,
+    ]
+    lo, hi = np.array([0.0, 0.0, 2.0, -1.0, -1.0]), np.array([3.0, 1.0, 3.0, 2.0, 1.0])
+    every = np.arange(len(funcs))
+
+    def f(x, idx):
+        return np.array([funcs[i](xi) for i, xi in zip(idx.tolist(), x)])
+
+    def row(x, idx):
+        # a row that names its point and its function
+        return np.stack([x, idx + 0.5 * x], axis=-1)
+
+    def with_rows(x, idx):
+        return f(x, idx), row(x, idx)
+
+    f_lo, f_hi = f(lo, every), f(hi, every)
+    plain = spectrum._chandrupatla(f, lo, hi, f_lo, f_hi, 1e-9)
+    store = np.concatenate([row(lo, every), row(hi, every)])
+    x, status, fx, rows = spectrum._chandrupatla(
+        with_rows, lo, hi, f_lo, f_hi, 1e-9, (store, every, every + len(lo))
+    )
+    assert np.array_equal(x, plain[0], equal_nan=True)
+    assert status.tolist() == plain[1].tolist() == [0, 0, 0, 0, -1]
+    assert x[2] == 2.0
+    done = every[status == 0]
+    assert np.array_equal(fx[done], f(x[done], done))
+    assert np.array_equal(rows[done], row(x[done], done))
+
+
 def test_failed_refinement_is_flagged(g_delta_star, monkeypatch):
     # the refinement of the cell holding 3.27075756 reports a failure; that
     # cell is flagged, the other roots are still found
     refine = spectrum._chandrupatla
 
     def failing(f, lo, hi, *args):
-        x, status = refine(f, lo, hi, *args)
+        x, status, *found = refine(f, lo, hi, *args)
         status[(lo < DELTA_STAR_KS[3]) & (DELTA_STAR_KS[3] <= hi)] = -2
-        return x, status
+        return (x, status, *found)
 
     monkeypatch.setattr(spectrum, "_chandrupatla", failing)
     res = scan_spectrum(g_delta_star, 0.5, 12.0)
