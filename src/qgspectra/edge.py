@@ -776,7 +776,8 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
     arithmetic.
 
     Zero, constant and point-interaction edges are evaluated together in
-    closed form from the table's columns (error 0).  The smooth edges go
+    closed form from the table's columns (error 0: a read-only broadcast,
+    allocating nothing, when every chosen edge is one).  The smooth edges go
     through one ``_magnus_doubled`` batch over their (k, edge) rows, from
     the graph's samples, which gives each row its one-point result.  An
     unresolved row does not raise: its error is inf."""
@@ -790,7 +791,7 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
     if not len(at):
         columns = tuple(col[edges] for col in closed)
         m, dm, zeros = _closed(ks[:, None], *columns, want_dk, want_count)
-        return m, dm, np.zeros((len(ks), len(columns[0]))), zeros
+        return m, dm, np.broadcast_to(0.0, (len(ks), len(columns[0]))), zeros
     z = np.empty((2, len(ks), len(at)), dtype=int) if want_count else None
     me, dme, err_at, _ = _magnus_doubled(samples, ids[at], ks, want_dk, z)
     if at.size == ids.size:

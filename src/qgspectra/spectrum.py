@@ -1,15 +1,17 @@
 """Eigenvalue location by counting and sign changes of the vertex determinant.
 
 The scan walks a k grid of step pi / (4 * total length), the minimal
-oscillation scale of det(I - S), in windows of _CELLS_PER_WINDOW cells.
-Consecutive windows are swept together, their edges solved at every node
-once, in as few stacked calls as the edge layer's element budget allows
-(their nodes times the edges at most ``edge._POINT_STEPS``, and at least
-one window a call).  The vertex Dirichlet-to-Neumann matrix assembled
-from the solves gives both the eigenvalue count N(k), the eigenvalues
-k_j <= k with multiplicity, an integer by construction at every k > 0,
-and the real, pole-free vertex determinant F(k), whose zeros are those
-of det(I - S) (both from ``scattering._vertex_det``).
+oscillation scale of det(I - S), in windows of _CELLS_PER_WINDOW cells,
+and those in chunks of at most _WINDOWS_PER_CHUNK windows.  A chunk is
+one grid, the nodes of its windows with the node two windows share taken
+once, swept in consecutive blocks, each node's edges solved once: a block
+holds as many nodes as the edge layer's element budget allows (its nodes
+times the edges at most ``edge._POINT_STEPS``), and at least the
+_CELLS_PER_WINDOW + 1 of a window.  The vertex Dirichlet-to-Neumann
+matrix assembled from the solves gives both the eigenvalue count N(k),
+the eigenvalues k_j <= k with multiplicity, an integer by construction
+at every k > 0, and the real, pole-free vertex determinant F(k), whose
+zeros are those of det(I - S) (both from ``scattering._vertex_det``).
 The scan reads neither theta nor det S.  A grid cell (a, b] holds N(b) -
 N(a) eigenvalues, of which n0(b) lie on b, as a kernel of the vertex
 matrix there.  A cell holding one more is a sign change of F and a
@@ -22,14 +24,18 @@ piece.  The splits of a chunk go level by level: the points of all its
 cells at one depth are counted (and F taken) in one stacked solve of the
 edges, whose M rows each point keeps.
 
-A window only counts: it hands on its single-root brackets with F at
-their ends, from the window's sweep or from the split that made them.
-The windows go out in ceil(windows / _WINDOWS_PER_CHUNK) contiguous chunks
-of at most _WINDOWS_PER_CHUNK windows each, whatever the worker count (a
-scan of up to that many windows is one chunk; the cap keeps a
-refinement's stacks small on long ranges).  A pool starts no more
-processes than there are chunks or CPUs, so a scan of one chunk runs in
-this process.  All brackets of a chunk are refined together by
+A chunk is counted, its cells settled and split, and its roots refined
+and checked as one grid with one report; its windows decide only the
+nodes of the grid (each window's own ``np.linspace``) and each root's
+residual scale below.  The single-root brackets carry F at their ends,
+from the sweep or from the split that made them.  The windows go out in
+ceil(windows / _WINDOWS_PER_CHUNK) contiguous chunks of at most
+_WINDOWS_PER_CHUNK windows each, whatever the worker count (a scan of up
+to that many windows is one chunk; the cap keeps a refinement's stacks
+small on long ranges).  A pool starts no more processes than there are
+chunks or CPUs, so a scan of one chunk runs in this process, and
+``scan_spectrum`` merges the chunks' reports in order.  All brackets of
+a chunk are refined together by
 Chandrupatla's bracketing method (T. R. Chandrupatla, Adv. Eng. Softw. 28,
 1997; ``_chandrupatla``, whose iterates are those of scipy's elementwise
 find_root), one stacked F per iteration, until each bracket is narrower
@@ -42,9 +48,10 @@ two current ends, and no more).  One ``scattering._det_w`` over the
 chunk's roots reads them all from those rows; only a root without one, on
 a sweep node or at a bracket end from the sweep that never moved, has its
 edges solved again, in one stacked solve.  A root where |F| exceeds
-_RESIDUAL_TOL times the largest |F| at its window's sweep nodes is
-reported: |det(I - S)| and F grow with the graph and k, so no bound on
-the residual alone fits every graph.
+_RESIDUAL_TOL times the largest |F| at its window's sweep nodes, both
+ends included, is reported (a root's window is that of the cell or the
+node it was counted in): |det(I - S)| and F grow with the graph and k, so
+no bound on the residual alone fits every graph.
 
 A scan covers [max(k_lo, K_FLOOR), k_hi] as given, below the subunitarity
 threshold K too, and never computes K.  On the real axis S is unitary and
@@ -280,25 +287,24 @@ def multiplicity(g: MetricGraph, k0: float, radius: float) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Window scan
+# Chunk scan
 # ---------------------------------------------------------------------------
 
 
 @dataclasses.dataclass
-class _WindowReport:
+class _ChunkReport:
     # (k, multiplicity, residual |det(I - S)|, |F| above _RESIDUAL_TOL scale)
-    roots: List[Tuple[float, int, float, bool]]
-    flagged: List[Tuple[float, float]]
-    diagnostics: List[str]
-    # while the chunk is scanned: the eigenvalues located by counting, (k,
-    # multiplicity, F(k), row(k)), and the single-root brackets (lo, hi,
-    # F(lo), F(hi), row(lo), row(hi)) left to refine, each row the M of
-    # every edge at its point, (4, E), or None where no kept solve took the
-    # point (an eigenvalue's F is then None too)
+    roots: List[Tuple[float, int, float, bool]] = dataclasses.field(default_factory=list)
+    flagged: List[Tuple[float, float]] = dataclasses.field(default_factory=list)
+    diagnostics: List[str] = dataclasses.field(default_factory=list)
+    # while the chunk is scanned: the eigenvalues located by counting, (window,
+    # k, multiplicity, F(k), row(k)), and the single-root brackets (window,
+    # lo, hi, F(lo), F(hi), row(lo), row(hi)) left to refine, each row the M
+    # of every edge at its point, (4, E), or None where no kept solve took
+    # the point (an eigenvalue's F is then None too)
     emitted: list = dataclasses.field(default_factory=list)
     brackets: list = dataclasses.field(default_factory=list)
-    counted: int = 0  # eigenvalues in the window by the count
-    scale: float = 0.0  # the largest |F| at the window's sweep nodes
+    counted: int = 0  # eigenvalues in the chunk by the count
 
     def flag(self, lo: float, hi: float, what: str) -> None:
         self.flagged.append((float(lo), float(hi)))
@@ -307,67 +313,44 @@ class _WindowReport:
 
 def _sweep(g: MetricGraph, ks: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The eigenvalue count N, the roots n0 and the vertex determinant F at
-    every node of the grids of one or more windows, from one solve of their
+    every node of a block of a chunk's grid, from one solve of their
     edges."""
     return _vertex_det(g, ks, want_count=True)
 
 
-def _scan_window(ks: np.ndarray, swept, root_tol: float, closed_left: bool = False):
-    """Count the eigenvalues in (a, b], or [a, b] when ``closed_left``, from
-    the sweep ``swept`` = (N, n0, F) at the window's grid ``ks`` from a to
-    b.  Returns
-    the report, with the eigenvalues on grid nodes and the brackets of the
-    single roots, and the cells left to split (``_settle``)."""
-    count, at, f = swept
-    report = _WindowReport(
-        [], [], [], counted=int(count[-1] - count[0]), scale=float(np.abs(f).max())
-    )
-    report.counted += int(closed_left * at[0])
-    # a root on a node is a kernel of the vertex matrix there; a cell holds
-    # N(right) - N(left) eigenvalues, those on its right node included.  The
-    # sweep keeps no rows
-    report.emitted.extend(
-        (ks[i], int(at[i]), None, None) for i in np.flatnonzero(at) if i or closed_left
-    )
-    nodes = list(zip(ks.tolist(), count.tolist(), at.tolist(), f.tolist(), repeat(None)))
-    inside = (np.diff(count) - at[1:]).tolist()
-    cells = ((report, nodes[i], nodes[i + 1], m, None) for i, m in enumerate(inside))
-    return report, _settle(cells, root_tol)
-
-
-def _settle(cells, root_tol: float) -> list:
-    """The cells of ``cells`` that must be split, each (report, p, q, m, made)
-    with m eigenvalues strictly between the nodes p and q, each (k, N, n0,
-    F, row), and ``made`` the split node that made the cell (None for a
-    cell of the sweep).  The others are settled in their report: a cell of
-    one simple root is a bracket (lo, hi, F(lo), F(hi), row(lo), row(hi)),
-    one of none is dropped, and one narrower than root_tol an eigenvalue of
-    multiplicity m at ``made``, which lies within root_tol of each of them
-    and has a row (at the midpoint of a sweep cell, with none)."""
+def _settle(rep: _ChunkReport, cells, root_tol: float) -> list:
+    """The cells of ``cells`` that must be split, each (window, p, q, m,
+    made) with m eigenvalues strictly between the nodes p and q, each (k, N,
+    n0, F, row), and ``made`` the split node that made the cell (None for a
+    cell of the sweep).  The others are settled in ``rep``: a cell of one
+    simple root is a bracket, one of none is dropped, and one narrower than
+    root_tol an eigenvalue of multiplicity m at ``made``, which lies within
+    root_tol of each of them and has a row (at the midpoint of a sweep
+    cell, with none)."""
     split = []
-    for rep, p, q, m, made in cells:
+    for w, p, q, m, made in cells:
         if m <= 0:
             continue
         if m == 1 and not (p[2] or q[2]):
             # one simple root: F changes sign between p and q
-            rep.brackets.append((p[0], q[0], p[3], q[3], p[4], q[4]))
+            rep.brackets.append((w, p[0], q[0], p[3], q[3], p[4], q[4]))
         elif made is None and q[0] - p[0] < root_tol:
-            rep.emitted.append((0.5 * (p[0] + q[0]), m, None, None))
+            rep.emitted.append((w, 0.5 * (p[0] + q[0]), m, None, None))
         elif q[0] - p[0] < root_tol:
-            rep.emitted.append((made[0], m, made[3], made[4]))
+            rep.emitted.append((w, made[0], m, made[3], made[4]))
         else:
-            split.append((rep, p, q, m, made))
+            split.append((w, p, q, m, made))
     return split
 
 
-def _split(g: MetricGraph, cells, root_tol: float) -> None:
+def _split(g: MetricGraph, rep: _ChunkReport, cells, root_tol: float) -> None:
     """Split the cells of ``_settle``, all of them from the sweep, level by
-    level until every piece is settled.  The first level cuts a cell of m >=
-    2 eigenvalues into 2m equal pieces and a cell of one (with a root on an
-    end node) in two; later levels halve.  The nodes of a level are counted,
-    and F taken, in one stacked solve of the edges (``_vertex_det``), and
-    each node keeps its row of that solve's M for the residual of a root
-    reported there or refined from it."""
+    level until every piece is settled in ``rep``.  The first level cuts a
+    cell of m >= 2 eigenvalues into 2m equal pieces and a cell of one (with
+    a root on an end node) in two; later levels halve.  The nodes of a level
+    are counted, and F taken, in one stacked solve of the edges
+    (``_vertex_det``), and each node keeps its row of that solve's M for the
+    residual of a root reported there or refined from it."""
     first = True
     while cells:
         cuts = [2 * m if first and m > 1 else 2 for *_, m, _ in cells]
@@ -382,100 +365,99 @@ def _split(g: MetricGraph, cells, root_tol: float) -> None:
         rows = np.array(sol.m).transpose(1, 0, 2)
         nodes = zip(ks, count.tolist(), at.tolist(), f.tolist(), rows)
         pieces = []
-        for (rep, p, q, m, _), n in zip(cells, cuts):
+        for (w, p, q, m, _), n in zip(cells, cuts):
             # each piece is made by its right node, the last by its left
             for _ in range(n - 1):
                 node = next(nodes)
                 if node[2]:
-                    rep.emitted.append((node[0], node[2], node[3], node[4]))
+                    rep.emitted.append((w, node[0], node[2], node[3], node[4]))
                 inside = node[1] - p[1] - node[2]
-                pieces.append((rep, p, node, inside, node))
+                pieces.append((w, p, node, inside, node))
                 m -= inside + node[2]
                 p = node
-            pieces.append((rep, p, q, m, p))
-        cells, first = _settle(pieces, root_tol), False
+            pieces.append((w, p, q, m, p))
+        cells, first = _settle(rep, pieces, root_tol), False
 
 
-def _scan_chunk(chunk) -> List[_WindowReport]:
-    """Scan the windows of ``chunk`` = (g, step, cfg, windows), each window
-    (a, b, closed_left), in order, then refine the single-root
-    brackets of all of them together by one bracketing refinement
-    (Chandrupatla), each iteration one stacked F, until each bracket is
-    narrower than root_tol.
+def _scan_chunk(chunk) -> _ChunkReport:
+    """The one report of the windows of ``chunk`` = (g, step, cfg, windows),
+    each window (a, b, closed_left), scanned as one grid: the eigenvalues
+    in (a, b] of the first window to b of the last, or from a on when it
+    is ``closed_left``.
 
-    Consecutive windows are swept together while their nodes times the
-    edges fit ``edge._POINT_STEPS``, at least one window a sweep, and the
-    cells of the chunk that hold more than one root are split level by
-    level (``_split``).  Each root's residual |det(I - S)|, and F there,
-    come from the M rows of the solve that reported it: the split that
-    counted it, or the refinement step that gave the end it converged to,
-    whose rows the refinement carries with its bracket ends.  One
-    ``_det_w`` over the chunk's roots takes them all; only the roots
-    without a row, those on a sweep node or at a bracket end from the
-    sweep, have their edges solved again, in one stacked solve."""
+    Each window's nodes are ``np.linspace`` from a to b, those of every
+    window after the first without a, the node the window before ends on.
+    The grid is swept in consecutive blocks (``_sweep``), its cells of more
+    than one root are split level by level (``_split``), and its
+    single-root brackets are refined together (``_chandrupatla``), each
+    iteration one stacked F, until each is narrower than root_tol.  One
+    ``_det_w`` over the chunk's roots takes their residuals from the M
+    rows of the solves that reported them, solving again only the roots
+    without one (see the module docstring)."""
     g, step, cfg, windows = chunk
     grids = [
         np.linspace(a, b, max(2, int(math.ceil((b - a) / step)) + 1))
         for a, b, _ in windows
     ]
-    sweeps: List[List[int]] = []
-    size = math.inf
-    for i, ks in enumerate(grids):
-        if (size + len(ks)) * g.num_edges > edge._POINT_STEPS:
-            sweeps.append([])
-            size = 0
-        sweeps[-1].append(i)
-        size += len(ks)
-    reports, cells = [], []
-    for sweep in sweeps:
-        swept = _sweep(g, np.concatenate([grids[i] for i in sweep]))
-        start = 0
-        for i in sweep:
-            ks = grids[i]
-            part = tuple(x[start : start + len(ks)] for x in swept)
-            rep, held = _scan_window(ks, part, cfg.root_tol, windows[i][2])
-            reports.append(rep)
-            cells += held
-            start += len(ks)
-    _split(g, cells, cfg.root_tol)
+    ks = np.concatenate([grids[0][:1]] + [x[1:] for x in grids])
+    sizes = [len(x) - 1 for x in grids]  # cells of each window
+    # the window of each node: the first node's is the first window, every
+    # other node's that of the cell it ends
+    window = [0] + np.repeat(np.arange(len(grids)), sizes).tolist()
+    block = max(_CELLS_PER_WINDOW + 1, edge._POINT_STEPS // g.num_edges)
+    swept = [_sweep(g, ks[i : i + block]) for i in range(0, len(ks), block)]
+    count, at, f = (np.concatenate(x) for x in zip(*swept))
+    # window w spans the nodes bounds[w] to bounds[w + 1]
+    bounds = np.cumsum([0] + sizes)
+    scale = [float(np.abs(f[i : j + 1]).max()) for i, j in zip(bounds, bounds[1:])]
+    closed_left = windows[0][2]
+    rep = _ChunkReport(counted=int(count[-1] - count[0] + closed_left * at[0]))
+    # a root on a node is a kernel of the vertex matrix there; a cell holds
+    # N(right) - N(left) eigenvalues, those on its right node included.  The
+    # sweep keeps no rows
+    rep.emitted.extend(
+        (window[i], ks[i], int(at[i]), None, None) for i in np.flatnonzero(at) if i or closed_left
+    )
+    nodes = list(zip(ks.tolist(), count.tolist(), at.tolist(), f.tolist(), repeat(None)))
+    inside = (np.diff(count) - at[1:]).tolist()
+    cells = ((window[i + 1], nodes[i], nodes[i + 1], m, None) for i, m in enumerate(inside))
+    cells = _settle(rep, cells, cfg.root_tol)
+    del nodes
+    _split(g, rep, cells, cfg.root_tol)
     # NaN rows stand for the points no kept solve took
     none = np.full((4, g.num_edges), np.nan)
-    # in cell order, as the chunk's refinement and its diagnostics take them
-    for rep in reports:
-        rep.brackets.sort(key=lambda bracket: bracket[0])
-    owners = [rep for rep in reports for _ in rep.brackets]
-    if owners:
-        cols = list(zip(*[b for rep in reports for b in rep.brackets]))
-        lo, hi, f_lo, f_hi = (np.array(col) for col in cols[:4])
+    # in cell order, as the refinement and its diagnostics take them
+    rep.brackets.sort(key=lambda bracket: bracket[1])
+    if rep.brackets:
+        wins, lo, hi, f_lo, f_hi, *given = zip(*rep.brackets)
+        lo, hi, f_lo, f_hi = (np.array(col) for col in (lo, hi, f_lo, f_hi))
         # the rows the splits gave the ends, after the NaN row of the others
-        given = cols[4] + cols[5]
+        given = given[0] + given[1]
         held = [i for i, row in enumerate(given) if row is not None]
         ids = np.zeros(len(given), dtype=int)
         ids[held] = np.arange(1, len(held) + 1)
         store = np.array([none] + [given[i] for i in held])
-        ends = (store, ids[: len(owners)], ids[len(owners) :])
+        ends = (store, ids[: len(wins)], ids[len(wins) :])
 
         def h(x, idx):
             sol = _solve_edges(g, x)
             return _vertex_det(g, x, sol), np.array(sol.m).transpose(1, 0, 2)
 
         xs, statuses, fs, rows = _chandrupatla(h, lo, hi, f_lo, f_hi, cfg.root_tol, ends)
-        for rep, left, right, x, status, fx, row in zip(
-            owners, lo.tolist(), hi.tolist(), xs.tolist(), statuses.tolist(), fs.tolist(), rows
+        for w, left, right, x, status, fx, row in zip(
+            wins, lo.tolist(), hi.tolist(), xs.tolist(), statuses.tolist(), fs.tolist(), rows
         ):
             if status == 0:
-                rep.emitted.append((x, 1, fx, row))
+                rep.emitted.append((w, x, 1, fx, row))
             elif status == -1:
                 rep.flag(left, right, "one eigenvalue counted but no sign change")
             else:
                 rep.flag(left, right, f"root refinement failed (status {status})")
         del rows
-    emitted = [(rep, *root) for rep in reports for root in rep.emitted]
-    for rep in reports:
-        # these working lists hold M rows: none of them leaves the chunk
-        rep.emitted, rep.brackets = [], []
+    # these working lists hold M rows: none of them leaves the chunk
+    emitted, rep.emitted, rep.brackets = rep.emitted, [], []
     if emitted:
-        reps, ks, mults, f, rows = zip(*emitted)
+        wins, ks, mults, f, rows = zip(*emitted)
         del emitted
         ks, f = np.array(ks), np.array(f, dtype=float)  # F None is NaN
         m = np.array([none if row is None else row for row in rows])
@@ -488,9 +470,9 @@ def _scan_chunk(chunk) -> List[_WindowReport]:
             f[missing] = _vertex_det(g, ks[missing], again)
         sol = EdgeSolution(ks[:, None], edge._edge_table(g)[1], tuple(m))
         residuals, f = (np.abs(v).tolist() for v in _det_w(g, ks, sol, f=f))
-        for rep, k, mult, r, fk in zip(reps, ks.tolist(), mults, residuals, f):
-            rep.roots.append((k, mult, r, fk > _RESIDUAL_TOL * rep.scale))
-    return reports
+        for w, k, mult, r, fk in zip(wins, ks.tolist(), mults, residuals, f):
+            rep.roots.append((k, mult, r, fk > _RESIDUAL_TOL * scale[w]))
+    return rep
 
 
 def _chandrupatla(f, x1, x2, f1, f2, xatol: float, rows=None):
@@ -647,12 +629,10 @@ def scan_spectrum(
             parts = list(pool.map(_scan_chunk, chunks))
     else:
         parts = [_scan_chunk(chunk) for chunk in chunks]
-    reports = [rep for part in parts for rep in part]
-
     found: List[Tuple[float, int, float, bool]] = []
     flagged: List[Tuple[float, float]] = []
-    expected = sum(rep.counted for rep in reports)
-    for rep in reports:
+    expected = sum(rep.counted for rep in parts)
+    for rep in parts:
         found.extend(rep.roots)
         flagged.extend(rep.flagged)
         diagnostics.extend(rep.diagnostics)

@@ -13,11 +13,13 @@ produces corrections of order k^{-2j} as long as chi is small enough
 for the iteration to contract.  Point interactions have no WKB regime
 and are refused; so is any edge with a classical turning point.
 
-The edge record ``WkbEdgeData`` holds the action s(L), its quadrature
-error bound and sup |eta_1|.  Actions and periods share one quadrature
-(``_integral``), the eta_j one contraction check (``_contraction``).  On
-zero and constant edges chi = 0, so every eta_j vanishes and the WKB
-form is exact.  k must be positive.
+The edge record ``WkbEdgeData`` holds the action s(L), the error estimate
+of its quadrature and sup |eta_1|.  Actions and periods share one
+quadrature (``_integral``: one panel of nested Clenshaw-Curtis rules, an
+edge's action and period two rows of one integrand), the eta_j one
+contraction check (``_contraction``).  On zero and constant edges chi =
+0, so every eta_j vanishes and the WKB form is exact.  k must be
+positive.
 
 The semiclassical pieces at the end package orbit data in which only
 transmission survives: stability |prod sigma|, backscatter count from
@@ -36,7 +38,7 @@ import numpy as np
 from .edge import TransitionMatrix, edge_profile
 from .errors import InputError, NumericalError, TurningPointError, _index
 from .graph import MetricGraph
-from .orbits import PeriodicOrbit, step_sigma
+from .orbits import PeriodicOrbit, _nested_quadrature, step_sigma
 from .potential import eval_array
 
 __all__ = [
@@ -53,7 +55,6 @@ __all__ = [
 
 #: Required clearance of k^2 above the maximum of w.
 _MARGIN = 1.0
-_QUAD_TOL = 1e-12
 _ETA_NODES = 32769
 
 
@@ -109,9 +110,9 @@ def _momentum(g: MetricGraph, e: int, k: float):
 
 @dataclasses.dataclass(frozen=True)
 class WkbEdgeData:
-    """WKB data of one edge at one k: the action s(L) with the error bound
-    of its quadrature, and sup |eta_1|, the size of the first iterative
-    correction."""
+    """WKB data of one edge at one k: the action s(L) with the error
+    estimate of its quadrature, and sup |eta_1|, the size of the first
+    iterative correction."""
 
     edge: str
     k: float
@@ -121,13 +122,12 @@ class WkbEdgeData:
     eta1_sup: float
 
 
-def _integral(f, L: float) -> Tuple[float, float]:
-    """Integral of f over [0, L] by adaptive quadrature at 1e-12, and its
-    error bound."""
-    from scipy.integrate import quad
-
-    val, err = quad(f, 0.0, L, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL, limit=500)
-    return float(val), float(err)
+def _integral(f, L: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Integrals over [0, L] of the rows of f, which maps a 1-D array of x
+    to the (rows, x.size) integrand values, and their error estimates: one
+    panel of ``orbits._nested_quadrature``, whose rules double until two
+    agree within 1e-12 on every row."""
+    return _nested_quadrature(f, 0.0, L, 1)[:2]
 
 
 def _cumulative_trapezoid(y, x):
@@ -193,19 +193,19 @@ def _contraction(levels: List[np.ndarray], k: float) -> List[float]:
 
 def wkb_solution(g: MetricGraph, e: int, k: float) -> WkbEdgeData:
     """Leading WKB data for edge e at k > 0 (forward orientation): the
-    action by adaptive quadrature at 1e-12 with its error bound, and
-    sup |eta_1|, refused when it is not below 1."""
+    action by nested Clenshaw-Curtis quadrature at 1e-12 with its error
+    estimate, and sup |eta_1|, refused when it is not below 1."""
     return _solution(g, e, k, _edge_wkb(g, e, k, 1))
 
 
 def _solution(g: MetricGraph, e: int, k: float, w: _EdgeWkb) -> WkbEdgeData:
-    action, err = _integral(w.p, w.L)
+    action, err = _integral(lambda x: w.p(x)[None], w.L)
     return WkbEdgeData(
         edge=g.edges[e].eid,
         k=float(k),
         length=w.L,
-        action=action,
-        action_error=err,
+        action=float(action[0]),
+        action_error=float(err[0]),
         eta1_sup=_contraction(w.levels, k)[0],
     )
 
@@ -260,7 +260,9 @@ def wkb_wigner_delay(g: MetricGraph, k: float) -> float:
     """Semiclassical time delay: sum over directed edges of the
     classical traversal time integral k / p, i.e. twice the per-edge sum."""
     momenta = (_momentum(g, e, k) for e in range(len(g.edges)))
-    return 2.0 * sum(_integral(lambda x, p=p: k / float(p(x)), L)[0] for _, p, _, L in momenta)
+    return 2.0 * sum(
+        float(_integral(lambda x, p=p: (k / p(x))[None], L)[0][0]) for _, p, _, L in momenta
+    )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -319,8 +321,7 @@ def semiclassical_trace_data(
         e = s // 2
         if e not in actions:
             _, p, _, L = _momentum(g, e, k)
-            actions[e] = _integral(p, L)[0]
-            periods[e] = _integral(lambda x: k / float(p(x)), L)[0]
+            actions[e], periods[e] = _integral(lambda x: np.array([p(x), k / p(x)]), L)[0].tolist()
         action += actions[e]
         period += periods[e]
     return SemiclassicalOrbitData(

@@ -71,6 +71,31 @@ def test_package_import_leaves_out_the_pool_and_logging():
     assert not {"multiprocessing", "concurrent.futures.process", "logging"} & added
 
 
+def test_wkb_quadrature_leaves_out_scipy_integrate():
+    # the WKB actions, periods and delays integrate on nested Clenshaw-Curtis
+    # rules of their own: in a fresh interpreter, scipy.integrate stays
+    # unimported through all three
+    code = (
+        "import sys\n"
+        "from qgspectra import build_graph, wkb_solution, wkb_wigner_delay\n"
+        "from qgspectra import semiclassical_trace_data\n"
+        "from qgspectra.orbits import make_orbit\n"
+        "arm = lambda n: {'from': 'c', 'to': f'v{n}', 'length': 1.0,\n"
+        "                 'potential': {'type': 'expr', 'expr': f'cos({n}*x)'}}\n"
+        "g = build_graph({'vertices': ['c', 'v2', 'v3', 'v4'],\n"
+        "                 'edges': [arm(n) for n in (2, 3, 4)]})\n"
+        "wkb_solution(g, 0, 20.0)\n"
+        "wkb_wigner_delay(g, 20.0)\n"
+        "semiclassical_trace_data(make_orbit(g, [0, 1]), g, 20.0)\n"
+        "print('scipy.integrate' in sys.modules)\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=subprocess_env(), check=True,
+    )
+    assert out.stdout.split() == ["False"]
+
+
 CUTOFFS = {
     "enumerate_orbits": qgspectra.enumerate_orbits,
     "orbit_sum_check": lambda g, x: qgspectra.orbit_sum_check(g, 5.0, x),

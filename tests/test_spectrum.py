@@ -326,25 +326,26 @@ def test_pool_starts_no_more_processes_than_chunks_or_cpus(
 
 def test_long_serial_scan_is_refined_chunk_by_chunk(monkeypatch):
     # past _WINDOWS_PER_CHUNK windows a serial scan is cut into contiguous
-    # chunks, so no refinement holds the brackets of the whole range
-    calls, windows = [], []
-    refine, scan_window = spectrum._chandrupatla, spectrum._scan_window
+    # chunks, each one report, so no refinement holds the brackets of the
+    # whole range
+    calls, chunks = [], []
+    refine, scan_chunk = spectrum._chandrupatla, spectrum._scan_chunk
 
     def counted(f, lo, *args):
         calls.append(len(lo))
         return refine(f, lo, *args)
 
-    def seen(ks, *args):
-        windows.append(ks[0])
-        return scan_window(ks, *args)
+    def seen(chunk):
+        chunks.append([a for a, _, _ in chunk[3]])
+        return scan_chunk(chunk)
 
     monkeypatch.setattr(spectrum, "_chandrupatla", counted)
-    monkeypatch.setattr(spectrum, "_scan_window", seen)
+    monkeypatch.setattr(spectrum, "_scan_chunk", seen)
     g = random_delta_star(1)
     cells = spectrum._CELLS_PER_WINDOW * spectrum._WINDOWS_PER_CHUNK + 32
     res = scan_spectrum(g, 0.5, 0.5 + cells * spectrum.grid_step(g))
-    assert len(windows) == spectrum._WINDOWS_PER_CHUNK + 1
-    assert len(calls) == 2
+    assert sum(map(len, chunks)) == spectrum._WINDOWS_PER_CHUNK + 1
+    assert len(chunks) == len(calls) == 2
     assert sum(calls) <= len(res.roots)
 
 
@@ -383,15 +384,16 @@ def test_scan_work_is_bounded(request, assembled_ks, name, budget):
 
 @pytest.mark.parametrize(
     "seed, arms, hi, calls, points",
-    [(1, 10, 30.0, 11, 949), (3, 40, 60.0, 60, 7868)],
+    [(1, 10, 30.0, 11, 944), (3, 40, 60.0, 59, 7819)],
     ids=["10-arm", "40-arm"],
 )
 def test_scan_pays_for_points_not_calls(vertex_det_points, seed, arms, hi, calls, points):
-    # deterministic counts of F evaluations: the sweeps, as many windows a
-    # call as fit the element budget (2 on the 10-arm star, 1 per window on
-    # the 40-arm one), one call per split level (one here) and one per
-    # refinement iteration; the residuals read F and the edges' M from the
-    # evaluation that reported each root, so no root is evaluated again
+    # deterministic counts of F evaluations: the sweeps, each a block of
+    # the chunk's grid of as many nodes as fit the element budget (2 blocks
+    # on the 10-arm star, of 65 nodes on the 40-arm one), each node once, one
+    # call per split level (one here) and one per refinement iteration; the
+    # residuals read F and the edges' M from the evaluation that reported
+    # each root, so no root is evaluated again
     scan_spectrum(random_delta_star(seed, arms), 0.5, hi)
     assert len(vertex_det_points) == calls
     assert sum(map(len, vertex_det_points)) == points
@@ -413,23 +415,34 @@ def test_residuals_are_those_of_a_fresh_solve(request, monkeypatch, name):
     # those of a solve at that k alone, bit for bit.  The triangle's core
     # has three vertices, and its roots at Dirichlet eigenvalues of an edge
     # are counted on the cut graph; the equilateral star's double roots are
-    # reported at split nodes
+    # reported at split nodes.  The flag measures |F| against the largest
+    # |F| at the sweep nodes of the root's window, both ends included
     build, lo, hi = RESIDUAL_SCANS[name]
     g = build(request)
-    reports, scan_chunk = [], spectrum._scan_chunk
+    roots, windows, swept = [], [], {}
+    scan_chunk, sweep = spectrum._scan_chunk, spectrum._sweep
 
     def seen(chunk):
-        reports.extend(scan_chunk(chunk))
-        return reports[-len(chunk[3]) :]
+        report = scan_chunk(chunk)
+        roots.extend(report.roots)
+        windows.extend(chunk[3])
+        return report
+
+    def sweeping(g, ks):
+        count, at, f = sweep(g, ks)
+        swept.update(zip(ks.tolist(), np.abs(f).tolist()))
+        return count, at, f
 
     monkeypatch.setattr(spectrum, "_scan_chunk", seen)
+    monkeypatch.setattr(spectrum, "_sweep", sweeping)
     res = scan_spectrum(g, lo, hi)
-    roots = [(rep, root) for rep in reports for root in rep.roots]
     assert len(roots) >= len(res.roots) > 0
-    for rep, (k, _, residual, flag) in roots:
+    for k, _, residual, flag in roots:
         w, f = np.abs(scattering._det_w(g, [k]))
         assert residual == w[0]
-        assert flag == (f[0] > spectrum._RESIDUAL_TOL * rep.scale)
+        (a, b), = [(a, b) for a, b, closed in windows if a < k <= b or closed and k == a]
+        scale = max(v for x, v in swept.items() if a <= x <= b)
+        assert flag == (f[0] > spectrum._RESIDUAL_TOL * scale)
 
 
 @pytest.mark.parametrize(
@@ -442,20 +455,11 @@ def test_no_point_is_solved_twice(assembled_ks, monkeypatch, g, lo, hi):
     # the five delta panels of the delta-scan benchmark (random_delta_star
     # 0-4) and the smooth-scan window: no root lies on a sweep node or at a
     # bracket end the refinement never moved, so every root's residual is
-    # read from rows already solved.  Past the sweeps, which solve the node
-    # two windows share once for each, no point is solved twice
-    swept, sweep = [], spectrum._sweep
-
-    def seen(g, ks):
-        swept.extend(ks.tolist())
-        return sweep(g, ks)
-
-    monkeypatch.setattr(spectrum, "_sweep", seen)
+    # read from rows already solved.  The sweeps solve the node two windows
+    # share once, and no point of the scan is solved twice
     res = scan_spectrum(g, lo, hi)
     assert res.roots
-    rest = collections.Counter(assembled_ks) - collections.Counter(swept)
-    assert sum(rest.values()) == len(assembled_ks) - len(swept)
-    assert max(rest.values()) == 1 and not set(rest) & set(swept)
+    assert max(collections.Counter(assembled_ks).values()) == 1
 
 
 @pytest.fixture
@@ -572,14 +576,14 @@ def test_smooth_scan_propagates_its_arms_together(magnus_steps, gauss_samplings)
 def test_smooth_scan_past_128_steps_pays_one_pass_per_count(magnus_steps):
     # the same star on [20, 40], where rows go on to 256 steps: the first
     # pass takes 64 and 128 steps together and each later count one pass of
-    # the rows left, 30 passes for 15 edge solves over 256,960 row-steps
+    # the rows left, 30 passes for 15 edge solves over 255,616 row-steps
     res = scan_spectrum(star(SMOOTH_ARMS), 20.0, 40.0)
     assert len(res.roots) == res.expected_count == 20
     counts = [[n for n, _ in levels] for levels in magnus_steps]
     assert len(counts) == 30
     assert max(n for levels in counts for n in levels) == 256
     assert counts.count([64, 128]) == counts.count([256]) == 15
-    assert sum(n * rows for levels in magnus_steps for n, rows in levels) == 256960
+    assert sum(n * rows for levels in magnus_steps for n, rows in levels) == 255616
 
 
 @pytest.mark.parametrize("name", ["g_interval_pi", "g_star3_eq", "g_delta_star"])
@@ -619,33 +623,37 @@ def test_bad_node_count_is_flagged(g_delta_star, monkeypatch):
 def test_scan_tracks_no_branch(monkeypatch):
     # the scan counts, brackets and refines on the vertex determinant F: it
     # never evaluates theta nor takes det S, and sweeps every node of the
-    # six windows of [0.5, 30] exactly once, as many windows a sweep as fit
-    # the edge layer's element budget: ceil(378 * 10 / 2048) = 2 sweeps
+    # six windows of [0.5, 30] exactly once, the node two windows share
+    # too, as one grid in blocks of as many nodes as fit the edge layer's
+    # element budget: ceil(373 / (2048 // 10)) = 2 sweeps
     def refused(*args, **kwargs):
         raise AssertionError("the scan evaluated the secular phase")
 
     monkeypatch.setattr(scattering, "_theta", refused)
     monkeypatch.setattr(scattering, "_det_s", refused)
     sweeps, sweep = [], spectrum._sweep
-    grids, scan_window = [], spectrum._scan_window
+    windows, scan_chunk = [], spectrum._scan_chunk
 
     def counted(g, ks):
         sweeps.append(ks)
         return sweep(g, ks)
 
-    def seen(ks, *args):
-        grids.append(ks)
-        return scan_window(ks, *args)
+    def seen(chunk):
+        windows.extend(chunk[3])
+        return scan_chunk(chunk)
 
     monkeypatch.setattr(spectrum, "_sweep", counted)
-    monkeypatch.setattr(spectrum, "_scan_window", seen)
+    monkeypatch.setattr(spectrum, "_scan_chunk", seen)
     g = random_delta_star(1)
+    step = spectrum.grid_step(g)
     res = scan_spectrum(g, 0.5, 30.0)
-    assert len(grids) == 6
-    nodes = sum(len(ks) for ks in grids)
-    assert nodes == 378
-    assert np.array_equal(np.concatenate(sweeps), np.concatenate(grids))
-    assert len(sweeps) == math.ceil(nodes * g.num_edges / edge._POINT_STEPS) == 2
+    assert len(windows) == 6
+    grids = [np.linspace(a, b, math.ceil((b - a) / step) + 1) for a, b, _ in windows]
+    grid = np.concatenate([grids[0]] + [ks[1:] for ks in grids[1:]])
+    assert len(grid) == 373
+    assert np.array_equal(np.concatenate(sweeps), grid)
+    block = edge._POINT_STEPS // g.num_edges
+    assert len(sweeps) == math.ceil(len(grid) / block) == 2
     assert len(res.roots) == res.total_count() == res.expected_count == 94
     assert res.flagged == [] and res.diagnostics == []
 
