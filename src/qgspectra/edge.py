@@ -21,12 +21,14 @@ quantity below is a closed form in them.  M is built per kind:
   construction.  The step count is doubled from 64 until two successive M
   agree to 1e-10; that last difference, the error of the coarser count's
   M, is the solution's ``error_estimate`` (0 for the closed forms).  The
-  first comparison, 64 against 128 steps, is one kernel pass, whose steps
-  of both counts are built and folded as one array; each later count is
-  one pass of the rows left.  The propagator takes rows of (edge, k):
-  each edge is sampled once per step count its rows reach, and each row
-  keeps the M of the first count at which it converged, so a batch gives
-  every row its one-point result.
+  first comparison, 64 against 128 steps, is one kernel pass over the steps
+  of both counts; each later count is one pass of the rows left.  A pass
+  cuts each row's steps into sub-rows, builds and folds them in blocks of
+  at most _POINT_STEPS row-steps, and counts zeros on spans of at most one
+  sub-row.  The propagator takes rows of (edge, k): each edge is sampled
+  once per step count its rows reach, and each row keeps the M of the
+  first count at which it converged, so a batch gives every row its
+  one-point result.
 
 ``_evaluate`` is the one evaluator: M, M' and the error estimate of some
 or all edges of a graph at every k of an array and, for the eigenvalue
@@ -543,13 +545,12 @@ def _magnus(table, counts, edges, ks, want_dk: bool, zeros=None, prev=None):
 
     All the counts of a row go through one pass.  Its steps are cut into
     sub-rows of the first count's steps (of _POINT_STEPS, when that is
-    fewer), so a pair's 2n steps are two sub-rows; the sub-rows of all the
-    counts are built and folded as one array, and then each count's sub-row
-    products are folded in turn.  So every count's M is the pairwise fold
-    of its steps (``_fold``), the same tree as a pass of that count alone.
-    A row's counts together take at most _POINT_STEPS row-steps, which
-    bounds the memory: chunks of rows are built at once, or one row's
-    sub-rows one at a time when its counts exceed that.
+    fewer), so a pair's 2n steps are two sub-rows, and the sub-rows are
+    built and folded in blocks of at most _POINT_STEPS row-steps, which
+    bounds the memory: whole rows of a chunk when a row fits, else
+    consecutive sub-rows of one row.  Then each count's sub-row products
+    are folded in turn.  So every count's M is the pairwise fold of its
+    steps (``_fold``), the same tree as a pass of that count alone.
 
     Given an integer array (2, P), ``zeros`` receives the ``_zeros`` of the
     last count at each real k whose error is at most _DEFAULT_TOL (at every
@@ -557,24 +558,20 @@ def _magnus(table, counts, edges, ks, want_dk: bool, zeros=None, prev=None):
     of spans 2^f h with 2^f h sqrt(k^2 - min w) < pi / 2 on every row of a
     chunk (h and w its edge's, the minimum over all three nodes), on which
     no solution has two zeros (Sturm comparison), or else of the steps
-    themselves; 2^f is at most _POINT_STEPS.  Those products are kept over
-    runs of chunks with the same level, at most _POINT_STEPS of them, and
-    the zeros of a run counted at once."""
+    themselves; a span is at most one sub-row.  Those products are kept
+    over runs of chunks with the same level, at most _POINT_STEPS of them,
+    and the zeros of a run counted at once."""
     top = counts[-1]
-    whole = sum(counts) <= _POINT_STEPS
-    piece = counts[0] if whole else min(counts[0], _POINT_STEPS)
-    chunk = _POINT_STEPS // sum(counts) if whole else 1
+    piece = min(counts[0], _POINT_STEPS)
     subs = [n // piece for n in counts]
-    per, last = sum(subs), slice(sum(subs) - subs[-1], None)
+    # sub-rows per row, and the first of the last count's
+    per, last = sum(subs), sum(subs) - subs[-1]
+    # rows per chunk, and sub-rows of a row per block
+    chunk = max(_POINT_STEPS // sum(counts), 1)
+    width = min(per, _POINT_STEPS // piece)
     samples = table.w[counts]
-    if whole:
-        # each sub-row's step length and k, row after row
-        hs = (table.lengths[edges][:, None] / np.repeat(counts, subs)).ravel()
-        sks = np.repeat(ks, per)
-    else:
-        # each sub-row's place along the samples and step count
-        starts = np.cumsum((0,) + counts).tolist()
-        spans = [(a + j, n) for a, n in zip(starts, counts) for j in range(0, n, piece)]
+    # each sub-row's step length, row by row
+    hs = table.lengths[edges][:, None] / np.repeat(counts, subs)
     if zeros is not None:
         h = table.lengths[edges] / top
         reach = h * np.sqrt(np.maximum(ks.real**2 - table.wmin[counts][edges], 0.0))
@@ -589,16 +586,13 @@ def _magnus(table, counts, edges, ks, want_dk: bool, zeros=None, prev=None):
         """M, M', the error and the zeros of rows lo to hi, whose chunks
         have the zero-count level ``size``, from their sub-row products and
         ``taps``, each chunk's list of the last count's products at that
-        level, build by build."""
+        level, block by block."""
         span = slice(lo, hi)
         start = 0
         for i, s in enumerate(subs):
             e = prods[:, :, span, start : start + s]
             de = dprods[:, :, span, start : start + s] if want_dk else None
             start += s
-            if zeros is not None and size > piece and i == len(subs) - 1:
-                e, de = _fold(e, de, pieces=top // size)
-                taps = [[e]]
             e, de = _fold(e, de)
             m[i, ..., span] = e[..., 0]
             if want_dk:
@@ -618,7 +612,7 @@ def _magnus(table, counts, edges, ks, want_dk: bool, zeros=None, prev=None):
                 kept = keep.size
         if zeros is None or not kept:
             return
-        # the running products of the kept rows, each build's from the end
+        # the running products of the kept rows, each block's from the end
         # of the one before
         ends = [np.eye(2)[..., None, None] * np.ones((kept, 1))]
         for part in zip(*taps):
@@ -643,37 +637,28 @@ def _magnus(table, counts, edges, ks, want_dk: bool, zeros=None, prev=None):
         size = 1
         if zeros is not None:
             top_reach = float(np.max(reach[span]))
-            while size < min(top, _POINT_STEPS) and 2 * size * top_reach < 0.5 * math.pi:
+            while size < piece and 2 * size * top_reach < 0.5 * math.pi:
                 size *= 2
             if taps and (size != level or (lo + r - first) * top // size > _POINT_STEPS):
                 finish(first, lo, level, taps)
                 first, taps = lo, []
             level = size
-        # each build: its sub-rows' samples, step lengths and ks, and which
-        # of a row's sub-rows it holds are the last count's
-        if whole:
-            sub = slice(lo * per, (lo + r) * per)
-            builds = [(samples[:, rows].reshape(3, -1, piece), hs[sub], sks[sub], last)]
-        else:
-            builds = [
-                (samples[:, rows, a : a + piece], table.lengths[rows] / n, ks[span],
-                 slice(0, 1 if n == top else 0))
-                for a, n in spans
-            ]
-        parts = []
         taps.append([])
-        for w, bhs, bks, taken in builds:
-            e = _steps(*w, bhs[:, None], bks, want_dk)
-            if zeros is not None and size <= piece:
+        for j in range(0, per, width):
+            sub = slice(j, j + width)
+            w = samples[:, rows, j * piece : (j + width) * piece].reshape(3, -1, piece)
+            n = w.shape[1] // r
+            e = _steps(*w, hs[span, sub].reshape(-1, 1), np.repeat(ks[span], n), want_dk)
+            if zeros is not None:
+                # the last count's products at the zero-count level
                 e = _fold(*e, pieces=piece // size)
-                part = e[0].reshape(2, 2, r, -1, piece // size)[:, :, :, taken]
+                part = e[0].reshape(2, 2, r, n, -1)[:, :, :, max(last - j, 0) :]
                 if part.size:
                     taps[-1].append(part.reshape(2, 2, r, -1))
-            parts.append(_fold(*e))
-        e, de = zip(*parts)
-        prods[:, :, span] = np.concatenate(e, axis=2).reshape(2, 2, r, per)
-        if want_dk:
-            dprods[:, :, span] = np.concatenate(de, axis=2).reshape(2, 2, r, per)
+            e, de = _fold(*e)
+            prods[:, :, span, sub] = e.reshape(2, 2, r, n)
+            if want_dk:
+                dprods[:, :, span, sub] = de.reshape(2, 2, r, n)
     finish(first, len(ks), level, taps)
     return m, dm, err
 
@@ -721,11 +706,17 @@ def _magnus_doubled(table, edges, ks, want_dk: bool, zeros):
     return tuple(None if x is None else x.reshape(x.shape[:-1] + shape) for x in out)
 
 
-def _unresolved(pot: Potential, k: complex) -> NumericalError:
-    return NumericalError(
-        f"Magnus propagator unresolved at {_MAX_STEPS} steps for "
-        f"{pot.source!r} at k={k}"
-    )
+def _refuse_unresolved(g: MetricGraph, ks, edges, err) -> None:
+    """NumericalError for the first (k, edge) point of ``err`` (len(ks),
+    len(edges)) that the Magnus propagator left unresolved, in (k, edge)
+    order."""
+    resolved = err <= _DEFAULT_TOL
+    if not resolved.all():
+        i, j = np.argwhere(~resolved)[0]
+        raise NumericalError(
+            f"Magnus propagator unresolved at {_MAX_STEPS} steps for "
+            f"{g.edges[edges[j]].potential.source!r} at k={complex(ks[i])}"
+        )
 
 
 def _refuse_k(ks) -> None:
@@ -820,13 +811,11 @@ def solve_edge(g: MetricGraph, e: int, k: complex, want_dk: bool = False) -> Edg
     ``want_dk``: the one-point case of ``_evaluate``, which reads and adds
     to the graph's samples.  k must be finite and nonzero (``_refuse_k``)."""
     _refuse_k(k)
-    edge = g.edges[e]
     k = complex(k)
     m, dm, err, _ = _evaluate(g, np.array([k]), [e], want_dk)
-    if not err[0, 0] <= _DEFAULT_TOL:
-        raise _unresolved(edge.potential, k)
+    _refuse_unresolved(g, [k], [e], err)
     m, dm = (None if x is None else tuple(complex(v[0, 0]) for v in x) for x in (m, dm))
-    return EdgeSolution(k, edge.length, m, dm, float(err[0, 0]))
+    return EdgeSolution(k, g.edges[e].length, m, dm, float(err[0, 0]))
 
 
 def _solve_edges(
@@ -843,10 +832,7 @@ def _solve_edges(
     ks = ks.astype(complex if np.iscomplexobj(ks) else float)
     _refuse_k(ks)
     m, dm, err, zeros = _evaluate(g, ks, slice(None), want_dk, want_count)
-    resolved = err <= _DEFAULT_TOL
-    if not resolved.all():
-        i, e = np.argwhere(~resolved)[0]
-        raise _unresolved(g.edges[e].potential, complex(ks[i]))
+    _refuse_unresolved(g, ks, range(g.num_edges), err)
     return EdgeSolution(ks[:, None], _edge_table(g)[1], tuple(m), dm, err, zeros)
 
 
@@ -872,8 +858,7 @@ def edge_profile(g: MetricGraph, e: int, k: complex, xs) -> np.ndarray:
     _, _, slots, samples = _edge_table(g)
     if slots[e] >= 0:
         _, _, err, n = _magnus_doubled(samples, slots[[e]], [k], False, None)
-        if not err.item() <= _DEFAULT_TOL:
-            raise _unresolved(pot, k)
+        _refuse_unresolved(g, [k], [e], err)
         grid = np.union1d(np.linspace(0.0, L, n.item() + 1), grid)
         h = np.diff(grid)
         w = _gauss_values(pot.callable(L), grid[:-1], h)
@@ -1007,15 +992,25 @@ def subunitarity_threshold(g: MetricGraph, detailed: bool = False):
     Wigner-Smith matrix Q = -i t^H t' on the real axis: to first order in
     eps, ||t(k + i eps) v||^2 = ||v||^2 - 2 eps v^H Q v, so t is subunitary
     just above k where lambda(k) >= 0.  K is the largest k at which some
-    lambda changes sign, 0 where none does.  A potential-free edge (Q = L I)
-    is skipped.
+    lambda changes sign, 0 where none does.
 
-    The large-k bound: write the solution for incoming amplitudes v, |v| =
-    1, as alpha e^{ikx} + beta e^{-ikx} (variation of constants), and A =
-    |alpha|^2 + |beta|^2.  Then v^H Q v = int A dx - Re[(1/ik) int (alpha
-    conj(beta))' e^{2ikx} dx], as the end terms of that integration by
-    parts cancel the interference term of Smith's split.  With V = int |w|
-    (plus |D| for a point interaction; ``_strength``) and s = V / k, |A'|
+    Write the solution for incoming amplitudes v, |v| = 1, as psi = alpha
+    e^{ikx} + beta e^{-ikx} (variation of constants: alpha' = w psi
+    e^{-ikx} / 2ik and beta' = -w psi e^{ikx} / 2ik), and A = |alpha|^2 +
+    |beta|^2.  Smith's split, its interference term cancelled by the end
+    terms of an integration by parts, gives
+
+        v^H Q v = int A dx - Re[(1/ik) int (alpha conj(beta))' e^{2ikx} dx]
+                = int A dx + (1 / 2k^2) int w |psi|^2 dx,
+
+    where a point interaction contributes D |psi(x0)|^2 / 2k^2 to the last
+    integral.  So Q > 0 at every k where w >= 0, and such edges are
+    skipped: a potential-free edge (Q = L I), a constant c >= 0 and a point
+    interaction with D >= 0.  A smooth edge is kept whatever its sign, as
+    its samples cannot prove w >= 0.
+
+    The large-k bound: with V = int |w| (plus |D| for a point interaction;
+    ``_strength``) and s = V / k, |A'|
     <= 2 |w| A / k and A(0) + A(L) = 2 give e^{-2s} <= A <= e^{2s}, and the
     variation of alpha conj(beta) is at most s (1 + s/2) e^{2s}, so
 
@@ -1025,7 +1020,7 @@ def subunitarity_threshold(g: MetricGraph, detailed: bool = False):
     sqrt(L V)) / 3 the left side is below 0.23 L V, so no sign change lies
     above B = 3 V / ln(1 + sqrt(L V)).  The grid runs from K_FLOOR to the
     largest B, with spacing at most pi / (32 L_max) and at least 32
-    points, in one batch of the edges with a potential (its first point
+    points, in one batch of the edges kept (its first point
     alone, so that an edge the propagator cannot resolve raises after one
     point's step doubling).  The last bracket in which some lambda is
     negative is refined by ``spectrum._chandrupatla``.  A sign change that
@@ -1050,10 +1045,7 @@ def _delay_floor(g: MetricGraph, ks: np.ndarray, edges: List[int]) -> np.ndarray
     from one ``_evaluate``; an unresolved point raises, the first in (k,
     edge) order."""
     m, dm, err, _ = _evaluate(g, ks, edges, True)
-    unresolved = np.argwhere(~(err <= _DEFAULT_TOL))
-    if unresolved.size:
-        i, j = unresolved[0]
-        raise _unresolved(g.edges[edges[j]].potential, complex(ks[i]))
+    _refuse_unresolved(g, ks, edges, err)
     sol = EdgeSolution(ks[:, None], _edge_table(g)[1][edges], tuple(m), tuple(dm))
     (tr, rf, rt), (dtr, drf, drt) = _entries(sol)
     # t^H t' with t = [[tr, rt], [rf, tr]]; Q is Hermitian where t is
@@ -1070,8 +1062,14 @@ def _delay_floor(g: MetricGraph, ks: np.ndarray, edges: List[int]) -> np.ndarray
 def _compute_threshold(g: MetricGraph) -> ThresholdInfo:
     from .spectrum import K_FLOOR, _chandrupatla  # spectrum imports this module
 
-    strengths = [_strength(e) for e in g.edges]
-    live = [i for i, v in enumerate(strengths) if v > 0]
+    # V of each edge whose w can be negative (smooth, a constant c < 0 or a
+    # point interaction with D < 0): Q > 0 on the others
+    strengths = {
+        i: _strength(e)
+        for i, e in enumerate(g.edges)
+        if e.potential.kind == "smooth" or min(e.potential.value, e.potential.strength) < 0
+    }
+    live = [i for i, v in strengths.items() if v > 0]
     sampled = any(g.edges[i].potential.kind == "smooth" for i in live)
     method = "sampled" if sampled else "closed-form"
     if not live:

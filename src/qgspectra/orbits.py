@@ -430,18 +430,21 @@ def orbit_sum_check(g: MetricGraph, k: float, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+# half-width of a test function's support, in sigmas
+_SUPPORT_SIGMAS = 8.0
+
+
 @dataclasses.dataclass(frozen=True)
 class TestFunction:
     """Gaussian test weight exp(-(k-center)^2 / (2 sigma^2)), treated as
-    supported on center +- support_sigmas * sigma."""
+    supported on center +- _SUPPORT_SIGMAS * sigma."""
 
     center: float
     sigma: float
-    support_sigmas: float = 8.0
 
     def __post_init__(self) -> None:
-        if any(np.iscomplexobj(x) for x in (self.center, self.sigma, self.support_sigmas)):
-            raise InputError("test function needs a real center, sigma and support")
+        if any(np.iscomplexobj(x) for x in (self.center, self.sigma)):
+            raise InputError("test function needs a real center and sigma")
         if not (math.isfinite(self.center) and self.sigma > 0):
             raise InputError("test function needs finite center and sigma > 0")
 
@@ -452,7 +455,7 @@ class TestFunction:
 
     @property
     def support(self) -> Tuple[float, float]:
-        half = self.support_sigmas * self.sigma
+        half = _SUPPORT_SIGMAS * self.sigma
         return (self.center - half, self.center + half)
 
 
@@ -688,7 +691,7 @@ def trace_check(
         phi={
             "center": phi.center,
             "sigma": phi.sigma,
-            "support_sigmas": phi.support_sigmas,
+            "support_sigmas": _SUPPORT_SIGMAS,
         },
         threshold=info.K,
         lhs=lhs,

@@ -248,12 +248,12 @@ def _profile(w: _EdgeWkb, xs, corrected: bool) -> np.ndarray:
 
 def wkb_transition(g: MetricGraph, e: int, k: float) -> TransitionMatrix:
     """Leading-order transition matrix diag(e^{i s(L)}); the reflection
-    entries are dropped (they are O(k^-2) in this regime)."""
-    data = wkb_solution(g, e, k)
-    trans = complex(math.cos(data.action), math.sin(data.action))
-    return TransitionMatrix(
-        k=complex(k), length=data.length, trans=trans, r_from=0.0, r_to=0.0
-    )
+    entries are dropped (they are O(k^-2) in this regime).  It reads only
+    the action, by the quadrature of p that ``wkb_solution`` makes."""
+    _, p, _, L = _momentum(g, e, k)
+    action = float(_integral(lambda x: p(x)[None], L)[0][0])
+    trans = complex(math.cos(action), math.sin(action))
+    return TransitionMatrix(k=complex(k), length=L, trans=trans, r_from=0.0, r_to=0.0)
 
 
 def wkb_wigner_delay(g: MetricGraph, k: float) -> float:

@@ -100,7 +100,7 @@ def test_criterion_05_orbit_sum_identity(g_interval_delta_pi, g_triangle):
 
 def test_criterion_06a_trace_identity_interval(g_interval_pi):
     start = time.monotonic()
-    report = trace_check(g_interval_pi, TestFunction(20.0, 0.5, 8.0), 6)
+    report = trace_check(g_interval_pi, TestFunction(20.0, 0.5), 6)
     elapsed = time.monotonic() - start
     resid = report.residual(6)
     assert resid < 1e-6

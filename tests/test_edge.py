@@ -431,6 +431,48 @@ def test_threshold_properties_on_random_edges(drawn):
         assert _norms(g, below + 1e-4j).max() > 1.0 + 1e-12
 
 
+def test_threshold_skips_edges_whose_potential_is_nonnegative(monkeypatch):
+    # v^H Q v = int A dx + (1/2k^2) int w |psi|^2 dx > 0 where w >= 0, so
+    # repulsive point interactions and constants c >= 0 are not gridded
+    g = star([
+        (1.0, {"type": "delta", "strength": 3.0, "position": 0.0}),
+        (0.8, {"type": "delta", "strength": 0.5, "position": 0.3}),
+        (1.2, _constant(6.0)),
+        (0.6, _constant(0.0)),
+    ])
+
+    def refused(*args):
+        raise AssertionError("_delay_floor called")
+
+    monkeypatch.setattr(edge, "_delay_floor", refused)
+    info = subunitarity_threshold(g, detailed=True)
+    assert (info.K, info.method) == (0.0, "closed-form")
+
+
+@st.composite
+def _nonnegative_edges(draw):
+    """(L, potential) with w >= 0: a repulsive point interaction at either
+    end or inside, a constant c >= 0, or a(1 + cos bx) with a >= 0."""
+    L = draw(st.sampled_from([0.2, 0.6, 1.0, 2.0, 4.0]))
+    kind = draw(st.sampled_from(["delta", "constant", "smooth"]))
+    if kind == "delta":
+        x0 = draw(st.sampled_from([0.0, L, draw(st.floats(0.0, 1.0)) * L]))
+        return L, {"type": "delta", "strength": draw(st.floats(0.0, 100.0)), "position": x0}
+    if kind == "constant":
+        return L, _constant(draw(st.floats(0.0, 50.0)))
+    a, b = draw(st.floats(0.0, 20.0)), draw(st.integers(1, 6))
+    return L, _smooth(f"{a}*(1 + cos({b}*x))")
+
+
+@settings(max_examples=30)
+@given(_nonnegative_edges())
+def test_wigner_smith_floor_is_positive_where_w_is_nonnegative(drawn):
+    # the identity behind skipping them: lambda > 0 at every k of a grid
+    g = interval(*drawn)
+    ks = np.linspace(1e-3, 60.0, 400)
+    assert np.all(edge._delay_floor(g, ks, [0]) > 0)
+
+
 # edges of the large-k bound check: point interactions of either sign and
 # position, wells and barriers, and smooth edges
 BOUND_EDGES = {
@@ -534,7 +576,7 @@ def split_pair(table, counts, edges, ks, want_dk, zeros=None, prev=None, kernel=
     return np.concatenate([m0, m1]), dm, err
 
 
-@pytest.mark.parametrize("budget", [1, edge._POINT_STEPS])
+@pytest.mark.parametrize("budget", [1, 128, edge._POINT_STEPS])
 @pytest.mark.parametrize("name", sorted(PAIR_KS))
 def test_pair_pass_equals_single_count_passes(monkeypatch, name, budget):
     # one kernel pass of 64 and 128 steps gives the M and M' of each count,
@@ -542,7 +584,9 @@ def test_pair_pass_equals_single_count_passes(monkeypatch, name, budget):
     # with and without M' and zeros; and so the step doubling gives every
     # row the M, M', error, step count and zeros it gets from passes of one
     # count each.  At a budget of one row-step the steps are built one at a
-    # time; at the default, rows of both counts are built together
+    # time; at 128 a row's 192 steps are two blocks, the first holding a
+    # sub-row of each count; at the default, rows of both counts are built
+    # together
     monkeypatch.setattr(edge, "_POINT_STEPS", budget)
     pots = [interval(L, _smooth(expr)).edges[0].potential for L, expr in BATCH_EDGES]
     lengths = [L for L, _ in BATCH_EDGES]

@@ -218,7 +218,7 @@ def test_batched_quadrature_matches_a_per_node_loop(g_delta_star):
 
 
 def test_test_function_shape():
-    phi = TestFunction(10.0, 0.5, 8.0)
+    phi = TestFunction(10.0, 0.5)
     assert phi(10.0) == pytest.approx(1.0)
     assert phi(10.5) == pytest.approx(math.exp(-0.5))
     assert phi.support == (6.0, 14.0)
@@ -228,7 +228,7 @@ def test_test_function_shape():
 
 
 def test_trace_identity_on_the_interval(g_interval_pi):
-    phi = TestFunction(10.0, 0.5, 8.0)
+    phi = TestFunction(10.0, 0.5)
     report = trace_check(g_interval_pi, phi, 6)
     lo, hi = phi.support
     assert report.quadrature["k_lo"] == lo
@@ -248,8 +248,8 @@ def test_trace_identity_on_the_interval(g_interval_pi):
 
 
 def test_wider_test_functions_need_fewer_orbits(g_interval_pi):
-    narrow = trace_check(g_interval_pi, TestFunction(10.0, 0.25, 8.0), 2)
-    wide = trace_check(g_interval_pi, TestFunction(10.0, 0.5, 8.0), 2)
+    narrow = trace_check(g_interval_pi, TestFunction(10.0, 0.25), 2)
+    wide = trace_check(g_interval_pi, TestFunction(10.0, 0.5), 2)
     assert narrow.residual(2) > 1e-4
     assert wide.residual(2) < 1e-6
     assert wide.residual(2) < 1e-3 * narrow.residual(2)
@@ -265,7 +265,7 @@ def test_incomplete_spectrum_is_refused(g_star3_eq, monkeypatch):
         return res
 
     monkeypatch.setattr(orbits_module, "scan_spectrum", lossy_scan)
-    phi = TestFunction(4.0, 1.0, 8.0)
+    phi = TestFunction(4.0, 1.0)
     with pytest.raises(NumericalError, match="spectrum incomplete"):
         trace_check(g_star3_eq, phi, 2)
 

@@ -123,6 +123,21 @@ def test_transition_matrix_gap_is_order_k_minus_two(g_smooth):
     assert defects[-1] < defects[0]
 
 
+def test_transition_reads_only_the_action(g_smooth, monkeypatch):
+    # no eta grid is built: trans is e^{i s(L)} for the action that
+    # wkb_solution reports
+    actions = {k: wkb_solution(g_smooth, 0, k).action for k in KS_DOUBLING}
+
+    def refused(*args):
+        raise AssertionError("eta grid built")
+
+    monkeypatch.setattr(wkb, "_eta_grid", refused)
+    for k, action in actions.items():
+        t = wkb_transition(g_smooth, 0, k)
+        assert t.trans == complex(math.cos(action), math.sin(action))
+        assert (t.length, t.r_from, t.r_to) == (1.0, 0.0, 0.0)
+
+
 def test_semiclassical_weight_converges_to_paired_exact_weight(g_smooth_star):
     p = make_orbit(g_smooth_star, [0, 1])
     gaps = []
