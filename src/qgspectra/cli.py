@@ -133,22 +133,11 @@ def _config_hash(command: str, input_sha: str, params: Dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.12e}"
-    return str(v)
-
-
-def _csv_lines(rows: Iterable[List]) -> Iterator[str]:
-    """The CSV lines of ``rows``, each value written by _fmt."""
-    for row in rows:
-        yield ",".join(_fmt(v) for v in row) + "\n"
-
-
 def _write_csv(path: str, header: List[str], lines: Iterable[str], cfg_hash: str) -> None:
-    """Write the CSV lines (see _csv_lines), which may be produced while
-    writing, to ``path``; if producing them fails, ``path`` is left as it
-    was."""
+    """Write the CSV lines, which may be produced while writing, to
+    ``path``; if producing them fails, ``path`` is left as it was.  Each
+    writer formats a line with one format string: '%.12e' for a float,
+    '%d' for an integer and '%s' for a name."""
     part = path + ".part"
     with open(part, "w", encoding="utf-8", newline="\n") as f:
         try:
@@ -225,11 +214,10 @@ def _scan_config(args) -> ScanConfig:
 def _cmd_spectrum(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
     _require_finite(args, "kmin", "kmax")
     result = scan_spectrum(g, args.kmin, args.kmax, _scan_config(args))
-    rows = [[r.k, r.multiplicity, r.residual] for r in result.roots]
     _write_csv(
         os.path.join(args.out, "spectrum.csv"),
         ["k", "multiplicity", "residual"],
-        _csv_lines(rows),
+        ("%.12e,%d,%.12e\n" % (r.k, r.multiplicity, r.residual) for r in result.roots),
         cfg_hash,
     )
     meta.update(
@@ -254,7 +242,7 @@ def _orbit_lines(g, blocks, k_sample: float) -> Iterator[str]:
     """The orbit table's CSV lines of the classes ``blocks`` (see
     orbits._classes), with their step-weight products at k_sample, joined
     _TABLE_ROWS rows at a time.  Each line is formatted by one format
-    string, which writes the values as _fmt does."""
+    string."""
     weight_re, weight_im = _class_weights(blocks, assemble_S(g, complex(k_sample)))
     names = [str(s) for s in range(g.num_directed)]
     start = 0
@@ -332,12 +320,12 @@ def _cmd_secular_scan(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
         # block by block, so only one block is held at a time
         for i in range(0, n, _SECULAR_BLOCK):
             for v in secular(g, ks[i : i + _SECULAR_BLOCK]):
-                yield [v.k.real, v.zeta.real, v.zeta.imag, v.theta]
+                yield "%.12e,%.12e,%.12e,%.12e\n" % (v.k.real, v.zeta.real, v.zeta.imag, v.theta)
 
     _write_csv(
         os.path.join(args.out, "secular.csv"),
         ["k", "zeta_re", "zeta_im", "theta"],
-        _csv_lines(rows()),
+        rows(),
         cfg_hash,
     )
     meta.update({"n_points": n, "grid_step": (args.kmax - args.kmin) / (n - 1)})
@@ -362,7 +350,8 @@ def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
         for e in range(len(g.edges)):
             cmp_row = compare_with_exact(g, e, k)
             rows.append(
-                [
+                "%.12e,%s,%.12e,%.12e,%.12e,%.12e,%.12e,%.12e\n"
+                % (
                     k,
                     g.edges[e].eid,
                     cmp_row["deviation"],
@@ -371,7 +360,7 @@ def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
                     cmp_row["action"],
                     delay,
                     delay_wkb,
-                ]
+                )
             )
     _write_csv(
         os.path.join(args.out, "wkb_compare.csv"),
@@ -385,7 +374,7 @@ def _cmd_wkb_compare(args, g, meta, cfg_hash: str) -> Tuple[str, Dict]:
             "wigner_delay",
             "wigner_delay_wkb",
         ],
-        _csv_lines(rows),
+        rows,
         cfg_hash,
     )
     meta.update({"k_values": ks, "threshold": _threshold(g)})

@@ -34,8 +34,8 @@ quantity below is a closed form in them.  M is built per kind:
 or all edges of a graph at every k of an array and, for the eigenvalue
 count, the zeros of two solutions on each edge, from per-graph arrays kept
 in a weak-keyed table.  One rule counts the zeros on a segment
-(``_segment_zeros``): ``_closed`` applies it to the two pieces of a
-closed-form edge, from the arrays that give M, and ``_zeros`` to the
+(``_segment_zeros``): ``_closed`` applies it to a closed-form edge
+as one segment, from the arrays that give M, and ``_zeros`` to the
 segments of a Magnus propagation.  The closed-form edges are evaluated
 together over (k, edge), and the smooth edges in one propagation, whose
 samples the table keeps stacked over the edges per kernel pass, with
@@ -192,7 +192,7 @@ def _wavenumber(k, c):
     imaginary over a barrier, k^2 < c).  Where every c is 0 it is k itself,
     not broadcast against c, which spares its copies and its products."""
     k = np.asarray(k)
-    if np.iscomplexobj(k) or np.any(k * k < c):
+    if np.iscomplexobj(k) or (np.any(c > 0) and np.any(k * k < c)):
         k = k.astype(complex)
     if not np.any(c):
         return k
@@ -210,11 +210,10 @@ def _closed(k, c, D, x1, x2, want_dk: bool, want_count: bool = False):
     float64 then, in complex arithmetic only over a barrier
     (``_wavenumber``), and returned as float64 either way.
 
-    The zeros are counted on two pieces, up to the point interaction and
-    after it, from the same q, c1 and s1 as M (``_segment_zeros``, with nu =
-    Re q times the piece's length, 0 over a barrier).  The first piece
-    starts from (psi, psi') = (1, 0) and (0, 1), whose phases are exactly
-    pi/2 and 0; only the second takes an atan2 per solution."""
+    The zeros are counted on the whole segment (``_segment_zeros``) from
+    the Pruefer angle at its end, which the same q, c1 and s1 as M give in
+    closed form, and the signs of M; nu = 0 over a barrier, where psi has
+    at most one zero, after the point interaction."""
     k = np.asarray(k)
     q = _wavenumber(k, c)
     c1, s1 = _free(q, x1)
@@ -259,16 +258,26 @@ def _closed(k, c, D, x1, x2, want_dk: bool, want_count: bool = False):
         m = tuple(np.real(x) for x in m)
     zeros = None
     if want_count:
-        # (psi, psi') of the two solutions just past the point interaction
-        psi = np.real(np.stack((c1, s1)))
-        dpsi = np.real(np.stack((-q * (q * s1) + D * c1, c1 + D * s1)))
-        mid = _negative(psi, dpsi)
-        end = _negative(*np.real(np.reshape(m, (2, 2, *psi.shape[1:]))))
-        start = np.reshape([0.5 * np.pi, 0.0], (2,) + (1,) * c1.ndim)
-        first = _segment_zeros(start, q.real * x1, False, mid)
-        nu = q.real * x2
-        theta = np.mod(np.arctan2(nu * psi, x2 * dpsi), np.pi)
-        zeros = (first + _segment_zeros(theta, nu, mid, end)).astype(int)
+        # the Pruefer angle atan2(q psi, psi') of a solution turns by q x over
+        # a length x, and at the point interaction, where psi' gains D psi,
+        # by the angle from (psi', q psi) to (psi' + D psi, q psi), -atan2(q
+        # D psi^2, psi'^2 + D psi psi' + q^2 psi^2), which keeps it between
+        # the same multiples of pi.  There psi = C = cos(q x1) and S / q, S =
+        # sin(q x1), so at the end the angles are pi/2 and 0 plus nu = q (x1
+        # + x2) less atan2(D C^2, q - D C S) and atan2(D S^2, q + D C S)
+        C, S, qr = np.real(c1), np.real(q * s1), q.real
+        y, x = np.empty((2, 2) + C.shape)
+        DC, DS = D * C, D * S
+        P = np.multiply(DC, S, out=x[1])
+        np.subtract(qr, P, out=x[0])
+        x[1] += qr
+        np.multiply(DC, C, out=y[0])
+        np.multiply(DS, S, out=y[1])
+        nu = qr * (x1 + x2)
+        phase = np.subtract(nu, np.arctan2(y, x, out=y), out=y)
+        phase[0] += 0.5 * np.pi
+        end = np.array((_negative(m[0], m[2]), _negative(m[1], m[3])))
+        zeros = _segment_zeros(phase, nu, False, end).astype(int)
     return m, dm, zeros
 
 
@@ -433,25 +442,34 @@ def _prefix(steps):
 def _negative(psi, dpsi):
     """Whether psi is negative, a zero value taking the sign psi has just
     after it (that of psi'), elementwise."""
-    return (psi < 0) | ((psi == 0) & (dpsi < 0))
+    neg, zero = psi < 0, psi == 0
+    if zero.any():
+        neg |= zero & (dpsi < 0)
+    return neg
 
 
-def _segment_zeros(theta, nu, start, end):
-    """Zeros of solutions on segments, as floats, elementwise.  On a segment
-    whose propagator is exp(s Omega), s in [0, 1], with Omega = [[alpha,
-    beta], [gamma, -alpha]] real and Omega^2 = -nu^2 I (alpha = 0, beta = h
-    and nu = q h in closed form; a Magnus step's generator, ``_generator``;
-    nu = 0 where the segment holds at most one zero), a solution is R
-    sin(theta + s nu) with theta = atan2(nu psi, alpha psi + beta psi') mod
-    pi at its start, so it has floor((theta + nu) / pi) zeros there: the
-    count of the parity of the sign change of psi nearest to that value.
-    The parity comes from ``start`` and ``end``, whether psi is negative at
-    the segment's ends (``_negative``), so the rounding of theta cannot move
-    a zero across an end, and one at the end is counted exactly when the
-    end value says so."""
+def _segment_zeros(phase, nu, start, end):
+    """Zeros of solutions on segments, as floats, elementwise: floor(phase
+    / pi), phase the Pruefer angle at the end, from pi/2 or 0 at x = 0.  On
+    a Magnus step (``_generator``, Omega^2 = -nu^2 I) a solution is R
+    sin(theta + s nu), theta = atan2(nu psi, alpha psi + beta psi') mod pi
+    at its start, so phase = theta + nu; nu = 0 where the
+    segment holds at most one zero.  The count is that of the parity of the
+    sign change of psi nearest to phase / pi - 1/2, the parity from
+    ``start`` and ``end``, whether psi is negative at the segment's ends
+    (``_negative``), so the rounding of the phase cannot move a zero across
+    an end, and one at the end is counted exactly when the end value says
+    so.  ``phase`` is overwritten."""
     change = end != start
-    z = np.where(nu > 0, (theta + nu) / np.pi - 0.5, change)
-    return 2 * np.round(0.5 * (z - change)) + change
+    # half the distance from phase / pi - 1/2 to the count of that parity
+    z = np.multiply(phase, 0.5 / np.pi, out=phase)
+    z -= np.where(change, 0.75, 0.25)
+    if not np.all(nu > 0):
+        z = np.where(nu > 0, z, 0.0)
+    z = np.rint(z, out=z)
+    z *= 2.0
+    z += change
+    return z
 
 
 def _zeros(ends, nu=0.0, alpha=0.0, beta=0.0):
@@ -468,8 +486,9 @@ def _zeros(ends, nu=0.0, alpha=0.0, beta=0.0):
     if np.ndim(nu) == 0 and nu == 0:
         return np.count_nonzero(neg[..., :-1] != neg[..., 1:], axis=-1)
     a, da = psi[..., :-1], dpsi[..., :-1]
-    theta = np.mod(np.arctan2(nu * a, alpha * a + beta * da), np.pi)
-    return _segment_zeros(theta, nu, neg[..., :-1], neg[..., 1:]).sum(axis=-1).astype(int)
+    phase = np.mod(np.arctan2(nu * a, alpha * a + beta * da), np.pi)
+    phase += nu
+    return _segment_zeros(phase, nu, neg[..., :-1], neg[..., 1:]).sum(axis=-1).astype(int)
 
 
 def _fold(steps, dsteps=None, pieces: int = 1):

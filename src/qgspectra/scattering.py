@@ -91,8 +91,8 @@ _KERNEL_TOL = 1e-12
 # max(|m11|, |m22|) (near a Dirichlet eigenvalue; or, for an arm of a core
 # of several vertices, |m| at its leaf end below this fraction of
 # max(|k m12|, |m21| / k)) is near a pole of the matrix, whose entries grow
-# like 1 / m12 and whose rounding swamps the small eigenvalues.  The count,
-# and F off a star, are taken on the cut graph there (``_cut``).
+# like 1 / m12 and whose rounding swamps the small eigenvalues.  The count
+# and F are taken on the cut graph there (``_cut``); a star has no pole.
 _POLE_BAND = 1e-6
 
 
@@ -297,18 +297,17 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
     & Kuchment, Introduction to Quantum Graphs, AMS 2013, chs. 2-3).  The
     powers of k move no sign and no root: they keep |F| near k at large k,
     where the entries of Lambda grow like k, and near k^b at small k, b =
-    core edges - n_core + 1.  A star's core is its centre: F = sum_e num_e
-    prod_{e' != e} den_e', with num_e = -m21 for an arm and k (2 - m11 -
-    m22) for a loop, from prefix and suffix products, so no point is a
-    pole.  A larger core takes det Lambda in logarithms, since det Lambda
-    overflows at large k on a core of many vertices and prod_e den_e
-    underflows at small k, and at a pole the cut graph's F: cutting an
-    edge M = M2 M1 gives -(M2 M1)_12 = -m12 and -(M2 M1)_22 = -m22, and the
-    cut graph has E more core vertices and E more core edges, so F =
-    (-1)^E F(cut).
+    core edges - n_core + 1.  A star's core is its centre and its edges are
+    arms: F = sum_e -m21_e prod_{e' != e} den_e', from prefix and suffix
+    products, so no point is a pole.  A larger core takes det Lambda in
+    logarithms, since det Lambda overflows at large k on a core of many
+    vertices and prod_e den_e underflows at small k, and at a pole the cut
+    graph's F: cutting an edge M = M2 M1 gives -(M2 M1)_12 = -m12 and -(M2
+    M1)_22 = -m22, and the cut graph has E more core vertices and E more
+    core edges, so F = (-1)^E F(cut).
     """
     ks = np.asarray(ks).reshape(-1)
-    real = not np.any(np.imag(ks))
+    real = not (np.iscomplexobj(ks) and np.any(ks.imag))
     ks = np.real(ks).astype(float) if real else ks
     if sol is None:
         sol = _solve_edges(g, ks, want_count=want_count)
@@ -316,49 +315,44 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
     n, nc = len(ks), layout.n_core
     m11, m12, m21, m22 = (np.real(x) for x in sol.m) if real else sol.m
     core, to_leaf = layout.role == 0, layout.role == 1
-    leaf_m = np.where(to_leaf, m22, m11)
-    k, ak = ks[:, None], np.abs(ks)[:, None]
-    scaled = np.where(core, k * m12, leaf_m)
+    den = leaf_m = np.where(to_leaf, m22, m11)
     if nc == 1:
-        # every entry lands on the centre, so num_e is their sum times den_e.
-        # num, k (2 - m11 - m22) on a loop and -m21 on an arm, is formed and
-        # multiplied by the products of the scaled den before e and after it
-        # in place on the real axis, which keeps a large batch's temporaries
-        # few (numpy may round a complex product formed in place differently)
-        num = 2.0 - m11
-        num -= m22
-        num = np.multiply(k, num, out=num if real else None)
-        np.negative(m21, out=num, where=~core)
-        part = np.ones_like(scaled)
-        np.cumprod(scaled[:, :-1], axis=-1, out=part[:, 1:])
+        # every edge of a star is an arm (one of the core would be a
+        # self-loop): its entry on the centre is -m21 / den_e, the entries
+        # added in their order, and num_e = -m21 is multiplied by the
+        # products of den before e and after it in place on the real axis,
+        # which keeps a large batch's temporaries few (numpy may round a
+        # complex product formed in place differently)
+        num = np.negative(m21)
+        if want_count:
+            # the entries edge by edge, each row of x.T added to the last
+            zero = den == 0
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x = np.divide(num.T, den.T, order="C")
+            x[zero.T] = np.inf
+            lam = np.add.reduce(x, axis=0)[:, None]
+        part = np.ones_like(den)
+        np.cumprod(den[:, :-1], axis=-1, out=part[:, 1:])
         num = np.multiply(num, part, out=num if real else None)
         part[:, -1] = 1.0
-        np.cumprod(scaled[:, :0:-1], axis=-1, out=part[:, -2::-1])
+        np.cumprod(den[:, :0:-1], axis=-1, out=part[:, -2::-1])
         num = np.multiply(num, part, out=num if real else None)
         f = num.sum(axis=-1)
         if not want_count:
             return f
-    den = np.where(core, m12, leaf_m)
-    pole = core & (ak * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)))
-    if nc > 1:
-        leaf = np.abs(leaf_m) <= _POLE_BAND * np.maximum(ak * np.abs(m12), np.abs(m21) / ak)
-        pole |= ~core & leaf
-    pole = pole.any(axis=-1)
-    if nc == 1:
-        # each edge's entry on the centre, -m21 / m at the leaf for an arm
-        # and (2 - m11 - m22) / m12 for a loop (unused at a pole), added in
-        # their order
-        x = np.where(core, 2.0 - m11 - m22, -m21) / np.where(den == 0, 1.0, den)
-        x = np.where(~core & (den == 0), np.inf, x)
-        x[pole] = 0.0
-        lam = np.add.accumulate(x, axis=-1)[:, -1:]
     else:
+        k, ak = ks[:, None], np.abs(ks)[:, None]
+        den, scaled = np.where(core, m12, leaf_m), np.where(core, k * m12, leaf_m)
+        zero = den == 0
+        pole = core & (ak * np.abs(m12) <= _POLE_BAND * np.maximum(np.abs(m11), np.abs(m22)))
+        leaf = np.abs(leaf_m) <= _POLE_BAND * np.maximum(ak * np.abs(m12), np.abs(m21) / ak)
+        pole = (pole | (~core & leaf)).any(axis=-1)
         # the entries (uu, uv, vu, vv) of each edge: (-m11, 1, 1, -m22) / m12
         # in the core, (-m21, 0, 0, 0) / m at the leaf for an arm; unused at
         # a pole
         x = np.broadcast_arrays(np.where(core, -m11, -m21), core, core, core * -m22)
-        x = np.stack(x, axis=-1) / np.where(den == 0, 1.0, den)[..., None]
-        x[..., 0] = np.where(~core & (den == 0), np.inf, x[..., 0])
+        x = np.stack(x, axis=-1) / np.where(zero, 1.0, den)[..., None]
+        x[..., 0] = np.where(~core & zero, np.inf, x[..., 0])
         x[pole] = 0.0
         slots = ((nc * nc * np.arange(n))[:, None, None] + layout.dtn_target).ravel()
         lam = np.bincount(slots, x.real.ravel(), n * nc * nc)
@@ -373,15 +367,19 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
         f = unit * np.exp(log_det + np.log(mag).sum(axis=-1) + log_k)
     if want_count:
         z_n, z_d = sol.zeros
-        arm = np.where(to_leaf, z_d + (m12 * m22 < 0), z_n - (m11 == 0))
-        own = np.where(core, z_d - (m12 == 0), arm)
+        # Dirichlet zeros on the core and on an arm with its leaf at x = L
+        # (den m12, m22), Neumann zeros on one with its leaf at x = 0 (m11)
+        own = np.where(layout.role == 2, z_n, z_d)
+        own += to_leaf & (m12 * den < 0)
+        own -= ~to_leaf & zero
         eig = lam if nc == 1 else np.linalg.eigvalsh(lam)
-        entries = np.abs(np.where(np.isinf(x), 0.0, x)).sum(axis=tuple(range(1, x.ndim)))
+        x = np.abs(x)
+        x[x == np.inf] = 0.0
+        entries = np.add.reduce(x, axis=0) if nc == 1 else x.sum(axis=(1, 2))
         tol = (_KERNEL_TOL * ks + 64 * np.finfo(float).eps * entries)[:, None]
         at = (np.abs(eig) <= tol).sum(axis=-1)
         count = own.sum(axis=-1) + (eig >= -tol).sum(axis=-1)
-    # a star's F holds at its poles; its count, and a larger core, do not
-    if pole.any():
+    if nc > 1 and pole.any():
         cut = _cut(g)
         if cut is None:
             raise NumericalError(
@@ -391,8 +389,7 @@ def _vertex_det(g: MetricGraph, ks, sol=None, want_count: bool = False):
         sub = _vertex_det(cut, ks[pole], want_count=want_count)
         if want_count:
             count[pole], at[pole], sub = sub
-        if nc > 1:
-            f[pole] = (-1.0) ** g.num_edges * sub
+        f[pole] = (-1.0) ** g.num_edges * sub
     return (count, at, f) if want_count else f
 
 

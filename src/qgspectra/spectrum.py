@@ -419,8 +419,9 @@ def _scan_chunk(chunk) -> _ChunkReport:
         (window[i], ks[i], int(at[i]), None, None) for i in np.flatnonzero(at) if i or closed_left
     )
     nodes = list(zip(ks.tolist(), count.tolist(), at.tolist(), f.tolist(), repeat(None)))
-    inside = (np.diff(count) - at[1:]).tolist()
-    cells = ((window[i + 1], nodes[i], nodes[i + 1], m, None) for i, m in enumerate(inside))
+    inside = np.diff(count) - at[1:]
+    occupied = np.flatnonzero(inside > 0).tolist()  # the cells with eigenvalues
+    cells = ((window[i + 1], nodes[i], nodes[i + 1], int(inside[i]), None) for i in occupied)
     cells = _settle(rep, cells, cfg.root_tol)
     del nodes
     _split(g, rep, cells, cfg.root_tol)
@@ -485,7 +486,12 @@ def _chandrupatla(f, x1, x2, f1, f2, xatol: float, rows=None):
     xatol, or |f| <= the smallest normal float), -1 no sign change, -2
     iteration cap, -3 an infinite end or NaN at both ends; x is NaN for -1
     and -3.  The iterates, order of tests and statuses are those of scipy's
-    elementwise ``find_root`` with xrtol = 0 and its default fatol.
+    elementwise ``find_root`` with xrtol = 0 and its default fatol.  Every
+    step tests |f| at the better end and |x2 - x1|, and the ends for NaN or
+    infinity only when the dot product of |x2 - x1| and |f1| is not finite;
+    ends of one sign are tested on the first step alone, since a step keeps
+    a sign change.  A bracket gets its status, root and value (and row)
+    once, when it stops.
 
     With ``rows`` = (store, i1, i2), the rows of the ends (what the
     evaluation of f1 and f2 gave beside them) being store[i1] and
@@ -501,66 +507,74 @@ def _chandrupatla(f, x1, x2, f1, f2, xatol: float, rows=None):
     carry = rows is not None
     if carry:
         r1, r2 = (rows[0][i] for i in rows[1:])
-        at1 = np.arange(len(x1))  # where each active bracket's x1 is in r1
         f_out = np.full(len(x1), np.nan)
     x_out = np.full(len(x1), np.nan)
-    status = np.full(len(x1), -2)
+    status = np.full(len(x1), -2)  # where the cap is reached
     active = np.arange(len(x1))
+    at1 = active  # where each active bracket's x1 is in r1
     # NaN, and so no |f| test, where an end value is NaN or both are infinite
-    frtol = 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    ftol = _TINY + 0.0 * np.minimum(np.abs(f1), np.abs(f2))
+    s1 = np.sign(f1)
     x3, f3 = x2, f2  # the discarded point, set by the first step
-    t = 0.5
     nit = 0
     while True:
-        # termination tests, in scipy's order
-        left = np.abs(f1) < np.abs(f2)
-        xmin, fmin = np.where(left, x1, x2), np.where(left, f1, f2)
-        stop = np.abs(fmin) <= _TINY + frtol
-        code = np.where(stop, 0, -2)  # -2 stands if the cap is reached
-        bad = (np.sign(f1) == np.sign(f2)) & ~stop
-        xmin[bad], code[bad], stop = np.nan, -1, stop | bad
-        bad = ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
-        bad &= ~stop
-        xmin[bad], code[bad], stop = np.nan, -3, stop | bad
-        dx = np.abs(x2 - x1)
-        small = (dx < xatol) & ~stop
-        code[small], stop = 0, stop | small
-        x_out[active], status[active] = xmin, code
-        if stop.any():
-            keep = ~stop
+        d21 = x2 - x1
+        dx, a1, a2 = np.abs(d21), np.abs(f1), np.abs(f2)
+        stop = (np.minimum(a1, a2) <= ftol) | (dx < xatol)
+        if not nit:
+            stop |= s1 == np.sign(f2)
+        odd = not math.isfinite(dx @ a1)
+        if odd:
+            stop |= ~(np.isfinite(x1) & np.isfinite(x2)) | (np.isnan(f1) & np.isnan(f2))
+        i = np.flatnonzero(stop)
+        if i.size:
+            # scipy's order: |f| (0), one sign (-1), non-finite (-3), width (0)
+            left = a1[i] < a2[i]
+            xmin, fmin = np.where(left, x1[i], x2[i]), np.where(left, f1[i], f2[i])
+            code = np.zeros(len(i), dtype=int)
+            near = np.abs(fmin) <= ftol[i]
+            if not nit:
+                code[(s1[i] == np.sign(f2[i])) & ~near] = -1
+            if odd:
+                bad = ~(np.isfinite(x1[i]) & np.isfinite(x2[i]))
+                code[(bad | np.isnan(f1[i]) & np.isnan(f2[i])) & ~near & (code == 0)] = -3
+            xmin[code < 0] = np.nan
+            done = active[i]
+            x_out[done], status[done] = xmin, code
             if carry:
                 # a root taken at x1 moves its row to x2's place
-                took = stop & left
-                r2[active[took]] = r1[at1[took]]
-                f_out[active[stop]] = fmin[stop]
-                at1 = at1[keep]
-            active, x1, x2, x3, f1, f2, f3, frtol, dx = (
-                v[keep] for v in (active, x1, x2, x3, f1, f2, f3, frtol, dx)
+                r2[done[left]] = r1[at1[i[left]]]
+                f_out[done] = fmin
+            keep = np.flatnonzero(~stop)
+            active, at1, x1, x2, x3, f1, f2, f3, s1, ftol, d21, dx = (
+                v[keep] for v in (active, at1, x1, x2, x3, f1, f2, f3, s1, ftol, d21, dx)
             )
         if not active.size or nit >= _MAX_ITER:
+            x_out[active] = np.where(np.abs(f1) < np.abs(f2), x1, x2)  # capped
             break
+        t = 0.5
         if nit:
             # inverse quadratic interpolation where it is safe, else
-            # bisection; kept a tolerance away from both ends
+            # bisection; scipy's (x1 - x2) / (x3 - x2) and the last term of
+            # its step, over b - c = f2 - f3, with both signs turned
             with np.errstate(divide="ignore", invalid="ignore"):
-                xi = (x1 - x2) / (x3 - x2)
-                phi = (f1 - f2) / (f3 - f2)
-                alpha = (x3 - x1) / (x2 - x1)
+                df12, df32 = f1 - f2, f3 - f2
+                xi, phi, alpha = d21 / (x2 - x3), df12 / df32, (x3 - x1) / d21
                 j = ((1 - np.sqrt(1 - xi)) < phi) & (phi < np.sqrt(xi))
-                t = np.full_like(alpha, 0.5)
-                a, b, c = f1[j], f2[j], f3[j]
-                t[j] = a / (a - b) * c / (c - b) - alpha[j] * a / (c - a) * b / (b - c)
-            tl = 0.5 * xatol / dx
-            t = np.clip(t, tl, 1 - tl)
-        x = x1 + t * (x2 - x1)
+                t = f1 / df12 * f3 / df32 + alpha * f1 / (f3 - f1) * f2 / df32
+                t = np.where(j, t, 0.5)
+        # kept a tolerance away from both ends, as np.clip keeps it
+        tl = 0.5 * xatol / dx
+        x = x1 + np.minimum(np.maximum(t, tl), 1 - tl) * d21
         fx = f(x, active)
         if carry:
             fx, row = fx
         fx = np.asarray(fx, dtype=float)
-        same = np.sign(fx) == np.sign(f1)
+        sx = np.sign(fx)
+        same = sx == s1
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x, fx
+        x1, f1, s1 = x, fx, sx
         if carry:
             # x1 becomes x2 where the sign changed
             moved = ~same

@@ -328,16 +328,16 @@ def test_orbit_table_solves_each_edge_once(tmp_path, solve_edge_calls):
 
 def _reference_table(g, n_max, k_sample):
     """The orbit table's rows, past its config-hash line, from the
-    depth-first walk's classes, each weight taken by ``_weight`` and each
-    value written by ``_fmt``."""
+    depth-first walk's classes, each weight taken by ``_weight`` and
+    written as '{:.12e}'."""
     S = assemble_S(g, complex(k_sample)).tolist()
     lines = [",".join(cli._ORBIT_HEADER) + "\n"]
     for i, p in enumerate(walk_orbits(g, n_max)[0]):
         wt = orbits._weight(p, S)
         states = "-".join(str(s) for s in p.states)
         kinds = "".join("T" if kind == "transmit" else "R" for kind in p.kinds)
-        row = [i, p.n, p.n_primitive, p.repetitions, states, kinds, wt.real, wt.imag]
-        lines.append(",".join(cli._fmt(v) for v in row) + "\n")
+        row = [i, p.n, p.n_primitive, p.repetitions, states, kinds]
+        lines.append(",".join(map(str, row)) + f",{wt.real:.12e},{wt.imag:.12e}\n")
     return "".join(lines)
 
 

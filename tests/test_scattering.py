@@ -740,3 +740,27 @@ def test_counted_vertex_det_stays_within_its_memory():
     finally:
         tracemalloc.stop()
     assert peak < 600 * 1024
+
+
+def test_counted_vertex_det_keeps_F_bit_for_bit(g_star3_eq, g_triangle):
+    # the count rides along with F and must not move a bit of it: stars with
+    # arms leaving and entering the centre, a general core, and points on its
+    # poles (k = pi / L of an edge), which take the cut graph
+    both_ways = build_graph(
+        {
+            "vertices": ["c", "a", "b", "d"],
+            "edges": [
+                {"from": "d", "to": "c", "length": 1.3,
+                 "potential": {"type": "delta", "strength": 1.0, "position": 0.4}},
+                {"from": "c", "to": "a", "length": 0.9,
+                 "potential": {"type": "constant", "value": 3.0}},
+                {"from": "b", "to": "c", "length": 0.7, "potential": ZERO},
+            ],
+        }
+    )
+    ks = np.linspace(0.05, 25.0, 997)
+    poles = np.array([np.pi, 2 * np.pi, np.pi / 1.2, np.pi / 0.8, 3 * np.pi])
+    for g, k in [(g_star3_eq, ks), (both_ways, ks), (random_delta_star(3), ks),
+                 (g_triangle, np.concatenate([ks, poles]))]:
+        _, _, f = scattering._vertex_det(g, k, want_count=True)
+        assert np.array_equal(f, scattering._vertex_det(g, k))
