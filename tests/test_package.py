@@ -137,3 +137,40 @@ def test_complex_wavenumbers_are_refused_where_k_is_real(g_delta_star, g_smooth_
     for call, message in calls:
         with pytest.raises(qgspectra.InputError, match=message):
             call()
+
+
+def test_scans_and_cli_spectrum_load_no_scipy_submodule(tmp_path):
+    # the refinement is Chandrupatla's method of its own, not scipy.optimize:
+    # a serial scan of a delta star and of the cos 2x/3x/4x star, and CLI
+    # spectrum, load no scipy module beyond those ``import scipy`` loads
+    graph = tmp_path / "g.json"
+    graph.write_text(
+        '{"vertices": ["c", "a", "b"], "edges": ['
+        '{"from": "c", "to": "a", "length": 1.0, "potential": '
+        '{"type": "delta", "strength": 2.0, "position": 0.5}},'
+        '{"from": "c", "to": "b", "length": 1.3, "potential": {"type": "zero"}}]}'
+    )
+    code = (
+        "import sys, scipy\n"
+        "before = {m for m in sys.modules if m.startswith('scipy')}\n"
+        "from qgspectra import build_graph, scan_spectrum\n"
+        "from qgspectra.cli import main\n"
+        "arm = lambda n, p: {'from': 'c', 'to': f'v{n}', 'length': 1.0, 'potential': p}\n"
+        "delta = {'type': 'delta', 'strength': 1.5, 'position': 0.3}\n"
+        "g = build_graph({'vertices': ['c', 'v2', 'v3', 'v4'],\n"
+        "                 'edges': [arm(n, delta) for n in (2, 3, 4)]})\n"
+        "scan_spectrum(g, 0.5, 20.0)\n"
+        "cos = lambda n: {'type': 'expr', 'expr': f'cos({n}*x)'}\n"
+        "g = build_graph({'vertices': ['c', 'v2', 'v3', 'v4'],\n"
+        "                 'edges': [arm(n, cos(n)) for n in (2, 3, 4)]})\n"
+        "scan_spectrum(g, 0.5, 8.0)\n"
+        f"main(['spectrum', '--input', {str(graph)!r}, '--out', {str(tmp_path / 'out')!r},\n"
+        "      '--kmin', '0.5', '--kmax', '10'])\n"
+        "after = {m for m in sys.modules if m.startswith('scipy')}\n"
+        "print(' '.join(sorted(after - before)) or 'none')\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=subprocess_env(), check=True,
+    )
+    assert out.stdout.split()[-1:] == ["none"], out.stdout
