@@ -820,3 +820,37 @@ def test_refinement_equals_scipy_find_root():
         assert set(status.tolist()) == {0, -1, -3}
         assert np.array_equal(x, ref.x, equal_nan=True)
 
+
+
+@pytest.mark.parametrize("cap", [None, 3])
+def test_refinement_with_rows_equals_find_root_on_a_delta_star(monkeypatch, cap):
+    # on the real brackets of a 10-arm delta star, F from _vertex_det, the
+    # refinement carrying rows stops where scipy stops, with its status,
+    # also at an iteration cap (status -2); each row is the one evaluated
+    # beside the returned root
+    from scipy.optimize.elementwise import find_root
+
+    g = random_delta_star(4)
+    ks = np.linspace(0.5, 30.0, 400)
+    F = scattering._vertex_det(g, ks)
+    i = np.flatnonzero(np.sign(F[:-1]) != np.sign(F[1:]))
+    lo, hi = ks[i], ks[i + 1]
+    kw = {}
+    if cap is not None:
+        monkeypatch.setattr(spectrum, "_MAX_ITER", cap)
+        kw["maxiter"] = cap
+    tol = 1e-12
+    ref = find_root(lambda x: scattering._vertex_det(g, x), (lo, hi),
+                    tolerances={"xatol": tol, "xrtol": 0.0}, **kw)
+    store = np.concatenate([lo, hi])[:, None]
+    ends = (store, np.arange(len(lo)), len(lo) + np.arange(len(lo)))
+
+    def f(x, idx):
+        return scattering._vertex_det(g, x), x[:, None]
+
+    x, status, fx, rows = spectrum._chandrupatla(f, lo, hi, F[i], F[i + 1], tol, ends)
+    assert status.tolist() == ref.status.tolist()
+    assert np.array_equal(x, ref.x)
+    assert (-2 in status.tolist()) == (cap is not None)
+    done = status == 0
+    assert np.array_equal(rows[done, 0], x[done])
