@@ -45,7 +45,11 @@ complex k is evaluated in complex arithmetic.
 ``_solve_edges`` is its all-edges case, ``solve_edge`` its one-point case,
 and the threshold reads t and t' from it on a real grid; ``edge_profile``
 finds its step count from the same samples.  So every solve of a graph's
-edges samples a smooth potential once per step count.
+edges samples a smooth potential once per step count.  Each bad point is
+refused where it is evaluated: ``_evaluate`` (and ``edge_profile``, which
+bypasses it) refuses a zero or non-finite k (``_refuse_k``),
+``_magnus_doubled`` the first (k, edge) row unresolved at _MAX_STEPS steps
+and ``_den`` the first pole of t.
 
 M determines the 2x2 transition matrix
 
@@ -452,14 +456,14 @@ def _segment_zeros(phase, nu, start, end):
     """Zeros of solutions on segments, as floats, elementwise: floor(phase
     / pi), phase the Pruefer angle at the end, from pi/2 or 0 at x = 0.  On
     a Magnus step (``_generator``, Omega^2 = -nu^2 I) a solution is R
-    sin(theta + s nu), theta = atan2(nu psi, alpha psi + beta psi') mod pi
-    at its start, so phase = theta + nu; nu = 0 where the
-    segment holds at most one zero.  The count is that of the parity of the
-    sign change of psi nearest to phase / pi - 1/2, the parity from
-    ``start`` and ``end``, whether psi is negative at the segment's ends
-    (``_negative``), so the rounding of the phase cannot move a zero across
-    an end, and one at the end is counted exactly when the end value says
-    so.  ``phase`` is overwritten."""
+    sin(theta + s nu), theta = atan2(nu psi, alpha psi + beta psi') in [0,
+    pi] at its start, the solution's sign taken so that psi >= 0 there, so
+    phase = theta + nu; nu = 0 where the segment holds at most one zero.
+    The count is that of the parity of the sign change of psi nearest to
+    phase / pi - 1/2, the parity from ``start`` and ``end``, whether psi is
+    negative at the segment's ends (``_negative``), so the rounding of the
+    phase cannot move a zero across an end, and one at the end is counted
+    exactly when the end value says so.  ``phase`` is overwritten."""
     change = end != start
     # half the distance from phase / pi - 1/2 to the count of that parity
     z = np.multiply(phase, 0.5 / np.pi, out=phase)
@@ -479,14 +483,17 @@ def _zeros(ends, nu=0.0, alpha=0.0, beta=0.0):
     and at the end of each segment of the edge, the last its M, and nu,
     alpha and beta describe each segment's propagator as
     ``_segment_zeros`` reads them; the counts of the segments are added.
-    A scalar nu = 0 (no segment holds two zeros) leaves the count of sign
-    changes, which ``_segment_zeros`` gives there, without the phases."""
+    Each segment's start is flipped to psi >= 0 (``_negative``), so its
+    angle lies in [0, pi] and takes no reduction mod pi, which wraps pi to
+    0, 2 off, where psi is within rounding of 0.  A scalar nu = 0 (no
+    segment holds two zeros) leaves the count of sign changes, which
+    ``_segment_zeros`` gives there, without the phases."""
     psi, dpsi = ends[0], ends[1]
     neg = _negative(psi, dpsi)
     if np.ndim(nu) == 0 and nu == 0:
         return np.count_nonzero(neg[..., :-1] != neg[..., 1:], axis=-1)
-    a, da = psi[..., :-1], dpsi[..., :-1]
-    phase = np.mod(np.arctan2(nu * a, alpha * a + beta * da), np.pi)
+    a, da = np.abs(psi[..., :-1]), np.where(neg[..., :-1], -dpsi[..., :-1], dpsi[..., :-1])
+    phase = np.arctan2(nu * a, alpha * a + beta * da)
     phase += nu
     return _segment_zeros(phase, nu, neg[..., :-1], neg[..., 1:]).sum(axis=-1).astype(int)
 
@@ -694,17 +701,18 @@ def _magnus_doubled(table, edges, ks, want_dk: bool, zeros):
     edge is sampled once per step count its rows reach, and only at those,
     into the table, where a count already drawn is read.
     Returns M, M' (or None), that last difference and the step count, each
-    shaped (..., len(ks), edges); a row unresolved at _MAX_STEPS has error
-    inf."""
+    shaped (..., len(ks), edges).  A row still unresolved at _MAX_STEPS
+    raises NumericalError when the ladder ends, the first such row in (k,
+    edge) order."""
     edges = np.asarray(edges)
     shape = (len(ks), len(edges))
     rows = np.tile(edges, len(ks))
     ks = np.asarray(ks)
     ks = np.repeat(ks.astype(complex if np.iscomplexobj(ks) else float), len(edges))
-    m_out = np.full((2, 2, len(ks)), np.nan, dtype=ks.dtype)
-    dm_out = np.full_like(m_out, np.nan) if want_dk else None
-    err_out = np.full(len(ks), np.inf)
-    n_out = np.zeros(len(ks), dtype=int)
+    m_out = np.empty((2, 2, len(ks)), dtype=ks.dtype)
+    dm_out = np.empty_like(m_out) if want_dk else None
+    err_out = np.empty(len(ks))
+    n_out = np.empty(len(ks), dtype=int)
     active = np.arange(len(ks))
     prev = None
     counts = (_MIN_STEPS, 2 * _MIN_STEPS)
@@ -721,21 +729,14 @@ def _magnus_doubled(table, edges, ks, want_dk: bool, zeros):
             zeros[:, idx // shape[1], idx % shape[1]] = z[:, done]
         active, prev = active[~done], m[-1][..., ~done]
         counts = (2 * counts[-1],)
-    out = (m_out, dm_out, err_out, n_out)
-    return tuple(None if x is None else x.reshape(x.shape[:-1] + shape) for x in out)
-
-
-def _refuse_unresolved(g: MetricGraph, ks, edges, err) -> None:
-    """NumericalError for the first (k, edge) point of ``err`` (len(ks),
-    len(edges)) that the Magnus propagator left unresolved, in (k, edge)
-    order."""
-    resolved = err <= _DEFAULT_TOL
-    if not resolved.all():
-        i, j = np.argwhere(~resolved)[0]
+    if active.size:
+        i = active[0]
         raise NumericalError(
             f"Magnus propagator unresolved at {_MAX_STEPS} steps for "
-            f"{g.edges[edges[j]].potential.source!r} at k={complex(ks[i])}"
+            f"{table.pots[rows[i]].source!r} at k={complex(ks[i])}"
         )
+    out = (m_out, dm_out, err_out, n_out)
+    return tuple(None if x is None else x.reshape(x.shape[:-1] + shape) for x in out)
 
 
 def _refuse_k(ks) -> None:
@@ -783,14 +784,16 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
     (2, ...) (else None), each shaped (..., len(ks), len(edges)).  A real
     ``ks`` is evaluated in float64, with cosh and sinh on classically
     forbidden Magnus steps; a complex ``ks`` is evaluated in complex
-    arithmetic.
+    arithmetic.  A k that is zero or not finite raises InputError
+    (``_refuse_k``) before any edge is evaluated.
 
     Zero, constant and point-interaction edges are evaluated together in
     closed form from the table's columns (error 0: a read-only broadcast,
     allocating nothing, when every chosen edge is one).  The smooth edges go
     through one ``_magnus_doubled`` batch over their (k, edge) rows, from
-    the graph's samples, which gives each row its one-point result.  An
-    unresolved row does not raise: its error is inf."""
+    the graph's samples, which gives each row its one-point result, and
+    which raises NumericalError for the first row it leaves unresolved."""
+    _refuse_k(ks)
     closed, _, slots, samples = _edge_table(g)
     # the chosen edges' places among the smooth edges (-1 on the others),
     # and the places of the smooth ones among the chosen
@@ -828,11 +831,9 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
 def solve_edge(g: MetricGraph, e: int, k: complex, want_dk: bool = False) -> EdgeSolution:
     """The fundamental matrix M of edge ``e`` at ``k``, and M' = dM/dk when
     ``want_dk``: the one-point case of ``_evaluate``, which reads and adds
-    to the graph's samples.  k must be finite and nonzero (``_refuse_k``)."""
-    _refuse_k(k)
+    to the graph's samples and refuses a k that is zero or not finite."""
     k = complex(k)
     m, dm, err, _ = _evaluate(g, np.array([k]), [e], want_dk)
-    _refuse_unresolved(g, [k], [e], err)
     m, dm = (None if x is None else tuple(complex(v[0, 0]) for v in x) for x in (m, dm))
     return EdgeSolution(k, g.edges[e].length, m, dm, float(err[0, 0]))
 
@@ -849,9 +850,7 @@ def _solve_edges(
     the first such k in (k, edge) order, as ``solve_edge`` would there."""
     ks = np.asarray(ks)
     ks = ks.astype(complex if np.iscomplexobj(ks) else float)
-    _refuse_k(ks)
     m, dm, err, zeros = _evaluate(g, ks, slice(None), want_dk, want_count)
-    _refuse_unresolved(g, ks, range(g.num_edges), err)
     return EdgeSolution(ks[:, None], _edge_table(g)[1], tuple(m), dm, err, zeros)
 
 
@@ -876,8 +875,7 @@ def edge_profile(g: MetricGraph, e: int, k: complex, xs) -> np.ndarray:
     grid = np.union1d(0.0, xs)
     _, _, slots, samples = _edge_table(g)
     if slots[e] >= 0:
-        _, _, err, n = _magnus_doubled(samples, slots[[e]], [k], False, None)
-        _refuse_unresolved(g, [k], [e], err)
+        n = _magnus_doubled(samples, slots[[e]], [k], False, None)[3]
         grid = np.union1d(np.linspace(0.0, L, n.item() + 1), grid)
         h = np.diff(grid)
         w = _gauss_values(pot.callable(L), grid[:-1], h)
@@ -897,58 +895,42 @@ def edge_profile(g: MetricGraph, e: int, k: complex, xs) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _singular(k) -> SingularPointError:
-    return SingularPointError(f"transition-matrix parametrization singular at k={k}")
-
-
 def _den(sol: EdgeSolution):
-    """den = m21 - ik (m11 + m22) - k^2 m12, the denominator of t, and the
-    mask of points where it is below 1e-12 of the scale of M, a pole of t
-    where its parametrization is singular, elementwise."""
+    """den = m21 - ik (m11 + m22) - k^2 m12, the denominator of t,
+    elementwise; SingularPointError at the first point, in array order,
+    where it is below 1e-12 of the scale of M, a pole of t (off the real
+    axis only: there |den| >= 2k and |den| >= k |psi(L)|)."""
     k = sol.k
     m11, m12, m21, m22 = sol.m
     # (psi, psi') = M (1, -ik), whose size sets the scale of the pole test
     psi, dpsi = m11 - 1j * k * m12, m21 - 1j * k * m22
     den = dpsi - 1j * k * psi
     scale = np.maximum(np.maximum(np.abs(dpsi), np.abs(k) * np.abs(psi)), np.abs(k))
-    return den, np.abs(den) < 1e-12 * scale
+    singular = np.abs(den) < 1e-12 * scale
+    if singular.any():
+        k = complex(np.broadcast_to(k, singular.shape)[singular][0])
+        raise SingularPointError(f"transition-matrix parametrization singular at k={k}")
+    return den
 
 
-def _refuse_singular(sol: EdgeSolution, singular) -> None:
-    """SingularPointError at the first point of the mask ``singular``, in
-    array order."""
-    if np.any(singular):
-        raise _singular(complex(np.broadcast_to(sol.k, singular.shape)[singular][0]))
-
-
-def _t_entries(sol: EdgeSolution):
-    """Entries (trans, r_from, r_to) of t, their k-derivatives by the
-    quotient rule on M' when ``sol`` carries it (else None), and the mask of
-    points where the parametrization is singular, elementwise."""
+def _entries(sol: EdgeSolution):
+    """Entries (trans, r_from, r_to) of t and their k-derivatives by the
+    quotient rule on M' when ``sol`` carries it (else None), elementwise.
+    A pole of t raises in ``_den`` before anything is divided."""
     k = sol.k
     m11, m12, m21, m22 = sol.m
-    den, singular = _den(sol)
+    den = _den(sol)
     p, q = m21 + k * k * m12, 1j * k * (m11 - m22)
     t = (-2j * k / den, -(p - q) / den, -(p + q) / den)
     if sol.dm is None:
-        return t, None, singular
+        return t, None
     d11, d12, d21, d22 = sol.dm
     dp = d21 + 2.0 * k * m12 + k * k * d12
     dq = 1j * (m11 - m22) + 1j * k * (d11 - d22)
     dden = d21 - 2.0 * k * m12 - k * k * d12 - 1j * (m11 + m22) - 1j * k * (d11 + d22)
     # (num / den)' = (num' - (num / den) den') / den, entry by entry
     dt = (-2j, -(dp - dq), -(dp + dq))
-    return t, tuple((dn - x * dden) / den for dn, x in zip(dt, t)), singular
-
-
-def _entries(sol: EdgeSolution):
-    """(trans, r_from, r_to) and their k-derivatives (or None) as
-    ``_t_entries`` gives them; a singular parametrization raises for the
-    first such point in array order."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t, dt, singular = _t_entries(sol)
-    _refuse_singular(sol, singular)
-    return t, dt
+    return t, tuple((dn - x * dden) / den for dn, x in zip(dt, t))
 
 
 def transition_matrix(g: MetricGraph, e: int, k: complex) -> TransitionMatrix:
@@ -1063,8 +1045,7 @@ def _delay_floor(g: MetricGraph, ks: np.ndarray, edges: List[int]) -> np.ndarray
     the edges ``edges`` at every real k of ``ks``, (len(ks), len(edges)),
     from one ``_evaluate``; an unresolved point raises, the first in (k,
     edge) order."""
-    m, dm, err, _ = _evaluate(g, ks, edges, True)
-    _refuse_unresolved(g, ks, edges, err)
+    m, dm, _, _ = _evaluate(g, ks, edges, True)
     sol = EdgeSolution(ks[:, None], _edge_table(g)[1][edges], tuple(m), tuple(dm))
     (tr, rf, rt), (dtr, drf, drt) = _entries(sol)
     # t^H t' with t = [[tr, rt], [rf, tr]]; Q is Hermitian where t is

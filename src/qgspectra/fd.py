@@ -9,7 +9,11 @@ grid node, the standard D/h single-node lumping.
 
 This is deliberately a slow, dense, robust solver: its only job is to
 give eigenvalues the secular scan can be checked against, at oracle
-accuracy (three decimal places), by an entirely different method.
+accuracy (three decimal places), by an entirely different method.  One
+eigensolve (``_eig_band``) serves ``fd_spectrum`` and ``fd_modes``: it
+takes the smallest eigenpairs in a window that widens until it holds the
+requested number of nonnegative eigenvalues, so a deep well, whose
+negative eigenvalues fill the first window, loses no mode.
 """
 
 from __future__ import annotations
@@ -147,25 +151,32 @@ class FdResult:
     extrapolated: bool = False
 
 
-def _eig_band(disc: DiscretizedGraph, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Smallest eigenvalues, split into (nonnegative-k, negative-lambda)."""
+def _eig_band(
+    disc: DiscretizedGraph, count: int, want_vectors: bool = False
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """The first `count` nonnegative eigenvalues as k values, every negative
+    eigenvalue and, with ``want_vectors``, the eigenvectors of the k values
+    (else None).  The smallest eigenpairs are taken from a window of count
+    + 16 that widens until it holds `count` nonnegative ones or the whole
+    spectrum, so no negative eigenvalue crowds a mode out."""
     import scipy.linalg
 
     n = disc.n_nodes
     want = min(count + 16, n)
     while True:
         try:
-            lam = scipy.linalg.eigh(
-                disc.matrix, eigvals_only=True, subset_by_index=[0, want - 1]
+            out = scipy.linalg.eigh(
+                disc.matrix, eigvals_only=not want_vectors, subset_by_index=[0, want - 1]
             )
         except Exception as exc:  # pragma: no cover - eigensolver failure
             raise NumericalError(f"eigensolver failed: {exc}") from exc
-        neg = lam[lam < -_NEG_TOL]
-        nonneg = lam[lam >= -_NEG_TOL]
-        if len(nonneg) >= count or want == n:
-            ks = np.sqrt(np.clip(nonneg, 0.0, None))[:count]
-            return ks, neg
+        lam, vec = out if want_vectors else (out, None)
+        nonneg = lam >= -_NEG_TOL
+        if np.count_nonzero(nonneg) >= count or want == n:
+            break
         want = min(2 * want + 32, n)
+    ks = np.sqrt(np.clip(lam[nonneg], 0.0, None))[:count]
+    return ks, lam[~nonneg], None if vec is None else vec[:, nonneg][:, :count]
 
 
 def fd_spectrum(
@@ -182,11 +193,11 @@ def fd_spectrum(
     """
     count = _index(count, 1, "count must be a positive integer")
     disc = build_discretization(g, h)
-    ks, neg = _eig_band(disc, count)
+    ks, neg, _ = _eig_band(disc, count)
     if not richardson:
         return FdResult(ks=ks, negative=neg, h=h, n_nodes=disc.n_nodes)
     disc2 = build_discretization(g, h / 2.0)
-    ks2, neg2 = _eig_band(disc2, count)
+    ks2, neg2, _ = _eig_band(disc2, count)
     if len(ks) != len(ks2):
         raise NumericalError(
             "grid refinement changed the eigenvalue count; "
@@ -203,24 +214,11 @@ def fd_modes(
 ) -> Tuple[FdResult, np.ndarray, DiscretizedGraph]:
     """Like fd_spectrum but also returns eigenvectors (mass-space, i.e.
     nodal values) for discrete boundary-condition checks."""
-    import scipy.linalg
-
     disc = build_discretization(g, h)
-    n = disc.n_nodes
-    want = min(count + 16, n)
-    lam, vec = scipy.linalg.eigh(disc.matrix, subset_by_index=[0, want - 1])
-    nonneg_mask = lam >= -_NEG_TOL
-    lam_n = lam[nonneg_mask][:count]
-    vec_n = vec[:, nonneg_mask][:, :count]
+    ks, neg, vec = _eig_band(disc, count, want_vectors=True)
     # Back to nodal values: v = M^{-1/2} y.
-    nodal = vec_n / np.sqrt(disc.mass)[:, None]
-    res = FdResult(
-        ks=np.sqrt(np.clip(lam_n, 0.0, None)),
-        negative=lam[lam < -_NEG_TOL],
-        h=h,
-        n_nodes=n,
-    )
-    return res, nodal, disc
+    nodal = vec / np.sqrt(disc.mass)[:, None]
+    return FdResult(ks=ks, negative=neg, h=h, n_nodes=disc.n_nodes), nodal, disc
 
 
 def kirchhoff_defect(disc: DiscretizedGraph, nodal: np.ndarray) -> float:

@@ -67,7 +67,7 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-from .edge import _den, _entries, _refuse_singular, _solve_edges, unitarity_defect
+from .edge import _den, _entries, _solve_edges, unitarity_defect
 from .errors import InputError, NumericalError
 from .graph import Edge, MetricGraph
 from .potential import Potential, orient
@@ -222,11 +222,9 @@ class SecularValue:
 def _dens(sol):
     """den_e and den+_e = m21 + ik (m11 + m22) - k^2 m12 of every edge at
     every point, (n, E), from the fundamental matrices M of ``sol``; a pole
-    of some t_e raises SingularPointError."""
-    den, singular = _den(sol)
-    _refuse_singular(sol, singular)
+    of some t_e raises SingularPointError (``edge._den``)."""
     m11, m12, m21, m22 = sol.m
-    return den, m21 + 1j * sol.k * (m11 + m22) - sol.k * sol.k * m12
+    return _den(sol), m21 + 1j * sol.k * (m11 + m22) - sol.k * sol.k * m12
 
 
 def _det_s(g: MetricGraph, den, den_plus) -> np.ndarray:
@@ -250,8 +248,7 @@ def _det_w(g: MetricGraph, ks, sol=None, den=None, f=None):
     if sol is None:
         sol = _solve_edges(g, ks)
     if den is None:
-        den, singular = _den(sol)
-        _refuse_singular(sol, singular)
+        den = _den(sol)
     if f is None:
         f = _vertex_det(g, ks, sol)
     w = f * np.prod(-4.0 * ks[:, None] / den, axis=-1) * _layout(g).w_factor / ks
@@ -473,7 +470,7 @@ def secular(g: MetricGraph, k) -> Union[SecularValue, List[SecularValue]]:
         raise InputError(f"secular needs finite k with Re k > 0, not k={0 if k0 == 0 else k0}")
     re = np.real(ks).astype(float)
     sol = _solve_edges(g, re, want_count=True)
-    den = _den(sol)[0]
+    den = _den(sol)
     theta = _theta(sol, den)
     det_w = _det_w(g, re, sol, den)[0]
     det_sigma = _layout(g).det_sigma

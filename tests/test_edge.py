@@ -867,6 +867,30 @@ def test_unresolvable_arm_stops_its_threshold_block(magnus_steps):
     assert sum(p for levels in magnus_steps for n, p in levels if n == edge._MAX_STEPS) == 1
 
 
+def test_refusals_name_the_first_bad_point():
+    # the unresolved refusal is raised by the Magnus batch for its first
+    # (k, edge) row, the singular one by den for its first point, on every
+    # path that reaches them
+    unresolved = (
+        r"^Magnus propagator unresolved at 32768 steps for '{}' at k=\({}\+0j\)$"
+    )
+    g = interval(1.0, _smooth("cos(1000000*x)"))
+    with pytest.raises(NumericalError, match=unresolved.format(r"cos\(1000000\*x\)", "5")):
+        edge_profile(g, 0, 5.0, np.linspace(0.0, 1.0, 5))
+    # four unresolved rows, (5.1, 1), (5.1, 2), (4.7, 1) and (4.7, 2): the
+    # first in (k, edge) order is named, not the last nor the lowest k
+    g = star([(1.0, _smooth(f"cos({n}*x)")) for n in (2, 2000000, 1000000)])
+    with pytest.raises(NumericalError, match=unresolved.format(r"cos\(2000000\*x\)", r"5\.1")):
+        edge._solve_edges(g, np.array([5.1, 4.7]))
+    # 1.5i, the bound state of the attractive point interaction, is a pole
+    # of t and of t'
+    g = interval(1.0, {"type": "delta", "strength": -3.0, "position": 0.5})
+    singular = r"^transition-matrix parametrization singular at k=1\.5j$"
+    for at_pole in (transition_matrix, transition_matrix_dk):
+        with pytest.raises(SingularPointError, match=singular):
+            at_pole(g, 0, 1.5j)
+
+
 def test_unresolvable_potential_raises_through_threshold():
     g = interval(1.0, {"type": "expr", "expr": "cos(1000000*x)"})
     with pytest.raises(NumericalError, match="unresolved"):
@@ -961,6 +985,29 @@ def test_closed_form_counts_match_the_generic_rule_and_an_ode_count():
     ]
     got = edge._solve_edges(g, np.array(oracle_ks), want_count=True).zeros
     assert np.transpose(got, (2, 1, 0)).tolist() == [[list(z) for z in w] for w in want]
+
+
+def test_magnus_counts_a_zero_at_a_step_start_once():
+    # a smooth 0*x edge of length 1 converges at 128 steps, and above k =
+    # 101 its zeros are counted step by step.  At k = (m + 1/2) pi / x_j the
+    # Neumann solution cos(kx) vanishes at the step boundary x_j = j / 128,
+    # at k = m pi / x_j the Dirichlet solution sin(kx) / k does: psi at that
+    # step's start is within rounding of 0, and the counts equal the closed
+    # form's.  The Dirichlet count is left out where k = n pi, whose zero
+    # lies at x = L, where each side reads its own end sign
+    ks = []
+    for j in range(1, 128):
+        m, x = np.arange(j + 2), j / 128
+        ks += [(m + 0.5) * np.pi / x, m * np.pi / x]
+    ks = np.unique(np.concatenate(ks))
+    ks = ks[(ks > 101) & (ks < 400)]
+    assert ks.size > 7000
+    smooth = edge._solve_edges(interval(1.0, _smooth("0*x")), ks, want_count=True)
+    zero = edge._solve_edges(interval(1.0), ks, want_count=True)
+    (neumann, dirichlet), (want_n, want_d) = smooth.zeros[:, :, 0], zero.zeros[:, :, 0]
+    assert neumann.tolist() == want_n.tolist()
+    at_end = np.abs(ks / np.pi - np.rint(ks / np.pi)) < 1e-9
+    assert dirichlet[~at_end].tolist() == want_d[~at_end].tolist()
 
 
 # a zero, a point-interaction and a constant edge (c = 4), for real ks below

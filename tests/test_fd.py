@@ -9,6 +9,7 @@ import pytest
 from qgspectra.fd import build_discretization, fd_modes, fd_spectrum, kirchhoff_defect
 from qgspectra.spectrum import scan_spectrum
 
+from .conftest import interval
 from .oracles import attractive_delta_kappa, const_interval_ks
 
 # Values certified against the scattering side of this package; both agree
@@ -57,6 +58,26 @@ def test_attractive_interaction_bound_state(g_interval_delta_neg):
     kappa = attractive_delta_kappa(-1.0, 1.0)
     assert len(res.negative) == 1
     assert abs(res.negative[0] + kappa * kappa) <= 1e-5
+
+
+def test_modes_of_a_deep_well_are_not_crowded_out():
+    # a constant -400 on length 6 at h = 0.05 has 40 negative eigenvalues,
+    # more than the first eigensolve window of count + 16 holds: the modes
+    # widen it as the spectrum does, and keep all five, each an eigenvector
+    # of its k^2 whose one-sided end derivative is the discrete Neumann
+    # condition's (h / 2) (w - k^2) psi
+    h, count = 0.05, 5
+    g = interval(6.0, {"type": "constant", "value": -400.0})
+    res, modes, disc = fd_modes(g, h, count)
+    spectrum = fd_spectrum(g, h, count)
+    assert len(res.ks) == count == modes.shape[1]
+    assert np.abs(res.ks - spectrum.ks).max() <= 1e-10
+    assert len(res.negative) == len(spectrum.negative) == 40
+    assert np.array_equal(res.negative, spectrum.negative)
+    for k, mode in zip(res.ks, modes.T):
+        lam = k * k
+        assert np.abs(disc.form @ mode - lam * disc.mass * mode).max() <= 1e-9
+        assert kirchhoff_defect(disc, mode) <= (h / 2) * (400.0 + lam) * (1 + 1e-9)
 
 
 def test_vertex_condition_defect_halves_with_h(g_star3):

@@ -197,6 +197,19 @@ def test_a_pole_of_t_is_a_typed_error():
         secular(g, 2.3183553694129726 - 1.4667227028713161j)
 
 
+def test_secular_names_the_pole_on_its_complex_path():
+    # the constant-4 resonance, after a regular complex point and a real
+    # one: the refusal names the pole, which only the complex points reach
+    g = interval(1.0, {"type": "constant", "value": 4.0})
+    pole = 2.3183553694129726 - 1.4667227028713161j
+    message = (
+        r"^transition-matrix parametrization singular at "
+        r"k=\(2\.3183553694129726-1\.4667227028713161j\)$"
+    )
+    with pytest.raises(SingularPointError, match=message):
+        secular(g, np.array([3.0 - 0.2j, 2.0, pole]))
+
+
 def test_secular_solves_the_edges_once_per_point(g_delta_star, assembled_ks):
     # theta, det(I - S) and the check for a pole of t share one edge solve;
     # off the axis theta is continued from one more solve at Re k
