@@ -30,26 +30,25 @@ quantity below is a closed form in them.  M is built per kind:
   first count at which it converged, so a batch gives every row its
   one-point result.
 
-``_evaluate`` is the one evaluator: M, M' and the error estimate of some
-or all edges of a graph at every k of an array and, for the eigenvalue
-count, the zeros of two solutions on each edge, from per-graph arrays kept
-in a weak-keyed table.  One rule counts the zeros on a segment
-(``_segment_zeros``): ``_closed`` applies it to a closed-form edge
-as one segment, from the arrays that give M, and ``_zeros`` to the
-segments of a Magnus propagation.  The closed-form edges are evaluated
-together over (k, edge), and the smooth edges in one propagation, whose
-samples the table keeps stacked over the edges per kernel pass, with
-each edge's minimum of w.  A real k is evaluated in
-float64, with cosh and sinh on classically forbidden Magnus steps; a
-complex k is evaluated in complex arithmetic.
-``_solve_edges`` is its all-edges case, ``solve_edge`` its one-point case,
-and the threshold reads t and t' from it on a real grid; ``edge_profile``
-finds its step count from the same samples.  So every solve of a graph's
-edges samples a smooth potential once per step count.  Each bad point is
-refused where it is evaluated: ``_evaluate`` (and ``edge_profile``, which
-bypasses it) refuses a zero or non-finite k (``_refuse_k``),
-``_magnus_doubled`` the first (k, edge) row unresolved at _MAX_STEPS steps
-and ``_den`` the first pole of t.
+``_solve_edges`` is the one evaluator: M, M' and the error estimate of
+some or all edges of a graph at every k of an array and, for the
+eigenvalue count, the zeros of two solutions on each edge, from per-graph
+arrays kept in a weak-keyed table.  One rule counts the zeros on a segment
+(``_segment_zeros``): ``_closed`` applies it to a closed-form edge as one
+segment, from the arrays that give M, and ``_zeros`` to the segments of a
+Magnus propagation.  The closed-form edges are evaluated together over (k,
+edge), and the smooth edges in one propagation, whose samples the table
+keeps stacked over the edges per kernel pass, with each edge's minimum of
+w.  A real k is evaluated in float64, with cosh and sinh on classically
+forbidden Magnus steps; a complex k is evaluated in complex arithmetic.
+``solve_edge`` is its one-point, one-edge case, and the threshold reads t
+and t' from it on a real grid; ``edge_profile``, which needs M inside an
+edge, finds its step count from the same samples.  So every solve of a
+graph's edges samples a smooth potential once per step count.  Each bad
+point is refused where it is evaluated: ``_solve_edges`` and
+``edge_profile`` refuse a zero or non-finite k (``_refuse_k``),
+``_magnus_doubled`` the first (k, edge) row unresolved at _MAX_STEPS steps,
+one whose steps overflow at h k >> 1 too, and ``_den`` the first pole of t.
 
 M determines the 2x2 transition matrix
 
@@ -242,8 +241,10 @@ def _closed(k, c, D, x1, x2, want_dk: bool, want_count: bool = False):
     # and m22 last.  The sums are formed in place, and so are the products
     # of a real batch, which leaves a large batch three fewer temporaries
     # (numpy may round a complex product formed in place differently)
+    inplace = not np.iscomplexobj(q)
+
     def into(x):
-        return None if np.iscomplexobj(x) else x
+        return x if inplace else None
 
     m21 = q * s
     m21 = np.multiply(-q, m21, out=into(m21))
@@ -719,7 +720,9 @@ def _magnus_doubled(table, edges, ks, want_dk: bool, zeros):
     while counts[-1] <= _MAX_STEPS and active.size:
         table.draw(counts, rows[active])
         z = None if zeros is None else np.empty((2, active.size), int)
-        m, dm, err = _magnus(table, counts, rows[active], ks[active], want_dk, z, prev)
+        # steps that overflow (h k >> 1) give a non-finite error: never accepted
+        with np.errstate(over="ignore", invalid="ignore"):
+            m, dm, err = _magnus(table, counts, rows[active], ks[active], want_dk, z, prev)
         done = err <= _DEFAULT_TOL
         idx = active[done]
         m_out[..., idx], err_out[idx], n_out[idx] = m[-1][..., done], err[done], counts[-1]
@@ -776,16 +779,17 @@ def _edge_table(g: MetricGraph):
     return table
 
 
-def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False):
-    """M and M' (or None) of the edges ``edges`` of ``g`` (an index of the
-    edge axis: a slice reads the graph's table without copying it) at every
-    k of the 1-D array ``ks``, as row-major 4-tuples or (4, ...) arrays, the
-    error estimate and, when ``want_count`` (real k only), the ``_zeros``
-    (2, ...) (else None), each shaped (..., len(ks), len(edges)).  A real
-    ``ks`` is evaluated in float64, with cosh and sinh on classically
-    forbidden Magnus steps; a complex ``ks`` is evaluated in complex
-    arithmetic.  A k that is zero or not finite raises InputError
-    (``_refuse_k``) before any edge is evaluated.
+def _solve_edges(
+    g: MetricGraph, ks, want_dk: bool = False, want_count: bool = False, edges=slice(None)
+) -> EdgeSolution:
+    """M of the edges ``edges`` of ``g`` (an index of the edge axis: the
+    default slice reads the graph's table without copying it) at every k of
+    the 1-D array ``ks``: an EdgeSolution whose fields are (len(ks),
+    len(edges)) arrays, with M' when ``want_dk`` and the ``_zeros``, (2,
+    len(ks), len(edges)), when ``want_count`` (real k only).  A real ``ks``
+    is evaluated in float64, a complex one in complex arithmetic.  A k that
+    is zero or not finite raises InputError (``_refuse_k``) before any edge
+    is evaluated.
 
     Zero, constant and point-interaction edges are evaluated together in
     closed form from the table's columns (error 0: a read-only broadcast,
@@ -793,8 +797,10 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
     through one ``_magnus_doubled`` batch over their (k, edge) rows, from
     the graph's samples, which gives each row its one-point result, and
     which raises NumericalError for the first row it leaves unresolved."""
+    ks = np.asarray(ks)
+    ks = ks.astype(complex if np.iscomplexobj(ks) else float)
     _refuse_k(ks)
-    closed, _, slots, samples = _edge_table(g)
+    closed, lengths, slots, samples = _edge_table(g)
     # the chosen edges' places among the smooth edges (-1 on the others),
     # and the places of the smooth ones among the chosen
     at = ()
@@ -804,54 +810,40 @@ def _evaluate(g: MetricGraph, ks, edges, want_dk: bool, want_count: bool = False
     if not len(at):
         columns = tuple(col[edges] for col in closed)
         m, dm, zeros = _closed(ks[:, None], *columns, want_dk, want_count)
-        return m, dm, np.broadcast_to(0.0, (len(ks), len(columns[0]))), zeros
-    z = np.empty((2, len(ks), len(at)), dtype=int) if want_count else None
-    me, dme, err_at, _ = _magnus_doubled(samples, ids[at], ks, want_dk, z)
-    if at.size == ids.size:
-        m, dm = (None if x is None else x.reshape(4, *x.shape[2:]) for x in (me, dme))
-        return m, dm, err_at, z
-    shape = (len(ks), len(ids))
-    m = np.empty((4, *shape), dtype=me.dtype)
-    dm = np.empty_like(m) if want_dk else None
-    zeros = np.empty((2, *shape), dtype=int) if want_count else None
-    err = np.zeros(shape)
-    err[:, at] = err_at
-    rest = np.flatnonzero(ids < 0)
-    columns = tuple(col[edges][rest] for col in closed)
-    parts = [(at, me, dme, z), (rest, *_closed(ks[:, None], *columns, want_dk, want_count))]
-    for places, pm, pdm, pz in parts:
-        m[:, :, places] = np.reshape(pm, (4, len(ks), -1))
-        if want_dk:
-            dm[:, :, places] = np.reshape(pdm, (4, len(ks), -1))
-        if want_count:
-            zeros[:, :, places] = pz
-    return m, dm, err, zeros
+        err = np.broadcast_to(0.0, (len(ks), len(columns[0])))
+    else:
+        z = np.empty((2, len(ks), len(at)), dtype=int) if want_count else None
+        me, dme, err_at, _ = _magnus_doubled(samples, ids[at], ks, want_dk, z)
+        if at.size == ids.size:
+            m, dm = (None if x is None else x.reshape(4, *x.shape[2:]) for x in (me, dme))
+            err, zeros = err_at, z
+        else:
+            shape = (len(ks), len(ids))
+            m = np.empty((4, *shape), dtype=me.dtype)
+            dm = np.empty_like(m) if want_dk else None
+            zeros = np.empty((2, *shape), dtype=int) if want_count else None
+            err = np.zeros(shape)
+            err[:, at] = err_at
+            rest = np.flatnonzero(ids < 0)
+            columns = tuple(col[edges][rest] for col in closed)
+            parts = [(at, me, dme, z), (rest, *_closed(ks[:, None], *columns, want_dk, want_count))]
+            for places, pm, pdm, pz in parts:
+                m[:, :, places] = np.reshape(pm, (4, len(ks), -1))
+                if want_dk:
+                    dm[:, :, places] = np.reshape(pdm, (4, len(ks), -1))
+                if want_count:
+                    zeros[:, :, places] = pz
+    return EdgeSolution(ks[:, None], lengths[edges], tuple(m), dm, err, zeros)
 
 
 def solve_edge(g: MetricGraph, e: int, k: complex, want_dk: bool = False) -> EdgeSolution:
     """The fundamental matrix M of edge ``e`` at ``k``, and M' = dM/dk when
-    ``want_dk``: the one-point case of ``_evaluate``, which reads and adds
-    to the graph's samples and refuses a k that is zero or not finite."""
+    ``want_dk``: the one-point, one-edge case of ``_solve_edges``, which
+    reads and adds to the graph's samples."""
     k = complex(k)
-    m, dm, err, _ = _evaluate(g, np.array([k]), [e], want_dk)
-    m, dm = (None if x is None else tuple(complex(v[0, 0]) for v in x) for x in (m, dm))
-    return EdgeSolution(k, g.edges[e].length, m, dm, float(err[0, 0]))
-
-
-def _solve_edges(
-    g: MetricGraph, ks, want_dk: bool = False, want_count: bool = False
-) -> EdgeSolution:
-    """M of every edge at every k of the 1-D array ``ks``: an EdgeSolution
-    whose fields are (len(ks), E) arrays, with the ``_zeros`` of every edge,
-    (2, len(ks), E), when ``want_count`` (real k only), all from one call of
-    ``_evaluate``.  A real ``ks`` is evaluated in float64, with cosh and
-    sinh on classically forbidden Magnus steps; a complex ``ks`` is
-    evaluated in complex arithmetic.  An unresolved propagation raises for
-    the first such k in (k, edge) order, as ``solve_edge`` would there."""
-    ks = np.asarray(ks)
-    ks = ks.astype(complex if np.iscomplexobj(ks) else float)
-    m, dm, err, zeros = _evaluate(g, ks, slice(None), want_dk, want_count)
-    return EdgeSolution(ks[:, None], _edge_table(g)[1], tuple(m), dm, err, zeros)
+    sol = _solve_edges(g, np.array([k]), want_dk, edges=[e])
+    m, dm = (None if x is None else tuple(complex(v[0, 0]) for v in x) for x in (sol.m, sol.dm))
+    return EdgeSolution(k, g.edges[e].length, m, dm, float(sol.error_estimate[0, 0]))
 
 
 def edge_profile(g: MetricGraph, e: int, k: complex, xs) -> np.ndarray:
@@ -1043,11 +1035,9 @@ def _strength(e) -> float:
 def _delay_floor(g: MetricGraph, ks: np.ndarray, edges: List[int]) -> np.ndarray:
     """The smaller eigenvalue of the Wigner-Smith matrix Q = -i t^H t' of
     the edges ``edges`` at every real k of ``ks``, (len(ks), len(edges)),
-    from one ``_evaluate``; an unresolved point raises, the first in (k,
+    from one ``_solve_edges``; an unresolved point raises, the first in (k,
     edge) order."""
-    m, dm, _, _ = _evaluate(g, ks, edges, True)
-    sol = EdgeSolution(ks[:, None], _edge_table(g)[1][edges], tuple(m), tuple(dm))
-    (tr, rf, rt), (dtr, drf, drt) = _entries(sol)
+    (tr, rf, rt), (dtr, drf, drt) = _entries(_solve_edges(g, ks, True, edges=edges))
     # t^H t' with t = [[tr, rt], [rf, tr]]; Q is Hermitian where t is
     # unitary, so its diagonal is the imaginary part of this one's, and the
     # off-diagonal entry is averaged with the conjugate of its mirror

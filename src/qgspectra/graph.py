@@ -138,13 +138,14 @@ def build_graph(data: dict) -> MetricGraph:
 
 def _warn_on_vertex_discontinuity(g: MetricGraph) -> None:
     # Values of non-delta potentials at a shared vertex should agree; this is
-    # the caller's responsibility, so mismatches only warn.
+    # the caller's responsibility, so mismatches only warn.  Each is read off
+    # the edge's own expression, at x = 0 for direction 2e, x = L for 2e + 1.
     for v in g.vertices:
         vals = []
         for d in g.out_directions(v):
-            pot = g.oriented_potential(d)
-            if pot.kind != "delta":
-                vals.append(float(pot.callable(g.direction_length(d))(0.0)))
+            e = g.edge_of(d)
+            if e.potential.kind != "delta":
+                vals.append(float(e.potential.callable(e.length)(e.length if d & 1 else 0.0)))
         if vals and max(vals) - min(vals) > _CONTINUITY_TOL:
             import logging  # only here: the package import stays without it
 

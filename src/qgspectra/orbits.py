@@ -25,9 +25,13 @@ N is not bounded by the enumeration budget.  Enumeration serves the
 orbit table, orbit_sum_check and the WKB orbit data.  It is one array
 enumeration (_classes): per length, the walks that start at their least
 state and stay at or above it are one integer array, extended one step
-at a time up to n_max, with no recursion.  It is refused with
-NumericalError, before any walk is built, when the partial paths counted
-from the step matrix exceed _PATH_BUDGET.
+at a time up to n_max, with no recursion, and refused with NumericalError,
+before any walk is built, when the partial paths counted from the step
+matrix exceed _PATH_BUDGET.  _representatives gives each class its key
+and primitive period, also for a cycle given to make_orbit, and
+_class_weights is the one step-weight product, with its k-derivative
+when given S': the table's weights, orbit_weight, orbit_amplitude and
+orbit_sum_check all read it.
 """
 
 from __future__ import annotations
@@ -122,19 +126,7 @@ class PeriodicOrbit:
         if self.repetitions == 1:
             return self
         m = self.n_primitive
-        return _orbit(self.states[:m], self.kinds[:m], _min_rotation(self.states[:m]))
-
-
-def _min_rotation(seq: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Least rotation of seq; only a rotation starting at its least
-    element can be it."""
-    m = min(seq)
-    return min(seq[i:] + seq[:i] for i, s in enumerate(seq) if s == m)
-
-
-def _primitive_period(seq: Tuple[int, ...]) -> int:
-    n = len(seq)
-    return next(d for d in range(1, n + 1) if n % d == 0 and seq[:d] * (n // d) == seq)
+        return _cycle_class(self.states[:m], self.kinds[:m])
 
 
 def make_orbit(g: MetricGraph, states: Sequence[int]) -> PeriodicOrbit:
@@ -158,17 +150,7 @@ def make_orbit(g: MetricGraph, states: Sequence[int]) -> PeriodicOrbit:
         if not match:
             raise InputError(f"inadmissible step {s} -> {r}")
         kinds.append(match[0])
-    return _orbit(tuple(cycle), tuple(kinds), _min_rotation(tuple(cycle)))
-
-
-def _orbit(
-    states: Tuple[int, ...], kinds: Tuple[str, ...], key: Tuple[int, ...]
-) -> PeriodicOrbit:
-    """The class through the state cycle ``states`` with step kinds
-    ``kinds`` and least rotation ``key``, all already checked."""
-    n = len(states)
-    n_primitive = _primitive_period(states)
-    return PeriodicOrbit(states, kinds, n, n_primitive, n // n_primitive, key)
+    return _cycle_class(tuple(cycle), tuple(kinds))
 
 
 # Partial paths one enumeration may hold: the walks that start at their
@@ -303,6 +285,16 @@ def _representatives(closed: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.nda
     return closed.T[rep], keys[first], period[rep]
 
 
+def _cycle_class(states: Tuple[int, ...], kinds: Tuple[str, ...]) -> PeriodicOrbit:
+    """The class through the checked state cycle ``states`` with step kinds
+    ``kinds``: its key and primitive period are those _representatives
+    gives the cycle rotated to its first least state."""
+    i = states.index(min(states))
+    _, keys, period = _representatives(np.array([states[i:] + states[:i]]).T)
+    n, n_primitive = len(states), int(period[0])
+    return PeriodicOrbit(states, kinds, n, n_primitive, n // n_primitive, tuple(keys[0].tolist()))
+
+
 def enumerate_orbits(g: MetricGraph, n_max: int) -> List[PeriodicOrbit]:
     """One representative per cyclic class of closed walks with <= n_max
     steps, sorted by (n, key); the classes of _classes as PeriodicOrbit.
@@ -338,57 +330,51 @@ def step_sigma(g: MetricGraph, s: int, r: int, kind: str) -> float:
     return float(big_sigma(g)[r, MetricGraph.reverse(s) if kind == "transmit" else s])
 
 
-def _weights(p: PeriodicOrbit, S) -> List[complex]:
-    """Step weights S[r][s] along p.  Without self-loops the entry of an
-    admissible step s -> r has a single term, vertex entry x edge entry,
-    so it is that step's weight tau (and S' holds tau')."""
-    return [S[r][s] for s, r in zip(p.states, p.states[1:] + p.states[:1])]
-
-
-def _weight(p: PeriodicOrbit, S) -> complex:
-    """Product of the step weights of p read from S (nested lists)."""
-    out = 1.0 + 0j
-    for w in _weights(p, S):
-        out *= w
-    return out
-
-
-def _class_weights(blocks: Sequence[_Block], S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+def _class_weights(blocks: Sequence[_Block], S: np.ndarray, dS: Optional[np.ndarray] = None):
     """(re, im) of the step-weight products of the classes of ``blocks``,
-    in their order, with S[r, s] gathered from S.  Each product is taken as
-    _weight takes it, from 1 in the order of the states, in the real
-    arithmetic of Python's complex product, so the two agree to the bit."""
+    in their order, with S[r, s] gathered from S: without self-loops the
+    entry of an admissible step s -> r has a single term, vertex entry x
+    edge entry, so it is that step's weight tau.  Each product is taken
+    from 1 in the order of the states, in the real arithmetic of Python's
+    complex product.  Given dS = S', which holds the tau', it returns (re,
+    im, dre, dim), the products' k-derivative by the product rule added to
+    the same loop."""
     if not blocks:
-        return np.empty(0), np.empty(0)
+        return (np.empty(0),) * (2 if dS is None else 4)
     lengths = np.concatenate([np.full(len(b.states), b.states.shape[1]) for b in blocks])
     w = np.concatenate([S[_next_states(b.states), b.states].ravel() for b in blocks])
     w_re, w_im = w.real, w.imag
     starts = np.cumsum(lengths) - lengths
     re, im = np.ones(lengths.size), np.zeros(lengths.size)
+    if dS is not None:
+        dw = np.concatenate([dS[_next_states(b.states), b.states].ravel() for b in blocks])
+        dre, dim = np.zeros(lengths.size), np.zeros(lengths.size)
     for j in range(lengths[-1]):
         # the rows with more than j steps: a tail, the lengths ascending
         lo = np.searchsorted(lengths, j, side="right")
         c, d = w_re[starts[lo:] + j], w_im[starts[lo:] + j]
         a, b = re[lo:], im[lo:]
+        if dS is not None:
+            # (P w)' = P' w + P w'
+            e, f = dre[lo:], dim[lo:]
+            dc, dd = dw.real[starts[lo:] + j], dw.imag[starts[lo:] + j]
+            dre[lo:], dim[lo:] = (
+                e * c - f * d + (a * dc - b * dd), e * d + f * c + (a * dd + b * dc)
+            )
         re[lo:], im[lo:] = a * c - b * d, a * d + b * c
-    return re, im
+    return (re, im) if dS is None else (re, im, dre, dim)
+
+
+def _one_class(p: PeriodicOrbit) -> _Block:
+    """The block of the one class ``p``."""
+    kinds = np.array([[_KIND_CODES[kind] for kind in p.kinds]], dtype=np.uint8)
+    return _Block(np.array([p.states]), np.array([p.key]), kinds, np.array([p.n_primitive]))
 
 
 def orbit_weight(p: PeriodicOrbit, g: MetricGraph, k: complex) -> complex:
     """Product of step weights tau over the full orbit at k."""
-    return _weight(p, assemble_S(g, complex(k)).tolist())
-
-
-def _amplitude_from_factors(p: PeriodicOrbit, ws, dws) -> float:
-    n = p.n
-    prefix = [1.0 + 0j] * (n + 1)
-    for i, w in enumerate(ws):
-        prefix[i + 1] = prefix[i] * w
-    suffix = [1.0 + 0j] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix[i] = ws[i] * suffix[i + 1]
-    dprod = sum(prefix[i] * dws[i] * suffix[i + 1] for i in range(n))
-    return (p.n_primitive / p.n) * dprod.imag
+    re, im = _class_weights([_one_class(p)], assemble_S(g, complex(k)))
+    return complex(re[0], im[0])
 
 
 def orbit_amplitude(p: PeriodicOrbit, g: MetricGraph, k: float) -> float:
@@ -404,9 +390,8 @@ def orbit_amplitude(p: PeriodicOrbit, g: MetricGraph, k: float) -> float:
         raise InputError(f"orbit amplitude requires k > threshold K={kthr:.6g}")
     T, dT = assemble_T(g, float(k), want_dk=True)
     sigma = big_sigma(g)
-    ws = _weights(p, (sigma @ T).tolist())
-    dws = _weights(p, (sigma @ dT).tolist())
-    return _amplitude_from_factors(p, ws, dws)
+    dim = _class_weights([_one_class(p)], sigma @ T, sigma @ dT)[3]
+    return (p.n_primitive / p.n) * float(dim[0])
 
 
 def orbit_sum_check(g: MetricGraph, k: float, n: int) -> float:
@@ -414,13 +399,11 @@ def orbit_sum_check(g: MetricGraph, k: float, n: int) -> float:
     if np.iscomplexobj(k):
         raise InputError("the orbit sum check is defined for real k")
     n = _index(n, 1, "n must be >= 1")
-    orbits = enumerate_orbits(g, n)
+    blocks = [b for b in _classes(g, n) if b.states.shape[1] == n]
     s = assemble_S(g, float(k))
-    rows = s.tolist()
-    total = 0.0 + 0j
-    for p in orbits:
-        if p.n == n:
-            total += p.n_primitive * _weight(p, rows)
+    re, im = _class_weights(blocks, s)
+    n_primitive = [m for b in blocks for m in b.n_primitive.tolist()]
+    total = sum(m * complex(a, b) for m, a, b in zip(n_primitive, re, im))
     tr = complex(np.trace(np.linalg.matrix_power(s, n)))
     return abs(total - tr)
 

@@ -8,7 +8,10 @@ built on it.  ``block_fold``
 takes the Magnus step matrices as arrays and folds them the way the package
 did before it folded M and M' as a 2x2 pair.  ``walk_orbits`` is the
 package's former depth-first orbit enumeration, on the package's step table
-and class record, kept as the reference of the array enumeration.
+and its PeriodicOrbit record, kept as the reference of the array
+enumeration; its least rotation, primitive period, step-weight product
+(``orbit_product``) and its k-derivative (``orbit_product_dk``) are its
+own.
 """
 from __future__ import annotations
 
@@ -265,10 +268,10 @@ def walk_orbits(g, n_max: int):
     extends paths whose states never drop below s0 and records each step
     back into s0 as a closed walk.  A class is thus met only from its least
     state; the first rotation met represents it and later ones are dropped
-    by their least rotation (key).  It takes the step table, the least
-    rotation and the class record from the package and has no budget.
+    by their least rotation (key).  It takes the step table and the
+    PeriodicOrbit record from the package and has no budget.
     """
-    from qgspectra.orbits import _min_rotation, _orbit, _step_table
+    from qgspectra.orbits import _step_table
 
     table = _step_table(g)
     orbits = []
@@ -282,10 +285,10 @@ def walk_orbits(g, n_max: int):
             for r, kind in steps[-1]:
                 if r == s0:
                     cycle = tuple(states)
-                    key = _min_rotation(cycle)
+                    key = min_rotation(cycle)
                     if key not in seen:
                         seen.add(key)
-                        orbits.append(_orbit(cycle, (*kinds[1:], kind), key))
+                        orbits.append(orbit_class(cycle, (*kinds[1:], kind)))
                 if r >= s0 and len(states) < n_max:
                     states.append(r)
                     kinds.append(kind)
@@ -299,3 +302,51 @@ def walk_orbits(g, n_max: int):
                 steps.pop()
     orbits.sort(key=lambda p: (p.n, p.key))
     return orbits, spent
+
+
+def min_rotation(seq: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Least rotation of seq; only a rotation starting at its least element
+    can be it."""
+    m = min(seq)
+    return min(seq[i:] + seq[:i] for i, s in enumerate(seq) if s == m)
+
+
+def primitive_period(seq: Tuple[int, ...]) -> int:
+    n = len(seq)
+    return next(d for d in range(1, n + 1) if n % d == 0 and seq[:d] * (n // d) == seq)
+
+
+def orbit_class(states: Tuple[int, ...], kinds: Tuple[str, ...]):
+    """The package's PeriodicOrbit record of the class through the state
+    cycle ``states`` with step kinds ``kinds``."""
+    from qgspectra.orbits import PeriodicOrbit
+
+    n, m = len(states), primitive_period(states)
+    return PeriodicOrbit(states, kinds, n, m, n // m, min_rotation(states))
+
+
+def _step_weights(p, S) -> List[complex]:
+    """S[r][s] along the steps s -> r of p, as Python complex numbers."""
+    return [complex(S[r][s]) for s, r in zip(p.states, p.states[1:] + p.states[:1])]
+
+
+def orbit_product(p, S) -> complex:
+    """The step-weight product of p, multiplied from 1 in Python complex
+    arithmetic in the order of its states."""
+    out = 1.0 + 0j
+    for w in _step_weights(p, S):
+        out *= w
+    return out
+
+
+def orbit_product_dk(p, S, dS) -> complex:
+    """The k-derivative of p's step-weight product, with dS = S': the sum
+    over its steps of prefix product x tau' x suffix product, in Python
+    complex arithmetic.  p's amplitude is (n_primitive / n) times its
+    imaginary part."""
+    ws, dws, n = _step_weights(p, S), _step_weights(p, dS), p.n
+    prefix, suffix = [1.0 + 0j] * (n + 1), [1.0 + 0j] * (n + 1)
+    for i in range(n):
+        prefix[i + 1] = prefix[i] * ws[i]
+        suffix[n - 1 - i] = ws[n - 1 - i] * suffix[n - i]
+    return sum(prefix[i] * dws[i] * suffix[i + 1] for i in range(n))

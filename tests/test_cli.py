@@ -18,7 +18,7 @@ from qgspectra.orbits import enumerate_orbits
 from qgspectra.scattering import assemble_S, secular
 from qgspectra.spectrum import ScanConfig
 
-from .oracles import walk_orbits
+from .oracles import orbit_product, walk_orbits
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -328,12 +328,12 @@ def test_orbit_table_solves_each_edge_once(tmp_path, solve_edge_calls):
 
 def _reference_table(g, n_max, k_sample):
     """The orbit table's rows, past its config-hash line, from the
-    depth-first walk's classes, each weight taken by ``_weight`` and
+    depth-first walk's classes, each weight the oracle's step-weight product
     written as '{:.12e}'."""
     S = assemble_S(g, complex(k_sample)).tolist()
     lines = [",".join(cli._ORBIT_HEADER) + "\n"]
     for i, p in enumerate(walk_orbits(g, n_max)[0]):
-        wt = orbits._weight(p, S)
+        wt = orbit_product(p, S)
         states = "-".join(str(s) for s in p.states)
         kinds = "".join("T" if kind == "transmit" else "R" for kind in p.kinds)
         row = [i, p.n, p.n_primitive, p.repetitions, states, kinds]

@@ -891,6 +891,16 @@ def test_refusals_name_the_first_bad_point():
             at_pole(g, 0, 1.5j)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("expr,k", [("1000*cos(1000*x)", 1e5), ("1000*x", 1e7)])
+def test_overflowing_steps_end_in_the_unresolved_refusal(expr, k):
+    # at h k >> 1 the truncated generator makes steps whose cosh and sinh
+    # overflow: those rows are never accepted, and no overflow warning escapes
+    g = interval(1.0, _smooth(expr))
+    with pytest.raises(NumericalError, match="unresolved at 32768 steps"):
+        solve_edge(g, 0, k)
+
+
 def test_unresolvable_potential_raises_through_threshold():
     g = interval(1.0, {"type": "expr", "expr": "cos(1000000*x)"})
     with pytest.raises(NumericalError, match="unresolved"):

@@ -9,6 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
+from qgspectra import potential
 from qgspectra.edge import subunitarity_threshold
 from qgspectra.errors import GraphError
 from qgspectra.graph import MetricGraph, build_graph
@@ -133,6 +134,18 @@ def test_matching_vertex_values_stay_silent(caplog):
     with caplog.at_level(logging.WARNING, logger="qgspectra.graph"):
         build_graph(data)
     assert "disagree" not in caplog.text
+
+
+def test_vertex_check_builds_no_reversed_tree(monkeypatch):
+    # each vertex value is read off the edge's own expression, at x = 0 or
+    # x = L, so a build substitutes no reversed tree
+    def refused(tree, length):
+        raise AssertionError("substitute_reversed called")
+
+    monkeypatch.setattr(potential, "substitute_reversed", refused)
+    exprs = ("cos(2*x)", "cos(3*x)", "cos(4*x)")
+    g = star([(1.0, {"type": "expr", "expr": e}) for e in exprs])
+    assert g.num_edges == 3
 
 
 def test_total_length_additive(g_star3):

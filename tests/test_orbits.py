@@ -22,7 +22,14 @@ from qgspectra.orbits import (
 from qgspectra.scattering import _theta_prime, assemble_T, big_sigma
 
 from .conftest import random_delta_star
-from .oracles import brute_classes, burnside_classes, gaussian_moment, walk_orbits
+from .oracles import (
+    brute_classes,
+    burnside_classes,
+    gaussian_moment,
+    orbit_product,
+    orbit_product_dk,
+    walk_orbits,
+)
 
 
 def _counts_by_length(orbits, n_max):
@@ -136,6 +143,24 @@ def test_amplitude_sums_equal_matrix_traces(request, fixture_name):
         total = sum(orbit_amplitude(p, g, k) for p in orbits if p.n == n)
         expected = np.trace(np.linalg.matrix_power(S, n - 1) @ dS).imag
         assert abs(total - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("fixture_name,k", [("g_delta_star", 12.0), ("g_smooth_star", 14.0)])
+def test_class_weights_are_the_oracle_products(request, fixture_name, k):
+    # every class up to length 5: the weights equal the oracle's Python
+    # complex product to the bit, and the product-rule derivative carried
+    # in the same loop is its prefix/suffix form up to rounding
+    g = request.getfixturevalue(fixture_name)
+    T, dT = assemble_T(g, k, want_dk=True)
+    S, dS = big_sigma(g) @ T, big_sigma(g) @ dT
+    re, im, dre, dim = orbits_module._class_weights(orbits_module._classes(g, 5), S, dS)
+    found = enumerate_orbits(g, 5)
+    assert len(found) == re.size
+    for p, a, b, da, db in zip(found, re, im, dre, dim):
+        assert complex(a, b) == orbit_product(p, S)
+        expected = orbit_product_dk(p, S, dS)
+        assert abs(da - expected.real) <= 2e-15
+        assert abs(db - expected.imag) <= 2e-15
 
 
 def test_trace_check_orbit_cutoff_beyond_enumeration(g_delta_star):

@@ -47,9 +47,10 @@ def test_one_edge_evaluator():
     edge = importlib.import_module("qgspectra.edge")
     for func in (edge.solve_edge, edge.edge_profile):
         assert "reverse" not in inspect.signature(func).parameters
-    assert list(inspect.signature(edge._evaluate).parameters) == [
-        "g", "ks", "edges", "want_dk", "want_count"
+    assert list(inspect.signature(edge._solve_edges).parameters) == [
+        "g", "ks", "want_dk", "want_count", "edges"
     ]
+    assert not hasattr(edge, "_evaluate")
     assert "orient" not in vars(edge)
 
 
